@@ -27,10 +27,7 @@ let fixture () =
   in
   let random_acl = Gen.acl rng ~individuals:inds ~groups:grps ~length:16 ~deny_fraction:0.2 in
   ignore random_acl;
-  (* Uncached so the decide benchmarks keep measuring the full
-     evaluation; the cached variant is its own benchmark below. *)
-  let monitor = Reference_monitor.create ~cache:false db in
-  let cached_monitor = Reference_monitor.create ~cache:true db in
+  let monitor = Reference_monitor.create db in
   let meta = Meta.make ~owner:principal ~acl:acl64 bottom in
   (* Name space of depth 8. *)
   let root_meta =
@@ -56,8 +53,8 @@ let fixture () =
       }
   done;
   let caller_class = Security_class.top dhier duni in
-  ( db, hierarchy, universe, subject, principal, acl64, acl_first, monitor,
-    cached_monitor, meta, resolver, leaf8, dispatcher, event, caller_class )
+  ( db, hierarchy, universe, subject, principal, acl64, acl_first, monitor, meta,
+    resolver, leaf8, dispatcher, event, caller_class )
 
 let kernel_fixture () =
   let db = Principal.Db.create () in
@@ -102,8 +99,8 @@ let kernel_fixture () =
   kernel, alice_sub, ping, linked, fs, log
 
 let tests () =
-  let ( db, hierarchy, universe, subject, principal, acl64, acl_first, monitor,
-        cached_monitor, meta, resolver, leaf8, dispatcher, event, caller_class ) =
+  let ( db, hierarchy, universe, subject, principal, acl64, acl_first, monitor, meta,
+        resolver, leaf8, dispatcher, event, caller_class ) =
     fixture ()
   in
   let fixture_bottom = Security_class.bottom hierarchy universe in
@@ -126,9 +123,6 @@ let tests () =
     Test.make ~name:"monitor/decide-dac+mac"
       (Staged.stage (fun () ->
            Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read));
-    Test.make ~name:"monitor/decide-cached-hit"
-      (Staged.stage (fun () ->
-           Reference_monitor.decide cached_monitor ~subject ~meta ~mode:Access_mode.Read));
     Test.make ~name:"path/parse-depth8"
       (Staged.stage (fun () -> Path.of_string "/a/b/c/d/e/f/g/h"));
     Test.make ~name:"namespace/raw-find-depth8"

@@ -24,14 +24,13 @@ let experiments =
     "a3", "ablation: nested-group membership depth", Ablations.a3;
     "a4", "ablation: policy-file parse/build throughput", Ablations.a4;
     "a5", "ablation: quota charging overhead", Ablations.a5;
-    "a6", "ablation: decision cache on/off, repeated checks", Ablations.a6;
     "a7", "ablation: static analysis; certified vs per-call dispatch", Ablations.a7;
     "a8", "ablation: compiled ACL path; sharded audit pipeline", Ablations.a8;
     "a9", "ablation: metrics/tracing overhead, instrumented vs noop", Ablations.a9;
-    "a10", "ablation: capability-handle dispatch vs certified/cached/uncached", Ablations.a10;
+    "a10", "ablation: capability-handle dispatch vs certified/checked", Ablations.a10;
     "a11", "ablation: analyze-then-link vs lazy certification (chain proofs)", Ablations.a11;
     "a12", "ablation: certificate survival under unrelated churn, scoped vs generation-exact", Ablations.a12;
-    "s1", "decide throughput vs domains: uncached / single-lock / sharded", Scaling.s1;
+    "s1", "decide throughput vs domains, one shared monitor", Scaling.s1;
     "s1q", "s1 smoke: 1-2 domains, short streams", Scaling.s1q;
     "s2", "end-to-end served RPS vs client domains (loopback)", Scaling.s2;
     "s2q", "s2 smoke: 1-2 clients, short", Scaling.s2q;

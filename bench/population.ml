@@ -9,8 +9,8 @@
 
    - bulk import: a batched population ([Principal.Db.batch], one
      deferred generation bump) vs the same mutations unbatched (one
-     bump — one fleet-wide invalidation of caches, certificates and
-     handles — per mutation);
+     bump — one fleet-wide invalidation of compiled ACLs, certificates
+     and handles — per mutation);
    - snapshot maintenance: a single-edit incremental refresh and a
      10^4-edit churn refresh vs the full from-scratch rebuild the seed
      shipped with ([Principal.Db.full_snapshot]) — refresh cost must
@@ -256,7 +256,7 @@ let run scale =
   Format.printf "steady-state latency at this population:@.";
   Format.printf "  checked resolve (depth %d)   %a@." (scale.depth + 1) Timing.pp_ns
     resolve_ns;
-  Format.printf "  monitor decide (cached)      %a@." Timing.pp_ns decide_ns;
+  Format.printf "  monitor decide               %a@." Timing.pp_ns decide_ns;
   Format.printf "  compiled ACL check           %a@." Timing.pp_ns compiled_check_ns;
   Format.printf "  ACL compile (group closures) %a@." Timing.pp_ns compile_ns;
   Format.printf

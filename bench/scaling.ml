@@ -1,20 +1,11 @@
 (* S1: multi-domain decide throughput.
 
    Reader domains hammer one shared monitor with seeded check-only
-   streams (hot working set, no revocations) and we compare three
-   monitor configurations at 1/2/4/8 domains:
-
-   - uncached        every decision recomputed, no shared cache state
-   - single-lock     decision cache with one shard = one global mutex
-   - sharded(8)      decision cache split into 8 independently locked
-                     shards (key-hash -> shard)
-
-   The sharded/single-lock column is the contention story: with one
-   shard every decide from every domain serializes on the same mutex;
-   with 8 shards concurrent lookups mostly take disjoint locks.  The
-   win needs real parallel hardware — on a single-core host the OS
-   timeslices the domains, the lock is never contended for long, and
-   the ratio sits near 1x (see EXPERIMENTS.md, S1). *)
+   streams (hot working set, no revocations) at 1/2/4/8 domains.  The
+   decision path takes no lock: the compiled-ACL slot on each object
+   and the snapshot-id memo on each subject are single pointers, read
+   without synchronization.  So the rate should scale with the cores
+   the host really has and flatten once domains outnumber them. *)
 
 open Exsec_core
 open Exsec_workload
@@ -25,17 +16,6 @@ let make_env () =
   let rng = Prng.create ~seed:97 in
   Opstream.environment rng ~individuals:16 ~groups:4 ~subjects:12 ~objects:48
     ~levels:3 ~categories:3
-
-let variants env =
-  [
-    "uncached", Reference_monitor.create ~cache:false env.Opstream.db;
-    ( "single-lock",
-      Reference_monitor.create ~cache:true ~cache_capacity:8192 ~cache_shards:1
-        env.Opstream.db );
-    ( "sharded(8)",
-      Reference_monitor.create ~cache:true ~cache_capacity:8192 ~cache_shards:8
-        env.Opstream.db );
-  ]
 
 (* Aggregate decides per second with [domains] domains each replaying
    [ops_per_domain] operations of its own pregenerated stream. *)
@@ -60,7 +40,7 @@ let throughput env monitor ~domains ~ops_per_domain =
     done
   in
   (* One warm pass on the spawning domain takes first-touch costs
-     (cache population, hashtable growth) off the clock. *)
+     (snapshot build, ACL compiles) off the clock. *)
   run 0 ();
   let start = Timing.now_ns () in
   let handles = List.init domains (fun i -> Domain.spawn (run i)) in
@@ -70,32 +50,22 @@ let throughput env monitor ~domains ~ops_per_domain =
 
 let series ~domain_counts ~ops_per_domain =
   let env = make_env () in
+  let monitor = Reference_monitor.create env.Opstream.db in
   Format.printf "runtime-recognized cores: %d@." (Domain.recommended_domain_count ());
-  Format.printf "%-8s %-15s %-15s %-15s %s@." "domains" "uncached" "single-lock"
-    "sharded(8)" "sharded/single";
+  Format.printf "%-8s %-15s %s@." "domains" "decide" "vs 1 domain";
+  let base = ref 0.0 in
   List.iter
     (fun domains ->
-      let rates =
-        List.map
-          (fun (_, monitor) -> throughput env monitor ~domains ~ops_per_domain)
-          (variants env)
-      in
-      match rates with
-      | [ uncached; single; sharded ] ->
-        Format.printf "%-8d %8.2f Mops/s %8.2f Mops/s %8.2f Mops/s %10.2fx@." domains
-          (uncached /. 1e6) (single /. 1e6) (sharded /. 1e6) (sharded /. single)
-      | _ -> assert false)
+      let rate = throughput env monitor ~domains ~ops_per_domain in
+      if !base = 0.0 then base := rate;
+      Format.printf "%-8d %8.2f Mops/s %10.2fx@." domains (rate /. 1e6) (rate /. !base))
     domain_counts;
   Format.printf
-    "expected shape: on multi-core hardware single-lock flattens as domains are@.";
-  Format.printf
-    "added (every decide serializes on one mutex) while sharded scales with the@.";
-  Format.printf
-    "core count; on a single core all variants collapse to timeslicing and the@.";
-  Format.printf "sharded/single ratio sits near 1x@."
+    "expected shape: the rate grows with domains up to the core count (no lock on@.";
+  Format.printf "the decision path) and flattens beyond it@."
 
 let s1 () =
-  header "S1  Decide throughput vs domains: uncached / single-lock / sharded";
+  header "S1  Decide throughput vs domains, one shared monitor";
   series ~domain_counts:[ 1; 2; 4; 8 ] ~ops_per_domain:100_000
 
 let s1q () =

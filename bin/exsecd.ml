@@ -910,7 +910,7 @@ let metrics_cmd =
     (Cmd.info "metrics"
        ~doc:
          "Run the paper's scenario with collection enabled and print the kernel-wide \
-          metrics registry: call/decision/cache/audit counters and latency percentiles")
+          metrics registry: call/decision/audit counters and latency percentiles")
     Term.(const run $ json $ trace $ rounds)
 
 (* {1 serve: the request front end} *)

@@ -103,7 +103,7 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   let db = Reference_monitor.db monitor in
   let policy = Reference_monitor.policy monitor in
   (* Pre-read every generation the proof depends on (the same
-     data-then-generation discipline as Decision_cache): a concurrent
+     data-then-generation discipline as Meta.compiled_acl): a concurrent
      mutation then lands a higher generation than the one recorded
      here, and [admits] rejects. *)
   let stamp = Reference_monitor.stamp monitor in

@@ -11,7 +11,7 @@
     {2 Invalidation by validation, scoped}
 
     Invalidation is by validation, not notification (the same scheme
-    as {!Exsec_core.Decision_cache}): nothing tracks certificates;
+    as {!Exsec_core.Meta.compiled_acl}): nothing tracks certificates;
     they silently stop admitting as soon as state they depended on
     changes.  The dependency set is {e scoped}:
 

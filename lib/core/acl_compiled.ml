@@ -1,9 +1,10 @@
 (* The compiled form of an ACL: the three precedence tiers flattened
    into packed allow/deny mode-mask integers keyed by the interned
    principal ids of a Principal.Db.Snapshot.  A check is a handful of
-   bitwise operations and allocates nothing; the who diagnostics of
-   the interpreted walk are recovered lazily by the caller (the
-   reference monitor re-runs Acl.check only on the deny path).
+   bitwise operations and allocates nothing when it grants.  A denial
+   names the deny entry that decided, read from the form's own
+   snapshot (see [group_denies]), so the monitor never falls back to
+   the interpreted walk.
 
    Two storage shapes, chosen at compile time by population size:
 
@@ -49,6 +50,16 @@ type tiers =
       group_masks : int array;  (* parallel to [group_ids] *)
     }
 
+(* A group-tier deny entry, kept in ACL order in both shapes: the
+   masks above only say that some deny decided, and the first of these
+   whose group holds the subject is the entry the interpreted walk
+   would name. *)
+type group_deny = {
+  deny_group : int;  (* interned group id *)
+  deny_bits : int;  (* the entry's deny mask, shifted as above *)
+  deny_who : Acl.who;
+}
+
 type t = {
   snapshot : Principal.Db.Snapshot.t;
   tiers : tiers;
@@ -57,11 +68,12 @@ type t = {
          registered in the database); matched by name on lookup *)
   extra_masks : int array;
   evr_mask : int;
+  group_denies : group_deny array;
 }
 
 type verdict =
   | Granted
-  | Denied
+  | Denied of Acl.who
   | No_entry
 
 let db_generation compiled = Principal.Db.Snapshot.generation compiled.snapshot
@@ -154,12 +166,26 @@ let compile ~db acl =
     if count <= dense_limit then compile_dense ~snapshot ~count ~add_extra ~evr_mask entries
     else compile_sparse ~snapshot ~add_extra ~evr_mask entries
   in
+  let group_denies =
+    List.filter_map
+      (fun (entry : Acl.entry) ->
+        match entry.Acl.who, entry.Acl.sign with
+        | Acl.Group grp, Acl.Deny -> (
+          (* Unregistered groups hold nobody and compile away. *)
+          match Principal.Db.Snapshot.group_id snapshot grp with
+          | -1 -> None
+          | deny_group ->
+            Some { deny_group; deny_bits = shifted_mask entry; deny_who = entry.Acl.who })
+        | (Acl.Individual _ | Acl.Everyone), _ | Acl.Group _, Acl.Allow -> None)
+      entries
+  in
   {
     snapshot;
     tiers;
     extra_names = Array.of_list (List.map fst !extras);
     extra_masks = Array.of_list (List.map snd !extras);
     evr_mask = !evr_mask;
+    group_denies = Array.of_list group_denies;
   }
 
 (* Linear by-name scan over the (rare) ACL entries for principals the
@@ -201,10 +227,26 @@ let rec sparse_grp_mask snapshot group_ids group_masks id k acc =
        then acc lor Array.unsafe_get group_masks k
        else acc)
 
-let check compiled ~subject ~mode =
+(* The first group-tier deny entry, in ACL order, that covers the
+   mode and whose group holds the subject.  Called only once the
+   group-tier mask has the deny bit, which one of these entries set,
+   so the scan always finds one; the trailing [Everyone] is never
+   reached. *)
+let rec first_group_deny snapshot denies id deny_bit k =
+  if k >= Array.length denies then Acl.Everyone
+  else begin
+    let entry = Array.unsafe_get denies k in
+    if
+      entry.deny_bits land deny_bit <> 0
+      && Principal.Db.Snapshot.is_member snapshot ~individual_id:id
+           ~group_id:entry.deny_group
+    then entry.deny_who
+    else first_group_deny snapshot denies id deny_bit (k + 1)
+  end
+
+let check_id compiled ~id ~subject ~mode =
   let allow_bit = 1 lsl Access_mode.index mode in
   let deny_bit = allow_bit lsl deny_shift in
-  let id = Principal.Db.Snapshot.individual_id compiled.snapshot subject in
   let ind_mask =
     if id < 0 then extra_mask compiled (Principal.individual_name subject)
     else
@@ -213,7 +255,7 @@ let check compiled ~subject ~mode =
       | Sparse sparse ->
         keyed_mask sparse.ind_ids sparse.ind_id_masks id 0 (Array.length sparse.ind_ids)
   in
-  if ind_mask land deny_bit <> 0 then Denied
+  if ind_mask land deny_bit <> 0 then Denied (Acl.Individual subject)
   else if ind_mask land allow_bit <> 0 then Granted
   else begin
     let grp_mask =
@@ -224,24 +266,25 @@ let check compiled ~subject ~mode =
         | Sparse sparse ->
           sparse_grp_mask compiled.snapshot sparse.group_ids sparse.group_masks id 0 0
     in
-    if grp_mask land deny_bit <> 0 then Denied
+    if grp_mask land deny_bit <> 0 then
+      Denied (first_group_deny compiled.snapshot compiled.group_denies id deny_bit 0)
     else if grp_mask land allow_bit <> 0 then Granted
-    else if compiled.evr_mask land deny_bit <> 0 then Denied
+    else if compiled.evr_mask land deny_bit <> 0 then Denied Acl.Everyone
     else if compiled.evr_mask land allow_bit <> 0 then Granted
     else No_entry
   end
 
+let check compiled ~subject ~mode =
+  check_id compiled
+    ~id:(Principal.Db.Snapshot.individual_id compiled.snapshot subject)
+    ~subject ~mode
+
 let permits compiled ~subject ~mode =
   match check compiled ~subject ~mode with
   | Granted -> true
-  | Denied | No_entry -> false
+  | Denied _ | No_entry -> false
 
 let verdict_class = function
   | Granted -> 0
-  | Denied -> 1
+  | Denied _ -> 1
   | No_entry -> 2
-
-let pp_verdict ppf = function
-  | Granted -> Format.pp_print_string ppf "granted"
-  | Denied -> Format.pp_print_string ppf "denied"
-  | No_entry -> Format.pp_print_string ppf "no-entry"

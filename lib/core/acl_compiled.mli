@@ -16,9 +16,11 @@
     {!db_generation} (group membership unchanged).  {!Meta.compiled_acl}
     enforces both and recompiles on any mismatch.
 
-    The verdict deliberately drops the [who] diagnostics of
-    {!Acl.verdict}; callers that need them (the reference monitor's
-    denial messages) re-run the interpreted walk on the slow path. *)
+    A denial names the entry that decided, as {!Acl.check}'s
+    [Denied_by] does, so the reference monitor's denial diagnostics
+    come from the compiled form alone.  Grants carry no [who]: nothing
+    downstream reads it, and leaving it out keeps the grant path free
+    of allocation. *)
 
 type t
 
@@ -30,7 +32,9 @@ val dense_limit : int
 
 type verdict =
   | Granted
-  | Denied
+  | Denied of Acl.who
+      (** the first matching deny entry, in ACL order, of the tier
+          that decided — the [who] of {!Acl.check}'s [Denied_by] *)
   | No_entry
 
 val compile : db:Principal.Db.t -> Acl.t -> t
@@ -48,11 +52,18 @@ val compile : db:Principal.Db.t -> Acl.t -> t
     miss path, with the result cached on the object's metadata. *)
 
 val check : t -> subject:Principal.individual -> mode:Access_mode.t -> verdict
-(** Decide [subject] requesting [mode].  Agrees with {!Acl.check} on
-    the verdict class (granted / denied / no-entry) whenever the
-    compiled form is valid (see above); a QCheck differential suite
-    holds the two implementations to that contract.  Never
-    allocates. *)
+(** Decide [subject] requesting [mode].  Agrees with {!Acl.check}
+    whenever the compiled form is valid (see above): same verdict
+    class, and on a denial the same [who]; a QCheck differential suite
+    holds the two implementations to that contract in both the dense
+    and the sparse shape.  A grant or a no-entry allocates nothing. *)
+
+val check_id :
+  t -> id:int -> subject:Principal.individual -> mode:Access_mode.t -> verdict
+(** {!check} with the subject's snapshot id already looked up: [id]
+    must be [Principal.Db.Snapshot.individual_id (snapshot t) subject].
+    Saves the population-sized name probe on every check when the
+    caller remembers the id per snapshot ({!Subject.individual_id}). *)
 
 val permits : t -> subject:Principal.individual -> mode:Access_mode.t -> bool
 (** [true] iff {!check} returns {!Granted}. *)
@@ -67,5 +78,3 @@ val snapshot : t -> Principal.Db.Snapshot.t
 val verdict_class : verdict -> int
 (** 0 granted, 1 denied, 2 no-entry; for differential comparison with
     {!Acl.verdict}. *)
-
-val pp_verdict : Format.formatter -> verdict -> unit

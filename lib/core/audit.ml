@@ -18,9 +18,11 @@ type event = {
    cursor and grant/deny counters behind its own lock, while a single
    atomic sequence counter orders events across shards.  A record
    picks its shard by hashing the recording domain and the subject, so
-   one sequential stream (one domain, one subject) lands in one shard
-   and sees the classic exact ring semantics, while independent
-   domains take disjoint locks. *)
+   one sequential stream (one domain, one subject) lands in one shard,
+   while independent domains take disjoint locks.  Every shard keeps
+   its own newest [capacity] events and reads keep the newest
+   [capacity] of the merge, so retention is exactly the last
+   [capacity] events whatever the shard count. *)
 type shard = {
   lock : Mutex.t;
   ring : event option array;
@@ -31,7 +33,7 @@ type shard = {
 
 type t = {
   shards : shard array;
-  capacity : int;  (* per-shard ring capacity *)
+  capacity : int;  (* events retained, and each shard's ring size *)
   next_seq : int Atomic.t;
 }
 
@@ -60,8 +62,8 @@ let create ?(capacity = 4096) ?shards () =
 let shard_count log = Array.length log.shards
 let capacity log = log.capacity
 
-(* Decorrelate with a multiplicative mix, as in Decision_cache: the
-   raw domain id and subject hash are small and clustered. *)
+(* Decorrelate with a multiplicative mix: the raw domain id and
+   subject hash are small and clustered. *)
 let shard_of log ~subject =
   let key =
     Hashtbl.hash (Principal.individual_name (Subject.principal subject))
@@ -85,32 +87,15 @@ let record log ~subject ~object_name ~object_id ~object_class ~mode decision =
       else shard.denied <- shard.denied + 1);
   Metrics.stop_timing m_record_ns t0
 
-let events log =
-  (* Gather each shard's retained events under its own lock, then
-     merge on the global sequence number. *)
-  let collected =
-    Array.fold_left
-      (fun acc shard ->
-        Mutex.protect shard.lock (fun () ->
-            let out = ref acc in
-            for i = shard.cursor - 1 downto Stdlib.max 0 (shard.cursor - log.capacity) do
-              match shard.ring.(i mod log.capacity) with
-              | Some event -> out := event :: !out
-              | None -> ()
-            done;
-            !out))
-      [] log.shards
-  in
-  List.sort (fun a b -> Int.compare a.seq b.seq) collected
-
 (* [tail ~count] gathers at most [count] events per shard — each
    shard's newest are its last, so nothing older than a shard's own
    newest [count] can survive the global merge — then merges and trims
-   once.  Unlike [events] followed by a list walk, the work is
-   O(shards * count) after the per-shard scans, independent of total
-   retention. *)
+   once.  The work is O(shards * count) after the per-shard scans.
+   Capping [count] at [capacity] makes the result exact: an event among
+   the newest [capacity] overall has fewer than [capacity] newer events
+   in its own shard, so its shard still holds it. *)
 let tail log ~count =
-  let count = Stdlib.max 0 count in
+  let count = Stdlib.min log.capacity (Stdlib.max 0 count) in
   if count = 0 then []
   else begin
     let collected =
@@ -135,6 +120,8 @@ let tail log ~count =
     if surplus <= 0 then sorted
     else List.filteri (fun i _ -> i >= surplus) sorted
   end
+
+let events log = tail log ~count:log.capacity
 
 let fold_shards log init f =
   Array.fold_left

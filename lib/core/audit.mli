@@ -10,9 +10,9 @@
     each behind its own mutex, with one shared atomic sequence counter
     ordering events globally.  Recording domains therefore do not
     serialize on a single lock — the property the multi-domain scaling
-    benches (A8) measure — while a single sequential stream (one
-    domain, one subject) stays in one shard and keeps the classic
-    exact last-[capacity] ring semantics.  Totals remain conserved:
+    benches (A8) measure.  Retention does not depend on the shard
+    count: reads return the newest [capacity] events of the whole log.
+    Totals remain conserved:
     [granted_total + denied_total] always equals the number of
     completed {!record} calls. *)
 
@@ -29,14 +29,16 @@ type event = {
 type t
 
 val create : ?capacity:int -> ?shards:int -> unit -> t
-(** [capacity] bounds the events each shard retains (default 4096,
-    must be > 0); aggregate retention is at most
-    [capacity * shards].  [shards] defaults to the runtime-recognized
-    domain count and must be positive. *)
+(** [capacity] (default 4096, must be > 0) is the number of events
+    the log retains: {!events} returns the newest [capacity] recorded,
+    across all shards.  Each shard's ring holds its own newest
+    [capacity], which is what makes that exact.  [shards] defaults to
+    the runtime-recognized domain count and must be positive; it
+    changes lock contention, never what is retained. *)
 
 val shard_count : t -> int
 val capacity : t -> int
-(** Per-shard ring capacity. *)
+(** The number of events retained. *)
 
 val record :
   t ->
@@ -52,14 +54,15 @@ val record :
     shard's lock (ring slot + counters only). *)
 
 val events : t -> event list
-(** Retained events merged across shards on the global sequence
-    number, oldest first. *)
+(** The newest [capacity] events (fewer while fewer were recorded),
+    merged across shards on the global sequence number, oldest
+    first. *)
 
 val tail : t -> count:int -> event list
 (** The newest [count] retained events, oldest first — equal to the
     last [count] elements of {!events} but gathering only [count]
-    events per shard before the merge, so the cost is independent of
-    total retention.  Negative counts are treated as 0. *)
+    events per shard before the merge.  Negative counts are treated as
+    0; counts above [capacity] as [capacity]. *)
 
 val granted_total : t -> int
 val denied_total : t -> int

@@ -1,273 +1,5 @@
-module Metrics = Exsec_obs.Metrics
-
-(* Kernel-wide mirrors of the per-shard stats below: the shard fields
-   stay authoritative for [stats] (exact, read under the shard locks),
-   while these feed the global metrics snapshot without extra
-   locking. *)
-let m_hits = Metrics.counter "cache.hits"
-let m_misses = Metrics.counter "cache.misses"
-let m_evictions = Metrics.counter "cache.evictions"
-let m_invalidations = Metrics.counter "cache.invalidations"
-
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
   invalidations : int;
-  size : int;
-  capacity : int;
-  shards : int;
 }
-
-(* Everything a decision reads from the subject, plus the object
-   identity and the requested mode.  The mutable inputs — the
-   object's metadata, the group database and the monitor's policy —
-   are covered by generation validation, not by the key. *)
-module Key = struct
-  type t = {
-    principal : string;
-    effective : Security_class.t;
-    trusted : bool;
-    integrity : Security_class.t option;
-    object_id : int;
-    mode : int;
-  }
-
-  let of_request ~subject ~(meta : Meta.t) ~mode =
-    {
-      principal = Principal.individual_name (Subject.principal subject);
-      effective = Subject.effective_class subject;
-      trusted = Subject.is_trusted subject;
-      integrity = Subject.integrity subject;
-      object_id = meta.Meta.id;
-      mode = Access_mode.index mode;
-    }
-
-  let equal_class_option a b =
-    match a, b with
-    | None, None -> true
-    | Some a, Some b -> Security_class.equal a b
-    | (None | Some _), _ -> false
-
-  let equal a b =
-    a.object_id = b.object_id
-    && a.mode = b.mode
-    && a.trusted = b.trusted
-    && String.equal a.principal b.principal
-    && Security_class.equal a.effective b.effective
-    && equal_class_option a.integrity b.integrity
-
-  (* Need not separate what [equal] separates; classes only
-     contribute their level rank so cross-lattice keys still hash
-     consistently with equality. *)
-  let hash key =
-    Hashtbl.hash
-      ( key.principal,
-        key.object_id,
-        key.mode,
-        key.trusted,
-        Level.rank (Security_class.level key.effective) )
-end
-
-module Table = Hashtbl.Make (Key)
-
-type entry = {
-  decision : Decision.t;
-  meta_generation : int;
-  db_generation : int;
-  policy_generation : int;
-  stamp : int;  (* per-shard insertion order, for FIFO eviction *)
-}
-
-(* One independent slice of the cache.  Every field is guarded by
-   [lock]; concurrent [memoize] calls serialize only when their keys
-   hash to the same shard. *)
-type shard = {
-  lock : Mutex.t;
-  table : entry Table.t;
-  order : (Key.t * int) Queue.t;  (* (key, stamp); stale pairs skipped *)
-  mutable next_stamp : int;
-  mutable stale_pairs : int;
-      (* pairs in [order] whose entry was invalidated in place, so no
-         live (key, stamp) matches them; kept exact so the queue bound
-         Queue.length order = Table.length table + stale_pairs holds *)
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable invalidations : int;
-}
-
-type t = {
-  shard_array : shard array;
-  shard_cap : int;  (* per-shard entry bound *)
-}
-
-let create ?shards ~capacity () =
-  if capacity <= 0 then invalid_arg "Decision_cache.create: capacity must be positive";
-  let shards =
-    match shards with
-    | Some n when n <= 0 -> invalid_arg "Decision_cache.create: shards must be positive"
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
-  in
-  (* Distribute the capacity across shards, rounding up so the
-     aggregate bound never undercuts the request. *)
-  let shard_cap = Stdlib.max 1 ((capacity + shards - 1) / shards) in
-  let make_shard _ =
-    {
-      lock = Mutex.create ();
-      table = Table.create (Stdlib.min shard_cap 1024);
-      order = Queue.create ();
-      next_stamp = 0;
-      stale_pairs = 0;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      invalidations = 0;
-    }
-  in
-  { shard_array = Array.init shards make_shard; shard_cap }
-
-let shard_count cache = Array.length cache.shard_array
-let capacity cache = cache.shard_cap * shard_count cache
-
-(* Decorrelate the shard index from the table's bucket index: the
-   table uses the hash's low bits, so feeding them to [mod] directly
-   would leave each shard's table clustered in 1/N of its buckets. *)
-let shard_of cache key =
-  (Key.hash key * 0x9e3779b1) lsr 16 mod Array.length cache.shard_array
-
-let fold_shards cache init f =
-  Array.fold_left
-    (fun acc shard -> Mutex.protect shard.lock (fun () -> f acc shard))
-    init cache.shard_array
-
-let size cache = fold_shards cache 0 (fun acc shard -> acc + Table.length shard.table)
-
-let queue_length cache =
-  fold_shards cache 0 (fun acc shard -> acc + Queue.length shard.order)
-
-let pending_stale cache = fold_shards cache 0 (fun acc shard -> acc + shard.stale_pairs)
-
-let stats cache =
-  let zero =
-    {
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      invalidations = 0;
-      size = 0;
-      capacity = capacity cache;
-      shards = shard_count cache;
-    }
-  in
-  fold_shards cache zero (fun acc shard ->
-      {
-        acc with
-        hits = acc.hits + shard.hits;
-        misses = acc.misses + shard.misses;
-        evictions = acc.evictions + shard.evictions;
-        invalidations = acc.invalidations + shard.invalidations;
-        size = acc.size + Table.length shard.table;
-      })
-
-let flush cache =
-  Array.iter
-    (fun shard ->
-      Mutex.protect shard.lock (fun () ->
-          shard.invalidations <- shard.invalidations + Table.length shard.table;
-          Metrics.add m_invalidations (Table.length shard.table);
-          Table.reset shard.table;
-          Queue.clear shard.order;
-          shard.stale_pairs <- 0))
-    cache.shard_array
-
-(* Pop queue pairs until one still names a live entry; pairs whose
-   stamp no longer matches belong to entries invalidated in place
-   (and possibly re-inserted under a newer stamp) and are accounted
-   for in [stale_pairs]. *)
-let rec evict_one cache shard =
-  match Queue.take_opt shard.order with
-  | None -> ()
-  | Some (key, stamp) -> (
-    match Table.find_opt shard.table key with
-    | Some entry when entry.stamp = stamp ->
-      Table.remove shard.table key;
-      shard.evictions <- shard.evictions + 1;
-      Metrics.incr m_evictions
-    | Some _ | None ->
-      shard.stale_pairs <- shard.stale_pairs - 1;
-      evict_one cache shard)
-
-(* Rebuild the order queue keeping only pairs that still name a live
-   entry.  Invalidation leaves its pair behind ([Queue] has no random
-   removal), so a churn-heavy workload below capacity would otherwise
-   grow the queue without bound; compacting once stale pairs exceed
-   the shard capacity keeps Queue.length <= 2 * shard_cap. *)
-let compact cache shard =
-  if shard.stale_pairs > cache.shard_cap then begin
-    let live = Queue.create () in
-    Queue.iter
-      (fun (key, stamp) ->
-        match Table.find_opt shard.table key with
-        | Some entry when entry.stamp = stamp -> Queue.add (key, stamp) live
-        | Some _ | None -> ())
-      shard.order;
-    Queue.clear shard.order;
-    Queue.transfer live shard.order;
-    shard.stale_pairs <- 0
-  end
-
-let add cache shard key ~meta_generation ~db_generation ~policy_generation decision =
-  if Table.length shard.table >= cache.shard_cap then evict_one cache shard;
-  let stamp = shard.next_stamp in
-  shard.next_stamp <- stamp + 1;
-  Table.add shard.table key
-    { decision; meta_generation; db_generation; policy_generation; stamp };
-  Queue.add (key, stamp) shard.order
-
-let memoize cache ~subject ~(meta : Meta.t) ~mode ~db_generation ~policy_generation
-    compute =
-  let key = Key.of_request ~subject ~meta ~mode in
-  (* Generations are read BEFORE the computation: a mutation racing
-     with [compute] then lands a higher generation than the one this
-     entry is filed under, so the entry can never validate again (see
-     the ordering contract in {!Meta}). *)
-  let meta_generation = Meta.generation meta in
-  let shard = cache.shard_array.(shard_of cache key) in
-  Mutex.protect shard.lock (fun () ->
-      let miss () =
-        shard.misses <- shard.misses + 1;
-        Metrics.incr m_misses;
-        let decision = compute () in
-        add cache shard key ~meta_generation ~db_generation ~policy_generation decision;
-        decision
-      in
-      match Table.find_opt shard.table key with
-      | None -> miss ()
-      | Some entry ->
-        if
-          entry.meta_generation = meta_generation
-          && entry.db_generation = db_generation
-          && entry.policy_generation = policy_generation
-        then begin
-          shard.hits <- shard.hits + 1;
-          Metrics.incr m_hits;
-          entry.decision
-        end
-        else begin
-          (* The inputs moved underneath the entry: drop it, recompute
-             and re-store under the current generations.  The queue
-             pair stays behind and is counted stale. *)
-          Table.remove shard.table key;
-          shard.invalidations <- shard.invalidations + 1;
-          Metrics.incr m_invalidations;
-          shard.stale_pairs <- shard.stale_pairs + 1;
-          compact cache shard;
-          miss ()
-        end)
-
-let pp_stats ppf (s : stats) =
-  Format.fprintf ppf
-    "{hits=%d; misses=%d; evictions=%d; invalidations=%d; size=%d; capacity=%d; shards=%d}"
-    s.hits s.misses s.evictions s.invalidations s.size s.capacity s.shards

@@ -1,120 +1,12 @@
-(** Memoized protection decisions for the reference monitor.
-
-    The monitor's hot path re-evaluates the full ACL walk plus the
-    MAC/integrity lattice rules on every access; under the repeated,
-    near-identical checks of a busy system (the same subjects touching
-    the same objects in the same modes) almost all of that work
-    recomputes a decision already taken.  This cache memoizes
-    decisions under a key capturing {e everything} a decision reads
-    from the request — subject principal, effective class, trusted
-    bit, integrity label, object identity, access mode — and validates
-    each entry against monotone {e generation counters} covering the
-    mutable inputs:
-
-    - {!Meta.generation}: bumped by every metadata mutation
-      ([set_acl_raw], [set_klass_raw], [set_integrity_raw],
-      [set_owner]), so ACL replacement or relabeling revokes the
-      cached outcome;
-    - {!Principal.Db.generation}: bumped by group-membership changes,
-      so adding or removing a member revokes grants (and denials) that
-      an ACL group entry produced;
-    - the monitor's policy epoch ([policy_generation]): bumped by
-      [set_policy], so an entry computed under the old policy can
-      never validate under the new one — even if it was being computed
-      while the policy changed and was stored after the accompanying
-      {!flush}.
-
-    A stale entry is never returned: validation failure counts as an
-    invalidation plus a miss, and the entry is recomputed.
-
-    {2 Sharding and domain safety}
-
-    The table is split into [shards] independent slices (default: the
-    recognized domain count), each guarded by its own mutex with its
-    own FIFO order queue and counters; a key's hash picks its shard,
-    so concurrent {!memoize} calls from different domains serialize
-    only on hash collisions, not on one global lock.  The generations
-    are read {e before} the guarded data is recomputed and the entry
-    is filed under those pre-read values, while every mutator bumps
-    its counter {e after} the mutation lands — so an entry racing with
-    a mutation is born already-stale and fails validation on its next
-    lookup (the full ordering argument lives in {!Meta} and DESIGN.md
-    "Concurrency model").
-
-    {2 Bounds}
-
-    Each shard is capacity-bounded with FIFO eviction, so an
-    adversarial workload sweeping many (subject, object, mode) triples
-    cannot exhaust memory — it only degrades the hit rate.  In-place
-    invalidation leaves its eviction-queue pair behind (queues have no
-    random removal); such pairs are counted exactly and the queue is
-    compacted once they outnumber the shard capacity, maintaining the
-    per-shard invariant
-
-    {[ Queue.length order = Table.length table + stale_pairs ]}
-
-    with [stale_pairs <= shard capacity] at rest, hence
-    [queue_length cache <= 2 * capacity cache] — a churn-heavy
-    workload below capacity can no longer grow the queue without
-    bound.  Soundness is enforced by the differential oracle suite
-    ([test/test_cache.ml]) and the multi-domain stress suite
-    ([test/test_parallel.ml]). *)
-
-type t
+(** Counters of a decision cache, which the reference monitor does not
+    have: the compiled ACL answers every check (see
+    {!Reference_monitor.decide}).  The record exists only because the
+    benchmark harness in [perfbench/] reads these fields from
+    {!Exsec_extsys.Kernel.cache_stats}, which always returns [None];
+    both go when the harness stops reading them. *)
 
 type stats = {
-  hits : int;  (** lookups answered from a validated entry *)
-  misses : int;  (** lookups that fell through to a full evaluation *)
-  evictions : int;  (** entries dropped by the capacity bound *)
+  hits : int;
+  misses : int;
   invalidations : int;
-      (** entries dropped because a generation moved (or the cache was
-          flushed by a policy change) *)
-  size : int;  (** live entries, summed over shards *)
-  capacity : int;  (** the bound [size] never exceeds *)
-  shards : int;  (** independent lock-protected slices *)
 }
-
-val create : ?shards:int -> capacity:int -> unit -> t
-(** [shards] defaults to [Domain.recommended_domain_count ()]; the
-    per-shard capacity is [capacity / shards] rounded up (at least 1),
-    so the aggregate bound never undercuts the request.
-    @raise Invalid_argument if [capacity <= 0] or [shards <= 0]. *)
-
-val shard_count : t -> int
-val capacity : t -> int
-val size : t -> int
-val stats : t -> stats
-(** Aggregated over shards, each read under its own lock.  Counters
-    are exact: [hits + misses] equals the number of {!memoize} calls
-    completed, from any domain. *)
-
-val queue_length : t -> int
-(** Total eviction-queue pairs across shards; bounded by
-    [2 * capacity] (see the invariant above).  Exposed for the churn
-    regression tests. *)
-
-val pending_stale : t -> int
-(** Queue pairs whose entry was invalidated in place, across shards;
-    [queue_length t = size t + pending_stale t]. *)
-
-val flush : t -> unit
-(** Drop every entry (counting them as invalidations); used when an
-    input without its own generation counter changes wholesale.  Note
-    that flushing alone cannot revoke entries {e being computed}
-    during the flush — that is what the [policy_generation] validation
-    is for. *)
-
-val memoize :
-  t -> subject:Subject.t -> meta:Meta.t -> mode:Access_mode.t ->
-  db_generation:int -> policy_generation:int -> (unit -> Decision.t) -> Decision.t
-(** The cached decision when a validated entry exists (its recorded
-    generations still match [Meta.generation meta], [db_generation]
-    and [policy_generation]); otherwise runs the computation and
-    remembers the result under the generations read {e before} the
-    computation, evicting the shard's oldest entry when full.  A stale
-    entry is dropped (an invalidation) and recomputed.  The shard's
-    lock is held across the computation, so two domains missing on the
-    same key compute once each at worst, never interleave an insert
-    with a stale lookup. *)
-
-val pp_stats : Format.formatter -> stats -> unit

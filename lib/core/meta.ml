@@ -79,8 +79,7 @@ let compiled_acl meta ~db =
   (* Both generations are read BEFORE the slot (and, on a miss, before
      the ACL field): a racing set_acl or membership change then lands
      a bump above the values validated/stamped here, so a stale slot
-     can never validate again — the same discipline the decision cache
-     follows.  The slot itself is one immutable record behind a single
+     can never validate again.  The slot itself is one immutable record behind a single
      mutable pointer, so concurrent readers see a consistent
      (compiled, acl_generation) pair; racing writers overwrite each
      other with equally valid slots. *)

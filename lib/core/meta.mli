@@ -27,11 +27,12 @@ type t = private {
           (a separate lattice from [klass]); [None] means unlabelled
           and exempt from integrity rules *)
   generation : int Atomic.t;
-      (** monotone counter bumped by every setter below; cached
-          protection decisions are validated against it, so any
-          metadata change invalidates them (see {!Decision_cache}).
+      (** monotone counter bumped by every setter below; derived
+          artifacts (the compiled ACL, certificates, handle grants)
+          are validated against it, so any metadata change
+          invalidates them.
 
-          Ordering contract (the cache's soundness hinges on it): a
+          Ordering contract (their soundness hinges on it): a
           setter writes the field {e first} and bumps the generation
           {e after}, so observing a bumped value through {!generation}
           synchronizes with the increment and guarantees the field

@@ -264,6 +264,7 @@ module Db = struct
       end
 
   let individuals db = String_set.elements db.individual_set
+  let mem_individual db ind = String_set.mem ind db.individual_set
   let individual_count db = db.individual_count
 
   (* The per-group dirty stamp, for scoped-invalidation consumers

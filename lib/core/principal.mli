@@ -52,9 +52,9 @@ module Db : sig
   val generation : t -> int
   (** Monotone counter bumped whenever group membership actually
       changes ({!add_member} of a new member, {!remove_member} of a
-      present one).  Cached discretionary decisions are validated
-      against it: a membership change must revoke any grant (or
-      denial) that an ACL group entry produced.
+      present one).  Compiled ACLs, certificates and handle grants
+      are validated against it: a membership change must revoke any
+      grant (or denial) that an ACL group entry produced.
 
       The counter is atomic and follows the data-then-generation
       publication order (see {!Meta.t}): the member-list update lands
@@ -65,8 +65,8 @@ module Db : sig
 
       Inside a {!batch} the bump is deferred: every mutation of the
       batch publishes under {e one} increment at the outermost batch
-      exit, so derived artifacts (decision-cache entries, compiled
-      ACLs, link-time certificates, capability handles) are
+      exit, so derived artifacts (compiled ACLs, link-time
+      certificates, capability handles) are
       invalidated once per batch instead of once per mutation. *)
 
   val batch : t -> (unit -> 'a) -> 'a
@@ -79,12 +79,12 @@ module Db : sig
       unchanged); only publication is deferred.  Nested batches
       coalesce into the outermost one.  If [f] raises, mutations
       already applied are still published (one bump) before the
-      exception is re-raised, so no cached decision can outlive them.
+      exception is re-raised, so no derived artifact can outlive them.
 
       Readers in other domains during the batch see the {e previous}
       published state through any generation-validated artifact (the
-      snapshot, compiled ACLs, cached decisions): data written by the
-      batch only becomes observable-as-current at the final bump, per
+      snapshot, compiled ACLs, certificates, handles): data written by
+      the batch only becomes observable-as-current at the final bump, per
       the data-then-generation contract.  {!snapshot} enforces this
       even when its cache is stale at batch entry: while a batch is in
       flight it serves the previously published snapshot rather than
@@ -118,6 +118,10 @@ module Db : sig
 
   val individuals : t -> individual list
   (** All registered individuals, sorted by name. *)
+
+  val mem_individual : t -> individual -> bool
+  (** Whether the individual is registered; O(log n), no
+      allocation. *)
 
   val individual_count : t -> int
   (** Number of registered individuals; O(1). *)
@@ -218,7 +222,7 @@ module Db : sig
       {e before} walking memberships, so a racing mutation leaves the
       result stamped with the older generation and it is rebuilt on
       the next call — the same data-then-generation discipline as
-      {!Meta} and the decision cache.
+      {!Meta}.
 
       While a {!batch} is in flight no rebuild is published: callers
       are served the previously published snapshot (stale by

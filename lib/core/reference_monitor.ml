@@ -2,18 +2,15 @@ module Metrics = Exsec_obs.Metrics
 module Trace = Exsec_obs.Trace
 
 (* Decision-layer instruments.  Counters cost one gated atomic add;
-   the decide histogram samples 1 of 16 decisions because two clock
-   reads would dominate the sub-microsecond cached path (see the
-   overhead discipline in DESIGN.md, "Observability").  All are inert
+   the decide histogram samples 1 of 32 decisions because a clock
+   pair (~100 ns) would dominate the sub-100-ns grant path (see the
+   overhead discipline in DESIGN.md, "Observability").  Grants are not
+   counted separately: they are [decisions - denied].  All are inert
    until [Metrics.set_enabled true]. *)
 let m_decisions = Metrics.counter "monitor.decisions"
-let m_granted = Metrics.counter "monitor.granted"
 let m_denied = Metrics.counter "monitor.denied"
-let m_dac_compiled = Metrics.counter "monitor.dac_compiled"
-let m_dac_interpreted = Metrics.counter "monitor.dac_interpreted"
-let m_mac_granted = Metrics.counter "monitor.mac_granted"
 let m_mac_denied = Metrics.counter "monitor.mac_denied"
-let m_decide_ns = Metrics.histogram ~sample_shift:4 "monitor.decide_ns"
+let m_decide_ns = Metrics.histogram ~sample_shift:5 "monitor.decide_ns"
 
 exception Access_denied of {
   object_name : string;
@@ -27,25 +24,18 @@ type t = {
   policy_epoch : int Atomic.t;
       (* Generation counter for the policy, mirroring Meta.generation
          for metadata: [set_policy] writes the policy first and bumps
-         the epoch after, and cached entries are filed under the epoch
-         read before their computation.  The flush alone is not
-         enough: a decision computed under the old policy but stored
-         after the flush would otherwise survive as a stale entry. *)
+         the epoch after, so an artifact stamped with the epoch read
+         before its computation (a certificate, a handle grant) can
+         never validate under a policy it was not computed under. *)
   audit : Audit.t;
-  cache : Decision_cache.t option;
 }
 
-let create ?(policy = Policy.default) ?audit_capacity ?audit_shards ?(cache = true)
-    ?(cache_capacity = 8192) ?cache_shards db =
+let create ?(policy = Policy.default) ?audit_capacity ?audit_shards db =
   {
     db;
     policy;
     policy_epoch = Atomic.make 0;
     audit = Audit.create ?capacity:audit_capacity ?shards:audit_shards ();
-    cache =
-      (if cache then
-         Some (Decision_cache.create ?shards:cache_shards ~capacity:cache_capacity ())
-       else None);
   }
 
 let db monitor = monitor.db
@@ -54,14 +44,12 @@ let policy monitor = monitor.policy
 let set_policy monitor policy =
   monitor.policy <- policy;
   (* Bump after the policy write lands (data-then-generation, as in
-     Meta): any entry filed under the previous epoch can never
-     validate again.  The flush is memory hygiene on top. *)
-  Atomic.incr monitor.policy_epoch;
-  Option.iter Decision_cache.flush monitor.cache
+     Meta): any artifact stamped with the previous epoch can never
+     validate again. *)
+  Atomic.incr monitor.policy_epoch
 
 let audit monitor = monitor.audit
 let policy_epoch monitor = Atomic.get monitor.policy_epoch
-let cache_stats monitor = Option.map Decision_cache.stats monitor.cache
 
 type stamp = {
   stamp_epoch : int;
@@ -84,41 +72,25 @@ let stamp_valid monitor stamp =
   Atomic.get monitor.policy_epoch = stamp.stamp_epoch
   && Principal.Db.generation monitor.db = stamp.stamp_db_generation
 
-(* The discretionary layer runs on the compiled decision path: the
-   object's ACL, compiled to flat mode-mask arrays and cached on its
-   metadata (see Acl_compiled / Meta.compiled_acl), answers in a few
-   bitwise tests with zero allocation.  Only an explicit deny re-runs
-   the interpreted walk, to recover the who diagnostic the compiled
-   form deliberately drops. *)
-let dac_decide monitor ~span ~subject ~(meta : Meta.t) ~mode =
-  let principal = Subject.principal subject in
+(* The discretionary layer is the compiled ACL alone: the object's
+   ACL, compiled to flat mode-mask arrays and memoized on its metadata
+   (see Acl_compiled / Meta.compiled_acl), answers in a few bitwise
+   tests with zero allocation, and a denial names its deny entry from
+   the same compiled form.  The subject's snapshot id is memoized on
+   the subject, so the population-sized name table is probed once per
+   (subject, snapshot), not once per check. *)
+let dac_decide monitor ~subject ~(meta : Meta.t) ~mode =
   let compiled = Meta.compiled_acl meta ~db:monitor.db in
-  match Acl_compiled.check compiled ~subject:principal ~mode with
-  | Acl_compiled.Granted ->
-    Metrics.incr m_dac_compiled;
-    if Trace.active span then Trace.annotate span "dac" "compiled";
-    Ok ()
-  | Acl_compiled.No_entry ->
-    Metrics.incr m_dac_compiled;
-    if Trace.active span then Trace.annotate span "dac" "compiled";
-    Error Decision.Dac_no_entry
-  | Acl_compiled.Denied -> (
-    Metrics.incr m_dac_interpreted;
-    if Trace.active span then Trace.annotate span "dac" "interpreted";
-    match Acl.check ~db:monitor.db ~subject:principal ~mode meta.acl with
-    | Acl.Denied_by who -> Error (Decision.Dac_explicit_deny who)
-    | Acl.No_entry -> Error Decision.Dac_no_entry
-    | Acl.Granted _ ->
-      (* Only reachable when a mutation raced between the compiled and
-         interpreted reads; the interpreted walk is the later, more
-         current answer. *)
-      Ok ())
+  let id = Subject.individual_id subject (Acl_compiled.snapshot compiled) in
+  match Acl_compiled.check_id compiled ~id ~subject:(Subject.principal subject) ~mode with
+  | Acl_compiled.Granted -> Ok ()
+  | Acl_compiled.No_entry -> Error Decision.Dac_no_entry
+  | Acl_compiled.Denied who -> Error (Decision.Dac_explicit_deny who)
 
 let mac_decide monitor ~span ~subject ~(meta : Meta.t) ~mode =
   (* Trusted subjects (the TCB) are exempt from the [*]-property: they
      may write down.  Read rules still apply. *)
   if Subject.is_trusted subject && Access_mode.is_write_like mode then begin
-    Metrics.incr m_mac_granted;
     if Trace.active span then Trace.annotate span "mac" "granted";
     Ok ()
   end
@@ -128,7 +100,6 @@ let mac_decide monitor ~span ~subject ~(meta : Meta.t) ~mode =
         ~subject:(Subject.effective_class subject) ~object_:meta.klass mode
     with
     | Ok () ->
-      Metrics.incr m_mac_granted;
       if Trace.active span then Trace.annotate span "mac" "granted";
       Ok ()
     | Error denial ->
@@ -156,8 +127,7 @@ let integrity_decide monitor ~subject ~(meta : Meta.t) ~mode =
    buys (a regression test holds it to zero minor words). *)
 let evaluate monitor ~span ~subject ~meta ~mode =
   let dac =
-    if monitor.policy.Policy.dac then dac_decide monitor ~span ~subject ~meta ~mode
-    else Ok ()
+    if monitor.policy.Policy.dac then dac_decide monitor ~subject ~meta ~mode else Ok ()
   in
   match dac with
   | Error denial -> Decision.Denied denial
@@ -176,37 +146,9 @@ let evaluate monitor ~span ~subject ~meta ~mode =
 let decide ?(span = Trace.none) monitor ~subject ~meta ~mode =
   Metrics.incr m_decisions;
   let t0 = Metrics.start_timing m_decide_ns in
-  let decision =
-    match monitor.cache with
-    | None -> evaluate monitor ~span ~subject ~meta ~mode
-    | Some cache ->
-      (* Both global generations are read before the evaluation (the
-         meta generation is read inside [memoize], likewise before);
-         see the ordering argument in Decision_cache. *)
-      let db_generation = Principal.Db.generation monitor.db in
-      let policy_generation = Atomic.get monitor.policy_epoch in
-      if Trace.active span then begin
-        (* A hit skips [evaluate], so the compute closure is the only
-           witness of a miss; the closure allocates regardless, so the
-           flag costs nothing the traced path was not already paying. *)
-        let missed = ref false in
-        let decision =
-          Decision_cache.memoize cache ~subject ~meta ~mode ~db_generation
-            ~policy_generation (fun () ->
-              missed := true;
-              evaluate monitor ~span ~subject ~meta ~mode)
-        in
-        Trace.annotate span "cache" (if !missed then "miss" else "hit");
-        decision
-      end
-      else
-        Decision_cache.memoize cache ~subject ~meta ~mode ~db_generation
-          ~policy_generation (fun () -> evaluate monitor ~span ~subject ~meta ~mode)
-  in
+  let decision = evaluate monitor ~span ~subject ~meta ~mode in
   Metrics.stop_timing m_decide_ns t0;
-  (match decision with
-  | Decision.Granted -> Metrics.incr m_granted
-  | Decision.Denied _ -> Metrics.incr m_denied);
+  if not (Decision.is_granted decision) then Metrics.incr m_denied;
   if Trace.active span then
     Trace.annotate span "decision"
       (match decision with
@@ -246,7 +188,7 @@ let set_class monitor ~subject ~meta ~object_name klass =
 let check_attach monitor ~subject ~parent ~child ~object_name =
   let dac_result =
     if monitor.policy.Policy.dac then
-      dac_decide monitor ~span:Trace.none ~subject ~meta:parent ~mode:Access_mode.Write
+      dac_decide monitor ~subject ~meta:parent ~mode:Access_mode.Write
     else Ok ()
   in
   let decision =

@@ -16,39 +16,31 @@ exception Access_denied of {
 type t
 
 val create :
-  ?policy:Policy.t -> ?audit_capacity:int -> ?audit_shards:int -> ?cache:bool ->
-  ?cache_capacity:int -> ?cache_shards:int -> Principal.Db.t -> t
+  ?policy:Policy.t -> ?audit_capacity:int -> ?audit_shards:int -> Principal.Db.t -> t
 (** A monitor over the given principal database.  [policy] defaults to
-    {!Policy.default}.  [cache] (default [true]) memoizes decisions in
-    a bounded {!Decision_cache} of [cache_capacity] (default 8192)
-    entries split into [cache_shards] independently locked shards
-    (default: the recognized domain count), invalidated by
-    metadata/membership/policy generation counters — see
-    {!Decision_cache} for the soundness argument.
-    [audit_capacity]/[audit_shards] size the sharded audit pipeline
-    ({!Audit.create}).
+    {!Policy.default}.  [audit_capacity]/[audit_shards] size the
+    sharded audit pipeline ({!Audit.create}).
 
     Discretionary decisions run on the compiled ACL path: each
     object's ACL is compiled to flat mode-mask arrays over interned
-    principal ids ({!Acl_compiled}), cached on its metadata and
-    invalidated by the same generation counters; the uncached grant
-    path allocates nothing.
+    principal ids ({!Acl_compiled}), memoized on its metadata and
+    invalidated by the metadata and database generation counters.
+    There is no decision cache: every {!decide} evaluates DAC, MAC and
+    integrity afresh, and the grant path allocates nothing.
 
-    The monitor is safe to share across OCaml 5 domains: the decision
-    cache takes one per-shard lock per lookup, the audit pipeline one
-    per-shard mutex per record, and the generation counters are atomic
-    with a data-then-generation publication order (DESIGN.md,
-    "Concurrency model").  Registering {e new} principals or groups in
-    the database remains a setup-time operation. *)
+    The monitor is safe to share across OCaml 5 domains: the audit
+    pipeline takes one per-shard mutex per record, and the generation
+    counters are atomic with a data-then-generation publication order
+    (DESIGN.md, "Concurrency model").  Registering {e new} principals
+    or groups in the database remains a setup-time operation. *)
 
 val db : t -> Principal.Db.t
 val policy : t -> Policy.t
 
 val set_policy : t -> Policy.t -> unit
-(** Swap the policy; bumps the monitor's policy epoch and flushes the
-    decision cache, revoking every memoized outcome the old policy
-    produced — including decisions still being computed during the
-    swap, which the epoch validation catches after the flush. *)
+(** Swap the policy and bump the monitor's policy epoch, so every
+    artifact stamped under the old policy (certificates, handle
+    grants) stops validating. *)
 
 val audit : t -> Audit.t
 
@@ -57,13 +49,8 @@ val policy_epoch : t -> int
     {!set_policy}.  Link-time certificates (see [Exsec_analysis]) are
     stamped with the epoch they were proved under and stop admitting
     calls as soon as the epoch moves — the same generation-validation
-    scheme the decision cache uses, applied to statically certified
-    extensions. *)
-
-val cache_stats : t -> Decision_cache.stats option
-(** Hit/miss/eviction/invalidation counters and current size of the
-    decision cache; [None] when the monitor was created with
-    [~cache:false]. *)
+    scheme {!Meta} uses for compiled ACLs, applied to statically
+    certified extensions. *)
 
 type stamp = {
   stamp_epoch : int;  (** {!policy_epoch} at read time *)
@@ -89,19 +76,17 @@ val stamp_valid : t -> stamp -> bool
 val decide :
   ?span:Exsec_obs.Trace.handle ->
   t -> subject:Subject.t -> meta:Meta.t -> mode:Access_mode.t -> Decision.t
-(** Decision without an audit record: DAC then MAC.  The subject's
-    {e effective} class (clearance capped by any static extension
-    class) is used for the MAC rules.  Answered from the decision
-    cache when a validated entry exists; observationally identical to
-    the uncached evaluation.
+(** Decision without an audit record: the compiled ACL, then MAC,
+    then integrity (Biba).  The subject's {e effective} class
+    (clearance capped by any static extension class) is used for the
+    MAC rules.  An explicit ACL deny names the deny entry that
+    decided, exactly as {!Acl.check} would.
 
-    Feeds the [monitor.*] metrics (decision/grant/deny counters, the
-    compiled-vs-interpreted DAC split, MAC verdicts, and a sampled
-    latency histogram); all of it noop until
+    Feeds the [monitor.*] metrics (decision and denial counters, MAC
+    denials, and a sampled latency histogram); all of it noop until
     [Exsec_obs.Metrics.set_enabled true].  When [span] carries an
-    active trace span, the decision annotates it with
-    [cache=hit|miss], [dac=compiled|interpreted], [mac] and the final
-    verdict. *)
+    active trace span, the decision annotates it with [mac] (when the
+    MAC layer ran) and the final verdict. *)
 
 val check :
   ?span:Exsec_obs.Trace.handle ->

@@ -1,19 +1,39 @@
+(* The principal's id in the last snapshot it was looked up in.  One
+   immutable pair behind one mutable field: a racing reader sees either
+   the old pair or the new one, never a snapshot with another
+   snapshot's id. *)
+type interned =
+  | Not_interned
+  | Interned of {
+      snapshot : Principal.Db.Snapshot.t;
+      id : int;
+    }
+
 type t = {
   principal : Principal.individual;
   clearance : Security_class.t;
   ceiling : Security_class.t option;
   trusted : bool;
   integrity : Security_class.t option;
+  mutable interned : interned;
 }
 
 let make ?ceiling ?(trusted = false) ?integrity principal clearance =
-  { principal; clearance; ceiling; trusted; integrity }
+  { principal; clearance; ceiling; trusted; integrity; interned = Not_interned }
 
 let is_trusted subject = subject.trusted
 let integrity subject = subject.integrity
 let principal subject = subject.principal
 let clearance subject = subject.clearance
 let ceiling subject = subject.ceiling
+
+let individual_id subject snapshot =
+  match subject.interned with
+  | Interned memo when memo.snapshot == snapshot -> memo.id
+  | Interned _ | Not_interned ->
+    let id = Principal.Db.Snapshot.individual_id snapshot subject.principal in
+    subject.interned <- Interned { snapshot; id };
+    id
 
 let effective_class subject =
   match subject.ceiling with

@@ -33,6 +33,14 @@ val clearance : t -> Security_class.t
 val ceiling : t -> Security_class.t option
 (** The current static-class cap, if any. *)
 
+val individual_id : t -> Principal.Db.Snapshot.t -> int
+(** [Principal.Db.Snapshot.individual_id snapshot (principal t)],
+    remembered for the last snapshot asked about (compared by physical
+    identity), so repeated checks against one snapshot skip the
+    population-sized name table.  A lookup in another snapshot
+    replaces the memo; that is the only allocation.  Safe to call from
+    several domains at once. *)
+
 val effective_class : t -> Security_class.t
 (** [meet clearance ceiling] when a ceiling is set, else the
     clearance. *)

@@ -92,11 +92,11 @@ type t = {
       (* the kernel's certificate clock: validity horizons are measured
          in ticks of this counter ([advance_cert_epoch]); independent of
          the policy epoch, so expiring a certificate never invalidates
-         unrelated cached decisions *)
+         unrelated handles or certificates *)
 }
 
 let monitor kernel = kernel.monitor
-let cache_stats kernel = Reference_monitor.cache_stats kernel.monitor
+let cache_stats _kernel = None
 let quota kernel = kernel.quota
 let resolver kernel = kernel.resolver
 let namespace kernel = Resolver.namespace kernel.resolver
@@ -134,12 +134,9 @@ let default_meta kernel ~owner ?klass ?(callable = true) () =
 
 let error_of_denial = Service.error_of_denial
 
-let boot ?policy ?audit_capacity ?audit_shards ?cache ?cache_capacity ?registry ~db
-    ~admin ~hierarchy ~universe () =
-  let monitor =
-    Reference_monitor.create ?policy ?audit_capacity ?audit_shards ?cache
-      ?cache_capacity db
-  in
+let boot ?policy ?audit_capacity ?audit_shards ?registry ~db ~admin ~hierarchy ~universe
+    () =
+  let monitor = Reference_monitor.create ?policy ?audit_capacity ?audit_shards db in
   let bottom = Security_class.bottom hierarchy universe in
   let dir_acl =
     Acl.of_entries [ Acl.allow_all (Acl.Individual admin); Acl.allow Acl.Everyone [ Access_mode.List ] ]
@@ -411,7 +408,7 @@ let run_grant_proc proc ctx args =
    runs.  A mutation racing with the decision then lands a higher
    generation than the one the grant was filed under, so the grant is
    born stale rather than wrongly durable (same discipline as the
-   decision cache and compiled-ACL memo). *)
+   compiled-ACL memo). *)
 let chain_snapshot kernel path =
   let stamp = Reference_monitor.stamp kernel.monitor in
   match Namespace.chain (namespace kernel) path with
@@ -477,8 +474,8 @@ let rec open_handle kernel ~subject ~caller path =
              { g_path = path; g_subject = subject; g_caller = caller; g_target;
                g_stamp = stamp; g_metas = metas; g_gens = gens; g_cert = certified }))
 
-(* Stale slow path: re-run the fully checked resolution (audited,
-   cached) under a fresh pre-read snapshot; serve THIS call from the
+(* Stale slow path: re-run the fully checked resolution (audited)
+   under a fresh pre-read snapshot; serve THIS call from the
    checked decision either way, and refresh the slot in place when the
    snapshot describes the node the decision admitted. *)
 let call_handle_stale kernel h g args =
@@ -707,8 +704,8 @@ let advance_cert_epoch kernel =
 
 (* CRL-style revocation: invalidate exactly the certificates whose
    covers or proof chains intersect the revoked principal or path
-   prefix — no global epoch bump, so every other certificate, cached
-   decision, and handle in the kernel is untouched. *)
+   prefix — no global epoch bump, so every other certificate and
+   handle in the kernel is untouched. *)
 let revoke_where kernel matches =
   let hit =
     Hashtbl.fold

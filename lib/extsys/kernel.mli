@@ -31,8 +31,6 @@ val boot :
   ?policy:Policy.t ->
   ?audit_capacity:int ->
   ?audit_shards:int ->
-  ?cache:bool ->
-  ?cache_capacity:int ->
   ?registry:Clearance.t ->
   db:Principal.Db.t ->
   admin:Principal.individual ->
@@ -42,11 +40,9 @@ val boot :
   t
 (** Create a kernel.  [admin] owns the root of the name space and the
     standard directories; every principal can traverse ([List]) them.
-    [audit_capacity]/[audit_shards] and [cache]/[cache_capacity] are
-    passed to {!Reference_monitor.create}: the decision cache is on by
-    default and can be disabled (or resized) for ablation, and the
-    audit pipeline's sharding can be pinned for contention studies
-    (bench a8).  [registry] is the deployment's clearance registry;
+    [audit_capacity]/[audit_shards] are passed to
+    {!Reference_monitor.create}: the audit pipeline's sharding can be
+    pinned for contention studies (bench a8).  [registry] is the deployment's clearance registry;
     supplying it lets the linker issue link-time certificates
     ({!Exsec_analysis.Certificate}) so fully proved extensions skip
     per-call monitor work. *)
@@ -54,9 +50,9 @@ val boot :
 val monitor : t -> Reference_monitor.t
 
 val cache_stats : t -> Decision_cache.stats option
-(** The monitor's decision-cache counters (see
-    {!Reference_monitor.cache_stats}); [None] when booted with
-    [~cache:false]. *)
+(** Always [None]: the monitor has no decision cache.  Kept only for
+    the benchmark harness in [perfbench/], which still reads it (see
+    {!Decision_cache}). *)
 
 val resolver : t -> entry Resolver.t
 val namespace : t -> entry Namespace.t
@@ -67,10 +63,9 @@ val db : t -> Principal.Db.t
 val batch_principals : t -> (unit -> 'a) -> 'a
 (** {!Principal.Db.batch} over the kernel's database: run a bulk
     membership mutation under one deferred generation bump, so every
-    derived artifact the kernel holds — decision-cache entries,
-    compiled ACLs, link-time certificates, capability handles — is
-    invalidated exactly once at the batch end instead of once per
-    mutation.  The fast paths' pre-read stamps observe the batch as a
+    derived artifact the kernel holds — compiled ACLs, link-time
+    certificates, capability handles — is invalidated exactly once at
+    the batch end instead of once per mutation.  The fast paths' pre-read stamps observe the batch as a
     single drift; they fail closed into the checked path once and
     re-mint against the settled state. *)
 
@@ -277,7 +272,7 @@ val cert_epoch : t -> int
 (** The kernel's certificate clock.  Validity horizons
     ({!Exsec_analysis.Certificate.t.expires_at}) are measured in ticks
     of this counter; it is independent of the policy epoch, so expiry
-    never invalidates unrelated cached decisions or handles. *)
+    never invalidates unrelated certificates or handles. *)
 
 val advance_cert_epoch : t -> int
 (** Tick the certificate clock and eagerly sweep: certificates whose

@@ -8,7 +8,7 @@
    single [Atomic.get] on the enabled flag and an untaken branch — no
    clock read, no allocation — so embedding the instrumented kernel
    costs nothing until an operator turns collection on.  The a9
-   ablation holds the instrumented/noop gap on the cached grant path
+   ablation holds the instrumented/noop gap on the compiled grant path
    under its budget. *)
 
 let enabled_flag = Atomic.make false

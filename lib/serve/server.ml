@@ -110,11 +110,8 @@ let authenticate kernel (creds : Wire.credentials) =
   match Principal.individual creds.principal with
   | exception Invalid_argument _ -> Error "empty principal name"
   | principal ->
-    let db = Kernel.db kernel in
-    if
-      not
-        (List.exists (Principal.equal_individual principal) (Principal.Db.individuals db))
-    then Error ("unknown principal " ^ creds.principal)
+    if not (Principal.Db.mem_individual (Kernel.db kernel) principal) then
+      Error ("unknown principal " ^ creds.principal)
     else (
       match requested_class kernel creds with
       | Error why -> Error why

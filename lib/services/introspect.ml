@@ -63,25 +63,8 @@ let handles_impl kernel _ctx _args =
             Value.str (Printf.sprintf "#%d %s caller=%s principal=%s" slot path caller principal))
           (Kernel.live_handles kernel)))
 
-let cache_stats_impl kernel _ctx _args =
-  match Kernel.cache_stats kernel with
-  | None -> Ok (Value.list [])
-  | Some stats ->
-    let counter name value = Value.pair (Value.str name) (Value.int value) in
-    Ok
-      (Value.list
-         [
-           counter "hits" stats.Decision_cache.hits;
-           counter "misses" stats.Decision_cache.misses;
-           counter "evictions" stats.Decision_cache.evictions;
-           counter "invalidations" stats.Decision_cache.invalidations;
-           counter "size" stats.Decision_cache.size;
-           counter "capacity" stats.Decision_cache.capacity;
-           counter "shards" stats.Decision_cache.shards;
-         ])
-
 let metrics_impl _kernel _ctx _args =
-  (* The whole registry as (name, value) pairs, in the cache_stats
+  (* The whole registry as (name, value) pairs, in the handle_stats
      shape: counters and gauges verbatim, each histogram flattened to
      <name>.count / .sum_ns / .p50_ns / .p95_ns / .p99_ns (percentiles
      rounded to integer nanoseconds — Value has no float). *)
@@ -138,7 +121,6 @@ let install kernel ~subject =
   let* () = install "audit_totals" 0 (open_meta ()) (audit_totals_impl kernel) in
   let* () = install "audit_tail" (-1) (audit_meta ()) (audit_tail_impl kernel) in
   let* () = install "namespace_size" 0 (open_meta ()) (namespace_size_impl kernel) in
-  let* () = install "cache_stats" 0 (open_meta ()) (cache_stats_impl kernel) in
   let* () = install "handle_stats" 0 (open_meta ()) (handle_stats_impl kernel) in
   let* () = install "handles" 0 (audit_meta ()) (handles_impl kernel) in
   let* () = install "metrics" 0 (open_meta ()) (metrics_impl kernel) in

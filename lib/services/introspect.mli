@@ -16,9 +16,6 @@
     - [audit_totals : () -> (granted, denied)]   counters only
     - [audit_tail : int -> list str]      rendered recent events (classified)
     - [namespace_size : () -> int]        node count
-    - [cache_stats : () -> list (pair str int)]  decision-cache counters
-      (hits, misses, evictions, invalidations, size, capacity; the
-      empty list when the monitor runs uncached)
     - [handle_stats : () -> list (pair str int)]  capability-handle
       table counters (capacity, live, mints, closes)
     - [handles : () -> list str]          one line per live handle —

@@ -98,15 +98,6 @@ let truncate log ~subject =
 
 let size log = state_size log.state
 
-let append_cache_stats log ~subject =
-  let line =
-    match Kernel.cache_stats log.kernel with
-    | None -> "monitor cache: disabled"
-    | Some stats ->
-      Format.asprintf "monitor cache: %a" Decision_cache.pp_stats stats
-  in
-  append log ~subject line
-
 let append_metrics log ~subject =
   (* One checked append per structured line (the "metrics ..."
      counter/gauge line plus one "latency <name> ..." line per

@@ -58,12 +58,6 @@ val truncate : t -> subject:Subject.t -> (unit, Service.error) result
 val size : t -> int
 (** Unchecked entry count (for tests); O(1). *)
 
-val append_cache_stats : t -> subject:Subject.t -> (unit, Service.error) result
-(** Snapshot the kernel monitor's decision-cache counters
-    ({!Kernel.cache_stats}) as one rendered log line — the periodic
-    observability hook an operator scrapes.  Same [Write_append]
-    check as {!append}. *)
-
 val append_metrics : t -> subject:Subject.t -> (unit, Service.error) result
 (** Snapshot the whole [Exsec_obs] metrics registry as structured
     [key=value] lines ({!Exsec_obs.Metrics.snapshot_lines}): one

@@ -64,8 +64,8 @@ let policies =
   ]
 
 (* Weighted mix: per-object mutations dominate; the expensive global
-   revocations (policy swaps flush the cache, membership churn bumps
-   the database generation) are rarer, as in a real deployment —
+   revocations (policy swaps bump the policy epoch, membership churn
+   bumps the database generation) are rarer, as in a real deployment —
    though every kind still occurs in any long stream. *)
 let random_mutation rng env =
   let object_ () = Prng.int rng (Array.length env.metas) in

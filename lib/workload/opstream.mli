@@ -1,14 +1,14 @@
 (** Seeded streams of reference-monitor operations — repeated access
-    checks interleaved with the mutations that must revoke cached
-    decisions (ACL replacement, relabeling, policy swaps, group
-    membership churn).
+    checks interleaved with the mutations that must revoke memoized
+    state such as compiled ACLs (ACL replacement, relabeling, policy
+    swaps, group membership churn).
 
     The differential oracle suite ([test/test_cache.ml]) replays one
-    stream through a cached and an uncached monitor and requires
-    bit-identical decision sequences; the cache ablation benchmark
-    uses the same shapes.  Subjects and objects are indices into the
-    environment's arrays so a stream can be interpreted against any
-    monitor over the same environment. *)
+    stream through the monitor and through an interpreted reference
+    decision function and requires identical decisions; the scaling
+    bench (S1) uses the same shapes.  Subjects and objects are indices
+    into the environment's arrays so a stream can be interpreted
+    against any monitor over the same environment. *)
 
 open Exsec_core
 

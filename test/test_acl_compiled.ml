@@ -1,6 +1,7 @@
 (* The compiled ACL decision path: differential equivalence with the
-   interpreted walk, corner cases of the interning/extras scheme, and
-   the allocation-free guarantee the hot path advertises. *)
+   interpreted walk (verdict and deny [who], in both the dense and the
+   sparse shape), corner cases of the interning/extras scheme, and the
+   allocation-free guarantee the hot path advertises. *)
 
 open Exsec_core
 
@@ -22,11 +23,17 @@ let ind_names = [| "alice"; "bob"; "carol"; "dave"; "erin" |]
 let unreg_names = [| "ghost"; "phantom" |]
 let grp_names = [| "staff"; "eng"; "ops"; "root" |]
 
-let build_world memberships =
+(* [padding] extra registered individuals, in no group and named by no
+   ACL, push the population past [Acl_compiled.dense_limit] so the
+   same cases compile to the sparse shape. *)
+let build_world ?(padding = 0) memberships =
   let db = Principal.Db.create () in
   let inds = Array.map Principal.individual ind_names in
   let grps = Array.map Principal.group grp_names in
   Array.iter (Principal.Db.add_individual db) inds;
+  for i = 1 to padding do
+    Principal.Db.add_individual db (Principal.individual (Printf.sprintf "pad%05d" i))
+  done;
   Array.iter (Principal.Db.add_group db) grps;
   List.iter
     (fun (g, m) ->
@@ -64,45 +71,56 @@ let interp_class = function
   | Acl.Denied_by _ -> 1
   | Acl.No_entry -> 2
 
+let probes_total = ref 0
+let denials_total = ref 0
+
+(* Same verdict class, and a denial names the same entry. *)
+let same_verdict compiled interpreted =
+  match compiled, interpreted with
+  | Acl_compiled.Granted, Acl.Granted _ | Acl_compiled.No_entry, Acl.No_entry -> true
+  | Acl_compiled.Denied who, Acl.Denied_by expected ->
+    incr denials_total;
+    who = expected
+  | (Acl_compiled.Granted | Acl_compiled.Denied _ | Acl_compiled.No_entry), _ -> false
+
 (* One agreement sweep: every subject x every mode, compiled against
    interpreted.  56 probes per call. *)
-let agree ~db ~acl ~compiled ~probes inds =
+let agree ~db ~acl ~compiled inds =
   List.for_all
     (fun subject ->
       List.for_all
         (fun mode ->
-          incr probes;
-          Acl_compiled.verdict_class (Acl_compiled.check compiled ~subject ~mode)
-          = interp_class (Acl.check ~db ~subject ~mode acl))
+          incr probes_total;
+          same_verdict
+            (Acl_compiled.check compiled ~subject ~mode)
+            (Acl.check ~db ~subject ~mode acl))
         Access_mode.all)
     (all_subjects inds)
 
-let probes_total = ref 0
-
 let arb_mode = QCheck.oneofl Access_mode.all
 
-let prop_differential =
+let prop_differential ~name ~count ~padding =
   (* The tentpole contract: the compiled path and the interpreted walk
-     agree on the verdict class for every (acl, group db, subject,
-     mode) — including across membership and ACL mutation, which must
-     invalidate the form memoized on the metadata.  At >= 56 probes
-     per phase and >= 2 phases per case, 150 cases put well over 10k
-     randomized probes through the comparison (asserted below). *)
-  QCheck.Test.make ~name:"compiled = interpreted, across mutation" ~count:150
+     agree on the verdict — and on the deny entry's [who] — for every
+     (acl, group db, subject, mode), including across membership and
+     ACL mutation, which must invalidate the form memoized on the
+     metadata.  At >= 56 probes per phase and >= 2 phases per case,
+     the cases put well over 10k randomized probes through the
+     comparison (asserted below). *)
+  QCheck.Test.make ~name ~count
     QCheck.(
       triple
         (small_list (pair small_nat small_nat)) (* group memberships *)
         (small_list (triple small_nat bool (small_list arb_mode))) (* ACL entries *)
         (small_list (triple small_nat small_nat bool)) (* membership mutations *))
     (fun (memberships, entry_spec, mutations) ->
-      let db, inds, grps = build_world memberships in
+      let db, inds, grps = build_world ~padding memberships in
       let acl = acl_of_spec inds grps entry_spec in
       let meta = Meta.make ~owner:inds.(0) ~acl (bottom ()) in
-      let probes = probes_total in
       let ok = ref true in
       let sweep () =
         let compiled = Meta.compiled_acl meta ~db in
-        if not (agree ~db ~acl:meta.Meta.acl ~compiled ~probes inds) then ok := false
+        if not (agree ~db ~acl:meta.Meta.acl ~compiled inds) then ok := false
       in
       (* Phase 1: the freshly compiled form. *)
       sweep ();
@@ -127,10 +145,21 @@ let prop_differential =
       sweep ();
       !ok)
 
+let prop_dense =
+  prop_differential ~name:"compiled = interpreted, across mutation" ~count:150 ~padding:0
+
+let prop_sparse =
+  (* The population alone decides the shape: past the cut, every case
+     above compiles sparse. *)
+  prop_differential ~name:"compiled = interpreted, sparse shape" ~count:40
+    ~padding:Acl_compiled.dense_limit
+
 let test_probe_volume () =
-  (* Run after the QCheck case by suite order; the differential sweep
-     must have covered the mandated >= 10k probes. *)
-  check "over 10k differential probes" true (!probes_total >= 10_000)
+  (* Run after the QCheck cases by suite order; the differential sweeps
+     must have covered the mandated >= 10k probes, and enough denials
+     to hold the deny [who] to the interpreted walk. *)
+  check "over 10k differential probes" true (!probes_total >= 10_000);
+  check "over 1k denials compared by who" true (!denials_total >= 1_000)
 
 (* {1 Corner cases} *)
 
@@ -284,15 +313,18 @@ let test_check_allocates_nothing () =
   Alcotest.(check (float 0.)) "grant path words" baseline measured
 
 let test_decide_allocates_nothing () =
-  (* End to end through the monitor: uncached, DAC only (the MAC and
-     integrity layers are off, and the decision cache would allocate
-     its lookup key).  The compiled grant path must hold the whole
+  (* End to end through the default monitor under the default policy
+     (DAC, MAC and integrity): the compiled ACL, the subject's memoized
+     snapshot id and the lattice checks must hold the whole granted
      [decide] call to zero words. *)
   let db, alice, _, _, staff, _ = fixture () in
-  let monitor = Reference_monitor.create ~policy:Policy.dac_only ~cache:false db in
+  let monitor = Reference_monitor.create db in
   let acl = Acl.of_entries [ Acl.allow (Acl.Group staff) [ Access_mode.Read ] ] in
-  let meta = Meta.make ~owner:alice ~acl (bottom ()) in
-  let subject = Subject.make alice (bottom ()) in
+  (* One class value for both sides: MAC compares levels of one
+     hierarchy. *)
+  let klass = bottom () in
+  let meta = Meta.make ~owner:alice ~acl klass in
+  let subject = Subject.make alice klass in
   let run () =
     for _ = 1 to 10_000 do
       ignore (Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read)
@@ -305,7 +337,8 @@ let test_decide_allocates_nothing () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_differential;
+    QCheck_alcotest.to_alcotest prop_dense;
+    QCheck_alcotest.to_alcotest prop_sparse;
     Alcotest.test_case "differential probe volume" `Quick test_probe_volume;
     Alcotest.test_case "tier precedence" `Quick test_tier_precedence;
     Alcotest.test_case "deny beats allow in tier" `Quick test_deny_beats_allow_in_tier;

@@ -123,8 +123,8 @@ let random_op world step =
       (Kernel.monitor world.kernel)
       (Prng.choose_list world.rng safe_policies)
   | 10 ->
-    (* Group membership churn: revokes (or grants) every cached
-       decision that an ACL group entry produced. *)
+    (* Group membership churn: revokes (or grants) every decision
+       that an ACL group entry produced, through the compiled ACLs. *)
     let ind = Principal.individual (Printf.sprintf "fuzz%d" (Prng.int world.rng 6)) in
     if Prng.bool world.rng then
       Principal.Db.add_member world.db world.fuzzers (Principal.Ind ind)

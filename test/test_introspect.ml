@@ -82,8 +82,8 @@ let test_namespace_size () =
   let alice_sub = Subject.make alice (cls kernel "lo") in
   match call kernel alice_sub "namespace_size" [] with
   | Ok (Value.Int n) ->
-    (* root + 3 std dirs + introspect dir + 10 procs = 15 *)
-    Alcotest.(check int) "node count" 15 n
+    (* root + 3 std dirs + introspect dir + 9 procs = 14 *)
+    Alcotest.(check int) "node count" 14 n
   | _ -> Alcotest.fail "namespace_size"
 
 let test_audit_tail_matches_events () =

@@ -44,7 +44,7 @@ let test_rejected_cycle_leaves_db_untouched () =
   (* add_member must validate before mutating: a rejected insertion
      may not register the nested group, touch any member list, or
      bump the generation (a half-applied update would silently
-     invalidate every cached discretionary decision). *)
+     invalidate every compiled ACL). *)
   let db = Principal.Db.create () in
   let a = Principal.group "a" in
   let b = Principal.group "b" in
