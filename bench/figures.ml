@@ -247,26 +247,27 @@ let f6 () =
   let hierarchy, universe = Gen.lattice ~levels:2 ~categories:1 in
   let bottom = Security_class.bottom hierarchy universe in
   let subject = Subject.make owner bottom in
+  let open_meta () =
+    Meta.make ~owner
+      ~acl:(Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Read; Access_mode.Write ] ])
+      bottom
+  in
+  let fresh () =
+    let ns = Namespace.create ~root_meta:(open_meta ()) () in
+    ns, Resolver.create (Reference_monitor.create db) ns
+  in
+  let checked_lookup resolver targets =
+    let rng = Prng.create ~seed:99 in
+    Timing.ns_per_op (fun () ->
+        ignore
+          (Resolver.resolve resolver ~subject ~mode:Access_mode.Read (Prng.choose rng targets)))
+  in
   Format.printf "%-10s %-10s %-14s %-14s@." "nodes" "depth" "checked-lookup" "insert";
   List.iter
     (fun (depth, fanout) ->
-      let monitor = Reference_monitor.create db in
-      let root_meta =
-        Meta.make ~owner
-          ~acl:(Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Read; Access_mode.Write ] ])
-          bottom
-      in
-      let ns = Namespace.create ~root_meta () in
-      let resolver = Resolver.create monitor ns in
+      let ns, resolver = fresh () in
       let leaves = Gen.populate_tree ns ~owner ~klass:bottom ~depth ~fanout ~leaf:(fun _ -> 0) in
-      let rng = Prng.create ~seed:99 in
-      let leaf_array = Array.of_list leaves in
-      let lookup =
-        Timing.ns_per_op (fun () ->
-            ignore
-              (Resolver.resolve resolver ~subject ~mode:Access_mode.Read
-                 (Prng.choose rng leaf_array)))
-      in
+      let lookup = checked_lookup resolver (Array.of_list leaves) in
       let counter = ref 0 in
       let meta () =
         Meta.make ~owner
@@ -284,6 +285,39 @@ let f6 () =
       Format.printf "%-10d %-10d %a %a@." (Namespace.size ns) depth Timing.pp_ns lookup
         Timing.pp_ns insert)
     [ 2, 4; 3, 6; 3, 12; 4, 10 ];
+  (* The rows above grow depth and fanout together, so they cannot tell
+     a directory's width from the walk's depth.  Here the depth stays at
+     3 while the directory holding the targets widens: a walk that
+     probes each directory's hash table stays flat in the width, one
+     that scans or sorts the entries grows with it. *)
+  Format.printf "@.%-10s %-10s %-14s %-14s@." "width" "depth" "checked-lookup" "raw-find";
+  List.iter
+    (fun width ->
+      let ns, resolver = fresh () in
+      let first = Gen.chain ns ~owner ~klass:bottom ~depth:2 ~leaf:0 in
+      let dir = Option.get (Path.parent first) in
+      let targets =
+        Array.init width (fun i ->
+            if i = 0 then first
+            else begin
+              let path = Path.child dir (Printf.sprintf "e%d" i) in
+              ignore (Namespace.add_leaf ns path ~meta:(open_meta ()) i);
+              path
+            end)
+      in
+      (* Compile and memoize every target's ACL before timing, so the
+         rows differ in width alone. *)
+      Array.iter
+        (fun target ->
+          ignore (Resolver.resolve resolver ~subject ~mode:Access_mode.Read target))
+        targets;
+      let lookup = checked_lookup resolver targets in
+      let rng = Prng.create ~seed:99 in
+      let raw = Timing.ns_per_op (fun () -> ignore (Namespace.find ns (Prng.choose rng targets))) in
+      Format.printf "%-10d %-10d %a %a@." width (Path.depth first) Timing.pp_ns lookup
+        Timing.pp_ns raw)
+    [ 4; 64; 512; 4096 ];
   Format.printf
-    "expected shape: lookup cost tracks depth, not population (hash-table@.";
-  Format.printf "directories); insertion is flat — the single tree scales@."
+    "expected shape: lookup cost tracks depth, not population or directory@.";
+  Format.printf
+    "width (one hash probe per level); insertion is flat — the single tree scales@."

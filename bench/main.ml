@@ -18,7 +18,7 @@ let experiments =
     "f3", "class-indexed handler selection vs variants", Figures.f3;
     "f4", "illegal flows admitted, DAC-only vs DAC+MAC", Figures.f4;
     "f5", "link-time vs per-call import checks", Figures.f5;
-    "f6", "name-space scale: lookup/insert vs population", Figures.f6;
+    "f6", "name-space scale: lookup/insert vs population and directory width", Figures.f6;
     "a1", "ablation: audit-record overhead", Ablations.a1;
     "a2", "ablation: per-layer cost and flow violations", Ablations.a2;
     "a3", "ablation: nested-group membership depth", Ablations.a3;

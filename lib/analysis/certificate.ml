@@ -285,22 +285,30 @@ let deps_valid certificate ~db =
       && Principal.Db.dirty_stamp db dep.dep_group = dep.dep_stamp)
     certificate.deps
 
-let admits certificate ~monitor ~namespace ~subject ?(now = max_int) path =
-  Reference_monitor.policy_epoch monitor = certificate.epoch
-  && (not (expired certificate ~now))
-  && deps_valid certificate ~db:(Reference_monitor.db monitor)
-  &&
-  match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
-  | None -> false
-  | Some proof ->
+let admitted certificate ~monitor ~namespace ~subject ?(now = max_int) path =
+  let proof_holds proof =
     Verdict.equal proof.verdict Verdict.Always_allow
     && List.for_all
          (fun (meta, generation) -> Meta.generation meta = generation)
          proof.chain
-    && (match Namespace.find namespace path with
-       | Ok node -> (Namespace.meta node).Meta.id = proof.target_id
-       | Error _ -> false)
-    && covered certificate subject
+  in
+  if
+    Reference_monitor.policy_epoch monitor <> certificate.epoch
+    || expired certificate ~now
+    || not (deps_valid certificate ~db:(Reference_monitor.db monitor))
+  then None
+  else
+    match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
+    | Some proof when proof_holds proof -> (
+      match Namespace.find namespace path with
+      | Ok node
+        when (Namespace.meta node).Meta.id = proof.target_id && covered certificate subject ->
+        Some node
+      | Ok _ | Error _ -> None)
+    | Some _ | None -> None
+
+let admits certificate ~monitor ~namespace ~subject ?now path =
+  Option.is_some (admitted certificate ~monitor ~namespace ~subject ?now path)
 
 let pp ppf certificate =
   Format.fprintf ppf "@[<v>certificate for %s (epoch %d, db generation %d"

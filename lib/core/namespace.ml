@@ -54,16 +54,28 @@ let create ~root_meta () =
 
 let root tree = tree.root_node
 
+(* One probe into a directory's hash table: the step of every walk
+   ([find], [chain] and the checked walks in [Resolver]).  Allocates
+   nothing, whatever the directory's width. *)
+let child node name =
+  match node.kind with
+  | Leaf _ -> raise Stdlib.Not_found
+  | Dir table -> Hashtbl.find table name
+
+let is_dir node =
+  match node.kind with
+  | Dir _ -> true
+  | Leaf _ -> false
+
 let find tree target =
   let rec walk node = function
     | [] -> Ok node
     | segment :: rest -> (
-      match node.kind with
-      | Leaf _ -> Error (Not_a_directory node.node_path)
-      | Dir table -> (
-        match Hashtbl.find_opt table segment with
-        | None -> Error (Not_found target)
-        | Some child -> walk child rest))
+      match child node segment with
+      | next -> walk next rest
+      | exception Stdlib.Not_found ->
+        if is_dir node then Error (Not_found target)
+        else Error (Not_a_directory node.node_path))
   in
   walk tree.root_node (Path.segments target)
 
@@ -80,12 +92,9 @@ let chain tree target =
   let rec walk node acc = function
     | [] -> Some (List.rev (node :: acc))
     | segment :: rest -> (
-      match node.kind with
-      | Leaf _ -> None
-      | Dir table -> (
-        match Hashtbl.find_opt table segment with
-        | None -> None
-        | Some child -> walk child (node :: acc) rest))
+      match child node segment with
+      | next -> walk next (node :: acc) rest
+      | exception Stdlib.Not_found -> None)
   in
   walk tree.root_node [] (Path.segments target)
 
@@ -160,11 +169,6 @@ let remove tree target =
 let meta node = node.node_meta
 let path node = node.node_path
 let label node = node.node_label
-
-let is_dir node =
-  match node.kind with
-  | Dir _ -> true
-  | Leaf _ -> false
 
 let payload node =
   match node.kind with

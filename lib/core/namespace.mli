@@ -46,6 +46,15 @@ val add_dir_at : 'a t -> 'a node -> string -> meta:Meta.t -> ('a node, error) re
 val add_leaf_at : 'a t -> 'a node -> string -> meta:Meta.t -> 'a -> ('a node, error) result
 (** Leaf counterpart of {!add_dir_at}. *)
 
+val child : 'a node -> string -> 'a node
+(** [child dir name] is [dir]'s entry [name]: one probe into the
+    directory's hash table, O(1) in the directory's width and with no
+    allocation.  It is the step of every walk — {!find}, {!chain} and
+    the checked walks of {!Resolver} — so a walk of depth d costs d
+    probes however wide its directories are.
+    @raise Stdlib.Not_found if [dir] is a leaf or has no entry
+    [name]. *)
+
 val find : 'a t -> Path.t -> ('a node, error) result
 val mem : 'a t -> Path.t -> bool
 
@@ -75,7 +84,11 @@ val payload : 'a node -> 'a option
 (** [Some] for leaves, [None] for directories. *)
 
 val children : 'a node -> (string * 'a node) list
-(** Sorted by name; [[]] for leaves. *)
+(** Every entry of the directory, sorted by name; [[]] for leaves.
+    Folds and sorts the whole table, O(w log w) time and allocation
+    for a directory of w entries: meant for listing ({!iter},
+    {!fold}, [Resolver.list_dir]), never for finding one name — use
+    {!child} for that. *)
 
 val size : 'a t -> int
 (** Total number of nodes, root included.  O(1): a counter maintained

@@ -34,8 +34,16 @@ let check ?span r ~subject node mode =
   | Decision.Denied denial ->
     Error (Denied { at = Namespace.path node; mode; denial })
 
+(* The name error of a probe that found nothing in [node]: [target]
+   is missing from a directory, or the walk met a leaf mid-path. *)
+let missing node target =
+  if Namespace.is_dir node then Namespace.Not_found target
+  else Namespace.Not_a_directory (Namespace.path node)
+
 (* Walk to [target], checking [List] on every *interior* node strictly
-   above the target.  Returns the target node, unchecked. *)
+   above the target.  Returns the target node, unchecked.  Each level
+   costs one monitor decision (with its audit record) and one hash
+   probe, so the walk is O(depth) whatever the directories' width. *)
 let walk ?span r ~subject target =
   let rec step node = function
     | [] -> Ok node
@@ -43,16 +51,9 @@ let walk ?span r ~subject target =
       match check ?span r ~subject node Access_mode.List with
       | Error e -> Error e
       | Ok () -> (
-        let found =
-          List.find_opt
-            (fun (name, _) -> String.equal name segment)
-            (Namespace.children node)
-        in
-        match found with
-        | None ->
-          if Namespace.is_dir node then Error (Name_error (Namespace.Not_found target))
-          else Error (Name_error (Namespace.Not_a_directory (Namespace.path node)))
-        | Some (_, child) -> step child rest))
+        match Namespace.child node segment with
+        | child -> step child rest
+        | exception Not_found -> Error (Name_error (missing node target))))
   in
   step (Namespace.root r.namespace) (Path.segments target)
 
@@ -157,17 +158,9 @@ let remove ?(span = Trace.none) r ~subject target =
         | Error e -> Error e
         | Ok () -> (
           let basename = Option.value (Path.basename target) ~default:"" in
-          let found =
-            List.find_opt
-              (fun (name, _) -> String.equal name basename)
-              (Namespace.children parent_node)
-          in
-          match found with
-          | None ->
-            if Namespace.is_dir parent_node then
-              Error (Name_error (Namespace.Not_found target))
-            else Error (Name_error (Namespace.Not_a_directory (Namespace.path parent_node)))
-          | Some (_, victim) -> (
+          match Namespace.child parent_node basename with
+          | exception Not_found -> Error (Name_error (missing parent_node target))
+          | victim -> (
             match check ~span r ~subject victim Access_mode.Delete with
             | Error e -> Error e
             | Ok () -> (

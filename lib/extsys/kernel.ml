@@ -220,14 +220,18 @@ let install_iface kernel ~subject ~mount ~meta iface impl_of =
    (subject, path) — proof Always_allow, policy epoch and every
    consulted generation unchanged, subject inside the proved domain
    (see Exsec_analysis.Certificate).  A stale certificate fails closed
-   into the fully checked path. *)
-let certificate_admits kernel ~caller ~subject path =
+   into the fully checked path.  [Some node] is the node the
+   certificate validated, which is the one to dispatch. *)
+let certified_node kernel ~caller ~subject path =
   match Hashtbl.find_opt kernel.certificates caller with
-  | None -> false
+  | None -> None
   | Some certificate ->
-    Exsec_analysis.Certificate.admits certificate ~monitor:kernel.monitor
+    Exsec_analysis.Certificate.admitted certificate ~monitor:kernel.monitor
       ~namespace:(Resolver.namespace kernel.resolver) ~subject
       ~now:(Atomic.get kernel.cert_epoch) path
+
+let certificate_admits kernel ~caller ~subject path =
+  Option.is_some (certified_node kernel ~caller ~subject path)
 
 let rec make_ctx kernel ~subject ~caller =
   {
@@ -290,26 +294,29 @@ and call ?(checked = true) kernel ~subject ~caller path args =
   result
 
 and call_uncharged ~checked ~span kernel ~subject ~caller path args =
-  let certified = checked && certificate_admits kernel ~caller ~subject path in
-  let checked = checked && not certified in
-  if certified then begin
-    Metrics.incr m_cert_fast_path;
-    if Trace.active span then Trace.annotate span "fastpath" "certificate"
-  end;
   let resolved =
-    if checked then
-      match
-        Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
-      with
-      | Ok node -> Ok node
-      | Error denial -> Error (error_of_denial denial)
-    else
+    if not checked then
       (* Access was decided at link time (SPIN model): go straight to
          the node, no monitor involvement. *)
       match Namespace.find (namespace kernel) path with
       | Ok node -> Ok node
       | Error error ->
         Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
+    else
+      match certified_node kernel ~caller ~subject path with
+      | Some node ->
+        (* Dispatch the node the certificate validated, never a second
+           lookup of the path: a node removed and re-added there in
+           between would run unchecked. *)
+        Metrics.incr m_cert_fast_path;
+        if Trace.active span then Trace.annotate span "fastpath" "certificate";
+        Ok node
+      | None -> (
+        match
+          Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
+        with
+        | Ok node -> Ok node
+        | Error denial -> Error (error_of_denial denial))
   in
   match resolved with
   | Error e -> Error e
@@ -436,27 +443,22 @@ let rec open_handle kernel ~subject ~caller path =
     if n = 0 then -1 else metas.(n - 1).Meta.id
   in
   let certified =
-    Array.length metas > 0 && certificate_admits kernel ~caller ~subject path
+    if Array.length metas = 0 then None else certified_node kernel ~caller ~subject path
   in
   let admitted =
-    if certified then begin
+    match certified with
+    | Some node ->
       (* The certificate's own validation just re-proved every
          generation it consulted; our pre-reads happened before that
          check and generations are monotone, so the snapshot is
          consistent with the admitting proof. *)
       Metrics.incr m_handle_cert_mints;
-      `Admitted (Namespace.find (namespace kernel) path)
-    end
-    else
-      match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
-      | Ok node -> `Admitted (Ok node)
-      | Error denial -> `Denied denial
+      Ok node
+    | None -> Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path
   in
   match admitted with
-  | `Denied denial -> Error (Service.error_of_denial denial)
-  | `Admitted (Error error) ->
-    Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
-  | `Admitted (Ok node) ->
+  | Error denial -> Error (Service.error_of_denial denial)
+  | Ok node ->
     if (Namespace.meta node).Meta.id <> target_id then
       (* The target changed identity between the snapshot and the
          decision (delete + recreate race): the snapshot does not
@@ -472,7 +474,8 @@ let rec open_handle kernel ~subject ~caller path =
         Ok
           (Handle.mint kernel.handles
              { g_path = path; g_subject = subject; g_caller = caller; g_target;
-               g_stamp = stamp; g_metas = metas; g_gens = gens; g_cert = certified }))
+               g_stamp = stamp; g_metas = metas; g_gens = gens;
+               g_cert = Option.is_some certified }))
 
 (* Stale slow path: re-run the fully checked resolution (audited)
    under a fresh pre-read snapshot; serve THIS call from the

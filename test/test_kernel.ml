@@ -263,3 +263,79 @@ let suite =
       Alcotest.test_case "broadcast" `Quick test_broadcast;
       Alcotest.test_case "broadcast caps handlers" `Quick test_broadcast_caps_handlers;
     ]
+
+(* {1 Certified dispatch}
+
+   A certified call invokes the very node its certificate validated.
+   Once the target is replaced at the same path, the path names a node
+   no proof covers: the call must take the checked path, and be denied
+   there when the new node's ACL refuses the caller. *)
+
+let test_certified_call_after_replacement () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  let alice = Principal.individual "alice" in
+  List.iter (Principal.Db.add_individual db) [ admin; alice ];
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let registry = Clearance.create () in
+  Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
+  Clearance.register registry alice bottom;
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
+  let admin_sub = Kernel.admin_subject kernel in
+  let alice_sub = Subject.make alice bottom in
+  let audit = Reference_monitor.audit (Kernel.monitor kernel) in
+  let target = Path.of_string "/svc/get" in
+  let ran = ref [] in
+  let proc tag =
+    Service.proc "get" 0 (fun _ _ ->
+        ran := tag :: !ran;
+        Ok (Value.str tag))
+  in
+  let () =
+    ok "install"
+      (Kernel.install_proc kernel ~subject:admin_sub target
+         ~meta:(Kernel.default_meta kernel ~owner:admin ())
+         (proc "old"))
+  in
+  (match
+     Linker.link kernel ~subject:alice_sub
+       (Extension.make ~name:"a" ~author:alice ~imports:[ target ] ())
+   with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "link: %s" (Format.asprintf "%a" Linker.pp_link_error e));
+  check "certified" true (Kernel.certificate_admits kernel ~caller:"a" ~subject:alice_sub target);
+  let before = Audit.total audit in
+  let _ = ok "certified call" (Kernel.call kernel ~subject:alice_sub ~caller:"a" target []) in
+  Alcotest.(check int) "the certified call skipped the monitor" before (Audit.total audit);
+  (* Replace the target at the same path with a node alice may only
+     list. *)
+  (match Resolver.remove (Kernel.resolver kernel) ~subject:admin_sub target with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "remove: %s" (Format.asprintf "%a" Resolver.pp_denial e));
+  let closed =
+    Meta.make ~owner:admin
+      ~acl:
+        (Acl.of_entries
+           [ Acl.allow_all (Acl.Individual admin); Acl.allow Acl.Everyone [ Access_mode.List ] ])
+      bottom
+  in
+  let () = ok "replace" (Kernel.install_proc kernel ~subject:admin_sub target ~meta:closed (proc "new")) in
+  check "the certificate no longer admits" false
+    (Kernel.certificate_admits kernel ~caller:"a" ~subject:alice_sub target);
+  let denied = Audit.denied_total audit in
+  (match Kernel.call kernel ~subject:alice_sub ~caller:"a" target [] with
+  | Error (Service.Denied { mode = Access_mode.Execute; _ }) -> ()
+  | Ok _ -> Alcotest.fail "the replacement ran on the old certificate"
+  | Error e -> Alcotest.failf "unexpected: %s" (Service.error_to_string e));
+  Alcotest.(check int) "denied by the audited checked path" (denied + 1)
+    (Audit.denied_total audit);
+  Alcotest.(check (list string)) "only the certified node ever ran" [ "old" ] !ran
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "certified call after target replacement" `Quick
+        test_certified_call_after_replacement;
+    ]

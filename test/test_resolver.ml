@@ -289,3 +289,312 @@ let prop_resolver_matches_oracle =
 
 let suite =
   suite @ [ QCheck_alcotest.to_alcotest prop_resolver_matches_oracle ]
+
+(* {1 Differential: the hash-probe walk against the sorted scan}
+
+   [Resolver] finds each path segment with one probe into the
+   directory's hash table.  The reference below is the walk that probe
+   replaced: scan the directory's sorted entries ([Namespace.children])
+   for the segment.  Twin trees built from one seed run the same random
+   op script, and every result and every audit event an op appends
+   must agree.  The trees hold a directory wider than 64 entries, and
+   List grants, explicit List denials and above-clearance classes at
+   every depth; the paths reach through leaves and name missing
+   entries. *)
+
+let random_meta rng =
+  let list_entry =
+    match Random.State.int rng 8 with
+    | 0 -> [ Acl.deny (Acl.Individual alice) [ Access_mode.List ] ]
+    | 1 -> []
+    | _ -> [ Acl.allow (Acl.Individual alice) [ Access_mode.List ] ]
+  in
+  let modes =
+    List.filter
+      (fun _ -> Random.State.int rng 5 < 3)
+      [ Access_mode.Read; Access_mode.Write; Access_mode.Execute; Access_mode.Delete ]
+  in
+  Meta.make ~owner:admin
+    ~acl:
+      (Acl.of_entries
+         ((Acl.allow_all (Acl.Individual admin) :: list_entry)
+         @ [ Acl.allow (Acl.Individual alice) modes ]))
+    (if Random.State.int rng 10 = 0 then high else bottom)
+
+type world = {
+  monitor : Reference_monitor.t;
+  ns : int Namespace.t;
+  resolver : int Resolver.t;
+  built : Path.t array;  (** every node the builder added, root first *)
+}
+
+let wide_width = 64
+
+(* Deterministic in [seed], so two calls build identical twins. *)
+let build_world seed =
+  let rng = Random.State.make [| seed |] in
+  let db = Principal.Db.create () in
+  List.iter (Principal.Db.add_individual db) [ admin; alice ];
+  let monitor = Reference_monitor.create db in
+  let ns = Namespace.create ~root_meta:(random_meta rng) () in
+  let wide_depth = Random.State.int rng 3 in
+  let wide_left = ref true in
+  let built = ref [ Path.root ] in
+  let rec fill dir depth =
+    let wide = !wide_left && depth = wide_depth in
+    if wide then wide_left := false;
+    let width =
+      if wide then wide_width + 1 + Random.State.int rng 64 else 1 + Random.State.int rng 4
+    in
+    for i = 1 to width do
+      let name = Printf.sprintf "e%d" (Random.State.int rng 100_000) in
+      let meta = random_meta rng in
+      (* The first entry above the wide level is a directory, so the
+         walk always reaches a directory at that level. *)
+      let is_dir = depth < 3 && ((i = 1 && depth < wide_depth) || Random.State.int rng 4 = 0) in
+      let added =
+        if is_dir then Namespace.add_dir_at ns dir name ~meta
+        else Namespace.add_leaf_at ns dir name ~meta 0
+      in
+      match added with
+      | Ok node ->
+        built := Namespace.path node :: !built;
+        if is_dir then fill node (depth + 1)
+      | Error _ -> () (* a repeated name *)
+    done
+  in
+  fill (Namespace.root ns) 0;
+  { monitor; ns; resolver = Resolver.create monitor ns; built = Array.of_list (List.rev !built) }
+
+(* A path to a built node, or one that names a missing entry, steps
+   through a leaf, or swaps one segment for a name from elsewhere. *)
+let random_path rng built =
+  let pick () = built.(Random.State.int rng (Array.length built)) in
+  let name () =
+    match Path.basename (pick ()) with
+    | Some name when Random.State.bool rng -> name
+    | _ -> Printf.sprintf "missing%d" (Random.State.int rng 4)
+  in
+  let base = pick () in
+  match Random.State.int rng 6 with
+  | 0 | 1 | 2 -> base
+  | 3 -> Path.child base (name ())
+  | 4 -> Path.child (Path.child base (name ())) (name ())
+  | _ -> (
+    match Path.segments base with
+    | [] -> base
+    | segments ->
+      let k = Random.State.int rng (List.length segments) in
+      Path.of_segments (List.mapi (fun i segment -> if i = k then name () else segment) segments))
+
+let reference_check monitor ~subject node mode =
+  match
+    Reference_monitor.check monitor ~subject ~meta:(Namespace.meta node)
+      ~object_name:(Namespace.label node) ~mode
+  with
+  | Decision.Granted -> Ok ()
+  | Decision.Denied denial -> Error (Resolver.Denied { at = Namespace.path node; mode; denial })
+
+let scan node segment target =
+  match
+    List.find_opt (fun (name, _) -> String.equal name segment) (Namespace.children node)
+  with
+  | Some (_, child) -> Ok child
+  | None when Namespace.is_dir node -> Error (Resolver.Name_error (Namespace.Not_found target))
+  | None -> Error (Resolver.Name_error (Namespace.Not_a_directory (Namespace.path node)))
+
+let reference_walk w ~subject target =
+  let rec step node = function
+    | [] -> Ok node
+    | segment :: rest ->
+      Result.bind (reference_check w.monitor ~subject node Access_mode.List) (fun () ->
+          Result.bind (scan node segment target) (fun child -> step child rest))
+  in
+  step (Namespace.root w.ns) (Path.segments target)
+
+let reference_resolve w ~subject ~mode target =
+  Result.bind (reference_walk w ~subject target) (fun node ->
+      Result.map (fun () -> node) (reference_check w.monitor ~subject node mode))
+
+let reference_remove w ~subject target =
+  let ( let* ) = Result.bind in
+  let* parent_path =
+    Option.to_result ~none:(Resolver.Name_error (Namespace.Already_exists Path.root))
+      (Path.parent target)
+  in
+  let* parent = reference_walk w ~subject parent_path in
+  let* () = reference_check w.monitor ~subject parent Access_mode.List in
+  let* victim = scan parent (Option.get (Path.basename target)) target in
+  let* () = reference_check w.monitor ~subject victim Access_mode.Delete in
+  let* () =
+    match
+      Reference_monitor.check_attach w.monitor ~subject ~parent:(Namespace.meta parent)
+        ~child:(Namespace.meta victim) ~object_name:(Path.to_string target)
+    with
+    | Decision.Granted -> Ok ()
+    | Decision.Denied denial ->
+      Error (Resolver.Denied { at = target; mode = Access_mode.Write; denial })
+  in
+  Result.map_error (fun error -> Resolver.Name_error error) (Namespace.remove w.ns target)
+
+(* An op's outcome with the audit events it appended, projected to
+   what both sides must agree on. *)
+let observe w f =
+  let audit = Reference_monitor.audit w.monitor in
+  let before = Audit.total audit in
+  let outcome = f () in
+  let events = Audit.tail audit ~count:(Audit.total audit - before) in
+  ( outcome,
+    List.map (fun (e : Audit.event) -> e.object_name, e.mode, e.decision) events )
+
+let node_outcome = Result.map Namespace.path
+let unit_outcome = Result.map (fun () -> Path.root)
+
+(* What kind of case an agreed outcome exercised, for the coverage
+   test below. *)
+let outcome_tag w op = function
+  | Ok _ when String.equal op "remove" -> "removed"
+  | Ok path -> (
+    match Path.parent path with
+    | Some parent when (
+        match Namespace.find w.ns parent with
+        | Ok dir -> List.length (Namespace.children dir) > wide_width
+        | Error _ -> false) ->
+      "found in a wide directory"
+    | _ -> "found")
+  | Error (Resolver.Denied { mode = Access_mode.List; at; _ }) ->
+    Printf.sprintf "List denied at depth %d" (min 2 (Path.depth at))
+  | Error (Resolver.Denied _) -> "target denied"
+  | Error (Resolver.Name_error (Namespace.Not_found _)) -> "missing name"
+  | Error (Resolver.Name_error (Namespace.Not_a_directory _)) -> "leaf mid-path"
+  | Error (Resolver.Name_error _) -> "other name error"
+
+let ops_per_world = 40
+
+(* [Ok tags] when both walks agree on every op, [Error report] at the
+   first op they do not. *)
+let differential seed =
+  let a = build_world seed and b = build_world seed in
+  let rng = Random.State.make [| seed; 1 |] in
+  let rec run i tags =
+    if i = ops_per_world then Ok tags
+    else begin
+      let subject =
+        if Random.State.int rng 5 = 0 then Subject.make admin high else alice_low ()
+      in
+      let target = random_path rng a.built in
+      let op, got, expected =
+        match Random.State.int rng 4 with
+        | 0 ->
+          ( "remove",
+            observe a (fun () -> unit_outcome (Resolver.remove a.resolver ~subject target)),
+            observe b (fun () -> unit_outcome (reference_remove b ~subject target)) )
+        | 1 ->
+          ( "lookup",
+            observe a (fun () -> node_outcome (Resolver.lookup a.resolver ~subject target)),
+            observe b (fun () -> node_outcome (reference_walk b ~subject target)) )
+        | _ ->
+          let mode = List.nth Access_mode.all (Random.State.int rng (List.length Access_mode.all)) in
+          ( "resolve " ^ Access_mode.to_string mode,
+            observe a (fun () -> node_outcome (Resolver.resolve a.resolver ~subject ~mode target)),
+            observe b (fun () -> node_outcome (reference_resolve b ~subject ~mode target)) )
+      in
+      if got = expected then run (i + 1) (outcome_tag b op (fst got) :: tags)
+      else
+        let show (outcome, events) =
+          Printf.sprintf "%s with %d audit event(s)"
+            (match outcome with
+            | Ok path -> Path.to_string path
+            | Error denial -> Format.asprintf "%a" Resolver.pp_denial denial)
+            (List.length events)
+        in
+        Error
+          (Printf.sprintf "seed %d, op %d: %s %s by %s: walk gave %s, reference %s" seed i op
+             (Path.to_string target)
+             (Principal.individual_name (Subject.principal subject))
+             (show got) (show expected))
+    end
+  in
+  run 0 []
+
+let prop_walk_matches_sorted_scan =
+  QCheck.Test.make ~name:"walk agrees with the sorted-scan reference" ~count:100
+    QCheck.(make ~print:string_of_int Gen.nat)
+    (fun seed ->
+      match differential seed with
+      | Ok _ -> true
+      | Error report -> QCheck.Test.fail_report report)
+
+(* Fixed seeds, so the coverage claim is reproducible: over them the
+   differential meets every case the random trees are built to hold. *)
+let test_differential_coverage () =
+  let seen = Hashtbl.create 16 in
+  for seed = 0 to 99 do
+    match differential seed with
+    | Ok tags -> List.iter (fun tag -> Hashtbl.replace seen tag ()) tags
+    | Error report -> Alcotest.fail report
+  done;
+  List.iter
+    (fun tag -> check tag true (Hashtbl.mem seen tag))
+    [
+      "found";
+      "found in a wide directory";
+      "removed";
+      "List denied at depth 0";
+      "List denied at depth 1";
+      "List denied at depth 2";
+      "target denied";
+      "missing name";
+      "leaf mid-path";
+      "other name error";
+    ]
+
+(* {1 Width pin}
+
+   A checked resolve costs one probe per level, so its allocation does
+   not depend on how wide the directories it walks through are.  Both
+   resolves below walk the same depth and write the same audit
+   records; only the width of [/wide] differs. *)
+
+let resolve_words ~width =
+  let _, _, ns, r = setup () in
+  let meta = world_listable admin bottom in
+  let dir =
+    match Namespace.add_dir ns (Path.of_string "/wide") ~meta with
+    | Ok dir -> dir
+    | Error e -> Alcotest.failf "add_dir: %a" Namespace.pp_error e
+  in
+  for i = 0 to width - 1 do
+    match Namespace.add_leaf_at ns dir (Printf.sprintf "f%04d" i) ~meta i with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "add_leaf_at: %a" Namespace.pp_error e
+  done;
+  let subject = alice_low () in
+  let target = Path.of_string "/wide/f0001" in
+  let resolve () =
+    ignore (ok "resolve" (Resolver.resolve r ~subject ~mode:Access_mode.Read target))
+  in
+  (* The first resolve compiles and memoizes every ACL on the walk. *)
+  resolve ();
+  let runs = 100 in
+  let before = Gc.minor_words () in
+  for _ = 1 to runs do
+    resolve ()
+  done;
+  let after = Gc.minor_words () in
+  (after -. before) /. float_of_int runs
+
+let test_resolve_words_flat_in_width () =
+  let narrow = resolve_words ~width:2 in
+  let wide = resolve_words ~width:1024 in
+  if wide > narrow then
+    Alcotest.failf "resolve allocates %.0f words through 1,024 entries vs %.0f through 2" wide
+      narrow
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_walk_matches_sorted_scan;
+      Alcotest.test_case "differential covers every case" `Quick test_differential_coverage;
+      Alcotest.test_case "resolve words flat in width" `Quick test_resolve_words_flat_in_width;
+    ]
