@@ -255,9 +255,9 @@ let a5 () =
 (* {1 A8: compiled ACL decision path; sharded audit pipeline} *)
 
 (* One ACL of [len] entries whose only match for alice sits last — the
-   interpreted walk scans everything, the compiled form answers from
-   the same flat probe regardless.  [depth] > 0 routes the grant
-   through a [depth]-level nested group chain. *)
+   interpreted walk scans everything, the compiled form binary-searches
+   its sorted entry table.  [depth] > 0 routes the grant through a
+   [depth]-level nested group chain. *)
 let a8_case ~len ~depth =
   let db = Principal.Db.create () in
   let alice = Principal.individual "alice" in
@@ -326,7 +326,7 @@ let a8_audit_throughput ~audit_shards ~domains ~ops_per_domain =
 let a8 () =
   header "A8  Compiled ACL decision path; sharded audit pipeline";
   (* Part 1: the discretionary decision itself.  interpreted = the
-     Acl.check list walk; compiled = the Acl_compiled flat probe;
+     Acl.check list walk; compiled = the Acl_compiled table probe;
      decide = the whole Reference_monitor.decide around it (DAC-only
      policy isolates the layer). *)
   let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
@@ -369,9 +369,10 @@ let a8 () =
   Format.printf
     "expected shape: interpreted grows with ACL length and group depth; compiled@.";
   Format.printf
-    "is flat (id probe + bit tests, zero allocation) and the monitor decide@.";
+    "grows only with log(entries) and one row probe per group entry (binary@.";
   Format.printf
-    "tracks it; compilation is a one-off cost amortized by the metadata memo@.";
+    "searches + bit tests, zero allocation) and the monitor decide tracks it;@.";
+  Format.printf "compilation is a one-off cost amortized by the metadata memo@.";
   (* Part 2: audited check throughput vs audit sharding.  Distinct
      subject per domain -> distinct shard; with one shard every record
      serializes on a single mutex. *)

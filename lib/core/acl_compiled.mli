@@ -2,12 +2,14 @@
 
     {!Acl.check} interprets an ACL as a list walk with a transitive
     group-membership query per group entry.  This module compiles an
-    ACL — against a frozen {!Principal.Db.Snapshot} — into flat arrays
-    of packed allow/deny mode masks keyed by interned principal id,
-    with group membership pre-flattened into the per-individual
-    group-tier mask.  {!check} is then a snapshot id probe and a
-    handful of bitwise tests: no allocation, no list traversal, no
-    membership walk.
+    ACL — against a frozen {!Principal.Db.Snapshot} — into its
+    interned, sorted entries: packed allow/deny mode masks in an
+    (id, mask) table for the individuals it names and a (group-id,
+    mask) table for its groups, plus one everyone mask.  {!check} is
+    then a binary search of each table, one probe of the subject's
+    sorted snapshot row per group entry, and a handful of bitwise
+    tests: no allocation, no list traversal, no membership walk.  The
+    form holds O(entries) words whatever the population.
 
     Validity follows the repo-wide generation scheme: a compiled ACL
     is correct exactly while (a) the ACL value it was compiled from is
@@ -25,10 +27,11 @@
 type t
 
 val dense_limit : int
-(** Registered-individual count above which {!compile} switches from
-    the dense (mask-per-individual) form to the sparse (entry-table)
-    form; exposed so tests and benchmarks can build worlds on either
-    side of the cut. *)
+(** A population cut that nothing in the library uses: every ACL
+    compiles to the one entry-table form above, whatever the
+    population.  The value exists only because the benchmark harness
+    in [perfbench/] prints it; it goes when the harness stops
+    reading it. *)
 
 type verdict =
   | Granted
@@ -38,25 +41,19 @@ type verdict =
   | No_entry
 
 val compile : db:Principal.Db.t -> Acl.t -> t
-(** Compile [acl] against the database's current snapshot.  Below a
-    few thousand registered individuals the form is {e dense} — one
-    mask word per individual, group entries pre-flattened through the
-    snapshot's closure rows, so compile costs O(entries + total
-    closure size + population) and a check is two array loads.  Above
-    that, the form is {e sparse} — the interned, sorted entries
-    themselves — so compile costs O(entries log entries) and O(entries)
-    memory regardless of population, and a check resolves group
-    entries against the subject's sorted snapshot row.  Both forms
-    decide identically; the cut keeps a compiled ACL cacheable on
-    every object's metadata even at 10^6 principals.  Intended for the
-    miss path, with the result cached on the object's metadata. *)
+(** Compile [acl] against the database's current snapshot.  Costs
+    O(entries log entries) time and O(entries) memory regardless of
+    population: entries naming the same principal OR together, and
+    groups the snapshot does not know compile away (they hold
+    nobody).  Intended for the miss path, with the result cached on
+    the object's metadata. *)
 
 val check : t -> subject:Principal.individual -> mode:Access_mode.t -> verdict
 (** Decide [subject] requesting [mode].  Agrees with {!Acl.check}
     whenever the compiled form is valid (see above): same verdict
     class, and on a denial the same [who]; a QCheck differential suite
-    holds the two implementations to that contract in both the dense
-    and the sparse shape.  A grant or a no-entry allocates nothing. *)
+    holds the two implementations to that contract at small and large
+    populations.  A grant or a no-entry allocates nothing. *)
 
 val check_id :
   t -> id:int -> subject:Principal.individual -> mode:Access_mode.t -> verdict
@@ -73,7 +70,7 @@ val db_generation : t -> int
 
 val snapshot : t -> Principal.Db.Snapshot.t
 (** The exact snapshot the form was compiled against (its interning
-    keys the mask arrays). *)
+    keys the mask tables). *)
 
 val verdict_class : verdict -> int
 (** 0 granted, 1 denied, 2 no-entry; for differential comparison with

@@ -57,7 +57,8 @@ module Db = struct
            individual transitively belongs to *)
     group_rows : int array array;
         (* per group id: the sorted dense ids of every individual in
-           the group's transitive closure *)
+           the group's transitive closure; the delta refresh diffs a
+           recomputed closure against it *)
   }
 
   type t = {
@@ -336,8 +337,10 @@ module Db = struct
     walk grp
 
   (* Sorted binary probe of an individual's group row.  Top-level so
-     the snapshot membership test allocates nothing. *)
-  let rec row_search row target lo hi =
+     the snapshot membership test allocates nothing; typed [int] so
+     the comparisons are machine compares, not polymorphic-compare
+     calls. *)
+  let rec row_search (row : int array) (target : int) lo hi =
     lo < hi
     &&
     let mid = (lo + hi) lsr 1 in
@@ -350,8 +353,6 @@ module Db = struct
     type t = snapshot
 
     let generation snap = snap.snap_generation
-    let individual_count snap = snap.id_count
-    let group_count snap = snap.group_count
 
     (* Allocation-free id lookup (raising a constant exception instead
        of building an option): the decision hot path runs this once
@@ -368,20 +369,6 @@ module Db = struct
       &&
       let row = Array.unsafe_get snap.rows individual_id in
       row_search row group_id 0 (Array.length row)
-
-    let iter_group_members snap ~group_id f =
-      if group_id >= 0 && group_id < snap.group_count then
-        Array.iter f snap.group_rows.(group_id)
-
-    let group_member_count snap ~group_id =
-      if group_id >= 0 && group_id < snap.group_count then
-        Array.length snap.group_rows.(group_id)
-      else 0
-
-    let group_ids_of snap ~individual_id =
-      if individual_id >= 0 && individual_id < snap.id_count then
-        Array.copy snap.rows.(individual_id)
-      else [||]
   end
 
   (* Shared by the full and delta builders: turn per-group closure

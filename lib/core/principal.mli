@@ -164,17 +164,19 @@ module Db : sig
   (** A frozen, generation-stamped view of the database for the
       compiled decision path ({!Acl_compiled}): registered individuals
       and groups interned to dense integer ids, transitive group
-      membership flattened into one sorted group-id row per individual
-      (and the inverse closure row per group).  Snapshots are
-      immutable after construction and may be probed from any domain
-      without locking; their probes never allocate.
+      membership flattened into one sorted group-id row per
+      individual, which a compiled ACL probes once per group entry
+      ({!is_member}).  Snapshots are immutable after construction and
+      may be probed from any domain without locking; their probes
+      never allocate.
 
       Consecutive snapshots share structure: when no principal was
       registered in between, a refresh recomputes only the closures
       reachable from groups whose member list changed (via the
-      reverse-membership index) and shares every untouched row and
-      both intern tables with its predecessor, so refresh cost scales
-      with the churn delta, not the population. *)
+      reverse-membership index, and against each group's closure row
+      kept from the previous snapshot) and shares every untouched row
+      and both intern tables with its predecessor, so refresh cost
+      scales with the churn delta, not the population. *)
   module Snapshot : sig
     type t
 
@@ -182,12 +184,6 @@ module Db : sig
     (** The database generation the snapshot was built under.  A
         snapshot (and anything compiled against it) is valid exactly
         while this equals the live {!Db.generation}. *)
-
-    val individual_count : t -> int
-    (** Interned individuals; ids are dense in [0, individual_count). *)
-
-    val group_count : t -> int
-    (** Interned groups; ids are dense in [0, group_count). *)
 
     val individual_id : t -> individual -> int
     (** The individual's dense id, or [-1] when it was not registered
@@ -200,20 +196,6 @@ module Db : sig
     (** Transitive membership as of the snapshot: a binary probe of
         the individual's sorted group row, allocation-free.
         Out-of-range ids (including [-1]) are members of nothing. *)
-
-    val iter_group_members : t -> group_id:int -> (int -> unit) -> unit
-    (** Apply [f] to the dense individual id of every member of the
-        group's transitive closure, in ascending id order.  Lets
-        {!Acl_compiled.compile} cost O(closure) per group entry
-        instead of probing the whole population.  Out-of-range group
-        ids iterate nothing. *)
-
-    val group_member_count : t -> group_id:int -> int
-    (** Size of the group's transitive closure (0 when out of range). *)
-
-    val group_ids_of : t -> individual_id:int -> int array
-    (** A fresh copy of the individual's sorted group row ([[||]] when
-        out of range). *)
   end
 
   val snapshot : t -> Snapshot.t

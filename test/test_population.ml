@@ -317,17 +317,16 @@ let prop_incremental_oracle =
 let test_oracle_probe_volume () =
   check "over 10k twin-path probes" true (!oracle_probes >= 10_000)
 
-(* {1 Sparse compiled form: above the dense population cut} *)
+(* {1 Compiled form at a population in the thousands} *)
 
-let test_sparse_compiled_differential () =
-  (* Past [Acl_compiled.dense_limit] registered individuals the
-     compiled form switches from mask-per-individual arrays to sparse
-     entry tables resolved against snapshot rows.  Hold the sparse
-     form to the interpreted walk across every tier: individual
-     allow/deny, group allow/deny through a nested closure, everyone,
-     and never-registered "extra" principals. *)
+let test_compiled_differential () =
+  (* Hold the compiled form, with its group entries resolved against
+     snapshot rows of a 4,246-individual world, to the interpreted
+     walk across every tier: individual allow/deny, group allow/deny
+     through a nested closure, everyone, and never-registered "extra"
+     principals. *)
   let db = Principal.Db.create () in
-  let population = Acl_compiled.dense_limit + 150 in
+  let population = 4_246 in
   let people = Array.init population (fun i -> Principal.individual (Printf.sprintf "s%d" i)) in
   Array.iter (Principal.Db.add_individual db) people;
   let evens = Principal.group "evens" in
@@ -349,8 +348,8 @@ let test_sparse_compiled_differential () =
         Acl.allow Acl.Everyone [ Access_mode.List ];
       ]
   in
-  check "world is past the dense cut" true
-    (Principal.Db.individual_count db > Acl_compiled.dense_limit);
+  check "world holds the whole population" true
+    (Principal.Db.individual_count db = population);
   let compiled = Acl_compiled.compile ~db acl in
   let agree subject =
     List.iter
@@ -377,8 +376,8 @@ let test_sparse_compiled_differential () =
   agree people.(population - 1);
   agree ghost;
   agree (Principal.individual "never-registered");
-  (* Churn under the sparse form: membership moves must recompile to
-     the same verdicts as the interpreted walk. *)
+  (* Churn: membership moves must recompile to the same verdicts as
+     the interpreted walk. *)
   Principal.Db.remove_member db evens (Principal.Grp quads);
   let compiled = Acl_compiled.compile ~db acl in
   let sees_read subject expected =
@@ -390,7 +389,7 @@ let test_sparse_compiled_differential () =
   in
   sees_read people.(2) true;
   sees_read people.(4) false;
-  (* The zero-allocation pin covers the sparse shape too; the boxes
+  (* The zero-allocation pin holds at this population too; the boxes
      [Gc.minor_words] itself allocates are identical between baseline
      and measured run (the test_acl_compiled idiom). *)
   let subject = people.(8) in
@@ -406,7 +405,7 @@ let test_sparse_compiled_differential () =
   in
   run ();
   let baseline = minor_delta (fun () -> ()) in
-  Alcotest.(check (float 0.)) "sparse check allocates nothing" baseline
+  Alcotest.(check (float 0.)) "check allocates nothing" baseline
     (minor_delta run)
 
 (* {1 Delta-rebuild corners} *)
@@ -627,8 +626,8 @@ let suite =
       test_stale_slot_batch_isolation;
     QCheck_alcotest.to_alcotest prop_incremental_oracle;
     Alcotest.test_case "oracle covered 10k probes" `Quick test_oracle_probe_volume;
-    Alcotest.test_case "sparse compiled form = interpreted walk" `Quick
-      test_sparse_compiled_differential;
+    Alcotest.test_case "compiled form = interpreted walk" `Quick
+      test_compiled_differential;
     Alcotest.test_case "delta propagates through ancestor groups" `Quick
       test_delta_propagates_through_ancestors;
     Alcotest.test_case "registration falls back to full rebuild" `Quick
