@@ -71,9 +71,22 @@ let time_ms f =
   let result = f () in
   result, ms_of_ns (Timing.now_ns () -. start)
 
-let median_ms samples =
+let median samples =
   let sorted = List.sort compare samples in
   List.nth sorted (List.length sorted / 2)
+
+(* Every word [f] allocates, on either heap: population-sized arrays
+   go straight to the major heap, which [Gc.minor_words] misses. *)
+let allocated_words f =
+  let minor_before = Gc.minor_words () in
+  let _, promoted_before, major_before = Gc.counters () in
+  let result = f () in
+  let minor_after = Gc.minor_words () in
+  let _, promoted_after, major_after = Gc.counters () in
+  ( result,
+    minor_after -. minor_before
+    +. (major_after -. major_before)
+    -. (promoted_after -. promoted_before) )
 
 (* {1 Population import} *)
 
@@ -128,16 +141,19 @@ let snapshot_bench scale db =
   let full_samples =
     List.init 3 (fun _ -> snd (time_ms (fun () -> ignore (Principal.Db.full_snapshot db))))
   in
-  let full_ms = median_ms full_samples in
+  let full_ms = median full_samples in
   let rng = Prng.create ~seed:7 in
   let single_samples =
     List.init 7 (fun _ ->
         one_edit db rng scale;
-        let snap, elapsed = time_ms (fun () -> Principal.Db.snapshot db) in
+        let (snap, elapsed), words =
+          allocated_words (fun () -> time_ms (fun () -> Principal.Db.snapshot db))
+        in
         assert (Principal.Db.Snapshot.generation snap = Principal.Db.generation db);
-        elapsed)
+        elapsed, words)
   in
-  let single_ms = median_ms single_samples in
+  let single_ms = median (List.map fst single_samples) in
+  let single_words = median (List.map snd single_samples) in
   let churn_ms =
     Principal.Db.batch db (fun () ->
         for _ = 1 to scale.churn do
@@ -145,7 +161,7 @@ let snapshot_bench scale db =
         done);
     snd (time_ms (fun () -> ignore (Principal.Db.snapshot db)))
   in
-  full_ms, single_ms, churn_ms
+  full_ms, single_ms, single_words, churn_ms
 
 (* {1 The big tree and steady-state latency} *)
 
@@ -237,11 +253,13 @@ let run scale =
   let db, b_ms, b_bumps = import scale ~batched:true in
   Format.printf "  batched    %8.0f ms   %9d generation bump%s@." b_ms b_bumps
     (if b_bumps = 1 then "" else "s (EXPECTED 1!)");
-  let full_ms, single_ms, churn_ms = snapshot_bench scale db in
+  let full_ms, single_ms, single_words, churn_ms = snapshot_bench scale db in
   Format.printf "snapshot refresh:@.";
   Format.printf "  full rebuild          %10.2f ms@." full_ms;
-  Format.printf "  single-edit delta     %10.2f ms   (%.0fx faster)@." single_ms
-    (full_ms /. Float.max single_ms 0.001);
+  Format.printf "  single-edit delta     %10.2f ms   (%.0fx faster)   %.0f words@."
+    single_ms
+    (full_ms /. Float.max single_ms 0.001)
+    single_words;
   Format.printf "  %d-edit batched delta %8.2f ms@." scale.churn churn_ms;
   let owner = person 0 in
   let hierarchy = Level.hierarchy [ "hi"; "lo" ] in

@@ -27,24 +27,26 @@ type member =
   | Grp of group
 
 module String_set = Set.Make (String)
-module Int_set = Set.Make (Int)
 
 module Db = struct
   (* A frozen, generation-stamped view of the database used by the
      compiled decision path (see Acl_compiled): individuals and groups
      interned to dense ids, transitive membership flattened into one
-     sorted group-id row per individual and one sorted individual-id
-     closure row per group.  Snapshots are immutable after
-     construction, so readers in other domains may probe them without
-     a lock; staleness is detected by comparing [snap_generation] with
-     the live generation counter.
+     sorted group-id row per individual, plus two sorted individual-id
+     rows per group, its direct members and its transitive closure.
+     Snapshots are immutable after construction, so readers in other
+     domains may probe them without a lock; staleness is detected by
+     comparing [snap_generation] with the live generation counter.
 
-     Successive snapshots share structure: when the registered
-     population is unchanged, a rebuild copies the row spines
-     (pointer-sized per principal) and re-derives only the rows
-     reachable from groups whose member list moved since the previous
-     build — cost scales with the churn delta, not the population.
-     The intern tables are shared by reference across generations. *)
+     Successive snapshots share structure.  The per-individual rows
+     live in fixed chunks of [chunk_size], so a refresh copies the
+     chunk spine and only the chunks holding a changed row.  When the
+     registered population is unchanged, a refresh recomputes the
+     groups whose member list moved since the previous build and
+     re-tests, in each of their ancestors, only the individuals whose
+     membership changed below it (see [build_delta]): cost scales with
+     the edit, not the population.  The intern tables are shared by
+     reference across generations. *)
   type snapshot = {
     snap_generation : int;
     ids : (string, int) Hashtbl.t;  (* individual name -> dense id *)
@@ -52,14 +54,21 @@ module Db = struct
     group_ids : (string, int) Hashtbl.t;  (* group name -> dense id *)
     group_count : int;
     group_names : string array;  (* dense group id -> name, sorted *)
-    rows : int array array;
-        (* per individual id: the sorted dense ids of every group the
+    chunks : int array array array;
+        (* per individual id [i], at [chunks.(i / chunk_size).(i mod
+           chunk_size)]: the sorted dense ids of every group the
            individual transitively belongs to *)
     group_rows : int array array;
         (* per group id: the sorted dense ids of every individual in
-           the group's transitive closure; the delta refresh diffs a
-           recomputed closure against it *)
+           the group's transitive closure *)
+    direct_rows : int array array;
+        (* per group id: the sorted dense ids of the group's direct
+           individual members *)
   }
+
+  let chunk_bits = 8
+  let chunk_size = 1 lsl chunk_bits
+  let chunk_mask = chunk_size - 1
 
   type t = {
     mutable individual_set : String_set.t;
@@ -367,34 +376,132 @@ module Db = struct
       individual_id >= 0 && individual_id < snap.id_count
       && group_id >= 0 && group_id < snap.group_count
       &&
-      let row = Array.unsafe_get snap.rows individual_id in
+      let chunk = Array.unsafe_get snap.chunks (individual_id lsr chunk_bits) in
+      let row = Array.unsafe_get chunk (individual_id land chunk_mask) in
       row_search row group_id 0 (Array.length row)
   end
 
-  (* Shared by the full and delta builders: turn per-group closure
-     sets (dense individual ids) into the two sorted row families. *)
-  let rows_of_group_rows ~id_count group_rows =
+  (* {2 Sorted-row merges}
+
+     Every row is a sorted, duplicate-free [int array].  One linear
+     merge serves the three row operations of a build: the union of
+     closures, the symmetric difference of two rows (the ids whose
+     membership flipped) and applying such flips to a row ([xor old
+     flips]).  Typed [int], so each comparison is a machine compare;
+     a counting pass sizes the result, so nothing is trimmed after. *)
+  let merge ~keep_common (a : int array) (b : int array) =
+    let la = Array.length a and lb = Array.length b in
+    let rec count i j n =
+      if i = la then n + lb - j
+      else if j = lb then n + la - i
+      else
+        let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
+        if x < y then count (i + 1) j (n + 1)
+        else if y < x then count i (j + 1) (n + 1)
+        else count (i + 1) (j + 1) (if keep_common then n + 1 else n)
+    in
+    let out = Array.make (count 0 0 0) 0 in
+    let rec fill i j k =
+      if i = la then Array.blit b j out k (lb - j)
+      else if j = lb then Array.blit a i out k (la - i)
+      else
+        let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
+        if x < y then begin
+          Array.unsafe_set out k x;
+          fill (i + 1) j (k + 1)
+        end
+        else if y < x then begin
+          Array.unsafe_set out k y;
+          fill i (j + 1) (k + 1)
+        end
+        else if keep_common then begin
+          Array.unsafe_set out k x;
+          fill (i + 1) (j + 1) (k + 1)
+        end
+        else fill (i + 1) (j + 1) k
+    in
+    fill 0 0 0;
+    out
+
+  (* Rows are immutable once built, so an empty side returns the other
+     row itself, shared rather than copied. *)
+  let union a b =
+    if Array.length a = 0 then b
+    else if Array.length b = 0 then a
+    else merge ~keep_common:true a b
+
+  let xor a b =
+    if Array.length b = 0 then a
+    else if Array.length a = 0 then b
+    else merge ~keep_common:false a b
+
+  (* Pairwise rounds: O(total length x log rows), not the
+     O(total x rows) of a left fold. *)
+  let rec union_all = function
+    | [] -> [||]
+    | [ row ] -> row
+    | rows ->
+      let rec pairs = function
+        | a :: b :: rest -> union a b :: pairs rest
+        | rest -> rest
+      in
+      union_all (pairs rows)
+
+  let row_mem row id = row_search row id 0 (Array.length row)
+
+  (* The sorted ids of a member list's individuals.  An individual the
+     intern table lacks was registered after it was built; the
+     generation that registration publishes covers it. *)
+  let direct_row ids members =
+    let row =
+      Array.of_list
+        (List.filter_map
+           (function
+             | Ind ind -> Hashtbl.find_opt ids ind
+             | Grp _ -> None)
+           members)
+    in
+    Array.sort (fun (a : int) b -> compare a b) row;
+    row
+
+  let individual_row chunks id = chunks.(id lsr chunk_bits).(id land chunk_mask)
+
+  (* Invert the per-group closures into the per-individual rows,
+     chunked.  Group ids ascend across the fill, so every row comes
+     out sorted without a per-row sort. *)
+  let chunks_of_group_rows ~id_count group_rows =
     let counts = Array.make (Stdlib.max 1 id_count) 0 in
-    Array.iter
-      (fun row -> Array.iter (fun id -> counts.(id) <- counts.(id) + 1) row)
-      group_rows;
-    let rows = Array.init id_count (fun id -> Array.make counts.(id) 0) in
-    let fill = Array.make (Stdlib.max 1 id_count) 0 in
-    (* Group ids ascend across the iteration, so every row comes out
-       sorted without a per-row sort. *)
+    Array.iter (Array.iter (fun id -> counts.(id) <- counts.(id) + 1)) group_rows;
+    let chunks =
+      Array.init ((id_count + chunk_mask) lsr chunk_bits) (fun c ->
+          let first = c lsl chunk_bits in
+          Array.init (Stdlib.min chunk_size (id_count - first)) (fun j ->
+              Array.make counts.(first + j) 0))
+    in
+    (* [counts] becomes each row's fill cursor. *)
+    Array.fill counts 0 (Array.length counts) 0;
     Array.iteri
       (fun gid grow ->
         Array.iter
           (fun id ->
-            rows.(id).(fill.(id)) <- gid;
-            fill.(id) <- fill.(id) + 1)
+            (individual_row chunks id).(counts.(id)) <- gid;
+            counts.(id) <- counts.(id) + 1)
           grow)
       group_rows;
-    rows
+    chunks
 
-  let set_of_row row = Array.fold_left (fun acc id -> Int_set.add id acc) Int_set.empty row
+  (* A build met a group already in progress: the walk found a cycle,
+     which only a mutator racing with the walk can produce.  The
+     build's rows may disagree with each other, so it must never be
+     published (see [snapshot]). *)
+  exception Raced
 
-  let row_of_set set = Array.of_list (Int_set.elements set)
+  let nested_groups members =
+    List.filter_map
+      (function
+        | Grp nested -> Some nested
+        | Ind _ -> None)
+      members
 
   let build_snapshot db ~generation =
     let individuals = String_set.elements db.individual_set in
@@ -409,131 +516,152 @@ module Db = struct
     List.iteri (fun i grp -> Hashtbl.replace group_ids grp i) group_list;
     let group_count = Hashtbl.length group_ids in
     let group_names = Array.of_list group_list in
-    (* Transitive member closure per group, memoized.  Termination is
-       guaranteed because add_member rejects membership cycles; the
-       in-progress marker additionally bounds a walk that races with
-       membership churn (such a snapshot is born stale and discarded
-       on its next validation anyway). *)
-    let closures : (group, Int_set.t) Hashtbl.t = Hashtbl.create ((2 * group_count) + 1) in
-    let rec closure grp =
-      match Hashtbl.find_opt closures grp with
-      | Some set -> set
-      | None ->
-        Hashtbl.replace closures grp Int_set.empty;
-        let set =
-          List.fold_left
-            (fun acc -> function
-              | Ind ind -> (
-                match Hashtbl.find_opt ids ind with
-                | None -> acc  (* member added since the individual listing; next generation covers it *)
-                | Some id -> Int_set.add id acc)
-              | Grp nested -> Int_set.union acc (closure nested))
-            Int_set.empty (direct_members db grp)
+    let direct_rows = Array.make group_count [||] in
+    let group_rows = Array.make group_count [||] in
+    (* Transitive member closure per group, children first and each
+       once: its direct row merged with its children's closures.
+       add_member rejects membership cycles, so meeting a group still
+       in progress means a racing mutator. *)
+    let state = Bytes.make group_count 'n' (* n: new, p: in progress, d: done *) in
+    let rec settle gid =
+      match Bytes.get state gid with
+      | 'd' -> group_rows.(gid)
+      | 'p' -> raise Raced
+      | _ ->
+        Bytes.set state gid 'p';
+        let members = direct_members db group_names.(gid) in
+        let direct = direct_row ids members in
+        (* A nested group unknown to [group_ids] was registered after
+           the listing, and its member edge after the generation read:
+           this build is born stale either way. *)
+        let children =
+          List.filter_map (Hashtbl.find_opt group_ids) (nested_groups members)
         in
-        Hashtbl.replace closures grp set;
-        set
+        let closure = union_all (direct :: List.map settle children) in
+        direct_rows.(gid) <- direct;
+        group_rows.(gid) <- closure;
+        Bytes.set state gid 'd';
+        closure
     in
-    let group_rows = Array.map (fun grp -> row_of_set (closure grp)) group_names in
-    let rows = rows_of_group_rows ~id_count group_rows in
+    for gid = 0 to group_count - 1 do
+      ignore (settle gid)
+    done;
     { snap_generation = generation; ids; id_count; group_ids; group_count;
-      group_names; rows; group_rows }
+      group_names; chunks = chunks_of_group_rows ~id_count group_rows;
+      group_rows; direct_rows }
 
-  (* Delta rebuild: only groups whose member list moved since [prev]
-     was built — plus every group that transitively contains one, per
-     the reverse-membership index — get their closures recomputed; the
-     rows of untouched principals are shared with [prev] by reference
-     (the spines are copied, pointer-per-principal).  Preconditions
-     checked by the caller: no individual or group was registered
-     since [prev], so the intern tables transfer by reference.
+  (* Delta rebuild from [prev], in proportion to the edit.  A group
+     whose member list moved since [prev] was built (dirty stamp above
+     its generation) is recomputed: its direct row from the live list,
+     merged with its children's closures, then diffed against its old
+     closure to give the ids that flipped.  Every group above it, found
+     through the reverse-membership index, re-tests only the ids that
+     flipped in one of its children, against its own direct row and
+     every child's new closure, so a member still reachable along a
+     second path stays; it splices the ids whose answer changed into
+     its old row.  Groups are settled children first.  Per-individual
+     rows change only for ids that flipped somewhere: the chunk spine
+     is copied, and each chunk holding a changed row once.  Rows of
+     untouched groups and individuals, and both intern tables, are
+     shared with [prev] by reference.  Preconditions checked by the
+     caller: no individual or group was registered since [prev].
      @raise Not_found when an affected group is unknown to [prev]
      (population drifted after all); the caller falls back to a full
-     build. *)
+     build.
+     @raise Raced as [build_snapshot]. *)
   let build_delta db ~generation ~prev =
+    let gid grp = Hashtbl.find prev.group_ids grp in
+    let group_count = prev.group_count in
+    (* u: untouched (its [prev] rows stand), a: above a dirty group,
+       x: dirty, p: in progress, d: done. *)
+    let state = Bytes.make group_count 'u' in
     let roots =
       Hashtbl.fold
         (fun grp slot acc -> if !slot > prev.snap_generation then grp :: acc else acc)
         db.dirty []
     in
-    let affected : (group, unit) Hashtbl.t = Hashtbl.create 64 in
+    List.iter (fun grp -> Bytes.set state (gid grp) 'x') roots;
     let rec mark grp =
-      if not (Hashtbl.mem affected grp) then begin
-        Hashtbl.add affected grp ();
-        match Hashtbl.find_opt db.parents grp with
-        | None -> ()
-        | Some pslot -> String_set.iter mark !pslot
-      end
+      match Hashtbl.find_opt db.parents grp with
+      | None -> ()
+      | Some pslot ->
+        String_set.iter
+          (fun parent ->
+            let g = gid parent in
+            if Bytes.get state g = 'u' then begin
+              Bytes.set state g 'a';
+              mark parent
+            end)
+          !pslot
     in
     List.iter mark roots;
-    (* When the churn touched most of the group population, recomputing
-       closure-by-closure plus converting every untouched neighbour row
-       back into a set costs more than the straight rebuild — hand the
-       work to the full builder instead of limping through the delta
-       machinery. *)
-    if 4 * Hashtbl.length affected >= 3 * Stdlib.max 1 prev.group_count then
-      raise Not_found;
-    let memo : (group, Int_set.t) Hashtbl.t = Hashtbl.create 64 in
-    let rec closure grp =
-      match Hashtbl.find_opt memo grp with
-      | Some set -> set
-      | None ->
-        Hashtbl.replace memo grp Int_set.empty;
-        let set =
-          if not (Hashtbl.mem affected grp) then
-            (* No dirty group below it: the previous closure stands. *)
-            set_of_row prev.group_rows.(Hashtbl.find prev.group_ids grp)
-          else
-            List.fold_left
-              (fun acc -> function
-                | Ind ind -> (
-                  match Hashtbl.find_opt prev.ids ind with
-                  | None -> acc
-                  | Some id -> Int_set.add id acc)
-                | Grp nested -> Int_set.union acc (closure nested))
-              Int_set.empty (direct_members db grp)
-        in
-        Hashtbl.replace memo grp set;
-        set
-    in
-    let rows = Array.copy prev.rows in
     let group_rows = Array.copy prev.group_rows in
-    (* Per-individual row edits, materialized lazily: only principals
-       whose membership actually changed get a fresh row. *)
-    let edits : (int, Int_set.t ref) Hashtbl.t = Hashtbl.create 64 in
-    let row_edit id =
-      match Hashtbl.find_opt edits id with
-      | Some slot -> slot
-      | None ->
-        let slot = ref (set_of_row prev.rows.(id)) in
-        Hashtbl.add edits id slot;
-        slot
+    let direct_rows = Array.copy prev.direct_rows in
+    let flips = Array.make group_count [||] in
+    let rec settle g =
+      match Bytes.get state g with
+      | 'u' | 'd' -> ()
+      | 'p' -> raise Raced
+      | kind ->
+        Bytes.set state g 'p';
+        let members = direct_members db prev.group_names.(g) in
+        let children = List.map gid (nested_groups members) in
+        List.iter settle children;
+        let old = prev.group_rows.(g) in
+        if kind = 'x' then begin
+          let direct = direct_row prev.ids members in
+          let next = union_all (direct :: List.map (Array.get group_rows) children) in
+          direct_rows.(g) <- direct;
+          group_rows.(g) <- next;
+          flips.(g) <- xor old next
+        end
+        else begin
+          let direct = direct_rows.(g) in
+          let changed =
+            Array.fold_right
+              (fun id acc ->
+                let now =
+                  row_mem direct id
+                  || List.exists (fun c -> row_mem group_rows.(c) id) children
+                in
+                if now <> row_mem old id then id :: acc else acc)
+              (union_all (List.map (Array.get flips) children))
+              []
+          in
+          let changed = Array.of_list changed in
+          flips.(g) <- changed;
+          group_rows.(g) <- xor old changed
+        end;
+        Bytes.set state g 'd'
     in
+    for g = 0 to group_count - 1 do
+      settle g
+    done;
+    (* Individual id -> the groups it flipped in, ascending: groups are
+       visited from the highest id down and prepended. *)
+    let edits : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
+    for g = group_count - 1 downto 0 do
+      let flipped = flips.(g) in
+      for k = 0 to Array.length flipped - 1 do
+        match Hashtbl.find_opt edits flipped.(k) with
+        | Some slot -> slot := g :: !slot
+        | None -> Hashtbl.add edits flipped.(k) (ref [ g ])
+      done
+    done;
+    let chunks = Array.copy prev.chunks in
     Hashtbl.iter
-      (fun grp () ->
-        let gid = Hashtbl.find prev.group_ids grp in
-        let next = closure grp in
-        let old_row = prev.group_rows.(gid) in
-        let old_set = set_of_row old_row in
-        Int_set.iter
-          (fun id ->
-            if not (Int_set.mem id old_set) then begin
-              let slot = row_edit id in
-              slot := Int_set.add gid !slot
-            end)
-          next;
-        Array.iter
-          (fun id ->
-            if not (Int_set.mem id next) then begin
-              let slot = row_edit id in
-              slot := Int_set.remove gid !slot
-            end)
-          old_row;
-        group_rows.(gid) <- row_of_set next)
-      affected;
-    Hashtbl.iter (fun id slot -> rows.(id) <- row_of_set !slot) edits;
-    { prev with snap_generation = generation; rows; group_rows }
+      (fun id slot ->
+        let c = id lsr chunk_bits in
+        (* Copy-on-write: the chunk [prev] holds is never written. *)
+        if chunks.(c) == prev.chunks.(c) then chunks.(c) <- Array.copy prev.chunks.(c);
+        let j = id land chunk_mask in
+        chunks.(c).(j) <- xor chunks.(c).(j) (Array.of_list !slot))
+      edits;
+    { prev with snap_generation = generation; chunks; group_rows; direct_rows }
 
-  let full_snapshot db =
-    build_snapshot db ~generation:(Atomic.get db.generation)
+  let rec full_snapshot db =
+    try build_snapshot db ~generation:(Atomic.get db.generation)
+    with Raced -> full_snapshot db
 
   (* Install via compare-and-set, and only when strictly newer than
      the incumbent: two racing reader domains can finish builds out of
@@ -563,7 +691,24 @@ module Db = struct
        flight — on both sides of the walk; mid-batch readers are
        served the incumbent cached snapshot instead, which is exactly
        the previous published state the batch contract promises
-       them. *)
+       them.
+
+       A published snapshot is also the base the next delta patches
+       rather than recomputes, so one bad row in it could outlive the
+       refresh that follows.  The race rule that prevents it: a
+       group's base rows are reused or patched only while its dirty
+       stamp is <= the base's generation; a group stamped above it is
+       recomputed from the live lists.  A group still stamped <= g
+       when the next delta reads it had its last edit published at or
+       before g, so the build that read g saw that edit and no later
+       one: its direct row is exact, and its closure is its direct row
+       merged with its children's closures in the same snapshot.  By induction over such groups, every
+       group whose whole closure is stamped <= g holds its exact
+       closure at g, and each delta keeps the merge relation because
+       it flips exactly the ids that flipped below.  A walk that meets
+       a group already in progress breaks that relation, and only a
+       racing mutator can close that cycle: such a build ([Raced]) is
+       never published or served; the call decides again. *)
     let epoch = Atomic.get db.batch_epoch in
     let generation = Atomic.get db.generation in
     match Atomic.get db.snapshot_slot with
@@ -572,17 +717,19 @@ module Db = struct
       if epoch land 1 = 1 then begin
         match prev_slot with
         | Some prev -> prev  (* stale by generation; never validates as current *)
-        | None ->
+        | None -> (
           (* Nothing was ever published: build from the live lists but
              stamp the result born-stale (below the pre-batch
              generation), so no artifact minted from it can validate
              once — or while — the batch publishes.  Not installed in
              the slot: a partial-state snapshot must not seed later
              delta rebuilds. *)
-          build_snapshot db ~generation:(generation - 1)
+          match build_snapshot db ~generation:(generation - 1) with
+          | snap -> snap
+          | exception Raced -> snapshot db)
       end
       else begin
-        let snap =
+        match
           match prev_slot with
           | Some prev
             when prev.id_count = db.individual_count
@@ -592,18 +739,20 @@ module Db = struct
             try build_delta db ~generation ~prev
             with Not_found -> build_snapshot db ~generation)
           | Some _ | None -> build_snapshot db ~generation
-        in
-        if Atomic.get db.batch_epoch <> epoch then
-          (* A batch entered (or came and went) during the walk: the
-             build may hold partial batch state under a stamp the
-             batch has yet to invalidate.  Discard it and re-decide —
-             the retry either serves the incumbent (batch still in
-             flight) or rebuilds from settled lists. *)
-          snapshot db
-        else begin
-          install_snapshot db snap;
-          snap
-        end
+        with
+        | exception Raced -> snapshot db
+        | snap ->
+          if Atomic.get db.batch_epoch <> epoch then
+            (* A batch entered (or came and went) during the walk: the
+               build may hold partial batch state under a stamp the
+               batch has yet to invalidate.  Discard it and re-decide —
+               the retry either serves the incumbent (batch still in
+               flight) or rebuilds from settled lists. *)
+            snapshot db
+          else begin
+            install_snapshot db snap;
+            snap
+          end
       end
 
   let groups_of db ind =
@@ -615,5 +764,5 @@ module Db = struct
     match Hashtbl.find_opt snap.ids ind with
     | None -> []
     | Some id ->
-      List.map (fun gid -> snap.group_names.(gid)) (Array.to_list snap.rows.(id))
+      List.map (fun gid -> snap.group_names.(gid)) (Array.to_list (individual_row snap.chunks id))
 end

@@ -170,13 +170,20 @@ module Db : sig
       may be probed from any domain without locking; their probes
       never allocate.
 
-      Consecutive snapshots share structure: when no principal was
-      registered in between, a refresh recomputes only the closures
-      reachable from groups whose member list changed (via the
-      reverse-membership index, and against each group's closure row
-      kept from the previous snapshot) and shares every untouched row
-      and both intern tables with its predecessor, so refresh cost
-      scales with the churn delta, not the population. *)
+      Consecutive snapshots share structure.  The per-individual rows
+      are stored in fixed chunks of 256, so a refresh copies the chunk
+      spine (one pointer per 256 individuals) and only the chunks
+      holding a changed row; a probe pays one extra load for it.  Each
+      group keeps two sorted individual-id rows, its direct members and
+      its transitive closure.  When no principal was registered in
+      between, a refresh recomputes each group whose member list
+      changed (its direct row merged with its children's closures) and
+      diffs it against its old closure; each group above it, found
+      through the reverse-membership index, re-tests only the
+      individuals that changed below it, against its own direct row and
+      its children's new closures.  Every untouched row and both intern
+      tables are shared with the predecessor, so refresh cost scales
+      with the edit, not the population. *)
   module Snapshot : sig
     type t
 
@@ -215,11 +222,18 @@ module Db : sig
 
       Refreshes are incremental whenever the registered population is
       unchanged since the previous snapshot: cost scales with the
-      groups dirtied since then (see {!Snapshot}).  Registering new
-      individuals or groups falls back to a full rebuild, as does a
-      churn that dirtied most of the groups — past that point the
-      straight rebuild is the cheaper path, so delta refresh cost is
-      bounded by full-rebuild cost. *)
+      groups dirtied since then and the memberships that changed (see
+      {!Snapshot}).  Registering new individuals or groups falls back
+      to a full rebuild.
+
+      A refresh patches rows of the previous snapshot, so no build that
+      could hold rows inconsistent with each other is ever cached: a
+      group's old rows are reused or patched only while its
+      {!dirty_stamp} is at most the old snapshot's generation (a group
+      stamped above it is recomputed from the live lists), and a build
+      whose walk meets a group already in progress, which only a
+      mutator racing with the walk can cause, is discarded and the call
+      decides again. *)
 
   val full_snapshot : t -> Snapshot.t
   (** Always rebuilds from scratch, bypassing the cached snapshot and

@@ -2,7 +2,8 @@
    interpreted walk (verdict and deny [who], at a small and a large
    population), corner cases of the interning/extras scheme, the
    allocation-free guarantee the hot path advertises, and a compile
-   cost that does not grow with the population. *)
+   cost and a snapshot refresh cost that do not grow with the
+   population. *)
 
 open Exsec_core
 
@@ -381,6 +382,34 @@ let test_compile_allocation_ignores_population () =
     (Printf.sprintf "compile words at 4,000 (%.0f) <= at 16 (%.0f)" large small)
     true (large <= small)
 
+let test_refresh_allocation_tracks_edit () =
+  (* The snapshot refresh after one membership edit copies the chunk
+     spine (one pointer per 256 individuals), the chunk holding the
+     changed row and the rows the edit changed, never a word per
+     principal: 16x the population may cost at most 2x the words. *)
+  let refresh_words population =
+    let db = Principal.Db.create () in
+    let people =
+      Array.init population (fun i -> Principal.individual (Printf.sprintf "p%05d" i))
+    in
+    Array.iter (Principal.Db.add_individual db) people;
+    let staff = Principal.group "staff" in
+    let dept = Principal.group "dept" in
+    Principal.Db.add_member db dept (Principal.Grp staff);
+    for i = 0 to 7 do
+      Principal.Db.add_member db staff (Principal.Ind people.(i))
+    done;
+    ignore (Principal.Db.snapshot db);
+    Principal.Db.add_member db staff (Principal.Ind people.(8));
+    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+  in
+  let small = refresh_words 4_096 in
+  let large = refresh_words 65_536 in
+  check
+    (Printf.sprintf "refresh words at 65,536 (%.0f) <= 2x at 4,096 (%.0f)" large small)
+    true
+    (large <= 2. *. small)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_small_population;
@@ -399,4 +428,6 @@ let suite =
     Alcotest.test_case "decide allocates nothing" `Quick test_decide_allocates_nothing;
     Alcotest.test_case "compile allocation ignores population" `Quick
       test_compile_allocation_ignores_population;
+    Alcotest.test_case "refresh allocation tracks the edit" `Quick
+      test_refresh_allocation_tracks_edit;
   ]

@@ -455,6 +455,150 @@ let test_registration_falls_back_to_full () =
        ~individual_id:(Principal.Db.Snapshot.individual_id snap late)
        ~group_id:(Principal.Db.Snapshot.group_id snap grps.(1)))
 
+let test_published_snapshots_immutable () =
+  (* 1,100 individuals fill four 256-row chunks and part of a fifth.
+     A refresh copies each chunk it changes, so a snapshot held across
+     it must still answer the old membership: edits land in the first,
+     a middle and the last (partial) chunk. *)
+  let people =
+    Array.init 1_100 (fun i -> Principal.individual (Printf.sprintf "m%04d" i))
+  in
+  let team = Principal.group "team" in
+  let other = Principal.group "other" in
+  let org = Principal.group "org" in
+  let groups = [| team; other; org |] in
+  let db = Principal.Db.create () in
+  Array.iter (Principal.Db.add_individual db) people;
+  Principal.Db.add_member db org (Principal.Grp team);
+  Principal.Db.add_member db org (Principal.Grp other);
+  Array.iteri
+    (fun i ind -> if i mod 3 = 0 then Principal.Db.add_member db team (Principal.Ind ind))
+    people;
+  (* m0600 reaches org along two paths. *)
+  Principal.Db.add_member db other (Principal.Ind people.(600));
+  let matrix answer = Array.map (fun ind -> Array.map (answer ind) groups) people in
+  let snapshot_answer snap ind grp =
+    Principal.Db.Snapshot.is_member snap
+      ~individual_id:(Principal.Db.Snapshot.individual_id snap ind)
+      ~group_id:(Principal.Db.Snapshot.group_id snap grp)
+  in
+  let held = Principal.Db.snapshot db in
+  let before = matrix (Principal.Db.is_member db) in
+  check "held snapshot agrees before the edits" true
+    (matrix (snapshot_answer held) = before);
+  List.iter
+    (fun i -> Principal.Db.add_member db team (Principal.Ind people.(i)))
+    [ 1; 601; 1_099 ];
+  List.iter
+    (fun i -> Principal.Db.remove_member db team (Principal.Ind people.(i)))
+    [ 3; 600; 1_098 ];
+  let fresh = Principal.Db.snapshot db in
+  let after = matrix (Principal.Db.is_member db) in
+  check "the edits changed membership" true (after <> before);
+  check "held snapshot still answers the old membership" true
+    (matrix (snapshot_answer held) = before);
+  check "new snapshot answers the new membership" true
+    (matrix (snapshot_answer fresh) = after);
+  check "m0600 still in org through other" true (after.(600).(2) && not after.(600).(0));
+  check "new snapshot = full rebuild" true
+    (matrix (snapshot_answer fresh) = matrix (snapshot_answer (Principal.Db.full_snapshot db)))
+
+(* {1 Scaled differential: diamonds, group edges, batches}
+
+   The 8 x 6 oracle above rarely reaches a member along two paths.
+   This one starts from a ladder of diamonds: every group from h02 up
+   contains the two groups just below it, so those have two parents
+   and each individual below is reachable along several paths.  Each
+   individual also sits in two groups directly.  Rounds of individual
+   and group-to-group adds and removes, batched or not, follow; after
+   every round the incremental snapshot, a full rebuild and the live
+   walk must agree. *)
+
+let wide_inds = Array.init 60 (fun i -> Principal.individual (Printf.sprintf "w%02d" i))
+let wide_grps = Array.init 14 (fun g -> Principal.group (Printf.sprintf "h%02d" g))
+
+type wide_op =
+  | Ind_edit of bool * int * int  (* add?, group, individual *)
+  | Grp_edit of bool * int * int  (* add?, parent, child; the child ends below the parent *)
+
+let apply_wide db op =
+  let edit add grp member =
+    if add then Principal.Db.add_member db grp member
+    else Principal.Db.remove_member db grp member
+  in
+  match op with
+  | Ind_edit (add, g, i) ->
+    edit add
+      wide_grps.(g mod Array.length wide_grps)
+      (Principal.Ind wide_inds.(i mod Array.length wide_inds))
+  | Grp_edit (add, p, c) ->
+    (* Edges point from a higher index to a lower one: acyclic. *)
+    let p = 1 + (p mod (Array.length wide_grps - 1)) in
+    edit add wide_grps.(p) (Principal.Grp wide_grps.(c mod p))
+
+let wide_db () =
+  let db = Principal.Db.create () in
+  Array.iter (Principal.Db.add_individual db) wide_inds;
+  Array.iter (Principal.Db.add_group db) wide_grps;
+  for g = 2 to Array.length wide_grps - 1 do
+    Principal.Db.add_member db wide_grps.(g) (Principal.Grp wide_grps.(g - 1));
+    Principal.Db.add_member db wide_grps.(g) (Principal.Grp wide_grps.(g - 2))
+  done;
+  let n = Array.length wide_grps in
+  Array.iteri
+    (fun i ind ->
+      Principal.Db.add_member db wide_grps.(i mod n) (Principal.Ind ind);
+      Principal.Db.add_member db wide_grps.(((i * 5) + 3) mod n) (Principal.Ind ind))
+    wide_inds;
+  db
+
+let arb_wide_op =
+  QCheck.(
+    frequency
+      [
+        (3, map (fun (add, g, i) -> Ind_edit (add, g, i)) (triple bool small_nat small_nat));
+        (2, map (fun (add, p, c) -> Grp_edit (add, p, c)) (triple bool small_nat small_nat));
+      ])
+
+let prop_wide_oracle =
+  QCheck.Test.make ~name:"incremental = full = live walk, diamonds and group edges"
+    ~count:40
+    QCheck.(list_of_size Gen.(1 -- 10) (pair (list_of_size Gen.(1 -- 12) arb_wide_op) bool))
+    (fun rounds ->
+      let db = wide_db () in
+      let matrix answer =
+        Array.map (fun ind -> Array.map (answer ind) wide_grps) wide_inds
+      in
+      let snapshot_matrix snap =
+        matrix (fun ind grp ->
+            Principal.Db.Snapshot.is_member snap
+              ~individual_id:(Principal.Db.Snapshot.individual_id snap ind)
+              ~group_id:(Principal.Db.Snapshot.group_id snap grp))
+      in
+      let verify () =
+        let live = matrix (Principal.Db.is_member db) in
+        if snapshot_matrix (Principal.Db.snapshot db) <> live then
+          QCheck.Test.fail_report "incremental snapshot diverged from the live walk";
+        if snapshot_matrix (Principal.Db.full_snapshot db) <> live then
+          QCheck.Test.fail_report "full rebuild diverged from the live walk";
+        Array.iteri
+          (fun i ind ->
+            let expected =
+              List.filteri (fun g _ -> live.(i).(g)) (Array.to_list wide_grps)
+            in
+            if Principal.Db.groups_of db ind <> expected then
+              QCheck.Test.fail_report "groups_of diverged from the live walk")
+          wide_inds
+      in
+      verify ();
+      List.iter
+        (fun (ops, batched) ->
+          if batched then Principal.Db.batch db (fun () -> List.iter (apply_wide db) ops)
+          else List.iter (apply_wide db) ops;
+          verify ())
+        rounds;
+      true)
+
 (* {1 Satellite: deep shared-subgroup DAGs validate in linear time} *)
 
 let test_deep_dag_linear () =
@@ -632,6 +776,9 @@ let suite =
       test_delta_propagates_through_ancestors;
     Alcotest.test_case "registration falls back to full rebuild" `Quick
       test_registration_falls_back_to_full;
+    Alcotest.test_case "published snapshots stay immutable" `Quick
+      test_published_snapshots_immutable;
+    QCheck_alcotest.to_alcotest prop_wide_oracle;
     Alcotest.test_case "deep shared DAG validates linearly" `Quick test_deep_dag_linear;
     Alcotest.test_case "parallel readers during batches" `Quick
       test_parallel_readers_during_batches;
