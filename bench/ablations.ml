@@ -440,8 +440,9 @@ let a7 () =
         cost
         (List.length report.Analyzer.findings))
     [ 8; 32; 128 ];
-  (* Dispatch: a certified import against the same call checked per
-     invocation and unchecked (SPIN model). *)
+  (* Dispatch: a certified import (served from its proved import
+     handle) against the same import through its handle, and against
+     the checked call once the certificate is revoked. *)
   let db = Principal.Db.create () in
   let admin = Principal.individual "admin" in
   let alice = Principal.individual "alice" in
@@ -453,11 +454,7 @@ let a7 () =
   let registry = Clearance.create () in
   Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
   Clearance.register registry alice bottom;
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
   let ping = Path.of_string "/svc/ping" in
   (match
      Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) ping
@@ -477,29 +474,26 @@ let a7 () =
   | Some certificate when Certificate.fully_certified certificate -> ()
   | Some _ -> failwith "a7: certificate not fully certified"
   | None -> failwith "a7: no certificate issued");
-  let measure () =
-    Timing.ns_per_op ~warmup:2000 (fun () ->
-        ignore (Linker.Linked.call linked ~subject:alice_sub ping []))
-  in
-  let certified = measure () in
-  (* Drop the certificate: same kernel, the full checked path per
-     call. *)
+  let measure f = Timing.ns_per_op ~warmup:2000 (fun () -> ignore (f ())) in
+  let call () = Linker.Linked.call linked ~subject:alice_sub ping [] in
+  let certified = measure call in
+  let handle = measure (fun () -> Linker.Linked.call_import linked ping []) in
+  (* Drop the certificate: the import handle loses its proof, and the
+     same Linked.call takes the full checked path. *)
   Kernel.revoke_certificate kernel "caller";
-  let checked = measure () in
-  Reference_monitor.set_policy (Kernel.monitor kernel) Policy.default;
-  let linktime = measure () in
-  Format.printf "@.%-30s %-14s@." "dispatch variant" "cost/call";
-  Format.printf "%-30s %a@." "certified (no per-call check)" Timing.pp_ns certified;
-  Format.printf "%-30s %a@." "re-check per call" Timing.pp_ns checked;
-  Format.printf "%-30s %a@." "link-time only (SPIN)" Timing.pp_ns linktime;
+  let checked = measure call in
+  Format.printf "@.%-34s %-14s@." "dispatch variant" "cost/call";
+  Format.printf "%-34s %a@." "certified (proved import handle)" Timing.pp_ns certified;
+  Format.printf "%-34s %a@." "import handle (call_import)" Timing.pp_ns handle;
+  Format.printf "%-34s %a@." "re-check per call (revoked)" Timing.pp_ns checked;
   Format.printf "certified vs re-check: %.1fx; certified %s re-check@."
     (checked /. certified)
     (if certified <= checked then "<=" else "> (UNEXPECTED)");
   Format.printf
-    "expected shape: the certificate turns a rechecked call into a link-time-only@.";
+    "expected shape: a certified call costs its import handle plus a validity@.";
   Format.printf
-    "call — revocation still lands, via epoch/generation validation, without@.";
-  Format.printf "paying the monitor on every invocation@."
+    "probe, a fraction of the checked call; revocation strips the proof and the@.";
+  Format.printf "same call is checked again@."
 
 (* {1 A10: capability-handle dispatch vs every path-based variant} *)
 
@@ -518,11 +512,7 @@ let a10 () =
   let registry = Clearance.create () in
   Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
   Clearance.register registry alice bottom;
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
   let ping = Path.of_string "/svc/ping" in
   let pong = Ok Value.unit in
   (match
@@ -575,7 +565,7 @@ let a10 () =
   let stats = Kernel.handle_stats kernel in
   Format.printf "%-34s %-14s@." "dispatch variant" "cost/call";
   Format.printf "%-34s %a@." "capability handle (hot)" Timing.pp_ns handle_cost;
-  Format.printf "%-34s %a@." "certified (no per-call check)" Timing.pp_ns certified;
+  Format.printf "%-34s %a@." "certified (proved import handle)" Timing.pp_ns certified;
   Format.printf "%-34s %a@." "re-check per call" Timing.pp_ns checked;
   Format.printf "@.handle vs certified: %.1fx; vs re-check: %.1fx@."
     (certified /. handle_cost) (checked /. handle_cost);
@@ -586,8 +576,9 @@ let a10 () =
   Format.printf
     "expected shape: the handle skips resolution, hashing and the monitor — one@.";
   Format.printf
-    "slot probe plus a generation sweep — so it undercuts even the certified path,@.";
-  Format.printf "while any epoch/generation drift falls back to the checked walk@."
+    "slot probe plus a generation sweep; a certified call is that handle plus the@.";
+  Format.printf
+    "proof's validity probe, and any drift falls back to the checked walk@."
 
 (* {1 A9: observability overhead on the compiled grant path} *)
 
@@ -682,7 +673,6 @@ let a11 () =
     Clearance.register registry alice bottom;
     let kernel =
       Kernel.boot
-        ~policy:(Policy.with_recheck Policy.default)
         ?registry:(if analyzed then Some registry else None)
         ~db ~admin ~hierarchy ~universe ()
     in
@@ -726,8 +716,9 @@ let a11 () =
   let t_chain_l = measure chain_lazy in
   let t_relay_a = measure relay_analyzed in
   let t_relay_l = measure relay_lazy in
-  (* Fraction of calls served on a fast path (pre-minted handle hit or
-     certificate), from the metrics counters, over a mixed stream. *)
+  (* Fraction of calls served from a handle (pre-minted chain handle or
+     proved import handle), from the metrics counters, over a mixed
+     stream; the relay's nested hop is a checked Kernel.call. *)
   let fraction kernel mixed =
     ignore kernel;
     Metrics.set_enabled true;
@@ -736,7 +727,7 @@ let a11 () =
       mixed i
     done;
     let v name = Metrics.value (Metrics.counter name) in
-    let fast = v "handle.hits" + v "kernel.cert_fast_path" in
+    let fast = v "handle.hits" in
     let total = v "handle.calls" + v "kernel.calls" in
     Metrics.set_enabled false;
     Metrics.reset ();
@@ -760,9 +751,11 @@ let a11 () =
   Format.printf
     "expected shape: the fixpoint proves the transitive /svc/get call redundant for@.";
   Format.printf
-    "every registered session, so analyze-then-link serves it on the 45ns handle@.";
+    "every registered session, so analyze-then-link serves it on the handle path;@.";
   Format.printf
-    "path (fraction ~1.0) while lazy certification pays the monitor every call@."
+    "the relay's outer hop is a proved import handle and its nested hop a checked@.";
+  Format.printf
+    "call (fraction ~0.67), while lazy certification pays the monitor every call@."
 
 let a12 () =
   let open Exsec_extsys in
@@ -792,11 +785,7 @@ let a12 () =
   let registry = Clearance.create () in
   Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
   Clearance.register registry alice bottom;
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
   let meta =
     Meta.make ~owner:admin
       ~acl:
@@ -845,10 +834,11 @@ let a12 () =
     if genexact_ok () then incr genexact_survived
   done;
   let edits = batches * batch_size in
-  (* Cost of the surviving fast path after the churn, against the full
-     checked call the generation-exact scheme would have fallen back
-     to for the rest of the certificate's life. *)
-  let certified () = ignore (Kernel.call kernel ~subject:alice_sub ~caller:"caller" store []) in
+  (* Cost of the surviving fast path (the proved import handle) after
+     the churn, against the full checked call the generation-exact
+     scheme would have fallen back to for the rest of the certificate's
+     life. *)
+  let certified () = ignore (Linker.Linked.call linked ~subject:alice_sub store []) in
   let checked () = ignore (Kernel.call kernel ~subject:alice_sub ~caller:"nobody" store []) in
   let t_certified = Timing.ns_per_op ~warmup:2000 certified in
   let t_checked = Timing.ns_per_op ~warmup:2000 checked in

@@ -584,11 +584,7 @@ let certs_cmd =
       (Security_class.top hierarchy universe);
     Clearance.register registry alice bottom;
     Clearance.register registry bob bottom;
-    let kernel =
-      Kernel.boot
-        ~policy:(Policy.with_recheck Policy.default)
-        ~registry ~db ~admin ~hierarchy ~universe ()
-    in
+    let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
     (* Staff-gated through a group entry: the certificates below record
        a scoped dependency on exactly this group. *)
     let meta =

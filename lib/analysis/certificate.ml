@@ -285,18 +285,17 @@ let deps_valid certificate ~db =
       && Principal.Db.dirty_stamp db dep.dep_group = dep.dep_stamp)
     certificate.deps
 
+let valid certificate ~monitor ~now =
+  Reference_monitor.policy_epoch monitor = certificate.epoch
+  && (not (expired certificate ~now))
+  && deps_valid certificate ~db:(Reference_monitor.db monitor)
+
+let proof_holds proof =
+  Verdict.equal proof.verdict Verdict.Always_allow
+  && List.for_all (fun (meta, generation) -> Meta.generation meta = generation) proof.chain
+
 let admitted certificate ~monitor ~namespace ~subject ?(now = max_int) path =
-  let proof_holds proof =
-    Verdict.equal proof.verdict Verdict.Always_allow
-    && List.for_all
-         (fun (meta, generation) -> Meta.generation meta = generation)
-         proof.chain
-  in
-  if
-    Reference_monitor.policy_epoch monitor <> certificate.epoch
-    || expired certificate ~now
-    || not (deps_valid certificate ~db:(Reference_monitor.db monitor))
-  then None
+  if not (valid certificate ~monitor ~now) then None
   else
     match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
     | Some proof when proof_holds proof -> (

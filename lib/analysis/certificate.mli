@@ -183,6 +183,14 @@ val covered : t -> Subject.t -> bool
     covered, its effective class lies under the proved range's top,
     and its integrity label is the proved one. *)
 
+val valid : t -> monitor:Reference_monitor.t -> now:int -> bool
+(** The part of {!admits} that needs no path: policy epoch, expiry at
+    certificate epoch [now], and every recorded group dirty stamp. *)
+
+val proof_holds : import_proof -> bool
+(** Proved [Always_allow], every chain node still at its proved
+    generation. *)
+
 val admits :
   t ->
   monitor:Reference_monitor.t ->

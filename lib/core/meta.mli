@@ -61,6 +61,10 @@ val generation : t -> int
     every [set_*] below.  Never reused within one record, so
     [(id, generation)] names an immutable snapshot of the metadata. *)
 
+val touch : t -> unit
+(** Bump the generation alone: {!Namespace.remove} retires a removed
+    node this way, so whatever was derived from it fails closed. *)
+
 val set_owner : t -> Principal.individual -> unit
 val set_acl_raw : t -> Acl.t -> unit
 val set_klass_raw : t -> Security_class.t -> unit

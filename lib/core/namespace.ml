@@ -161,9 +161,12 @@ let remove tree target =
         | None -> Error (Not_found target)
         | Some { kind = Dir children; _ } when Hashtbl.length children > 0 ->
           Error (Directory_not_empty target)
-        | Some _ ->
+        | Some victim ->
           Hashtbl.remove table name;
           tree.node_count <- tree.node_count - 1;
+          (* Unlink first, then retire: a re-mint that still found the
+             node read its generation before this bump. *)
+          Meta.touch victim.node_meta;
           Ok ())))
 
 let meta node = node.node_meta

@@ -69,7 +69,8 @@ val chain : 'a t -> Path.t -> 'a node list option
 
 val remove : 'a t -> Path.t -> (unit, error) result
 (** Remove a leaf or an {e empty} directory; the root cannot be
-    removed. *)
+    removed.  The removed node's metadata is {!Meta.touch}ed after
+    the unlink, so grants and proofs through it fail closed. *)
 
 val meta : 'a node -> Meta.t
 val path : 'a node -> Path.t

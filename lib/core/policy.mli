@@ -14,15 +14,10 @@ type t = {
           carry integrity labels (unlabelled ones are always exempt) *)
   overwrite : Mac.overwrite_rule;
       (** how plain [Write]/[Delete] interact with unequal classes *)
-  recheck_calls : bool;
-      (** when [true] the kernel re-validates [Execute] on every
-          service invocation instead of only at link time (SPIN checks
-          only at link time; rechecking gives immediate revocation) *)
 }
 
 val default : t
-(** DAC, MAC and integrity on, strict overwrite, link-time-only call
-    checks. *)
+(** DAC, MAC and integrity on, strict overwrite. *)
 
 val no_integrity : t
 (** {!default} with the Biba layer off. *)
@@ -33,4 +28,7 @@ val unchecked : t
 (** Both layers off — the "no protection" baseline for benchmarks. *)
 
 val with_recheck : t -> t
+(** The identity: there is no link-time-only call mode left to switch
+    off.  Kept only for [perfbench/] and the test oracles. *)
+
 val pp : Format.formatter -> t -> unit

@@ -1,16 +1,14 @@
 open Exsec_core
 module Metrics = Exsec_obs.Metrics
 module Trace = Exsec_obs.Trace
+module Certificate = Exsec_analysis.Certificate
 
-(* Call-path instruments.  The call counter and latency histogram see
-   every invocation; the certificate counter distinguishes link-time
-   admitted calls (the SPIN fast path) from monitor-checked ones.
-   Every trace span of the kernel hot path is born here and threaded
-   through resolution and the monitor. *)
+(* Call-path instruments: every checked invocation by path (handle
+   calls count below).  Every trace span of the kernel hot path is born
+   here and threaded through resolution and the monitor. *)
 let m_calls = Metrics.counter "kernel.calls"
 let m_call_errors = Metrics.counter "kernel.call_errors"
 let m_quota_denied = Metrics.counter "kernel.quota_denied"
-let m_cert_fast_path = Metrics.counter "kernel.cert_fast_path"
 let m_broadcasts = Metrics.counter "kernel.broadcasts"
 let m_spawns = Metrics.counter "kernel.spawns"
 let m_call_ns = Metrics.histogram "kernel.call_ns"
@@ -18,7 +16,8 @@ let m_call_ns = Metrics.histogram "kernel.call_ns"
 (* Handle-path instruments.  Conservation invariant, relied on by the
    multi-domain stress suite: handle.calls = handle.hits +
    handle.stale + handle.use_after_close, exactly — every call_handle
-   bumps the calls counter and then exactly one of the other three.
+   bumps the calls counter and then exactly one of the other three; a
+   [call_proved] served from its grant counts as one call and one hit.
    handle.reminted counts the stale calls whose revalidation succeeded
    and refreshed the slot in place. *)
 let m_handle_opens = Metrics.counter "handle.opens"
@@ -72,6 +71,10 @@ type grant = {
       (* minted on the strength of the caller's certificate rather than
          a monitor decision — revoking or expiring that certificate
          must close this handle (its authority dies with the proof) *)
+  g_proof : (Certificate.t * Certificate.import_proof) option;
+      (* the caller's certificate and its Always_allow proof of this
+         path, for [call_proved]; dropping or replacing the certificate
+         or a stale re-mint strips it *)
 }
 
 type t = {
@@ -85,7 +88,7 @@ type t = {
   registry : Clearance.t option;
   mutable next_thread_id : int;
   loaded : (string, Extension.t * Path.t list) Hashtbl.t;
-  certificates : (string, Exsec_analysis.Certificate.t) Hashtbl.t;
+  certificates : (string, Certificate.t) Hashtbl.t;
   quota : Quota.t;
   handles : grant Handle.t;
   cert_epoch : int Atomic.t;
@@ -215,23 +218,40 @@ let install_iface kernel ~subject ~mount ~meta iface impl_of =
 
 (* {1 Invocation} *)
 
-(* The certified fast path: a call may skip the reference monitor when
-   the caller holds a link-time certificate that still admits this
-   (subject, path) — proof Always_allow, policy epoch and every
-   consulted generation unchanged, subject inside the proved domain
-   (see Exsec_analysis.Certificate).  A stale certificate fails closed
-   into the fully checked path.  [Some node] is the node the
-   certificate validated, which is the one to dispatch. *)
+(* [Some node] when the caller's certificate still admits this
+   (subject, path) (see Exsec_analysis.Certificate), naming the node it
+   validated.  Only [open_handle] acts on it: certificates mint
+   handles, [call] never consults them. *)
 let certified_node kernel ~caller ~subject path =
   match Hashtbl.find_opt kernel.certificates caller with
   | None -> None
   | Some certificate ->
-    Exsec_analysis.Certificate.admitted certificate ~monitor:kernel.monitor
+    Certificate.admitted certificate ~monitor:kernel.monitor
       ~namespace:(Resolver.namespace kernel.resolver) ~subject
       ~now:(Atomic.get kernel.cert_epoch) path
 
 let certificate_admits kernel ~caller ~subject path =
   Option.is_some (certified_node kernel ~caller ~subject path)
+
+let quota_exceeded denial =
+  Metrics.incr m_quota_denied;
+  Error (Service.Quota_exceeded (Format.asprintf "%a" Quota.pp_denial denial))
+
+let count_error result =
+  (match result with
+  | Ok _ -> ()
+  | Error _ -> Metrics.incr m_call_errors);
+  result
+
+let guarded impl ctx args =
+  try impl ctx args with
+  | Value.Type_error message -> Error (Service.Bad_argument message)
+  | Failure message -> Error (Service.Ext_failure message)
+
+let run_proc proc ctx args =
+  match Service.check_arity proc args with
+  | Error e -> Error e
+  | Ok () -> guarded proc.Service.impl ctx args
 
 let rec make_ctx kernel ~subject ~caller =
   {
@@ -241,29 +261,21 @@ let rec make_ctx kernel ~subject ~caller =
     raise_event = (fun path args -> call kernel ~subject ~caller path args);
   }
 
-and invoke_proc kernel ~subject ~caller proc args =
-  match Service.check_arity proc args with
-  | Error e -> Error e
-  | Ok () -> (
-    let ctx = make_ctx kernel ~subject ~caller in
-    try proc.Service.impl ctx args with
-    | Value.Type_error message -> Error (Service.Bad_argument message)
-    | Failure message -> Error (Service.Ext_failure message))
+(* A handler runs with the caller's authority capped by the handler's
+   static class (paper, section 2.2). *)
+and run_handler kernel ~subject (handler : Dispatcher.handler) args =
+  let capped = Subject.with_ceiling subject handler.Dispatcher.klass in
+  guarded handler.Dispatcher.impl
+    (make_ctx kernel ~subject:capped ~caller:handler.Dispatcher.owner)
+    args
 
-and dispatch_event kernel ~subject ~caller:_ path args =
+and dispatch_event kernel ~subject path args =
   let caller_class = Subject.effective_class subject in
   match Dispatcher.select kernel.dispatcher ~event:path ~caller_class ~args with
   | None -> Error (Service.No_handler (Path.to_string path))
-  | Some handler ->
-    (* Run the handler with the caller's authority capped by the
-       handler's static class (paper, section 2.2). *)
-    let capped = Subject.with_ceiling subject handler.Dispatcher.klass in
-    let ctx = make_ctx kernel ~subject:capped ~caller:handler.Dispatcher.owner in
-    (try handler.Dispatcher.impl ctx args with
-    | Value.Type_error message -> Error (Service.Bad_argument message)
-    | Failure message -> Error (Service.Ext_failure message))
+  | Some handler -> run_handler kernel ~subject handler args
 
-and call ?(checked = true) kernel ~subject ~caller path args =
+and call kernel ~subject ~caller path args =
   Metrics.incr m_calls;
   let t0 = Metrics.start_timing m_call_ns in
   let span = Trace.start "kernel.call" in
@@ -276,14 +288,20 @@ and call ?(checked = true) kernel ~subject ~caller path args =
   let result =
     match Quota.charge_call kernel.quota (Subject.principal subject) with
     | Error denial ->
-      Metrics.incr m_quota_denied;
       if Trace.active span then Trace.annotate span "quota" "denied";
-      Error (Service.Quota_exceeded (Format.asprintf "%a" Quota.pp_denial denial))
-    | Ok () -> call_uncharged ~checked ~span kernel ~subject ~caller path args
+      quota_exceeded denial
+    | Ok () -> (
+      match
+        Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
+      with
+      | Error denial -> Error (error_of_denial denial)
+      | Ok node -> (
+        match Namespace.payload node with
+        | Some (Proc proc) -> run_proc proc (make_ctx kernel ~subject ~caller) args
+        | Some Event -> dispatch_event kernel ~subject path args
+        | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))))
   in
-  (match result with
-  | Ok _ -> ()
-  | Error _ -> Metrics.incr m_call_errors);
+  ignore (count_error result);
   if Trace.active span then
     Trace.annotate span "result"
       (match result with
@@ -293,92 +311,31 @@ and call ?(checked = true) kernel ~subject ~caller path args =
   Metrics.stop_timing m_call_ns t0;
   result
 
-and call_uncharged ~checked ~span kernel ~subject ~caller path args =
-  let resolved =
-    if not checked then
-      (* Access was decided at link time (SPIN model): go straight to
-         the node, no monitor involvement. *)
-      match Namespace.find (namespace kernel) path with
-      | Ok node -> Ok node
-      | Error error ->
-        Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
-    else
-      match certified_node kernel ~caller ~subject path with
-      | Some node ->
-        (* Dispatch the node the certificate validated, never a second
-           lookup of the path: a node removed and re-added there in
-           between would run unchecked. *)
-        Metrics.incr m_cert_fast_path;
-        if Trace.active span then Trace.annotate span "fastpath" "certificate";
-        Ok node
-      | None -> (
-        match
-          Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
-        with
-        | Ok node -> Ok node
-        | Error denial -> Error (error_of_denial denial))
-  in
-  match resolved with
-  | Error e -> Error e
-  | Ok node -> (
-    match Namespace.payload node with
-    | Some (Proc proc) -> invoke_proc kernel ~subject ~caller proc args
-    | Some Event -> dispatch_event kernel ~subject ~caller path args
-    | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable")))
-
-let run_handler kernel ~subject (handler : Dispatcher.handler) args =
-  let capped = Subject.with_ceiling subject handler.Dispatcher.klass in
-  let ctx = make_ctx kernel ~subject:capped ~caller:handler.Dispatcher.owner in
-  try handler.Dispatcher.impl ctx args with
-  | Value.Type_error message -> Error (Service.Bad_argument message)
-  | Failure message -> Error (Service.Ext_failure message)
-
-let rec broadcast ?(checked = true) kernel ~subject ~caller path args =
-  ignore caller;
+let broadcast kernel ~subject ~caller:_ path args =
   Metrics.incr m_broadcasts;
   match Quota.charge_call kernel.quota (Subject.principal subject) with
-  | Error denial ->
-    Metrics.incr m_quota_denied;
-    Error (Service.Quota_exceeded (Format.asprintf "%a" Quota.pp_denial denial))
-  | Ok () -> broadcast_uncharged ~checked kernel ~subject path args
-
-and broadcast_uncharged ~checked kernel ~subject path args =
-  let resolved =
-    if checked then
-      match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
-      | Ok node -> Ok node
-      | Error denial -> Error (error_of_denial denial)
-    else
-      match Namespace.find (namespace kernel) path with
-      | Ok node -> Ok node
-      | Error error ->
-        Error (Service.Unresolved (Format.asprintf "%a" Namespace.pp_error error))
-  in
-  match resolved with
-  | Error e -> Error e
-  | Ok node -> (
-    match Namespace.payload node with
-    | Some Event ->
-      let caller_class = Subject.effective_class subject in
-      let handlers = Dispatcher.select_all kernel.dispatcher ~event:path ~caller_class ~args in
-      Ok
-        (List.map
-           (fun handler ->
-             handler.Dispatcher.owner, run_handler kernel ~subject handler args)
-           handlers)
-    | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not an event")))
+  | Error denial -> quota_exceeded denial
+  | Ok () -> (
+    match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
+    | Error denial -> Error (error_of_denial denial)
+    | Ok node -> (
+      match Namespace.payload node with
+      | Some Event ->
+        let caller_class = Subject.effective_class subject in
+        let handlers = Dispatcher.select_all kernel.dispatcher ~event:path ~caller_class ~args in
+        Ok
+          (List.map
+             (fun handler ->
+               handler.Dispatcher.owner, run_handler kernel ~subject handler args)
+             handlers)
+      | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not an event"))))
 
 (* {1 Capability handles}
 
-   [open_handle] runs the full checked resolution once (or reuses a
-   still-valid link-time certificate) and files the resulting grant in
-   the kernel's handle table.  [call_handle] is then the hot path: one
-   bounds-checked slot probe, one stamp compare, a generation sweep
-   over the recorded chain, dispatch — no path walk, no hashing, no
-   monitor entry and no allocation on the granted path.  Any drift —
-   policy epoch, principal database, or any [Meta] on the chain —
-   fails closed into a fully checked re-resolution that re-mints the
-   slot in place when it still admits the access. *)
+   [open_handle] decides once and files the grant; [call_handle] is the
+   hot path — slot probe, stamp compare, generation sweep, dispatch, no
+   allocation — and any drift fails closed into a checked re-resolution
+   that re-mints the slot in place (see kernel.mli). *)
 
 (* Top-level (not a local closure) so the hot path stays allocation
    free: a local [let rec] would capture the arrays in a heap-allocated
@@ -401,14 +358,6 @@ let closed_handle_error :
   Error
     (Service.Denied
        { at = "<handle>"; mode = Access_mode.Execute; denial = Decision.Not_an_object })
-
-let run_grant_proc proc ctx args =
-  match Service.check_arity proc args with
-  | Error e -> Error e
-  | Ok () -> (
-    try proc.Service.impl ctx args with
-    | Value.Type_error message -> Error (Service.Bad_argument message)
-    | Failure message -> Error (Service.Ext_failure message))
 
 (* The pre-read half of a mint: the monitor stamp and the generation
    of every node on the unchecked chain, captured BEFORE the decision
@@ -475,7 +424,16 @@ let rec open_handle kernel ~subject ~caller path =
           (Handle.mint kernel.handles
              { g_path = path; g_subject = subject; g_caller = caller; g_target;
                g_stamp = stamp; g_metas = metas; g_gens = gens;
-               g_cert = Option.is_some certified }))
+               g_cert = Option.is_some certified; g_proof = None }))
+
+(* Run a grant's target under [subject].  Any subject but the grant's
+   own gets a context of its own, so nested calls run under it. *)
+let run_target kernel g ~subject target args =
+  match target with
+  | Grant_proc (proc, ctx) ->
+    let ctx = if subject == g.g_subject then ctx else make_ctx kernel ~subject ~caller:g.g_caller in
+    run_proc proc ctx args
+  | Grant_event -> dispatch_event kernel ~subject g.g_path args
 
 (* Stale slow path: re-run the fully checked resolution (audited)
    under a fresh pre-read snapshot; serve THIS call from the
@@ -504,15 +462,14 @@ let call_handle_stale kernel h g args =
           Handle.update kernel.handles h
             (* A re-mint is justified by the fresh monitor decision,
                not the certificate, so the slot sheds its cert
-               lineage: a later revocation of that certificate need
-               not (and must not) kill an independently checked grant. *)
+               lineage and any proof recorded on it: a later
+               revocation of that certificate need not (and must not)
+               kill an independently checked grant, and the proof may
+               name a node the slot no longer dispatches. *)
             { g with g_target; g_stamp = stamp; g_metas = metas; g_gens = gens;
-              g_cert = false }
+              g_cert = false; g_proof = None }
         then Metrics.incr m_handle_reminted;
-      (match g_target with
-      | Grant_proc (proc, ctx) -> run_grant_proc proc ctx args
-      | Grant_event ->
-        dispatch_event kernel ~subject:g.g_subject ~caller:g.g_caller g.g_path args))
+      run_target kernel g ~subject:g.g_subject g_target args)
 
 let call_handle kernel h args =
   Metrics.incr m_handle_calls;
@@ -522,33 +479,41 @@ let call_handle kernel h args =
     | None ->
       Metrics.incr m_handle_use_closed;
       closed_handle_error
-    | Some g ->
-      if grant_fresh kernel g then begin
-        Metrics.incr m_handle_hits;
-        match Quota.charge_call kernel.quota (Subject.principal g.g_subject) with
-        | Error denial ->
-          Metrics.incr m_quota_denied;
-          Error (Service.Quota_exceeded (Format.asprintf "%a" Quota.pp_denial denial))
-        | Ok () -> (
-          match g.g_target with
-          | Grant_proc (proc, ctx) -> run_grant_proc proc ctx args
-          | Grant_event ->
-            dispatch_event kernel ~subject:g.g_subject ~caller:g.g_caller g.g_path args)
-      end
-      else begin
-        Metrics.incr m_handle_stale;
-        match Quota.charge_call kernel.quota (Subject.principal g.g_subject) with
-        | Error denial ->
-          Metrics.incr m_quota_denied;
-          Error (Service.Quota_exceeded (Format.asprintf "%a" Quota.pp_denial denial))
-        | Ok () -> call_handle_stale kernel h g args
-      end
+    | Some g -> (
+      let fresh = grant_fresh kernel g in
+      Metrics.incr (if fresh then m_handle_hits else m_handle_stale);
+      match Quota.charge_call kernel.quota (Subject.principal g.g_subject) with
+      | Error denial -> quota_exceeded denial
+      | Ok () ->
+        if fresh then run_target kernel g ~subject:g.g_subject g.g_target args
+        else call_handle_stale kernel h g args)
   in
-  (match result with
-  | Ok _ -> ()
-  | Error _ -> Metrics.incr m_call_errors);
   Metrics.stop_timing m_handle_call_ns t0;
-  result
+  count_error result
+
+(* The proved probe.  It ignores the grant's global stamp, so edits
+   outside the certificate's scope do not end it.  A removal touches
+   the removed node, so the chain sweep also catches a target removed
+   and republished. *)
+let proof_admits kernel g subject =
+  match g.g_proof with
+  | None -> false
+  | Some (certificate, proof) ->
+    Certificate.valid certificate ~monitor:kernel.monitor ~now:(Atomic.get kernel.cert_epoch)
+    && Certificate.proof_holds proof
+    && proof.Certificate.target_id = g.g_metas.(Array.length g.g_metas - 1).Meta.id
+    && Certificate.covered certificate subject
+
+let call_proved kernel h ~subject ~caller path args =
+  match Handle.deref kernel.handles h with
+  | Some g when proof_admits kernel g subject ->
+    Metrics.incr m_handle_calls;
+    Metrics.incr m_handle_hits;
+    count_error
+      (match Quota.charge_call kernel.quota (Subject.principal subject) with
+      | Error denial -> quota_exceeded denial
+      | Ok () -> run_target kernel g ~subject g.g_target args)
+  | Some _ | None -> call kernel ~subject ~caller path args
 
 let close_handle kernel h =
   match Handle.close kernel.handles h with Some _ -> true | None -> false
@@ -648,23 +613,44 @@ let find_loaded kernel name = Hashtbl.find_opt kernel.loaded name
 
 (* {1 Certificate lifecycle} *)
 
+(* Record [certificate] on the named caller's live grants for the
+   paths it proves [Always_allow] (the extension's import handles) and
+   strip every other proof from them; [None] strips them all.  The
+   grants keep their own monitor justification. *)
+let record_proofs kernel name certificate =
+  let proof_of g (certificate : Certificate.t) =
+    List.find_map
+      (fun (proof : Certificate.import_proof) ->
+        if Path.equal proof.import g.g_path && Certificate.proof_holds proof then
+          Some (certificate, proof)
+        else None)
+      certificate.proofs
+  in
+  Handle.iter kernel.handles (fun h g ->
+      if String.equal g.g_caller name then
+        let g_proof = Option.bind certificate (proof_of g) in
+        if Option.is_some g_proof || Option.is_some g.g_proof then
+          ignore (Handle.update kernel.handles h { g with g_proof }))
+
 let note_certificate kernel certificate =
   Metrics.incr m_cert_issued;
-  if certificate.Exsec_analysis.Certificate.delegation <> None then
-    Metrics.incr m_cert_delegations;
-  Hashtbl.replace kernel.certificates
-    certificate.Exsec_analysis.Certificate.extension certificate
+  if certificate.Certificate.delegation <> None then Metrics.incr m_cert_delegations;
+  let name = certificate.Certificate.extension in
+  Hashtbl.replace kernel.certificates name certificate;
+  record_proofs kernel name (Some certificate)
 
 (* Retiring a certificate must also retire the handles minted on its
    strength: a grant with [g_cert] set was admitted by the proof, not
    by a monitor decision, and [call_handle] would keep serving it until
    unrelated generation drift.  Handles the extension opened through
-   the checked path keep their independent justification and stay. *)
+   the checked path keep their independent justification and stay,
+   minus the proof. *)
 let drop_certificate kernel name =
   Hashtbl.remove kernel.certificates name;
   ignore
     (Handle.close_where kernel.handles (fun g ->
-         g.g_cert && String.equal g.g_caller name))
+         g.g_cert && String.equal g.g_caller name));
+  record_proofs kernel name None
 
 let revoke_certificate kernel name =
   if Hashtbl.mem kernel.certificates name then Metrics.incr m_cert_revoked;
@@ -675,30 +661,34 @@ let certificate_of kernel name = Hashtbl.find_opt kernel.certificates name
 let certificates kernel =
   Hashtbl.fold (fun _ certificate acc -> certificate :: acc) kernel.certificates []
   |> List.sort (fun a b ->
-         String.compare a.Exsec_analysis.Certificate.extension
-           b.Exsec_analysis.Certificate.extension)
+         String.compare a.Certificate.extension
+           b.Certificate.extension)
 
 let cert_epoch kernel = Atomic.get kernel.cert_epoch
 
-(* Eager expiry: collect-then-drop so the table is never mutated while
-   folded over.  The lazy half needs no sweep at all — [admits] carries
-   the current epoch and refuses expired certificates on its own; the
-   sweep exists to reclaim table entries and close cert-minted handles
-   promptly rather than on first use. *)
-let sweep_expired_certificates kernel =
-  let now = Atomic.get kernel.cert_epoch in
-  let dead =
+(* Drop every certificate [matches] selects, counting each under
+   [counter]; collect-then-drop so the table is never mutated while
+   folded over. *)
+let drop_where kernel counter matches =
+  let hit =
     Hashtbl.fold
-      (fun name certificate acc ->
-        if Exsec_analysis.Certificate.expired certificate ~now then name :: acc else acc)
+      (fun name certificate acc -> if matches certificate then name :: acc else acc)
       kernel.certificates []
   in
   List.iter
     (fun name ->
-      Metrics.incr m_cert_expired;
+      Metrics.incr counter;
       drop_certificate kernel name)
-    dead;
-  List.length dead
+    hit;
+  List.length hit
+
+(* Eager expiry.  The lazy half needs no sweep at all — validation
+   carries the current epoch and refuses expired certificates on its
+   own; the sweep exists to reclaim table entries and close cert-minted
+   handles promptly rather than on first use. *)
+let sweep_expired_certificates kernel =
+  let now = Atomic.get kernel.cert_epoch in
+  drop_where kernel m_cert_expired (fun certificate -> Certificate.expired certificate ~now)
 
 let advance_cert_epoch kernel =
   let now = 1 + Atomic.fetch_and_add kernel.cert_epoch 1 in
@@ -709,32 +699,21 @@ let advance_cert_epoch kernel =
    covers or proof chains intersect the revoked principal or path
    prefix — no global epoch bump, so every other certificate and
    handle in the kernel is untouched. *)
-let revoke_where kernel matches =
-  let hit =
-    Hashtbl.fold
-      (fun name certificate acc -> if matches certificate then name :: acc else acc)
-      kernel.certificates []
-  in
-  List.iter
-    (fun name ->
-      Metrics.incr m_cert_revoked;
-      drop_certificate kernel name)
-    hit;
-  List.length hit
+let revoke_where kernel matches = drop_where kernel m_cert_revoked matches
 
 let revoke_by_principal kernel principal =
   revoke_where kernel (fun certificate ->
       List.exists
-        (fun (cover : Exsec_analysis.Certificate.cover) ->
+        (fun (cover : Certificate.cover) ->
           Principal.equal_individual cover.principal principal)
-        certificate.Exsec_analysis.Certificate.covers)
+        certificate.Certificate.covers)
 
 let revoke_by_prefix kernel prefix =
   revoke_where kernel (fun certificate ->
       List.exists
-        (fun (proof : Exsec_analysis.Certificate.import_proof) ->
+        (fun (proof : Certificate.import_proof) ->
           Path.is_prefix prefix proof.import)
-        certificate.Exsec_analysis.Certificate.proofs)
+        certificate.Certificate.proofs)
 
 let delegate_certificate kernel ~parent ?cap ?profile ~extension ~imports () =
   match kernel.registry with
@@ -744,7 +723,7 @@ let delegate_certificate kernel ~parent ?cap ?profile ~extension ~imports () =
     | None -> Error (parent ^ ": no certificate to delegate from")
     | Some parent_certificate -> (
       match
-        Exsec_analysis.Certificate.delegate ~monitor:kernel.monitor ~registry
+        Certificate.delegate ~monitor:kernel.monitor ~registry
           ~namespace:(namespace kernel) ~parent:parent_certificate ?cap ?profile
           ~now:(Atomic.get kernel.cert_epoch) ~extension ~imports ()
       with
@@ -775,7 +754,7 @@ let call_graph ?(extra = []) kernel =
       let code = Cg.code_node name in
       (* Control enters the extension's code through each provided
          procedure.  No cap: a provide runs under the caller's subject
-         unchanged (invoke_proc), the provider's static class bounds
+         unchanged (run_proc), the provider's static class bounds
          only calls the provider itself initiates. *)
       List.iter
         (fun (provided : Extension.provided) ->

@@ -44,8 +44,7 @@ val boot :
     {!Reference_monitor.create}: the audit pipeline's sharding can be
     pinned for contention studies (bench a8).  [registry] is the deployment's clearance registry;
     supplying it lets the linker issue link-time certificates
-    ({!Exsec_analysis.Certificate}) so fully proved extensions skip
-    per-call monitor work. *)
+    ({!Exsec_analysis.Certificate}) that mint handles. *)
 
 val monitor : t -> Reference_monitor.t
 
@@ -127,19 +126,17 @@ val install_iface :
 (** {1 Invocation} *)
 
 val call :
-  ?checked:bool ->
   t -> subject:Subject.t -> caller:string -> Path.t -> Value.t list ->
   (Value.t, Service.error) result
-(** Invoke the procedure or event at the path.  [checked] (default
-    [true]) controls whether the reference monitor validates
-    [Execute]; the linker passes [false] for pre-checked imports when
-    the policy does not demand per-call rechecks.  Events run the
-    handler selected for the caller's effective class, with the
-    subject's class capped by the handler's static class for the
-    duration of the handler. *)
+(** Invoke the procedure or event at the path, always checked: the
+    monitor validates [List] along the path and [Execute] on the
+    target, and no certificate is consulted.  Nested calls through a
+    procedure's context come back here.  Events run the handler
+    selected for the caller's effective class, with the subject's class
+    capped by the handler's static class for the duration of the
+    handler. *)
 
 val broadcast :
-  ?checked:bool ->
   t -> subject:Subject.t -> caller:string -> Path.t -> Value.t list ->
   ((string * (Value.t, Service.error) result) list, Service.error) result
 (** Raise an event to {e every} eligible handler (most specific class
@@ -185,6 +182,17 @@ val call_handle :
     verdicts included — but dispatching without monitor work while the
     grant's generation coordinates still hold.  A closed or recycled
     handle answers [Denied] with {!Decision.Not_an_object}. *)
+
+val call_proved :
+  t -> Handle.h -> subject:Subject.t -> caller:string -> Path.t -> Value.t list ->
+  (Value.t, Service.error) result
+(** The certified call through [caller]'s handle [h] for [path] (a
+    linker import handle).  While the grant's recorded proof
+    ({!note_certificate}) holds — certificate
+    {!Exsec_analysis.Certificate.valid}, chain generations, the proof
+    naming the grant's node, [subject] covered — the grant's target runs
+    under [subject] itself, as a handle hit, whatever the global stamp.
+    Otherwise, closed handle included, this is exactly {!call}. *)
 
 val close_handle : t -> Handle.h -> bool
 (** Retire the handle; [false] when it was already closed.  Closing is
@@ -235,8 +243,9 @@ val loaded_extensions : t -> string list
 
 (** {1 Certificate lifecycle} (certificates issued by {!Linker})
 
-    A certificate lets {!call} skip the reference monitor for an
-    import it proved [Always_allow] at link time, as long as the
+    Certificates only mint handles: a noted certificate is recorded on
+    its extension's import handles ({!call_proved}), and
+    {!open_handle} mints on a certificate's strength, while the
     certificate still validates — policy epoch, every consulted
     metadata generation, and the dirty stamp of every group its proof
     depended on unchanged, the calling subject inside the proved
@@ -253,14 +262,17 @@ val loaded_extensions : t -> string list
     [cert.expired] on sweep. *)
 
 val note_certificate : t -> Exsec_analysis.Certificate.t -> unit
+(** Install the certificate, replacing the extension's earlier one,
+    and record its [Always_allow] proofs on the extension's live
+    handles for those paths (replaced proofs stop serving at once). *)
 
 val revoke_certificate : t -> string -> unit
 (** Drops the extension's certificate {e and closes every handle
     minted on its strength} (certificate-admitted mints, see
     {!open_handle}) — a revoked proof must stop granting immediately,
     not at the next unrelated generation drift.  Handles the extension
-    opened through the fully checked path carry their own
-    justification and survive. *)
+    opened through the fully checked path (its import handles) carry
+    their own justification and survive, minus the recorded proof. *)
 
 val certificate_of : t -> string -> Exsec_analysis.Certificate.t option
 
@@ -317,7 +329,8 @@ val delegate_certificate :
 val certificate_admits : t -> caller:string -> subject:Subject.t -> Path.t -> bool
 (** [true] when the caller's certificate admits this call right now,
     at the kernel's current certificate epoch
-    (see {!Exsec_analysis.Certificate.admits}). *)
+    (see {!Exsec_analysis.Certificate.admits}).  A diagnostic; only
+    {!open_handle} acts on this answer. *)
 
 val call_graph : ?extra:Extension.t list -> t -> Exsec_analysis.Callgraph.t
 (** The live system's call graph: for every loaded extension (plus

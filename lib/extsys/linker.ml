@@ -27,6 +27,12 @@ let pp_link_error ppf = function
   | Already_loaded name -> Format.fprintf ppf "extension %s is already loaded" name
   | Quota_refused message -> Format.fprintf ppf "quota: %s" message
 
+(* The subject under the extension's static class, when it has one. *)
+let cap (extension : Extension.t) subject =
+  match extension.Extension.static_class with
+  | None -> subject
+  | Some klass -> Subject.with_ceiling subject klass
+
 module Linked = struct
   type t = {
     kernel : Kernel.t;
@@ -51,39 +57,38 @@ module Linked = struct
   let certificate linked = linked.certificate
   let chain_imports linked = List.map fst linked.chain_table
 
-  let chain_handle linked path =
-    Option.map snd (List.find_opt (fun (p, _) -> Path.equal p path) linked.chain_table)
+  (* The one scan every entry point shares: no closure, no option, a
+     miss is [Not_found]. *)
+  let rec find_handle path = function
+    | [] -> raise_notrace Not_found
+    | (p, handle) :: rest -> if Path.equal p path then handle else find_handle path rest
+
+  let handle_in table path = try Some (find_handle path table) with Not_found -> None
+  let chain_handle linked path = handle_in linked.chain_table path
+  let import_handle linked path = handle_in linked.import_table path
 
   let call_chain linked path args =
-    match List.find_opt (fun (p, _) -> Path.equal p path) linked.chain_table with
-    | None ->
+    match find_handle path linked.chain_table with
+    | handle -> Kernel.call_handle linked.kernel handle args
+    | exception Not_found ->
       Error (Service.Unresolved (Path.to_string path ^ ": not a certified chain target"))
-    | Some (_, handle) -> Kernel.call_handle linked.kernel handle args
 
-  let subject_for linked subject =
-    match linked.extension.Extension.static_class with
-    | None -> subject
-    | Some klass -> Subject.with_ceiling subject klass
+  let subject_for linked subject = cap linked.extension subject
+
+  let not_imported path =
+    Error (Service.Unresolved (Path.to_string path ^ ": not in the import table"))
 
   let call linked ~subject path args =
-    match List.find_opt (fun (p, _) -> Path.equal p path) linked.import_table with
-    | None ->
-      Error (Service.Unresolved (Path.to_string path ^ ": not in the import table"))
-    | Some (_, _handle) ->
-      let subject = subject_for linked subject in
-      let checked = (Reference_monitor.policy (Kernel.monitor linked.kernel)).Policy.recheck_calls in
-      Kernel.call ~checked linked.kernel ~subject
-        ~caller:linked.extension.Extension.ext_name path args
-
-  let import_handle linked path =
-    Option.map snd
-      (List.find_opt (fun (p, _) -> Path.equal p path) linked.import_table)
+    match find_handle path linked.import_table with
+    | handle ->
+      Kernel.call_proved linked.kernel handle ~subject:(subject_for linked subject)
+        ~caller:(name linked) path args
+    | exception Not_found -> not_imported path
 
   let call_import linked path args =
-    match List.find_opt (fun (p, _) -> Path.equal p path) linked.import_table with
-    | None ->
-      Error (Service.Unresolved (Path.to_string path ^ ": not in the import table"))
-    | Some (_, handle) -> Kernel.call_handle linked.kernel handle args
+    match find_handle path linked.import_table with
+    | handle -> Kernel.call_handle linked.kernel handle args
+    | exception Not_found -> not_imported path
 end
 
 let ext_dir name = Path.of_string ("/ext/" ^ name)
@@ -237,11 +242,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     | Ok () ->
   begin
     (* All link-time checks run under the extension's capped authority. *)
-    let capped =
-      match extension.Extension.static_class with
-      | None -> subject
-      | Some klass -> Subject.with_ceiling subject klass
-    in
+    let capped = cap extension subject in
     let ( let* ) = Result.bind in
     let* domain_imports =
       expand_domains kernel ~subject:capped extension.Extension.import_domains
@@ -269,17 +270,16 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     register_handlers kernel ~subject extension;
     (* With a clearance registry at hand, prove the import set over
        the whole registered session space: imports proved Always_allow
-       skip the monitor per call until the proof's state moves
-       (Exsec_analysis.Certificate).  The chain analysis widens the
-       proof interprocedurally: call sites reachable from this
-       extension's code through other extensions' provides — nested
-       calls carry the original caller's name, so they consult THIS
-       certificate — that prove Always_allow for every registered
-       session are folded into the certificate (soundly: a proof over
-       the full session interval covers every capped sub-session) and
+       are served from their handle for every covered subject until the
+       proof's state moves (Exsec_analysis.Certificate).  The chain
+       analysis widens the proof interprocedurally: call sites
+       reachable from this extension's code through other extensions'
+       provides that prove Always_allow for every registered session
+       are folded into the certificate (soundly: a proof over the full
+       session interval covers every capped sub-session) and
        pre-minted as capability handles.  Handler-crossing edges are
        trimmed first: past event dispatch, calls run under the handler
-       owner's name and consult that extension's own certificate. *)
+       owner's name, outside this extension's proof. *)
     let certificate, chain_targets =
       match Kernel.registry kernel with
       | None -> None, []
@@ -319,15 +319,16 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
         Some certificate, transitive
     in
     Metrics.add m_chain_proofs (List.length chain_targets);
-    (* The certificate enters the kernel table BEFORE the chain table
-       is minted: chain handles exist only on the strength of the
-       chain proofs folded into the certificate, so they must mint
-       through the certificate-admitted path and be marked with its
-       lineage — revoking or expiring the certificate then closes
-       exactly them.  (Import handles were minted above, against full
-       monitor decisions; they carry their own justification.)  A
-       failure below revokes the certificate again, so a failed link
-       leaves no certificate behind. *)
+    (* The certificate enters the kernel table AFTER the import
+       handles, recording its Always_allow proofs on them (the
+       any-subject dispatch of [Linked.call]; the handles keep their
+       own monitor justification), and BEFORE the chain table: chain
+       handles exist only on the strength of the chain proofs folded
+       into the certificate, so they mint through the
+       certificate-admitted path and carry its lineage — revoking or
+       expiring the certificate closes exactly them.  A failure below
+       revokes the certificate again, so a failed link leaves no
+       certificate behind. *)
     Option.iter (Kernel.note_certificate kernel) certificate;
     let chain_proved path =
       match certificate with
@@ -370,7 +371,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     | None -> finish ()
     | Some init -> (
       let ctx =
-        Kernel.make_ctx kernel ~subject:(Linked.subject_for linked subject) ~caller:name
+        Kernel.make_ctx kernel ~subject:capped ~caller:name
       in
       match init ctx with
       | Ok () -> finish ()

@@ -16,13 +16,9 @@
     system.
 
     Once linked, calls through {!Linked.call} are restricted to the
-    import table.  When the kernel policy has [recheck_calls = false]
-    (the SPIN model: access decided once, at link time), the call
-    resolves the name {e without any monitor involvement} — neither
-    traversal [list] checks nor [Execute] are re-validated, so later
-    ACL changes do not bite; with [recheck_calls = true], every call
-    re-validates in full, paying for immediate revocation (bench F5
-    measures the difference). *)
+    import table, and every one is either checked in full or served
+    from the import's capability handle, which revalidates: a revoked
+    right bites at the next call (bench F5). *)
 
 open Exsec_core
 
@@ -48,12 +44,11 @@ module Linked : sig
   val certificate : t -> Exsec_analysis.Certificate.t option
   (** The link-time certificate issued for this extension's imports —
       present iff the kernel was booted with a clearance registry.
-      Imports proved [Always_allow] are served by the certified fast
-      path: {!Kernel.call} skips the reference monitor entirely (even
-      under [recheck_calls]) until the certificate stops validating —
-      a policy swap, membership churn, any metadata change on the
-      import's path, or a subject outside the proved domain all fall
-      back to the checked path. *)
+      Its [Always_allow] proofs are recorded on the import handles, so
+      {!call} serves every covered subject from them until the
+      certificate stops validating — a policy swap, covered membership
+      churn, any metadata change on the import's path, or a subject
+      outside the proved domain all fall back to the checked path. *)
 
   val subject_for : t -> Subject.t -> Subject.t
   (** The given thread's subject with this extension's static class
@@ -65,7 +60,9 @@ module Linked : sig
   (** Call an imported procedure on behalf of [subject].  Only paths
       in the import table are callable — an extension cannot name
       what it was not linked against.  The extension's static class
-      caps the subject for the duration of the call. *)
+      caps the subject for the duration of the call.  A covered
+      subject is served from the import handle ({!Kernel.call_proved});
+      any other call is the checked {!Kernel.call}. *)
 
   val import_handle : t -> Path.t -> Handle.h option
   (** The capability handle minted for this import at link time, if

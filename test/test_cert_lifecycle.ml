@@ -195,7 +195,7 @@ let test_scoped_survival () =
   let w = build_world () in
   let audit_total () = Audit.total (Reference_monitor.audit (Kernel.monitor w.kernel)) in
   check "certified before churn" true
-    (Kernel.certificate_admits w.kernel ~caller:"front" ~subject:w.alice_sub fetch);
+    (Kernel.certificate_admits w.kernel ~caller:"relay" ~subject:w.alice_sub store);
   let generation0 = Principal.Db.generation w.db in
   (* >= 10^3 batched edits to principals outside the proof's group
      closure: guests join and leave visitors, a group no consulted ACL
@@ -209,29 +209,28 @@ let test_scoped_survival () =
   done;
   check "the generation moved (old scheme would revoke)" true
     (Principal.Db.generation w.db > generation0);
-  (* admits still accepts, and certified calls cause zero re-proofs:
-     no audit record, every call through the certificate fast path. *)
+  (* relay's certified calls cause zero re-proofs: no audit record,
+     every call served from the import handle its proof is recorded
+     on. *)
   let audit0 = audit_total () in
-  let fast0 = counter "kernel.cert_fast_path" in
+  let hits0 = counter "handle.hits" in
   for _ = 1 to 10 do
     check "certified call survives unrelated churn" true
-      (Kernel.call w.kernel ~subject:w.alice_sub ~caller:"front" store []
-      = Ok (Value.int 7))
+      (Linker.Linked.call w.relay ~subject:w.alice_sub store [] = Ok (Value.int 7))
   done;
   check "zero re-proofs (no audited decisions)" true (audit_total () = audit0);
-  check "all ten calls on the certificate fast path" true
-    (counter "kernel.cert_fast_path" = fast0 + 10);
+  check "all ten calls served from the proved import handle" true
+    (counter "handle.hits" = hits0 + 10);
   (* An edit inside the closure — the nested group eng, reachable from
      the ACL-named staff — fails closed. *)
   Principal.Db.remove_member w.db w.eng (Principal.Ind w.alice);
   check "nested-group edit revokes" false
-    (Kernel.certificate_admits w.kernel ~caller:"front" ~subject:w.alice_sub fetch);
-  (* The call still serves (alice keeps access through... no — alice
-     left staff's closure, so the checked path now denies Execute on
-     the staff-gated store; either way the answer comes from the
-     monitor, audited). *)
+    (Kernel.certificate_admits w.kernel ~caller:"relay" ~subject:w.alice_sub store);
+  (* alice left staff's closure, so the checked path now denies
+     Execute on the staff-gated store: the answer comes from the
+     monitor, audited. *)
   let denied0 = Audit.denied_total (Reference_monitor.audit (Kernel.monitor w.kernel)) in
-  (match Kernel.call w.kernel ~subject:w.alice_sub ~caller:"front" store [] with
+  (match Linker.Linked.call w.relay ~subject:w.alice_sub store [] with
   | Error (Service.Denied _) -> ()
   | Ok _ -> Alcotest.fail "stale certificate granted after covered edit"
   | Error e -> Alcotest.failf "unexpected: %s" (Service.error_to_string e));

@@ -214,9 +214,9 @@ let test_linker_preminted_chain () =
   (match Linker.Linked.call_chain a fetch [] with
   | Error (Service.Unresolved _) -> ()
   | _ -> Alcotest.fail "direct import served from the chain table");
-  (* The whole nested chain runs without a single monitor entry even
-     under recheck_calls: outer fetch via a's certificate, inner get
-     via the same certificate (nested calls keep the caller's name). *)
+  (* The outer fetch is served from a's proved import handle, with no
+     monitor entry; the inner get goes through ctx.call, which is the
+     checked Kernel.call — audited exactly like a direct call. *)
   let total () = Audit.total (Reference_monitor.audit (Kernel.monitor kernel)) in
   (match Linker.Linked.call a ~subject:alice_sub fetch [] with
   | Ok (Value.Int 7) -> ()
@@ -226,7 +226,10 @@ let test_linker_preminted_chain () =
   (match Linker.Linked.call a ~subject:alice_sub fetch [] with
   | Ok (Value.Int 7) -> ()
   | _ -> Alcotest.fail "relay broke");
-  Alcotest.(check int) "no audit across the certified chain" t0 (total ())
+  let relay_records = total () - t0 in
+  let t1 = total () in
+  ignore (Kernel.call kernel ~subject:alice_sub ~caller:"a" store []);
+  Alcotest.(check int) "only the nested hop is audited" (total () - t1) relay_records
 
 (* {1 The twin-kernel differential oracle} *)
 

@@ -370,6 +370,57 @@ let test_unload_revokes_import_handles () =
     (is_use_after_close (Linker.Linked.call_import linked ping []));
   check "table empty again" true ((Kernel.handle_stats kernel).Handle.hs_live = 0)
 
+(* {1 Removal retires the target}
+
+   A handle pins the node it was minted on.  Removing that node touches
+   its metadata, so the grant goes stale and the next call re-resolves:
+   it answers exactly what a call by path answers, never the removed
+   procedure. *)
+
+let removal_fixture () =
+  let kernel, _ping, _meta, alice = simple_fixture () in
+  let admin_sub = Kernel.admin_subject kernel in
+  let admin = Subject.principal admin_sub in
+  let get = Path.of_string "/svc/get" in
+  let publish tag acl =
+    match
+      Kernel.install_proc kernel ~subject:admin_sub get
+        ~meta:(Meta.make ~owner:admin ~acl (Subject.effective_class alice))
+        (Service.proc "get" 0 (Service.const (Value.str tag)))
+    with
+    | Ok () -> ()
+    | Error e -> failwith (Service.error_to_string e)
+  in
+  let everyone modes = Acl.of_entries [ Acl.allow_all (Acl.Individual admin); Acl.allow Acl.Everyone modes ] in
+  publish "old" (everyone [ Access_mode.List; Access_mode.Execute ]);
+  let h = open_exn kernel ~subject:alice ~caller:"t" get in
+  check "granted before removal" true (Kernel.call_handle kernel h [] = Ok (Value.str "old"));
+  (match Resolver.remove (Kernel.resolver kernel) ~subject:admin_sub get with
+  | Ok () -> ()
+  | Error e -> failwith (Format.asprintf "%a" Resolver.pp_denial e));
+  kernel, alice, get, h, publish, everyone
+
+let test_removed_target_unresolved () =
+  let kernel, alice, get, h, _publish, _everyone = removal_fixture () in
+  (match Kernel.call kernel ~subject:alice ~caller:"t" get [] with
+  | Error (Service.Unresolved _) -> ()
+  | _ -> Alcotest.fail "path call after removal should be Unresolved");
+  match Kernel.call_handle kernel h [] with
+  | Error (Service.Unresolved _) -> ()
+  | Ok _ -> Alcotest.fail "the handle still ran the removed procedure"
+  | Error e -> Alcotest.failf "unexpected: %s" (Service.error_to_string e)
+
+let test_republished_target_denied () =
+  let kernel, alice, get, h, publish, everyone = removal_fixture () in
+  publish "new" (everyone [ Access_mode.List ]);
+  (match Kernel.call kernel ~subject:alice ~caller:"t" get [] with
+  | Error (Service.Denied { mode = Access_mode.Execute; _ }) -> ()
+  | _ -> Alcotest.fail "path call to the republished target should be denied");
+  match Kernel.call_handle kernel h [] with
+  | Error (Service.Denied { mode = Access_mode.Execute; _ }) -> ()
+  | Ok v -> Alcotest.failf "the handle still granted: %a" Value.pp v
+  | Error e -> Alcotest.failf "unexpected: %s" (Service.error_to_string e)
+
 (* {1 Allocation regression}
 
    Same discipline as the compiled-ACL pin: the boxes [Gc.minor_words]
@@ -476,6 +527,10 @@ let suite =
     Alcotest.test_case "revocation rechecks and re-mints" `Quick test_revocation_rechecks;
     Alcotest.test_case "unload revokes import handles" `Quick
       test_unload_revokes_import_handles;
+    Alcotest.test_case "removed target answers Unresolved" `Quick
+      test_removed_target_unresolved;
+    Alcotest.test_case "republished target denies the old handle" `Quick
+      test_republished_target_denied;
     Alcotest.test_case "call_handle allocates nothing" `Quick
       test_call_handle_allocates_nothing;
     Alcotest.test_case "denial mapping deterministic" `Quick

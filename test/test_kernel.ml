@@ -57,12 +57,9 @@ let test_call_checks_execute () =
   in
   let () = ok "install" (Kernel.install_proc kernel ~subject:admin_sub (Path.of_string "/svc/secret") ~meta secret) in
   let alice_sub = Subject.make alice (cls kernel "local" []) in
-  (match Kernel.call kernel ~subject:alice_sub ~caller:"test" (Path.of_string "/svc/secret") [] with
+  match Kernel.call kernel ~subject:alice_sub ~caller:"test" (Path.of_string "/svc/secret") [] with
   | Error (Service.Denied { mode = Access_mode.Execute; _ }) -> ()
-  | _ -> Alcotest.fail "expected execute denial");
-  (* ... unless checking is disabled (link-time-checked fast path). *)
-  let _ = ok "unchecked" (Kernel.call ~checked:false kernel ~subject:alice_sub ~caller:"test" (Path.of_string "/svc/secret") []) in
-  ()
+  | _ -> Alcotest.fail "expected execute denial"
 
 let test_mac_gates_calls () =
   let kernel, admin, alice, _ = boot () in
@@ -266,10 +263,11 @@ let suite =
 
 (* {1 Certified dispatch}
 
-   A certified call invokes the very node its certificate validated.
-   Once the target is replaced at the same path, the path names a node
-   no proof covers: the call must take the checked path, and be denied
-   there when the new node's ACL refuses the caller. *)
+   A certified call through [Linked.call] invokes the very node its
+   certificate validated, from the import handle the proof is recorded
+   on.  Once the target is replaced at the same path, the path names a
+   node no proof covers: the call must take the checked path, and be
+   denied there when the new node's ACL refuses the caller. *)
 
 let test_certified_call_after_replacement () =
   let db = Principal.Db.create () in
@@ -299,15 +297,17 @@ let test_certified_call_after_replacement () =
          ~meta:(Kernel.default_meta kernel ~owner:admin ())
          (proc "old"))
   in
-  (match
-     Linker.link kernel ~subject:alice_sub
-       (Extension.make ~name:"a" ~author:alice ~imports:[ target ] ())
-   with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "link: %s" (Format.asprintf "%a" Linker.pp_link_error e));
+  let linked =
+    match
+      Linker.link kernel ~subject:alice_sub
+        (Extension.make ~name:"a" ~author:alice ~imports:[ target ] ())
+    with
+    | Ok linked -> linked
+    | Error e -> Alcotest.failf "link: %s" (Format.asprintf "%a" Linker.pp_link_error e)
+  in
   check "certified" true (Kernel.certificate_admits kernel ~caller:"a" ~subject:alice_sub target);
   let before = Audit.total audit in
-  let _ = ok "certified call" (Kernel.call kernel ~subject:alice_sub ~caller:"a" target []) in
+  let _ = ok "certified call" (Linker.Linked.call linked ~subject:alice_sub target []) in
   Alcotest.(check int) "the certified call skipped the monitor" before (Audit.total audit);
   (* Replace the target at the same path with a node alice may only
      list. *)
@@ -325,7 +325,7 @@ let test_certified_call_after_replacement () =
   check "the certificate no longer admits" false
     (Kernel.certificate_admits kernel ~caller:"a" ~subject:alice_sub target);
   let denied = Audit.denied_total audit in
-  (match Kernel.call kernel ~subject:alice_sub ~caller:"a" target [] with
+  (match Linker.Linked.call linked ~subject:alice_sub target [] with
   | Error (Service.Denied { mode = Access_mode.Execute; _ }) -> ()
   | Ok _ -> Alcotest.fail "the replacement ran on the old certificate"
   | Error e -> Alcotest.failf "unexpected: %s" (Service.error_to_string e));

@@ -378,3 +378,163 @@ let suite =
       Alcotest.test_case "epoch bump fails chain closed" `Quick
         test_epoch_bump_fails_chain_closed;
     ]
+
+(* {1 Proved import handles}
+
+   [Linked.call] serves every subject its certificate covers from the
+   one import handle minted at link time, under that subject's own
+   identity and class; anything the proof does not cover goes through
+   the checked, audited [Kernel.call]. *)
+
+(* Publish a proc as admin, who may also remove it again. *)
+let publish kernel path entries impl =
+  let admin_sub = Kernel.admin_subject kernel in
+  let admin = Subject.principal admin_sub in
+  let bottom = Security_class.bottom (Kernel.hierarchy kernel) (Kernel.universe kernel) in
+  let acl = Acl.of_entries (Acl.allow_all (Acl.Individual admin) :: entries) in
+  match
+    Kernel.install_proc kernel ~subject:admin_sub path ~meta:(Meta.make ~owner:admin ~acl bottom)
+      (Service.proc "p" 0 impl)
+  with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "publish %a: %s" Path.pp path (Service.error_to_string e)
+
+type proved = {
+  kernel : Kernel.t;
+  linked : Linker.Linked.t;
+  who : Path.t;  (* open to everyone: proved Always_allow *)
+  gated : Path.t;  (* alice only: proved Depends *)
+  alice_sub : Subject.t;
+  bob_sub : Subject.t;  (* covered, at a higher class than alice *)
+  eve_sub : Subject.t;  (* not registered: never covered *)
+}
+
+let boot_proved () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  let alice = Principal.individual "alice" in
+  let bob = Principal.individual "bob" in
+  let eve = Principal.individual "eve" in
+  List.iter (Principal.Db.add_individual db) [ admin; alice; bob; eve ];
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let top = Security_class.top hierarchy universe in
+  let registry = Clearance.create () in
+  Clearance.register registry ~trusted:true admin top;
+  Clearance.register registry alice bottom;
+  Clearance.register registry bob top;
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
+  let who = Path.of_string "/svc/who" and gated = Path.of_string "/svc/gated" in
+  publish kernel who
+    [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ]
+    (fun ctx _ -> Ok (Value.str (Format.asprintf "%a" Subject.pp ctx.Service.subject)));
+  publish kernel gated
+    [
+      Acl.allow (Acl.Individual alice) [ Access_mode.List; Access_mode.Execute ];
+      Acl.allow Acl.Everyone [ Access_mode.List ];
+    ]
+    (Service.const (Value.str "gated"));
+  let alice_sub = Subject.make alice bottom in
+  let linked =
+    ok "link"
+      (Linker.link kernel ~subject:alice_sub
+         (Extension.make ~name:"x" ~author:alice ~imports:[ who; gated ] ()))
+  in
+  {
+    kernel; linked; who; gated; alice_sub; bob_sub = Subject.make bob top;
+    eve_sub = Subject.make eve bottom;
+  }
+
+let audited w = Audit.total (Reference_monitor.audit (Kernel.monitor w.kernel))
+let render subject = Value.str (Format.asprintf "%a" Subject.pp subject)
+let hits () = Exsec_obs.Metrics.value (Exsec_obs.Metrics.counter "handle.hits")
+
+let test_covered_subject_runs_as_itself () =
+  Exsec_obs.Metrics.set_enabled true;
+  let w = boot_proved () in
+  check "who is proved for every session" true
+    (Exsec_analysis.Certificate.verdict_for (Option.get (Linker.Linked.certificate w.linked)) w.who
+    = Some Exsec_analysis.Verdict.Always_allow);
+  let audit0 = audited w and hits0 = hits () in
+  check "bob runs as bob, at his own class" true
+    (Linker.Linked.call w.linked ~subject:w.bob_sub w.who [] = Ok (render w.bob_sub));
+  check "alice runs as alice" true
+    (Linker.Linked.call w.linked ~subject:w.alice_sub w.who [] = Ok (render w.alice_sub));
+  Alcotest.(check int) "no audited decision" audit0 (audited w);
+  Alcotest.(check int) "both served from the import handle" (hits0 + 2) (hits ())
+
+let test_unproved_calls_are_checked () =
+  let w = boot_proved () in
+  let audit0 = audited w in
+  check "eve (not registered) is served" true
+    (Linker.Linked.call w.linked ~subject:w.eve_sub w.who [] = Ok (render w.eve_sub));
+  check "an uncovered subject takes the audited path" true (audited w > audit0);
+  let audit1 = audited w in
+  check "the Depends import is served" true
+    (Linker.Linked.call w.linked ~subject:w.alice_sub w.gated [] = Ok (Value.str "gated"));
+  check "a Depends import takes the audited path" true (audited w > audit1)
+
+let test_revocation_leaves_call_import () =
+  let w = boot_proved () in
+  Kernel.revoke_certificate w.kernel "x";
+  let audit0 = audited w in
+  check "checked call still serves" true
+    (Linker.Linked.call w.linked ~subject:w.alice_sub w.who [] = Ok (render w.alice_sub));
+  check "after revocation Linked.call is checked" true (audited w > audit0);
+  let audit1 = audited w in
+  check "call_import still serves" true
+    (Linker.Linked.call_import w.linked w.who [] = Ok (render w.alice_sub));
+  Alcotest.(check int) "from its monitor-admitted grant" audit1 (audited w)
+
+let test_expiry_ends_proved_dispatch () =
+  let w = boot_proved () in
+  let timed =
+    ok "link y"
+      (Linker.link
+         ~profile:(Exsec_analysis.Certificate.make_profile ~name:"short" ~validity:1 ())
+         w.kernel ~subject:w.alice_sub
+         (Extension.make ~name:"y" ~author:(Subject.principal w.alice_sub) ~imports:[ w.who ] ()))
+  in
+  let audit0 = audited w in
+  check "served before expiry" true
+    (Linker.Linked.call timed ~subject:w.bob_sub w.who [] = Ok (render w.bob_sub));
+  Alcotest.(check int) "from the proved handle" audit0 (audited w);
+  ignore (Kernel.advance_cert_epoch w.kernel);
+  check "served after expiry" true
+    (Linker.Linked.call timed ~subject:w.bob_sub w.who [] = Ok (render w.bob_sub));
+  check "through the audited path" true (audited w > audit0)
+
+(* A proof recorded on a handle must name the node that handle
+   dispatches.  Replace the target behind the import handle, then
+   re-certify: the fresh proof is about the new node, the handle still
+   holds the old one, so the call must not run the old procedure. *)
+let test_proof_names_the_dispatched_node () =
+  let w = boot_proved () in
+  let admin_sub = Kernel.admin_subject w.kernel in
+  (match Resolver.remove (Kernel.resolver w.kernel) ~subject:admin_sub w.who with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "remove: %a" Resolver.pp_denial e);
+  publish w.kernel w.who
+    [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ]
+    (Service.const (Value.str "new"));
+  Kernel.note_certificate w.kernel
+    (Exsec_analysis.Certificate.issue ~monitor:(Kernel.monitor w.kernel)
+       ~registry:(Option.get (Kernel.registry w.kernel))
+       ~namespace:(Kernel.namespace w.kernel) ~extension:"x" ~imports:[ w.who ] ());
+  check "the new node answers" true
+    (Linker.Linked.call w.linked ~subject:w.bob_sub w.who [] = Ok (Value.str "new"))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "covered subject runs as itself" `Quick
+        test_covered_subject_runs_as_itself;
+      Alcotest.test_case "unproved calls are checked" `Quick test_unproved_calls_are_checked;
+      Alcotest.test_case "revocation leaves call_import" `Quick
+        test_revocation_leaves_call_import;
+      Alcotest.test_case "expiry ends the proved dispatch" `Quick
+        test_expiry_ends_proved_dispatch;
+      Alcotest.test_case "proof names the dispatched node" `Quick
+        test_proof_names_the_dispatched_node;
+    ]

@@ -310,7 +310,7 @@ let test_policy_pp () =
   let text = Format.asprintf "%a" Policy.pp Policy.default in
   check "mentions dac" true (String.length text > 0);
   Alcotest.(check string) "default flags"
-    "{dac=true; mac=true; integrity=true; overwrite=strict; recheck_calls=false}" text
+    "{dac=true; mac=true; integrity=true; overwrite=strict}" text
 
 let suite =
   suite
