@@ -25,7 +25,7 @@ let experiments =
     "a4", "ablation: policy-file parse/build throughput", Ablations.a4;
     "a5", "ablation: quota charging overhead", Ablations.a5;
     "a7", "ablation: static analysis; certified vs per-call dispatch", Ablations.a7;
-    "a8", "ablation: compiled ACL path; sharded audit pipeline", Ablations.a8;
+    "a8", "ablation: compiled ACL path; audit ring across domains", Ablations.a8;
     "a9", "ablation: metrics/tracing overhead, instrumented vs noop", Ablations.a9;
     "a10", "ablation: capability-handle dispatch vs certified/checked", Ablations.a10;
     "a11", "ablation: analyze-then-link vs lazy certification (chain proofs)", Ablations.a11;

@@ -13,137 +13,91 @@ type event = {
   decision : Decision.t;
 }
 
-(* The pipeline is sharded so concurrent recording domains do not
-   funnel through one global mutex: each shard carries its own ring,
-   cursor and grant/deny counters behind its own lock, while a single
-   atomic sequence counter orders events across shards.  A record
-   picks its shard by hashing the recording domain and the subject, so
-   one sequential stream (one domain, one subject) lands in one shard,
-   while independent domains take disjoint locks.  Every shard keeps
-   its own newest [capacity] events and reads keep the newest
-   [capacity] of the merge, so retention is exactly the last
-   [capacity] events whatever the shard count. *)
-type shard = {
-  lock : Mutex.t;
-  ring : event option array;
-  mutable cursor : int;  (* events ever appended to this shard *)
-  mutable granted : int;
-  mutable denied : int;
-}
-
+(* One ring indexed by the global sequence number: event [seq] lives in
+   slot [seq mod capacity], so the slot a record writes is fixed by the
+   [fetch_and_add] that numbers it, and no lock or cursor is needed.
+   Each slot is an atomic cell so a write can be a compare-and-set (see
+   [publish]).  Only denials are counted; grants are
+   [next_seq - denied]. *)
 type t = {
-  shards : shard array;
-  capacity : int;  (* events retained, and each shard's ring size *)
-  next_seq : int Atomic.t;
+  ring : event Atomic.t array;
+  capacity : int;
+  next_seq : int Atomic.t;  (* sequence numbers issued *)
+  denied : int Atomic.t;
 }
 
-let create ?(capacity = 4096) ?shards () =
-  if capacity <= 0 then invalid_arg "Audit.create: capacity must be positive";
-  let shard_count =
-    match shards with
-    | Some n when n <= 0 -> invalid_arg "Audit.create: shards must be positive"
-    | Some n -> n
-    | None -> Domain.recommended_domain_count ()
-  in
+(* What an empty slot holds: no sequence number is negative, so no
+   read ever expects it. *)
+let empty =
+  let klass = Security_class.bottom (Level.hierarchy [ "none" ]) (Category.universe []) in
   {
-    shards =
-      Array.init shard_count (fun _ ->
-          {
-            lock = Mutex.create ();
-            ring = Array.make capacity None;
-            cursor = 0;
-            granted = 0;
-            denied = 0;
-          });
-    capacity;
-    next_seq = Atomic.make 0;
+    seq = -1;
+    subject = Subject.make (Principal.individual "none") klass;
+    object_name = "";
+    object_id = -1;
+    object_class = klass;
+    mode = Access_mode.Read;
+    decision = Decision.Denied Decision.Not_an_object;
   }
 
-let shard_count log = Array.length log.shards
+let create ?(capacity = 4096) () =
+  if capacity <= 0 then invalid_arg "Audit.create: capacity must be positive";
+  {
+    ring = Array.init capacity (fun _ -> Atomic.make empty);
+    capacity;
+    next_seq = Atomic.make 0;
+    denied = Atomic.make 0;
+  }
+
 let capacity log = log.capacity
 
-(* Decorrelate with a multiplicative mix: the raw domain id and
-   subject hash are small and clustered. *)
-let shard_of log ~subject =
-  let key =
-    Hashtbl.hash (Principal.individual_name (Subject.principal subject))
-    + (31 * (Domain.self () :> int))
-  in
-  (key * 0x9e3779b1) lsr 16 mod Array.length log.shards
+(* Store [event] unless the slot already holds a newer one.  A plain
+   store is not enough: a writer preempted between taking its number
+   and storing can fall a whole lap behind, and its store would then
+   replace event [seq + capacity] with the older [seq].  No later read
+   expects [seq] in that slot any more, so the newer event would be
+   lost for good.  The window is a few instructions wide, which is why
+   a stress test can pass with a plain store.  Top level and
+   self-recursive, so the retry allocates no closure. *)
+let rec publish cell event =
+  let current = Atomic.get cell in
+  if current.seq < event.seq && not (Atomic.compare_and_set cell current event) then
+    publish cell event
 
 let record log ~subject ~object_name ~object_id ~object_class ~mode decision =
   Metrics.incr m_records;
   let t0 = Metrics.start_timing m_record_ns in
-  (* The sequence stamp and the event record are built before any lock
-     is taken; the critical section is exactly the ring slot and
-     counter writes. *)
   let seq = Atomic.fetch_and_add log.next_seq 1 in
-  let event = { seq; subject; object_name; object_id; object_class; mode; decision } in
-  let shard = log.shards.(shard_of log ~subject) in
-  Mutex.protect shard.lock (fun () ->
-      shard.ring.(shard.cursor mod log.capacity) <- Some event;
-      shard.cursor <- shard.cursor + 1;
-      if Decision.is_granted decision then shard.granted <- shard.granted + 1
-      else shard.denied <- shard.denied + 1);
+  publish log.ring.(seq mod log.capacity)
+    { seq; subject; object_name; object_id; object_class; mode; decision };
+  if not (Decision.is_granted decision) then Atomic.incr log.denied;
   Metrics.stop_timing m_record_ns t0
 
-(* [tail ~count] gathers at most [count] events per shard — each
-   shard's newest are its last, so nothing older than a shard's own
-   newest [count] can survive the global merge — then merges and trims
-   once.  The work is O(shards * count) after the per-shard scans.
-   Capping [count] at [capacity] makes the result exact: an event among
-   the newest [capacity] overall has fewer than [capacity] newer events
-   in its own shard, so its shard still holds it. *)
+(* The window is the newest [count] sequence numbers issued when the
+   read starts.  Walking it newest first and consing yields oldest
+   first; a slot whose event is not the expected number is skipped: it
+   is still being written, or a newer lap has already replaced it. *)
 let tail log ~count =
-  let count = Stdlib.min log.capacity (Stdlib.max 0 count) in
-  if count = 0 then []
-  else begin
-    let collected =
-      Array.fold_left
-        (fun acc shard ->
-          Mutex.protect shard.lock (fun () ->
-              let lo =
-                Stdlib.max (shard.cursor - count)
-                  (Stdlib.max 0 (shard.cursor - log.capacity))
-              in
-              let out = ref acc in
-              for i = shard.cursor - 1 downto lo do
-                match shard.ring.(i mod log.capacity) with
-                | Some event -> out := event :: !out
-                | None -> ()
-              done;
-              !out))
-        [] log.shards
-    in
-    let sorted = List.sort (fun a b -> Int.compare a.seq b.seq) collected in
-    let surplus = List.length sorted - count in
-    if surplus <= 0 then sorted
-    else List.filteri (fun i _ -> i >= surplus) sorted
-  end
+  let next = Atomic.get log.next_seq in
+  let oldest = Stdlib.max 0 (next - Stdlib.min log.capacity (Stdlib.max 0 count)) in
+  let rec gather seq acc =
+    if seq < oldest then acc
+    else begin
+      let event = Atomic.get log.ring.(seq mod log.capacity) in
+      gather (seq - 1) (if event.seq = seq then event :: acc else acc)
+    end
+  in
+  gather (next - 1) []
 
 let events log = tail log ~count:log.capacity
-
-let fold_shards log init f =
-  Array.fold_left
-    (fun acc shard -> Mutex.protect shard.lock (fun () -> f acc shard))
-    init log.shards
-
-let granted_total log = fold_shards log 0 (fun acc shard -> acc + shard.granted)
-let denied_total log = fold_shards log 0 (fun acc shard -> acc + shard.denied)
-
-let total log =
-  fold_shards log 0 (fun acc shard -> acc + shard.granted + shard.denied)
+let total log = Atomic.get log.next_seq
+let denied_total log = Atomic.get log.denied
+let granted_total log = total log - denied_total log
 
 let clear log =
-  Array.iter
-    (fun shard ->
-      Mutex.protect shard.lock (fun () ->
-          Array.fill shard.ring 0 log.capacity None;
-          shard.cursor <- 0;
-          shard.granted <- 0;
-          shard.denied <- 0))
-    log.shards;
-  Atomic.set log.next_seq 0
+  Array.iter (fun cell -> Atomic.set cell empty) log.ring;
+  Atomic.set log.next_seq 0;
+  Atomic.set log.denied 0
 
 let pp_event ppf event =
   Format.fprintf ppf "#%d %a %a %s: %a" event.seq Subject.pp event.subject

@@ -5,16 +5,13 @@
     here; the log keeps a bounded window of recent events plus running
     totals, so long benchmarks do not grow memory without bound.
 
-    The pipeline is {e sharded}: events are spread over per-shard
-    rings (shard key: a hash of the recording domain and the subject),
-    each behind its own mutex, with one shared atomic sequence counter
-    ordering events globally.  Recording domains therefore do not
-    serialize on a single lock — the property the multi-domain scaling
-    benches (A8) measure.  Retention does not depend on the shard
-    count: reads return the newest [capacity] events of the whole log.
-    Totals remain conserved:
-    [granted_total + denied_total] always equals the number of
-    completed {!record} calls. *)
+    The log is one lock-free ring indexed by a global sequence number:
+    a record takes its number from one shared atomic counter, builds
+    its immutable event and stores it in slot [seq mod capacity] with
+    a compare-and-set that never replaces a newer event.  Recording
+    domains share no lock (the property the multi-domain bench A8
+    measures), and reads return the newest [capacity] events
+    whatever the number of domains or the host's cores. *)
 
 type event = {
   seq : int;  (** monotonically increasing event number *)
@@ -28,15 +25,11 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> ?shards:int -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] (default 4096, must be > 0) is the number of events
-    the log retains: {!events} returns the newest [capacity] recorded,
-    across all shards.  Each shard's ring holds its own newest
-    [capacity], which is what makes that exact.  [shards] defaults to
-    the runtime-recognized domain count and must be positive; it
-    changes lock contention, never what is retained. *)
+    the log retains: {!events} returns the newest [capacity]
+    recorded. *)
 
-val shard_count : t -> int
 val capacity : t -> int
 (** The number of events retained. *)
 
@@ -49,25 +42,37 @@ val record :
   mode:Access_mode.t ->
   Decision.t ->
   unit
-(** Stamp the event from the shared sequence counter, build it outside
-    any critical section, then append it to its shard under that
-    shard's lock (ring slot + counters only). *)
+(** Number the event from the shared sequence counter and store it in
+    its ring slot: one atomic add, one 8-word event and one
+    compare-and-set, plus one more atomic add for a denial.  No lock
+    is taken.  A writer that falls a whole lap behind leaves the newer
+    event in its slot, so its own event is not retained. *)
 
 val events : t -> event list
-(** The newest [capacity] events (fewer while fewer were recorded),
-    merged across shards on the global sequence number, oldest
-    first. *)
+(** The newest [capacity] events, oldest first: [tail ~count:capacity]. *)
 
 val tail : t -> count:int -> event list
-(** The newest [count] retained events, oldest first — equal to the
-    last [count] elements of {!events} but gathering only [count]
-    events per shard before the merge.  Negative counts are treated as
-    0; counts above [capacity] as [capacity]. *)
+(** The retained events among the newest [count] sequence numbers
+    issued when the call starts, oldest first.  Negative counts are
+    treated as 0; counts above [capacity] as [capacity].
+
+    When no domain is recording, this is exactly the newest
+    [min count capacity] events.  While domains record, slots still
+    being written are skipped; an event is never returned twice or out
+    of [seq] order. *)
+
+val total : t -> int
+(** Sequence numbers issued: every {!record} call begun. *)
+
+val denied_total : t -> int
 
 val granted_total : t -> int
-val denied_total : t -> int
-val total : t -> int
+(** [total - denied_total].  The three totals are exact whenever no
+    {!record} is in flight (for example after [Domain.join]); until
+    then a denial still in flight reads as a grant. *)
+
 val clear : t -> unit
-(** Forget retained events and totals. *)
+(** Forget retained events and totals.  Safe only when no domain is
+    recording. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -30,13 +30,8 @@ type t = {
   audit : Audit.t;
 }
 
-let create ?(policy = Policy.default) ?audit_capacity ?audit_shards db =
-  {
-    db;
-    policy;
-    policy_epoch = Atomic.make 0;
-    audit = Audit.create ?capacity:audit_capacity ?shards:audit_shards ();
-  }
+let create ?(policy = Policy.default) ?audit_capacity db =
+  { db; policy; policy_epoch = Atomic.make 0; audit = Audit.create ?capacity:audit_capacity () }
 
 let db monitor = monitor.db
 let policy monitor = monitor.policy

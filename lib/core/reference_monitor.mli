@@ -15,11 +15,10 @@ exception Access_denied of {
 
 type t
 
-val create :
-  ?policy:Policy.t -> ?audit_capacity:int -> ?audit_shards:int -> Principal.Db.t -> t
+val create : ?policy:Policy.t -> ?audit_capacity:int -> Principal.Db.t -> t
 (** A monitor over the given principal database.  [policy] defaults to
-    {!Policy.default}.  [audit_capacity]/[audit_shards] size the
-    sharded audit pipeline ({!Audit.create}).
+    {!Policy.default}.  [audit_capacity] sizes the audit ring
+    ({!Audit.create}).
 
     Discretionary decisions run on the compiled ACL path: each
     object's ACL is compiled to flat mode-mask arrays over interned
@@ -29,9 +28,10 @@ val create :
     integrity afresh, and the grant path allocates nothing.
 
     The monitor is safe to share across OCaml 5 domains: the audit
-    pipeline takes one per-shard mutex per record, and the generation
-    counters are atomic with a data-then-generation publication order
-    (DESIGN.md, "Concurrency model").  Registering {e new} principals
+    ring takes no lock (one atomic add and one compare-and-set per
+    record), and the generation counters are atomic with a
+    data-then-generation publication order (DESIGN.md, "Concurrency
+    model").  Registering {e new} principals
     or groups in the database remains a setup-time operation. *)
 
 val db : t -> Principal.Db.t

@@ -137,9 +137,8 @@ let default_meta kernel ~owner ?klass ?(callable = true) () =
 
 let error_of_denial = Service.error_of_denial
 
-let boot ?policy ?audit_capacity ?audit_shards ?registry ~db ~admin ~hierarchy ~universe
-    () =
-  let monitor = Reference_monitor.create ?policy ?audit_capacity ?audit_shards db in
+let boot ?policy ?audit_capacity ?registry ~db ~admin ~hierarchy ~universe () =
+  let monitor = Reference_monitor.create ?policy ?audit_capacity db in
   let bottom = Security_class.bottom hierarchy universe in
   let dir_acl =
     Acl.of_entries [ Acl.allow_all (Acl.Individual admin); Acl.allow Acl.Everyone [ Access_mode.List ] ]

@@ -30,7 +30,6 @@ type t
 val boot :
   ?policy:Policy.t ->
   ?audit_capacity:int ->
-  ?audit_shards:int ->
   ?registry:Clearance.t ->
   db:Principal.Db.t ->
   admin:Principal.individual ->
@@ -40,9 +39,8 @@ val boot :
   t
 (** Create a kernel.  [admin] owns the root of the name space and the
     standard directories; every principal can traverse ([List]) them.
-    [audit_capacity]/[audit_shards] are passed to
-    {!Reference_monitor.create}: the audit pipeline's sharding can be
-    pinned for contention studies (bench a8).  [registry] is the deployment's clearance registry;
+    [audit_capacity] is passed to {!Reference_monitor.create}.
+    [registry] is the deployment's clearance registry;
     supplying it lets the linker issue link-time certificates
     ({!Exsec_analysis.Certificate}) that mint handles. *)
 

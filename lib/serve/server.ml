@@ -144,6 +144,10 @@ type session = {
   mutable next_handle : int;
 }
 
+(* A connection's table holds at most this many open handles, so one
+   client cannot grow the kernel's live handles without bound. *)
+let max_handles = 1024
+
 let body_of_result = function
   | Ok value -> Wire.Value value
   | Error (Service.Quota_exceeded why) ->
@@ -190,6 +194,13 @@ let exec server session (op : Wire.op) : Wire.body =
   | Wire.Call { path; args } ->
     with_path path @@ fun path ->
     body_of_result (Kernel.call kernel ~subject ~caller:session.caller path args)
+  | Wire.Open_handle _ when Hashtbl.length session.handles >= max_handles ->
+    (* A refusal, not [Busy]: waiting frees no slot, only a
+       [Close_handle] on this connection does. *)
+    Metrics.incr m_request_errors;
+    Wire.Error
+      (Wire.Quota_exceeded
+         (Printf.sprintf "%d handles open on this connection" max_handles))
   | Wire.Open_handle { path } ->
     with_path path @@ fun path -> (
       match Kernel.open_handle kernel ~subject ~caller:session.caller path with

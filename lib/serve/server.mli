@@ -20,8 +20,11 @@
       answered with a clean {!Wire.Busy} and the connection kept open —
       never a dropped socket;
     + scopes capability handles to the connection: wire handle ids
-      index a per-connection table, and every handle still open when
-      the connection ends is closed (capability revocation on
+      index a per-connection table of at most 1,024 open handles (an
+      [Open_handle] beyond it is refused with
+      [Wire.Error (Quota_exceeded _)] and mints nothing; closing a
+      handle frees its slot), and every handle still open when the
+      connection ends is closed (capability revocation on
       disconnect).
 
     Instrumentation (all through {!Exsec_obs.Metrics}, so it shows in

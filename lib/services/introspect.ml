@@ -25,9 +25,8 @@ let audit_totals_impl kernel _ctx _args =
 
 let audit_tail_impl kernel _ctx args =
   (* Negative counts clamp to 0 (empty tail) rather than leaking the
-     whole log, and [Audit.tail] gathers only the requested window per
-     shard instead of materializing and double-traversing the full
-     merged list as the first version did. *)
+     whole log, and [Audit.tail] reads only the requested window of
+     the ring instead of materializing the whole log. *)
   let count =
     match args with
     | [ Value.Int n ] -> Stdlib.max 0 n

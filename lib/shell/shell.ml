@@ -387,9 +387,7 @@ let cmd_kill t id_string =
 
 let cmd_audit t count =
   let audit = Reference_monitor.audit (Kernel.monitor t.kernel) in
-  let events = Audit.events audit in
-  let keep = Stdlib.max 0 (List.length events - count) in
-  let tail = List.filteri (fun i _ -> i >= keep) events in
+  let tail = Audit.tail audit ~count in
   Format.asprintf "%d granted, %d denied; last %d:@.%s" (Audit.granted_total audit)
     (Audit.denied_total audit) (List.length tail)
     (String.concat "\n" (List.map (fun e -> Format.asprintf "  %a" Audit.pp_event e) tail))

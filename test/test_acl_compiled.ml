@@ -335,6 +335,30 @@ let test_decide_allocates_nothing () =
   let measured = minor_delta run in
   Alcotest.(check (float 0.)) "decide grant words" baseline measured
 
+let test_check_allocates_one_event () =
+  (* The audited grant: [decide] allocates nothing, and the audit
+     record is one 8-word event (seven fields and a header) stored in a
+     preallocated ring slot, with no lock closure and no option box. *)
+  let db, alice, _, _, staff, _ = fixture () in
+  let monitor = Reference_monitor.create db in
+  let acl = Acl.of_entries [ Acl.allow (Acl.Group staff) [ Access_mode.Read ] ] in
+  let klass = bottom () in
+  let meta = Meta.make ~owner:alice ~acl klass in
+  let subject = Subject.make alice klass in
+  let calls = 10_000 in
+  let run () =
+    for _ = 1 to calls do
+      ignore
+        (Reference_monitor.check monitor ~subject ~meta ~object_name:"/o"
+           ~mode:Access_mode.Read)
+    done
+  in
+  run ();
+  let baseline = minor_delta (fun () -> ()) in
+  let per_call = (minor_delta run -. baseline) /. float_of_int calls in
+  check (Printf.sprintf "audited grant words per call (%.2f) <= 8" per_call) true
+    (per_call <= 8.)
+
 (* Every word allocated, on either heap.  A population-sized array is
    allocated straight on the major heap, which [Gc.minor_words] does
    not see; it shows in the major words not promoted from the minor
@@ -426,6 +450,8 @@ let suite =
     Alcotest.test_case "snapshot validity" `Quick test_snapshot_validity;
     Alcotest.test_case "check allocates nothing" `Quick test_check_allocates_nothing;
     Alcotest.test_case "decide allocates nothing" `Quick test_decide_allocates_nothing;
+    Alcotest.test_case "audited check allocates one event" `Quick
+      test_check_allocates_one_event;
     Alcotest.test_case "compile allocation ignores population" `Quick
       test_compile_allocation_ignores_population;
     Alcotest.test_case "refresh allocation tracks the edit" `Quick

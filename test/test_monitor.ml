@@ -262,17 +262,16 @@ let test_audit_exact_capacity () =
   Alcotest.(check (list string)) "oldest dropped" [ "o2"; "o3"; "o4" ]
     (List.map (fun e -> e.Audit.object_name) (Audit.events log))
 
-let test_audit_capacity_across_shards () =
-  (* Retention is [capacity] events of the whole log, not per shard:
-     six subjects spread their records over four shards, and only the
-     eight newest by sequence number survive, whatever the host's core
-     count. *)
+let test_audit_capacity_interleaved () =
+  (* Retention is [capacity] events of the whole log, not per subject:
+     six subjects interleave their records, and only the eight newest
+     by sequence number survive, whatever the host's core count. *)
   let hierarchy, universe, _, _, _ = setup () in
   let klass = cls hierarchy universe "high" [] in
   let subjects =
     Array.init 6 (fun i -> Subject.make (Principal.individual (Printf.sprintf "s%d" i)) klass)
   in
-  let log = Audit.create ~capacity:8 ~shards:4 () in
+  let log = Audit.create ~capacity:8 () in
   for i = 0 to 39 do
     Audit.record log ~subject:subjects.(i mod 6) ~object_name:(Printf.sprintf "o%d" i)
       ~object_id:i ~object_class:klass ~mode:Access_mode.Read Decision.Granted
@@ -316,8 +315,8 @@ let suite =
   suite
   @ [
       Alcotest.test_case "audit exact capacity" `Quick test_audit_exact_capacity;
-      Alcotest.test_case "audit capacity across shards" `Quick
-        test_audit_capacity_across_shards;
+      Alcotest.test_case "audit capacity with interleaved subjects" `Quick
+        test_audit_capacity_interleaved;
       Alcotest.test_case "decision equal" `Quick test_decision_equal;
       Alcotest.test_case "policy pp" `Quick test_policy_pp;
     ]

@@ -357,6 +357,81 @@ let test_audit_totals_parallel () =
   Alcotest.(check int) "granted half" (domains * per_domain / 2) (Audit.granted_total audit);
   Alcotest.(check int) "ring keeps capacity" 64 (List.length (Audit.events audit))
 
+(* Four writers lap a ring of 2 (or 4) slots a thousand times per
+   round while the test domain polls [tail].  After each round the ring
+   holds exactly the newest [capacity] sequence numbers; during
+   recording every tail is strictly increasing, so no event is returned
+   twice or out of order.  The writer domains are spawned once and
+   started round by round, since spawning dominates a round's cost. *)
+let test_audit_ring_laps () =
+  let writers = 4 in
+  let per_writer = 2_000 in
+  let rounds = 200 in
+  let owner = Principal.individual "owner" in
+  let bottom =
+    Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe [])
+  in
+  let subject = Subject.make owner bottom in
+  let lock = Mutex.create () in
+  let started = Condition.create () in
+  let round = ref 0 in
+  let log = ref (Audit.create ()) in
+  let writing = Atomic.make 0 in
+  let writer () =
+    for r = 1 to rounds do
+      let audit =
+        Mutex.protect lock (fun () ->
+            while !round < r do
+              Condition.wait started lock
+            done;
+            !log)
+      in
+      for i = 1 to per_writer do
+        Audit.record audit ~subject ~object_name:"o" ~object_id:i ~object_class:bottom
+          ~mode:Access_mode.Read Decision.Granted
+      done;
+      Atomic.decr writing
+    done
+  in
+  let domains = List.init writers (fun _ -> Domain.spawn writer) in
+  let seqs events = List.map (fun e -> e.Audit.seq) events in
+  let rec increasing = function
+    | a :: (b :: _ as rest) -> a < b && increasing rest
+    | [ _ ] | [] -> true
+  in
+  let total = writers * per_writer in
+  (* Failures are collected, not raised, so the writers always finish
+     their rounds and join. *)
+  let problems = ref [] in
+  let note fmt = Printf.ksprintf (fun problem -> problems := problem :: !problems) fmt in
+  let show seqs = String.concat "; " (List.map string_of_int seqs) in
+  let expect label expected got =
+    if expected <> got then note "%s: expected [%s], got [%s]" label (show expected) (show got)
+  in
+  for r = 1 to rounds do
+    let capacity = if r land 1 = 0 then 2 else 4 in
+    let audit = Audit.create ~capacity () in
+    Atomic.set writing writers;
+    Mutex.protect lock (fun () ->
+        log := audit;
+        round := r;
+        Condition.broadcast started);
+    while Atomic.get writing > 0 do
+      let seen = seqs (Audit.tail audit ~count:capacity) in
+      if not (increasing seen && List.length seen <= capacity) then
+        note "round %d: polled tail [%s]" r (show seen)
+    done;
+    expect
+      (Printf.sprintf "round %d: events" r)
+      (List.init capacity (fun i -> total - capacity + i))
+      (seqs (Audit.events audit));
+    expect (Printf.sprintf "round %d: tail of 1" r) [ total - 1 ]
+      (seqs (Audit.tail audit ~count:1));
+    expect (Printf.sprintf "round %d: total" r) [ total ] [ Audit.total audit ]
+  done;
+  List.iter Domain.join domains;
+  Alcotest.(check (list string)) "no ring violation" [] (List.rev !problems)
+
 let suite =
   [
     Alcotest.test_case "stress: readers vs mutator" `Quick test_stress_readers_vs_mutator;
@@ -366,4 +441,5 @@ let suite =
       test_fresh_ids_unique_across_domains;
     Alcotest.test_case "audit totals conserved across domains" `Quick
       test_audit_totals_parallel;
+    Alcotest.test_case "audit ring laps under domains" `Quick test_audit_ring_laps;
   ]

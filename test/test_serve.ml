@@ -318,6 +318,73 @@ let test_handles_scoped_to_connection () =
   b.Transport.close ();
   Server.stop server
 
+(* {1 The per-connection handle table is capped} *)
+
+let test_handle_table_capped () =
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let counter name =
+    match List.assoc_opt name (Metrics.snapshot ()).Metrics.counters with
+    | Some v -> v
+    | None -> 0
+  in
+  let requests0 = counter "serve.requests" in
+  let responses0 = counter "serve.responses" in
+  let scenario, endpoint, server = scenario_world () in
+  let kernel = scenario.Scenario.kernel in
+  (match
+     Memfs.install_service scenario.Scenario.fs ~subject:(Kernel.admin_subject kernel)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "install /svc/fs: %s" (Service.error_to_string e));
+  let conn = Transport.Loopback.connect endpoint in
+  expect_hello_ok "user hello" (hello conn user_creds).Wire.body;
+  let seq = ref 1 in
+  let op op =
+    incr seq;
+    (rpc conn (Wire.Op { seq = !seq; op })).Wire.body
+  in
+  let open_handle () = op (Wire.Open_handle { path = "/svc/fs/read" }) in
+  let cap = 1_024 in
+  let ids =
+    List.init cap (fun i ->
+        match open_handle () with
+        | Wire.Value (Value.Int id) -> id
+        | other -> Alcotest.failf "open_handle %d refused: %a" i Wire.pp_body other)
+  in
+  let live () = (Kernel.handle_stats kernel).Handle.hs_live in
+  let live_at_cap = live () in
+  (* At the cap: a typed refusal, not Busy (waiting frees no slot),
+     and no kernel handle minted. *)
+  for _ = 1 to 3 do
+    match open_handle () with
+    | Wire.Error (Wire.Quota_exceeded _) -> ()
+    | other -> Alcotest.failf "open_handle past the cap answered %a" Wire.pp_body other
+  done;
+  Alcotest.(check int) "refusals mint nothing" live_at_cap (live ());
+  (* The handles already open still serve. *)
+  (match op (Wire.Call_handle { handle = List.hd ids; args = [ Value.str "user-data" ] }) with
+  | Wire.Value (Value.Str _) -> ()
+  | other -> Alcotest.failf "call_handle at the cap: %a" Wire.pp_body other);
+  (* Closing a handle frees a slot. *)
+  (match op (Wire.Close_handle { handle = List.hd ids }) with
+  | Wire.Value (Value.Bool true) -> ()
+  | other -> Alcotest.failf "close_handle: %a" Wire.pp_body other);
+  (match open_handle () with
+  | Wire.Value (Value.Int _) -> ()
+  | other -> Alcotest.failf "open_handle after a close: %a" Wire.pp_body other);
+  (match open_handle () with
+  | Wire.Error (Wire.Quota_exceeded _) -> ()
+  | other -> Alcotest.failf "slot reused twice: %a" Wire.pp_body other);
+  conn.Transport.close ();
+  Server.stop server;
+  Alcotest.(check int) "disconnect closes every handle" (live_at_cap - cap) (live ());
+  Alcotest.(check int) "serve.requests = serve.responses"
+    (counter "serve.requests" - requests0)
+    (counter "serve.responses" - responses0);
+  Alcotest.(check int) "every op counted" (!seq - 1) (counter "serve.requests" - requests0);
+  Metrics.set_enabled was_enabled
+
 (* {1 Concurrent clients: exact conservation} *)
 
 let test_concurrent_clients_conserve () =
@@ -464,6 +531,7 @@ let suite =
     Alcotest.test_case "denial mapping" `Quick test_denial_mapping;
     Alcotest.test_case "quota backpressure" `Quick test_quota_backpressure;
     Alcotest.test_case "handles connection-scoped" `Quick test_handles_scoped_to_connection;
+    Alcotest.test_case "handle table capped" `Quick test_handle_table_capped;
     Alcotest.test_case "concurrent clients conserve" `Quick test_concurrent_clients_conserve;
     Alcotest.test_case "concurrent appends conserve" `Quick test_concurrent_appends_conserve;
     Alcotest.test_case "stop closes idle connections" `Quick test_stop_with_idle_connections;
