@@ -42,9 +42,8 @@ let fixture () =
   let dhier, duni = Gen.lattice ~levels:33 ~categories:0 in
   let dlevels = Array.of_list (Level.names dhier) in
   let dispatcher = Dispatcher.create () in
-  let event = Path.of_string "/svc/e" in
   for i = 0 to 31 do
-    Dispatcher.register dispatcher ~event
+    Dispatcher.register dispatcher
       {
         Dispatcher.owner = Printf.sprintf "ext%d" i;
         klass = Security_class.make (Level.of_name_exn dhier dlevels.(i + 1)) (Category.empty duni);
@@ -54,7 +53,7 @@ let fixture () =
   done;
   let caller_class = Security_class.top dhier duni in
   ( db, hierarchy, universe, subject, principal, acl64, acl_first, monitor, meta,
-    resolver, leaf8, dispatcher, event, caller_class )
+    resolver, leaf8, dispatcher, caller_class )
 
 let kernel_fixture () =
   let db = Principal.Db.create () in
@@ -100,7 +99,7 @@ let kernel_fixture () =
 
 let tests () =
   let ( db, hierarchy, universe, subject, principal, acl64, acl_first, monitor, meta,
-        resolver, leaf8, dispatcher, event, caller_class ) =
+        resolver, leaf8, dispatcher, caller_class ) =
     fixture ()
   in
   let fixture_bottom = Security_class.bottom hierarchy universe in
@@ -131,7 +130,7 @@ let tests () =
       (Staged.stage (fun () ->
            Resolver.resolve resolver ~subject ~mode:Access_mode.Read leaf8));
     Test.make ~name:"dispatcher/select-of-32"
-      (Staged.stage (fun () -> Dispatcher.select dispatcher ~event ~caller_class ~args:[]));
+      (Staged.stage (fun () -> Dispatcher.select dispatcher ~caller_class ~args:[]));
     Test.make ~name:"kernel/checked-call"
       (Staged.stage (fun () -> Kernel.call kernel ~subject:alice_sub ~caller:"b" ping []));
     Test.make ~name:"linker/call-linktime"

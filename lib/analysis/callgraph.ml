@@ -9,8 +9,6 @@ type edge = {
   src : string;
   dst : string;
   site : site option;
-  cap : Security_class.t option;
-  rebinds_caller : bool;
 }
 
 type entry = {
@@ -29,13 +27,10 @@ let code_node name = "code:" ^ name
 let site_node path = Path.to_string path
 let principal_node p = "principal:" ^ Principal.individual_name p
 
-let call_edge ?cap ~src ~target ~chain () =
-  { src; dst = site_node target; site = Some { target; chain }; cap; rebinds_caller = false }
+let call_edge ~src ~target ~chain =
+  { src; dst = site_node target; site = Some { target; chain } }
 
-let transfer_edge ?cap ?(rebinds_caller = false) ~src ~dst () =
-  { src; dst; site = None; cap; rebinds_caller }
-
-let filter_edges keep g = { g with edges = List.filter keep g.edges }
+let transfer_edge ~src ~dst = { src; dst; site = None }
 let with_entries g entries = { g with entries }
 
 (* [a] strictly above [b] in the tree, by rendered path. *)
@@ -84,13 +79,13 @@ let of_objects ~registry ~objects =
         let chain = declared_chain path meta in
         let direct =
           List.map
-            (fun p -> call_edge ~src:(principal_node p) ~target ~chain ())
+            (fun p -> call_edge ~src:(principal_node p) ~target ~chain)
             principals
         in
         let nested =
           match nearest_callable_ancestor path with
           | Some parent ->
-            [ call_edge ~src:(site_node (Path.of_string parent)) ~target ~chain () ]
+            [ call_edge ~src:(site_node (Path.of_string parent)) ~target ~chain ]
           | None -> []
         in
         direct @ nested)

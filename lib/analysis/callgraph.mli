@@ -8,9 +8,9 @@
     resolution of that path).  Edges are either {e call sites} (the
     monitor checks [List] along the recorded chain and [Execute] on
     the target) or silent {e control transfers} (entering the code a
-    site dispatches to); both may carry a static-class {e cap} that is
-    met into the travelling context's ceiling, exactly as
-    [Subject.with_ceiling] caps the live subject.
+    site dispatches to).  Neither changes the travelling context's
+    static ceiling: a provided procedure runs under its caller's
+    subject unchanged, so the ceiling is the one its entry set.
 
     The graph is deliberately built from core types only ([Path],
     [Meta], [Security_class]) so it can describe both a parsed policy
@@ -31,19 +31,13 @@ type edge = {
   src : string;
   dst : string;
   site : site option;  (** [Some] = monitor-checked call; [None] = transfer *)
-  cap : Security_class.t option;
-      (** static ceiling met into the context crossing this edge *)
-  rebinds_caller : bool;
-      (** the transfer changes the calling code unit's identity (event
-          dispatch runs the handler under the {e handler's} name), so
-          certificates minted for the original caller stop applying
-          past this edge *)
 }
 
 type entry = {
   entry_principal : Principal.individual;
   entry_node : string;
   entry_cap : Security_class.t option;
+      (** the static ceiling every context from this entry carries *)
 }
 
 type t = {
@@ -62,16 +56,11 @@ val site_node : Path.t -> string
 val principal_node : Principal.individual -> string
 (** Node id for a principal's own thread of control. *)
 
-val call_edge :
-  ?cap:Security_class.t -> src:string -> target:Path.t -> chain:Meta.t list ->
-  unit -> edge
+val call_edge : src:string -> target:Path.t -> chain:Meta.t list -> edge
 (** A monitor-checked call from [src] to [site_node target]. *)
 
-val transfer_edge :
-  ?cap:Security_class.t -> ?rebinds_caller:bool -> src:string -> dst:string ->
-  unit -> edge
-
-val filter_edges : (edge -> bool) -> t -> t
+val transfer_edge : src:string -> dst:string -> edge
+(** Control entering [dst] from [src] without a check. *)
 
 val with_entries : t -> entry list -> t
 

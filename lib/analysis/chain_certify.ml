@@ -31,11 +31,6 @@ let cap_key = function
   | None -> "-"
   | Some klass -> Format.asprintf "%a" Security_class.pp klass
 
-let meet_cap cap edge_cap =
-  match cap, edge_cap with
-  | None, c | c, None -> c
-  | Some a, Some b -> Some (Security_class.meet a b)
-
 let same_context p cap p' cap' =
   Principal.equal_individual p p' && Option.equal Security_class.equal cap cap'
 
@@ -56,8 +51,8 @@ let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
       Hashtbl.replace out e.Callgraph.src (e :: sofar))
     g.Callgraph.edges;
   (* The worklist fixpoint: the set of (principal, ceiling) contexts at
-     each node only ever grows, caps come from meets over the finite
-     set of class constants on the edges, so it converges. *)
+     each node only ever grows, and every ceiling is an entry's, so it
+     converges. *)
   let contexts :
       (string, (Principal.individual * Security_class.t option) list) Hashtbl.t =
     Hashtbl.create 64
@@ -119,16 +114,15 @@ let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
       (fun (edge : Callgraph.edge) ->
         List.iter
           (fun (p, cap) ->
-            let cap' = meet_cap cap edge.Callgraph.cap in
             match edge.Callgraph.site with
-            | None -> add_context edge.Callgraph.dst p cap'
+            | None -> add_context edge.Callgraph.dst p cap
             | Some site ->
-              let verdict = verdict_for site p cap' in
-              record (Path.to_string site.Callgraph.target) p cap' verdict;
+              let verdict = verdict_for site p cap in
+              record (Path.to_string site.Callgraph.target) p cap verdict;
               (* A provably dead edge transmits no control: nothing
                  past it is reachable through this chain. *)
               if not (Verdict.equal verdict Verdict.Always_deny) then
-                add_context edge.Callgraph.dst p cap')
+                add_context edge.Callgraph.dst p cap)
           ctxs)
       (Option.value ~default:[] (Hashtbl.find_opt out node))
   done;

@@ -6,15 +6,15 @@
     ever exercise), or {e runtime dependent}.
 
     A {e context} is what the monitor would see arriving at a node:
-    the principal on whose behalf control runs and the accumulated
-    static ceiling — the meet of every cap crossed so far, exactly the
-    ceiling [Subject.with_ceiling] would have imposed on the live
-    subject (after Banerjee & Naumann, contexts play the role of the
-    static approximation of the dynamic stack).  Propagation starts
-    from the graph's entries and crosses a call site only when the
-    per-edge verdict ({!Certify.prove_path} under the context's
-    ceiling) is not [Always_deny]; meets over a finite set of class
-    constants give a finite context space, so the worklist terminates.
+    the principal on whose behalf control runs and the static ceiling
+    its entry set, exactly the ceiling [Subject.with_ceiling] would have
+    imposed on the live subject (after Banerjee & Naumann, contexts play
+    the role of the static approximation of the dynamic stack).
+    Propagation starts from the graph's entries and crosses a call site
+    only when the per-edge verdict ({!Certify.prove_path} under the
+    context's ceiling) is not [Always_deny]; there are finitely many
+    entries, so the context space is finite and the worklist
+    terminates.
 
     Classification aggregates every context reaching a site:
     all-[Always_allow] is {e redundant} (the linker may pre-mint a
@@ -41,7 +41,7 @@ val classification_to_string : classification -> string
 
 type context = {
   cx_principal : Principal.individual;
-  cx_cap : Security_class.t option;  (** accumulated static ceiling *)
+  cx_cap : Security_class.t option;  (** the entry's static ceiling *)
   cx_verdict : Verdict.t;  (** the site's verdict under this context *)
 }
 

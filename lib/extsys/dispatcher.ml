@@ -7,93 +7,62 @@ type handler = {
   impl : Service.impl;
 }
 
-type t = { table : (string, handler list ref) Hashtbl.t }
-(* Keyed by the rendered path; values keep registration order. *)
+(* One event's handlers in dispatch order.  The array is never mutated:
+   every change builds a new one and swaps it in whole, so a raise on
+   another domain sees either the old set or the new one. *)
+type t = { mutable handlers : handler array }
 
-let create () = { table = Hashtbl.create 16 }
+let create () = { handlers = [||] }
 
-let key event = Path.to_string event
+(* [a] goes before [b]: higher level first, then more categories.
+   Strict dominance raises the level or adds a category, so this order
+   extends it, and it compares two handlers by their own classes alone. *)
+let precedes a b =
+  let la = Level.rank a.klass.Security_class.level
+  and lb = Level.rank b.klass.Security_class.level in
+  la > lb
+  || la = lb
+     && Category.cardinal a.klass.Security_class.categories
+        > Category.cardinal b.klass.Security_class.categories
 
-let register d ~event handler =
-  let k = key event in
-  match Hashtbl.find_opt d.table k with
-  | Some slot -> slot := !slot @ [ handler ]
-  | None -> Hashtbl.add d.table k (ref [ handler ])
+(* After every handler it does not precede: equals keep registration
+   order. *)
+let register d handler =
+  let old = d.handlers in
+  let n = Array.length old in
+  let rec slot i = if i < n && not (precedes handler old.(i)) then slot (i + 1) else i in
+  let at = slot 0 in
+  d.handlers <-
+    Array.init (n + 1) (fun i ->
+        if i < at then old.(i) else if i = at then handler else old.(i - 1))
 
 let unregister_owner d owner =
-  Hashtbl.iter
-    (fun _ slot -> slot := List.filter (fun h -> not (String.equal h.owner owner)) !slot)
-    d.table
+  d.handlers <-
+    Array.of_list
+      (List.filter (fun h -> not (String.equal h.owner owner)) (Array.to_list d.handlers))
 
-let handlers d ~event =
-  match Hashtbl.find_opt d.table (key event) with
-  | Some slot -> !slot
-  | None -> []
+let handlers d = Array.to_list d.handlers
 
-let events d =
-  Hashtbl.fold
-    (fun k slot acc -> if !slot = [] then acc else Path.of_string k :: acc)
-    d.table []
-  |> List.sort Path.compare
-
-let guard_accepts handler args =
-  match handler.guard with
+let eligible ~caller_class ~args h =
+  Security_class.dominates caller_class h.klass
+  &&
+  match h.guard with
   | None -> true
   | Some guard -> guard args
 
-let eligible d ~event ~caller_class ~args =
-  List.filter
-    (fun h -> Security_class.dominates caller_class h.klass && guard_accepts h args)
-    (handlers d ~event)
+(* Top-level, not a local closure, so a raise allocates nothing.  The
+   first eligible handler is maximal among the eligible ones: any that
+   strictly dominated it would come earlier in the order. *)
+let rec first_eligible handlers ~caller_class ~args i =
+  if i >= Array.length handlers then raise_notrace Not_found
+  else
+    let h = Array.unsafe_get handlers i in
+    if eligible ~caller_class ~args h then h
+    else first_eligible handlers ~caller_class ~args (i + 1)
 
-let strictly_dominates a b =
-  Security_class.dominates a b && not (Security_class.equal a b)
+let select d ~caller_class ~args = first_eligible d.handlers ~caller_class ~args 0
 
-(* Order by decreasing specificity.  Dominance is a partial order, so
-   sorting with a comparator is unsound (a mergesort can leave a
-   dominated handler ahead of its dominator when incomparable elements
-   keep them from ever being compared — found by the qcheck maximality
-   property).  Instead, rank each handler by the length of the longest
-   chain of strict dominators above it (its dominance layer, memoized,
-   O(n^2) dominance checks) and sort by (layer, registration index):
-   layer 0 holds the maximal handlers, and a dominator always precedes
-   everything it dominates. *)
-let select_all d ~event ~caller_class ~args =
-  let handlers = Array.of_list (eligible d ~event ~caller_class ~args) in
-  let n = Array.length handlers in
-  let layer = Array.make n (-1) in
-  let rec layer_of i =
-    if layer.(i) >= 0 then layer.(i)
-    else begin
-      (* Strict dominance is acyclic, so marking before the scan is
-         only a guard; it is never read back on valid input. *)
-      layer.(i) <- 0;
-      let deepest = ref 0 in
-      for j = 0 to n - 1 do
-        if j <> i && strictly_dominates handlers.(j).klass handlers.(i).klass then
-          deepest := Stdlib.max !deepest (layer_of j + 1)
-      done;
-      layer.(i) <- !deepest;
-      !deepest
-    end
-  in
-  let ranked = List.init n (fun i -> layer_of i, i) in
-  List.sort compare ranked |> List.map (fun (_, i) -> handlers.(i))
-
-(* One forward pass suffices for a single maximal element: the
-   candidate is only replaced by a handler that strictly dominates it,
-   and dominance is transitive, so nothing earlier can dominate the
-   survivor (and nothing later did).  Registration order breaks ties
-   exactly as in select_all. *)
-let select d ~event ~caller_class ~args =
-  List.fold_left
-    (fun candidate h ->
-      match candidate with
-      | None -> Some h
-      | Some best ->
-        if strictly_dominates h.klass best.klass then Some h else candidate)
-    None
-    (eligible d ~event ~caller_class ~args)
-
-let handler_count d =
-  Hashtbl.fold (fun _ slot n -> n + List.length !slot) d.table 0
+let select_all d ~caller_class ~args =
+  Array.fold_right
+    (fun h rest -> if eligible ~caller_class ~args h then h :: rest else rest)
+    d.handlers []

@@ -43,7 +43,7 @@ type entry = ..
 
 type entry +=
   | Proc of Service.proc
-  | Event
+  | Event of Dispatcher.t
   | Thread_ref of Thread.t
 
 (* A grant is everything [call] would have computed for one
@@ -57,7 +57,7 @@ type entry +=
    those still hold; any drift fails closed into the checked path. *)
 type grant_target =
   | Grant_proc of Service.proc * Service.ctx
-  | Grant_event
+  | Grant_event of Dispatcher.t
 
 type grant = {
   g_path : Path.t;
@@ -80,14 +80,13 @@ type grant = {
 type t = {
   monitor : Reference_monitor.t;
   resolver : entry Resolver.t;
-  dispatcher : Dispatcher.t;
   sched : Sched.t;
   hierarchy : Level.hierarchy;
   universe : Category.universe;
   admin : Principal.individual;
   registry : Clearance.t option;
   mutable next_thread_id : int;
-  loaded : (string, Extension.t * Path.t list) Hashtbl.t;
+  loaded : (string, Extension.t * Path.t list * Dispatcher.t list) Hashtbl.t;
   certificates : (string, Certificate.t) Hashtbl.t;
   quota : Quota.t;
   handles : grant Handle.t;
@@ -103,7 +102,6 @@ let cache_stats _kernel = None
 let quota kernel = kernel.quota
 let resolver kernel = kernel.resolver
 let namespace kernel = Resolver.namespace kernel.resolver
-let dispatcher kernel = kernel.dispatcher
 let sched kernel = kernel.sched
 let db kernel = Reference_monitor.db kernel.monitor
 
@@ -149,7 +147,6 @@ let boot ?policy ?audit_capacity ?registry ~db ~admin ~hierarchy ~universe () =
     {
       monitor;
       resolver = Resolver.create monitor ns;
-      dispatcher = Dispatcher.create ();
       sched = Sched.create ();
       hierarchy;
       universe;
@@ -203,7 +200,8 @@ let install_entry kernel ~subject path ~meta entry =
 let install_proc kernel ~subject path ~meta proc =
   install_entry kernel ~subject path ~meta (Proc proc)
 
-let install_event kernel ~subject path ~meta = install_entry kernel ~subject path ~meta Event
+let install_event kernel ~subject path ~meta =
+  install_entry kernel ~subject path ~meta (Event (Dispatcher.create ()))
 
 let install_iface kernel ~subject ~mount ~meta iface impl_of =
   let ( let* ) = Result.bind in
@@ -257,7 +255,6 @@ let rec make_ctx kernel ~subject ~caller =
     Service.subject;
     caller;
     call = (fun path args -> call kernel ~subject ~caller path args);
-    raise_event = (fun path args -> call kernel ~subject ~caller path args);
   }
 
 (* A handler runs with the caller's authority capped by the handler's
@@ -268,11 +265,12 @@ and run_handler kernel ~subject (handler : Dispatcher.handler) args =
     (make_ctx kernel ~subject:capped ~caller:handler.Dispatcher.owner)
     args
 
-and dispatch_event kernel ~subject path args =
+(* [handlers] is the set the resolved node owns. *)
+and dispatch_event kernel ~subject path handlers args =
   let caller_class = Subject.effective_class subject in
-  match Dispatcher.select kernel.dispatcher ~event:path ~caller_class ~args with
-  | None -> Error (Service.No_handler (Path.to_string path))
-  | Some handler -> run_handler kernel ~subject handler args
+  match Dispatcher.select handlers ~caller_class ~args with
+  | handler -> run_handler kernel ~subject handler args
+  | exception Not_found -> Error (Service.No_handler (Path.to_string path))
 
 and call kernel ~subject ~caller path args =
   Metrics.incr m_calls;
@@ -297,7 +295,7 @@ and call kernel ~subject ~caller path args =
       | Ok node -> (
         match Namespace.payload node with
         | Some (Proc proc) -> run_proc proc (make_ctx kernel ~subject ~caller) args
-        | Some Event -> dispatch_event kernel ~subject path args
+        | Some (Event handlers) -> dispatch_event kernel ~subject path handlers args
         | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))))
   in
   ignore (count_error result);
@@ -319,9 +317,9 @@ let broadcast kernel ~subject ~caller:_ path args =
     | Error denial -> Error (error_of_denial denial)
     | Ok node -> (
       match Namespace.payload node with
-      | Some Event ->
+      | Some (Event handlers) ->
         let caller_class = Subject.effective_class subject in
-        let handlers = Dispatcher.select_all kernel.dispatcher ~event:path ~caller_class ~args in
+        let handlers = Dispatcher.select_all handlers ~caller_class ~args in
         Ok
           (List.map
              (fun handler ->
@@ -380,7 +378,7 @@ let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
       | None -> make_ctx kernel ~subject ~caller
     in
     Some (Grant_proc (proc, ctx))
-  | Some Event -> Some Grant_event
+  | Some (Event handlers) -> Some (Grant_event handlers)
   | Some _ | None -> None
 
 let rec open_handle kernel ~subject ~caller path =
@@ -432,7 +430,7 @@ let run_target kernel g ~subject target args =
   | Grant_proc (proc, ctx) ->
     let ctx = if subject == g.g_subject then ctx else make_ctx kernel ~subject ~caller:g.g_caller in
     run_proc proc ctx args
-  | Grant_event -> dispatch_event kernel ~subject g.g_path args
+  | Grant_event handlers -> dispatch_event kernel ~subject g.g_path handlers args
 
 (* Stale slow path: re-run the fully checked resolution (audited)
    under a fresh pre-read snapshot; serve THIS call from the
@@ -447,7 +445,7 @@ let call_handle_stale kernel h g args =
   | Error denial -> Error (Service.error_of_denial denial)
   | Ok node -> (
     let reuse_ctx =
-      match g.g_target with Grant_proc (_, ctx) -> Some ctx | Grant_event -> None
+      match g.g_target with Grant_proc (_, ctx) -> Some ctx | Grant_event _ -> None
     in
     match
       grant_target_of_payload kernel ~subject:g.g_subject ~caller:g.g_caller
@@ -597,8 +595,9 @@ let run ?max_quanta kernel = Sched.run ?max_quanta kernel.sched
 
 (* {1 Loaded-extension registry} *)
 
-let note_loaded kernel extension ~installed =
-  Hashtbl.replace kernel.loaded extension.Extension.ext_name (extension, installed)
+let note_loaded kernel extension ~installed ~handler_sets =
+  Hashtbl.replace kernel.loaded extension.Extension.ext_name
+    (extension, installed, handler_sets)
 
 let forget_loaded kernel name =
   Hashtbl.remove kernel.loaded name;
@@ -744,7 +743,7 @@ let call_graph ?(extra = []) kernel =
     | None -> []
     | Some nodes -> List.map Namespace.meta nodes
   in
-  let exts = Hashtbl.fold (fun _ (ext, _) acc -> ext :: acc) kernel.loaded [] @ extra in
+  let exts = Hashtbl.fold (fun _ (ext, _, _) acc -> ext :: acc) kernel.loaded [] @ extra in
   let edges = ref [] in
   let add edge = edges := edge :: !edges in
   List.iter
@@ -752,13 +751,13 @@ let call_graph ?(extra = []) kernel =
       let name = ext.Extension.ext_name in
       let code = Cg.code_node name in
       (* Control enters the extension's code through each provided
-         procedure.  No cap: a provide runs under the caller's subject
-         unchanged (run_proc), the provider's static class bounds
-         only calls the provider itself initiates. *)
+         procedure, with the ceiling unchanged: a provide runs under
+         the caller's subject (run_proc), the provider's static class
+         bounds only calls the provider itself initiates. *)
       List.iter
         (fun (provided : Extension.provided) ->
           let path = Path.of_string ("/ext/" ^ name ^ "/" ^ provided.Extension.at) in
-          add (Cg.transfer_edge ~src:(Cg.site_node path) ~dst:code ()))
+          add (Cg.transfer_edge ~src:(Cg.site_node path) ~dst:code))
         ext.Extension.provides;
       (* Declared and domain imports are the monitor-checked call
          sites the extension's code reaches.  Domains expand over the
@@ -781,21 +780,7 @@ let call_graph ?(extra = []) kernel =
       in
       List.iter
         (fun import ->
-          add (Cg.call_edge ~src:code ~target:import ~chain:(chain_of import) ()))
+          add (Cg.call_edge ~src:code ~target:import ~chain:(chain_of import)))
         (List.sort_uniq Path.compare (ext.Extension.imports @ domain_imports)))
     exts;
-  (* Dispatcher wiring: raising an event transfers control into each
-     registered handler, capped by the handler's static class and
-     running under the handler owner's name — certificates minted for
-     the original caller stop applying past such an edge. *)
-  List.iter
-    (fun event ->
-      List.iter
-        (fun (handler : Dispatcher.handler) ->
-          add
-            (Cg.transfer_edge ~cap:handler.Dispatcher.klass ~rebinds_caller:true
-               ~src:(Cg.site_node event)
-               ~dst:(Cg.code_node handler.Dispatcher.owner) ()))
-        (Dispatcher.handlers kernel.dispatcher ~event))
-    (Dispatcher.events kernel.dispatcher);
   { Cg.edges = List.rev !edges; entries = [] }

@@ -1,6 +1,6 @@
-(** The base system: one universal name space, one reference monitor,
-    one dispatcher — the "central facility to provide naming and
-    protection services for the entire system" (paper, section 3).
+(** The base system: one universal name space and one reference
+    monitor — the "central facility to provide naming and protection
+    services for the entire system" (paper, section 3).
 
     The kernel owns the tree under which everything is named:
 
@@ -10,8 +10,11 @@
 
     Service procedures are leaves; calling one requires [Execute] on
     the leaf (and [List] along the path).  Extensible procedures are
-    {e events}: leaves whose behaviour is supplied by handlers in the
-    dispatcher, selected by the caller's security class. *)
+    {e events}: leaves whose behaviour is supplied by handlers, held in
+    the leaf's own handler set ({!Dispatcher}) and selected by the
+    caller's security class.  Handlers live and die with their node:
+    removing the event drops them, and a call that resolves a new node
+    at the same path sees only the new node's set. *)
 
 open Exsec_core
 
@@ -22,7 +25,10 @@ type entry = ..
 
 type entry +=
   | Proc of Service.proc  (** a callable procedure *)
-  | Event  (** an extensible procedure; handlers live in the dispatcher *)
+  | Event of Dispatcher.t
+      (** an extensible procedure and its handler set; the linker
+          registers into the set of the node its [Extend] check
+          admitted *)
   | Thread_ref of Thread.t  (** a thread object under [/threads] *)
 
 type t
@@ -53,7 +59,6 @@ val cache_stats : t -> Decision_cache.stats option
 
 val resolver : t -> entry Resolver.t
 val namespace : t -> entry Namespace.t
-val dispatcher : t -> Dispatcher.t
 val sched : t -> Sched.t
 val db : t -> Principal.Db.t
 
@@ -104,9 +109,9 @@ val install_proc :
 val install_event :
   t -> subject:Subject.t -> Path.t -> meta:Meta.t ->
   (unit, Service.error) result
-(** Publish an extensible procedure.  Extensions holding [Extend] on
-    it may register handlers; callers holding [Execute] may raise
-    it. *)
+(** Publish an extensible procedure with an empty handler set.
+    Extensions holding [Extend] on it may register handlers; callers
+    holding [Execute] may raise it. *)
 
 val install_entry :
   t -> subject:Subject.t -> Path.t -> meta:Meta.t -> entry ->
@@ -137,11 +142,12 @@ val call :
 val broadcast :
   t -> subject:Subject.t -> caller:string -> Path.t -> Value.t list ->
   ((string * (Value.t, Service.error) result) list, Service.error) result
-(** Raise an event to {e every} eligible handler (most specific class
-    first) instead of just the best one — SPIN-style event broadcast.
-    Returns each handler's owner with its result; an empty list means
-    no handler was eligible.  Each handler runs with the subject
-    capped by its own static class. *)
+(** Raise an event to {e every} eligible handler, in the set's order
+    ({!Dispatcher}; the handler {!call} would run comes first), instead
+    of just the best one — SPIN-style event broadcast.  Returns each
+    handler's owner with its result; an empty list means no handler
+    was eligible.  Each handler runs with the subject capped by its
+    own static class. *)
 
 val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
 
@@ -231,12 +237,15 @@ val run : ?max_quanta:int -> t -> int
 
 (** {1 Loaded-extension registry} (maintained by {!Linker}) *)
 
-val note_loaded : t -> Extension.t -> installed:Path.t list -> unit
+val note_loaded :
+  t -> Extension.t -> installed:Path.t list -> handler_sets:Dispatcher.t list -> unit
+(** [handler_sets] are the event sets the extension registered into;
+    unloading unregisters from exactly these. *)
 
 val forget_loaded : t -> string -> unit
 (** Also drops any certificate held for the extension. *)
 
-val find_loaded : t -> string -> (Extension.t * Path.t list) option
+val find_loaded : t -> string -> (Extension.t * Path.t list * Dispatcher.t list) option
 val loaded_extensions : t -> string list
 
 (** {1 Certificate lifecycle} (certificates issued by {!Linker})
@@ -334,11 +343,12 @@ val call_graph : ?extra:Extension.t list -> t -> Exsec_analysis.Callgraph.t
 (** The live system's call graph: for every loaded extension (plus
     [extra] — e.g. one being linked right now, not yet in the loaded
     table), a transfer edge from each provided procedure's site into
-    its code, a monitor-checked call edge from its code to each
+    its code, and a monitor-checked call edge from its code to each
     declared or domain-expanded import (resolution chains snapshotted
-    from the live name space), and a caller-rebinding transfer edge
-    from every event site into each registered handler's code, capped
-    by the handler's static class.  Entries are left empty — the
-    caller decides who enters where ({!Exsec_analysis.Callgraph.with_entries}). *)
+    from the live name space).  Event dispatch has no edge: a handler
+    runs under its owner's name, outside any certificate the caller
+    holds, so the chain prover never crosses it.  Entries are left
+    empty — the caller decides who enters where
+    ({!Exsec_analysis.Callgraph.with_entries}). *)
 
 val error_of_denial : Resolver.denial -> Service.error

@@ -100,6 +100,8 @@ let check_import kernel ~subject ~caller import =
   | Ok handle -> Ok (import, handle)
   | Error error -> Error (Import_denied { import; error })
 
+(* Resolve one extends with [Extend]; the admitted node's own handler
+   set is where the handler will go. *)
 let check_extend kernel ~subject (ext : Extension.extends) =
   match
     Resolver.resolve (Kernel.resolver kernel) ~subject ~mode:Access_mode.Extend
@@ -107,7 +109,7 @@ let check_extend kernel ~subject (ext : Extension.extends) =
   with
   | Ok node -> (
     match Namespace.payload node with
-    | Some Kernel.Event -> Ok ()
+    | Some (Kernel.Event handlers) -> Ok (ext, handlers)
     | Some _ | None ->
       Error
         (Extend_denied
@@ -147,11 +149,12 @@ let expand_domains kernel ~subject domains =
         (Ok paths) (Domain.interfaces domain))
     (Ok []) domains
 
-let rec first_error check = function
-  | [] -> Ok ()
+(* [check] each item in order; the first error stops the walk. *)
+let rec check_all check = function
+  | [] -> Ok []
   | item :: rest -> (
     match check item with
-    | Ok _ -> first_error check rest
+    | Ok checked -> Result.map (fun tail -> checked :: tail) (check_all check rest)
     | Error e -> Error e)
 
 let rollback kernel installed =
@@ -203,29 +206,35 @@ let install_provides kernel ~subject (extension : Extension.t) =
     install [ dir ] extension.Extension.provides
     |> Result.map (fun installed -> dir :: List.filter (fun p -> not (Path.equal p dir)) installed)
 
-let register_handlers kernel ~subject (extension : Extension.t) =
+(* Register into the sets [check_extend] admitted; returns them, the
+   only sets unloading touches. *)
+let register_handlers ~subject (extension : Extension.t) admitted =
   let klass =
     match extension.Extension.static_class with
     | Some klass -> klass
     | None -> Subject.effective_class subject
   in
-  List.iter
-    (fun (ext : Extension.extends) ->
-      Dispatcher.register (Kernel.dispatcher kernel) ~event:ext.Extension.event
+  List.map
+    (fun ((ext : Extension.extends), handlers) ->
+      Dispatcher.register handlers
         {
           Dispatcher.owner = extension.Extension.ext_name;
           klass;
           guard = ext.Extension.guard;
           impl = ext.Extension.handler_body;
-        })
-    extension.Extension.extends
+        };
+      handlers)
+    admitted
+
+let unregister_handlers name handler_sets =
+  List.iter (fun handlers -> Dispatcher.unregister_owner handlers name) handler_sets
 
 let loaded_by kernel author =
   List.length
     (List.filter
        (fun name ->
          match Kernel.find_loaded kernel name with
-         | Some (ext, _) -> Principal.equal_individual ext.Extension.author author
+         | Some (ext, _, _) -> Principal.equal_individual ext.Extension.author author
          | None -> false)
        (Kernel.loaded_extensions kernel))
 
@@ -254,20 +263,12 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
        already minted for this extension — linking stays transactional
        for capabilities too. *)
     let result =
-    let* import_table =
-      List.fold_left
-        (fun acc import ->
-          let* table = acc in
-          let* entry = check_import kernel ~subject:capped ~caller:name import in
-          Ok (entry :: table))
-        (Ok []) all_imports
-      |> Result.map List.rev
-    in
-    let* () = first_error (check_extend kernel ~subject:capped) extension.Extension.extends in
+    let* import_table = check_all (check_import kernel ~subject:capped ~caller:name) all_imports in
+    let* admitted = check_all (check_extend kernel ~subject:capped) extension.Extension.extends in
     (* Publication also happens at the extension's (capped) authority:
        its directory and procedures carry the extension's class. *)
     let* installed = install_provides kernel ~subject:capped extension in
-    register_handlers kernel ~subject extension;
+    let handler_sets = register_handlers ~subject extension admitted in
     (* With a clearance registry at hand, prove the import set over
        the whole registered session space: imports proved Always_allow
        are served from their handle for every covered subject until the
@@ -277,18 +278,15 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
        provides that prove Always_allow for every registered session
        are folded into the certificate (soundly: a proof over the full
        session interval covers every capped sub-session) and
-       pre-minted as capability handles.  Handler-crossing edges are
-       trimmed first: past event dispatch, calls run under the handler
-       owner's name, outside this extension's proof. *)
+       pre-minted as capability handles.  The graph has no edge through
+       event dispatch: a handler runs under its owner's name, outside
+       this extension's proof. *)
     let certificate, chain_targets =
       match Kernel.registry kernel with
       | None -> None, []
       | Some registry ->
         let module Cg = Exsec_analysis.Callgraph in
-        let graph =
-          Kernel.call_graph ~extra:[ extension ] kernel
-          |> Cg.filter_edges (fun edge -> not edge.Cg.rebinds_caller)
-        in
+        let graph = Kernel.call_graph ~extra:[ extension ] kernel in
         let entries =
           List.map
             (fun principal ->
@@ -364,7 +362,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
       }
     in
     let finish () =
-      Kernel.note_loaded kernel extension ~installed;
+      Kernel.note_loaded kernel extension ~installed ~handler_sets;
       Ok linked
     in
     match extension.Extension.init with
@@ -376,7 +374,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
       match init ctx with
       | Ok () -> finish ()
       | Error error ->
-        Dispatcher.unregister_owner (Kernel.dispatcher kernel) name;
+        unregister_handlers name handler_sets;
         rollback kernel (List.rev installed);
         Error (Init_failed error))
     in
@@ -400,16 +398,19 @@ let link ?profile kernel ~subject extension =
 let unload kernel ~subject name =
   match Kernel.find_loaded kernel name with
   | None -> Error (Service.Unresolved (name ^ ": not loaded"))
-  | Some (_extension, installed) ->
+  | Some (_extension, installed, handler_sets) ->
     let rec remove_all = function
       | [] ->
-        Dispatcher.unregister_owner (Kernel.dispatcher kernel) name;
+        unregister_handlers name handler_sets;
         Kernel.forget_loaded kernel name;
         Metrics.incr m_unloads;
         Ok ()
       | path :: rest -> (
         match Resolver.remove (Kernel.resolver kernel) ~subject path with
         | Ok () -> remove_all rest
+        (* Gone already (an earlier unload was refused part way): the
+           retry must be able to finish. *)
+        | Error (Resolver.Name_error (Namespace.Not_found _)) -> remove_all rest
         | Error denial -> Error (Kernel.error_of_denial denial))
     in
     (* Leaves first, then the extension directory. *)

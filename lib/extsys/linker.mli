@@ -7,7 +7,8 @@
       and requires [Execute] on the target procedure;
     - every {e extends} requires [Extend] on the target event, and on
       success registers the extension's handler (tagged with the
-      extension's static class) in the dispatcher;
+      extension's static class) in the handler set of the very node
+      that check admitted;
     - every {e provide} publishes a new procedure under
       [/ext/<name>/], requiring [Write] on [/ext] via the attach rule.
 
@@ -113,6 +114,7 @@ val link :
     uncertified imports simply stay on the checked path. *)
 
 val unload : Kernel.t -> subject:Subject.t -> string -> (unit, Service.error) result
-(** Remove a loaded extension: its handlers leave the dispatcher and
-    its provided procedures leave the name space (each removal is
-    checked against [subject]). *)
+(** Remove a loaded extension: its provided procedures leave the name
+    space (each removal is checked against [subject]; a path already
+    gone counts as removed, so an unload refused part way can be
+    retried) and then its handlers leave the sets they joined. *)

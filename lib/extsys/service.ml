@@ -39,7 +39,6 @@ type ctx = {
   subject : Subject.t;
   caller : string;
   call : Path.t -> Value.t list -> (Value.t, error) result;
-  raise_event : Path.t -> Value.t list -> (Value.t, error) result;
 }
 
 type impl = ctx -> Value.t list -> (Value.t, error) result

@@ -3,10 +3,10 @@
     A service is a set of named procedures published as leaves in the
     universal name space.  An implementation receives a {!ctx}
     describing the thread of control on whose behalf it runs, plus a
-    capability to call back into the kernel ([ctx.call]) or to raise
-    an event ([ctx.raise_event]) — both re-checked by the reference
-    monitor under the {e caller's} subject, so a service cannot be
-    used as a deputy to amplify authority. *)
+    capability to call back into the kernel ([ctx.call]): a procedure
+    or an event, re-checked by the reference monitor under the
+    {e caller's} subject, so a service cannot be used as a deputy to
+    amplify authority. *)
 
 open Exsec_core
 
@@ -37,9 +37,8 @@ type ctx = {
   subject : Subject.t;  (** the thread of control, effective class included *)
   caller : string;  (** name of the calling code unit *)
   call : Path.t -> Value.t list -> (Value.t, error) result;
-      (** invoke another service procedure as this subject *)
-  raise_event : Path.t -> Value.t list -> (Value.t, error) result;
-      (** raise an extensible event as this subject *)
+      (** invoke another service procedure, or raise an event, as
+          this subject *)
 }
 
 type impl = ctx -> Value.t list -> (Value.t, error) result

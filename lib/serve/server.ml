@@ -172,7 +172,7 @@ let with_path path_string k =
 
 let payload_kind = function
   | Some (Kernel.Proc _) -> "proc"
-  | Some Kernel.Event -> "event"
+  | Some (Kernel.Event _) -> "event"
   | Some (Kernel.Thread_ref _) -> "thread"
   | Some (Memfs.File _) -> "file"
   | Some (Syslog.Log_data _) -> "log"

@@ -65,19 +65,19 @@ let impl_of vfs name =
     fun ctx args ->
       let* path = str_arg "read" args 0 in
       let* fstype, subpath = route vfs path in
-      ctx.Service.raise_event backend_read_event [ Value.str fstype; Value.str subpath ]
+      ctx.Service.call backend_read_event [ Value.str fstype; Value.str subpath ]
   | "write" ->
     fun ctx args ->
       let* path = str_arg "write" args 0 in
       let* data = str_arg "write" args 1 in
       let* fstype, subpath = route vfs path in
-      ctx.Service.raise_event backend_write_event
+      ctx.Service.call backend_write_event
         [ Value.str fstype; Value.str subpath; Value.str data ]
   | "stat" ->
     fun ctx args ->
       let* path = str_arg "stat" args 0 in
       let* fstype, subpath = route vfs path in
-      ctx.Service.raise_event backend_stat_event [ Value.str fstype; Value.str subpath ]
+      ctx.Service.call backend_stat_event [ Value.str fstype; Value.str subpath ]
   | other -> Service.fail (Printf.sprintf "vfs: no procedure %s" other)
 
 let iface =

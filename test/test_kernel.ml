@@ -106,10 +106,10 @@ let test_events_dispatch_by_class () =
   let admin_sub = Kernel.admin_subject kernel in
   let event = Path.of_string "/svc/render" in
   let () = ok "event" (Kernel.install_event kernel ~subject:admin_sub event ~meta:(Kernel.default_meta kernel ~owner:(Subject.principal admin_sub) ())) in
-  Dispatcher.register (Kernel.dispatcher kernel) ~event
+  Events.register kernel event
     { Dispatcher.owner = "fancy"; klass = cls kernel "local" []; guard = None;
       impl = (fun _ _ -> Ok (Value.str "fancy")) };
-  Dispatcher.register (Kernel.dispatcher kernel) ~event
+  Events.register kernel event
     { Dispatcher.owner = "plain"; klass = cls kernel "outside" []; guard = None;
       impl = (fun _ _ -> Ok (Value.str "plain")) };
   let local_sub = Subject.make alice (cls kernel "local" []) in
@@ -142,7 +142,7 @@ let test_handler_runs_capped () =
   let () = ok "victim" (Kernel.install_proc kernel ~subject:admin_sub (Path.of_string "/svc/victim") ~meta:victim_meta (Service.proc "victim" 0 (Service.const (Value.str "loot")))) in
   (* The handler is pinned at outside: even when a local subject
      raises the event, the handler must not reach the victim. *)
-  Dispatcher.register (Kernel.dispatcher kernel) ~event
+  Events.register kernel event
     {
       Dispatcher.owner = "pinned";
       klass = cls kernel "outside" [];
@@ -205,7 +205,7 @@ let test_broadcast () =
   let event = Path.of_string "/svc/tick" in
   let () = ok "event" (Kernel.install_event kernel ~subject:admin_sub event ~meta:(Kernel.default_meta kernel ~owner:(Subject.principal admin_sub) ())) in
   let register owner level tag =
-    Dispatcher.register (Kernel.dispatcher kernel) ~event
+    Events.register kernel event
       { Dispatcher.owner; klass = cls kernel level []; guard = None;
         impl = (fun _ _ -> Ok (Value.str tag)) }
   in
@@ -245,7 +245,7 @@ let test_broadcast_caps_handlers () =
   let () = ok "victim" (Kernel.install_proc kernel ~subject:admin_sub (Path.of_string "/svc/jewels") ~meta:victim_meta (Service.proc "jewels" 0 (Service.const (Value.str "gold")))) in
   (* A low-pinned handler that tries to grab the jewels during the
      broadcast. *)
-  Dispatcher.register (Kernel.dispatcher kernel) ~event
+  Events.register kernel event
     { Dispatcher.owner = "thief"; klass = cls kernel "outside" []; guard = None;
       impl = (fun ctx _ -> ctx.Service.call (Path.of_string "/svc/jewels") []) };
   let local_sub = Subject.make alice (cls kernel "local" []) in

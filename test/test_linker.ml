@@ -42,6 +42,8 @@ let cls kernel level cats =
     (Level.of_name_exn (Kernel.hierarchy kernel) level)
     (Category.of_names (Kernel.universe kernel) cats)
 
+let hook = Path.of_string "/svc/hook"
+
 let ok label = function
   | Ok value -> value
   | Error e -> Alcotest.failf "%s: %s" label (Format.asprintf "%a" Linker.pp_link_error e)
@@ -60,7 +62,7 @@ let test_successful_link () =
   Alcotest.(check (list string)) "loaded" [ "good" ] (Kernel.loaded_extensions kernel);
   check "import listed" true (List.exists (Path.equal (Path.of_string "/svc/ping")) (Linker.Linked.imports linked));
   check "provides installed" true (Namespace.mem (Kernel.namespace kernel) (Path.of_string "/ext/good/hello"));
-  Alcotest.(check int) "handler registered" 1 (Dispatcher.handler_count (Kernel.dispatcher kernel));
+  Alcotest.(check int) "handler registered" 1 (Events.count kernel hook);
   (* The provided procedure is world-callable. *)
   (match Kernel.call kernel ~subject:alice_sub ~caller:"t" (Path.of_string "/ext/good/hello") [] with
   | Ok (Value.Str "hi") -> ()
@@ -98,7 +100,7 @@ let test_extend_denied () =
   (match Linker.link kernel ~subject:eve_sub ext with
   | Error (Linker.Extend_denied _) -> ()
   | _ -> Alcotest.fail "extend should be denied");
-  Alcotest.(check int) "no handler" 0 (Dispatcher.handler_count (Kernel.dispatcher kernel))
+  Alcotest.(check int) "no handler" 0 (Events.count kernel hook)
 
 let test_extend_requires_event () =
   let kernel, _, alice, _ = boot () in
@@ -176,7 +178,7 @@ let test_init_failure_rolls_back () =
   | Error (Linker.Init_failed (Service.Ext_failure "boom")) -> ()
   | _ -> Alcotest.fail "expected Init_failed");
   check "no leftovers" false (Namespace.mem (Kernel.namespace kernel) (Path.of_string "/ext/broken"));
-  Alcotest.(check int) "no handlers" 0 (Dispatcher.handler_count (Kernel.dispatcher kernel));
+  Alcotest.(check int) "no handlers" 0 (Events.count kernel hook);
   check "not loaded" true (Kernel.loaded_extensions kernel = [])
 
 let test_unload () =
@@ -193,11 +195,123 @@ let test_unload () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "unload: %s" (Service.error_to_string e));
   check "dir removed" false (Namespace.mem (Kernel.namespace kernel) (Path.of_string "/ext/temp"));
-  Alcotest.(check int) "handlers removed" 0 (Dispatcher.handler_count (Kernel.dispatcher kernel));
+  Alcotest.(check int) "handlers removed" 0 (Events.count kernel hook);
   check "registry cleaned" true (Kernel.loaded_extensions kernel = []);
   match Linker.unload kernel ~subject:alice_sub "temp" with
   | Error (Service.Unresolved _) -> ()
   | _ -> Alcotest.fail "double unload should fail"
+
+(* Admin removes /svc/hook and publishes it again, this time granting
+   [Extend] to admin alone. *)
+let republish_hook kernel =
+  let admin_sub = Kernel.admin_subject kernel in
+  (match Resolver.remove (Kernel.resolver kernel) ~subject:admin_sub hook with
+  | Ok () -> ()
+  | Error denial -> Alcotest.failf "remove hook: %a" Resolver.pp_denial denial);
+  let admin = Subject.principal admin_sub in
+  let meta =
+    Meta.make ~owner:admin
+      ~acl:
+        (Acl.of_entries
+           [
+             Acl.allow_all (Acl.Individual admin);
+             Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+           ])
+      (Security_class.bottom (Kernel.hierarchy kernel) (Kernel.universe kernel))
+  in
+  match Kernel.install_event kernel ~subject:admin_sub hook ~meta with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "republish hook: %s" (Service.error_to_string e)
+
+let link_hooked kernel alice_sub =
+  let ext =
+    Extension.make ~name:"hooked" ~author:(Subject.principal alice_sub)
+      ~extends:[ Extension.extends hook (Service.const (Value.str "alice's")) ]
+      ()
+  in
+  ignore (ok "link" (Linker.link kernel ~subject:alice_sub ext))
+
+let expect_no_handler label = function
+  | Error (Service.No_handler _) -> ()
+  | Ok v -> Alcotest.failf "%s: a stale handler answered %a" label Value.pp v
+  | Error e -> Alcotest.failf "%s: unexpected %s" label (Service.error_to_string e)
+
+(* A handler lives on the node its [Extend] right was checked against:
+   once that node is gone, a new event at the same path starts empty. *)
+let test_republished_event_drops_handlers () =
+  let kernel, _, alice, _ = boot () in
+  let alice_sub = Subject.make alice (cls kernel "local" []) in
+  link_hooked kernel alice_sub;
+  (match Kernel.call kernel ~subject:alice_sub ~caller:"t" hook [] with
+  | Ok (Value.Str "alice's") -> ()
+  | _ -> Alcotest.fail "handler not dispatched before the republish");
+  republish_hook kernel;
+  Alcotest.(check int) "new node starts empty" 0 (Events.count kernel hook);
+  expect_no_handler "call" (Kernel.call kernel ~subject:alice_sub ~caller:"t" hook [])
+
+let test_handle_reresolves_republished_event () =
+  let kernel, _, alice, _ = boot () in
+  let alice_sub = Subject.make alice (cls kernel "local" []) in
+  link_hooked kernel alice_sub;
+  let h =
+    match Kernel.open_handle kernel ~subject:alice_sub ~caller:"t" hook with
+    | Ok h -> h
+    | Error e -> Alcotest.failf "open: %s" (Service.error_to_string e)
+  in
+  (match Kernel.call_handle kernel h [] with
+  | Ok (Value.Str "alice's") -> ()
+  | _ -> Alcotest.fail "handle did not dispatch before the republish");
+  republish_hook kernel;
+  expect_no_handler "handle" (Kernel.call_handle kernel h [])
+
+(* An unload refused part way leaves some installed paths removed; once
+   the refusal is lifted, a retry must finish rather than trip over
+   them. *)
+let test_unload_retry_after_partial_failure () =
+  let kernel, _, alice, _ = boot () in
+  let alice_sub = Subject.make alice (cls kernel "local" []) in
+  let two =
+    Extension.make ~name:"two" ~author:alice
+      ~provides:
+        [
+          Extension.provided "a" 0 (Service.const Value.unit);
+          Extension.provided "b" 0 (Service.const Value.unit);
+        ]
+      ~extends:[ Extension.extends hook (Service.const Value.unit) ]
+      ()
+  in
+  ignore (ok "link" (Linker.link kernel ~subject:alice_sub two));
+  let a = Path.of_string "/ext/two/a" in
+  let set_acl delete =
+    let own =
+      List.filter (fun m -> delete || not (Access_mode.equal m Access_mode.Delete)) Access_mode.all
+    in
+    match
+      Resolver.set_acl (Kernel.resolver kernel) ~subject:alice_sub a
+        (Acl.of_entries
+           [
+             Acl.allow (Acl.Individual alice) own;
+             Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+           ])
+    with
+    | Ok () -> ()
+    | Error denial -> Alcotest.failf "set_acl: %a" Resolver.pp_denial denial
+  in
+  set_acl false;
+  (match Linker.unload kernel ~subject:alice_sub "two" with
+  | Error (Service.Denied { at = "/ext/two/a"; mode = Access_mode.Delete; _ }) -> ()
+  | Ok () -> Alcotest.fail "unload ignored the missing Delete"
+  | Error e -> Alcotest.failf "first unload: %s" (Service.error_to_string e));
+  check "b went first" false (Namespace.mem (Kernel.namespace kernel) (Path.of_string "/ext/two/b"));
+  check "still loaded" true (Kernel.loaded_extensions kernel = [ "two" ]);
+  set_acl true;
+  (match Linker.unload kernel ~subject:alice_sub "two" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "retry: %s" (Service.error_to_string e));
+  check "dir removed" false (Namespace.mem (Kernel.namespace kernel) (Path.of_string "/ext/two"));
+  check "not loaded" true (Kernel.loaded_extensions kernel = []);
+  Alcotest.(check int) "handler removed" 0 (Events.count kernel hook);
+  ignore (ok "relink" (Linker.link kernel ~subject:alice_sub two))
 
 let suite =
   [
@@ -210,6 +324,12 @@ let suite =
     Alcotest.test_case "already loaded" `Quick test_already_loaded;
     Alcotest.test_case "init failure rolls back" `Quick test_init_failure_rolls_back;
     Alcotest.test_case "unload" `Quick test_unload;
+    Alcotest.test_case "republished event drops handlers" `Quick
+      test_republished_event_drops_handlers;
+    Alcotest.test_case "handle re-resolves republished event" `Quick
+      test_handle_reresolves_republished_event;
+    Alcotest.test_case "unload retry after partial failure" `Quick
+      test_unload_retry_after_partial_failure;
   ]
 
 let test_domain_imports () =

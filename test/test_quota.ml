@@ -132,8 +132,7 @@ let test_handler_charges_caller () =
    with
   | Ok () -> ()
   | Error e -> Alcotest.failf "event: %s" (Service.error_to_string e));
-  Dispatcher.register (Kernel.dispatcher kernel)
-    ~event:(Path.of_string "/svc/amplify")
+  Events.register kernel (Path.of_string "/svc/amplify")
     {
       Dispatcher.owner = "amp";
       klass = Security_class.bottom (Kernel.hierarchy kernel) (Kernel.universe kernel);

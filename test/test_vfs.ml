@@ -56,7 +56,7 @@ let register_backend kernel ~owner ~klass ~fstype store =
     | _ -> Error (Service.Bad_argument "backend_stat")
   in
   let register event impl =
-    Dispatcher.register (Kernel.dispatcher kernel) ~event
+    Events.register kernel event
       { Dispatcher.owner; klass; guard = Some (Vfs.guard_fstype fstype); impl }
   in
   register Vfs.backend_read_event read_impl;
