@@ -344,10 +344,12 @@ let a8 () =
                 ignore (Acl.check ~db ~subject:alice ~mode:Access_mode.Read acl))
           in
           let compiled_form = Acl_compiled.compile ~db acl in
+          let snapshot = Principal.Db.snapshot db in
           let compiled =
             Timing.ns_per_op ~warmup:2000 (fun () ->
                 ignore
-                  (Acl_compiled.check compiled_form ~subject:alice ~mode:Access_mode.Read))
+                  (Acl_compiled.check compiled_form ~snapshot ~subject:alice
+                     ~mode:Access_mode.Read))
           in
           let compile_cost =
             Timing.ns_per_op ~warmup:50 ~batch:200 ~batches:5 (fun () ->

@@ -226,9 +226,11 @@ let latency_bench scale db ns leaves bottom =
         ignore (Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read))
   in
   let compiled = Meta.compiled_acl meta ~db in
+  let snapshot = Principal.Db.snapshot db in
   let compiled_check_ns =
     Timing.ns_per_op (fun () ->
-        ignore (Acl_compiled.check compiled ~subject:(person 0) ~mode:Access_mode.Read))
+        ignore
+          (Acl_compiled.check compiled ~snapshot ~subject:(person 0) ~mode:Access_mode.Read))
   in
   let compile_ns =
     Timing.ns_per_op ~warmup:2 ~batch:5 ~batches:5 (fun () ->

@@ -1,10 +1,13 @@
 (* The compiled form of an ACL: the three precedence tiers flattened
    into packed allow/deny mode-mask integers keyed by the interned
-   principal ids of a Principal.Db.Snapshot.  A check is a handful of
-   bitwise operations and allocates nothing when it grants.  A denial
-   names the deny entry that decided, read from the form's own
-   snapshot (see [group_denies]), so the monitor never falls back to
-   the interpreted walk.
+   principal ids of a Principal.Db.Snapshot.  The form depends on the
+   snapshot's interning only: every check reads membership from the
+   snapshot it is handed, so one form serves every snapshot that
+   shares the interning it was compiled against.  A check is a
+   handful of bitwise operations and allocates nothing when it
+   grants.  A denial names the deny entry that decided (see
+   [group_denies]), so the monitor never falls back to the
+   interpreted walk.
 
    The form is the entries themselves, interned and sorted: an (id,
    mask) table for the individuals the ACL names and a (group-id,
@@ -32,13 +35,13 @@ type group_deny = {
 }
 
 type t = {
-  snapshot : Principal.Db.Snapshot.t;
+  interning : Principal.Db.Snapshot.interning;
   ind_ids : int array;  (* sorted ids of ACL-named individuals *)
   ind_masks : int array;  (* parallel to [ind_ids] *)
   group_ids : int array;  (* sorted ids of ACL-named groups *)
   group_masks : int array;  (* parallel to [group_ids] *)
   extra_names : string array;
-      (* ACL-mentioned individuals unknown to the snapshot (never
+      (* ACL-mentioned individuals the interning lacks (never
          registered in the database); matched by name on lookup *)
   extra_masks : int array;
   evr_mask : int;
@@ -50,8 +53,7 @@ type verdict =
   | Denied of Acl.who
   | No_entry
 
-let db_generation compiled = Principal.Db.Snapshot.generation compiled.snapshot
-let snapshot compiled = compiled.snapshot
+let interning compiled = compiled.interning
 
 let shifted_mask (entry : Acl.entry) =
   let modes = Access_mode.Set.to_int entry.Acl.modes in
@@ -76,8 +78,7 @@ let merge_keyed compare pairs =
   let merged = List.rev merged in
   Array.of_list (List.map fst merged), Array.of_list (List.map snd merged)
 
-let compile ~db acl =
-  let snapshot = Principal.Db.snapshot db in
+let compile_in snapshot acl =
   let evr_mask = ref 0 in
   let named = ref [] in
   let grouped = ref [] in
@@ -97,8 +98,8 @@ let compile ~db acl =
         | -1 ->
           (* An unregistered group has no members and can match
              nobody, exactly as in the interpreted walk, so it
-             compiles away.  Registering it with members bumps the
-             database generation and forces a recompile. *)
+             compiles away.  Registering it makes a new interning,
+             which forces a recompile. *)
           ()
         | group_id ->
           grouped := (group_id, mask) :: !grouped;
@@ -113,7 +114,7 @@ let compile ~db acl =
   let group_ids, group_masks = merge_keyed Int.compare !grouped in
   let extra_names, extra_masks = merge_keyed String.compare !extras in
   {
-    snapshot;
+    interning = Principal.Db.Snapshot.interning snapshot;
     ind_ids;
     ind_masks;
     group_ids;
@@ -123,6 +124,8 @@ let compile ~db acl =
     evr_mask = !evr_mask;
     group_denies = Array.of_list (List.rev !group_denies);
   }
+
+let compile ~db acl = compile_in (Principal.Db.snapshot db) acl
 
 (* Linear by-name scan over the (rare) ACL entries for principals the
    database has never registered; allocation-free. *)
@@ -181,7 +184,7 @@ let rec first_group_deny snapshot denies id deny_bit k =
     else first_group_deny snapshot denies id deny_bit (k + 1)
   end
 
-let check_id compiled ~id ~subject ~mode =
+let check_id compiled ~snapshot ~id ~subject ~mode =
   let allow_bit = 1 lsl Access_mode.index mode in
   let deny_bit = allow_bit lsl deny_shift in
   let ind_mask =
@@ -193,23 +196,25 @@ let check_id compiled ~id ~subject ~mode =
   else begin
     let grp_mask =
       if id < 0 then 0
-      else group_tier_mask compiled.snapshot compiled.group_ids compiled.group_masks id 0 0
+      else group_tier_mask snapshot compiled.group_ids compiled.group_masks id 0 0
     in
     if grp_mask land deny_bit <> 0 then
-      Denied (first_group_deny compiled.snapshot compiled.group_denies id deny_bit 0)
+      Denied (first_group_deny snapshot compiled.group_denies id deny_bit 0)
     else if grp_mask land allow_bit <> 0 then Granted
     else if compiled.evr_mask land deny_bit <> 0 then Denied Acl.Everyone
     else if compiled.evr_mask land allow_bit <> 0 then Granted
     else No_entry
   end
 
-let check compiled ~subject ~mode =
-  check_id compiled
-    ~id:(Principal.Db.Snapshot.individual_id compiled.snapshot subject)
+let check compiled ~snapshot ~subject ~mode =
+  if Principal.Db.Snapshot.interning snapshot != compiled.interning then
+    invalid_arg "Acl_compiled.check: snapshot of another interning";
+  check_id compiled ~snapshot
+    ~id:(Principal.Db.Snapshot.individual_id snapshot subject)
     ~subject ~mode
 
-let permits compiled ~subject ~mode =
-  match check compiled ~subject ~mode with
+let permits compiled ~snapshot ~subject ~mode =
+  match check compiled ~snapshot ~subject ~mode with
   | Granted -> true
   | Denied _ | No_entry -> false
 

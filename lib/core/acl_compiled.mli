@@ -11,12 +11,17 @@
     tests: no allocation, no list traversal, no membership walk.  The
     form holds O(entries) words whatever the population.
 
-    Validity follows the repo-wide generation scheme: a compiled ACL
-    is correct exactly while (a) the ACL value it was compiled from is
+    Validity follows what the form is made of.  It holds the ACL's
+    entries keyed by interned ids, and no membership: {!check} reads
+    membership from the snapshot it is given.  So a compiled ACL is
+    correct exactly while (a) the ACL value it was compiled from is
     still the object's ACL (guarded by the {!Meta} generation of the
-    caching object) and (b) the database generation still equals
-    {!db_generation} (group membership unchanged).  {!Meta.compiled_acl}
-    enforces both and recompiles on any mismatch.
+    caching object) and (b) the snapshot checked against has the
+    {!interning} it was compiled against (compared by physical
+    identity).  Membership churn keeps the interning, so it keeps the
+    form too; only registering a principal makes a new interning.
+    {!Meta.compiled_acl} enforces both and recompiles on any
+    mismatch.
 
     A denial names the entry that decided, as {!Acl.check}'s
     [Denied_by] does, so the reference monitor's denial diagnostics
@@ -40,37 +45,47 @@ type verdict =
           that decided — the [who] of {!Acl.check}'s [Denied_by] *)
   | No_entry
 
-val compile : db:Principal.Db.t -> Acl.t -> t
-(** Compile [acl] against the database's current snapshot.  Costs
-    O(entries log entries) time and O(entries) memory regardless of
-    population: entries naming the same principal OR together, and
-    groups the snapshot does not know compile away (they hold
+val compile_in : Principal.Db.Snapshot.t -> Acl.t -> t
+(** Compile [acl] against the snapshot's {!Principal.Db.Snapshot.interning}.
+    Costs O(entries log entries) time and O(entries) memory regardless
+    of population: entries naming the same principal OR together, and
+    groups the interning does not know compile away (they hold
     nobody).  Intended for the miss path, with the result cached on
     the object's metadata. *)
 
-val check : t -> subject:Principal.individual -> mode:Access_mode.t -> verdict
-(** Decide [subject] requesting [mode].  Agrees with {!Acl.check}
-    whenever the compiled form is valid (see above): same verdict
-    class, and on a denial the same [who]; a QCheck differential suite
-    holds the two implementations to that contract at small and large
-    populations.  A grant or a no-entry allocates nothing. *)
+val compile : db:Principal.Db.t -> Acl.t -> t
+(** {!compile_in} the database's current snapshot. *)
+
+val check :
+  t -> snapshot:Principal.Db.Snapshot.t -> subject:Principal.individual ->
+  mode:Access_mode.t -> verdict
+(** Decide [subject] requesting [mode], with group membership as of
+    [snapshot].  Agrees with {!Acl.check} over the membership
+    [snapshot] holds whenever the compiled form is valid (see above):
+    same verdict class, and on a denial the same [who]; a QCheck
+    differential suite holds the two implementations to that contract
+    at small and large populations.  A grant or a no-entry allocates
+    nothing.
+    @raise Invalid_argument when [snapshot] has another interning than
+    the form. *)
 
 val check_id :
-  t -> id:int -> subject:Principal.individual -> mode:Access_mode.t -> verdict
+  t -> snapshot:Principal.Db.Snapshot.t -> id:int -> subject:Principal.individual ->
+  mode:Access_mode.t -> verdict
 (** {!check} with the subject's snapshot id already looked up: [id]
-    must be [Principal.Db.Snapshot.individual_id (snapshot t) subject].
+    must be [Principal.Db.Snapshot.individual_id snapshot subject], and
+    [snapshot] must have the form's {!interning} (unchecked here).
     Saves the population-sized name probe on every check when the
-    caller remembers the id per snapshot ({!Subject.individual_id}). *)
+    caller remembers the id per interning ({!Subject.individual_id}). *)
 
-val permits : t -> subject:Principal.individual -> mode:Access_mode.t -> bool
+val permits :
+  t -> snapshot:Principal.Db.Snapshot.t -> subject:Principal.individual ->
+  mode:Access_mode.t -> bool
 (** [true] iff {!check} returns {!Granted}. *)
 
-val db_generation : t -> int
-(** The {!Principal.Db.generation} the compiled form is valid for. *)
-
-val snapshot : t -> Principal.Db.Snapshot.t
-(** The exact snapshot the form was compiled against (its interning
-    keys the mask tables). *)
+val interning : t -> Principal.Db.Snapshot.interning
+(** The interning the form was compiled against (it keys the mask
+    tables). *)
 
 val verdict_class : verdict -> int
 (** 0 granted, 1 denied, 2 no-entry; for differential comparison with

@@ -75,25 +75,31 @@ let set_integrity_raw meta integrity =
   meta.integrity <- integrity;
   touch meta
 
-let compiled_acl meta ~db =
-  (* Both generations are read BEFORE the slot (and, on a miss, before
-     the ACL field): a racing set_acl or membership change then lands
-     a bump above the values validated/stamped here, so a stale slot
-     can never validate again.  The slot itself is one immutable record behind a single
-     mutable pointer, so concurrent readers see a consistent
-     (compiled, acl_generation) pair; racing writers overwrite each
-     other with equally valid slots. *)
+let compiled_in meta snapshot =
+  (* The metadata generation is read BEFORE the slot (and, on a miss,
+     before the ACL field): a racing set_acl then lands a bump above
+     the value validated or stamped here, so a stale slot can never
+     validate again.  The interning needs no such order: the slot's
+     form records the interning it was compiled against, and identity
+     is exact.  Membership is no part of the form (checks read it from
+     the snapshot they are given), so churn leaves the slot in place.
+     The slot is one immutable record behind a single mutable pointer,
+     so concurrent readers see a consistent (compiled, acl_generation)
+     pair; racing writers overwrite each other with equally valid
+     slots. *)
   let acl_generation = Atomic.get meta.generation in
-  let db_generation = Principal.Db.generation db in
   match meta.compiled with
   | Some slot
     when slot.acl_generation = acl_generation
-         && Acl_compiled.db_generation slot.compiled = db_generation ->
+         && Acl_compiled.interning slot.compiled
+            == Principal.Db.Snapshot.interning snapshot ->
     slot.compiled
   | Some _ | None ->
-    let compiled = Acl_compiled.compile ~db meta.acl in
+    let compiled = Acl_compiled.compile_in snapshot meta.acl in
     meta.compiled <- Some { compiled; acl_generation };
     compiled
+
+let compiled_acl meta ~db = compiled_in meta (Principal.Db.snapshot db)
 
 let pp ppf meta =
   Format.fprintf ppf "owner=%a class=%a acl=%a" Principal.pp_individual meta.owner

@@ -11,7 +11,7 @@ type compiled_slot = private {
 }
 (** A compiled form of the object's ACL ({!Acl_compiled}) together
     with the metadata generation its ACL was read under; managed by
-    {!compiled_acl}, opaque to everyone else. *)
+    {!compiled_in}, opaque to everyone else. *)
 
 type t = private {
   id : int;  (** unique object identity, assigned at creation; names
@@ -42,7 +42,7 @@ type t = private {
           mutation then always lands a higher generation than the one
           the stale derivation was filed under. *)
   mutable compiled : compiled_slot option;
-      (** memoized compiled form of [acl]; see {!compiled_acl} *)
+      (** memoized compiled form of [acl]; see {!compiled_in} *)
 }
 
 val make :
@@ -74,15 +74,21 @@ val set_integrity_raw : t -> Security_class.t option -> unit
     monitor's [set_acl]/[set_class].  Each setter publishes
     field-then-generation, per the ordering contract above. *)
 
-val compiled_acl : t -> db:Principal.Db.t -> Acl_compiled.t
+val compiled_in : t -> Principal.Db.Snapshot.t -> Acl_compiled.t
 (** The compiled form of the object's current ACL, memoized on the
-    record.  A cached form is reused only while {e both} the metadata
-    generation it was compiled under and the database generation of
-    its snapshot still match the live counters; any [set_*] above or
-    group-membership change forces a recompile.  Generations are read
-    before the slot (and, on a miss, before the ACL field), so a
-    mutation racing with the compile strands the new slot on a stale
-    stamp — it can never validate afterwards.  The validation hit path
-    allocates nothing. *)
+    record and valid for [snapshot].  One rule decides reuse: the
+    cached form is returned while the metadata generation it was
+    compiled under is still the live one and its
+    {!Acl_compiled.interning} is the snapshot's ([==]).  Any [set_*]
+    above, or a registration (a new interning), forces a recompile;
+    membership churn does not, and leaves the slot physically
+    unchanged, because checks read membership from the snapshot they
+    are given.  The metadata generation is read before the slot (and,
+    on a miss, before the ACL field), so a mutation racing with the
+    compile strands the new slot on a stale stamp — it can never
+    validate afterwards.  The hit path allocates nothing. *)
+
+val compiled_acl : t -> db:Principal.Db.t -> Acl_compiled.t
+(** {!compiled_in} the database's current snapshot. *)
 
 val pp : Format.formatter -> t -> unit

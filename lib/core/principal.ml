@@ -361,7 +361,14 @@ module Db = struct
   module Snapshot = struct
     type t = snapshot
 
+    (* The name -> id table stands for the whole interning: it is made
+       together with the group table and the group names, by
+       [build_snapshot] alone, and a delta shares all three. *)
+    type interning = (string, int) Hashtbl.t
+    type row = int array
+
     let generation snap = snap.snap_generation
+    let interning snap = snap.ids
 
     (* Allocation-free id lookup (raising a constant exception instead
        of building an option): the decision hot path runs this once
@@ -372,12 +379,22 @@ module Db = struct
     let group_id snap grp =
       try Hashtbl.find snap.group_ids grp with Not_found -> -1
 
+    (* [[||]] is the one empty-array atom, so an out-of-range id
+       allocates nothing. *)
+    let row snap ~individual_id =
+      if individual_id < 0 || individual_id >= snap.id_count then [||]
+      else
+        Array.unsafe_get
+          (Array.unsafe_get snap.chunks (individual_id lsr chunk_bits))
+          (individual_id land chunk_mask)
+
+    (* A static array no build ever stores. *)
+    let no_row = [| -1 |]
+
+    (* Rows hold only interned group ids, so an unknown [group_id]
+       (including [-1]) is found in none. *)
     let is_member snap ~individual_id ~group_id =
-      individual_id >= 0 && individual_id < snap.id_count
-      && group_id >= 0 && group_id < snap.group_count
-      &&
-      let chunk = Array.unsafe_get snap.chunks (individual_id lsr chunk_bits) in
-      let row = Array.unsafe_get chunk (individual_id land chunk_mask) in
+      let row = row snap ~individual_id in
       row_search row group_id 0 (Array.length row)
   end
 
@@ -675,7 +692,18 @@ module Db = struct
       if not (Atomic.compare_and_set db.snapshot_slot cur (Some snap)) then
         install_snapshot db snap
 
+  (* The hit path is one slot load and one generation load.  A
+     published snapshot whose generation is still the live one is
+     current even while a batch is in flight: the batch's single bump
+     is still to come, so the slot holds the state published before
+     the batch, which is what the batch promises mid-batch readers.
+     The batch epoch matters only to a rebuild. *)
   let rec snapshot db =
+    match Atomic.get db.snapshot_slot with
+    | Some snap when snap.snap_generation = Atomic.get db.generation -> snap
+    | Some _ | None -> rebuild db
+
+  and rebuild db =
     (* The batch epoch is read first, the generation second, both
        BEFORE the membership walk (the standard data-then-generation
        discipline, see Meta): a non-batched mutation racing with the

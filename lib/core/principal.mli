@@ -52,9 +52,14 @@ module Db : sig
   val generation : t -> int
   (** Monotone counter bumped whenever group membership actually
       changes ({!add_member} of a new member, {!remove_member} of a
-      present one).  Compiled ACLs, certificates and handle grants
-      are validated against it: a membership change must revoke any
-      grant (or denial) that an ACL group entry produced.
+      present one).  It says {e that} something changed, not what:
+      the current {!snapshot} is the one stamped with it, and
+      link-time certificates record it beside their per-group
+      {!dirty_stamp}s.  Compiled ACLs and capability-handle grants do
+      not validate against it: a compiled ACL keys on the snapshot's
+      {!Snapshot.interning}, and a grant falls back from an unchanged
+      generation to its subject's own {!Snapshot.row}, so an edit
+      that moves nobody they depend on revokes neither.
 
       The counter is atomic and follows the data-then-generation
       publication order (see {!Meta.t}): the member-list update lands
@@ -65,9 +70,9 @@ module Db : sig
 
       Inside a {!batch} the bump is deferred: every mutation of the
       batch publishes under {e one} increment at the outermost batch
-      exit, so derived artifacts (compiled ACLs, link-time
-      certificates, capability handles) are
-      invalidated once per batch instead of once per mutation. *)
+      exit, so the snapshot is refreshed, and link-time certificates
+      and capability handles re-check, at most once per batch instead
+      of once per mutation. *)
 
   val batch : t -> (unit -> 'a) -> 'a
   (** [batch db f] runs [f], coalescing every generation bump its
@@ -82,8 +87,8 @@ module Db : sig
       exception is re-raised, so no derived artifact can outlive them.
 
       Readers in other domains during the batch see the {e previous}
-      published state through any generation-validated artifact (the
-      snapshot, compiled ACLs, certificates, handles): data written by
+      published state through the snapshot and everything derived from
+      it (compiled-ACL checks, certificates, handles): data written by
       the batch only becomes observable-as-current at the final bump, per
       the data-then-generation contract.  {!snapshot} enforces this
       even when its cache is stale at batch entry: while a batch is in
@@ -170,6 +175,14 @@ module Db : sig
       may be probed from any domain without locking; their probes
       never allocate.
 
+      A snapshot has two parts that change at different rates.  Its
+      {!interning} (the name -> id tables) changes only when a
+      principal is registered; its {!row}s change with membership.  A
+      refresh over an unchanged population keeps the interning and
+      replaces exactly the rows that changed with fresh arrays, so a
+      consumer that depends on one individual's membership can test
+      that individual's row by physical identity.
+
       Consecutive snapshots share structure.  The per-individual rows
       are stored in fixed chunks of 256, so a refresh copies the chunk
       spine (one pointer per 256 individuals) and only the chunks
@@ -188,9 +201,36 @@ module Db : sig
     type t
 
     val generation : t -> int
-    (** The database generation the snapshot was built under.  A
-        snapshot (and anything compiled against it) is valid exactly
-        while this equals the live {!Db.generation}. *)
+    (** The database generation the snapshot was built under; it is
+        current exactly while this equals the live {!Db.generation}. *)
+
+    type interning
+    (** The snapshot's name -> id tables: which individuals and groups
+        exist, and their dense ids.  Compared by physical identity
+        ([==]).  Only a full build makes a new one, and a full build
+        follows every registration; each delta refresh shares its
+        predecessor's.  Equal interning means equal ids for every
+        name, so anything keyed by ids (a compiled ACL, a subject's
+        remembered id) stays meaningful across membership churn. *)
+
+    val interning : t -> interning
+
+    type row
+    (** One individual's transitive group row.  Immutable; compared by
+        physical identity ([==]). *)
+
+    val row : t -> individual_id:int -> row
+    (** The individual's row, allocation-free; an out-of-range id
+        (including [-1]) gets the shared empty row.  A delta refresh
+        replaces each row whose content changed with a fresh array and
+        shares every other, so within one {!interning} an
+        individual's row stays [==] across every refresh that does not
+        move its membership.  Since rows are immutable, [==] implies
+        equal content (two empty rows are one atom, also equal); the
+        converse need not hold. *)
+
+    val no_row : row
+    (** A row no snapshot holds: [==] to no {!row} result. *)
 
     val individual_id : t -> individual -> int
     (** The individual's dense id, or [-1] when it was not registered
@@ -201,17 +241,18 @@ module Db : sig
 
     val is_member : t -> individual_id:int -> group_id:int -> bool
     (** Transitive membership as of the snapshot: a binary probe of
-        the individual's sorted group row, allocation-free.
+        the individual's sorted group {!row}, allocation-free.
         Out-of-range ids (including [-1]) are members of nothing. *)
   end
 
   val snapshot : t -> Snapshot.t
   (** The current snapshot, rebuilt (and cached) whenever the
-      generation has moved since the last build.  Reads the generation
-      {e before} walking memberships, so a racing mutation leaves the
-      result stamped with the older generation and it is rebuilt on
-      the next call — the same data-then-generation discipline as
-      {!Meta}.
+      generation has moved since the last build.  While the cached
+      snapshot is current the call is one slot load and one
+      generation load.  A rebuild reads the generation {e before}
+      walking memberships, so a racing mutation leaves the result
+      stamped with the older generation and it is rebuilt on the next
+      call — the same data-then-generation discipline as {!Meta}.
 
       While a {!batch} is in flight no rebuild is published: callers
       are served the previously published snapshot (stale by

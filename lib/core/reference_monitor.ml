@@ -51,33 +51,34 @@ type stamp = {
   stamp_db_generation : int;
 }
 
-(* The global half of the state a reusable decision (a link-time
-   certificate, a capability-handle grant) depends on.  Read BEFORE
-   the dependent computation, per the data-then-generation discipline:
-   a mutation racing with the computation then lands its bump above
-   the values recorded here, so the derived artifact is born stale and
-   fails closed on its next validation, never wrongly valid. *)
+(* The global half of the state a link-time certificate depends on.
+   Read BEFORE the dependent computation, per the data-then-generation
+   discipline: a mutation racing with the computation then lands its
+   bump above the values recorded here, so the derived artifact is
+   born stale and fails closed on its next validation, never wrongly
+   valid. *)
 let stamp monitor =
   {
     stamp_epoch = Atomic.get monitor.policy_epoch;
     stamp_db_generation = Principal.Db.generation monitor.db;
   }
 
-let stamp_valid monitor stamp =
-  Atomic.get monitor.policy_epoch = stamp.stamp_epoch
-  && Principal.Db.generation monitor.db = stamp.stamp_db_generation
-
 (* The discretionary layer is the compiled ACL alone: the object's
    ACL, compiled to flat mode-mask arrays and memoized on its metadata
-   (see Acl_compiled / Meta.compiled_acl), answers in a few bitwise
+   (see Acl_compiled / Meta.compiled_in), answers in a few bitwise
    tests with zero allocation, and a denial names its deny entry from
-   the same compiled form.  The subject's snapshot id is memoized on
-   the subject, so the population-sized name table is probed once per
-   (subject, snapshot), not once per check. *)
+   the same compiled form.  One snapshot is read, and everything else
+   keys on it: the memo on its interning, the subject's id (memoized
+   on the subject per interning, so the population-sized name table
+   is probed once per (subject, interning), not once per check) and
+   the membership the check reads. *)
 let dac_decide monitor ~subject ~(meta : Meta.t) ~mode =
-  let compiled = Meta.compiled_acl meta ~db:monitor.db in
-  let id = Subject.individual_id subject (Acl_compiled.snapshot compiled) in
-  match Acl_compiled.check_id compiled ~id ~subject:(Subject.principal subject) ~mode with
+  let snapshot = Principal.Db.snapshot monitor.db in
+  let compiled = Meta.compiled_in meta snapshot in
+  let id = Subject.individual_id subject snapshot in
+  match
+    Acl_compiled.check_id compiled ~snapshot ~id ~subject:(Subject.principal subject) ~mode
+  with
   | Acl_compiled.Granted -> Ok ()
   | Acl_compiled.No_entry -> Error Decision.Dac_no_entry
   | Acl_compiled.Denied who -> Error (Decision.Dac_explicit_deny who)

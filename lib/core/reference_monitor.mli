@@ -23,7 +23,9 @@ val create : ?policy:Policy.t -> ?audit_capacity:int -> Principal.Db.t -> t
     Discretionary decisions run on the compiled ACL path: each
     object's ACL is compiled to flat mode-mask arrays over interned
     principal ids ({!Acl_compiled}), memoized on its metadata and
-    invalidated by the metadata and database generation counters.
+    invalidated by the metadata generation or a new interning
+    ({!Meta.compiled_in}); each check reads membership from the
+    database's current snapshot.
     There is no decision cache: every {!decide} evaluates DAC, MAC and
     integrity afresh, and the grant path allocates nothing.
 
@@ -56,22 +58,16 @@ type stamp = {
   stamp_epoch : int;  (** {!policy_epoch} at read time *)
   stamp_db_generation : int;  (** {!Principal.Db.generation} at read time *)
 }
-(** The global half of the state any reusable decision depends on.
+(** The global half of the state a link-time certificate depends on.
     Per-object metadata generations are the other half
     ({!Meta.generation}). *)
 
 val stamp : t -> stamp
-(** Read the global generations, for stamping a decision artifact that
-    will be reused across calls (a link-time certificate, a
-    capability-handle grant).  Call {e before} the dependent
-    computation: a mutation racing with the computation then lands its
-    bump above the recorded values, so the artifact is born stale and
-    fails closed on its next validation instead of wrongly
-    validating. *)
-
-val stamp_valid : t -> stamp -> bool
-(** [true] while neither global generation has moved since the stamp
-    was read. *)
+(** Read the global generations, for stamping a certificate.  Call
+    {e before} the dependent computation: a mutation racing with the
+    computation then lands its bump above the recorded values, so the
+    artifact is born stale and fails closed on its next validation
+    instead of wrongly validating. *)
 
 val decide :
   ?span:Exsec_obs.Trace.handle ->

@@ -1,11 +1,12 @@
-(* The principal's id in the last snapshot it was looked up in.  One
-   immutable pair behind one mutable field: a racing reader sees either
-   the old pair or the new one, never a snapshot with another
-   snapshot's id. *)
+(* The principal's id in the last interning it was looked up in.
+   Every snapshot sharing that interning gives the same id, so
+   membership churn keeps the memo.  One immutable pair behind one
+   mutable field: a racing reader sees either the old pair or the new
+   one, never an interning with another interning's id. *)
 type interned =
   | Not_interned
   | Interned of {
-      snapshot : Principal.Db.Snapshot.t;
+      interning : Principal.Db.Snapshot.interning;
       id : int;
     }
 
@@ -28,11 +29,12 @@ let clearance subject = subject.clearance
 let ceiling subject = subject.ceiling
 
 let individual_id subject snapshot =
+  let interning = Principal.Db.Snapshot.interning snapshot in
   match subject.interned with
-  | Interned memo when memo.snapshot == snapshot -> memo.id
+  | Interned memo when memo.interning == interning -> memo.id
   | Interned _ | Not_interned ->
     let id = Principal.Db.Snapshot.individual_id snapshot subject.principal in
-    subject.interned <- Interned { snapshot; id };
+    subject.interned <- Interned { interning; id };
     id
 
 let effective_class subject =

@@ -35,11 +35,13 @@ val ceiling : t -> Security_class.t option
 
 val individual_id : t -> Principal.Db.Snapshot.t -> int
 (** [Principal.Db.Snapshot.individual_id snapshot (principal t)],
-    remembered for the last snapshot asked about (compared by physical
-    identity), so repeated checks against one snapshot skip the
-    population-sized name table.  A lookup in another snapshot
-    replaces the memo; that is the only allocation.  Safe to call from
-    several domains at once. *)
+    remembered for the last {!Principal.Db.Snapshot.interning} asked
+    about (compared by physical identity), so repeated checks skip the
+    population-sized name table even across membership edits: every
+    snapshot a membership refresh produces shares the interning, and
+    with it the id.  A lookup under another interning (after a
+    registration) replaces the memo; that is the only allocation.
+    Safe to call from several domains at once. *)
 
 val effective_class : t -> Security_class.t
 (** [meet clearance ceiling] when a ceiling is set, else the

@@ -49,12 +49,15 @@ type entry +=
 (* A grant is everything [call] would have computed for one
    (subject, caller, path) triple, captured at mint time: the resolved
    target (with its invocation context prebuilt, so the hot path
-   allocates nothing), plus the exact generation coordinates the
-   admitting decision consulted — the monitor stamp (policy epoch +
-   principal-database generation) and the per-node [Meta] generation
-   of every node on the resolution chain.  [call_handle] may dispatch
-   without re-entering the reference monitor exactly while all of
-   those still hold; any drift fails closed into the checked path. *)
+   allocates nothing), plus the coordinates the admitting decision
+   depended on — the policy epoch, the per-node [Meta] generation of
+   every node on the resolution chain, and the subject's membership,
+   held twice: the principal-database generation (the cheap test
+   while nothing changed) and the subject's own snapshot row under its
+   interning (the scoped test once something did).  [call_handle] may
+   dispatch without re-entering the reference monitor exactly while
+   those still hold (see [grant_fresh]); any drift fails closed into
+   the checked path. *)
 type grant_target =
   | Grant_proc of Service.proc * Service.ctx
   | Grant_event of Dispatcher.t
@@ -64,7 +67,12 @@ type grant = {
   g_subject : Subject.t;
   g_caller : string;
   g_target : grant_target;
-  g_stamp : Reference_monitor.stamp;
+  g_epoch : int;  (* policy epoch, read before the decision *)
+  g_db_generation : int;  (* principal-database generation, likewise *)
+  g_interning : Principal.Db.Snapshot.interning;
+  g_row : Principal.Db.Snapshot.row;
+      (* the subject's row in the snapshot the decision read, or
+         [no_row] when that snapshot is not known (see [mint]) *)
   g_metas : Meta.t array;  (* resolution chain, root first, target last *)
   g_gens : int array;  (* generation of each, read before the decision *)
   g_cert : bool;
@@ -330,9 +338,9 @@ let broadcast kernel ~subject ~caller:_ path args =
 (* {1 Capability handles}
 
    [open_handle] decides once and files the grant; [call_handle] is the
-   hot path — slot probe, stamp compare, generation sweep, dispatch, no
-   allocation — and any drift fails closed into a checked re-resolution
-   that re-mints the slot in place (see kernel.mli). *)
+   hot path — slot probe, epoch and generation compares, chain sweep,
+   dispatch, no allocation — and any drift fails closed into a checked
+   re-resolution that re-mints the slot in place (see kernel.mli). *)
 
 (* Top-level (not a local closure) so the hot path stays allocation
    free: a local [let rec] would capture the arrays in a heap-allocated
@@ -342,8 +350,20 @@ let rec chain_fresh metas gens n i =
   || Meta.generation (Array.unsafe_get metas i) = Array.unsafe_get gens i
      && chain_fresh metas gens n (i + 1)
 
+(* The membership half of a grant once the generation has moved: the
+   same interning and the very row the decision read.  Every load hits
+   a memo (the cached snapshot, the subject's id for the interning), so
+   this allocates nothing either. *)
+let row_unmoved kernel g =
+  let snapshot = Principal.Db.snapshot (db kernel) in
+  Principal.Db.Snapshot.interning snapshot == g.g_interning
+  && Principal.Db.Snapshot.row snapshot
+       ~individual_id:(Subject.individual_id g.g_subject snapshot)
+     == g.g_row
+
 let grant_fresh kernel g =
-  Reference_monitor.stamp_valid kernel.monitor g.g_stamp
+  Reference_monitor.policy_epoch kernel.monitor = g.g_epoch
+  && (Principal.Db.generation (db kernel) = g.g_db_generation || row_unmoved kernel g)
   && chain_fresh g.g_metas g.g_gens (Array.length g.g_metas) 0
 
 (* Preallocated so the use-after-close refusal is itself allocation
@@ -356,19 +376,52 @@ let closed_handle_error :
     (Service.Denied
        { at = "<handle>"; mode = Access_mode.Execute; denial = Decision.Not_an_object })
 
-(* The pre-read half of a mint: the monitor stamp and the generation
-   of every node on the unchecked chain, captured BEFORE the decision
-   runs.  A mutation racing with the decision then lands a higher
-   generation than the one the grant was filed under, so the grant is
-   born stale rather than wrongly durable (same discipline as the
-   compiled-ACL memo). *)
+(* The pre-read half of a mint: the policy epoch, the database
+   generation, the current snapshot and the generation of every node on
+   the unchecked chain, captured BEFORE the decision runs.  A mutation
+   racing with the decision then lands a higher generation than the
+   one the grant was filed under, so the grant is born stale rather
+   than wrongly durable (same discipline as the compiled-ACL memo).
+   The grant keeps the snapshot's interning and the subject's row, not
+   the snapshot itself. *)
+type pre_read = {
+  epoch : int;
+  generation : int;
+  snapshot : Principal.Db.Snapshot.t;
+  metas : Meta.t array;
+  gens : int array;
+}
+
 let chain_snapshot kernel path =
-  let stamp = Reference_monitor.stamp kernel.monitor in
+  let epoch = Reference_monitor.policy_epoch kernel.monitor in
+  let generation = Principal.Db.generation (db kernel) in
+  let snapshot = Principal.Db.snapshot (db kernel) in
   match Namespace.chain (namespace kernel) path with
-  | None -> stamp, [||], [||]
+  | None -> { epoch; generation; snapshot; metas = [||]; gens = [||] }
   | Some nodes ->
     let metas = Array.of_list (List.map Namespace.meta nodes) in
-    stamp, metas, Array.map Meta.generation metas
+    { epoch; generation; snapshot; metas; gens = Array.map Meta.generation metas }
+
+(* The grant a decision admitted, keyed on [pre].  The row is the
+   subject's in the pre-read snapshot, and it is only worth keeping if
+   the decision read that same snapshot.  A monitor decision reads
+   [Principal.Db.snapshot]; when that still returns [pre.snapshot]
+   after the decision, the cached slot held it throughout (the slot
+   only moves to newer snapshots), so every read in between got it.
+   Otherwise, and for a certificate's admission, which reads no
+   snapshot, the grant keeps [no_row], and so stays fresh only while
+   the database generation has not moved. *)
+let mint kernel pre ~path ~subject ~caller ~target ~cert =
+  let row =
+    if (not cert) && Principal.Db.snapshot (db kernel) == pre.snapshot then
+      Principal.Db.Snapshot.row pre.snapshot
+        ~individual_id:(Subject.individual_id subject pre.snapshot)
+    else Principal.Db.Snapshot.no_row
+  in
+  { g_path = path; g_subject = subject; g_caller = caller; g_target = target;
+    g_epoch = pre.epoch; g_db_generation = pre.generation;
+    g_interning = Principal.Db.Snapshot.interning pre.snapshot; g_row = row;
+    g_metas = pre.metas; g_gens = pre.gens; g_cert = cert; g_proof = None }
 
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some (Proc proc) ->
@@ -383,13 +436,13 @@ let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
 
 let rec open_handle kernel ~subject ~caller path =
   Metrics.incr m_handle_opens;
-  let stamp, metas, gens = chain_snapshot kernel path in
+  let pre = chain_snapshot kernel path in
   let target_id =
-    let n = Array.length metas in
-    if n = 0 then -1 else metas.(n - 1).Meta.id
+    let n = Array.length pre.metas in
+    if n = 0 then -1 else pre.metas.(n - 1).Meta.id
   in
   let certified =
-    if Array.length metas = 0 then None else certified_node kernel ~caller ~subject path
+    if Array.length pre.metas = 0 then None else certified_node kernel ~caller ~subject path
   in
   let admitted =
     match certified with
@@ -416,12 +469,11 @@ let rec open_handle kernel ~subject ~caller path =
           (Namespace.payload node)
       with
       | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))
-      | Some g_target ->
+      | Some target ->
         Ok
           (Handle.mint kernel.handles
-             { g_path = path; g_subject = subject; g_caller = caller; g_target;
-               g_stamp = stamp; g_metas = metas; g_gens = gens;
-               g_cert = Option.is_some certified; g_proof = None }))
+             (mint kernel pre ~path ~subject ~caller ~target
+                ~cert:(Option.is_some certified))))
 
 (* Run a grant's target under [subject].  Any subject but the grant's
    own gets a context of its own, so nested calls run under it. *)
@@ -437,7 +489,7 @@ let run_target kernel g ~subject target args =
    checked decision either way, and refresh the slot in place when the
    snapshot describes the node the decision admitted. *)
 let call_handle_stale kernel h g args =
-  let stamp, metas, gens = chain_snapshot kernel g.g_path in
+  let pre = chain_snapshot kernel g.g_path in
   match
     Resolver.resolve kernel.resolver ~subject:g.g_subject ~mode:Access_mode.Execute
       g.g_path
@@ -452,9 +504,9 @@ let call_handle_stale kernel h g args =
         ~reuse_ctx (Namespace.payload node)
     with
     | None -> Error (Service.Unresolved (Path.to_string g.g_path ^ ": not callable"))
-    | Some g_target ->
-      let n = Array.length metas in
-      if n > 0 && metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id then
+    | Some target ->
+      let n = Array.length pre.metas in
+      if n > 0 && pre.metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id then
         if
           Handle.update kernel.handles h
             (* A re-mint is justified by the fresh monitor decision,
@@ -463,10 +515,10 @@ let call_handle_stale kernel h g args =
                revocation of that certificate need not (and must not)
                kill an independently checked grant, and the proof may
                name a node the slot no longer dispatches. *)
-            { g with g_target; g_stamp = stamp; g_metas = metas; g_gens = gens;
-              g_cert = false; g_proof = None }
+            (mint kernel pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller
+               ~target ~cert:false)
         then Metrics.incr m_handle_reminted;
-      run_target kernel g ~subject:g.g_subject g_target args)
+      run_target kernel g ~subject:g.g_subject target args)
 
 let call_handle kernel h args =
   Metrics.incr m_handle_calls;
@@ -488,10 +540,10 @@ let call_handle kernel h args =
   Metrics.stop_timing m_handle_call_ns t0;
   count_error result
 
-(* The proved probe.  It ignores the grant's global stamp, so edits
-   outside the certificate's scope do not end it.  A removal touches
-   the removed node, so the chain sweep also catches a target removed
-   and republished. *)
+(* The proved probe.  It ignores the grant's epoch and membership
+   coordinates, so edits outside the certificate's scope do not end
+   it.  A removal touches the removed node, so the chain sweep also
+   catches a target removed and republished. *)
 let proof_admits kernel g subject =
   match g.g_proof with
   | None -> false

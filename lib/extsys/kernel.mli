@@ -64,12 +64,13 @@ val db : t -> Principal.Db.t
 
 val batch_principals : t -> (unit -> 'a) -> 'a
 (** {!Principal.Db.batch} over the kernel's database: run a bulk
-    membership mutation under one deferred generation bump, so every
-    derived artifact the kernel holds — compiled ACLs, link-time
-    certificates, capability handles — is invalidated exactly once at
-    the batch end instead of once per mutation.  The fast paths' pre-read stamps observe the batch as a
-    single drift; they fail closed into the checked path once and
-    re-mint against the settled state. *)
+    membership mutation under one deferred generation bump, so the
+    fast paths see the whole batch as one change at the batch end
+    instead of one per mutation.  A link-time certificate whose
+    groups the batch edited, or a handle whose subject the batch moved
+    (or any handle, when the batch registered a principal), fails
+    closed into the checked path once and re-mints against the settled
+    state. *)
 
 val hierarchy : t -> Level.hierarchy
 val universe : t -> Category.universe
@@ -156,18 +157,61 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
     The handle fast path: {!open_handle} pays for one fully checked
     resolution (or reuses a still-valid link-time certificate) and
     returns a dense, unforgeable handle pinning the admitted target
-    together with every generation coordinate the decision consulted —
-    policy epoch, principal-database generation, and the [Meta]
-    generation of each node on the resolution chain.  {!call_handle}
-    then dispatches with a bounds-checked slot probe plus a generation
-    sweep: no path walk, no hashing, no monitor entry, and zero
-    allocation on the granted path.  {e Any} drift — [set_policy],
-    group membership, an ACL or class edit anywhere on the chain —
-    fails closed into a fully checked, audited re-resolution, which
-    re-mints the slot in place when the access is still admitted.  A
-    closed handle (or one whose slot was recycled by a later mint)
-    never grants: the stamp compare turns it into a deterministic
-    denial. *)
+    together with the coordinates the decision depended on: the
+    policy epoch, the [Meta] generation of each node on the resolution
+    chain, and the subject's membership, recorded both as the
+    principal-database generation and as the subject's own snapshot
+    row under its interning ({!Principal.Db.Snapshot.row},
+    {!Principal.Db.Snapshot.interning}).  All of them are read before
+    the decision runs.  {!call_handle} then dispatches with a
+    bounds-checked slot probe plus compares: no path walk, no hashing,
+    no monitor entry, and zero allocation on the granted path.
+
+    {b Freshness.}  A grant is fresh while the epoch is unchanged,
+    every chain generation is unchanged, and either the database
+    generation is unchanged or the current snapshot has the recorded
+    interning and gives the subject the recorded row ([==]).  With no
+    membership edit that is one compare, as before the row existed;
+    after an edit it costs a cached-snapshot probe and one row load,
+    and still allocates nothing.  A [set_policy], an ACL or class edit
+    anywhere on the chain, a membership edit that moves the subject
+    (directly or through a nested group), or a registration (a new
+    interning) fails closed into a fully checked, audited
+    re-resolution, which re-mints the slot in place when the access is
+    still admitted.  A membership edit that does not move the subject
+    revokes nothing.  A closed handle (or one whose slot was recycled
+    by a later mint) never grants: the slot stamp turns it into a
+    deterministic denial.
+
+    {b Why the row test is sound.}
+    - Rows are immutable, and a snapshot refresh replaces exactly the
+      rows whose membership flipped, each with a fresh array, sharing
+      every other.  So [==] implies equal content (the shared empty
+      row is one atom, equal content too).
+    - Within one interning, the DAC verdicts along the chain read only
+      the subject's id, which the interning fixes, and its row: each
+      compiled ACL keys on the interning and the chain generations
+      ({!Meta.compiled_in}), and its group tier probes only the
+      subject's row.  MAC and Biba read the chain's classes, which the
+      chain generations cover, and the subject's, which never change.
+      The policy is covered by the epoch.
+    - The recorded row must be the one the decision read.  It is taken
+      from the snapshot read before the decision, and kept only if
+      {!Principal.Db.snapshot} still returns that same snapshot after
+      the decision: the cached slot only moves to newer snapshots, so
+      it held that snapshot throughout and every read in between got
+      it.  Otherwise (a refresh raced the decision), and for a
+      certificate's admission, which reads no snapshot, the grant
+      keeps {!Principal.Db.Snapshot.no_row} and is fresh only while
+      the database generation is unchanged.
+    - A grant minted from a born-stale snapshot (built inside a batch
+      before anything was published) stops being fresh when the batch
+      publishes: its recorded generation is the pre-batch one, and its
+      interning belongs to a snapshot that is never published.
+
+    Certificates keep their own scoped rule (per-group dirty stamps,
+    {!Exsec_analysis.Certificate}); so does the proved path,
+    {!call_proved}. *)
 
 val open_handle :
   t -> subject:Subject.t -> caller:string -> Path.t ->
@@ -184,7 +228,9 @@ val call_handle :
     path under the handle's subject — the differential oracle in the
     test suite holds the two paths to identical results, audit
     verdicts included — but dispatching without monitor work while the
-    grant's generation coordinates still hold.  A closed or recycled
+    grant is fresh (see above).  A stale grant is re-checked, audited,
+    and re-minted in place; a membership edit that leaves the
+    subject's row alone does not make it stale.  A closed or recycled
     handle answers [Denied] with {!Decision.Not_an_object}. *)
 
 val call_proved :
@@ -195,7 +241,8 @@ val call_proved :
     ({!note_certificate}) holds — certificate
     {!Exsec_analysis.Certificate.valid}, chain generations, the proof
     naming the grant's node, [subject] covered — the grant's target runs
-    under [subject] itself, as a handle hit, whatever the global stamp.
+    under [subject] itself, as a handle hit, whatever the grant's own
+    epoch and membership coordinates.
     Otherwise, closed handle included, this is exactly {!call}. *)
 
 val close_handle : t -> Handle.h -> bool

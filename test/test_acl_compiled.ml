@@ -94,7 +94,7 @@ let agree ~db ~acl ~compiled inds =
         (fun mode ->
           incr probes_total;
           same_verdict
-            (Acl_compiled.check compiled ~subject ~mode)
+            (Acl_compiled.check compiled ~snapshot:(Principal.Db.snapshot db) ~subject ~mode)
             (Acl.check ~db ~subject ~mode acl))
         Access_mode.all)
     (all_subjects inds)
@@ -128,8 +128,9 @@ let prop_differential ~name ~count ~padding =
       sweep ();
       (* A clean re-read must reuse the memoized form, not recompile. *)
       if not (Meta.compiled_acl meta ~db == Meta.compiled_acl meta ~db) then ok := false;
-      (* Phase 2: membership churn mid-stream; every mutation that
-         lands bumps the db generation and must force a recompile. *)
+      (* Phase 2: membership churn mid-stream; the memoized form stays
+         and every check must read the new membership from the
+         current snapshot. *)
       List.iter
         (fun (g, m, add) ->
           let group = grps.(g mod Array.length grps) in
@@ -178,7 +179,8 @@ let fixture () =
 
 let classify db acl subject mode =
   let compiled = Acl_compiled.compile ~db acl in
-  Acl_compiled.verdict_class (Acl_compiled.check compiled ~subject ~mode)
+  Acl_compiled.verdict_class
+    (Acl_compiled.check compiled ~snapshot:(Principal.Db.snapshot db) ~subject ~mode)
 
 let test_tier_precedence () =
   let db, alice, bob, mallory, staff, _ = fixture () in
@@ -244,21 +246,46 @@ let test_memoization_and_invalidation () =
   let meta = Meta.make ~owner:alice ~acl (bottom ()) in
   let c0 = Meta.compiled_acl meta ~db in
   check "clean reuse is physical" true (c0 == Meta.compiled_acl meta ~db);
-  (* Membership change: db generation moves, form must recompile and
-     reflect the new membership. *)
+  (* Membership change: the db generation moves but the interning does
+     not, so the form stays, and the check reads the new membership
+     from the current snapshot. *)
   Principal.Db.remove_member db staff (Principal.Ind bob);
   let c1 = Meta.compiled_acl meta ~db in
-  check "db bump recompiles" true (not (c0 == c1));
+  check "membership edit keeps the form" true (c0 == c1);
   check "new membership visible" true
-    (Acl_compiled.verdict_class (Acl_compiled.check c1 ~subject:bob ~mode:Access_mode.Read)
+    (Acl_compiled.verdict_class
+       (Acl_compiled.check c1 ~snapshot:(Principal.Db.snapshot db) ~subject:bob
+          ~mode:Access_mode.Read)
      = 2);
+  (* Registration: a new interning, so the form recompiles. *)
+  Principal.Db.add_member db staff (Principal.Ind (Principal.individual "newcomer"));
+  let c1' = Meta.compiled_acl meta ~db in
+  check "registration recompiles" true (not (c1 == c1'));
   (* ACL change: meta generation moves. *)
   Meta.set_acl_raw meta Acl.empty;
   let c2 = Meta.compiled_acl meta ~db in
-  check "acl bump recompiles" true (not (c1 == c2));
+  check "acl bump recompiles" true (not (c1' == c2));
   check "empty acl decides nothing" true
-    (Acl_compiled.verdict_class (Acl_compiled.check c2 ~subject:alice ~mode:Access_mode.Read)
+    (Acl_compiled.verdict_class
+       (Acl_compiled.check c2 ~snapshot:(Principal.Db.snapshot db) ~subject:alice
+          ~mode:Access_mode.Read)
      = 2)
+
+let test_unrelated_edit_keeps_slot () =
+  (* Edits to a group the ACL does not name leave the memo slot
+     itself in place: no recompile, no re-store. *)
+  let db, alice, _, mallory, staff, _ = fixture () in
+  let others = Principal.group "others" in
+  Principal.Db.add_group db others;
+  let acl = Acl.of_entries [ Acl.allow (Acl.Group staff) [ Access_mode.Read ] ] in
+  let meta = Meta.make ~owner:alice ~acl (bottom ()) in
+  ignore (Meta.compiled_acl meta ~db);
+  let slot = meta.Meta.compiled in
+  Principal.Db.add_member db others (Principal.Ind mallory);
+  ignore (Meta.compiled_acl meta ~db);
+  Principal.Db.remove_member db others (Principal.Ind mallory);
+  ignore (Meta.compiled_acl meta ~db);
+  check "slot physically unchanged" true (meta.Meta.compiled == slot)
 
 let test_snapshot_validity () =
   let db, alice, _, _, staff, _ = fixture () in
@@ -302,9 +329,10 @@ let test_check_allocates_nothing () =
       ]
   in
   let compiled = Acl_compiled.compile ~db acl in
+  let snapshot = Principal.Db.snapshot db in
   let run () =
     for _ = 1 to 10_000 do
-      ignore (Acl_compiled.check compiled ~subject:alice ~mode:Access_mode.Read)
+      ignore (Acl_compiled.check compiled ~snapshot ~subject:alice ~mode:Access_mode.Read)
     done
   in
   run ();
@@ -447,6 +475,7 @@ let suite =
       test_unregistered_group_compiles_away;
     Alcotest.test_case "memoization and invalidation" `Quick
       test_memoization_and_invalidation;
+    Alcotest.test_case "unrelated edit keeps the slot" `Quick test_unrelated_edit_keeps_slot;
     Alcotest.test_case "snapshot validity" `Quick test_snapshot_validity;
     Alcotest.test_case "check allocates nothing" `Quick test_check_allocates_nothing;
     Alcotest.test_case "decide allocates nothing" `Quick test_decide_allocates_nothing;

@@ -7,11 +7,12 @@
    principal database and lattice: every probe executes the same
    (subject, object) invocation by path on one kernel and by handle on
    the other, and the two must return structurally identical results —
-   across mid-stream ACL edits, group-membership churn, policy-epoch
-   bumps and metadata mutation, all applied to both twins in
-   lockstep.  Additionally, every handle-side denial must land a
-   denied audit record: the fast path is never allowed to refuse (or
-   grant) from cache silently. *)
+   across mid-stream ACL edits, group-membership churn (direct, through
+   a nested group, and with registrations), policy-epoch bumps and
+   metadata mutation, all applied to both twins in lockstep.
+   Additionally, every handle-side denial must land a denied audit
+   record: the fast path is never allowed to refuse (or grant) from
+   cache silently. *)
 
 open Exsec_core
 open Exsec_extsys
@@ -51,6 +52,7 @@ type world = {
   handles : (int * int, Handle.h) Hashtbl.t;
       (* open handles on the handle-side kernel, keyed by
          (subject index, object index); reopened on demand *)
+  mutable registered : int;  (* individuals registered by churn *)
 }
 
 let build_twin db hierarchy universe admin =
@@ -92,6 +94,10 @@ let build_world () =
   let grps = Array.map Principal.group grp_names in
   Array.iter (Principal.Db.add_individual db) inds;
   Array.iter (Principal.Db.add_group db) grps;
+  (* eng starts with members, so nesting it under staff (churn kind 5)
+     moves their rows through the group edge alone. *)
+  Principal.Db.add_member db grps.(1) (Principal.Ind inds.(2));
+  Principal.Db.add_member db grps.(1) (Principal.Ind inds.(4));
   let hierarchy = Level.hierarchy [ "local"; "organization"; "others" ] in
   let universe = Category.universe [ "d1"; "d2" ] in
   let klasses = classes hierarchy universe in
@@ -115,6 +121,7 @@ let build_world () =
     path_side = build_twin db hierarchy universe admin;
     handle_side = build_twin db hierarchy universe admin;
     handles = Hashtbl.create 32;
+    registered = 0;
   }
 
 (* {1 One probe: the same invocation by path and by handle} *)
@@ -179,7 +186,7 @@ let policies =
 (* Returns false only when an invariant checked inline (use-after-close
    is a deterministic denial) is violated. *)
 let apply_churn world (kind, a, b) =
-  match kind mod 5 with
+  match kind mod 7 with
   | 0 ->
     (* ACL edit on one object — or on the /svc interior node, which
        must invalidate every handle routed through it. *)
@@ -228,6 +235,21 @@ let apply_churn world (kind, a, b) =
       Meta.set_integrity_raw world.path_side.metas.(target) label;
       Meta.set_integrity_raw world.handle_side.metas.(target) label
     end;
+    true
+  | 5 ->
+    (* Nest or un-nest eng under staff: the rows of eng's members
+       change through the group edge alone. *)
+    let edge = Principal.Grp world.grps.(1) in
+    if b mod 2 = 0 then Principal.Db.add_member world.db world.grps.(0) edge
+    else Principal.Db.remove_member world.db world.grps.(0) edge;
+    true
+  | 6 ->
+    (* Register a fresh individual into a group: a new interning, so
+       every grant's row test fails and every memo recompiles. *)
+    world.registered <- world.registered + 1;
+    let fresh = Principal.individual (Printf.sprintf "new%d" world.registered) in
+    Principal.Db.add_member world.db world.grps.(a mod Array.length world.grps)
+      (Principal.Ind fresh);
     true
   | _ ->
     (* Close a live handle; the oracle reopens on the next probe.  A
@@ -465,6 +487,134 @@ let test_call_handle_allocates_nothing () =
   let measured = minor_delta run in
   Alcotest.(check (float 0.)) "granted hot path words" baseline measured
 
+(* {1 Membership edits revoke only the grants they move}
+
+   A grant keys on its subject's own row: an edit that moves somebody
+   else keeps it, and one that moves the subject (or registers anybody)
+   sends the next call through the checked, audited path. *)
+
+let reminted () = Exsec_obs.Metrics.value (Exsec_obs.Metrics.counter "handle.reminted")
+let audit_total kernel = Audit.total (Reference_monitor.audit (Kernel.monitor kernel))
+let audit_denied kernel = Audit.denied_total (Reference_monitor.audit (Kernel.monitor kernel))
+
+(* admin, alice, bob and carol registered, [group] registered with the
+   named [members]; /svc/team carries [acl group]; alice calls. *)
+let group_fixture ~group ~members acl =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  let alice = Principal.individual "alice" in
+  List.iter (Principal.Db.add_individual db)
+    [ admin; alice; Principal.individual "bob"; Principal.individual "carol" ];
+  Principal.Db.add_group db group;
+  List.iter
+    (fun name -> Principal.Db.add_member db group (Principal.Ind (Principal.individual name)))
+    members;
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let kernel = Kernel.boot ~db ~admin ~hierarchy ~universe () in
+  let team = Path.of_string "/svc/team" in
+  let pong = Ok (Value.int 1) in
+  (match
+     Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) team
+       ~meta:(Meta.make ~owner:admin ~acl:(acl group) (Security_class.bottom hierarchy universe))
+       (Service.proc "team" 0 (fun _ctx _args -> pong))
+   with
+  | Ok () -> ()
+  | Error e -> failwith (Service.error_to_string e));
+  db, kernel, team, Subject.make alice (Security_class.bottom hierarchy universe)
+
+let group_only group =
+  Acl.of_entries [ Acl.allow (Acl.Group group) [ Access_mode.List; Access_mode.Execute ] ]
+
+let deny_group group =
+  Acl.of_entries
+    [
+      Acl.deny (Acl.Group group) [ Access_mode.Execute ];
+      Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+    ]
+
+let join db group subject = Principal.Db.add_member db group (Principal.Ind (Subject.principal subject))
+
+let denied_by group = function
+  | Error (Service.Denied { denial = Decision.Dac_explicit_deny (Acl.Group g); _ }) ->
+    Principal.equal_group g group
+  | Ok _ | Error _ -> false
+
+let test_unrelated_edit_keeps_grant () =
+  let was = Exsec_obs.Metrics.enabled () in
+  Exsec_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Exsec_obs.Metrics.set_enabled was) (fun () ->
+      let staff = Principal.group "staff" in
+      let db, kernel, team, alice = group_fixture ~group:staff ~members:[ "alice" ] group_only in
+      let h = open_exn kernel ~subject:alice ~caller:"t" team in
+      check "granted" true (Kernel.call_handle kernel h [] = Ok (Value.int 1));
+      let reminted0 = reminted () and audit0 = audit_total kernel in
+      Principal.Db.add_member db staff (Principal.Ind (Principal.individual "bob"));
+      check "still granted" true (Kernel.call_handle kernel h [] = Ok (Value.int 1));
+      Alcotest.(check int) "no re-mint" reminted0 (reminted ());
+      Alcotest.(check int) "no audited decision" audit0 (audit_total kernel))
+
+let test_call_handle_after_edit_allocates_nothing () =
+  let staff = Principal.group "staff" in
+  let db, kernel, team, alice = group_fixture ~group:staff ~members:[ "alice" ] group_only in
+  let h = open_exn kernel ~subject:alice ~caller:"t" team in
+  Principal.Db.add_member db staff (Principal.Ind (Principal.individual "bob"));
+  (* The warm-up call may pay the snapshot refresh. *)
+  ignore (Kernel.call_handle kernel h []);
+  let run () =
+    for _ = 1 to 10_000 do
+      ignore (Kernel.call_handle kernel h [])
+    done
+  in
+  let baseline = minor_delta (fun () -> ()) in
+  let measured = minor_delta run in
+  Alcotest.(check (float 0.)) "granted words after an unrelated edit" baseline measured
+
+let test_subject_into_deny_group_denied () =
+  let blocked = Principal.group "blocked" in
+  let db, kernel, team, alice = group_fixture ~group:blocked ~members:[ "bob" ] deny_group in
+  let h = open_exn kernel ~subject:alice ~caller:"t" team in
+  check "granted" true (Kernel.call_handle kernel h [] = Ok (Value.int 1));
+  join db blocked alice;
+  let denied0 = audit_denied kernel in
+  check "checked call denied by the group" true
+    (denied_by blocked (Kernel.call kernel ~subject:alice ~caller:"t" team []));
+  Alcotest.(check int) "checked denial audited" (denied0 + 1) (audit_denied kernel);
+  check "handle call denied by the group" true (denied_by blocked (Kernel.call_handle kernel h []));
+  Alcotest.(check int) "handle denial audited" (denied0 + 2) (audit_denied kernel)
+
+let test_registered_group_starts_to_bite () =
+  (* The "compiles away" rule under the interning rule: the ACL names
+     [late] before it is registered, so it decides for nobody; once it
+     is registered with alice in it (a new interning), it denies her,
+     by path and through the handle opened before. *)
+  let blocked = Principal.group "blocked" and late = Principal.group "late" in
+  let db, kernel, team, alice =
+    group_fixture ~group:blocked ~members:[ "bob" ] (fun _ -> deny_group late)
+  in
+  let h = open_exn kernel ~subject:alice ~caller:"t" team in
+  check "unregistered group compiles away" true (Kernel.call_handle kernel h [] = Ok (Value.int 1));
+  join db late alice;
+  check "registered group denies the path call" true
+    (denied_by late (Kernel.call kernel ~subject:alice ~caller:"t" team []));
+  check "and the handle" true (denied_by late (Kernel.call_handle kernel h []))
+
+let test_minted_inside_batch_denied_after () =
+  let blocked = Principal.group "blocked" in
+  let db, kernel, team, alice = group_fixture ~group:blocked ~members:[ "bob" ] deny_group in
+  ignore (Principal.Db.snapshot db);
+  let h =
+    Kernel.batch_principals kernel (fun () ->
+        join db blocked alice;
+        let h = open_exn kernel ~subject:alice ~caller:"t" team in
+        (* Inside the batch the published state still holds. *)
+        check "granted inside the batch" true (Kernel.call_handle kernel h [] = Ok (Value.int 1));
+        h)
+  in
+  let denied0 = audit_denied kernel in
+  check "denied after the batch" true (denied_by blocked (Kernel.call_handle kernel h []));
+  Alcotest.(check int) "denial audited" (denied0 + 1) (audit_denied kernel)
+
 (* {1 Denial-mapping determinism}
 
    Service.error_of_denial is THE mapping from resolver refusals to
@@ -533,6 +683,15 @@ let suite =
       test_republished_target_denied;
     Alcotest.test_case "call_handle allocates nothing" `Quick
       test_call_handle_allocates_nothing;
+    Alcotest.test_case "unrelated edit keeps the grant" `Quick test_unrelated_edit_keeps_grant;
+    Alcotest.test_case "call_handle after an edit allocates nothing" `Quick
+      test_call_handle_after_edit_allocates_nothing;
+    Alcotest.test_case "subject joining a deny group is denied" `Quick
+      test_subject_into_deny_group_denied;
+    Alcotest.test_case "registered group starts to bite" `Quick
+      test_registered_group_starts_to_bite;
+    Alcotest.test_case "minted inside a batch, denied after it" `Quick
+      test_minted_inside_batch_denied_after;
     Alcotest.test_case "denial mapping deterministic" `Quick
       test_denial_mapping_deterministic;
   ]

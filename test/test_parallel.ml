@@ -6,7 +6,7 @@
 
    - no crash and no torn state (the data-then-generation publication
      order of Meta/Principal.Db, the compiled-ACL slot on each object's
-     metadata and the snapshot-id memo on each shared subject);
+     metadata and the interned-id memo on each shared subject);
    - revocation barrier: after the mutator revokes the barrier
      object's ACL and publishes the round number, every reader's next
      look at that object must be denied — a grant would be a stale
@@ -302,6 +302,152 @@ let test_handle_callers_vs_mutator () =
   check "stale revalidations occurred" true (delta "handle.stale" > 0);
   check "in-place re-mints occurred" true (delta "handle.reminted" > 0)
 
+(* {1 Capability handles under membership churn}
+
+   Four caller domains call handles on procs whose ACL denies the
+   group [blocked], while a mutator churns bystanders through teams
+   and through [blocked] itself, edits no caller's row directly, and
+   revokes each round by nesting the callers' own group under
+   [blocked] — so a caller's row moves only through a group edge.
+   Invariants:
+
+   - revocation barrier: the edge lands before the round number is
+     published, so every caller's next handle call must refuse; a grant
+     would be a row test passing on a row that moved;
+   - counter conservation, as above;
+   - the bystander churn kept grants fresh (hits across edits) and the
+     revocations forced re-checks (stale calls). *)
+
+let membership_rounds = 30
+
+let test_handle_callers_vs_membership_mutator () =
+  let module Kernel = Exsec_extsys.Kernel in
+  let module Service = Exsec_extsys.Service in
+  let module Value = Exsec_extsys.Value in
+  let module Metrics = Exsec_obs.Metrics in
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  Principal.Db.add_individual db admin;
+  let blocked = Principal.group "blocked" and crew = Principal.group "crew" in
+  let teams = Array.init 4 (fun t -> Principal.group (Printf.sprintf "team%d" t)) in
+  let bystanders =
+    Array.init 32 (fun b -> Principal.Ind (Principal.individual (Printf.sprintf "by%d" b)))
+  in
+  let caller_inds =
+    Array.init callers (fun i -> Principal.individual (Printf.sprintf "caller%d" i))
+  in
+  (* Everyone registered up front: churn after this point never makes
+     a new interning. *)
+  Principal.Db.add_group db blocked;
+  Array.iter (Principal.Db.add_group db) teams;
+  Array.iter (fun ind -> Principal.Db.add_member db crew (Principal.Ind ind)) caller_inds;
+  Array.iter (fun who -> Principal.Db.add_member db teams.(0) who) bystanders;
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let kernel = Kernel.boot ~db ~admin ~hierarchy ~universe () in
+  let acl =
+    Acl.of_entries
+      [
+        Acl.deny (Acl.Group blocked) [ Access_mode.Execute ];
+        Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+      ]
+  in
+  let n_procs = 4 in
+  let proc_paths =
+    Array.init n_procs (fun i -> Path.of_string (Printf.sprintf "/svc/m%d" i))
+  in
+  Array.iteri
+    (fun i path ->
+      match
+        Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) path
+          ~meta:(Meta.make ~owner:admin ~acl bottom)
+          (Service.proc "m" 0 (Service.const (Value.int i)))
+      with
+      | Ok () -> ()
+      | Error e -> failwith (Service.error_to_string e))
+    proc_paths;
+  let round_published = Atomic.make 0 in
+  let acks = Array.init callers (fun _ -> Atomic.make 0) in
+  let opened = Atomic.make 0 in
+  let stop = Atomic.make false in
+  Metrics.set_enabled true;
+  let before = Metrics.snapshot () in
+  let run_caller i =
+    let subject = Subject.make caller_inds.(i) bottom in
+    let handles =
+      Array.map
+        (fun path ->
+          match Kernel.open_handle kernel ~subject ~caller:"stress" path with
+          | Ok h -> h
+          | Error e -> failwith (Service.error_to_string e))
+        proc_paths
+    in
+    Atomic.incr opened;
+    let stale_grants = ref 0 in
+    let my_ack = ref 0 in
+    let pos = ref 0 in
+    while not (Atomic.get stop) do
+      let round = Atomic.get round_published in
+      let result = Kernel.call_handle kernel handles.(!pos land (n_procs - 1)) [] in
+      incr pos;
+      if round > !my_ack then begin
+        (* Read the round first, call after: the edge was already in
+           place, so this call must refuse. *)
+        (match result with
+        | Ok _ -> incr stale_grants
+        | Error _ -> ());
+        my_ack := round;
+        Atomic.set acks.(i) round
+      end
+    done;
+    !stale_grants
+  in
+  let run_mutator () =
+    while Atomic.get opened < callers do
+      Domain.cpu_relax ()
+    done;
+    for round = 1 to membership_rounds do
+      (* Bystander churn: moves rows, never a caller's. *)
+      for k = 0 to 15 do
+        let who = bystanders.((round + k) mod Array.length bystanders) in
+        let team = teams.((round + k) mod Array.length teams) in
+        if k land 1 = 0 then begin
+          Principal.Db.add_member db team who;
+          Principal.Db.add_member db blocked who
+        end
+        else begin
+          Principal.Db.remove_member db team who;
+          Principal.Db.remove_member db blocked who
+        end
+      done;
+      (* Revoke through the group edge, publish the round after. *)
+      Principal.Db.add_member db blocked (Principal.Grp crew);
+      Atomic.set round_published round;
+      while Array.exists (fun ack -> Atomic.get ack < round) acks do
+        Domain.cpu_relax ()
+      done;
+      Principal.Db.remove_member db blocked (Principal.Grp crew)
+    done;
+    Atomic.set stop true
+  in
+  let caller_handles = List.init callers (fun i -> Domain.spawn (fun () -> run_caller i)) in
+  let mutator_handle = Domain.spawn run_mutator in
+  let stale = List.fold_left (fun acc h -> acc + Domain.join h) 0 caller_handles in
+  Domain.join mutator_handle;
+  let after = Metrics.snapshot () in
+  Metrics.set_enabled false;
+  let delta name = counter_of after name - counter_of before name in
+  Alcotest.(check int) "no grant crossed the revocation barrier" 0 stale;
+  check "every caller saw every round" true
+    (Array.for_all (fun ack -> Atomic.get ack = membership_rounds) acks);
+  Alcotest.(check int)
+    "handle.calls = hits + stale + use_after_close"
+    (delta "handle.calls")
+    (delta "handle.hits" + delta "handle.stale" + delta "handle.use_after_close");
+  check "revocations forced re-checks" true (delta "handle.stale" > 0);
+  check "grants stayed fresh across churn" true (delta "handle.hits" > 0)
+
 (* {1 Atomic identity allocation} *)
 
 let test_fresh_ids_unique_across_domains () =
@@ -437,6 +583,8 @@ let suite =
     Alcotest.test_case "stress: readers vs mutator" `Quick test_stress_readers_vs_mutator;
     Alcotest.test_case "stress: handle callers vs mutator" `Quick
       test_handle_callers_vs_mutator;
+    Alcotest.test_case "stress: handle callers vs membership mutator" `Quick
+      test_handle_callers_vs_membership_mutator;
     Alcotest.test_case "fresh ids unique across domains" `Quick
       test_fresh_ids_unique_across_domains;
     Alcotest.test_case "audit totals conserved across domains" `Quick

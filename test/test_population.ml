@@ -292,7 +292,8 @@ let prop_incremental_oracle =
                 incr oracle_probes;
                 let compiled_class =
                   Acl_compiled.verdict_class
-                    (Acl_compiled.check compiled ~subject ~mode)
+                    (Acl_compiled.check compiled ~snapshot:(Principal.Db.snapshot db)
+                       ~subject ~mode)
                 in
                 let interp_class =
                   match Acl.check ~db ~subject ~mode acl with
@@ -356,7 +357,8 @@ let test_compiled_differential () =
       (fun mode ->
         incr oracle_probes;
         let compiled_class =
-          Acl_compiled.verdict_class (Acl_compiled.check compiled ~subject ~mode)
+          Acl_compiled.verdict_class
+            (Acl_compiled.check compiled ~snapshot:(Principal.Db.snapshot db) ~subject ~mode)
         in
         let interp_class =
           match Acl.check ~db ~subject ~mode acl with
@@ -381,7 +383,10 @@ let test_compiled_differential () =
   Principal.Db.remove_member db evens (Principal.Grp quads);
   let compiled = Acl_compiled.compile ~db acl in
   let sees_read subject expected =
-    let fast = Acl_compiled.permits compiled ~subject ~mode:Access_mode.Read in
+    let fast =
+      Acl_compiled.permits compiled ~snapshot:(Principal.Db.snapshot db) ~subject
+        ~mode:Access_mode.Read
+    in
     let interp = Acl.permits ~db ~subject ~mode:Access_mode.Read acl in
     let name = Principal.individual_name subject in
     check (Printf.sprintf "%s: paths agree after unnesting" name) true (fast = interp);
@@ -398,9 +403,10 @@ let test_compiled_differential () =
     f ();
     Gc.minor_words () -. before
   in
+  let snapshot = Principal.Db.snapshot db in
   let run () =
     for _ = 1 to 1_000 do
-      ignore (Acl_compiled.check compiled ~subject ~mode:Access_mode.Read)
+      ignore (Acl_compiled.check compiled ~snapshot ~subject ~mode:Access_mode.Read)
     done
   in
   run ();
@@ -734,7 +740,6 @@ let test_kernel_batch_single_drift () =
   in
   check "handle grants before the batch" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7));
-  let stamp = Reference_monitor.stamp (Kernel.monitor kernel) in
   let g0 = Principal.Db.generation db in
   Kernel.batch_principals kernel (fun () ->
       let team = Principal.group "team" in
@@ -745,15 +750,14 @@ let test_kernel_batch_single_drift () =
   (* The hundred-member import published as one drift... *)
   check_int "one generation bump for the whole import" (g0 + 1)
     (Principal.Db.generation db);
-  check "pre-batch stamp invalidated" false
-    (Reference_monitor.stamp_valid (Kernel.monitor kernel) stamp);
-  (* ...so the handle fails closed once, re-minting against the
+  check "pre-batch generation invalidated" false (Principal.Db.generation db = g0);
+  (* ...so the handle fails closed once (the import registered new
+     individuals, which makes a new interning), re-minting against the
      settled state, and the very next call is fast-path valid again. *)
   check "handle still grants after the batch" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7));
-  let stamp' = Reference_monitor.stamp (Kernel.monitor kernel) in
-  check "post-batch stamp stable" true
-    (Reference_monitor.stamp_valid (Kernel.monitor kernel) stamp');
+  let g1 = Principal.Db.generation db in
+  check "post-batch generation stable" true (Principal.Db.generation db = g1);
   check "re-minted handle grants" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7))
 
