@@ -5,7 +5,10 @@
      dune exec bench/main.exe -- t3 f1        run selected experiments
      dune exec bench/main.exe -- --list       list experiment ids
      dune exec bench/main.exe -- --bechamel   microbenchmarks only
-     dune exec bench/main.exe -- --quick      tables only (no timing) *)
+     dune exec bench/main.exe -- --quick      tables only (no timing)
+
+   Exits 1 after the sweep if any selected experiment aborted (a refused
+   setup step) or failed (S2: a failed run or broken conservation). *)
 
 let experiments =
   [
@@ -43,15 +46,23 @@ let list_experiments () =
   List.iter (fun (id, what, _) -> Format.printf "  %-4s %s@." id what) experiments;
   Format.printf "  %-4s %s@." "--bechamel" "Bechamel microbenchmark suite"
 
+(* Experiments that aborted or failed; the program exits 1 after the
+   sweep if there are any. *)
+let failed = ref []
+
 let run_one id =
   match List.find_opt (fun (name, _, _) -> String.equal name id) experiments with
   | Some (_, _, run) -> (
-    (* A refused scenario setup step names itself instead of tearing
-       the whole driver down mid-sweep. *)
-    try run ()
-    with Exsec_workload.Scenario.Step_failed _ as failure ->
+    (* A refused scenario setup step or a failed run names itself
+       instead of ending the sweep. *)
+    try run () with
+    | Exsec_workload.Scenario.Step_failed _ as failure ->
       Format.printf "experiment %s aborted, setup step refused: %s@." id
-        (Exsec_workload.Scenario.failure_to_string failure))
+        (Exsec_workload.Scenario.failure_to_string failure);
+      failed := id :: !failed
+    | Scaling.Failed what ->
+      Format.printf "experiment %s failed: %s@." id what;
+      failed := id :: !failed)
   | None ->
     Format.printf "unknown experiment %S@." id;
     list_experiments ();
@@ -59,11 +70,15 @@ let run_one id =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  match args with
+  (match args with
   | [ "--list" ] -> list_experiments ()
   | [ "--bechamel" ] -> Bech.run ()
   | [ "--quick" ] -> List.iter run_one [ "t1"; "t2"; "t3"; "t4"; "f4" ]
   | [] ->
     List.iter (fun (id, _, _) -> run_one id) experiments;
     Bech.run ()
-  | ids -> List.iter run_one ids
+  | ids -> List.iter run_one ids);
+  if !failed <> [] then begin
+    Format.printf "failed experiments: %s@." (String.concat " " (List.rev !failed));
+    exit 1
+  end

@@ -88,6 +88,11 @@ let s1q () =
 
 module Serve = Exsec_serve
 
+(* Raised once S2 has printed all its rows, when any of them failed or
+   the server-side counts did not conserve; main.ml goes on with its
+   sweep and exits 1 at the end. *)
+exception Failed of string
+
 let user_credentials =
   {
     Serve.Wire.principal = "user";
@@ -118,10 +123,52 @@ let read_spec ~clients ~requests_per_client =
     op = (fun ~client:_ ~seq:_ -> Serve.Wire.Read { path = "/fs/user-data" });
   }
 
+(* The transport alone: p50 of [round_trips] frames echoed between two
+   domains over one Loopback connection, with no server behind it — the
+   handoff share of every served request in the table below. *)
+let bare_handoff ~round_trips =
+  let endpoint = Serve.Transport.Loopback.create () in
+  let transport = Serve.Transport.Loopback.transport endpoint in
+  let echo =
+    Domain.spawn (fun () ->
+        match transport.Serve.Transport.accept () with
+        | None -> ()
+        | Some conn ->
+          let rec loop () =
+            match conn.Serve.Transport.recv () with
+            | Some frame ->
+              conn.send frame;
+              loop ()
+            | None -> ()
+          in
+          loop ())
+  in
+  let client = Serve.Transport.Loopback.connect endpoint in
+  let frame =
+    Serve.Wire.encode_request
+      (Serve.Wire.Op { seq = 1; op = Serve.Wire.Read { path = "/fs/user-data" } })
+  in
+  let samples =
+    Array.init round_trips (fun _ ->
+        let start = Timing.now_ns () in
+        client.Serve.Transport.send frame;
+        ignore (client.recv ());
+        Timing.now_ns () -. start)
+  in
+  client.close ();
+  Serve.Transport.shutdown transport;
+  Domain.join echo;
+  Array.sort compare samples;
+  Format.printf "bare loopback round trip (2 domains echoing, no server): p50 %.1fus over %d@."
+    (samples.(round_trips / 2) /. 1e3) round_trips
+
 let serve_series ~client_counts ~requests_per_client ~open_loop_target =
   let was_enabled = Exsec_obs.Metrics.enabled () in
   Exsec_obs.Metrics.set_enabled true;
+  let failures = ref [] in
+  let failed what = failures := what :: !failures in
   Format.printf "runtime-recognized cores: %d@." (Domain.recommended_domain_count ());
+  bare_handoff ~round_trips:requests_per_client;
   Format.printf "%-8s %-12s %-10s %-10s %-10s@." "clients" "RPS" "p50(us)"
     "p95(us)" "p99(us)";
   List.iter
@@ -135,7 +182,9 @@ let serve_series ~client_counts ~requests_per_client ~open_loop_target =
            ~connect:(fun () -> Serve.Transport.Loopback.connect endpoint)
            spec
        with
-      | Error reason -> Format.printf "%-8d FAILED: %s@." clients reason
+      | Error reason ->
+        Format.printf "%-8d FAILED: %s@." clients reason;
+        failed (Printf.sprintf "%d clients: %s" clients reason)
       | Ok o ->
         Format.printf "%-8d %8.0f     %8.1f %8.1f %8.1f@." clients
           o.Exsec_workload.Loadgen.rps (o.p50_ns /. 1e3) (o.p95_ns /. 1e3)
@@ -153,7 +202,9 @@ let serve_series ~client_counts ~requests_per_client ~open_loop_target =
        ~target_rps:open_loop_target
        (read_spec ~clients:open_clients ~requests_per_client)
    with
-  | Error reason -> Format.printf "open-loop FAILED: %s@." reason
+  | Error reason ->
+    Format.printf "open-loop FAILED: %s@." reason;
+    failed ("open loop: " ^ reason)
   | Ok o ->
     Format.printf
       "open-loop target %.0f rps, %d clients: achieved %.0f rps, late %d/%d, \
@@ -171,7 +222,9 @@ let serve_series ~client_counts ~requests_per_client ~open_loop_target =
   Format.printf "server-side conservation: serve.requests=%d serve.responses=%d (%s)@."
     requests responses
     (if requests = responses then "exact" else "VIOLATED");
-  Exsec_obs.Metrics.set_enabled was_enabled
+  if requests <> responses then failed "server-side conservation violated";
+  Exsec_obs.Metrics.set_enabled was_enabled;
+  if !failures <> [] then raise (Failed (String.concat "; " (List.rev !failures)))
 
 let s2 () =
   header "S2  End-to-end served RPS vs client domains (loopback)";

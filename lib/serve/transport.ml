@@ -31,14 +31,20 @@ module Chan = struct
       closed = false;
     }
 
+  (* State changes land under the lock; the wake-up goes out after it
+     is released, so a waiter on the same core does not wake only to
+     block on the mutex (see the interface). *)
   let push chan x =
-    Mutex.protect chan.lock (fun () ->
-        if chan.closed then false
-        else begin
-          Queue.push x chan.queue;
-          Condition.signal chan.nonempty;
-          true
-        end)
+    let pushed =
+      Mutex.protect chan.lock (fun () ->
+          if chan.closed then false
+          else begin
+            Queue.push x chan.queue;
+            true
+          end)
+    in
+    if pushed then Condition.signal chan.nonempty;
+    pushed
 
   let pop chan =
     Mutex.protect chan.lock (fun () ->
@@ -53,9 +59,8 @@ module Chan = struct
         wait ())
 
   let close chan =
-    Mutex.protect chan.lock (fun () ->
-        chan.closed <- true;
-        Condition.broadcast chan.nonempty)
+    Mutex.protect chan.lock (fun () -> chan.closed <- true);
+    Condition.broadcast chan.nonempty
 end
 
 module Loopback = struct

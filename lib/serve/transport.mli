@@ -9,7 +9,10 @@
     - {!Loopback}: an in-process pair of mutex/condition queues, so CI,
       tests and the S2 bench drive the full wire path (encode, frame,
       authenticate, dispatch, respond) without touching the network
-      stack or the filesystem.
+      stack or the filesystem.  Each queue changes its state under its
+      mutex and wakes a waiter only after releasing it (see {!Chan}):
+      a served request is two handoffs, and each should cost one
+      wake-up.
 
     Connections are single-owner on each side: one domain reads and
     writes a given [conn] (the server dedicates a worker to a
@@ -35,7 +38,19 @@ type t = {
 val shutdown : t -> unit
 
 (** Unbounded, closeable MPMC queue — the loopback plumbing, also used
-    by the server to feed accepted connections to its workers. *)
+    by the server to feed accepted connections to its workers.
+
+    The wake rule: [push] and [close] change the queue under its mutex,
+    release the mutex, and only then signal (broadcast, for [close])
+    its condition; [pop] checks and waits under the mutex.  A waiter
+    is either already waiting when the state changes or sees the change
+    when it next checks, so no wake-up is lost.  Waking after the
+    unlock matters when both ends share a core: a waiter signalled
+    under the lock preempts the signaller, finds the mutex still held,
+    blocks on it, and must be woken a second time once the signaller
+    runs again — two switches per handoff instead of one.  Anything
+    that replaces this queue (a ready queue of requests, say) keeps the
+    rule. *)
 module Chan : sig
   type 'a chan
 

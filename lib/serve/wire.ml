@@ -43,6 +43,7 @@ type response = {
 }
 
 let max_frame = 16 * 1024 * 1024
+let max_depth = 64
 
 let error_of_service = function
   | Service.Denied { at; mode; denial } ->
@@ -235,7 +236,8 @@ let encode_response { seq; body } =
    One cursor over the payload; every read bounds-checks and raises
    [Malformed], caught at the two entry points.  Lengths are also
    sanity-capped so a hostile length prefix cannot demand a giant
-   allocation. *)
+   allocation, and [r_value] counts the [Pair]/[List] levels it is
+   inside so a frame of nested tags cannot recurse without bound. *)
 
 exception Malformed of string
 
@@ -285,19 +287,25 @@ let r_list r elt =
   let n = r_len r in
   List.init n (fun _ -> elt r)
 
-let rec r_value r =
+(* [depth] is the number of [Pair]/[List] levels around the value. *)
+let rec r_value r depth =
   match r_u8 r with
   | 0 -> Value.Unit
   | 1 -> Value.Bool (r_bool r)
   | 2 -> Value.Int (r_int r)
   | 3 -> Value.Str (r_str r)
   | 4 -> Value.Blob (Bytes.of_string (r_str r))
+  | (5 | 6) when depth >= max_depth -> fail "value nested too deep"
   | 5 ->
-    let a = r_value r in
-    let b = r_value r in
+    let a = r_value r (depth + 1) in
+    let b = r_value r (depth + 1) in
     Value.Pair (a, b)
-  | 6 -> Value.List (r_list r r_value)
+  | 6 -> Value.List (r_list r (fun r -> r_value r (depth + 1)))
   | _ -> fail "bad value tag"
+
+(* A closed function: reading top-level arguments allocates no
+   closure beyond [r_list]'s own. *)
+let r_args r = r_list r (fun r -> r_value r 0)
 
 let r_op r =
   match r_u8 r with
@@ -307,12 +315,12 @@ let r_op r =
     Resolve { path; mode }
   | 1 ->
     let path = r_str r in
-    let args = r_list r r_value in
+    let args = r_args r in
     Call { path; args }
   | 2 -> Open_handle { path = r_str r }
   | 3 ->
     let handle = r_int r in
-    let args = r_list r r_value in
+    let args = r_args r in
     Call_handle { handle; args }
   | 4 -> Close_handle { handle = r_int r }
   | 5 -> Read { path = r_str r }
@@ -377,7 +385,7 @@ let decode_response s =
           let principal = r_str r in
           let klass = r_str r in
           Hello_ok { principal; klass }
-        | 1 -> Value (r_value r)
+        | 1 -> Value (r_value r 0)
         | 2 -> Error (r_error r)
         | 3 -> Busy (r_str r)
         | _ -> fail "bad body tag"

@@ -91,8 +91,9 @@ val pp_body : Format.formatter -> body -> unit
 
 (** {1 Codec}
 
-    [decode_* (encode_* x) = Ok x]; decoders return [Error reason] on
-    trailing bytes, truncation, bad tags or lengths. *)
+    [decode_* (encode_* x) = Ok x] for every [x] whose values nest at
+    most {!max_depth} deep; decoders return [Error reason] on trailing
+    bytes, truncation, bad tags or lengths, and too-deep values. *)
 
 val encode_request : request -> string
 val decode_request : string -> (request, string) result
@@ -102,3 +103,9 @@ val decode_response : string -> (response, string) result
 val max_frame : int
 (** Upper bound on an accepted frame's payload size (16 MiB); both
     transports refuse larger frames rather than allocating them. *)
+
+val max_depth : int
+(** Upper bound on how deeply a decoded {!Value.t} nests [Pair] and
+    [List] (64; a scalar is depth 0).  Both decoders refuse a deeper
+    value with [Error "value nested too deep"], so one frame of nested
+    tags cannot recurse the decoder once per byte. *)

@@ -23,6 +23,14 @@ let roundtrip_response r =
   | Ok r' -> r' = r
   | Error _ -> false
 
+(* [n] nested levels of [wrap] around [Unit]. *)
+let nested n wrap =
+  let rec go n = if n = 0 then Value.unit else wrap (go (n - 1)) in
+  go n
+
+let pairs n = nested n (fun v -> Value.pair v Value.unit)
+let call_with arg = Wire.Op { seq = 1; op = Wire.Call { path = "/svc/p"; args = [ arg ] } }
+
 let test_wire_roundtrip () =
   let creds =
     {
@@ -80,6 +88,8 @@ let test_wire_hostile_bytes () =
       String.make 64 '\x07';
       (* a valid frame with trailing garbage *)
       Wire.encode_request (Wire.Op { seq = 1; op = Wire.Read { path = "/x" } }) ^ "!";
+      (* a well-formed Call whose argument nests one level too deep *)
+      Wire.encode_request (call_with (pairs (Wire.max_depth + 1)));
     ]
   in
   List.iteri
@@ -91,6 +101,140 @@ let test_wire_hostile_bytes () =
       | Ok _ -> Alcotest.failf "hostile response %d decoded" i
       | Error _ -> ())
     hostile
+
+let test_wire_nesting_cap () =
+  let lists n = nested n (fun v -> Value.list [ v ]) in
+  let refused = Error "value nested too deep" in
+  List.iter
+    (fun (label, deep) ->
+      let at_cap = deep Wire.max_depth and over = deep (Wire.max_depth + 1) in
+      check (label ^ ": request at the cap") true (roundtrip_request (call_with at_cap));
+      check (label ^ ": response at the cap") true
+        (roundtrip_response { Wire.seq = 1; body = Wire.Value at_cap });
+      check (label ^ ": request over the cap") true
+        (Wire.decode_request (Wire.encode_request (call_with over)) = refused);
+      check (label ^ ": response over the cap") true
+        (Wire.decode_response (Wire.encode_response { Wire.seq = 1; body = Wire.Value over })
+        = refused))
+    [ "pairs", pairs; "lists", lists ]
+
+(* {1 The loopback channel}
+
+   Every Loopback connection and the server's accept queue go through
+   [Transport.Chan].  A push or close whose wake-up goes missing
+   leaves a [pop] blocked forever, so these tests finish against a
+   deadline instead of hanging the suite. *)
+
+module Chan = Transport.Chan
+
+let deadline_s = 20.
+
+let within_deadline finished =
+  let deadline = Unix.gettimeofday () +. deadline_s in
+  while (not (finished ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  finished ()
+
+let test_chan_ping_pong () =
+  let rounds = 10_000 in
+  let ping = Chan.create () and pong = Chan.create () in
+  let echo =
+    Sys_domain.spawn (fun () ->
+        let rec serve served =
+          match Chan.pop ping with
+          | Some x -> if Chan.push pong x then serve (served + 1) else served
+          | None -> served
+        in
+        serve 0)
+  in
+  (* A lost wake-up blocks one side for good; closing both channels at
+     the deadline ends the run so the counts below report it. *)
+  let finished = Atomic.make false in
+  let watchdog =
+    Sys_domain.spawn (fun () ->
+        ignore (within_deadline (fun () -> Atomic.get finished));
+        Chan.close ping;
+        Chan.close pong)
+  in
+  let rec drive i =
+    if i = rounds || not (Chan.push ping i) then i
+    else
+      match Chan.pop pong with
+      | Some j when j = i -> drive (i + 1)
+      | _ -> i
+  in
+  let completed = drive 0 in
+  Atomic.set finished true;
+  Sys_domain.join watchdog;
+  let served = Sys_domain.join echo in
+  Alcotest.(check int) "every round trip before the deadline" rounds completed;
+  Alcotest.(check int) "every ping echoed" rounds served
+
+let test_chan_mpmc () =
+  let producers = 2 and consumers = 2 and per_producer = 20_000 in
+  let chan = Chan.create () in
+  let producing =
+    List.init producers (fun p ->
+        Sys_domain.spawn (fun () ->
+            for i = 0 to per_producer - 1 do
+              if not (Chan.push chan (p, i)) then failwith "push refused while open"
+            done))
+  in
+  let consuming =
+    List.init consumers (fun _ ->
+        Sys_domain.spawn (fun () ->
+            let rec drain acc =
+              match Chan.pop chan with Some x -> drain (x :: acc) | None -> List.rev acc
+            in
+            drain []))
+  in
+  List.iter Sys_domain.join producing;
+  Chan.close chan;
+  let popped = List.map Sys_domain.join consuming in
+  let times = Array.make_matrix producers per_producer 0 in
+  List.iteri
+    (fun c elements ->
+      let last = Array.make producers (-1) in
+      List.iter
+        (fun (p, i) ->
+          if i <= last.(p) then
+            Alcotest.failf "consumer %d saw producer %d's %d after its %d" c p i last.(p);
+          last.(p) <- i;
+          times.(p).(i) <- times.(p).(i) + 1)
+        elements)
+    popped;
+  Array.iteri
+    (fun p row ->
+      Array.iteri
+        (fun i n ->
+          if n <> 1 then Alcotest.failf "producer %d's element %d popped %d times" p i n)
+        row)
+    times
+
+let test_chan_close () =
+  let chan : int Chan.chan = Chan.create () in
+  let returned = Atomic.make 0 in
+  let blocked =
+    List.init 3 (fun _ ->
+        Sys_domain.spawn (fun () ->
+            let got = Chan.pop chan in
+            Atomic.incr returned;
+            got))
+  in
+  Unix.sleepf 0.05;
+  Alcotest.(check int) "pop blocks while open and empty" 0 (Atomic.get returned);
+  Chan.close chan;
+  if not (within_deadline (fun () -> Atomic.get returned = 3)) then
+    Alcotest.failf "a pop still blocked %.0f s after close" deadline_s;
+  List.iter (fun d -> check "a blocked pop returns None" true (Sys_domain.join d = None)) blocked;
+  let chan = Chan.create () in
+  check "push while open" true (Chan.push chan 1 && Chan.push chan 2);
+  Chan.close chan;
+  check "push after close refused" false (Chan.push chan 3);
+  Alcotest.(check (list (option int)))
+    "pop drains the queue, then None" [ Some 1; Some 2; None; None ]
+    (List.init 4 (fun _ -> Chan.pop chan))
 
 (* {1 Serve worlds} *)
 
@@ -525,6 +669,10 @@ let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
     Alcotest.test_case "wire hostile bytes" `Quick test_wire_hostile_bytes;
+    Alcotest.test_case "wire nesting cap" `Quick test_wire_nesting_cap;
+    Alcotest.test_case "chan ping-pong" `Quick test_chan_ping_pong;
+    Alcotest.test_case "chan mpmc" `Quick test_chan_mpmc;
+    Alcotest.test_case "chan close" `Quick test_chan_close;
     Alcotest.test_case "auth unknown principal" `Quick test_auth_unknown_principal;
     Alcotest.test_case "auth registry secret" `Quick test_auth_registry_secret;
     Alcotest.test_case "op before hello" `Quick test_op_before_hello;
