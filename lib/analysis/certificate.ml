@@ -101,14 +101,13 @@ let deps_of ~db proofs =
 let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegation
     ?expiry_cap ~now ~extension ~imports () =
   let db = Reference_monitor.db monitor in
+  (* Pre-read every generation the proof depends on, the policy's
+     included (the same data-then-generation discipline as
+     Meta.compiled_in): a concurrent mutation then lands a higher
+     generation than the one recorded here, and [admits] rejects. *)
+  let epoch = Reference_monitor.policy_epoch monitor in
+  let db_generation = Principal.Db.generation db in
   let policy = Reference_monitor.policy monitor in
-  (* Pre-read every generation the proof depends on (the same
-     data-then-generation discipline as Meta.compiled_in): a concurrent
-     mutation then lands a higher generation than the one recorded
-     here, and [admits] rejects. *)
-  let stamp = Reference_monitor.stamp monitor in
-  let epoch = stamp.Reference_monitor.stamp_epoch in
-  let db_generation = stamp.Reference_monitor.stamp_db_generation in
   let cover_ceilings =
     List.filter_map
       (fun principal ->
@@ -294,20 +293,17 @@ let proof_holds proof =
   Verdict.equal proof.verdict Verdict.Always_allow
   && List.for_all (fun (meta, generation) -> Meta.generation meta = generation) proof.chain
 
-let admitted certificate ~monitor ~namespace ~subject ?(now = max_int) path =
-  if not (valid certificate ~monitor ~now) then None
-  else
-    match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
-    | Some proof when proof_holds proof -> (
-      match Namespace.find namespace path with
-      | Ok node
-        when (Namespace.meta node).Meta.id = proof.target_id && covered certificate subject ->
-        Some node
-      | Ok _ | Error _ -> None)
-    | Some _ | None -> None
-
-let admits certificate ~monitor ~namespace ~subject ?now path =
-  Option.is_some (admitted certificate ~monitor ~namespace ~subject ?now path)
+let admits certificate ~monitor ~namespace ~subject ?(now = max_int) path =
+  valid certificate ~monitor ~now
+  &&
+  match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
+  | None -> false
+  | Some proof ->
+    proof_holds proof
+    && (match Namespace.find namespace path with
+       | Ok node -> (Namespace.meta node).Meta.id = proof.target_id
+       | Error _ -> false)
+    && covered certificate subject
 
 let pp ppf certificate =
   Format.fprintf ppf "@[<v>certificate for %s (epoch %d, db generation %d"

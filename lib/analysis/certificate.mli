@@ -211,19 +211,6 @@ val admits :
     bit is irrelevant: certificates cover only read-like modes, which
     the trusted exemption does not touch.) *)
 
-val admitted :
-  t ->
-  monitor:Reference_monitor.t ->
-  namespace:'a Namespace.t ->
-  subject:Subject.t ->
-  ?now:int ->
-  Path.t ->
-  'a Namespace.node option
-(** {!admits}, returning the node whose identity the proof was just
-    validated against.  A caller that dispatches on a certificate must
-    invoke this node: a second lookup of the path could return a node
-    re-added there in between, which no check covered. *)
-
 val pp : Format.formatter -> t -> unit
 
 val profile_to_json : profile -> string

@@ -46,23 +46,6 @@ let set_policy monitor policy =
 let audit monitor = monitor.audit
 let policy_epoch monitor = Atomic.get monitor.policy_epoch
 
-type stamp = {
-  stamp_epoch : int;
-  stamp_db_generation : int;
-}
-
-(* The global half of the state a link-time certificate depends on.
-   Read BEFORE the dependent computation, per the data-then-generation
-   discipline: a mutation racing with the computation then lands its
-   bump above the values recorded here, so the derived artifact is
-   born stale and fails closed on its next validation, never wrongly
-   valid. *)
-let stamp monitor =
-  {
-    stamp_epoch = Atomic.get monitor.policy_epoch;
-    stamp_db_generation = Principal.Db.generation monitor.db;
-  }
-
 (* The discretionary layer is the compiled ACL alone: the object's
    ACL, compiled to flat mode-mask arrays and memoized on its metadata
    (see Acl_compiled / Meta.compiled_in), answers in a few bitwise

@@ -54,21 +54,6 @@ val policy_epoch : t -> int
     scheme {!Meta} uses for compiled ACLs, applied to statically
     certified extensions. *)
 
-type stamp = {
-  stamp_epoch : int;  (** {!policy_epoch} at read time *)
-  stamp_db_generation : int;  (** {!Principal.Db.generation} at read time *)
-}
-(** The global half of the state a link-time certificate depends on.
-    Per-object metadata generations are the other half
-    ({!Meta.generation}). *)
-
-val stamp : t -> stamp
-(** Read the global generations, for stamping a certificate.  Call
-    {e before} the dependent computation: a mutation racing with the
-    computation then lands its bump above the recorded values, so the
-    artifact is born stale and fails closed on its next validation
-    instead of wrongly validating. *)
-
 val decide :
   ?span:Exsec_obs.Trace.handle ->
   t -> subject:Subject.t -> meta:Meta.t -> mode:Access_mode.t -> Decision.t

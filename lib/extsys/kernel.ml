@@ -21,7 +21,6 @@ let m_call_ns = Metrics.histogram "kernel.call_ns"
    handle.reminted counts the stale calls whose revalidation succeeded
    and refreshed the slot in place. *)
 let m_handle_opens = Metrics.counter "handle.opens"
-let m_handle_cert_mints = Metrics.counter "handle.cert_mints"
 let m_handle_calls = Metrics.counter "handle.calls"
 let m_handle_hits = Metrics.counter "handle.hits"
 let m_handle_stale = Metrics.counter "handle.stale"
@@ -75,10 +74,6 @@ type grant = {
          [no_row] when that snapshot is not known (see [mint]) *)
   g_metas : Meta.t array;  (* resolution chain, root first, target last *)
   g_gens : int array;  (* generation of each, read before the decision *)
-  g_cert : bool;
-      (* minted on the strength of the caller's certificate rather than
-         a monitor decision — revoking or expiring that certificate
-         must close this handle (its authority dies with the proof) *)
   g_proof : (Certificate.t * Certificate.import_proof) option;
       (* the caller's certificate and its Always_allow proof of this
          path, for [call_proved]; dropping or replacing the certificate
@@ -117,8 +112,6 @@ let batch_principals kernel f = Principal.Db.batch (Reference_monitor.db kernel.
 let hierarchy kernel = kernel.hierarchy
 let universe kernel = kernel.universe
 let registry kernel = kernel.registry
-
-let subject_for _kernel principal clearance = Subject.make principal clearance
 
 let admin_subject kernel =
   (* The administrator is a Bell-LaPadula trusted subject: part of the
@@ -223,20 +216,13 @@ let install_iface kernel ~subject ~mount ~meta iface impl_of =
 
 (* {1 Invocation} *)
 
-(* [Some node] when the caller's certificate still admits this
-   (subject, path) (see Exsec_analysis.Certificate), naming the node it
-   validated.  Only [open_handle] acts on it: certificates mint
-   handles, [call] never consults them. *)
-let certified_node kernel ~caller ~subject path =
-  match Hashtbl.find_opt kernel.certificates caller with
-  | None -> None
-  | Some certificate ->
-    Certificate.admitted certificate ~monitor:kernel.monitor
-      ~namespace:(Resolver.namespace kernel.resolver) ~subject
-      ~now:(Atomic.get kernel.cert_epoch) path
-
+(* A diagnostic: no call path consults it. *)
 let certificate_admits kernel ~caller ~subject path =
-  Option.is_some (certified_node kernel ~caller ~subject path)
+  match Hashtbl.find_opt kernel.certificates caller with
+  | None -> false
+  | Some certificate ->
+    Certificate.admits certificate ~monitor:kernel.monitor ~namespace:(namespace kernel)
+      ~subject ~now:(Atomic.get kernel.cert_epoch) path
 
 let quota_exceeded denial =
   Metrics.incr m_quota_denied;
@@ -402,18 +388,23 @@ let chain_snapshot kernel path =
     let metas = Array.of_list (List.map Namespace.meta nodes) in
     { epoch; generation; snapshot; metas; gens = Array.map Meta.generation metas }
 
+(* Whether [pre] describes [node]: the chain's tail is the node the
+   decision admitted, not one deleted and recreated in between. *)
+let pins pre node =
+  let n = Array.length pre.metas in
+  n > 0 && pre.metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id
+
 (* The grant a decision admitted, keyed on [pre].  The row is the
    subject's in the pre-read snapshot, and it is only worth keeping if
    the decision read that same snapshot.  A monitor decision reads
    [Principal.Db.snapshot]; when that still returns [pre.snapshot]
    after the decision, the cached slot held it throughout (the slot
    only moves to newer snapshots), so every read in between got it.
-   Otherwise, and for a certificate's admission, which reads no
-   snapshot, the grant keeps [no_row], and so stays fresh only while
+   Otherwise the grant keeps [no_row], and so stays fresh only while
    the database generation has not moved. *)
-let mint kernel pre ~path ~subject ~caller ~target ~cert =
+let mint kernel pre ~path ~subject ~caller ~target =
   let row =
-    if (not cert) && Principal.Db.snapshot (db kernel) == pre.snapshot then
+    if Principal.Db.snapshot (db kernel) == pre.snapshot then
       Principal.Db.Snapshot.row pre.snapshot
         ~individual_id:(Subject.individual_id subject pre.snapshot)
     else Principal.Db.Snapshot.no_row
@@ -421,7 +412,7 @@ let mint kernel pre ~path ~subject ~caller ~target ~cert =
   { g_path = path; g_subject = subject; g_caller = caller; g_target = target;
     g_epoch = pre.epoch; g_db_generation = pre.generation;
     g_interning = Principal.Db.Snapshot.interning pre.snapshot; g_row = row;
-    g_metas = pre.metas; g_gens = pre.gens; g_cert = cert; g_proof = None }
+    g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
 
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some (Proc proc) ->
@@ -437,43 +428,20 @@ let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
 let rec open_handle kernel ~subject ~caller path =
   Metrics.incr m_handle_opens;
   let pre = chain_snapshot kernel path in
-  let target_id =
-    let n = Array.length pre.metas in
-    if n = 0 then -1 else pre.metas.(n - 1).Meta.id
-  in
-  let certified =
-    if Array.length pre.metas = 0 then None else certified_node kernel ~caller ~subject path
-  in
-  let admitted =
-    match certified with
-    | Some node ->
-      (* The certificate's own validation just re-proved every
-         generation it consulted; our pre-reads happened before that
-         check and generations are monotone, so the snapshot is
-         consistent with the admitting proof. *)
-      Metrics.incr m_handle_cert_mints;
-      Ok node
-    | None -> Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path
-  in
-  match admitted with
+  match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
   | Error denial -> Error (Service.error_of_denial denial)
-  | Ok node ->
-    if (Namespace.meta node).Meta.id <> target_id then
-      (* The target changed identity between the snapshot and the
-         decision (delete + recreate race): the snapshot does not
-         describe the node the decision admitted.  Start over. *)
-      open_handle kernel ~subject ~caller path
-    else (
-      match
-        grant_target_of_payload kernel ~subject ~caller ~reuse_ctx:None
-          (Namespace.payload node)
-      with
-      | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))
-      | Some target ->
-        Ok
-          (Handle.mint kernel.handles
-             (mint kernel pre ~path ~subject ~caller ~target
-                ~cert:(Option.is_some certified))))
+  | Ok node when not (pins pre node) ->
+    (* The target changed identity between the snapshot and the
+       decision (delete + recreate race): the snapshot does not
+       describe the node the decision admitted.  Start over. *)
+    open_handle kernel ~subject ~caller path
+  | Ok node -> (
+    match
+      grant_target_of_payload kernel ~subject ~caller ~reuse_ctx:None (Namespace.payload node)
+    with
+    | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))
+    | Some target ->
+      Ok (Handle.mint kernel.handles (mint kernel pre ~path ~subject ~caller ~target)))
 
 (* Run a grant's target under [subject].  Any subject but the grant's
    own gets a context of its own, so nested calls run under it. *)
@@ -505,19 +473,13 @@ let call_handle_stale kernel h g args =
     with
     | None -> Error (Service.Unresolved (Path.to_string g.g_path ^ ": not callable"))
     | Some target ->
-      let n = Array.length pre.metas in
-      if n > 0 && pre.metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id then
-        if
-          Handle.update kernel.handles h
-            (* A re-mint is justified by the fresh monitor decision,
-               not the certificate, so the slot sheds its cert
-               lineage and any proof recorded on it: a later
-               revocation of that certificate need not (and must not)
-               kill an independently checked grant, and the proof may
-               name a node the slot no longer dispatches. *)
-            (mint kernel pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller
-               ~target ~cert:false)
-        then Metrics.incr m_handle_reminted;
+      if
+        pins pre node
+        && Handle.update kernel.handles h
+             (* The re-mint sheds any proof recorded on the slot: the
+                proof may name a node the slot no longer dispatches. *)
+             (mint kernel pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller ~target)
+      then Metrics.incr m_handle_reminted;
       run_target kernel g ~subject:g.g_subject target args)
 
 let call_handle kernel h args =
@@ -689,17 +651,10 @@ let note_certificate kernel certificate =
   Hashtbl.replace kernel.certificates name certificate;
   record_proofs kernel name (Some certificate)
 
-(* Retiring a certificate must also retire the handles minted on its
-   strength: a grant with [g_cert] set was admitted by the proof, not
-   by a monitor decision, and [call_handle] would keep serving it until
-   unrelated generation drift.  Handles the extension opened through
-   the checked path keep their independent justification and stay,
-   minus the proof. *)
+(* Every handle was minted by a monitor decision and keeps it: retiring
+   a certificate strips its proofs and closes nothing. *)
 let drop_certificate kernel name =
   Hashtbl.remove kernel.certificates name;
-  ignore
-    (Handle.close_where kernel.handles (fun g ->
-         g.g_cert && String.equal g.g_caller name));
   record_proofs kernel name None
 
 let revoke_certificate kernel name =
@@ -734,15 +689,12 @@ let drop_where kernel counter matches =
 
 (* Eager expiry.  The lazy half needs no sweep at all — validation
    carries the current epoch and refuses expired certificates on its
-   own; the sweep exists to reclaim table entries and close cert-minted
-   handles promptly rather than on first use. *)
-let sweep_expired_certificates kernel =
-  let now = Atomic.get kernel.cert_epoch in
-  drop_where kernel m_cert_expired (fun certificate -> Certificate.expired certificate ~now)
-
+   own; the sweep reclaims table entries and strips proofs promptly
+   rather than on first use. *)
 let advance_cert_epoch kernel =
   let now = 1 + Atomic.fetch_and_add kernel.cert_epoch 1 in
-  ignore (sweep_expired_certificates kernel);
+  ignore
+    (drop_where kernel m_cert_expired (fun certificate -> Certificate.expired certificate ~now));
   now
 
 (* CRL-style revocation: invalidate exactly the certificates whose

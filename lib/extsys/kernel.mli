@@ -48,7 +48,8 @@ val boot :
     [audit_capacity] is passed to {!Reference_monitor.create}.
     [registry] is the deployment's clearance registry;
     supplying it lets the linker issue link-time certificates
-    ({!Exsec_analysis.Certificate}) that mint handles. *)
+    ({!Exsec_analysis.Certificate}), whose proofs serve
+    {!call_proved}. *)
 
 val monitor : t -> Reference_monitor.t
 
@@ -66,11 +67,11 @@ val batch_principals : t -> (unit -> 'a) -> 'a
 (** {!Principal.Db.batch} over the kernel's database: run a bulk
     membership mutation under one deferred generation bump, so the
     fast paths see the whole batch as one change at the batch end
-    instead of one per mutation.  A link-time certificate whose
-    groups the batch edited, or a handle whose subject the batch moved
-    (or any handle, when the batch registered a principal), fails
-    closed into the checked path once and re-mints against the settled
-    state. *)
+    instead of one per mutation.  A certificate proof whose groups the
+    batch edited stops serving {!call_proved}; a handle whose subject
+    the batch moved (or any handle, when the batch registered a
+    principal) fails closed into the checked path once and re-mints
+    against the settled state. *)
 
 val hierarchy : t -> Level.hierarchy
 val universe : t -> Category.universe
@@ -87,9 +88,6 @@ val quota : t -> Quota.t
 
 val admin_subject : t -> Subject.t
 (** The administrator running at the top security class. *)
-
-val subject_for : t -> Principal.individual -> Security_class.t -> Subject.t
-(** Convenience constructor for a subject of this kernel's lattice. *)
 
 val default_meta : t -> owner:Principal.individual -> ?klass:Security_class.t ->
   ?callable:bool -> unit -> Meta.t
@@ -155,8 +153,8 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
 (** {1 Capability handles}
 
     The handle fast path: {!open_handle} pays for one fully checked
-    resolution (or reuses a still-valid link-time certificate) and
-    returns a dense, unforgeable handle pinning the admitted target
+    resolution and returns a dense, unforgeable handle pinning the
+    admitted target
     together with the coordinates the decision depended on: the
     policy epoch, the [Meta] generation of each node on the resolution
     chain, and the subject's membership, recorded both as the
@@ -200,25 +198,25 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       {!Principal.Db.snapshot} still returns that same snapshot after
       the decision: the cached slot only moves to newer snapshots, so
       it held that snapshot throughout and every read in between got
-      it.  Otherwise (a refresh raced the decision), and for a
-      certificate's admission, which reads no snapshot, the grant
-      keeps {!Principal.Db.Snapshot.no_row} and is fresh only while
-      the database generation is unchanged.
+      it.  Otherwise (a refresh raced the decision) the grant keeps
+      {!Principal.Db.Snapshot.no_row} and is fresh only while the
+      database generation is unchanged.
     - A grant minted from a born-stale snapshot (built inside a batch
       before anything was published) stops being fresh when the batch
       publishes: its recorded generation is the pre-batch one, and its
       interning belongs to a snapshot that is never published.
 
-    Certificates keep their own scoped rule (per-group dirty stamps,
-    {!Exsec_analysis.Certificate}); so does the proved path,
+    Every handle is a monitor decision: no certificate mints one.  A
+    certificate's own scoped rule (per-group dirty stamps,
+    {!Exsec_analysis.Certificate}) governs only the proved path,
     {!call_proved}. *)
 
 val open_handle :
   t -> subject:Subject.t -> caller:string -> Path.t ->
   (Handle.h, Service.error) result
 (** Resolve [path] for [Execute] under the full reference-monitor
-    check (audited exactly like {!call}) and mint a handle for the
-    grant.  Refuses — with the same error {!call} would produce — when
+    check (audited exactly like {!call}, whatever certificate [caller]
+    holds) and mint a handle for the grant.  Refuses — with the same error {!call} would produce — when
     the access is denied or the target is not callable.  Does not
     charge the invocation quota; each {!call_handle} does. *)
 
@@ -297,19 +295,20 @@ val loaded_extensions : t -> string list
 
 (** {1 Certificate lifecycle} (certificates issued by {!Linker})
 
-    Certificates only mint handles: a noted certificate is recorded on
-    its extension's import handles ({!call_proved}), and
-    {!open_handle} mints on a certificate's strength, while the
-    certificate still validates — policy epoch, every consulted
-    metadata generation, and the dirty stamp of every group its proof
-    depended on unchanged, the calling subject inside the proved
-    domain, and the validity horizon (if its profile set one) not yet
-    reached at the kernel's certificate epoch.  Stale certificates
-    fail closed into the fully checked path;
-    {!Reference_monitor.set_policy} (epoch bump) still revokes every
-    certificate at once, but membership churn now revokes only the
+    A certificate's only runtime effect is the proof it records on its
+    extension's import handles ({!call_proved}).  The proof serves a
+    covered subject while the certificate still validates — policy
+    epoch, every consulted metadata generation, and the dirty stamp of
+    every group its proof depended on unchanged, and the validity
+    horizon (if its profile set one) not yet reached at the kernel's
+    certificate epoch.  A stale certificate fails closed into the fully
+    checked path; {!Reference_monitor.set_policy} (epoch bump) revokes
+    every certificate at once, but membership churn revokes only the
     certificates whose proofs actually depended on the edited groups
-    (see {!Exsec_analysis.Certificate}).
+    (see {!Exsec_analysis.Certificate}).  No certificate mints or
+    closes a handle: dropping one (revocation, expiry, unload) strips
+    its proofs, and every handle keeps serving under its own monitor
+    decision.
 
     Counters: [cert.issued] and [cert.delegations] on
     {!note_certificate}, [cert.revoked] on any revocation,
@@ -321,12 +320,12 @@ val note_certificate : t -> Exsec_analysis.Certificate.t -> unit
     handles for those paths (replaced proofs stop serving at once). *)
 
 val revoke_certificate : t -> string -> unit
-(** Drops the extension's certificate {e and closes every handle
-    minted on its strength} (certificate-admitted mints, see
-    {!open_handle}) — a revoked proof must stop granting immediately,
-    not at the next unrelated generation drift.  Handles the extension
-    opened through the fully checked path (its import handles) carry
-    their own justification and survive, minus the recorded proof. *)
+(** Drops the extension's certificate and strips its proofs from the
+    extension's handles, so the revoked proof stops serving
+    {!call_proved} at once: a covered subject's next call is the
+    checked, audited {!call}.  The handles themselves (import and
+    chain handles) were minted by monitor decisions and keep serving
+    {!call_handle} under their own freshness rule. *)
 
 val certificate_of : t -> string -> Exsec_analysis.Certificate.t option
 
@@ -342,20 +341,15 @@ val cert_epoch : t -> int
 
 val advance_cert_epoch : t -> int
 (** Tick the certificate clock and eagerly sweep: certificates whose
-    horizon has passed are dropped and their certificate-minted
-    handles closed ({!sweep_expired_certificates}).  Returns the new
-    epoch. *)
-
-val sweep_expired_certificates : t -> int
-(** Drop every expired certificate (and close its certificate-minted
-    handles) without advancing the clock; returns how many were
-    swept.  Purely an eager-reclamation aid: {!certificate_admits}
-    already refuses expired certificates on its own. *)
+    horizon has passed are dropped and their proofs stripped, as by
+    {!revoke_certificate}.  Returns the new epoch.  The sweep only
+    reclaims: an expired certificate's proof already stops serving at
+    the horizon. *)
 
 val revoke_by_principal : t -> Principal.individual -> int
 (** CRL-style batch revocation: drop exactly the certificates whose
-    cover includes the principal (closing their certificate-minted
-    handles), with no global epoch bump — certificates that never
+    cover includes the principal (stripping their proofs, as
+    {!revoke_certificate}), with no global epoch bump — certificates that never
     proved anything about the principal are untouched.  Returns how
     many were revoked. *)
 
@@ -383,8 +377,8 @@ val delegate_certificate :
 val certificate_admits : t -> caller:string -> subject:Subject.t -> Path.t -> bool
 (** [true] when the caller's certificate admits this call right now,
     at the kernel's current certificate epoch
-    (see {!Exsec_analysis.Certificate.admits}).  A diagnostic; only
-    {!open_handle} acts on this answer. *)
+    (see {!Exsec_analysis.Certificate.admits}).  A diagnostic: no call
+    path consults it. *)
 
 val call_graph : ?extra:Extension.t list -> t -> Exsec_analysis.Callgraph.t
 (** The live system's call graph: for every loaded extension (plus

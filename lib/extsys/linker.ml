@@ -45,9 +45,10 @@ module Linked = struct
     certificate : Exsec_analysis.Certificate.t option;
     chain_table : (Path.t * Handle.h) list;
         (* provably-redundant transitive call sites (reached through
-           other extensions' provides, never imported directly),
-           pre-minted as capability handles by the chain analysis;
-           generation-stamped like every handle, so drift fails closed *)
+           other extensions' provides, never imported directly): the
+           chain analysis picks them, the monitor mints their handles
+           under the link-time subject, and the handle rule keeps them
+           valid, so drift fails closed *)
   }
 
   let extension linked = linked.extension
@@ -278,9 +279,9 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
        provides that prove Always_allow for every registered session
        are folded into the certificate (soundly: a proof over the full
        session interval covers every capped sub-session) and
-       pre-minted as capability handles.  The graph has no edge through
-       event dispatch: a handler runs under its owner's name, outside
-       this extension's proof. *)
+       pre-minted as capability handles through the monitor.  The graph
+       has no edge through event dispatch: a handler runs under its
+       owner's name, outside this extension's proof. *)
     let certificate, chain_targets =
       match Kernel.registry kernel with
       | None -> None, []
@@ -320,13 +321,9 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     (* The certificate enters the kernel table AFTER the import
        handles, recording its Always_allow proofs on them (the
        any-subject dispatch of [Linked.call]; the handles keep their
-       own monitor justification), and BEFORE the chain table: chain
-       handles exist only on the strength of the chain proofs folded
-       into the certificate, so they mint through the
-       certificate-admitted path and carry its lineage — revoking or
-       expiring the certificate closes exactly them.  A failure below
-       revokes the certificate again, so a failed link leaves no
-       certificate behind. *)
+       own monitor justification).  A failure below revokes the
+       certificate again, so a failed link leaves no certificate
+       behind. *)
     Option.iter (Kernel.note_certificate kernel) certificate;
     let chain_proved path =
       match certificate with
@@ -342,7 +339,9 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
         (fun path ->
           (* A site the certificate itself did not certify — outside
              the profile's modes or prefixes — gets no pre-minted
-             handle: the chain table carries certificate lineage only. *)
+             handle.  The mint is an ordinary monitor decision under
+             the link-time subject, so the handle outlives the
+             certificate. *)
           if not (chain_proved path) then None
           else
             match Kernel.open_handle kernel ~subject:capped ~caller:name path with
@@ -350,8 +349,9 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
               Metrics.incr m_chain_handles;
               Some (path, handle)
             | Error _ ->
-              (* the proved state moved between analysis and mint: fail
-                 closed, the checked path still covers the site *)
+              (* the monitor refused (the state moved after the
+                 analysis): fail closed, the checked path still covers
+                 the site *)
               None)
         chain_targets
     in

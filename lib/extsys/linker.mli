@@ -88,8 +88,10 @@ module Linked : sig
       Empty without a clearance registry. *)
 
   val chain_handle : t -> Path.t -> Handle.h option
-  (** The pre-minted capability handle for a chain target.  Closed
-      (with every other handle of this caller) on unload. *)
+  (** The pre-minted capability handle for a chain target, minted by a
+      monitor decision under the link-time subject: revoking or
+      expiring the certificate leaves it serving.  Closed (with every
+      other handle of this caller) on unload. *)
 
   val call_chain :
     t -> Path.t -> Value.t list -> (Value.t, Service.error) result

@@ -1,26 +1,24 @@
 (* The certificate lifecycle (Exsec_analysis.Certificate +
    Kernel lifecycle surface): scoped invalidation, profiles, expiry
-   epochs, delegation chains and CRL-style revocation — plus the two
-   revocation-soundness regressions this PR fixes:
+   epochs, delegation chains and CRL-style revocation.  Every handle is
+   a monitor decision: a certificate mints none and closes none, so
+   revoking or expiring one strips the proofs [Linked.call] serves
+   from, and every handle keeps its own validity rule.  Also pinned:
+   Verdict.all [] folds to Always_allow, so a certificate issued under
+   an empty clearance registry must not mark every import vacuously
+   Always_allow.
 
-   - Kernel.revoke_certificate used to remove the certificate but
-     leave the capability handles pre-minted from its chain proofs
-     open, so a revoked certificate kept granting through call_handle
-     until unrelated generation drift;
-   - Verdict.all [] folds to Always_allow, so a certificate issued
-     under an empty clearance registry used to mark every import
-     vacuously Always_allow and count as fully certified with zero
-     covers.
-
-   The differential oracle drives twin kernels over one shared
-   principal database and clearance registry.  The lifecycle side
-   holds scoped, profiled, expiring and delegated certificates; the
-   full side has every certificate revoked, so each of its calls goes
-   through the full reference monitor.  Probes must agree structurally
-   under lockstep churn — ACL edits, membership changes in covered and
-   uncovered groups, policy bumps, relabels, expiry sweeps, CRL
-   revocations, re-certification — and every denial on the lifecycle
-   side must land a denied audit record. *)
+   The differential oracle drives twin kernels, built identically over
+   one shared principal database and clearance registry.  On the
+   lifecycle side, where scoped, profiled, expiring and delegated
+   certificates live, every import is probed through [Linked.call] and
+   every chain target through [Linked.call_chain]; the full side answers
+   each probe with the checked [Kernel.call] under the same subject.
+   Probes must agree structurally under lockstep churn — ACL edits,
+   membership changes in covered and uncovered groups, policy bumps,
+   relabels, expiry sweeps, CRL revocations, re-certification — and
+   every denial on the lifecycle side must land a denied audit
+   record. *)
 
 open Exsec_core
 open Exsec_extsys
@@ -123,48 +121,55 @@ let build_world ?front_profile () =
     front;
   }
 
-(* {1 Regression: revoke_certificate closes certificate-minted handles} *)
+let audit_total w = Audit.total (Reference_monitor.audit (Kernel.monitor w.kernel))
 
-let test_revoke_closes_handles () =
+(* The audit records one call writes. *)
+let records w f =
+  let t0 = audit_total w in
+  ignore (f ());
+  audit_total w - t0
+
+let open_ok w ~caller path =
+  match Kernel.open_handle w.kernel ~subject:w.alice_sub ~caller path with
+  | Ok handle -> handle
+  | Error e -> Alcotest.failf "open_handle %s: %s" caller (Service.error_to_string e)
+
+(* {1 Every handle is a monitor decision} *)
+
+let test_open_is_audited () =
+  let w = build_world () in
+  (* front's certificate proves /svc/get transitively, yet opening a
+     handle on it is decided (and audited) exactly like a call. *)
+  check "front's certificate admits the path" true
+    (Kernel.certificate_admits w.kernel ~caller:"front" ~subject:w.alice_sub store);
+  let opened = records w (fun () -> open_ok w ~caller:"front" store) in
+  check "the open wrote audit records" true (opened > 0);
+  Alcotest.(check int) "as many as a checked call" opened
+    (records w (fun () -> Kernel.call w.kernel ~subject:w.alice_sub ~caller:"front" store []))
+
+let test_revoke_strips_proofs () =
   Metrics.set_enabled true;
   let w = build_world () in
-  (* front's certificate covers /svc/get transitively, so this mint
-     goes through the certificate-admitted path. *)
-  let mints0 = counter "handle.cert_mints" in
-  let handle =
-    match Kernel.open_handle w.kernel ~subject:w.alice_sub ~caller:"front" store with
-    | Ok handle -> handle
-    | Error e -> Alcotest.failf "open_handle: %s" (Service.error_to_string e)
-  in
-  check "minted via the certificate" true (counter "handle.cert_mints" > mints0);
-  check "handle serves before revocation" true
-    (Kernel.call_handle w.kernel handle [] = Ok (Value.int 7));
-  (* An unrelated caller's handle to the same target, minted through
-     the fully checked path, must survive the revocation. *)
-  let other =
-    match Kernel.open_handle w.kernel ~subject:w.alice_sub ~caller:"bystander" store with
-    | Ok handle -> handle
-    | Error e -> Alcotest.failf "open_handle bystander: %s" (Service.error_to_string e)
-  in
+  let handle = open_ok w ~caller:"front" store in
+  let other = open_ok w ~caller:"bystander" store in
+  (* front's import fetch is proved: only the nested hop to /svc/get
+     (a checked ctx call) is audited. *)
+  let proved = records w (fun () -> Linker.Linked.call w.front ~subject:w.alice_sub fetch []) in
   Kernel.revoke_certificate w.kernel "front";
   check "certificate gone" true (Kernel.certificate_of w.kernel "front" = None);
-  (* The regression: the pre-minted handle must fail closed with zero
-     grants, immediately — not at the next unrelated generation
-     drift. *)
+  (* Revocation strips the proof: the outer hop is now checked. *)
+  check "revoked Linked.call is audited" true
+    (records w (fun () -> Linker.Linked.call w.front ~subject:w.alice_sub fetch []) > proved);
+  (* No handle dies with the certificate: each keeps serving from its
+     own monitor decision, as a handle hit. *)
   let hits0 = counter "handle.hits" in
-  (match Kernel.call_handle w.kernel handle [] with
-  | Error (Service.Denied _) -> ()
-  | Ok _ -> Alcotest.fail "revoked certificate still grants through its handle"
-  | Error e -> Alcotest.failf "unexpected error: %s" (Service.error_to_string e));
-  check "zero grants through the revoked handle" true (counter "handle.hits" = hits0);
-  check "unrelated caller's checked handle survives" true
+  check "front's handle still serves" true
+    (Kernel.call_handle w.kernel handle [] = Ok (Value.int 7));
+  check "bystander's handle still serves" true
     (Kernel.call_handle w.kernel other [] = Ok (Value.int 7));
-  (* The chain table's pre-minted handle dies with the certificate
-     too (satellite regression: it used to keep granting). *)
-  (match Linker.Linked.call_chain w.front store [] with
-  | Error (Service.Denied _) -> ()
-  | Ok _ -> Alcotest.fail "revoked chain handle still grants"
-  | Error e -> Alcotest.failf "chain handle: %s" (Service.error_to_string e))
+  check "chain handle still serves" true
+    (Linker.Linked.call_chain w.front store [] = Ok (Value.int 7));
+  check "all three were hits" true (counter "handle.hits" = hits0 + 3)
 
 (* {1 Regression: empty registry certifies nothing} *)
 
@@ -193,7 +198,7 @@ let test_empty_registry_proves_nothing () =
 let test_scoped_survival () =
   Metrics.set_enabled true;
   let w = build_world () in
-  let audit_total () = Audit.total (Reference_monitor.audit (Kernel.monitor w.kernel)) in
+  let audit_total () = audit_total w in
   check "certified before churn" true
     (Kernel.certificate_admits w.kernel ~caller:"relay" ~subject:w.alice_sub store);
   let generation0 = Principal.Db.generation w.db in
@@ -319,20 +324,30 @@ let test_expiry () =
   check "epoch-ignorant callers fail closed" false
     (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
        ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub fetch);
-  (* Eager sweep at the horizon: table entry reclaimed, chain handle
-     closed, the call falls back to the checked path. *)
+  (* Eager sweep at the horizon: the table entry is reclaimed and the
+     proof stripped, so front's Linked.call falls back to the checked
+     path; the chain handle keeps serving on its own coordinates. *)
   check "chain call serves before expiry" true
     (Linker.Linked.call_chain w.front store [] = Ok (Value.int 7));
+  let call_fetch () = Linker.Linked.call w.front ~subject:w.alice_sub fetch [] in
+  let proved = records w call_fetch in
   check "first tick: still alive" true
     (Kernel.advance_cert_epoch w.kernel = 1
     && Kernel.certificate_of w.kernel "front" <> None);
   check "second tick sweeps" true
     (Kernel.advance_cert_epoch w.kernel = 2
     && Kernel.certificate_of w.kernel "front" = None);
-  (match Linker.Linked.call_chain w.front store [] with
-  | Error (Service.Denied _) -> ()
-  | Ok _ -> Alcotest.fail "expired certificate still grants through its chain handle"
-  | Error e -> Alcotest.failf "chain handle: %s" (Service.error_to_string e));
+  check "swept Linked.call is audited" true (records w call_fetch > proved);
+  let t0 = audit_total w in
+  check "chain handle serves after the sweep" true
+    (Linker.Linked.call_chain w.front store [] = Ok (Value.int 7));
+  Alcotest.(check int) "as an unaudited handle hit" t0 (audit_total w);
+  (* Its own coordinates still bind it: an epoch bump sends the next
+     chain call through the checked path. *)
+  let monitor = Kernel.monitor w.kernel in
+  Reference_monitor.set_policy monitor (Reference_monitor.policy monitor);
+  check "chain call after an epoch bump is checked" true
+    (records w (fun () -> Linker.Linked.call_chain w.front store []) > 0);
   check "checked path still serves after expiry" true
     (Kernel.call w.kernel ~subject:w.alice_sub ~caller:"front" store []
     = Ok (Value.int 7))
@@ -445,6 +460,7 @@ let test_crl_revocation () =
 
 type otwin = {
   okernel : Kernel.t;
+  links : Linker.Linked.t list;  (* relay, front, front/worker *)
   store_meta : Meta.t;
   fetch_meta : Meta.t;
   svc_meta : Meta.t;
@@ -456,8 +472,9 @@ type oworld = {
   inds : Principal.individual array;
   grps : Principal.group array;  (* 0 staff (ACL-named), 1 eng (nested), 2 visitors *)
   subjects : Subject.t array;
-  cert_side : otwin;  (* lifecycle certificates live *)
-  full_side : otwin;  (* certificates revoked: every call fully checked *)
+  link_subject : Subject.t;  (* alice at her clearance: links every extension *)
+  cert_side : otwin;  (* probed through Linked.call and Linked.call_chain *)
+  full_side : otwin;  (* probed through the checked Kernel.call *)
 }
 
 let oclasses hierarchy universe =
@@ -473,7 +490,7 @@ let oprofile =
   Certificate.make_profile ~name:"oracle" ~prefixes:[ Path.of_string "/" ] ~max_depth:3
     ~validity:2 ()
 
-let build_otwin db registry hierarchy universe admin inds grps ~certified =
+let build_otwin db registry hierarchy universe admin grps ~link_subject =
   let kernel =
     Kernel.boot
       ~policy:(Policy.with_recheck Policy.default)
@@ -498,26 +515,29 @@ let build_otwin db registry hierarchy universe admin inds grps ~certified =
    with
   | Ok () -> ()
   | Error e -> failwith (Service.error_to_string e));
-  let alice = inds.(0) in
-  let alice_sub =
-    Subject.make alice (Option.get (Clearance.clearance_of registry alice))
-  in
+  let alice = Subject.principal link_subject in
   let link ?profile ext =
-    match Linker.link ?profile kernel ~subject:alice_sub ext with
-    | Ok _ -> ()
+    match Linker.link ?profile kernel ~subject:link_subject ext with
+    | Ok linked -> linked
     | Error e -> failwith (Format.asprintf "%a" Linker.pp_link_error e)
   in
-  link
-    (Extension.make ~name:"relay" ~author:alice ~imports:[ store ]
-       ~provides:
-         [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
-       ());
-  link ~profile:oprofile
-    (Extension.make ~name:"front" ~author:alice ~imports:[ fetch ] ());
-  if not certified then begin
-    Kernel.revoke_certificate kernel "relay";
-    Kernel.revoke_certificate kernel "front"
-  end;
+  let relay =
+    link
+      (Extension.make ~name:"relay" ~author:alice ~imports:[ store ]
+         ~provides:
+           [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
+         ())
+  in
+  let front =
+    link ~profile:oprofile (Extension.make ~name:"front" ~author:alice ~imports:[ fetch ] ())
+  in
+  (* The delegation target: [recertify] replaces its own certificate
+     with one delegated from front's, so delegated proofs serve its
+     Linked.call. *)
+  let worker =
+    link ~profile:oprofile
+      (Extension.make ~name:"front/worker" ~author:alice ~imports:[ store ] ())
+  in
   let meta_at path =
     match Namespace.find (Kernel.namespace kernel) (Path.of_string path) with
     | Ok node -> Namespace.meta node
@@ -525,6 +545,7 @@ let build_otwin db registry hierarchy universe admin inds grps ~certified =
   in
   {
     okernel = kernel;
+    links = [ relay; front; worker ];
     store_meta;
     fetch_meta = meta_at "/ext/relay/fetch";
     svc_meta = meta_at "/svc";
@@ -538,12 +559,14 @@ let build_oworld () =
   Array.iter (Principal.Db.add_individual db) inds;
   let grps = Array.map Principal.group [| "staff"; "eng"; "visitors" |] in
   Array.iter (Principal.Db.add_group db) grps;
-  (* staff >= eng (nested), alice in eng, bob in staff: edits to either
-     group are inside the scoped dependency set; visitors is outside
-     it. *)
+  (* staff >= eng (nested), alice in eng, bob and carol in staff:
+     edits to either group are inside the scoped dependency set;
+     visitors is outside it.  Every registered principal starts inside
+     staff, so the store proofs hold from the first sweep. *)
   Principal.Db.add_member db grps.(0) (Principal.Grp grps.(1));
   Principal.Db.add_member db grps.(1) (Principal.Ind inds.(0));
   Principal.Db.add_member db grps.(0) (Principal.Ind inds.(1));
+  Principal.Db.add_member db grps.(0) (Principal.Ind inds.(2));
   let hierarchy = Level.hierarchy [ "local"; "organization"; "others" ] in
   let universe = Category.universe [ "d1"; "d2" ] in
   let klasses = oclasses hierarchy universe in
@@ -562,38 +585,25 @@ let build_oworld () =
       Subject.make inds.(3) klasses.(0);
     |]
   in
+  let link_subject = subjects.(0) in
+  let twin () = build_otwin db registry hierarchy universe admin grps ~link_subject in
   {
     odb = db;
     oregistry = registry;
     inds;
     grps;
     subjects;
-    cert_side = build_otwin db registry hierarchy universe admin inds grps ~certified:true;
-    full_side = build_otwin db registry hierarchy universe admin inds grps ~certified:false;
+    link_subject;
+    cert_side = twin ();
+    full_side = twin ();
   }
 
-let probes_total = ref 0
-let fast_probes = ref 0
+let tally = Proved_probe.tally ()
 
-let cert_denied_total world =
-  Audit.denied_total (Reference_monitor.audit (Kernel.monitor world.cert_side.okernel))
-
-let probe world subject caller target =
-  incr probes_total;
-  let rf = Kernel.call world.full_side.okernel ~subject ~caller target [] in
-  let denied_before = cert_denied_total world in
-  if Kernel.certificate_admits world.cert_side.okernel ~caller ~subject target then
-    incr fast_probes;
-  let rc = Kernel.call world.cert_side.okernel ~subject ~caller target [] in
-  let agree = rf = rc in
-  (* A refusal on the lifecycle side must come out of the checked,
-     audited path — the lifecycle never refuses (or grants) silently. *)
-  let audited =
-    match rc with
-    | Error (Service.Denied _) -> cert_denied_total world > denied_before
-    | Ok _ | Error _ -> true
-  in
-  agree && audited
+let sweep world =
+  let twin (side : otwin) = { Proved_probe.kernel = side.okernel; links = side.links } in
+  Proved_probe.sweep tally ~cert_twin:(twin world.cert_side) ~full_twin:(twin world.full_side)
+    ~subjects:world.subjects ~link_subject:world.link_subject
 
 (* {2 Churn: applied to both twins in lockstep}
 
@@ -603,7 +613,7 @@ let probe world subject caller target =
    it may darken the fast path, never change an answer. *)
 
 let oracle_acls world =
-  let alice = world.inds.(0) and bob = world.inds.(1) in
+  let alice = world.inds.(0) and bob = world.inds.(1) and mallory = world.inds.(3) in
   [|
     Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ];
     Acl.of_entries
@@ -619,6 +629,13 @@ let oracle_acls world =
     Acl.of_entries
       [ Acl.allow (Acl.Individual alice) [ Access_mode.List; Access_mode.Execute ] ];
     Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List ] ];
+    (* every registered session may call, so a proof holds; only the
+       unregistered mallory, outside every cover, is denied *)
+    Acl.of_entries
+      [
+        Acl.deny (Acl.Individual mallory) [ Access_mode.Execute ];
+        Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+      ];
   |]
 
 let oracle_policies =
@@ -721,48 +738,31 @@ let apply_churn world (kind, a, b) =
      with Invalid_argument _ -> ())
   | _ -> recertify world
 
-let oracle_relay = Path.of_string "/ext/front"
-let oracle_targets = [ store; fetch; oracle_relay ]
-let oracle_callers = [ "front"; "front/worker"; "relay"; "probe" ]
-
 let prop_oracle =
   QCheck.Test.make ~name:"certificate lifecycle = full monitor under churn" ~count:120
     QCheck.(small_list (triple small_nat small_nat small_nat))
     (fun churn ->
       let world = build_oworld () in
-      let ok = ref true in
-      let sweep () =
-        Array.iter
-          (fun subject ->
-            List.iter
-              (fun caller ->
-                List.iter
-                  (fun target ->
-                    if not (probe world subject caller target) then ok := false)
-                  oracle_targets)
-              oracle_callers)
-          world.subjects
-      in
-      sweep ();
-      List.iter
-        (fun op ->
-          apply_churn world op;
-          sweep ())
-        churn;
-      sweep ();
-      !ok)
+      sweep world
+      && List.for_all
+           (fun op ->
+             apply_churn world op;
+             sweep world)
+           churn)
 
 let test_probe_volume () =
   (* Runs after the QCheck case by suite order; the oracle must have
-     executed the mandated >= 10k randomized probes, and the lifecycle
-     fast path must actually have served some of them. *)
-  check "over 10k differential probes" true (!probes_total >= 10_000);
-  check "lifecycle-admitted calls exercised" true (!fast_probes > 0)
+     executed the mandated >= 10k randomized probes, and the proved
+     path must actually have served some of them. *)
+  check "over 10k differential probes" true (tally.probes >= 10_000);
+  check "proved dispatches exercised" true (tally.fast > 0)
 
 let suite =
   [
-    Alcotest.test_case "revoke closes certificate-minted handles" `Quick
-      test_revoke_closes_handles;
+    Alcotest.test_case "open_handle is audited under a certificate" `Quick
+      test_open_is_audited;
+    Alcotest.test_case "revoke strips proofs, closes no handle" `Quick
+      test_revoke_strips_proofs;
     Alcotest.test_case "empty registry certifies nothing" `Quick
       test_empty_registry_proves_nothing;
     Alcotest.test_case "scoped deps survive unrelated churn" `Quick test_scoped_survival;

@@ -7,16 +7,18 @@
 
    The oracle drives twin kernels built identically over one shared
    principal database and clearance registry: both link the same
-   two-extension chain (a imports /ext/b/fetch, whose body calls
-   /svc/get), but one twin keeps the link-time chain certificates and
-   the other has them revoked, so every call it serves goes through
-   the full reference monitor.  Every probe executes the same
-   (subject, caller, target) invocation on both and the results must
-   be structurally identical — across ACL edits, group-membership
-   churn, policy-epoch bumps, metadata relabels and re-certification,
-   applied in lockstep.  Additionally every denial on the certified
-   twin must land a denied audit record: the analysis is never allowed
-   to refuse (or grant) silently. *)
+   three-extension chain (c imports /ext/a/relay, whose body calls
+   /ext/b/fetch, whose body calls /svc/get).  On the certified twin
+   every import is probed through [Linked.call], which serves covered
+   subjects from the certificate's proofs, and every chain target
+   through [Linked.call_chain]; the full twin answers each probe with
+   the checked [Kernel.call] under the same subject (the link-time
+   subject for chain targets).  The results must be structurally
+   identical — across ACL edits, group-membership churn, policy-epoch
+   bumps, metadata relabels and re-certification, applied in
+   lockstep.  Additionally every denial on the certified twin must
+   land a denied audit record: the analysis is never allowed to refuse
+   (or grant) silently. *)
 
 open Exsec_core
 open Exsec_extsys
@@ -144,9 +146,9 @@ let test_report_order_stable () =
 (* {1 Link-time consumption: pre-minted certificates and handles}
 
    b provides fetch, whose body calls /svc/get; a imports /ext/b/fetch
-   only.  Nested calls carry the original caller's name, so the inner
-   /svc/get check consults a's certificate — the chain analysis proves
-   it redundant and the linker folds it in and pre-mints a handle. *)
+   only.  The chain analysis proves the inner /svc/get call redundant:
+   the linker folds it into a's certificate and pre-mints a handle for
+   it, decided by the monitor under a's link-time subject. *)
 
 let store = Path.of_string "/svc/get"
 let fetch = Path.of_string "/ext/b/fetch"
@@ -237,6 +239,7 @@ let oracle_relay = Path.of_string "/ext/a/relay"
 
 type otwin = {
   kernel : Kernel.t;
+  links : Linker.Linked.t list;  (* b, a, c *)
   store_meta : Meta.t;
   fetch_meta : Meta.t;
   svc_meta : Meta.t;
@@ -248,8 +251,9 @@ type oworld = {
   inds : Principal.individual array;
   grps : Principal.group array;
   subjects : Subject.t array;
-  cert_side : otwin;  (* chain certificates live *)
-  full_side : otwin;  (* certificates revoked: every call fully checked *)
+  link_subject : Subject.t;  (* alice at her clearance: links every extension *)
+  cert_side : otwin;  (* probed through Linked.call and Linked.call_chain *)
+  full_side : otwin;  (* probed through the checked Kernel.call *)
 }
 
 let oclasses hierarchy universe =
@@ -261,7 +265,7 @@ let oclasses hierarchy universe =
     Security_class.top hierarchy universe;
   |]
 
-let build_otwin db registry hierarchy universe admin inds ~certified =
+let build_otwin db registry hierarchy universe admin ~link_subject =
   let kernel =
     Kernel.boot
       ~policy:(Policy.with_recheck Policy.default)
@@ -275,35 +279,39 @@ let build_otwin db registry hierarchy universe admin inds ~certified =
    with
   | Ok () -> ()
   | Error e -> failwith (Service.error_to_string e));
-  let alice = inds.(0) in
-  let alice_sub =
-    Subject.make alice (Option.get (Clearance.clearance_of registry alice))
-  in
+  let alice = Subject.principal link_subject in
   let link ext =
-    match Linker.link kernel ~subject:alice_sub ext with
-    | Ok _ -> ()
+    match Linker.link kernel ~subject:link_subject ext with
+    | Ok linked -> linked
     | Error e -> failwith (Format.asprintf "%a" Linker.pp_link_error e)
   in
-  link
-    (Extension.make ~name:"b" ~author:alice ~imports:[ store ]
-       ~provides:
-         [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
-       ());
-  link
-    (Extension.make ~name:"a" ~author:alice ~imports:[ fetch ]
-       ~provides:
-         [ Extension.provided "relay" 0 (fun ctx _args -> ctx.Service.call fetch []) ]
-       ());
-  if not certified then begin
-    Kernel.revoke_certificate kernel "a";
-    Kernel.revoke_certificate kernel "b"
-  end;
+  let b =
+    link
+      (Extension.make ~name:"b" ~author:alice ~imports:[ store ]
+         ~provides:
+           [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
+         ())
+  in
+  let a =
+    link
+      (Extension.make ~name:"a" ~author:alice ~imports:[ fetch ]
+         ~provides:
+           [ Extension.provided "relay" 0 (fun ctx _args -> ctx.Service.call fetch []) ]
+         ())
+  in
+  let c = link (Extension.make ~name:"c" ~author:alice ~imports:[ oracle_relay ] ()) in
   let meta_at path =
     match Namespace.find (Kernel.namespace kernel) (Path.of_string path) with
     | Ok node -> Namespace.meta node
     | Error _ -> failwith ("oracle twin: " ^ path ^ " missing")
   in
-  { kernel; store_meta; fetch_meta = meta_at "/ext/b/fetch"; svc_meta = meta_at "/svc" }
+  {
+    kernel;
+    links = [ b; a; c ];
+    store_meta;
+    fetch_meta = meta_at "/ext/b/fetch";
+    svc_meta = meta_at "/svc";
+  }
 
 let build_oworld () =
   let db = Principal.Db.create () in
@@ -331,43 +339,21 @@ let build_oworld () =
       Subject.make inds.(3) klasses.(0);
     |]
   in
-  {
-    db;
-    registry;
-    inds;
-    grps;
-    subjects;
-    cert_side = build_otwin db registry hierarchy universe admin inds ~certified:true;
-    full_side = build_otwin db registry hierarchy universe admin inds ~certified:false;
-  }
+  let link_subject = subjects.(0) in
+  let twin () = build_otwin db registry hierarchy universe admin ~link_subject in
+  { db; registry; inds; grps; subjects; link_subject; cert_side = twin (); full_side = twin () }
 
-let probes_total = ref 0
-let fast_probes = ref 0
+let tally = Proved_probe.tally ()
 
-let cert_denied_total world =
-  Audit.denied_total (Reference_monitor.audit (Kernel.monitor world.cert_side.kernel))
-
-let probe world subject caller target =
-  incr probes_total;
-  let rf = Kernel.call world.full_side.kernel ~subject ~caller target [] in
-  let denied_before = cert_denied_total world in
-  if Kernel.certificate_admits world.cert_side.kernel ~caller ~subject target then
-    incr fast_probes;
-  let rc = Kernel.call world.cert_side.kernel ~subject ~caller target [] in
-  let agree = rf = rc in
-  (* A refusal on the certified side must come out of the checked,
-     audited path — the analysis never invents a verdict silently. *)
-  let audited =
-    match rc with
-    | Error (Service.Denied _) -> cert_denied_total world > denied_before
-    | Ok _ | Error _ -> true
-  in
-  agree && audited
+let sweep world =
+  let twin (side : otwin) = { Proved_probe.kernel = side.kernel; links = side.links } in
+  Proved_probe.sweep tally ~cert_twin:(twin world.cert_side) ~full_twin:(twin world.full_side)
+    ~subjects:world.subjects ~link_subject:world.link_subject
 
 (* {2 Churn: applied to both twins in lockstep} *)
 
 let oracle_acls world =
-  let alice = world.inds.(0) and bob = world.inds.(1) in
+  let alice = world.inds.(0) and bob = world.inds.(1) and mallory = world.inds.(3) in
   [|
     Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ];
     Acl.of_entries
@@ -383,6 +369,13 @@ let oracle_acls world =
     Acl.of_entries [ Acl.allow (Acl.Individual alice) [ Access_mode.List; Access_mode.Execute ] ];
     (* no Execute anywhere: every call becomes a refusal *)
     Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List ] ];
+    (* every registered session may call, so a proof holds; only the
+       unregistered mallory, outside every cover, is denied *)
+    Acl.of_entries
+      [
+        Acl.deny (Acl.Individual mallory) [ Access_mode.Execute ];
+        Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
+      ];
   |]
 
 let oracle_policies =
@@ -410,7 +403,7 @@ let recertify world =
           ~namespace:(Kernel.namespace kernel) ~extension:name ~imports ()
       in
       Kernel.note_certificate kernel certificate)
-    [ "b", [ store ]; "a", [ fetch; store ] ]
+    [ "b", [ store ]; "a", [ fetch; store ]; "c", [ oracle_relay; fetch; store ] ]
 
 let apply_churn world (kind, a, b) =
   match kind mod 5 with
@@ -449,42 +442,24 @@ let apply_churn world (kind, a, b) =
     end
   | _ -> recertify world
 
-let oracle_targets = [ store; fetch; oracle_relay ]
-let oracle_callers = [ "a"; "probe" ]
-
 let prop_oracle =
   QCheck.Test.make ~name:"chain analysis = full monitor under churn" ~count:150
     QCheck.(small_list (triple small_nat small_nat small_nat))
     (fun churn ->
       let world = build_oworld () in
-      let ok = ref true in
-      let sweep () =
-        Array.iter
-          (fun subject ->
-            List.iter
-              (fun caller ->
-                List.iter
-                  (fun target ->
-                    if not (probe world subject caller target) then ok := false)
-                  oracle_targets)
-              oracle_callers)
-          world.subjects
-      in
-      sweep ();
-      List.iter
-        (fun op ->
-          apply_churn world op;
-          sweep ())
-        churn;
-      sweep ();
-      !ok)
+      sweep world
+      && List.for_all
+           (fun op ->
+             apply_churn world op;
+             sweep world)
+           churn)
 
 let test_probe_volume () =
   (* Runs after the QCheck case by suite order; the oracle must have
      executed the mandated >= 10k randomized probes, and the analysis
      fast path must actually have served some of them. *)
-  check "over 10k differential probes" true (!probes_total >= 10_000);
-  check "analysis-admitted calls exercised" true (!fast_probes > 0)
+  check "over 10k differential probes" true (tally.probes >= 10_000);
+  check "proved dispatches exercised" true (tally.fast > 0)
 
 let suite =
   [
