@@ -1,4 +1,6 @@
-(** The whole-system call graph the chain prover runs over.
+(** The call graph the chain prover runs over: what a policy file
+    declares ({!of_objects}), or the part of a live kernel an extension
+    being linked can reach ([Exsec_extsys.Kernel.call_graph]).
 
     Nodes are plain string identifiers naming the two kinds of places
     control can sit: {e code} nodes (an extension's implementation, or
@@ -13,9 +15,7 @@
     subject unchanged, so the ceiling is the one its entry set.
 
     The graph is deliberately built from core types only ([Path],
-    [Meta], [Security_class]) so it can describe both a parsed policy
-    file ({!of_objects}) and a live kernel (the extractor in
-    [Exsec_extsys.Kernel.call_graph]). *)
+    [Meta], [Security_class]) so it can describe both. *)
 
 open Exsec_core
 

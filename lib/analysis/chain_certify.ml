@@ -34,6 +34,17 @@ let cap_key = function
 let same_context p cap p' cap' =
   Principal.equal_individual p p' && Option.equal Security_class.equal cap cap'
 
+(* A node or site paired with a context, compared as [same_context]
+   compares contexts.  The hash leaves the ceiling out: contexts that
+   differ only in it are rare (one principal entering at two ceilings)
+   and merely share a bucket. *)
+module Visit = Hashtbl.Make (struct
+  type t = string * Principal.individual * Security_class.t option
+
+  let equal (n, p, cap) (n', p', cap') = String.equal n n' && same_context p cap p' cap'
+  let hash (n, p, _) = Hashtbl.hash (n, Principal.individual_name p)
+end)
+
 let strict_ancestor a b =
   let la = String.length a and lb = String.length b in
   la < lb
@@ -44,40 +55,42 @@ let render_modes modes =
   String.concat "/" (List.map Access_mode.to_string (Access_mode.Set.to_list modes))
 
 let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
-  let out : (string, Callgraph.edge list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Callgraph.edge) ->
-      let sofar = Option.value ~default:[] (Hashtbl.find_opt out e.Callgraph.src) in
-      Hashtbl.replace out e.Callgraph.src (e :: sofar))
-    g.Callgraph.edges;
-  (* The worklist fixpoint: the set of (principal, ceiling) contexts at
-     each node only ever grows, and every ceiling is an entry's, so it
-     converges. *)
-  let contexts :
-      (string, (Principal.individual * Security_class.t option) list) Hashtbl.t =
+  (* Out-edges by source node: the destination and, on a call site, the
+     site with its path rendered once. *)
+  let out : (string, (string * (string * Callgraph.site) option) list) Hashtbl.t =
     Hashtbl.create 64
   in
+  List.iter
+    (fun (e : Callgraph.edge) ->
+      let call =
+        Option.map (fun site -> Path.to_string site.Callgraph.target, site) e.Callgraph.site
+      in
+      let sofar = Option.value ~default:[] (Hashtbl.find_opt out e.Callgraph.src) in
+      Hashtbl.replace out e.Callgraph.src ((e.Callgraph.dst, call) :: sofar))
+    g.Callgraph.edges;
+  (* The worklist fixpoint over (node, principal, ceiling): each pair is
+     queued once, when it first arrives, and processed once.  Every
+     ceiling is an entry's, so the pairs are finitely many. *)
+  let arrived : unit Visit.t = Visit.create 64 in
   let worklist = Queue.create () in
-  let add_context node p cap =
-    let existing = Option.value ~default:[] (Hashtbl.find_opt contexts node) in
-    if not (List.exists (fun (p', cap') -> same_context p cap p' cap') existing) then begin
-      Hashtbl.replace contexts node ((p, cap) :: existing);
-      Queue.push node worklist
+  let arrive node p cap =
+    let visit = node, p, cap in
+    if not (Visit.mem arrived visit) then begin
+      Visit.add arrived visit ();
+      Queue.push visit worklist
     end
   in
   List.iter
     (fun (en : Callgraph.entry) ->
-      add_context en.Callgraph.entry_node en.Callgraph.entry_principal
-        en.Callgraph.entry_cap)
+      arrive en.Callgraph.entry_node en.Callgraph.entry_principal en.Callgraph.entry_cap)
     g.Callgraph.entries;
-  (* One proof per (site, principal, ceiling), memoized: a node popped
-     again for a later context must not re-prove the earlier ones. *)
-  let verdict_memo : (string * string * string, Verdict.t) Hashtbl.t = Hashtbl.create 64 in
-  let verdict_for (site : Callgraph.site) p cap =
-    let key =
-      Path.to_string site.Callgraph.target, Principal.individual_name p, cap_key cap
-    in
-    match Hashtbl.find_opt verdict_memo key with
+  (* One proof per (site, principal, ceiling): the first edge to reach
+     a site under a context proves it and records the context. *)
+  let verdicts : Verdict.t Visit.t = Visit.create 64 in
+  let site_records : (string, context list ref) Hashtbl.t = Hashtbl.create 16 in
+  let verdict_at target (site : Callgraph.site) p cap =
+    let visit = target, p, cap in
+    match Visit.find_opt verdicts visit with
     | Some verdict -> verdict
     | None ->
       let verdict =
@@ -87,43 +100,29 @@ let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
           Certify.prove_path ~db ~registry ~policy ?static_class:cap ~principal:p
             ~chain ~mode:Access_mode.Execute ()
       in
-      Hashtbl.add verdict_memo key verdict;
+      Visit.add verdicts visit verdict;
+      let r =
+        match Hashtbl.find_opt site_records target with
+        | Some r -> r
+        | None ->
+          let r = ref [] in
+          Hashtbl.add site_records target r;
+          r
+      in
+      r := { cx_principal = p; cx_cap = cap; cx_verdict = verdict } :: !r;
       verdict
   in
-  let site_records : (string, context list ref) Hashtbl.t = Hashtbl.create 16 in
-  let record target p cap verdict =
-    let r =
-      match Hashtbl.find_opt site_records target with
-      | Some r -> r
-      | None ->
-        let r = ref [] in
-        Hashtbl.add site_records target r;
-        r
-    in
-    if
-      not
-        (List.exists
-           (fun c -> same_context p cap c.cx_principal c.cx_cap)
-           !r)
-    then r := { cx_principal = p; cx_cap = cap; cx_verdict = verdict } :: !r
-  in
   while not (Queue.is_empty worklist) do
-    let node = Queue.pop worklist in
-    let ctxs = Option.value ~default:[] (Hashtbl.find_opt contexts node) in
+    let node, p, cap = Queue.pop worklist in
     List.iter
-      (fun (edge : Callgraph.edge) ->
-        List.iter
-          (fun (p, cap) ->
-            match edge.Callgraph.site with
-            | None -> add_context edge.Callgraph.dst p cap
-            | Some site ->
-              let verdict = verdict_for site p cap in
-              record (Path.to_string site.Callgraph.target) p cap verdict;
-              (* A provably dead edge transmits no control: nothing
-                 past it is reachable through this chain. *)
-              if not (Verdict.equal verdict Verdict.Always_deny) then
-                add_context edge.Callgraph.dst p cap)
-          ctxs)
+      (fun (dst, call) ->
+        match call with
+        | None -> arrive dst p cap
+        | Some (target, site) ->
+          (* A provably dead edge transmits no control: nothing past it
+             is reachable through this chain. *)
+          if not (Verdict.equal (verdict_at target site p cap) Verdict.Always_deny) then
+            arrive dst p cap)
       (Option.value ~default:[] (Hashtbl.find_opt out node))
   done;
   let sites =

@@ -14,7 +14,9 @@
     only when the per-edge verdict ({!Certify.prove_path} under the
     context's ceiling) is not [Always_deny]; there are finitely many
     entries, so the context space is finite and the worklist
-    terminates.
+    terminates.  The worklist queues each (node, context) pair once, on
+    arrival, so every edge is walked once per context reaching its
+    source.
 
     Classification aggregates every context reaching a site:
     all-[Always_allow] is {e redundant} (the linker may pre-mint a

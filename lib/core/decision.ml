@@ -38,18 +38,20 @@ let equal a b =
   | Denied da, Denied db -> equal_denial da db
   | (Granted | Denied _), _ -> false
 
-let pp_who ppf = function
-  | Acl.Individual ind -> Format.fprintf ppf "user %a" Principal.pp_individual ind
-  | Acl.Group grp -> Format.fprintf ppf "group %a" Principal.pp_group grp
-  | Acl.Everyone -> Format.pp_print_string ppf "everyone"
+let who_to_string = function
+  | Acl.Individual ind -> "user " ^ Principal.individual_name ind
+  | Acl.Group grp -> "group " ^ Principal.group_name grp
+  | Acl.Everyone -> "everyone"
 
-let pp_denial ppf = function
-  | Dac_no_entry -> Format.pp_print_string ppf "no matching ACL entry"
-  | Dac_explicit_deny who -> Format.fprintf ppf "explicit ACL deny for %a" pp_who who
-  | Mac_denied denial -> Format.fprintf ppf "MAC: %a" Mac.pp_denial denial
-  | Integrity_denied denial -> Format.fprintf ppf "integrity: %a" Integrity.pp_denial denial
-  | Not_an_object -> Format.pp_print_string ppf "no such object"
-  | Path_denied node -> Format.fprintf ppf "traversal refused at %s" node
+let denial_to_string = function
+  | Dac_no_entry -> "no matching ACL entry"
+  | Dac_explicit_deny who -> "explicit ACL deny for " ^ who_to_string who
+  | Mac_denied denial -> "MAC: " ^ Mac.denial_to_string denial
+  | Integrity_denied denial -> "integrity: " ^ Integrity.denial_to_string denial
+  | Not_an_object -> "no such object"
+  | Path_denied node -> "traversal refused at " ^ node
+
+let pp_denial ppf denial = Format.pp_print_string ppf (denial_to_string denial)
 
 let pp ppf = function
   | Granted -> Format.pp_print_string ppf "granted"

@@ -19,6 +19,10 @@ type t =
 
 val is_granted : t -> bool
 val equal : t -> t -> bool
+val denial_to_string : denial -> string
+(** The one rendering of a denial: what {!pp_denial} prints and what a
+    served [Denied] answer carries. *)
+
 val pp_denial : Format.formatter -> denial -> unit
 val pp : Format.formatter -> t -> unit
 

@@ -16,8 +16,8 @@ let permits ~subject ~object_ mode =
   | Ok () -> true
   | Error _ -> false
 
-let pp_denial ppf = function
-  | Read_down ->
-    Format.pp_print_string ppf "read-down (object integrity does not dominate subject)"
-  | Write_up ->
-    Format.pp_print_string ppf "write-up (subject integrity does not dominate object)"
+let denial_to_string = function
+  | Read_down -> "read-down (object integrity does not dominate subject)"
+  | Write_up -> "write-up (subject integrity does not dominate object)"
+
+let pp_denial ppf denial = Format.pp_print_string ppf (denial_to_string denial)

@@ -39,4 +39,5 @@ val check :
 val permits :
   subject:Security_class.t -> object_:Security_class.t -> Access_mode.t -> bool
 
+val denial_to_string : denial -> string
 val pp_denial : Format.formatter -> denial -> unit

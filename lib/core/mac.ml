@@ -26,8 +26,9 @@ let permits ~rule ~subject ~object_ mode =
   | Ok () -> true
   | Error _ -> false
 
-let pp_denial ppf = function
-  | Read_up -> Format.pp_print_string ppf "read-up (subject class does not dominate object)"
-  | Write_down -> Format.pp_print_string ppf "write-down (object class does not dominate subject)"
-  | Blind_overwrite ->
-    Format.pp_print_string ppf "blind overwrite (strict rule requires equal classes; use write-append)"
+let denial_to_string = function
+  | Read_up -> "read-up (subject class does not dominate object)"
+  | Write_down -> "write-down (object class does not dominate subject)"
+  | Blind_overwrite -> "blind overwrite (strict rule requires equal classes; use write-append)"
+
+let pp_denial ppf denial = Format.pp_print_string ppf (denial_to_string denial)

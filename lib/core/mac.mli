@@ -43,4 +43,5 @@ val check :
   Access_mode.t ->
   (unit, denial) result
 
+val denial_to_string : denial -> string
 val pp_denial : Format.formatter -> denial -> unit

@@ -90,6 +90,8 @@ type t = {
   registry : Clearance.t option;
   mutable next_thread_id : int;
   loaded : (string, Extension.t * Path.t list * Dispatcher.t list) Hashtbl.t;
+  loaded_by : (Principal.individual, int) Hashtbl.t;
+      (* per-author count of [loaded], kept beside it for the quota *)
   certificates : (string, Certificate.t) Hashtbl.t;
   quota : Quota.t;
   handles : grant Handle.t;
@@ -155,6 +157,7 @@ let boot ?policy ?audit_capacity ?registry ~db ~admin ~hierarchy ~universe () =
       registry;
       next_thread_id = 0;
       loaded = Hashtbl.create 8;
+      loaded_by = Hashtbl.create 8;
       certificates = Hashtbl.create 8;
       quota = Quota.create ();
       handles = Handle.create ();
@@ -609,12 +612,31 @@ let run ?max_quanta kernel = Sched.run ?max_quanta kernel.sched
 
 (* {1 Loaded-extension registry} *)
 
+let loaded_by kernel author =
+  Option.value ~default:0 (Hashtbl.find_opt kernel.loaded_by author)
+
+let count_author kernel author delta =
+  match loaded_by kernel author + delta with
+  | 0 -> Hashtbl.remove kernel.loaded_by author
+  | n -> Hashtbl.replace kernel.loaded_by author n
+
+(* Every change to [loaded] goes through here, so [loaded_by] always
+   counts its entries by author. *)
+let unnote_loaded kernel name =
+  match Hashtbl.find_opt kernel.loaded name with
+  | None -> ()
+  | Some (extension, _, _) ->
+    Hashtbl.remove kernel.loaded name;
+    count_author kernel extension.Extension.author (-1)
+
 let note_loaded kernel extension ~installed ~handler_sets =
+  unnote_loaded kernel extension.Extension.ext_name;
   Hashtbl.replace kernel.loaded extension.Extension.ext_name
-    (extension, installed, handler_sets)
+    (extension, installed, handler_sets);
+  count_author kernel extension.Extension.author 1
 
 let forget_loaded kernel name =
-  Hashtbl.remove kernel.loaded name;
+  unnote_loaded kernel name;
   Hashtbl.remove kernel.certificates name;
   (* Capability revocation: every handle the extension held dies with
      it — a recycled slot can never satisfy the old handle (stamp
@@ -628,8 +650,10 @@ let find_loaded kernel name = Hashtbl.find_opt kernel.loaded name
 (* Record [certificate] on the named caller's live grants for the
    paths it proves [Always_allow] (the extension's import handles) and
    strip every other proof from them; [None] strips them all.  The
-   grants keep their own monitor justification. *)
-let record_proofs kernel name certificate =
+   grants are [handles] when given, else every live grant of the caller
+   (a walk of the whole table).  The grants keep their own monitor
+   justification. *)
+let record_proofs ?handles kernel name certificate =
   let proof_of g (certificate : Certificate.t) =
     List.find_map
       (fun (proof : Certificate.import_proof) ->
@@ -638,18 +662,23 @@ let record_proofs kernel name certificate =
         else None)
       certificate.proofs
   in
-  Handle.iter kernel.handles (fun h g ->
-      if String.equal g.g_caller name then
-        let g_proof = Option.bind certificate (proof_of g) in
-        if Option.is_some g_proof || Option.is_some g.g_proof then
-          ignore (Handle.update kernel.handles h { g with g_proof }))
+  let record h g =
+    if String.equal g.g_caller name then
+      let g_proof = Option.bind certificate (proof_of g) in
+      if Option.is_some g_proof || Option.is_some g.g_proof then
+        ignore (Handle.update kernel.handles h { g with g_proof })
+  in
+  match handles with
+  | None -> Handle.iter kernel.handles record
+  | Some handles ->
+    List.iter (fun h -> Option.iter (record h) (Handle.deref kernel.handles h)) handles
 
-let note_certificate kernel certificate =
+let note_certificate ?handles kernel certificate =
   Metrics.incr m_cert_issued;
   if certificate.Certificate.delegation <> None then Metrics.incr m_cert_delegations;
   let name = certificate.Certificate.extension in
   Hashtbl.replace kernel.certificates name certificate;
-  record_proofs kernel name (Some certificate)
+  record_proofs ?handles kernel name (Some certificate)
 
 (* Every handle was minted by a monitor decision and keeps it: retiring
    a certificate strips its proofs and closes nothing. *)
@@ -739,7 +768,7 @@ let loaded_extensions kernel =
 
 (* {1 Call-graph extraction} *)
 
-let call_graph ?(extra = []) kernel =
+let call_graph kernel (extension : Extension.t) =
   let module Cg = Exsec_analysis.Callgraph in
   let ns = namespace kernel in
   let chain_of path =
@@ -747,44 +776,64 @@ let call_graph ?(extra = []) kernel =
     | None -> []
     | Some nodes -> List.map Namespace.meta nodes
   in
-  let exts = Hashtbl.fold (fun _ (ext, _, _) acc -> ext :: acc) kernel.loaded [] @ extra in
+  (* The extension a site [/ext/<name>/<at>] may be provided by ([<at>]
+     is one segment, as the linker installs it): the one being linked
+     or a loaded one. *)
+  let provider path =
+    match Option.map Path.segments (Path.parent path) with
+    | Some ("ext" :: (_ :: _ as name)) ->
+      let name = String.concat "/" name in
+      if String.equal name extension.Extension.ext_name then Some extension
+      else Option.map (fun (ext, _, _) -> ext) (Hashtbl.find_opt kernel.loaded name)
+    | Some _ | None -> None
+  in
   let edges = ref [] in
   let add edge = edges := edge :: !edges in
-  List.iter
-    (fun (ext : Extension.t) ->
-      let name = ext.Extension.ext_name in
-      let code = Cg.code_node name in
-      (* Control enters the extension's code through each provided
-         procedure, with the ceiling unchanged: a provide runs under
-         the caller's subject (run_proc), the provider's static class
-         bounds only calls the provider itself initiates. *)
-      List.iter
-        (fun (provided : Extension.provided) ->
-          let path = Path.of_string ("/ext/" ^ name ^ "/" ^ provided.Extension.at) in
-          add (Cg.transfer_edge ~src:(Cg.site_node path) ~dst:code))
-        ext.Extension.provides;
-      (* Declared and domain imports are the monitor-checked call
-         sites the extension's code reaches.  Domains expand over the
-         live tree, unchecked: this is analysis, not access. *)
-      let domain_imports =
-        List.concat_map
-          (fun domain ->
-            List.concat_map
-              (fun mount ->
-                match Namespace.find ns mount with
-                | Ok node when Namespace.is_dir node ->
-                  List.filter_map
-                    (fun (_, child) ->
-                      if Namespace.is_dir child then None
-                      else Some (Namespace.path child))
-                    (Namespace.children node)
-                | Ok _ | Error _ -> [])
-              (Domain.interfaces domain))
-          ext.Extension.import_domains
-      in
-      List.iter
-        (fun import ->
-          add (Cg.call_edge ~src:code ~target:import ~chain:(chain_of import)))
-        (List.sort_uniq Path.compare (ext.Extension.imports @ domain_imports)))
-    exts;
+  let expanded = Hashtbl.create 8 in
+  let pending = Queue.create () in
+  let reach (ext : Extension.t) =
+    if not (Hashtbl.mem expanded ext.Extension.ext_name) then begin
+      Hashtbl.add expanded ext.Extension.ext_name ();
+      Queue.push ext pending
+    end
+  in
+  reach extension;
+  while not (Queue.is_empty pending) do
+    let ext = Queue.pop pending in
+    let name = ext.Extension.ext_name in
+    let code = Cg.code_node name in
+    (* Control enters the extension's code through each provided
+       procedure, with the ceiling unchanged: a provide runs under
+       the caller's subject (run_proc), the provider's static class
+       bounds only calls the provider itself initiates. *)
+    List.iter
+      (fun (provided : Extension.provided) ->
+        let path = Path.of_string ("/ext/" ^ name ^ "/" ^ provided.Extension.at) in
+        add (Cg.transfer_edge ~src:(Cg.site_node path) ~dst:code))
+      ext.Extension.provides;
+    (* Declared and domain imports are the monitor-checked call
+       sites the extension's code reaches.  Domains expand over the
+       live tree, unchecked: this is analysis, not access. *)
+    let domain_imports =
+      List.concat_map
+        (fun domain ->
+          List.concat_map
+            (fun mount ->
+              match Namespace.find ns mount with
+              | Ok node when Namespace.is_dir node ->
+                List.filter_map
+                  (fun (_, child) ->
+                    if Namespace.is_dir child then None
+                    else Some (Namespace.path child))
+                  (Namespace.children node)
+              | Ok _ | Error _ -> [])
+            (Domain.interfaces domain))
+        ext.Extension.import_domains
+    in
+    List.iter
+      (fun import ->
+        add (Cg.call_edge ~src:code ~target:import ~chain:(chain_of import));
+        Option.iter reach (provider import))
+      (List.sort_uniq Path.compare (ext.Extension.imports @ domain_imports))
+  done;
   { Cg.edges = List.rev !edges; entries = [] }

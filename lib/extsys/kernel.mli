@@ -293,6 +293,11 @@ val forget_loaded : t -> string -> unit
 val find_loaded : t -> string -> (Extension.t * Path.t list * Dispatcher.t list) option
 val loaded_extensions : t -> string list
 
+val loaded_by : t -> Principal.individual -> int
+(** How many loaded extensions the principal authored — the count the
+    extension quota charges.  Kept by {!note_loaded} and
+    {!forget_loaded}, so reading it walks nothing. *)
+
 (** {1 Certificate lifecycle} (certificates issued by {!Linker})
 
     A certificate's only runtime effect is the proof it records on its
@@ -314,10 +319,14 @@ val loaded_extensions : t -> string list
     {!note_certificate}, [cert.revoked] on any revocation,
     [cert.expired] on sweep. *)
 
-val note_certificate : t -> Exsec_analysis.Certificate.t -> unit
+val note_certificate : ?handles:Handle.h list -> t -> Exsec_analysis.Certificate.t -> unit
 (** Install the certificate, replacing the extension's earlier one,
     and record its [Always_allow] proofs on the extension's live
-    handles for those paths (replaced proofs stop serving at once). *)
+    handles for those paths (replaced proofs stop serving at once).
+    Without [handles] that means walking the whole handle table for the
+    extension's handles.  A fresh link passes the import handles it
+    just minted, the only handles the extension holds, so linking does
+    not grow with the handles other extensions hold. *)
 
 val revoke_certificate : t -> string -> unit
 (** Drops the extension's certificate and strips its proofs from the
@@ -380,16 +389,20 @@ val certificate_admits : t -> caller:string -> subject:Subject.t -> Path.t -> bo
     (see {!Exsec_analysis.Certificate.admits}).  A diagnostic: no call
     path consults it. *)
 
-val call_graph : ?extra:Extension.t list -> t -> Exsec_analysis.Callgraph.t
-(** The live system's call graph: for every loaded extension (plus
-    [extra] — e.g. one being linked right now, not yet in the loaded
-    table), a transfer edge from each provided procedure's site into
-    its code, and a monitor-checked call edge from its code to each
-    declared or domain-expanded import (resolution chains snapshotted
-    from the live name space).  Event dispatch has no edge: a handler
-    runs under its owner's name, outside any certificate the caller
-    holds, so the chain prover never crosses it.  Entries are left
-    empty — the caller decides who enters where
+val call_graph : t -> Extension.t -> Exsec_analysis.Callgraph.t
+(** The call graph the chain prover needs to link [extension] (not yet
+    in the loaded table): the part of the live system its code can
+    reach, and no more.  Starting from [extension], breadth-first, each
+    reached extension contributes a transfer edge from each provided
+    procedure's site into its code and a monitor-checked call edge from
+    its code to each declared or domain-expanded import (resolution
+    chains snapshotted from the live name space); an import
+    [/ext/<name>/…] reaches extension [<name>] when it is loaded.  So
+    the graph, and a link's cost, grows with what the new extension
+    reaches, not with how many extensions are loaded.  Event dispatch
+    has no edge: a handler runs under its owner's name, outside any
+    certificate the caller holds, so the chain prover never crosses
+    it.  Entries are left empty — the caller decides who enters where
     ({!Exsec_analysis.Callgraph.with_entries}). *)
 
 val error_of_denial : Resolver.denial -> Service.error

@@ -230,20 +230,11 @@ let register_handlers ~subject (extension : Extension.t) admitted =
 let unregister_handlers name handler_sets =
   List.iter (fun handlers -> Dispatcher.unregister_owner handlers name) handler_sets
 
-let loaded_by kernel author =
-  List.length
-    (List.filter
-       (fun name ->
-         match Kernel.find_loaded kernel name with
-         | Some (ext, _, _) -> Principal.equal_individual ext.Extension.author author
-         | None -> false)
-       (Kernel.loaded_extensions kernel))
-
 let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
   let name = extension.Extension.ext_name in
   let quota_check =
     Quota.check_extensions (Kernel.quota kernel) extension.Extension.author
-      ~loaded:(loaded_by kernel extension.Extension.author)
+      ~loaded:(Kernel.loaded_by kernel extension.Extension.author)
   in
   if Kernel.find_loaded kernel name <> None then Error (Already_loaded name)
   else (
@@ -287,7 +278,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
       | None -> None, []
       | Some registry ->
         let module Cg = Exsec_analysis.Callgraph in
-        let graph = Kernel.call_graph ~extra:[ extension ] kernel in
+        let graph = Kernel.call_graph kernel extension in
         let entries =
           List.map
             (fun principal ->
@@ -324,7 +315,9 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
        own monitor justification).  A failure below revokes the
        certificate again, so a failed link leaves no certificate
        behind. *)
-    Option.iter (Kernel.note_certificate kernel) certificate;
+    Option.iter
+      (Kernel.note_certificate ~handles:(List.map snd import_table) kernel)
+      certificate;
     let chain_proved path =
       match certificate with
       | None -> false

@@ -51,7 +51,7 @@ let error_of_service = function
       {
         at;
         mode = Exsec_core.Access_mode.to_string mode;
-        denial = Format.asprintf "%a" Exsec_core.Decision.pp_denial denial;
+        denial = Exsec_core.Decision.denial_to_string denial;
       }
   | Service.Unresolved what -> Unresolved what
   | Service.No_handler what -> No_handler what

@@ -461,6 +461,275 @@ let test_probe_volume () =
   check "over 10k differential probes" true (tally.probes >= 10_000);
   check "proved dispatches exercised" true (tally.fast > 0)
 
+(* {1 The worklist against the reference fixpoint}
+
+   [reference_analyze] is the earlier fixpoint, kept here as the
+   oracle: a node queue that re-walks every context of a node each
+   time one more arrives, contexts in lists, one proof per
+   (target, principal, rendered ceiling).  [Chain_certify.analyze]
+   queues (node, context) pairs once each; on every graph the two must
+   report the same sites, classifications, contexts and findings. *)
+
+let ref_cap_key = function
+  | None -> "-"
+  | Some klass -> Format.asprintf "%a" Security_class.pp klass
+
+let ref_same_context p cap p' cap' =
+  Principal.equal_individual p p' && Option.equal Security_class.equal cap cap'
+
+let ref_strict_ancestor a b =
+  let la = String.length a and lb = String.length b in
+  la < lb && String.equal a (String.sub b 0 la) && (String.equal a "/" || b.[la] = '/')
+
+let reference_analyze ~db ~registry ~policy ~objects (g : Exsec_analysis.Callgraph.t) =
+  let module Cg = Exsec_analysis.Callgraph in
+  let module Cc = Chain_certify in
+  let out = Hashtbl.create 64 in
+  List.iter
+    (fun (e : Cg.edge) ->
+      let sofar = Option.value ~default:[] (Hashtbl.find_opt out e.Cg.src) in
+      Hashtbl.replace out e.Cg.src (e :: sofar))
+    g.Cg.edges;
+  let contexts = Hashtbl.create 64 in
+  let worklist = Queue.create () in
+  let add_context node p cap =
+    let existing = Option.value ~default:[] (Hashtbl.find_opt contexts node) in
+    if not (List.exists (fun (p', cap') -> ref_same_context p cap p' cap') existing) then begin
+      Hashtbl.replace contexts node ((p, cap) :: existing);
+      Queue.push node worklist
+    end
+  in
+  List.iter
+    (fun (en : Cg.entry) -> add_context en.Cg.entry_node en.Cg.entry_principal en.Cg.entry_cap)
+    g.Cg.entries;
+  let memo = Hashtbl.create 64 in
+  let verdict_for (site : Cg.site) p cap =
+    let key = Path.to_string site.Cg.target, Principal.individual_name p, ref_cap_key cap in
+    match Hashtbl.find_opt memo key with
+    | Some verdict -> verdict
+    | None ->
+      let verdict =
+        match site.Cg.chain with
+        | [] -> Verdict.Depends
+        | chain ->
+          Exsec_analysis.Certify.prove_path ~db ~registry ~policy ?static_class:cap ~principal:p
+            ~chain ~mode:Access_mode.Execute ()
+      in
+      Hashtbl.add memo key verdict;
+      verdict
+  in
+  let records = Hashtbl.create 16 in
+  let record target p cap verdict =
+    let r =
+      match Hashtbl.find_opt records target with
+      | Some r -> r
+      | None ->
+        let r = ref [] in
+        Hashtbl.add records target r;
+        r
+    in
+    if not (List.exists (fun c -> ref_same_context p cap c.Cc.cx_principal c.Cc.cx_cap) !r) then
+      r := { Cc.cx_principal = p; cx_cap = cap; cx_verdict = verdict } :: !r
+  in
+  while not (Queue.is_empty worklist) do
+    let node = Queue.pop worklist in
+    let ctxs = Option.value ~default:[] (Hashtbl.find_opt contexts node) in
+    List.iter
+      (fun (edge : Cg.edge) ->
+        List.iter
+          (fun (p, cap) ->
+            match edge.Cg.site with
+            | None -> add_context edge.Cg.dst p cap
+            | Some site ->
+              let verdict = verdict_for site p cap in
+              record (Path.to_string site.Cg.target) p cap verdict;
+              if not (Verdict.equal verdict Verdict.Always_deny) then
+                add_context edge.Cg.dst p cap)
+          ctxs)
+      (Option.value ~default:[] (Hashtbl.find_opt out node))
+  done;
+  let sites =
+    Hashtbl.fold
+      (fun target r acc ->
+        let sr_contexts =
+          List.sort
+            (fun a b ->
+              let c =
+                compare
+                  (Principal.individual_name a.Cc.cx_principal)
+                  (Principal.individual_name b.Cc.cx_principal)
+              in
+              if c <> 0 then c else compare (ref_cap_key a.Cc.cx_cap) (ref_cap_key b.Cc.cx_cap))
+            !r
+        in
+        let all v = List.for_all (fun c -> Verdict.equal c.Cc.cx_verdict v) sr_contexts in
+        let sr_classification =
+          if all Verdict.Always_allow then Cc.Redundant
+          else if all Verdict.Always_deny then Cc.Denied
+          else Cc.Dependent
+        in
+        { Cc.sr_target = target; sr_classification; sr_contexts } :: acc)
+      records []
+    |> List.sort (fun a b -> compare a.Cc.sr_target b.Cc.sr_target)
+  in
+  let chain_finding sr =
+    let n = List.length sr.Cc.sr_contexts in
+    match sr.Cc.sr_classification with
+    | Cc.Denied ->
+      Finding.make Finding.Error Finding.Chain_denied ~path:sr.Cc.sr_target
+        (Printf.sprintf "dead edge: provably denied for every reaching chain (%d context(s))" n)
+    | Cc.Redundant ->
+      Finding.make Finding.Info Finding.Chain_redundant ~path:sr.Cc.sr_target
+        (Printf.sprintf
+           "monitor check provably redundant along every reaching chain (%d context(s))" n)
+    | Cc.Dependent ->
+      Finding.make Finding.Info Finding.Chain_dependent ~path:sr.Cc.sr_target
+        (Printf.sprintf "runtime-dependent: verdict varies across %d reaching context(s)" n)
+  in
+  let render_modes modes =
+    String.concat "/" (List.map Access_mode.to_string (Access_mode.Set.to_list modes))
+  in
+  let targets = List.map (fun sr -> sr.Cc.sr_target) sites in
+  let over_privilege =
+    List.concat_map
+      (fun (path, meta) ->
+        let is_target = List.mem path targets in
+        let is_interior = List.exists (fun t -> ref_strict_ancestor path t) targets in
+        if not (is_target || is_interior) then []
+        else
+          let needed =
+            let base = Access_mode.Set.singleton Access_mode.List in
+            if is_target then Access_mode.Set.add Access_mode.Execute base else base
+          in
+          List.filter_map
+            (fun p ->
+              if Principal.equal_individual p meta.Meta.owner then None
+              else
+                match Clearance.detail_of registry p with
+                | None -> None
+                | Some detail when detail.Clearance.trusted -> None
+                | Some _ ->
+                  let excess =
+                    Access_mode.Set.diff (Acl.modes_of ~db ~subject:p meta.Meta.acl) needed
+                  in
+                  if Access_mode.Set.is_empty excess then None
+                  else
+                    Some
+                      (Finding.make Finding.Warning Finding.Over_privilege ~path
+                         ~principal:(Principal.individual_name p)
+                         (Printf.sprintf
+                            "granted %s beyond any mode reachable through the call graph \
+                             (chains need %s)"
+                            (render_modes excess) (render_modes needed))))
+            (Clearance.registered registry))
+      objects
+  in
+  { Cc.sites; findings = Finding.normalize (List.map chain_finding sites @ over_privilege) }
+
+(* A report as plain data: targets, classifications, contexts as
+   (principal, rendered ceiling, verdict), findings as JSON. *)
+let report_view (r : Chain_certify.report) =
+  ( List.map
+      (fun sr ->
+        ( sr.Chain_certify.sr_target,
+          Chain_certify.classification_to_string sr.Chain_certify.sr_classification,
+          List.map
+            (fun c ->
+              ( Principal.individual_name c.Chain_certify.cx_principal,
+                ref_cap_key c.Chain_certify.cx_cap,
+                Verdict.to_string c.Chain_certify.cx_verdict ))
+            sr.Chain_certify.sr_contexts ))
+      r.Chain_certify.sites,
+    Finding.to_json r.Chain_certify.findings )
+
+(* Random graphs over chain.policy's objects: code nodes [c0..c4];
+   every declared object is a site with its declared chain (gateway and
+   ping prove allow, purge deny, run depends — and deny under a low
+   ceiling), plus one unresolvable site.  Call edges run code -> site,
+   transfers site -> code and code -> code, so cycles are common;
+   entries pick a principal, a code node and one of five ceilings. *)
+let gen_world =
+  QCheck.Gen.(
+    let node = int_bound 4 in
+    let site = int_bound 6 in
+    quad
+      (list_size (int_range 0 14) (pair node site))
+      (list_size (int_range 0 10) (pair site node))
+      (list_size (int_range 0 6) (pair node node))
+      (list_size (int_range 1 6) (triple (int_bound 2) node (int_bound 4))))
+
+(* Classifications the property has compared, so a degenerate
+   generator shows. *)
+let worklist_seen = Hashtbl.create 4
+
+let prop_worklist_reference =
+  let built =
+    match (Analyzer.analyze_text fixture_text).Analyzer.built with
+    | Some built -> built
+    | None -> Alcotest.fail "chain.policy does not build"
+  in
+  let module Cg = Exsec_analysis.Callgraph in
+  let objects = built.Policy_text.metas in
+  let declared path =
+    List.filter_map
+      (fun (p, meta) -> if ref_strict_ancestor p path || String.equal p path then Some (p, meta) else None)
+      objects
+    |> List.sort (fun (a, _) (b, _) -> compare (String.length a) (String.length b))
+    |> List.map snd
+  in
+  let sites =
+    Array.of_list
+      (List.map (fun (path, _) -> Path.of_string path, declared path) objects
+      @ [ Path.of_string "/svc/missing", [] ])
+  in
+  let klass level cats =
+    Security_class.make
+      (Level.of_name_exn built.Policy_text.hierarchy level)
+      (Category.of_names built.Policy_text.universe cats)
+  in
+  let caps =
+    [|
+      None; Some (klass "public" []); Some (klass "internal" []); Some (klass "secret" [ "ops" ]);
+      Some (klass "secret" [ "ops"; "sealed" ]);
+    |]
+  in
+  let principals = Array.of_list (List.map Principal.individual [ "root"; "app"; "batch" ]) in
+  let code i = Cg.code_node (Printf.sprintf "c%d" i) in
+  QCheck.Test.make ~name:"worklist = reference fixpoint on random graphs" ~count:300
+    (QCheck.make gen_world)
+    (fun (calls, provides, jumps, entries) ->
+      let site_edge (i, j) =
+        let target, chain = sites.(j mod Array.length sites) in
+        Cg.call_edge ~src:(code i) ~target ~chain
+      in
+      let edges =
+        List.map site_edge calls
+        @ List.map
+            (fun (j, i) ->
+              Cg.transfer_edge ~src:(Cg.site_node (fst sites.(j mod Array.length sites))) ~dst:(code i))
+            provides
+        @ List.map (fun (i, k) -> Cg.transfer_edge ~src:(code i) ~dst:(code k)) jumps
+      in
+      let entries =
+        List.map
+          (fun (p, i, c) ->
+            { Cg.entry_principal = principals.(p); entry_node = code i; entry_cap = caps.(c) })
+          entries
+      in
+      let graph = Cg.with_entries { Cg.empty with Cg.edges } entries in
+      let db = built.Policy_text.db and registry = built.Policy_text.registry in
+      let report = Chain_certify.analyze ~db ~registry ~policy:Policy.default ~objects graph in
+      List.iter
+        (fun sr -> Hashtbl.replace worklist_seen sr.Chain_certify.sr_classification ())
+        report.Chain_certify.sites;
+      report_view report
+      = report_view (reference_analyze ~db ~registry ~policy:Policy.default ~objects graph))
+
+let test_worklist_coverage () =
+  check "random graphs reached redundant, denied and dependent sites" true
+    (List.for_all (Hashtbl.mem worklist_seen)
+       [ Chain_certify.Redundant; Chain_certify.Denied; Chain_certify.Dependent ])
+
 let suite =
   [
     Alcotest.test_case "fixture: one chain per verdict class" `Quick
@@ -472,4 +741,6 @@ let suite =
       test_linker_preminted_chain;
     QCheck_alcotest.to_alcotest prop_oracle;
     Alcotest.test_case "differential probe volume" `Quick test_probe_volume;
+    QCheck_alcotest.to_alcotest prop_worklist_reference;
+    Alcotest.test_case "worklist property coverage" `Quick test_worklist_coverage;
   ]

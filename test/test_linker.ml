@@ -488,6 +488,72 @@ let test_epoch_bump_fails_chain_closed () =
   | Error e -> Alcotest.failf "unexpected error: %s" (Service.error_to_string e));
   check "the denial was audited" true (Audit.denied_total audit > d0)
 
+(* A link's call graph is what the new extension reaches, however much
+   is loaded: with 64 unrelated extensions in the kernel (importers of
+   the same /svc/get, and relays nobody imports), the graph built for
+   a relay user holds its own import edge, the relay's provide and the
+   relay's import — nothing else — and the chain target is still
+   pre-minted.  The quota's per-author count follows every link and
+   unload. *)
+let test_call_graph_scope () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  let alice = Principal.individual "alice" in
+  Principal.Db.add_individual db admin;
+  Principal.Db.add_individual db alice;
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let registry = Clearance.create () in
+  Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
+  Clearance.register registry alice bottom;
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
+  let store = Path.of_string "/svc/get" in
+  (match
+     Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) store
+       ~meta:(Kernel.default_meta kernel ~owner:admin ())
+       (Service.proc "get" 0 (Service.const (Value.int 7)))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "setup get: %s" (Service.error_to_string e));
+  let alice_sub = Subject.make alice bottom in
+  let relay name =
+    Extension.make ~name ~author:alice ~imports:[ store ]
+      ~provides:[ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
+      ()
+  in
+  let _ = ok "link b" (Linker.link kernel ~subject:alice_sub (relay "b")) in
+  for i = 0 to 63 do
+    let name = Printf.sprintf "x%02d" i in
+    let ext =
+      if i mod 2 = 0 then Extension.make ~name ~author:alice ~imports:[ store ] ()
+      else relay name
+    in
+    ignore (ok name (Linker.link kernel ~subject:alice_sub ext))
+  done;
+  Alcotest.(check int) "65 loaded, all by alice" 65 (Kernel.loaded_by kernel alice);
+  let user = Extension.make ~name:"a" ~author:alice ~imports:[ Path.of_string "/ext/b/fetch" ] () in
+  let module Cg = Exsec_analysis.Callgraph in
+  let graph = Kernel.call_graph kernel user in
+  let edges =
+    List.sort compare
+      (List.map
+         (fun (e : Cg.edge) -> e.Cg.src, e.Cg.dst, Option.is_some e.Cg.site)
+         graph.Cg.edges)
+  in
+  Alcotest.(check (list (triple string string bool)))
+    "only a's edge and the relay's"
+    [ "/ext/b/fetch", "code:b", false; "code:a", "/ext/b/fetch", true; "code:b", "/svc/get", true ]
+    edges;
+  let linked = ok "link a" (Linker.link kernel ~subject:alice_sub user) in
+  check "chain target pre-minted" true (Linker.Linked.chain_handle linked store <> None);
+  Alcotest.(check int) "66 loaded" 66 (Kernel.loaded_by kernel alice);
+  (match Linker.unload kernel ~subject:alice_sub "x00" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unload: %s" (Service.error_to_string e));
+  Alcotest.(check int) "unload drops the count" 65 (Kernel.loaded_by kernel alice);
+  Alcotest.(check int) "admin authored none" 0 (Kernel.loaded_by kernel admin)
+
 let suite =
   suite
   @ [
@@ -497,6 +563,7 @@ let suite =
         test_unload_revokes_chain_grants;
       Alcotest.test_case "epoch bump fails chain closed" `Quick
         test_epoch_bump_fails_chain_closed;
+      Alcotest.test_case "call graph scope" `Quick test_call_graph_scope;
     ]
 
 (* {1 Proved import handles}

@@ -384,6 +384,39 @@ let test_denial_mapping () =
     check "wire error = error_of_service of the direct denial" true (wire_error = direct)
   | other -> Alcotest.failf "expected a denial, got %a" Wire.pp_body other
 
+(* Every denial renders to one fixed text, the same through
+   [Decision.pp_denial] and on the wire. *)
+let test_denial_text () =
+  let cases =
+    [
+      Decision.Dac_no_entry, "no matching ACL entry";
+      ( Decision.Dac_explicit_deny (Acl.Individual (Principal.individual "alice")),
+        "explicit ACL deny for user alice" );
+      Decision.Dac_explicit_deny (Acl.Group (Principal.group "staff")), "explicit ACL deny for group staff";
+      Decision.Dac_explicit_deny Acl.Everyone, "explicit ACL deny for everyone";
+      Decision.Mac_denied Mac.Read_up, "MAC: read-up (subject class does not dominate object)";
+      Decision.Mac_denied Mac.Write_down, "MAC: write-down (object class does not dominate subject)";
+      ( Decision.Mac_denied Mac.Blind_overwrite,
+        "MAC: blind overwrite (strict rule requires equal classes; use write-append)" );
+      ( Decision.Integrity_denied Integrity.Read_down,
+        "integrity: read-down (object integrity does not dominate subject)" );
+      ( Decision.Integrity_denied Integrity.Write_up,
+        "integrity: write-up (subject integrity does not dominate object)" );
+      Decision.Not_an_object, "no such object";
+      Decision.Path_denied "/fs/secret", "traversal refused at /fs/secret";
+    ]
+  in
+  List.iter
+    (fun (denial, text) ->
+      Alcotest.(check string) text text (Decision.denial_to_string denial);
+      Alcotest.(check string) (text ^ " (pp)") text (Format.asprintf "%a" Decision.pp_denial denial);
+      match
+        Wire.error_of_service (Service.Denied { at = "/x"; mode = Access_mode.Read; denial })
+      with
+      | Wire.Denied { denial = wired; _ } -> Alcotest.(check string) (text ^ " (wire)") text wired
+      | _ -> Alcotest.fail "a denial left the wire as another error")
+    cases
+
 (* {1 Quota backpressure} *)
 
 let test_quota_backpressure () =
@@ -677,6 +710,7 @@ let suite =
     Alcotest.test_case "auth registry secret" `Quick test_auth_registry_secret;
     Alcotest.test_case "op before hello" `Quick test_op_before_hello;
     Alcotest.test_case "denial mapping" `Quick test_denial_mapping;
+    Alcotest.test_case "denial text" `Quick test_denial_text;
     Alcotest.test_case "quota backpressure" `Quick test_quota_backpressure;
     Alcotest.test_case "handles connection-scoped" `Quick test_handles_scoped_to_connection;
     Alcotest.test_case "handle table capped" `Quick test_handle_table_capped;
