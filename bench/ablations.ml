@@ -758,12 +758,14 @@ let a11 () =
     "the relay's outer hop is a proved import handle and its nested hop a checked@.";
   Format.printf
     "call (fraction ~0.67), while lazy certification pays the monitor every call@.";
-  (* Link cost against the loaded set.  [loaded] extensions are linked
-     first (one in 8 a relay providing fetch over /svc/get, the rest
-     importers of /svc/get), then 32 probes are timed one link each:
-     importers of /svc/get alternating with users of the first relay,
-     whose nested call the chain analysis proves. *)
-  let link_ms loaded =
+  (* Link, revoke and unload cost against the loaded set.  [loaded]
+     extensions are linked first (one in 8 a relay providing fetch over
+     /svc/get, the rest importers of /svc/get), then 32 probes are timed
+     one link each: importers of /svc/get alternating with users of the
+     first relay, whose nested call the chain analysis proves.  Then
+     each probe's certificate is revoked, and each probe unloaded, one
+     timed operation each.  Each figure is the median over the 32. *)
+  let sweep_ms loaded =
     let kernel, _, sub = build ~analyzed:true in
     let alice = Subject.principal sub in
     let link ext =
@@ -782,27 +784,55 @@ let a11 () =
          else Extension.make ~name ~author:alice ~imports:[ store ] ())
     done;
     let relay = Path.of_string "/ext/l0000/fetch" in
-    List.init 32 (fun i ->
-        let name = Printf.sprintf "probe%02d" i in
-        let imports = [ (if i mod 2 = 0 then store else relay) ] in
-        let t0 = Timing.now_ns () in
-        link (Extension.make ~name ~author:alice ~imports ());
-        (Timing.now_ns () -. t0) /. 1e6)
-    |> median
+    let probes = List.init 32 Fun.id in
+    let name i = Printf.sprintf "probe%02d" i in
+    let timed f =
+      List.map
+        (fun i ->
+          let t0 = Timing.now_ns () in
+          f i;
+          (Timing.now_ns () -. t0) /. 1e6)
+        probes
+      |> median
+    in
+    let link_ms =
+      timed (fun i ->
+          let imports = [ (if i mod 2 = 0 then store else relay) ] in
+          link (Extension.make ~name:(name i) ~author:alice ~imports ()))
+    in
+    let revoke_ms = timed (fun i -> Kernel.revoke_certificate kernel (name i)) in
+    let unload_ms =
+      timed (fun i ->
+          match Linker.unload kernel ~subject:sub (name i) with
+          | Ok () -> ()
+          | Error e -> failwith (Service.error_to_string e))
+    in
+    link_ms, revoke_ms, unload_ms
   in
-  ignore (link_ms 128) (* warm-up: the first world pays first-touch costs *);
-  let sweep = List.map (fun loaded -> loaded, link_ms loaded) [ 128; 512; 1024 ] in
-  Format.printf "@.%-40s %-14s@." "extensions already linked" "per-link median";
-  List.iter (fun (loaded, ms) -> Format.printf "%-40d %8.3f ms@." loaded ms) sweep;
-  Format.printf "1,024 vs 128 loaded: %.2fx@."
-    (List.assoc 1024 sweep /. List.assoc 128 sweep);
+  ignore (sweep_ms 128) (* warm-up: the first world pays first-touch costs *);
+  let sweep = List.map (fun loaded -> loaded, sweep_ms loaded) [ 128; 512; 1024 ] in
+  Format.printf "@.%-28s %12s %12s %12s@." "extensions already linked" "link" "revoke"
+    "unload";
+  List.iter
+    (fun (loaded, (link, revoke, unload)) ->
+      Format.printf "%-28d %9.1f us %9.1f us %9.1f us@." loaded (1e3 *. link) (1e3 *. revoke)
+        (1e3 *. unload))
+    sweep;
+  let growth pick = pick (List.assoc 1024 sweep) /. pick (List.assoc 128 sweep) in
+  Format.printf "1,024 vs 128 loaded: link %.2fx, revoke %.2fx, unload %.2fx@."
+    (growth (fun (l, _, _) -> l))
+    (growth (fun (_, r, _) -> r))
+    (growth (fun (_, _, u) -> u));
   Format.printf
     "expected shape: flat — a link builds the call graph of what the new extension@.";
-  Format.printf "reaches and analyses it once, whatever else is loaded@."
+  Format.printf
+    "reaches and analyses it once, and a revocation or an unload touches only the@.";
+  Format.printf "extension's own handles, whatever else is loaded@."
 
 let a12 () =
   let open Exsec_extsys in
   let module Certificate = Exsec_analysis.Certificate in
+  let module Metrics = Exsec_obs.Metrics in
   header "A12 Scoped invalidation: certified-call survival under unrelated churn";
   let store = Path.of_string "/svc/get" in
   let payload = Ok (Value.int 7) in
@@ -813,7 +843,13 @@ let a12 () =
      two validity predicates whether the certificate still stands:
      scoped (Certificate.admits over the recorded dependency stamps)
      and generation-exact (the pre-lifecycle rule: any movement of the
-     global principal-db generation revokes). *)
+     global principal-db generation revokes).  Beside them, a handle
+     alice opened on the same path before the churn is called once per
+     batch: it survives the batch when the call neither re-mints it nor
+     writes an audit record.  Each batch registers its 100 visitors,
+     and no id moves, so alice's row does not either.  A row short of
+     100/100, a generation-exact survival or a covered edit that fails
+     to bite fails the experiment. *)
   let db = Principal.Db.create () in
   let admin = Principal.individual "admin" in
   let alice = Principal.individual "alice" in
@@ -859,6 +895,13 @@ let a12 () =
     | Some c when Certificate.fully_certified c -> c
     | Some _ | None -> failwith "a12: no fully certified certificate"
   in
+  let handle =
+    match Kernel.open_handle kernel ~subject:alice_sub ~caller:"a12" store with
+    | Ok handle -> handle
+    | Error e -> failwith (Service.error_to_string e)
+  in
+  let audit = Reference_monitor.audit (Kernel.monitor kernel) in
+  let reminted = Metrics.counter "handle.reminted" in
   let scoped_ok () =
     Kernel.certificate_admits kernel ~caller:"caller" ~subject:alice_sub store
   in
@@ -866,7 +909,9 @@ let a12 () =
     scoped_ok () && Principal.Db.generation db = certificate.Certificate.db_generation
   in
   let batches = 100 and batch_size = 100 in
-  let scoped_survived = ref 0 and genexact_survived = ref 0 in
+  let scoped_survived = ref 0 and genexact_survived = ref 0 and handle_survived = ref 0 in
+  let metrics_were = Metrics.enabled () in
+  Metrics.set_enabled true;
   for batch = 1 to batches do
     Kernel.batch_principals kernel (fun () ->
         for i = 1 to batch_size do
@@ -874,8 +919,15 @@ let a12 () =
             (Principal.Ind (Principal.individual (Printf.sprintf "g%d-%d" batch i)))
         done);
     if scoped_ok () then incr scoped_survived;
-    if genexact_ok () then incr genexact_survived
+    if genexact_ok () then incr genexact_survived;
+    let reminted0 = Metrics.value reminted and audit0 = Audit.total audit in
+    (match Kernel.call_handle kernel handle [] with
+    | Ok _ -> ()
+    | Error e -> failwith ("a12: the handle refused: " ^ Service.error_to_string e));
+    if Metrics.value reminted = reminted0 && Audit.total audit = audit0 then
+      incr handle_survived
   done;
+  Metrics.set_enabled metrics_were;
   let edits = batches * batch_size in
   (* Cost of the surviving fast path (the proved import handle) after
      the churn, against the full checked call the generation-exact
@@ -891,6 +943,8 @@ let a12 () =
     !scoped_survived batches;
   Format.printf "%-44s %3d / %d batches@." "generation-exact: certificate survived"
     !genexact_survived batches;
+  Format.printf "%-44s %3d / %d batches@." "handle: neither re-minted nor audited"
+    !handle_survived batches;
   Format.printf "%-44s %a@." "certified call after churn" Timing.pp_ns t_certified;
   Format.printf "%-44s %a@." "checked call (post-revocation fallback)" Timing.pp_ns
     t_checked;
@@ -898,9 +952,29 @@ let a12 () =
   Format.printf
     "scoped validation survives all %d batches while generation-exact dies on the@." batches;
   Format.printf
-    "first one; the survivor keeps the certified fast path for the whole run@.";
+    "first one; the survivor keeps the certified fast path for the whole run,@.";
+  Format.printf "and the handle serves every batch from its grant@.";
   (* And the revocation that matters still bites: one edit inside the
-     closure kills the scoped certificate too. *)
+     closure kills the scoped certificate and denies the handle. *)
   Principal.Db.remove_member db staff (Principal.Ind alice);
-  Format.printf "after one covered edit (alice leaves staff): scoped admits = %b@."
-    (scoped_ok ())
+  let scoped_after = scoped_ok () in
+  let handle_denied =
+    match Kernel.call_handle kernel handle [] with
+    | Error (Service.Denied _) -> true
+    | Ok _ | Error _ -> false
+  in
+  Format.printf
+    "after one covered edit (alice leaves staff): scoped admits = %b, handle denied = %b@."
+    scoped_after handle_denied;
+  let failures =
+    List.filter_map
+      (fun (failed, what) -> if failed then Some what else None)
+      [
+        !scoped_survived < batches, "scoped certificate short of every batch";
+        !handle_survived < batches, "handle short of every batch";
+        !genexact_survived > 0, "generation-exact certificate survived a batch";
+        scoped_after, "covered edit left the certificate admitting";
+        not handle_denied, "covered edit left the handle serving";
+      ]
+  in
+  if failures <> [] then raise (Scaling.Failed (String.concat "; " failures))

@@ -11,10 +11,12 @@
      deferred generation bump) vs the same mutations unbatched (one
      bump — one fleet-wide invalidation of compiled ACLs, certificates
      and handles — per mutation);
-   - snapshot maintenance: a single-edit incremental refresh and a
-     10^4-edit churn refresh vs the full from-scratch rebuild the seed
-     shipped with ([Principal.Db.full_snapshot]) — refresh cost must
-     scale with the delta, not the population;
+   - snapshot maintenance: a single-edit incremental refresh, the
+     refresh after registering one individual into one team, and a
+     10^4-edit churn refresh vs the full from-scratch rebuild
+     ([Principal.Db.full_snapshot], the refresh from the empty
+     snapshot) — refresh cost must scale with the delta, not the
+     population, registrations included;
    - steady-state latency at scale: checked resolution over the big
      tree, reference-monitor decide, the compiled-ACL hot check
      (whose zero-allocation pin must not move), and ACL compilation
@@ -154,6 +156,22 @@ let snapshot_bench scale db =
   in
   let single_ms = median (List.map fst single_samples) in
   let single_words = median (List.map snd single_samples) in
+  (* Register one newcomer into one team, then refresh: the newcomer
+     takes the next id, so the refresh appends a row and patches the
+     team's closure, like a single edit. *)
+  let register_samples =
+    List.init 7 (fun k ->
+        Principal.Db.add_member db
+          (team (Prng.int rng scale.groups))
+          (Principal.Ind (Principal.individual (Printf.sprintf "newcomer%d" k)));
+        let (snap, elapsed), words =
+          allocated_words (fun () -> time_ms (fun () -> Principal.Db.snapshot db))
+        in
+        assert (Principal.Db.Snapshot.generation snap = Principal.Db.generation db);
+        elapsed, words)
+  in
+  let register_ms = median (List.map fst register_samples) in
+  let register_words = median (List.map snd register_samples) in
   let churn_ms =
     Principal.Db.batch db (fun () ->
         for _ = 1 to scale.churn do
@@ -161,7 +179,7 @@ let snapshot_bench scale db =
         done);
     snd (time_ms (fun () -> ignore (Principal.Db.snapshot db)))
   in
-  full_ms, single_ms, single_words, churn_ms
+  full_ms, (single_ms, single_words), (register_ms, register_words), churn_ms
 
 (* {1 The big tree and steady-state latency} *)
 
@@ -255,13 +273,16 @@ let run scale =
   let db, b_ms, b_bumps = import scale ~batched:true in
   Format.printf "  batched    %8.0f ms   %9d generation bump%s@." b_ms b_bumps
     (if b_bumps = 1 then "" else "s (EXPECTED 1!)");
-  let full_ms, single_ms, single_words, churn_ms = snapshot_bench scale db in
+  let full_ms, single, register, churn_ms = snapshot_bench scale db in
   Format.printf "snapshot refresh:@.";
   Format.printf "  full rebuild          %10.2f ms@." full_ms;
-  Format.printf "  single-edit delta     %10.2f ms   (%.0fx faster)   %.0f words@."
-    single_ms
-    (full_ms /. Float.max single_ms 0.001)
-    single_words;
+  let row label (ms, words) =
+    Format.printf "  %-21s %10.2f ms   (%.0fx faster)   %.0f words@." label ms
+      (full_ms /. Float.max ms 0.001)
+      words
+  in
+  row "single-edit delta" single;
+  row "register + refresh" register;
   Format.printf "  %d-edit batched delta %8.2f ms@." scale.churn churn_ms;
   let owner = person 0 in
   let hierarchy = Level.hierarchy [ "hi"; "lo" ] in

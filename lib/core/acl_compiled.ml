@@ -1,13 +1,13 @@
 (* The compiled form of an ACL: the three precedence tiers flattened
-   into packed allow/deny mode-mask integers keyed by the interned
-   principal ids of a Principal.Db.Snapshot.  The form depends on the
-   snapshot's interning only: every check reads membership from the
-   snapshot it is handed, so one form serves every snapshot that
-   shares the interning it was compiled against.  A check is a
-   handful of bitwise operations and allocates nothing when it
-   grants.  A denial names the deny entry that decided (see
-   [group_denies]), so the monitor never falls back to the
-   interpreted walk.
+   into packed allow/deny mode-mask integers keyed by the principal
+   ids of the database, which never change.  Every check reads
+   membership from the snapshot it is handed, so one form serves
+   every snapshot of its database; only a group the form compiled
+   away can call for a recompile, once it is registered (see
+   [group_limit]).  A check is a handful of bitwise operations and
+   allocates nothing when it grants.  A denial names the deny entry
+   that decided (see [group_denies]), so the monitor never falls back
+   to the interpreted walk.
 
    The form is the entries themselves, interned and sorted: an (id,
    mask) table for the individuals the ACL names and a (group-id,
@@ -35,14 +35,20 @@ type group_deny = {
 }
 
 type t = {
-  interning : Principal.Db.Snapshot.interning;
+  ind_limit : int;
+      (* the individuals registered when compiled: an ACL-named
+         individual with an id below it is in [ind_ids], any other in
+         [extra_names] *)
+  group_limit : int;
+      (* the groups registered when compiled, when some ACL-named group
+         was not (it compiled away); [max_int] otherwise *)
   ind_ids : int array;  (* sorted ids of ACL-named individuals *)
   ind_masks : int array;  (* parallel to [ind_ids] *)
   group_ids : int array;  (* sorted ids of ACL-named groups *)
   group_masks : int array;  (* parallel to [group_ids] *)
   extra_names : string array;
-      (* ACL-mentioned individuals the interning lacks (never
-         registered in the database); matched by name on lookup *)
+      (* ACL-named individuals not registered when compiled; matched
+         by name on lookup, for a subject registered since too *)
   extra_masks : int array;
   evr_mask : int;
   group_denies : group_deny array;
@@ -53,7 +59,8 @@ type verdict =
   | Denied of Acl.who
   | No_entry
 
-let interning compiled = compiled.interning
+let valid_for compiled snapshot =
+  Principal.Db.Snapshot.group_count snapshot <= compiled.group_limit
 
 let shifted_mask (entry : Acl.entry) =
   let modes = Access_mode.Set.to_int entry.Acl.modes in
@@ -79,6 +86,9 @@ let merge_keyed compare pairs =
   Array.of_list (List.map fst merged), Array.of_list (List.map snd merged)
 
 let compile_in snapshot acl =
+  let ind_limit = Principal.Db.Snapshot.individual_count snapshot in
+  let group_count = Principal.Db.Snapshot.group_count snapshot in
+  let group_limit = ref max_int in
   let evr_mask = ref 0 in
   let named = ref [] in
   let grouped = ref [] in
@@ -89,18 +99,18 @@ let compile_in snapshot acl =
       let mask = shifted_mask entry in
       match entry.Acl.who with
       | Acl.Everyone -> evr_mask := !evr_mask lor mask
-      | Acl.Individual ind -> (
-        match Principal.Db.Snapshot.individual_id snapshot ind with
-        | -1 -> extras := (Principal.individual_name ind, mask) :: !extras
-        | id -> named := (id, mask) :: !named)
+      | Acl.Individual ind ->
+        let id = Principal.Db.Snapshot.individual_id snapshot ind in
+        if id >= 0 && id < ind_limit then named := (id, mask) :: !named
+        else extras := (Principal.individual_name ind, mask) :: !extras
       | Acl.Group grp -> (
         match Principal.Db.Snapshot.group_id snapshot grp with
-        | -1 ->
-          (* An unregistered group has no members and can match
-             nobody, exactly as in the interpreted walk, so it
-             compiles away.  Registering it makes a new interning,
-             which forces a recompile. *)
-          ()
+        | group_id when group_id < 0 || group_id >= group_count ->
+          (* A group unregistered in the snapshot has no members and
+             can match nobody, exactly as in the interpreted walk, so
+             it compiles away.  A snapshot that counts more groups may
+             have registered it: [valid_for] then refuses the form. *)
+          group_limit := group_count
         | group_id ->
           grouped := (group_id, mask) :: !grouped;
           match entry.Acl.sign with
@@ -114,7 +124,8 @@ let compile_in snapshot acl =
   let group_ids, group_masks = merge_keyed Int.compare !grouped in
   let extra_names, extra_masks = merge_keyed String.compare !extras in
   {
-    interning = Principal.Db.Snapshot.interning snapshot;
+    ind_limit;
+    group_limit = !group_limit;
     ind_ids;
     ind_masks;
     group_ids;
@@ -127,8 +138,8 @@ let compile_in snapshot acl =
 
 let compile ~db acl = compile_in (Principal.Db.snapshot db) acl
 
-(* Linear by-name scan over the (rare) ACL entries for principals the
-   database has never registered; allocation-free. *)
+(* Linear by-name scan over the (rare) ACL entries for individuals
+   not registered when the form was compiled; allocation-free. *)
 let extra_mask compiled name =
   let n = Array.length compiled.extra_names in
   let rec find i =
@@ -188,8 +199,9 @@ let check_id compiled ~snapshot ~id ~subject ~mode =
   let allow_bit = 1 lsl Access_mode.index mode in
   let deny_bit = allow_bit lsl deny_shift in
   let ind_mask =
-    if id < 0 then extra_mask compiled (Principal.individual_name subject)
-    else keyed_mask compiled.ind_ids compiled.ind_masks id 0 (Array.length compiled.ind_ids)
+    if id >= 0 && id < compiled.ind_limit then
+      keyed_mask compiled.ind_ids compiled.ind_masks id 0 (Array.length compiled.ind_ids)
+    else extra_mask compiled (Principal.individual_name subject)
   in
   if ind_mask land deny_bit <> 0 then Denied (Acl.Individual subject)
   else if ind_mask land allow_bit <> 0 then Granted
@@ -207,8 +219,6 @@ let check_id compiled ~snapshot ~id ~subject ~mode =
   end
 
 let check compiled ~snapshot ~subject ~mode =
-  if Principal.Db.Snapshot.interning snapshot != compiled.interning then
-    invalid_arg "Acl_compiled.check: snapshot of another interning";
   check_id compiled ~snapshot
     ~id:(Principal.Db.Snapshot.individual_id snapshot subject)
     ~subject ~mode

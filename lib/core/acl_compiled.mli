@@ -12,16 +12,22 @@
     form holds O(entries) words whatever the population.
 
     Validity follows what the form is made of.  It holds the ACL's
-    entries keyed by interned ids, and no membership: {!check} reads
-    membership from the snapshot it is given.  So a compiled ACL is
-    correct exactly while (a) the ACL value it was compiled from is
-    still the object's ACL (guarded by the {!Meta} generation of the
-    caching object) and (b) the snapshot checked against has the
-    {!interning} it was compiled against (compared by physical
-    identity).  Membership churn keeps the interning, so it keeps the
-    form too; only registering a principal makes a new interning.
-    {!Meta.compiled_acl} enforces both and recompiles on any
-    mismatch.
+    entries keyed by the database's ids, which never change, and no
+    membership: {!check} reads membership from the snapshot it is
+    given.  An individual the ACL names but that was not registered
+    when the form was compiled is kept by name, and matched by name
+    for any subject registered since, so it still bites once
+    registered.  A group the ACL names but that was not registered
+    compiles away (it holds nobody); the form then records how many
+    groups it saw and is {!valid_for} no snapshot counting more.  So
+    a compiled ACL is correct exactly while (a) the ACL value it was
+    compiled from is still the object's ACL (guarded by the {!Meta}
+    generation of the caching object) and (b) it is {!valid_for} the
+    snapshot checked against.  Membership churn and registrations
+    keep the form, except a group registration under a form that
+    compiled a group away.  {!Meta.compiled_acl} enforces both and
+    recompiles on any mismatch.  A form belongs to the database it
+    was compiled against.
 
     A denial names the entry that decided, as {!Acl.check}'s
     [Denied_by] does, so the reference monitor's denial diagnostics
@@ -46,12 +52,12 @@ type verdict =
   | No_entry
 
 val compile_in : Principal.Db.Snapshot.t -> Acl.t -> t
-(** Compile [acl] against the snapshot's {!Principal.Db.Snapshot.interning}.
-    Costs O(entries log entries) time and O(entries) memory regardless
-    of population: entries naming the same principal OR together, and
-    groups the interning does not know compile away (they hold
-    nobody).  Intended for the miss path, with the result cached on
-    the object's metadata. *)
+(** Compile [acl] against the principals the snapshot counts as
+    registered.  Costs O(entries log entries) time and O(entries)
+    memory regardless of population: entries naming the same principal
+    OR together, and groups the snapshot does not count compile away
+    (they hold nobody).  Intended for the miss path, with the result
+    cached on the object's metadata. *)
 
 val compile : db:Principal.Db.t -> Acl.t -> t
 (** {!compile_in} the database's current snapshot. *)
@@ -65,27 +71,27 @@ val check :
     same verdict class, and on a denial the same [who]; a QCheck
     differential suite holds the two implementations to that contract
     at small and large populations.  A grant or a no-entry allocates
-    nothing.
-    @raise Invalid_argument when [snapshot] has another interning than
-    the form. *)
+    nothing. *)
 
 val check_id :
   t -> snapshot:Principal.Db.Snapshot.t -> id:int -> subject:Principal.individual ->
   mode:Access_mode.t -> verdict
-(** {!check} with the subject's snapshot id already looked up: [id]
-    must be [Principal.Db.Snapshot.individual_id snapshot subject], and
-    [snapshot] must have the form's {!interning} (unchecked here).
-    Saves the population-sized name probe on every check when the
-    caller remembers the id per interning ({!Subject.individual_id}). *)
+(** {!check} with the subject's id already looked up: [id] must be
+    [Principal.Db.Snapshot.individual_id snapshot subject] (the same in
+    every snapshot of the database, or [-1]).  Saves the
+    population-sized name probe on every check when the caller
+    remembers the id ({!Subject.individual_id}). *)
 
 val permits :
   t -> snapshot:Principal.Db.Snapshot.t -> subject:Principal.individual ->
   mode:Access_mode.t -> bool
 (** [true] iff {!check} returns {!Granted}. *)
 
-val interning : t -> Principal.Db.Snapshot.interning
-(** The interning the form was compiled against (it keys the mask
-    tables). *)
+val valid_for : t -> Principal.Db.Snapshot.t -> bool
+(** Whether the form decides as a fresh compile against [snapshot]
+    would: [false] only when the form compiled a group away and the
+    snapshot counts more groups than the form saw, so that group may
+    have been registered since.  One compare, no allocation. *)
 
 val verdict_class : verdict -> int
 (** 0 granted, 1 denied, 2 no-entry; for differential comparison with

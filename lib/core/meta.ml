@@ -79,10 +79,10 @@ let compiled_in meta snapshot =
   (* The metadata generation is read BEFORE the slot (and, on a miss,
      before the ACL field): a racing set_acl then lands a bump above
      the value validated or stamped here, so a stale slot can never
-     validate again.  The interning needs no such order: the slot's
-     form records the interning it was compiled against, and identity
-     is exact.  Membership is no part of the form (checks read it from
-     the snapshot they are given), so churn leaves the slot in place.
+     validate again.  The registrations need no such order: the form
+     records the count it saw, and ids never change.  Membership is no
+     part of the form (checks read it from the snapshot they are
+     given), so churn leaves the slot in place.
      The slot is one immutable record behind a single mutable pointer,
      so concurrent readers see a consistent (compiled, acl_generation)
      pair; racing writers overwrite each other with equally valid
@@ -91,8 +91,7 @@ let compiled_in meta snapshot =
   match meta.compiled with
   | Some slot
     when slot.acl_generation = acl_generation
-         && Acl_compiled.interning slot.compiled
-            == Principal.Db.Snapshot.interning snapshot ->
+         && Acl_compiled.valid_for slot.compiled snapshot ->
     slot.compiled
   | Some _ | None ->
     let compiled = Acl_compiled.compile_in snapshot meta.acl in

@@ -78,12 +78,13 @@ val compiled_in : t -> Principal.Db.Snapshot.t -> Acl_compiled.t
 (** The compiled form of the object's current ACL, memoized on the
     record and valid for [snapshot].  One rule decides reuse: the
     cached form is returned while the metadata generation it was
-    compiled under is still the live one and its
-    {!Acl_compiled.interning} is the snapshot's ([==]).  Any [set_*]
-    above, or a registration (a new interning), forces a recompile;
-    membership churn does not, and leaves the slot physically
-    unchanged, because checks read membership from the snapshot they
-    are given.  The metadata generation is read before the slot (and,
+    compiled under is still the live one and the form is
+    {!Acl_compiled.valid_for} the snapshot.  Any [set_*] above forces
+    a recompile, and so does a group registration when the form
+    compiled a group away (that group may be the one registered).
+    Membership churn and every other registration do not, and leave
+    the slot physically unchanged: checks read membership from the
+    snapshot they are given, and ids never change.  The metadata generation is read before the slot (and,
     on a miss, before the ACL field), so a mutation racing with the
     compile strands the new slot on a stale stamp — it can never
     validate afterwards.  The hit path allocates nothing. *)

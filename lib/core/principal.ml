@@ -26,43 +26,58 @@ type member =
   | Ind of individual
   | Grp of group
 
-module String_set = Set.Make (String)
-
 module Db = struct
-  (* A frozen, generation-stamped view of the database used by the
-     compiled decision path (see Acl_compiled): individuals and groups
-     interned to dense ids, transitive membership flattened into one
-     sorted group-id row per individual, plus two sorted individual-id
-     rows per group, its direct members and its transitive closure.
-     Snapshots are immutable after construction, so readers in other
-     domains may probe them without a lock; staleness is detected by
-     comparing [snap_generation] with the live generation counter.
+  (* Registration is append-only: an individual or group gets the next
+     dense id of its kind when it is registered, and keeps it.  A
+     snapshot is a frozen, generation-stamped view of membership over
+     those ids, used by the compiled decision path (see Acl_compiled):
+     transitive membership flattened into one sorted group-id row per
+     individual, plus two sorted individual-id rows per group, its
+     direct members and its transitive closure.  It records how many
+     individuals and groups it saw and reads any id at or above those
+     counts as unregistered (a member of nothing).  Snapshots are
+     immutable after construction, so readers in other domains may
+     probe them without a lock; staleness is detected by comparing
+     [snap_generation] with the live generation counter.
 
      Successive snapshots share structure.  The per-individual rows
      live in fixed chunks of [chunk_size], so a refresh copies the
-     chunk spine and only the chunks holding a changed row.  When the
-     registered population is unchanged, a refresh recomputes the
-     groups whose member list moved since the previous build and
-     re-tests, in each of their ancestors, only the individuals whose
-     membership changed below it (see [build_delta]): cost scales with
-     the edit, not the population.  The intern tables are shared by
-     reference across generations. *)
+     chunk spine and only the chunks holding a changed row.  A refresh
+     recomputes the groups whose member list moved since the previous
+     build, and the groups registered since, and re-tests, in each of
+     their ancestors, only the individuals whose membership changed
+     below it (see [build]): cost scales with the edit, not the
+     population.  The first snapshot is the same refresh from the
+     empty one. *)
+
+  (* A registered group; its id is its index in [groups]. *)
+  type slot = {
+    name : group;
+    mutable members : member list;  (* an immutable list, swapped whole *)
+    mutable parents : int list;
+        (* ids of the groups that directly contain this one; drives
+           the dirty-closure walk of [build] *)
+    mutable dirty : int;
+        (* the generation at which the member list last changed; a
+           snapshot built at generation g covers every mark <= g, so a
+           refresh from it need only revisit groups marked above g *)
+  }
+
   type snapshot = {
     snap_generation : int;
-    ids : (string, int) Hashtbl.t;  (* individual name -> dense id *)
-    id_count : int;
-    group_ids : (string, int) Hashtbl.t;  (* group name -> dense id *)
-    group_count : int;
-    group_names : string array;  (* dense group id -> name, sorted *)
+    ind_ids : (string, int) Hashtbl.t;  (* the database's, shared *)
+    group_ids : (string, int) Hashtbl.t;  (* likewise *)
+    id_count : int;  (* individuals registered when built *)
+    group_count : int;  (* groups registered when built *)
     chunks : int array array array;
         (* per individual id [i], at [chunks.(i / chunk_size).(i mod
-           chunk_size)]: the sorted dense ids of every group the
-           individual transitively belongs to *)
+           chunk_size)]: the sorted ids of every group the individual
+           transitively belongs to *)
     group_rows : int array array;
-        (* per group id: the sorted dense ids of every individual in
-           the group's transitive closure *)
+        (* per group id: the sorted ids of every individual in the
+           group's transitive closure *)
     direct_rows : int array array;
-        (* per group id: the sorted dense ids of the group's direct
+        (* per group id: the sorted ids of the group's direct
            individual members *)
   }
 
@@ -71,18 +86,9 @@ module Db = struct
   let chunk_mask = chunk_size - 1
 
   type t = {
-    mutable individual_set : String_set.t;
-    mutable individual_count : int;  (* cardinal of individual_set, O(1) *)
-    members : (group, member list ref) Hashtbl.t;
-    parents : (group, String_set.t ref) Hashtbl.t;
-        (* reverse membership: the groups that directly contain the
-           key group; drives the dirty-closure walk of delta rebuilds *)
-    dirty : (group, int ref) Hashtbl.t;
-        (* the generation at which the group's member list last
-           changed; a snapshot built at generation g covers every mark
-           <= g, so a rebuild from it need only revisit groups marked
-           above g.  Slots are created at registration and only their
-           contents change during churn, mirroring [members]. *)
+    ind_ids : (string, int) Hashtbl.t;  (* individual name -> id *)
+    group_ids : (string, int) Hashtbl.t;  (* group name -> id *)
+    mutable groups : slot array;  (* by id; grown by doubling *)
     generation : int Atomic.t;
     snapshot_slot : snapshot option Atomic.t;
     batch_epoch : int Atomic.t;
@@ -96,13 +102,15 @@ module Db = struct
     mutable batch_pending : bool;
   }
 
+  (* Fills the unused tail of [groups]; never registered, never
+     written. *)
+  let vacant = { name = ""; members = []; parents = []; dirty = 0 }
+
   let create () =
     {
-      individual_set = String_set.empty;
-      individual_count = 0;
-      members = Hashtbl.create 16;
-      parents = Hashtbl.create 16;
-      dirty = Hashtbl.create 16;
+      ind_ids = Hashtbl.create 16;
+      group_ids = Hashtbl.create 16;
+      groups = Array.make 16 vacant;
       generation = Atomic.make 0;
       snapshot_slot = Atomic.make None;
       batch_epoch = Atomic.make 0;
@@ -113,34 +121,31 @@ module Db = struct
   let generation db = Atomic.get db.generation
 
   let add_individual db ind =
-    if not (String_set.mem ind db.individual_set) then begin
-      db.individual_set <- String_set.add ind db.individual_set;
-      db.individual_count <- db.individual_count + 1
-    end
+    if not (Hashtbl.mem db.ind_ids ind) then
+      Hashtbl.add db.ind_ids ind (Hashtbl.length db.ind_ids)
 
-  let member_slot db grp =
-    match Hashtbl.find_opt db.members grp with
-    | Some slot -> slot
+  (* The group's id, registering it first if need be.  The slot lands
+     before the name, so a reader that finds the id finds the slot. *)
+  let register_group db grp =
+    match Hashtbl.find_opt db.group_ids grp with
+    | Some id -> id
     | None ->
-      let slot = ref [] in
-      Hashtbl.add db.members grp slot;
-      (* Companion slots, so churn after registration never has to
-         restructure a table (the registration-is-setup-time contract
-         in the mli). *)
-      if not (Hashtbl.mem db.parents grp) then
-        Hashtbl.add db.parents grp (ref String_set.empty);
-      if not (Hashtbl.mem db.dirty grp) then Hashtbl.add db.dirty grp (ref 0);
-      slot
+      let id = Hashtbl.length db.group_ids in
+      if id = Array.length db.groups then begin
+        let grown = Array.make (2 * id) vacant in
+        Array.blit db.groups 0 grown 0 id;
+        db.groups <- grown
+      end;
+      db.groups.(id) <- { name = grp; members = []; parents = []; dirty = 0 };
+      Hashtbl.add db.group_ids grp id;
+      id
 
-  let parent_slot db grp =
-    match Hashtbl.find_opt db.parents grp with
-    | Some slot -> slot
-    | None ->
-      let slot = ref String_set.empty in
-      Hashtbl.add db.parents grp slot;
-      slot
+  let add_group db grp = ignore (register_group db grp)
 
-  let add_group db grp = ignore (member_slot db grp)
+  let find_slot db grp =
+    match Hashtbl.find_opt db.group_ids grp with
+    | Some id -> Some db.groups.(id)
+    | None -> None
 
   let member_equal a b =
     match a, b with
@@ -163,10 +168,7 @@ module Db = struct
      mutation shares the single deferred bump).  Written BEFORE the
      generation bump, so a builder whose stamp validates has seen the
      mark. *)
-  let mark_dirty db grp =
-    match Hashtbl.find_opt db.dirty grp with
-    | Some slot -> slot := Atomic.get db.generation + 1
-    | None -> Hashtbl.add db.dirty grp (ref (Atomic.get db.generation + 1))
+  let mark_dirty db slot = slot.dirty <- Atomic.get db.generation + 1
 
   let batch db f =
     (* The epoch goes odd BEFORE any batch mutation can land and even
@@ -189,6 +191,11 @@ module Db = struct
 
   let in_batch db = db.batch_depth > 0
 
+  let direct_members db grp =
+    match find_slot db grp with
+    | Some slot -> slot.members
+    | None -> []
+
   (* Does [target] appear, transitively, among the member groups of
      [grp]?  Used to reject membership cycles.  Read-only: an unknown
      group has no members, so probing it must not register it — the
@@ -207,9 +214,7 @@ module Db = struct
                 (function
                   | Ind _ -> false
                   | Grp nested -> walk nested)
-                (match Hashtbl.find_opt db.members grp with
-                | Some slot -> !slot
-                | None -> [])
+                (direct_members db grp)
             end)
     in
     walk grp
@@ -225,18 +230,19 @@ module Db = struct
         invalid_arg
           (Printf.sprintf "Principal.Db.add_member: %s <- %s would create a cycle"
              grp nested));
-    (match member with
-    | Ind ind -> add_individual db ind
-    | Grp nested -> add_group db nested);
-    let slot = member_slot db grp in
-    if not (List.exists (member_equal member) !slot) then begin
-      slot := member :: !slot;
-      (match member with
-      | Ind _ -> ()
-      | Grp nested ->
-        let pslot = parent_slot db nested in
-        pslot := String_set.add grp !pslot);
-      mark_dirty db grp;
+    let child =
+      match member with
+      | Ind ind ->
+        add_individual db ind;
+        None
+      | Grp nested -> Some (register_group db nested)
+    in
+    let id = register_group db grp in
+    let slot = db.groups.(id) in
+    if not (List.exists (member_equal member) slot.members) then begin
+      slot.members <- member :: slot.members;
+      Option.iter (fun c -> db.groups.(c).parents <- id :: db.groups.(c).parents) child;
+      mark_dirty db slot;
       (* Membership lands above, generation bumps after (deferred to
          the batch end when inside one): a reader that observes the
          bumped generation also sees the new list (see the ordering
@@ -245,9 +251,10 @@ module Db = struct
     end
 
   let remove_member db grp member =
-    match Hashtbl.find_opt db.members grp with
+    match Hashtbl.find_opt db.group_ids grp with
     | None -> ()
-    | Some slot ->
+    | Some id ->
+      let slot = db.groups.(id) in
       (* One walk decides presence and builds the remainder — no
          length recount of both lists. *)
       let removed = ref false in
@@ -259,34 +266,38 @@ module Db = struct
               false
             end
             else true)
-          !slot
+          slot.members
       in
       if !removed then begin
-        slot := kept;
+        slot.members <- kept;
         (match member with
         | Ind _ -> ()
-        | Grp nested -> (
-          match Hashtbl.find_opt db.parents nested with
-          | Some pslot -> pslot := String_set.remove grp !pslot
-          | None -> ()));
-        mark_dirty db grp;
+        | Grp nested ->
+          Option.iter
+            (fun child -> child.parents <- List.filter (fun p -> p <> id) child.parents)
+            (find_slot db nested));
+        mark_dirty db slot;
         publish db
       end
 
-  let individuals db = String_set.elements db.individual_set
-  let mem_individual db ind = String_set.mem ind db.individual_set
-  let individual_count db = db.individual_count
+  let sorted_names table =
+    Hashtbl.fold (fun name _ acc -> name :: acc) table [] |> List.sort String.compare
+
+  let individuals db = sorted_names db.ind_ids
+  let mem_individual db ind = Hashtbl.mem db.ind_ids ind
+  let individual_count db = Hashtbl.length db.ind_ids
+  let groups db = sorted_names db.group_ids
 
   (* The per-group dirty stamp, for scoped-invalidation consumers
      (link-time certificates record the stamp of every group their
-     proof consulted and revalidate against it).  Reading an int ref
+     proof consulted and revalidate against it).  Reading an int field
      is a single word load; mutators are externally serialized and the
      slot itself exists from registration time, so probing from reader
      domains is safe under the same contract as the snapshot
      builder. *)
   let dirty_stamp db grp =
-    match Hashtbl.find_opt db.dirty grp with
-    | Some slot -> !slot
+    match find_slot db grp with
+    | Some slot -> slot.dirty
     | None -> 0
 
   (* Every group reachable from [grp] through member edges, [grp]
@@ -308,23 +319,11 @@ module Db = struct
           (function
             | Ind _ -> ()
             | Grp nested -> walk nested)
-          (match Hashtbl.find_opt db.members grp with
-          | Some slot -> !slot
-          | None -> [])
+          (direct_members db grp)
       end
     in
     walk grp;
-    Hashtbl.fold (fun g () acc -> g :: acc) visited []
-    |> List.sort String.compare
-
-  let groups db =
-    Hashtbl.fold (fun grp _ acc -> grp :: acc) db.members []
-    |> List.sort_uniq String.compare
-
-  let direct_members db grp =
-    match Hashtbl.find_opt db.members grp with
-    | None -> []
-    | Some slot -> !slot
+    Hashtbl.fold (fun g () acc -> g :: acc) visited [] |> List.sort String.compare
 
   (* Transitive membership over the live member lists (the reference
      semantics the snapshot rows are held to).  The visited set bounds
@@ -360,27 +359,23 @@ module Db = struct
 
   module Snapshot = struct
     type t = snapshot
-
-    (* The name -> id table stands for the whole interning: it is made
-       together with the group table and the group names, by
-       [build_snapshot] alone, and a delta shares all three. *)
-    type interning = (string, int) Hashtbl.t
     type row = int array
 
     let generation snap = snap.snap_generation
-    let interning snap = snap.ids
+    let individual_count snap = snap.id_count
+    let group_count snap = snap.group_count
 
     (* Allocation-free id lookup (raising a constant exception instead
-       of building an option): the decision hot path runs this once
-       per check. *)
-    let individual_id snap ind =
-      try Hashtbl.find snap.ids ind with Not_found -> -1
+       of building an option).  Ids never change, so the answer is the
+       same in every snapshot of the database. *)
+    let individual_id (snap : t) ind =
+      try Hashtbl.find snap.ind_ids ind with Not_found -> -1
 
-    let group_id snap grp =
+    let group_id (snap : t) grp =
       try Hashtbl.find snap.group_ids grp with Not_found -> -1
 
-    (* [[||]] is the one empty-array atom, so an out-of-range id
-       allocates nothing. *)
+    (* [[||]] is the one empty-array atom, so an id the snapshot reads
+       as unregistered allocates nothing. *)
     let row snap ~individual_id =
       if individual_id < 0 || individual_id >= snap.id_count then [||]
       else
@@ -391,8 +386,9 @@ module Db = struct
     (* A static array no build ever stores. *)
     let no_row = [| -1 |]
 
-    (* Rows hold only interned group ids, so an unknown [group_id]
-       (including [-1]) is found in none. *)
+    (* Rows hold only the ids of groups registered when the snapshot
+       was built, so any other [group_id] (including [-1]) is found in
+       none. *)
     let is_member snap ~individual_id ~group_id =
       let row = row snap ~individual_id in
       row_search row group_id 0 (Array.length row)
@@ -466,167 +462,110 @@ module Db = struct
 
   let row_mem row id = row_search row id 0 (Array.length row)
 
-  (* The sorted ids of a member list's individuals.  An individual the
-     intern table lacks was registered after it was built; the
-     generation that registration publishes covers it. *)
-  let direct_row ids members =
-    let row =
-      Array.of_list
-        (List.filter_map
-           (function
-             | Ind ind -> Hashtbl.find_opt ids ind
-             | Grp _ -> None)
-           members)
-    in
-    Array.sort (fun (a : int) b -> compare a b) row;
-    row
-
-  let individual_row chunks id = chunks.(id lsr chunk_bits).(id land chunk_mask)
-
-  (* Invert the per-group closures into the per-individual rows,
-     chunked.  Group ids ascend across the fill, so every row comes
-     out sorted without a per-row sort. *)
-  let chunks_of_group_rows ~id_count group_rows =
-    let counts = Array.make (Stdlib.max 1 id_count) 0 in
-    Array.iter (Array.iter (fun id -> counts.(id) <- counts.(id) + 1)) group_rows;
-    let chunks =
-      Array.init ((id_count + chunk_mask) lsr chunk_bits) (fun c ->
-          let first = c lsl chunk_bits in
-          Array.init (Stdlib.min chunk_size (id_count - first)) (fun j ->
-              Array.make counts.(first + j) 0))
-    in
-    (* [counts] becomes each row's fill cursor. *)
-    Array.fill counts 0 (Array.length counts) 0;
-    Array.iteri
-      (fun gid grow ->
-        Array.iter
-          (fun id ->
-            (individual_row chunks id).(counts.(id)) <- gid;
-            counts.(id) <- counts.(id) + 1)
-          grow)
-      group_rows;
-    chunks
-
   (* A build met a group already in progress: the walk found a cycle,
      which only a mutator racing with the walk can produce.  The
      build's rows may disagree with each other, so it must never be
      published (see [snapshot]). *)
   exception Raced
 
-  let nested_groups members =
-    List.filter_map
-      (function
-        | Grp nested -> Some nested
-        | Ind _ -> None)
-      members
+  (* The chunk a refresh starts a new chunk from.  Never written: a
+     refresh copies every chunk it changes. *)
+  let empty_chunk : int array array = Array.make chunk_size [||]
 
-  let build_snapshot db ~generation =
-    let individuals = String_set.elements db.individual_set in
-    (* Sized at twice the population: the name -> id probe is the one
-       lookup on the compiled decision hot path, and the slack keeps
-       bucket chains short. *)
-    let ids = Hashtbl.create ((2 * List.length individuals) + 1) in
-    List.iteri (fun i ind -> Hashtbl.replace ids ind i) individuals;
-    let id_count = Hashtbl.length ids in
-    let group_list = groups db in
-    let group_ids = Hashtbl.create ((2 * List.length group_list) + 1) in
-    List.iteri (fun i grp -> Hashtbl.replace group_ids grp i) group_list;
-    let group_count = Hashtbl.length group_ids in
-    let group_names = Array.of_list group_list in
-    let direct_rows = Array.make group_count [||] in
-    let group_rows = Array.make group_count [||] in
-    (* Transitive member closure per group, children first and each
-       once: its direct row merged with its children's closures.
-       add_member rejects membership cycles, so meeting a group still
-       in progress means a racing mutator. *)
-    let state = Bytes.make group_count 'n' (* n: new, p: in progress, d: done *) in
-    let rec settle gid =
-      match Bytes.get state gid with
-      | 'd' -> group_rows.(gid)
-      | 'p' -> raise Raced
-      | _ ->
-        Bytes.set state gid 'p';
-        let members = direct_members db group_names.(gid) in
-        let direct = direct_row ids members in
-        (* A nested group unknown to [group_ids] was registered after
-           the listing, and its member edge after the generation read:
-           this build is born stale either way. *)
-        let children =
-          List.filter_map (Hashtbl.find_opt group_ids) (nested_groups members)
-        in
-        let closure = union_all (direct :: List.map settle children) in
-        direct_rows.(gid) <- direct;
-        group_rows.(gid) <- closure;
-        Bytes.set state gid 'd';
-        closure
-    in
-    for gid = 0 to group_count - 1 do
-      ignore (settle gid)
-    done;
-    { snap_generation = generation; ids; id_count; group_ids; group_count;
-      group_names; chunks = chunks_of_group_rows ~id_count group_rows;
-      group_rows; direct_rows }
+  let empty db =
+    { snap_generation = -1; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count = 0;
+      group_count = 0; chunks = [||]; group_rows = [||]; direct_rows = [||] }
 
-  (* Delta rebuild from [prev], in proportion to the edit.  A group
-     whose member list moved since [prev] was built (dirty stamp above
-     its generation) is recomputed: its direct row from the live list,
-     merged with its children's closures, then diffed against its old
-     closure to give the ids that flipped.  Every group above it, found
-     through the reverse-membership index, re-tests only the ids that
-     flipped in one of its children, against its own direct row and
-     every child's new closure, so a member still reachable along a
-     second path stays; it splices the ids whose answer changed into
-     its old row.  Groups are settled children first.  Per-individual
-     rows change only for ids that flipped somewhere: the chunk spine
-     is copied, and each chunk holding a changed row once.  Rows of
-     untouched groups and individuals, and both intern tables, are
-     shared with [prev] by reference.  Preconditions checked by the
-     caller: no individual or group was registered since [prev].
-     @raise Not_found when an affected group is unknown to [prev]
-     (population drifted after all); the caller falls back to a full
-     build.
-     @raise Raced as [build_snapshot]. *)
-  let build_delta db ~generation ~prev =
-    let gid grp = Hashtbl.find prev.group_ids grp in
-    let group_count = prev.group_count in
+  (* Rebuild from [prev], in proportion to the change.  A group whose
+     member list moved since [prev] was built (dirty stamp above its
+     generation), or that was registered since, is recomputed: its
+     direct row from the live list, merged with its children's
+     closures, then diffed against its old closure to give the ids
+     that flipped.  Every group above it, found through the
+     reverse-membership index, re-tests only the ids that flipped in
+     one of its children, against its own direct row and every child's
+     new closure, so a member still reachable along a second path
+     stays; it splices the ids whose answer changed into its old row.
+     Groups are settled children first.  Per-individual rows change
+     only for ids that flipped somewhere: the flips are counted per
+     chunk, bucketed by chunk in ascending group order, and each chunk
+     holding one is copied once and its rows patched, so every row's
+     flips come out sorted.  Rows of untouched groups and individuals
+     are shared with [prev] by reference.  The counts are read after
+     the caller's generation read: a principal registered after them
+     belongs to an edit that lands a later generation, so it is left
+     out (and the build born stale).
+     @raise Raced when the walk meets a group already in progress. *)
+  let build db ~generation ~prev =
+    let id_count = Hashtbl.length db.ind_ids in
+    let group_count = Hashtbl.length db.group_ids in
+    let slots = db.groups in
+    let known = prev.group_count in
     (* u: untouched (its [prev] rows stand), a: above a dirty group,
-       x: dirty, p: in progress, d: done. *)
+       x: dirty or new, p: in progress, d: done. *)
     let state = Bytes.make group_count 'u' in
-    let roots =
-      Hashtbl.fold
-        (fun grp slot acc -> if !slot > prev.snap_generation then grp :: acc else acc)
-        db.dirty []
+    let roots = ref [] in
+    for g = group_count - 1 downto 0 do
+      if g >= known || slots.(g).dirty > prev.snap_generation then begin
+        Bytes.set state g 'x';
+        roots := g :: !roots
+      end
+    done;
+    let rec mark g =
+      List.iter
+        (fun p ->
+          if p < group_count && Bytes.get state p = 'u' then begin
+            Bytes.set state p 'a';
+            mark p
+          end)
+        slots.(g).parents
     in
-    List.iter (fun grp -> Bytes.set state (gid grp) 'x') roots;
-    let rec mark grp =
-      match Hashtbl.find_opt db.parents grp with
-      | None -> ()
-      | Some pslot ->
-        String_set.iter
-          (fun parent ->
-            let g = gid parent in
-            if Bytes.get state g = 'u' then begin
-              Bytes.set state g 'a';
-              mark parent
-            end)
-          !pslot
+    List.iter mark !roots;
+    let extend rows =
+      let out = Array.make group_count [||] in
+      Array.blit rows 0 out 0 known;
+      out
     in
-    List.iter mark roots;
-    let group_rows = Array.copy prev.group_rows in
-    let direct_rows = Array.copy prev.direct_rows in
+    let group_rows = extend prev.group_rows in
+    let direct_rows = extend prev.direct_rows in
     let flips = Array.make group_count [||] in
+    let children members =
+      List.filter_map
+        (function
+          | Grp nested -> (
+            match Hashtbl.find_opt db.group_ids nested with
+            | Some c when c < group_count -> Some c
+            | Some _ | None -> None)
+          | Ind _ -> None)
+        members
+    in
+    let direct members =
+      let row =
+        Array.of_list
+          (List.filter_map
+             (function
+               | Ind ind -> (
+                 match Hashtbl.find_opt db.ind_ids ind with
+                 | Some id when id < id_count -> Some id
+                 | Some _ | None -> None)
+               | Grp _ -> None)
+             members)
+      in
+      Array.sort (fun (a : int) b -> compare a b) row;
+      row
+    in
     let rec settle g =
       match Bytes.get state g with
       | 'u' | 'd' -> ()
       | 'p' -> raise Raced
       | kind ->
         Bytes.set state g 'p';
-        let members = direct_members db prev.group_names.(g) in
-        let children = List.map gid (nested_groups members) in
+        let members = slots.(g).members in
+        let children = children members in
         List.iter settle children;
-        let old = prev.group_rows.(g) in
+        let old = group_rows.(g) in
         if kind = 'x' then begin
-          let direct = direct_row prev.ids members in
+          let direct = direct members in
           let next = union_all (direct :: List.map (Array.get group_rows) children) in
           direct_rows.(g) <- direct;
           group_rows.(g) <- next;
@@ -654,30 +593,69 @@ module Db = struct
     for g = 0 to group_count - 1 do
       settle g
     done;
-    (* Individual id -> the groups it flipped in, ascending: groups are
-       visited from the highest id down and prepended. *)
-    let edits : (int, int list ref) Hashtbl.t = Hashtbl.create 16 in
-    for g = group_count - 1 downto 0 do
+    let n_chunks = (id_count + chunk_mask) lsr chunk_bits in
+    let chunks = Array.make n_chunks empty_chunk in
+    Array.blit prev.chunks 0 chunks 0 (Array.length prev.chunks);
+    (* Count the flips per chunk, then fill each chunk's bucket with
+       (group id, row in chunk) pairs, packed in one int, walking the
+       groups in ascending order.  [ends.(c)] counts chunk [c]'s flips,
+       becomes the start of its bucket and, once filled, its end. *)
+    let ends = Array.make (n_chunks + 1) 0 in
+    for g = 0 to group_count - 1 do
       let flipped = flips.(g) in
       for k = 0 to Array.length flipped - 1 do
-        match Hashtbl.find_opt edits flipped.(k) with
-        | Some slot -> slot := g :: !slot
-        | None -> Hashtbl.add edits flipped.(k) (ref [ g ])
+        let c = (flipped.(k) lsr chunk_bits) + 1 in
+        ends.(c) <- ends.(c) + 1
       done
     done;
-    let chunks = Array.copy prev.chunks in
-    Hashtbl.iter
-      (fun id slot ->
-        let c = id lsr chunk_bits in
+    for c = 1 to n_chunks do
+      ends.(c) <- ends.(c) + ends.(c - 1)
+    done;
+    let bucket = Array.make ends.(n_chunks) 0 in
+    for g = 0 to group_count - 1 do
+      let flipped = flips.(g) in
+      for k = 0 to Array.length flipped - 1 do
+        let c = flipped.(k) lsr chunk_bits in
+        bucket.(ends.(c)) <- (g lsl chunk_bits) lor (flipped.(k) land chunk_mask);
+        ends.(c) <- ends.(c) + 1
+      done
+    done;
+    (* Per chunk: count each row's flips, then fill them into a fresh
+       array in bucket order (ascending group ids) and apply it to the
+       row once the last one lands. *)
+    let left = Array.make chunk_size 0 in
+    let pending = Array.make chunk_size [||] in
+    let first = ref 0 in
+    for c = 0 to n_chunks - 1 do
+      let stop = ends.(c) in
+      if stop > !first then begin
         (* Copy-on-write: the chunk [prev] holds is never written. *)
-        if chunks.(c) == prev.chunks.(c) then chunks.(c) <- Array.copy prev.chunks.(c);
-        let j = id land chunk_mask in
-        chunks.(c).(j) <- xor chunks.(c).(j) (Array.of_list !slot))
-      edits;
-    { prev with snap_generation = generation; chunks; group_rows; direct_rows }
+        let chunk = Array.copy chunks.(c) in
+        for k = !first to stop - 1 do
+          let j = bucket.(k) land chunk_mask in
+          left.(j) <- left.(j) + 1
+        done;
+        for k = !first to stop - 1 do
+          let j = bucket.(k) land chunk_mask in
+          let n = left.(j) in
+          if Array.length pending.(j) = 0 then pending.(j) <- Array.make n 0;
+          let row = pending.(j) in
+          row.(Array.length row - n) <- bucket.(k) lsr chunk_bits;
+          left.(j) <- n - 1;
+          if n = 1 then begin
+            chunk.(j) <- xor chunk.(j) row;
+            pending.(j) <- [||]
+          end
+        done;
+        chunks.(c) <- chunk
+      end;
+      first := stop
+    done;
+    { snap_generation = generation; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count;
+      group_count; chunks; group_rows; direct_rows }
 
   let rec full_snapshot db =
-    try build_snapshot db ~generation:(Atomic.get db.generation)
+    try build db ~generation:(Atomic.get db.generation) ~prev:(empty db)
     with Raced -> full_snapshot db
 
   (* Install via compare-and-set, and only when strictly newer than
@@ -721,18 +699,19 @@ module Db = struct
        the previous published state the batch contract promises
        them.
 
-       A published snapshot is also the base the next delta patches
+       A published snapshot is also the base the next refresh patches
        rather than recomputes, so one bad row in it could outlive the
        refresh that follows.  The race rule that prevents it: a
        group's base rows are reused or patched only while its dirty
-       stamp is <= the base's generation; a group stamped above it is
-       recomputed from the live lists.  A group still stamped <= g
-       when the next delta reads it had its last edit published at or
-       before g, so the build that read g saw that edit and no later
-       one: its direct row is exact, and its closure is its direct row
-       merged with its children's closures in the same snapshot.  By induction over such groups, every
+       stamp is <= the base's generation; a group stamped above it, or
+       registered since, is recomputed from the live lists.  A group
+       still stamped <= g when the next refresh reads it had its last
+       edit published at or before g, so the build that read g saw
+       that edit and no later one: its direct row is exact, and its
+       closure is its direct row merged with its children's closures
+       in the same snapshot.  By induction over such groups, every
        group whose whole closure is stamped <= g holds its exact
-       closure at g, and each delta keeps the merge relation because
+       closure at g, and each refresh keeps the merge relation because
        it flips exactly the ids that flipped below.  A walk that meets
        a group already in progress breaks that relation, and only a
        racing mutator can close that cycle: such a build ([Raced]) is
@@ -741,56 +720,40 @@ module Db = struct
     let generation = Atomic.get db.generation in
     match Atomic.get db.snapshot_slot with
     | Some snap when snap.snap_generation = generation -> snap
-    | prev_slot ->
-      if epoch land 1 = 1 then begin
-        match prev_slot with
-        | Some prev -> prev  (* stale by generation; never validates as current *)
-        | None -> (
-          (* Nothing was ever published: build from the live lists but
-             stamp the result born-stale (below the pre-batch
-             generation), so no artifact minted from it can validate
-             once — or while — the batch publishes.  Not installed in
-             the slot: a partial-state snapshot must not seed later
-             delta rebuilds. *)
-          match build_snapshot db ~generation:(generation - 1) with
-          | snap -> snap
-          | exception Raced -> snapshot db)
-      end
-      else begin
-        match
-          match prev_slot with
-          | Some prev
-            when prev.id_count = db.individual_count
-                 && prev.group_count = Hashtbl.length db.members -> (
-            (* Same registered population: rebuild only what the churn
-               since [prev] touched. *)
-            try build_delta db ~generation ~prev
-            with Not_found -> build_snapshot db ~generation)
-          | Some _ | None -> build_snapshot db ~generation
-        with
-        | exception Raced -> snapshot db
-        | snap ->
-          if Atomic.get db.batch_epoch <> epoch then
-            (* A batch entered (or came and went) during the walk: the
-               build may hold partial batch state under a stamp the
-               batch has yet to invalidate.  Discard it and re-decide —
-               the retry either serves the incumbent (batch still in
-               flight) or rebuilds from settled lists. *)
-            snapshot db
-          else begin
-            install_snapshot db snap;
-            snap
-          end
-      end
+    | Some prev when epoch land 1 = 1 -> prev  (* stale by generation; never validates as current *)
+    | None when epoch land 1 = 1 -> (
+      (* Nothing was ever published: build from the live lists but
+         stamp the result born-stale (below the pre-batch generation),
+         so no artifact minted from it can validate once — or while —
+         the batch publishes.  Not installed in the slot: a
+         partial-state snapshot must not seed later refreshes. *)
+      match build db ~generation:(generation - 1) ~prev:(empty db) with
+      | snap -> snap
+      | exception Raced -> snapshot db)
+    | prev -> (
+      match build db ~generation ~prev:(Option.value prev ~default:(empty db)) with
+      | exception Raced -> snapshot db
+      | snap ->
+        if Atomic.get db.batch_epoch <> epoch then
+          (* A batch entered (or came and went) during the walk: the
+             build may hold partial batch state under a stamp the batch
+             has yet to invalidate.  Discard it and re-decide — the
+             retry either serves the incumbent (batch still in flight)
+             or rebuilds from settled lists. *)
+          snapshot db
+        else begin
+          install_snapshot db snap;
+          snap
+        end)
 
   let groups_of db ind =
     (* Routed through the snapshot: one id probe plus the individual's
        precomputed row, instead of a transitive list walk per
-       registered group.  Row ids ascend and groups are interned in
-       sorted order, so the result comes out sorted by name. *)
+       registered group.  Group ids follow registration order, so the
+       names are sorted here. *)
     let snap = snapshot db in
-    match Hashtbl.find_opt snap.ids ind with
-    | None -> []
-    | Some id ->
-      List.map (fun gid -> snap.group_names.(gid)) (Array.to_list (individual_row snap.chunks id))
+    Snapshot.row snap ~individual_id:(Snapshot.individual_id snap ind)
+    |> Array.to_list
+    |> List.map (fun g -> db.groups.(g).name)
+    |> List.sort String.compare
 end

@@ -35,14 +35,18 @@ type member =
 
 (** The principal database.
 
+    Registration is append-only: an individual or group gets the next
+    dense id of its kind when it is first registered, and keeps it for
+    the life of the database.  Ids belong to one database.
+
     Concurrency: membership churn on {e already-registered} groups and
     individuals ([add_member]/[remove_member]) is safe concurrent with
-    readers — member lists are immutable values swapped through a
-    reference, and the atomic generation publishes each change.
-    Registering {e new} groups or individuals restructures internal
-    tables and must happen before readers run in other domains
-    (setup-time, or externally synchronized); see the "Concurrency
-    model" section of DESIGN.md. *)
+    readers — member lists are immutable values swapped in place, and
+    the atomic generation publishes each change.  Registering {e new}
+    groups or individuals grows the name -> id tables in place and
+    must happen before readers run in other domains (setup-time, or
+    externally synchronized); see the "Concurrency model" section of
+    DESIGN.md. *)
 module Db : sig
   type t
 
@@ -56,9 +60,9 @@ module Db : sig
       the current {!snapshot} is the one stamped with it, and
       link-time certificates record it beside their per-group
       {!dirty_stamp}s.  Compiled ACLs and capability-handle grants do
-      not validate against it: a compiled ACL keys on the snapshot's
-      {!Snapshot.interning}, and a grant falls back from an unchanged
-      generation to its subject's own {!Snapshot.row}, so an edit
+      not validate against it: a compiled ACL holds ids, which never
+      change, and a grant falls back from an unchanged generation to
+      its subject's own {!Snapshot.row}, so an edit or a registration
       that moves nobody they depend on revokes neither.
 
       The counter is atomic and follows the data-then-generation
@@ -105,10 +109,13 @@ module Db : sig
   (** [true] while inside a {!batch} callback (same domain). *)
 
   val add_individual : t -> individual -> unit
-  (** Register an individual.  Idempotent. *)
+  (** Register an individual under the next individual id.
+      Idempotent.  Publishes nothing on its own: the new individual is
+      a member of no group, which every snapshot already says. *)
 
   val add_group : t -> group -> unit
-  (** Register a group with no members.  Idempotent. *)
+  (** Register a group with no members under the next group id.
+      Idempotent; publishes nothing, like {!add_individual}. *)
 
   val add_member : t -> group -> member -> unit
   (** [add_member db g m] adds [m] to group [g], registering [g] (and
@@ -125,7 +132,7 @@ module Db : sig
   (** All registered individuals, sorted by name. *)
 
   val mem_individual : t -> individual -> bool
-  (** Whether the individual is registered; O(log n), no
+  (** Whether the individual is registered; one hash probe, no
       allocation. *)
 
   val individual_count : t -> int
@@ -160,43 +167,44 @@ module Db : sig
       computed).  Sorted by name. *)
 
   val groups_of : t -> individual -> group list
-  (** Every group the individual belongs to, transitively; sorted.
-      Routed through the current {!Snapshot} (one id probe plus the
-      individual's precomputed row) rather than a transitive walk per
-      registered group; the first call after churn pays the snapshot
-      refresh, which scales with the churn delta. *)
+  (** Every group the individual belongs to, transitively; sorted by
+      name.  Routed through the current {!Snapshot} (one id probe plus
+      the individual's precomputed row) rather than a transitive walk
+      per registered group; the first call after churn pays the
+      snapshot refresh, which scales with the churn delta. *)
 
-  (** A frozen, generation-stamped view of the database for the
-      compiled decision path ({!Acl_compiled}): registered individuals
-      and groups interned to dense integer ids, transitive group
-      membership flattened into one sorted group-id row per
+  (** A frozen, generation-stamped view of the database's membership
+      for the compiled decision path ({!Acl_compiled}): transitive
+      group membership flattened into one sorted group-id row per
       individual, which a compiled ACL probes once per group entry
       ({!is_member}).  Snapshots are immutable after construction and
       may be probed from any domain without locking; their probes
       never allocate.
 
-      A snapshot has two parts that change at different rates.  Its
-      {!interning} (the name -> id tables) changes only when a
-      principal is registered; its {!row}s change with membership.  A
-      refresh over an unchanged population keeps the interning and
-      replaces exactly the rows that changed with fresh arrays, so a
-      consumer that depends on one individual's membership can test
-      that individual's row by physical identity.
+      Ids are the database's, fixed at registration, so every snapshot
+      of one database agrees on them.  A snapshot records only how many
+      individuals and groups were registered when it was built
+      ({!individual_count}, {!group_count}); it reads any id at or
+      above those counts as unregistered, a member of nothing, which is
+      what that principal was then.  Its {!row}s change with
+      membership: a refresh replaces exactly the rows that changed with
+      fresh arrays, so a consumer that depends on one individual's
+      membership can test that individual's row by physical identity.
 
       Consecutive snapshots share structure.  The per-individual rows
       are stored in fixed chunks of 256, so a refresh copies the chunk
       spine (one pointer per 256 individuals) and only the chunks
       holding a changed row; a probe pays one extra load for it.  Each
       group keeps two sorted individual-id rows, its direct members and
-      its transitive closure.  When no principal was registered in
-      between, a refresh recomputes each group whose member list
-      changed (its direct row merged with its children's closures) and
-      diffs it against its old closure; each group above it, found
-      through the reverse-membership index, re-tests only the
-      individuals that changed below it, against its own direct row and
-      its children's new closures.  Every untouched row and both intern
-      tables are shared with the predecessor, so refresh cost scales
-      with the edit, not the population. *)
+      its transitive closure.  A refresh recomputes each group whose
+      member list changed or that was registered since (its direct row
+      merged with its children's closures) and diffs it against its
+      old closure; each group above it, found through the
+      reverse-membership index, re-tests only the individuals that
+      changed below it, against its own direct row and its children's
+      new closures.  Registering a principal only appends: new rows and
+      group slots, every existing row shared.  So refresh cost scales
+      with the edit, registrations included, not the population. *)
   module Snapshot : sig
     type t
 
@@ -204,45 +212,47 @@ module Db : sig
     (** The database generation the snapshot was built under; it is
         current exactly while this equals the live {!Db.generation}. *)
 
-    type interning
-    (** The snapshot's name -> id tables: which individuals and groups
-        exist, and their dense ids.  Compared by physical identity
-        ([==]).  Only a full build makes a new one, and a full build
-        follows every registration; each delta refresh shares its
-        predecessor's.  Equal interning means equal ids for every
-        name, so anything keyed by ids (a compiled ACL, a subject's
-        remembered id) stays meaningful across membership churn. *)
+    val individual_count : t -> int
+    (** How many individuals were registered when the snapshot was
+        built: their ids are [0] to [individual_count - 1]. *)
 
-    val interning : t -> interning
+    val group_count : t -> int
+    (** How many groups were registered when the snapshot was built:
+        their ids are [0] to [group_count - 1]. *)
 
     type row
     (** One individual's transitive group row.  Immutable; compared by
         physical identity ([==]). *)
 
     val row : t -> individual_id:int -> row
-    (** The individual's row, allocation-free; an out-of-range id
-        (including [-1]) gets the shared empty row.  A delta refresh
+    (** The individual's row, allocation-free; an id the snapshot reads
+        as unregistered (negative, or at or above
+        {!individual_count}) gets the shared empty row.  A refresh
         replaces each row whose content changed with a fresh array and
-        shares every other, so within one {!interning} an
-        individual's row stays [==] across every refresh that does not
-        move its membership.  Since rows are immutable, [==] implies
-        equal content (two empty rows are one atom, also equal); the
-        converse need not hold. *)
+        shares every other, so an individual's row stays [==] across
+        every refresh, registrations included, that does not move its
+        membership.  Since rows are immutable, [==] implies equal
+        content (two empty rows are one atom, also equal); the converse
+        need not hold. *)
 
     val no_row : row
     (** A row no snapshot holds: [==] to no {!row} result. *)
 
     val individual_id : t -> individual -> int
-    (** The individual's dense id, or [-1] when it was not registered
-        at snapshot time.  Never allocates. *)
+    (** The individual's fixed id, or [-1] when it has never been
+        registered.  The same in every snapshot of the database; an id
+        at or above {!individual_count} was registered after this
+        snapshot.  Never allocates. *)
 
     val group_id : t -> group -> int
-    (** The group's dense id, or [-1] when unknown at snapshot time. *)
+    (** The group's fixed id, or [-1] when it has never been
+        registered; as {!individual_id}. *)
 
     val is_member : t -> individual_id:int -> group_id:int -> bool
     (** Transitive membership as of the snapshot: a binary probe of
-        the individual's sorted group {!row}, allocation-free.
-        Out-of-range ids (including [-1]) are members of nothing. *)
+        the individual's sorted group {!row}, allocation-free.  Ids the
+        snapshot reads as unregistered (including [-1]) are members of
+        nothing. *)
   end
 
   val snapshot : t -> Snapshot.t
@@ -261,11 +271,10 @@ module Db : sig
       discarded and retried.  Batch writes therefore cannot leak into
       a snapshot that validates as current — see {!batch}.
 
-      Refreshes are incremental whenever the registered population is
-      unchanged since the previous snapshot: cost scales with the
-      groups dirtied since then and the memberships that changed (see
-      {!Snapshot}).  Registering new individuals or groups falls back
-      to a full rebuild.
+      Every refresh is incremental: cost scales with the groups dirtied
+      or registered since the previous snapshot and the memberships
+      that changed (see {!Snapshot}).  The first snapshot is the same
+      refresh from the empty one.
 
       A refresh patches rows of the previous snapshot, so no build that
       could hold rows inconsistent with each other is ever cached: a
@@ -277,8 +286,9 @@ module Db : sig
       decides again. *)
 
   val full_snapshot : t -> Snapshot.t
-  (** Always rebuilds from scratch, bypassing the cached snapshot and
-      the delta path, and does not publish the result.  The seed
-      semantics the incremental path is held to — for differential
-      tests and the S3 benchmark; not for production use. *)
+  (** Always rebuilds from scratch, as the refresh from the empty
+      snapshot, bypassing the cached snapshot, and does not publish the
+      result.  The semantics the incremental path is held to — for
+      differential tests and the S3 benchmark; not for production
+      use. *)
 end

@@ -51,10 +51,10 @@ let policy_epoch monitor = Atomic.get monitor.policy_epoch
    (see Acl_compiled / Meta.compiled_in), answers in a few bitwise
    tests with zero allocation, and a denial names its deny entry from
    the same compiled form.  One snapshot is read, and everything else
-   keys on it: the memo on its interning, the subject's id (memoized
-   on the subject per interning, so the population-sized name table
-   is probed once per (subject, interning), not once per check) and
-   the membership the check reads. *)
+   keys on it: the memo's validity, the subject's id (fixed at
+   registration and memoized on the subject, so the population-sized
+   name table is probed once per subject, not once per check) and the
+   membership the check reads. *)
 let dac_decide monitor ~subject ~(meta : Meta.t) ~mode =
   let snapshot = Principal.Db.snapshot monitor.db in
   let compiled = Meta.compiled_in meta snapshot in

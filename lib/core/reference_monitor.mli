@@ -21,9 +21,10 @@ val create : ?policy:Policy.t -> ?audit_capacity:int -> Principal.Db.t -> t
     ({!Audit.create}).
 
     Discretionary decisions run on the compiled ACL path: each
-    object's ACL is compiled to flat mode-mask arrays over interned
-    principal ids ({!Acl_compiled}), memoized on its metadata and
-    invalidated by the metadata generation or a new interning
+    object's ACL is compiled to flat mode-mask arrays over the
+    database's fixed principal ids ({!Acl_compiled}), memoized on its
+    metadata and invalidated by the metadata generation, or by a group
+    registration when the form compiled a group away
     ({!Meta.compiled_in}); each check reads membership from the
     database's current snapshot.
     There is no decision cache: every {!decide} evaluates DAC, MAC and

@@ -1,26 +1,17 @@
-(* The principal's id in the last interning it was looked up in.
-   Every snapshot sharing that interning gives the same id, so
-   membership churn keeps the memo.  One immutable pair behind one
-   mutable field: a racing reader sees either the old pair or the new
-   one, never an interning with another interning's id. *)
-type interned =
-  | Not_interned
-  | Interned of {
-      interning : Principal.Db.Snapshot.interning;
-      id : int;
-    }
-
 type t = {
   principal : Principal.individual;
   clearance : Security_class.t;
   ceiling : Security_class.t option;
   trusted : bool;
   integrity : Security_class.t option;
-  mutable interned : interned;
+  mutable id : int;
+      (* the principal's id once registered, [-1] before: ids never
+         change, so the first lookup that finds one is the last.  One
+         word, so racing writers store the same value whole. *)
 }
 
 let make ?ceiling ?(trusted = false) ?integrity principal clearance =
-  { principal; clearance; ceiling; trusted; integrity; interned = Not_interned }
+  { principal; clearance; ceiling; trusted; integrity; id = -1 }
 
 let is_trusted subject = subject.trusted
 let integrity subject = subject.integrity
@@ -29,13 +20,12 @@ let clearance subject = subject.clearance
 let ceiling subject = subject.ceiling
 
 let individual_id subject snapshot =
-  let interning = Principal.Db.Snapshot.interning snapshot in
-  match subject.interned with
-  | Interned memo when memo.interning == interning -> memo.id
-  | Interned _ | Not_interned ->
+  if subject.id >= 0 then subject.id
+  else begin
     let id = Principal.Db.Snapshot.individual_id snapshot subject.principal in
-    subject.interned <- Interned { interning; id };
+    subject.id <- id;
     id
+  end
 
 let effective_class subject =
   match subject.ceiling with

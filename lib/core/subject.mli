@@ -34,14 +34,14 @@ val ceiling : t -> Security_class.t option
 (** The current static-class cap, if any. *)
 
 val individual_id : t -> Principal.Db.Snapshot.t -> int
-(** [Principal.Db.Snapshot.individual_id snapshot (principal t)],
-    remembered for the last {!Principal.Db.Snapshot.interning} asked
-    about (compared by physical identity), so repeated checks skip the
-    population-sized name table even across membership edits: every
-    snapshot a membership refresh produces shares the interning, and
-    with it the id.  A lookup under another interning (after a
-    registration) replaces the memo; that is the only allocation.
-    Safe to call from several domains at once. *)
+(** [Principal.Db.Snapshot.individual_id snapshot (principal t)]: the
+    principal's fixed id, or [-1] while it is unregistered.  An id,
+    once found, never changes, so it is remembered and every later
+    call skips the population-sized name table, across membership
+    edits and registrations alike; a snapshot older than the
+    registration reads the id as unregistered.  Only an unregistered
+    principal is looked up again.  A subject belongs to one database.
+    Never allocates; safe to call from several domains at once. *)
 
 val effective_class : t -> Security_class.t
 (** [meet clearance ceiling] when a ceiling is set, else the

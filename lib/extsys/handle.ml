@@ -121,22 +121,6 @@ let close table h =
         end
       end)
 
-let close_where table keep =
-  Mutex.protect table.lock (fun () ->
-      let closed = ref 0 in
-      for slot = 0 to table.used - 1 do
-        let cell = Atomic.get table.slots.(slot) in
-        match cell.cell_value with
-        | Some value when keep value ->
-          Atomic.set table.slots.(slot) empty_cell;
-          table.free <- slot :: table.free;
-          table.live <- table.live - 1;
-          table.closes <- table.closes + 1;
-          incr closed
-        | Some _ | None -> ()
-      done;
-      !closed)
-
 let iter table f =
   let slots = table.slots in
   let used = min table.used (Array.length slots) in

@@ -38,7 +38,7 @@ type stats = {
   hs_capacity : int;  (** current slot-array length *)
   hs_live : int;  (** slots holding a payload *)
   hs_mints : int;  (** handles minted over the table's lifetime *)
-  hs_closes : int;  (** handles closed (explicitly or by {!close_where}) *)
+  hs_closes : int;  (** handles closed over the table's lifetime *)
 }
 
 val create : ?initial_capacity:int -> unit -> 'a t
@@ -65,11 +65,6 @@ val close : 'a t -> h -> 'a option
 (** Retire the handle, returning the payload it held; [None] (and no
     effect) when already closed.  The slot becomes reusable; the
     departed stamp never matches again. *)
-
-val close_where : 'a t -> ('a -> bool) -> int
-(** Close every live slot whose payload satisfies the predicate
-    (e.g. every grant minted for an unloading extension); returns the
-    number closed. *)
 
 val iter : 'a t -> (h -> 'a -> unit) -> unit
 (** Visit every live slot with its current handle, for introspection.

@@ -52,8 +52,8 @@ type entry +=
    depended on — the policy epoch, the per-node [Meta] generation of
    every node on the resolution chain, and the subject's membership,
    held twice: the principal-database generation (the cheap test
-   while nothing changed) and the subject's own snapshot row under its
-   interning (the scoped test once something did).  [call_handle] may
+   while nothing changed) and the subject's own snapshot row (the
+   scoped test once something did).  [call_handle] may
    dispatch without re-entering the reference monitor exactly while
    those still hold (see [grant_fresh]); any drift fails closed into
    the checked path. *)
@@ -68,7 +68,6 @@ type grant = {
   g_target : grant_target;
   g_epoch : int;  (* policy epoch, read before the decision *)
   g_db_generation : int;  (* principal-database generation, likewise *)
-  g_interning : Principal.Db.Snapshot.interning;
   g_row : Principal.Db.Snapshot.row;
       (* the subject's row in the snapshot the decision read, or
          [no_row] when that snapshot is not known (see [mint]) *)
@@ -80,6 +79,17 @@ type grant = {
          or a stale re-mint strips it *)
 }
 
+(* A loaded extension, with every handle its link minted: unloading
+   closes exactly these, and its certificate's proofs ride on the
+   import handles. *)
+type loaded = {
+  extension : Extension.t;
+  installed : Path.t list;
+  handler_sets : Dispatcher.t list;
+  imports : Handle.h list;
+  chain : Handle.h list;
+}
+
 type t = {
   monitor : Reference_monitor.t;
   resolver : entry Resolver.t;
@@ -89,7 +99,7 @@ type t = {
   admin : Principal.individual;
   registry : Clearance.t option;
   mutable next_thread_id : int;
-  loaded : (string, Extension.t * Path.t list * Dispatcher.t list) Hashtbl.t;
+  loaded : (string, loaded) Hashtbl.t;
   loaded_by : (Principal.individual, int) Hashtbl.t;
       (* per-author count of [loaded], kept beside it for the quota *)
   certificates : (string, Certificate.t) Hashtbl.t;
@@ -340,15 +350,13 @@ let rec chain_fresh metas gens n i =
      && chain_fresh metas gens n (i + 1)
 
 (* The membership half of a grant once the generation has moved: the
-   same interning and the very row the decision read.  Every load hits
-   a memo (the cached snapshot, the subject's id for the interning), so
-   this allocates nothing either. *)
+   very row the decision read.  Every load hits a memo (the cached
+   snapshot, the subject's fixed id), so this allocates nothing
+   either. *)
 let row_unmoved kernel g =
   let snapshot = Principal.Db.snapshot (db kernel) in
-  Principal.Db.Snapshot.interning snapshot == g.g_interning
-  && Principal.Db.Snapshot.row snapshot
-       ~individual_id:(Subject.individual_id g.g_subject snapshot)
-     == g.g_row
+  Principal.Db.Snapshot.row snapshot ~individual_id:(Subject.individual_id g.g_subject snapshot)
+  == g.g_row
 
 let grant_fresh kernel g =
   Reference_monitor.policy_epoch kernel.monitor = g.g_epoch
@@ -371,8 +379,7 @@ let closed_handle_error :
    racing with the decision then lands a higher generation than the
    one the grant was filed under, so the grant is born stale rather
    than wrongly durable (same discipline as the compiled-ACL memo).
-   The grant keeps the snapshot's interning and the subject's row, not
-   the snapshot itself. *)
+   The grant keeps the subject's row, not the snapshot itself. *)
 type pre_read = {
   epoch : int;
   generation : int;
@@ -413,8 +420,7 @@ let mint kernel pre ~path ~subject ~caller ~target =
     else Principal.Db.Snapshot.no_row
   in
   { g_path = path; g_subject = subject; g_caller = caller; g_target = target;
-    g_epoch = pre.epoch; g_db_generation = pre.generation;
-    g_interning = Principal.Db.Snapshot.interning pre.snapshot; g_row = row;
+    g_epoch = pre.epoch; g_db_generation = pre.generation; g_row = row;
     g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
 
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
@@ -532,9 +538,6 @@ let call_proved kernel h ~subject ~caller path args =
 let close_handle kernel h =
   match Handle.close kernel.handles h with Some _ -> true | None -> false
 
-let close_handles_for kernel caller =
-  Handle.close_where kernel.handles (fun g -> String.equal g.g_caller caller)
-
 let handle_stats kernel = Handle.stats kernel.handles
 
 let handle_target kernel h =
@@ -621,39 +624,41 @@ let count_author kernel author delta =
   | n -> Hashtbl.replace kernel.loaded_by author n
 
 (* Every change to [loaded] goes through here, so [loaded_by] always
-   counts its entries by author. *)
+   counts its entries by author.  Capability revocation: the handles
+   the link minted die with the entry — a recycled slot can never
+   satisfy the old handle (stamp mismatch), so use-after-unload is a
+   deterministic denial. *)
 let unnote_loaded kernel name =
   match Hashtbl.find_opt kernel.loaded name with
   | None -> ()
-  | Some (extension, _, _) ->
+  | Some loaded ->
     Hashtbl.remove kernel.loaded name;
-    count_author kernel extension.Extension.author (-1)
+    List.iter (fun h -> ignore (close_handle kernel h)) (loaded.imports @ loaded.chain);
+    count_author kernel loaded.extension.Extension.author (-1)
 
-let note_loaded kernel extension ~installed ~handler_sets =
+let note_loaded kernel extension ~installed ~handler_sets ~imports ~chain =
   unnote_loaded kernel extension.Extension.ext_name;
   Hashtbl.replace kernel.loaded extension.Extension.ext_name
-    (extension, installed, handler_sets);
+    { extension; installed; handler_sets; imports; chain };
   count_author kernel extension.Extension.author 1
 
 let forget_loaded kernel name =
   unnote_loaded kernel name;
-  Hashtbl.remove kernel.certificates name;
-  (* Capability revocation: every handle the extension held dies with
-     it — a recycled slot can never satisfy the old handle (stamp
-     mismatch), so use-after-unload is a deterministic denial. *)
-  ignore (close_handles_for kernel name)
+  Hashtbl.remove kernel.certificates name
 
-let find_loaded kernel name = Hashtbl.find_opt kernel.loaded name
+let find_loaded kernel name =
+  Option.map
+    (fun loaded -> loaded.extension, loaded.installed, loaded.handler_sets)
+    (Hashtbl.find_opt kernel.loaded name)
 
 (* {1 Certificate lifecycle} *)
 
-(* Record [certificate] on the named caller's live grants for the
-   paths it proves [Always_allow] (the extension's import handles) and
-   strip every other proof from them; [None] strips them all.  The
-   grants are [handles] when given, else every live grant of the caller
-   (a walk of the whole table).  The grants keep their own monitor
+(* Record [certificate] on the named extension's import handles for
+   the paths it proves [Always_allow] and strip every other proof from
+   them; [None] strips them all.  An extension that is not loaded holds
+   no import handle.  The grants keep their own monitor
    justification. *)
-let record_proofs ?handles kernel name certificate =
+let record_proofs kernel name certificate =
   let proof_of g (certificate : Certificate.t) =
     List.find_map
       (fun (proof : Certificate.import_proof) ->
@@ -663,22 +668,21 @@ let record_proofs ?handles kernel name certificate =
       certificate.proofs
   in
   let record h g =
-    if String.equal g.g_caller name then
-      let g_proof = Option.bind certificate (proof_of g) in
-      if Option.is_some g_proof || Option.is_some g.g_proof then
-        ignore (Handle.update kernel.handles h { g with g_proof })
+    let g_proof = Option.bind certificate (proof_of g) in
+    if Option.is_some g_proof || Option.is_some g.g_proof then
+      ignore (Handle.update kernel.handles h { g with g_proof })
   in
-  match handles with
-  | None -> Handle.iter kernel.handles record
-  | Some handles ->
-    List.iter (fun h -> Option.iter (record h) (Handle.deref kernel.handles h)) handles
+  match Hashtbl.find_opt kernel.loaded name with
+  | None -> ()
+  | Some loaded ->
+    List.iter (fun h -> Option.iter (record h) (Handle.deref kernel.handles h)) loaded.imports
 
-let note_certificate ?handles kernel certificate =
+let note_certificate kernel certificate =
   Metrics.incr m_cert_issued;
   if certificate.Certificate.delegation <> None then Metrics.incr m_cert_delegations;
   let name = certificate.Certificate.extension in
   Hashtbl.replace kernel.certificates name certificate;
-  record_proofs ?handles kernel name (Some certificate)
+  record_proofs kernel name (Some certificate)
 
 (* Every handle was minted by a monitor decision and keeps it: retiring
    a certificate strips its proofs and closes nothing. *)
@@ -784,7 +788,7 @@ let call_graph kernel (extension : Extension.t) =
     | Some ("ext" :: (_ :: _ as name)) ->
       let name = String.concat "/" name in
       if String.equal name extension.Extension.ext_name then Some extension
-      else Option.map (fun (ext, _, _) -> ext) (Hashtbl.find_opt kernel.loaded name)
+      else Option.map (fun loaded -> loaded.extension) (Hashtbl.find_opt kernel.loaded name)
     | Some _ | None -> None
   in
   let edges = ref [] in

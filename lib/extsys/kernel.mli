@@ -69,9 +69,11 @@ val batch_principals : t -> (unit -> 'a) -> 'a
     fast paths see the whole batch as one change at the batch end
     instead of one per mutation.  A certificate proof whose groups the
     batch edited stops serving {!call_proved}; a handle whose subject
-    the batch moved (or any handle, when the batch registered a
-    principal) fails closed into the checked path once and re-mints
-    against the settled state. *)
+    the batch moved fails closed into the checked path once and
+    re-mints against the settled state.  Registering principals moves
+    no existing subject, so a batch that only registers newcomers
+    (into groups no handle's subject belongs to) leaves every handle
+    fresh. *)
 
 val hierarchy : t -> Level.hierarchy
 val universe : t -> Category.universe
@@ -159,25 +161,24 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
     policy epoch, the [Meta] generation of each node on the resolution
     chain, and the subject's membership, recorded both as the
     principal-database generation and as the subject's own snapshot
-    row under its interning ({!Principal.Db.Snapshot.row},
-    {!Principal.Db.Snapshot.interning}).  All of them are read before
+    row ({!Principal.Db.Snapshot.row}).  All of them are read before
     the decision runs.  {!call_handle} then dispatches with a
     bounds-checked slot probe plus compares: no path walk, no hashing,
     no monitor entry, and zero allocation on the granted path.
 
     {b Freshness.}  A grant is fresh while the epoch is unchanged,
     every chain generation is unchanged, and either the database
-    generation is unchanged or the current snapshot has the recorded
-    interning and gives the subject the recorded row ([==]).  With no
-    membership edit that is one compare, as before the row existed;
-    after an edit it costs a cached-snapshot probe and one row load,
-    and still allocates nothing.  A [set_policy], an ACL or class edit
-    anywhere on the chain, a membership edit that moves the subject
-    (directly or through a nested group), or a registration (a new
-    interning) fails closed into a fully checked, audited
-    re-resolution, which re-mints the slot in place when the access is
-    still admitted.  A membership edit that does not move the subject
-    revokes nothing.  A closed handle (or one whose slot was recycled
+    generation is unchanged or the current snapshot gives the subject
+    the recorded row ([==]).  With no membership edit that is one
+    compare, as before the row existed; after an edit it costs a
+    cached-snapshot probe and one row load, and still allocates
+    nothing.  A [set_policy], an ACL or class edit anywhere on the
+    chain, or a membership edit that moves the subject (directly or
+    through a nested group, a newly registered one included) fails
+    closed into a fully checked, audited re-resolution, which re-mints
+    the slot in place when the access is still admitted.  A membership
+    edit or a registration that does not move the subject revokes
+    nothing.  A closed handle (or one whose slot was recycled
     by a later mint) never grants: the slot stamp turns it into a
     deterministic denial.
 
@@ -186,13 +187,17 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       rows whose membership flipped, each with a fresh array, sharing
       every other.  So [==] implies equal content (the shared empty
       row is one atom, equal content too).
-    - Within one interning, the DAC verdicts along the chain read only
-      the subject's id, which the interning fixes, and its row: each
-      compiled ACL keys on the interning and the chain generations
-      ({!Meta.compiled_in}), and its group tier probes only the
-      subject's row.  MAC and Biba read the chain's classes, which the
-      chain generations cover, and the subject's, which never change.
-      The policy is covered by the epoch.
+    - The DAC verdicts along the chain read only the subject's id,
+      which never changes, and its row.  Each compiled ACL is guarded
+      by the chain generations ({!Meta.compiled_in}), and its group
+      tier probes only the subject's row.  A registration can change a
+      verdict only by putting the subject in a group (its row moves):
+      an ACL-named individual registered since compiling is matched by
+      name as before, and a group the form compiled away holds the
+      subject only if the subject's row now lists it.  MAC and Biba
+      read the chain's classes, which the chain generations cover, and
+      the subject's, which never change.  The policy is covered by the
+      epoch.
     - The recorded row must be the one the decision read.  It is taken
       from the snapshot read before the decision, and kept only if
       {!Principal.Db.snapshot} still returns that same snapshot after
@@ -203,8 +208,10 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       database generation is unchanged.
     - A grant minted from a born-stale snapshot (built inside a batch
       before anything was published) stops being fresh when the batch
-      publishes: its recorded generation is the pre-batch one, and its
-      interning belongs to a snapshot that is never published.
+      publishes: its recorded generation is the pre-batch one, and,
+      since that snapshot is never published, {!Principal.Db.snapshot}
+      did not return it twice, so the grant holds
+      {!Principal.Db.Snapshot.no_row}.
 
     Every handle is a monitor decision: no certificate mints one.  A
     certificate's own scoped rule (per-group dirty stamps,
@@ -248,11 +255,6 @@ val close_handle : t -> Handle.h -> bool
     idempotent and immediate: no later {!call_handle} through this
     handle can grant, even after the slot is reused. *)
 
-val close_handles_for : t -> string -> int
-(** Close every handle minted for the named caller (capability
-    revocation on unload); returns the number closed.
-    {!forget_loaded} calls this. *)
-
 val handle_stats : t -> Handle.stats
 
 val handle_target : t -> Handle.h -> Path.t option
@@ -283,12 +285,19 @@ val run : ?max_quanta:int -> t -> int
 (** {1 Loaded-extension registry} (maintained by {!Linker}) *)
 
 val note_loaded :
-  t -> Extension.t -> installed:Path.t list -> handler_sets:Dispatcher.t list -> unit
+  t -> Extension.t -> installed:Path.t list -> handler_sets:Dispatcher.t list ->
+  imports:Handle.h list -> chain:Handle.h list -> unit
 (** [handler_sets] are the event sets the extension registered into;
-    unloading unregisters from exactly these. *)
+    unloading unregisters from exactly these.  [imports] and [chain]
+    are the import and chain handles its link minted: the import
+    handles carry its certificate's proofs ({!note_certificate}), and
+    unloading closes exactly these handles. *)
 
 val forget_loaded : t -> string -> unit
-(** Also drops any certificate held for the extension. *)
+(** Closes the extension's import and chain handles (capability
+    revocation: a closed handle answers {!Decision.Not_an_object}) and
+    drops any certificate held for it.  Costs what the extension
+    holds, not what the table holds. *)
 
 val find_loaded : t -> string -> (Extension.t * Path.t list * Dispatcher.t list) option
 val loaded_extensions : t -> string list
@@ -319,18 +328,18 @@ val loaded_by : t -> Principal.individual -> int
     {!note_certificate}, [cert.revoked] on any revocation,
     [cert.expired] on sweep. *)
 
-val note_certificate : ?handles:Handle.h list -> t -> Exsec_analysis.Certificate.t -> unit
+val note_certificate : t -> Exsec_analysis.Certificate.t -> unit
 (** Install the certificate, replacing the extension's earlier one,
-    and record its [Always_allow] proofs on the extension's live
-    handles for those paths (replaced proofs stop serving at once).
-    Without [handles] that means walking the whole handle table for the
-    extension's handles.  A fresh link passes the import handles it
-    just minted, the only handles the extension holds, so linking does
-    not grow with the handles other extensions hold. *)
+    and record its [Always_allow] proofs on the loaded extension's
+    import handles for those paths (replaced proofs stop serving at
+    once).  An extension that is not loaded holds no import handle, so
+    its certificate records nothing yet.  Touches only the
+    extension's own import handles, never the rest of the table. *)
 
 val revoke_certificate : t -> string -> unit
 (** Drops the extension's certificate and strips its proofs from the
-    extension's handles, so the revoked proof stops serving
+    extension's import handles (only those), so the revoked proof
+    stops serving
     {!call_proved} at once: a covered subject's next call is the
     checked, audited {!call}.  The handles themselves (import and
     chain handles) were minted by monitor decisions and keep serving

@@ -94,13 +94,6 @@ end
 
 let ext_dir name = Path.of_string ("/ext/" ^ name)
 
-(* Resolve one import with [Execute] and mint its capability handle;
-   the subject is already capped by the extension's static class. *)
-let check_import kernel ~subject ~caller import =
-  match Kernel.open_handle kernel ~subject ~caller import with
-  | Ok handle -> Ok (import, handle)
-  | Error error -> Error (Import_denied { import; error })
-
 (* Resolve one extends with [Extend]; the admitted node's own handler
    set is where the handler will go. *)
 let check_extend kernel ~subject (ext : Extension.extends) =
@@ -251,11 +244,25 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     let all_imports =
       List.sort_uniq Path.compare (extension.Extension.imports @ domain_imports)
     in
-    (* From here on failures must also revoke any import handles
-       already minted for this extension — linking stays transactional
-       for capabilities too. *)
+    (* From here on failures must also close every handle already
+       minted for this extension — linking stays transactional for
+       capabilities too.  [open_handle] resolves one path with
+       [Execute] under the capped subject and mints its handle. *)
+    let minted = ref [] in
+    let open_handle path =
+      let result = Kernel.open_handle kernel ~subject:capped ~caller:name path in
+      Result.iter (fun handle -> minted := handle :: !minted) result;
+      result
+    in
     let result =
-    let* import_table = check_all (check_import kernel ~subject:capped ~caller:name) all_imports in
+    let* import_table =
+      check_all
+        (fun import ->
+          match open_handle import with
+          | Ok handle -> Ok (import, handle)
+          | Error error -> Error (Import_denied { import; error }))
+        all_imports
+    in
     let* admitted = check_all (check_extend kernel ~subject:capped) extension.Extension.extends in
     (* Publication also happens at the extension's (capped) authority:
        its directory and procedures carry the extension's class. *)
@@ -309,15 +316,6 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
         Some certificate, transitive
     in
     Metrics.add m_chain_proofs (List.length chain_targets);
-    (* The certificate enters the kernel table AFTER the import
-       handles, recording its Always_allow proofs on them (the
-       any-subject dispatch of [Linked.call]; the handles keep their
-       own monitor justification).  A failure below revokes the
-       certificate again, so a failed link leaves no certificate
-       behind. *)
-    Option.iter
-      (Kernel.note_certificate ~handles:(List.map snd import_table) kernel)
-      certificate;
     let chain_proved path =
       match certificate with
       | None -> false
@@ -337,7 +335,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
              certificate. *)
           if not (chain_proved path) then None
           else
-            match Kernel.open_handle kernel ~subject:capped ~caller:name path with
+            match open_handle path with
             | Ok handle ->
               Metrics.incr m_chain_handles;
               Some (path, handle)
@@ -354,8 +352,15 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
         certificate; chain_table;
       }
     in
+    (* The certificate enters the kernel table once the extension is
+       loaded, recording its Always_allow proofs on the import handles
+       (the any-subject dispatch of [Linked.call]; the handles keep
+       their own monitor justification).  A failed link never gets
+       that far. *)
     let finish () =
-      Kernel.note_loaded kernel extension ~installed ~handler_sets;
+      Kernel.note_loaded kernel extension ~installed ~handler_sets
+        ~imports:(List.map snd import_table) ~chain:(List.map snd chain_table);
+      Option.iter (Kernel.note_certificate kernel) certificate;
       Ok linked
     in
     match extension.Extension.init with
@@ -375,7 +380,7 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
     | Ok _ -> ()
     | Error _ ->
       Kernel.revoke_certificate kernel name;
-      ignore (Kernel.close_handles_for kernel name));
+      List.iter (fun handle -> ignore (Kernel.close_handle kernel handle)) !minted);
     result
   end)
 

@@ -13,8 +13,9 @@
       [/ext/<name>/], requiring [Write] on [/ext] via the attach rule.
 
     Linking is transactional: if any check fails, nothing the link
-    installed remains — partial extensions never become part of the
-    system.
+    installed remains, and every handle it minted is closed — partial
+    extensions never become part of the system.  The certificate
+    enters the kernel only once the extension is loaded.
 
     Once linked, calls through {!Linked.call} are restricted to the
     import table, and every one is either checked in full or served
@@ -25,8 +26,10 @@
     loaded: the chain analysis runs over {!Kernel.call_graph}'s
     reachable subgraph, the quota reads the author's kept count
     ({!Kernel.loaded_by}), and the certificate's proofs go straight
-    onto the import handles this link minted.  Bench A11's sweep holds
-    the per-link time flat from 128 to 1,024 loaded extensions. *)
+    onto the import handles this link minted.  Revoking the
+    certificate and unloading touch only those handles too.  Bench
+    A11's sweep holds the per-link, per-revocation and per-unload time
+    flat from 128 to 1,024 loaded extensions. *)
 
 open Exsec_core
 
@@ -97,8 +100,8 @@ module Linked : sig
   val chain_handle : t -> Path.t -> Handle.h option
   (** The pre-minted capability handle for a chain target, minted by a
       monitor decision under the link-time subject: revoking or
-      expiring the certificate leaves it serving.  Closed (with every
-      other handle of this caller) on unload. *)
+      expiring the certificate leaves it serving.  Closed (with the
+      extension's import handles) on unload. *)
 
   val call_chain :
     t -> Path.t -> Value.t list -> (Value.t, Service.error) result
@@ -126,4 +129,5 @@ val unload : Kernel.t -> subject:Subject.t -> string -> (unit, Service.error) re
 (** Remove a loaded extension: its provided procedures leave the name
     space (each removal is checked against [subject]; a path already
     gone counts as removed, so an unload refused part way can be
-    retried) and then its handlers leave the sets they joined. *)
+    retried) and then its handlers leave the sets they joined and the
+    import and chain handles its link minted are closed. *)

@@ -1,6 +1,6 @@
 (* The compiled ACL decision path: differential equivalence with the
    interpreted walk (verdict and deny [who], at a small and a large
-   population), corner cases of the interning/extras scheme, the
+   population), corner cases of the id/extras scheme, the
    allocation-free guarantee the hot path advertises, and a compile
    cost and a snapshot refresh cost that do not grow with the
    population. *)
@@ -246,9 +246,9 @@ let test_memoization_and_invalidation () =
   let meta = Meta.make ~owner:alice ~acl (bottom ()) in
   let c0 = Meta.compiled_acl meta ~db in
   check "clean reuse is physical" true (c0 == Meta.compiled_acl meta ~db);
-  (* Membership change: the db generation moves but the interning does
-     not, so the form stays, and the check reads the new membership
-     from the current snapshot. *)
+  (* Membership change: the db generation moves but no id does, so
+     the form stays, and the check reads the new membership from the
+     current snapshot. *)
   Principal.Db.remove_member db staff (Principal.Ind bob);
   let c1 = Meta.compiled_acl meta ~db in
   check "membership edit keeps the form" true (c0 == c1);
@@ -257,10 +257,11 @@ let test_memoization_and_invalidation () =
        (Acl_compiled.check c1 ~snapshot:(Principal.Db.snapshot db) ~subject:bob
           ~mode:Access_mode.Read)
      = 2);
-  (* Registration: a new interning, so the form recompiles. *)
+  (* Registration: the newcomer gets the next id and no other id
+     moves, so the form stays. *)
   Principal.Db.add_member db staff (Principal.Ind (Principal.individual "newcomer"));
   let c1' = Meta.compiled_acl meta ~db in
-  check "registration recompiles" true (not (c1 == c1'));
+  check "registering a bystander keeps the form" true (c1 == c1');
   (* ACL change: meta generation moves. *)
   Meta.set_acl_raw meta Acl.empty;
   let c2 = Meta.compiled_acl meta ~db in
@@ -462,6 +463,33 @@ let test_refresh_allocation_tracks_edit () =
     true
     (large <= 2. *. small)
 
+let test_registration_refresh_tracks_edit () =
+  (* Registering one individual into one group appends: the refresh
+     grows the chunk spine, starts the chunk the newcomer's row lands
+     in and patches the rows the edit changed, sharing every other row.
+     16x the population may cost at most 2x the words. *)
+  let refresh_words population =
+    let db = Principal.Db.create () in
+    for i = 0 to population - 1 do
+      Principal.Db.add_individual db (Principal.individual (Printf.sprintf "p%05d" i))
+    done;
+    let staff = Principal.group "staff" in
+    Principal.Db.add_member db (Principal.group "dept") (Principal.Grp staff);
+    for i = 0 to 7 do
+      Principal.Db.add_member db staff (Principal.Ind (Principal.individual (Printf.sprintf "p%05d" i)))
+    done;
+    ignore (Principal.Db.snapshot db);
+    Principal.Db.add_member db staff (Principal.Ind (Principal.individual "newcomer"));
+    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+  in
+  let small = refresh_words 4_096 in
+  let large = refresh_words 65_536 in
+  check
+    (Printf.sprintf "registration refresh words at 65,536 (%.0f) <= 2x at 4,096 (%.0f)" large
+       small)
+    true
+    (large <= 2. *. small)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_small_population;
@@ -485,4 +513,6 @@ let suite =
       test_compile_allocation_ignores_population;
     Alcotest.test_case "refresh allocation tracks the edit" `Quick
       test_refresh_allocation_tracks_edit;
+    Alcotest.test_case "registration refresh tracks the edit" `Quick
+      test_registration_refresh_tracks_edit;
   ]

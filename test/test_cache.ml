@@ -204,9 +204,9 @@ let test_policy_change_revokes () =
 
 let test_reinterning_moves_the_id () =
   (* Registering a principal that sorts before alice, then any
-     membership edit, rebuilds the snapshot with alice at a new id.
-     Her subject's memoized id must follow the new snapshot: the old
-     id now names aaron, who holds nothing. *)
+     membership edit, refreshes the snapshot.  Ids follow registration
+     order, not name order, so aaron gets the next id and alice keeps
+     hers: her subject's memoized id must still name her. *)
   let db, alice, subject, bottom, _top = small_world () in
   let staff = Principal.group "staff" in
   Principal.Db.add_group db staff;

@@ -244,8 +244,9 @@ let apply_churn world (kind, a, b) =
     else Principal.Db.remove_member world.db world.grps.(0) edge;
     true
   | 6 ->
-    (* Register a fresh individual into a group: a new interning, so
-       every grant's row test fails and every memo recompiles. *)
+    (* Register a fresh individual into a group: it takes the next id
+       and moves no existing row, so only the grants and memos it
+       touches are revisited. *)
     world.registered <- world.registered + 1;
     let fresh = Principal.individual (Printf.sprintf "new%d" world.registered) in
     Principal.Db.add_member world.db world.grps.(a mod Array.length world.grps)
@@ -584,10 +585,10 @@ let test_subject_into_deny_group_denied () =
   Alcotest.(check int) "handle denial audited" (denied0 + 2) (audit_denied kernel)
 
 let test_registered_group_starts_to_bite () =
-  (* The "compiles away" rule under the interning rule: the ACL names
-     [late] before it is registered, so it decides for nobody; once it
-     is registered with alice in it (a new interning), it denies her,
-     by path and through the handle opened before. *)
+  (* The "compiles away" rule: the ACL names [late] before it is
+     registered, so it decides for nobody; once it is registered with
+     alice in it (a group registration recompiles the form), it denies
+     her, by path and through the handle opened before. *)
   let blocked = Principal.group "blocked" and late = Principal.group "late" in
   let db, kernel, team, alice =
     group_fixture ~group:blocked ~members:[ "bob" ] (fun _ -> deny_group late)
@@ -598,6 +599,67 @@ let test_registered_group_starts_to_bite () =
   check "registered group denies the path call" true
     (denied_by late (Kernel.call kernel ~subject:alice ~caller:"t" team []));
   check "and the handle" true (denied_by late (Kernel.call_handle kernel h []))
+
+(* Principals an ACL names before they register.  The ACL allows the
+   individual [ghost] and denies the group [late] while neither is
+   registered: ghost is matched by name, late compiles away.
+   Registering a bystander keeps the compiled form and every live
+   grant; registering ghost still grants it, now under its id;
+   registering late with alice in it denies her, naming late.  Each
+   step is checked through the monitor and through a live handle. *)
+let test_principal_named_before_registering () =
+  let was = Exsec_obs.Metrics.enabled () in
+  Exsec_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Exsec_obs.Metrics.set_enabled was) (fun () ->
+      let crew = Principal.group "crew" and late = Principal.group "late" in
+      let others = Principal.group "others" in
+      let ghost = Principal.individual "ghost" in
+      let acl _ =
+        Acl.of_entries
+          [
+            Acl.allow (Acl.Individual ghost) [ Access_mode.List; Access_mode.Execute ];
+            Acl.deny (Acl.Group late) [ Access_mode.Execute ];
+            Acl.allow (Acl.Group crew) [ Access_mode.List; Access_mode.Execute ];
+            Acl.allow Acl.Everyone [ Access_mode.List ];
+          ]
+      in
+      let db, kernel, team, alice = group_fixture ~group:crew ~members:[ "alice" ] acl in
+      Principal.Db.add_member db others (Principal.Ind (Principal.individual "bob"));
+      let ghost_sub = Subject.make ghost (Subject.clearance alice) in
+      let meta =
+        match Namespace.find (Kernel.namespace kernel) team with
+        | Ok node -> Namespace.meta node
+        | Error _ -> Alcotest.fail "no /svc/team"
+      in
+      let decide subject =
+        Reference_monitor.decide (Kernel.monitor kernel) ~subject ~meta ~mode:Access_mode.Execute
+      in
+      let h_alice = open_exn kernel ~subject:alice ~caller:"t" team in
+      let h_ghost = open_exn kernel ~subject:ghost_sub ~caller:"t" team in
+      check "alice granted through crew" true (Decision.is_granted (decide alice));
+      check "ghost granted by name" true (Decision.is_granted (decide ghost_sub));
+      let form = Meta.compiled_acl meta ~db in
+      Principal.Db.add_member db others (Principal.Ind (Principal.individual "bystander"));
+      let reminted0 = reminted () and audit0 = audit_total kernel in
+      check "alice's handle serves" true (Kernel.call_handle kernel h_alice [] = Ok (Value.int 1));
+      check "ghost's handle serves" true (Kernel.call_handle kernel h_ghost [] = Ok (Value.int 1));
+      Alcotest.(check int) "a bystander re-mints nothing" reminted0 (reminted ());
+      Alcotest.(check int) "a bystander audits nothing" audit0 (audit_total kernel);
+      check "a bystander keeps the form" true (Meta.compiled_acl meta ~db == form);
+      Principal.Db.add_member db others (Principal.Ind ghost);
+      check "ghost registered" true
+        (Principal.Db.Snapshot.individual_id (Principal.Db.snapshot db) ghost >= 0);
+      check "ghost still granted" true (Decision.is_granted (decide ghost_sub));
+      check "ghost's handle still serves" true
+        (Kernel.call_handle kernel h_ghost [] = Ok (Value.int 1));
+      check "alice still granted" true (Kernel.call_handle kernel h_alice [] = Ok (Value.int 1));
+      join db late alice;
+      (match decide alice with
+      | Decision.Denied (Decision.Dac_explicit_deny (Acl.Group g)) ->
+        check "the denial names late" true (Principal.equal_group g late)
+      | Decision.Denied _ | Decision.Granted -> Alcotest.fail "late did not deny alice");
+      check "alice's handle denied by late" true (denied_by late (Kernel.call_handle kernel h_alice []));
+      check "ghost unaffected" true (Kernel.call_handle kernel h_ghost [] = Ok (Value.int 1)))
 
 let test_minted_inside_batch_denied_after () =
   let blocked = Principal.group "blocked" in
@@ -690,6 +752,8 @@ let suite =
       test_subject_into_deny_group_denied;
     Alcotest.test_case "registered group starts to bite" `Quick
       test_registered_group_starts_to_bite;
+    Alcotest.test_case "principal named before it registers" `Quick
+      test_principal_named_before_registering;
     Alcotest.test_case "minted inside a batch, denied after it" `Quick
       test_minted_inside_batch_denied_after;
     Alcotest.test_case "denial mapping deterministic" `Quick

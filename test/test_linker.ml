@@ -725,3 +725,109 @@ let suite =
       Alcotest.test_case "proof names the dispatched node" `Quick
         test_proof_names_the_dispatched_node;
     ]
+
+(* {1 A link's handles are the extension's own}
+
+   A refused link closes exactly the handles it minted, and unloading
+   closes exactly the handles the link minted: neither touches another
+   extension's. *)
+
+let live kernel = (Kernel.handle_stats kernel).Handle.hs_live
+let mints kernel = (Kernel.handle_stats kernel).Handle.hs_mints
+
+let test_refused_link_closes_its_handles () =
+  let kernel, alice_sub, store, _, linked = boot_chained () in
+  let alice = Subject.principal alice_sub in
+  let admin_sub = Kernel.admin_subject kernel in
+  let admin = Subject.principal admin_sub in
+  let vault = Path.of_string "/svc/vault" in
+  (match
+     Kernel.install_proc kernel ~subject:admin_sub vault
+       ~meta:
+         (Meta.make ~owner:admin
+            ~acl:
+              (Acl.of_entries
+                 [ Acl.allow_all (Acl.Individual admin); Acl.allow Acl.Everyone [ Access_mode.List ] ])
+            (Subject.clearance alice_sub))
+       (Service.proc "vault" 0 (Service.const Value.unit))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "setup vault: %s" (Service.error_to_string e));
+  (* alice may call the hook but not extend it. *)
+  (match
+     Kernel.install_event kernel ~subject:admin_sub hook
+       ~meta:(Kernel.default_meta kernel ~owner:admin ())
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "setup hook: %s" (Service.error_to_string e));
+  let refused ext =
+    match Linker.link kernel ~subject:alice_sub ext with
+    | Ok _ -> Alcotest.fail "link accepted"
+    | Error e -> e
+  in
+  let live0 = live kernel and mints0 = mints kernel in
+  (match refused (Extension.make ~name:"second" ~author:alice ~imports:[ store; vault ] ()) with
+  | Linker.Import_denied { import; _ } ->
+    check "refused at the second import" true (Path.equal import vault)
+  | e -> Alcotest.failf "unexpected: %a" Linker.pp_link_error e);
+  Alcotest.(check int) "the first import was minted" (mints0 + 1) (mints kernel);
+  Alcotest.(check int) "and closed" live0 (live kernel);
+  (match
+     refused
+       (Extension.make ~name:"extender" ~author:alice ~imports:[ store ]
+          ~extends:[ Extension.extends hook (Service.const Value.unit) ]
+          ())
+   with
+  | Linker.Extend_denied _ -> ()
+  | e -> Alcotest.failf "unexpected: %a" Linker.pp_link_error e);
+  Alcotest.(check int) "refused at an Extend: nothing left" live0 (live kernel);
+  let mints1 = mints kernel in
+  (match
+     refused
+       (Extension.make ~name:"crash" ~author:alice
+          ~imports:[ Path.of_string "/ext/b/fetch" ]
+          ~init:(fun _ctx -> Error (Service.Ext_failure "boom"))
+          ())
+   with
+  | Linker.Init_failed _ -> ()
+  | e -> Alcotest.failf "unexpected: %a" Linker.pp_link_error e);
+  Alcotest.(check int) "the import and chain handles were minted" (mints1 + 2) (mints kernel);
+  Alcotest.(check int) "refused in init: nothing left" live0 (live kernel);
+  check "no certificate left" true (Kernel.certificate_of kernel "crash" = None);
+  check "the loaded extension still serves" true
+    (Linker.Linked.call_chain linked store [] = Ok (Value.int 7))
+
+let test_unload_closes_only_its_handles () =
+  let kernel, _, alice, _ = boot () in
+  let alice_sub = Subject.make alice (cls kernel "local" []) in
+  let ping = Path.of_string "/svc/ping" in
+  let links =
+    Array.init 64 (fun i ->
+        ok "link"
+          (Linker.link kernel ~subject:alice_sub
+             (Extension.make ~name:(Printf.sprintf "e%02d" i) ~author:alice ~imports:[ ping ] ())))
+  in
+  let live0 = live kernel in
+  (match Linker.unload kernel ~subject:alice_sub "e17" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unload: %s" (Service.error_to_string e));
+  Alcotest.(check int) "one handle closed" (live0 - 1) (live kernel);
+  check "the unloaded import is closed" true
+    (is_use_after_close (Linker.Linked.call_import links.(17) ping []));
+  Array.iteri
+    (fun i linked ->
+      if i <> 17 then
+        check
+          (Printf.sprintf "e%02d still serves" i)
+          true
+          (Linker.Linked.call_import linked ping [] = Ok (Value.str "pong")))
+    links
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "refused link closes its handles" `Quick
+        test_refused_link_closes_its_handles;
+      Alcotest.test_case "unload closes only its handles" `Quick
+        test_unload_closes_only_its_handles;
+    ]

@@ -336,8 +336,8 @@ let test_handle_callers_vs_membership_mutator () =
   let caller_inds =
     Array.init callers (fun i -> Principal.individual (Printf.sprintf "caller%d" i))
   in
-  (* Everyone registered up front: churn after this point never makes
-     a new interning. *)
+  (* Everyone registered up front: churn after this point only edits
+     memberships. *)
   Principal.Db.add_group db blocked;
   Array.iter (Principal.Db.add_group db) teams;
   Array.iter (fun ind -> Principal.Db.add_member db crew (Principal.Ind ind)) caller_inds;

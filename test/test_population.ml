@@ -445,10 +445,10 @@ let test_delta_propagates_through_ancestors () =
            ~group_id:(Principal.Db.Snapshot.group_id snap grps.(g))))
     [ 0; 1; 2 ]
 
-let test_registration_falls_back_to_full () =
-  (* Registering a new principal after a snapshot invalidates the
-     intern tables; the next refresh must be a (correct) full rebuild
-     the moment membership changes. *)
+let test_registration_reaches_snapshot () =
+  (* Registering a new principal after a snapshot appends it under the
+     next id; the refresh that follows its membership edit must give
+     it that id and its membership. *)
   let db = fresh_db () in
   Principal.Db.add_member db grps.(0) (Principal.Ind inds.(0));
   ignore (Principal.Db.snapshot db);
@@ -751,9 +751,10 @@ let test_kernel_batch_single_drift () =
   check_int "one generation bump for the whole import" (g0 + 1)
     (Principal.Db.generation db);
   check "pre-batch generation invalidated" false (Principal.Db.generation db = g0);
-  (* ...so the handle fails closed once (the import registered new
-     individuals, which makes a new interning), re-minting against the
-     settled state, and the very next call is fast-path valid again. *)
+  (* ...and the handle still grants: the import registered newcomers
+     into a group the user is not in, so the user's row did not move
+     and the grant stays fresh; the very next call is fast-path valid
+     too. *)
   check "handle still grants after the batch" true
     (Kernel.call_handle kernel handle [] = Ok (Value.int 7));
   let g1 = Principal.Db.generation db in
@@ -778,8 +779,8 @@ let suite =
       test_compiled_differential;
     Alcotest.test_case "delta propagates through ancestor groups" `Quick
       test_delta_propagates_through_ancestors;
-    Alcotest.test_case "registration falls back to full rebuild" `Quick
-      test_registration_falls_back_to_full;
+    Alcotest.test_case "registration reaches the snapshot" `Quick
+      test_registration_reaches_snapshot;
     Alcotest.test_case "published snapshots stay immutable" `Quick
       test_published_snapshots_immutable;
     QCheck_alcotest.to_alcotest prop_wide_oracle;
