@@ -20,11 +20,18 @@
    - steady-state latency at scale: checked resolution over the big
      tree, reference-monitor decide, the compiled-ACL hot check
      (whose zero-allocation pin must not move), and ACL compilation
-     against group entries with real closures.
+     against group entries with real closures;
+   - decide under churn: one unrelated single-member edit every 1,000
+     decides, so the first decide after each edit pays the refresh.
 
-   s3 runs the full scale (takes a few minutes and a few GB); s3q is
-   the CI smoke at ~1/50th scale, exercising every code path with the
-   same shape. *)
+   Two checks make the run fail ([Scaling.Failed]) rather than print a
+   wrong shape: the batched import must publish exactly one generation
+   bump, and after the churn refresh every individual's incremental row
+   must equal the full rebuild's, by content.
+
+   s3 runs the full scale (under a minute and about 600 MB on a 2-core
+   host); s3q is the CI smoke at ~1/50th scale, exercising every code
+   path with the same shape. *)
 
 open Exsec_core
 open Exsec_workload
@@ -124,13 +131,14 @@ let import scale ~batched =
 
 (* Flip one direct membership, guaranteeing the generation moves (an
    add that happens to be a duplicate publishes nothing and would time
-   the cached-snapshot path by mistake). *)
+   the cached-snapshot path by mistake).  Person 0, the subject of the
+   latency rows, is never edited. *)
 let one_edit db rng scale =
   let before = Principal.Db.generation db in
   let rec flip attempts =
     if attempts > 100 then failwith "could not find an effective edit";
     let grp = team (Prng.int rng scale.groups) in
-    let member = Principal.Ind (person (Prng.int rng scale.individuals)) in
+    let member = Principal.Ind (person (1 + Prng.int rng (scale.individuals - 1))) in
     if Prng.bool rng then Principal.Db.remove_member db grp member
     else Principal.Db.add_member db grp member;
     if Principal.Db.generation db = before && not (Principal.Db.in_batch db) then
@@ -181,6 +189,21 @@ let snapshot_bench scale db =
   in
   full_ms, (single_ms, single_words), (register_ms, register_words), churn_ms
 
+(* How many individuals' incremental rows differ, by content, from the
+   full rebuild's, and how many were compared. *)
+let row_mismatches db =
+  let incremental = Principal.Db.snapshot db in
+  let full = Principal.Db.full_snapshot db in
+  let count = Principal.Db.Snapshot.individual_count full in
+  let row snap individual_id =
+    (Principal.Db.Snapshot.row snap ~individual_id :> int array)
+  in
+  let differ = ref (abs (count - Principal.Db.Snapshot.individual_count incremental)) in
+  for i = 0 to count - 1 do
+    if row incremental i <> row full i then incr differ
+  done;
+  !differ, count
+
 (* {1 The big tree and steady-state latency} *)
 
 let everyone_meta ~owner klass =
@@ -216,6 +239,32 @@ let build_tree scale ~owner klass =
   in
   let (), build_ms = time_ms (fun () -> grow (Namespace.root ns) 0) in
   ns, Array.of_list !leaves, build_ms
+
+(* Decide under churn: [edits] rounds of one single-member edit that
+   leaves the subject's row alone, then 1,000 individually timed
+   decides.  The first decide of a round pays the snapshot refresh.
+   Returns (p50, p99) over every decide and over the first ones. *)
+let churn_decides scale db monitor ~subject ~meta =
+  let edits = 200 and per_edit = 1_000 in
+  let rng = Prng.create ~seed:13 in
+  let all = Array.make (edits * per_edit) 0. in
+  let first = Array.make edits 0. in
+  for e = 0 to edits - 1 do
+    one_edit db rng scale;
+    for k = 0 to per_edit - 1 do
+      let start = Timing.now_ns () in
+      ignore (Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read);
+      let elapsed = Timing.now_ns () -. start in
+      all.((e * per_edit) + k) <- elapsed;
+      if k = 0 then first.(e) <- elapsed
+    done
+  done;
+  let percentiles samples =
+    Array.sort Float.compare samples;
+    let at q = samples.(int_of_float (q *. float_of_int (Array.length samples - 1))) in
+    at 0.5, at 0.99
+  in
+  percentiles all, percentiles first
 
 let latency_bench scale db ns leaves bottom =
   let subject = Subject.make (person 0) bottom in
@@ -254,7 +303,7 @@ let latency_bench scale db ns leaves bottom =
     Timing.ns_per_op ~warmup:2 ~batch:5 ~batches:5 (fun () ->
         ignore (Acl_compiled.compile ~db acl))
   in
-  resolve_ns, decide_ns, compiled_check_ns, compile_ns
+  resolve_ns, decide_ns, compiled_check_ns, compile_ns, churn_decides scale db monitor ~subject ~meta
 
 (* {1 Driver} *)
 
@@ -272,18 +321,29 @@ let run scale =
   Format.printf "  unbatched  %8.0f ms   %9d generation bumps@." un_ms un_bumps;
   let db, b_ms, b_bumps = import scale ~batched:true in
   Format.printf "  batched    %8.0f ms   %9d generation bump%s@." b_ms b_bumps
-    (if b_bumps = 1 then "" else "s (EXPECTED 1!)");
+    (if b_bumps = 1 then "" else "s");
+  if b_bumps <> 1 then
+    raise
+      (Scaling.Failed
+         (Printf.sprintf "s3: the batched import published %d generation bumps, not 1" b_bumps));
   let full_ms, single, register, churn_ms = snapshot_bench scale db in
   Format.printf "snapshot refresh:@.";
-  Format.printf "  full rebuild          %10.2f ms@." full_ms;
+  Format.printf "  full rebuild          %10.4f ms@." full_ms;
   let row label (ms, words) =
-    Format.printf "  %-21s %10.2f ms   (%.0fx faster)   %.0f words@." label ms
+    Format.printf "  %-21s %10.4f ms   (%.0fx faster)   %.0f words@." label ms
       (full_ms /. Float.max ms 0.001)
       words
   in
   row "single-edit delta" single;
   row "register + refresh" register;
-  Format.printf "  %d-edit batched delta %8.2f ms@." scale.churn churn_ms;
+  Format.printf "  %d-edit batched delta %8.4f ms@." scale.churn churn_ms;
+  let differ, compared = row_mismatches db in
+  Format.printf "  incremental = full rebuild: %d rows compared, %d differ@." compared differ;
+  if differ > 0 then
+    raise
+      (Scaling.Failed
+         (Printf.sprintf "s3: %d of %d incremental rows differ from the full rebuild" differ
+            compared));
   let owner = person 0 in
   let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
   let universe = Category.universe [ "c" ] in
@@ -291,7 +351,7 @@ let run scale =
   let ns, leaves, tree_ms = build_tree scale ~owner bottom in
   Format.printf "name space: %d nodes built in %.0f ms (parent-relative inserts)@."
     (Namespace.size ns) tree_ms;
-  let resolve_ns, decide_ns, compiled_check_ns, compile_ns =
+  let resolve_ns, decide_ns, compiled_check_ns, compile_ns, ((p50, p99), (first50, first99)) =
     latency_bench scale db ns leaves bottom
   in
   Format.printf "steady-state latency at this population:@.";
@@ -300,6 +360,10 @@ let run scale =
   Format.printf "  monitor decide               %a@." Timing.pp_ns decide_ns;
   Format.printf "  compiled ACL check           %a@." Timing.pp_ns compiled_check_ns;
   Format.printf "  ACL compile (group closures) %a@." Timing.pp_ns compile_ns;
+  Format.printf "decide under churn (one unrelated edit per 1,000 decides):@.";
+  Format.printf "  every decide        p50 %a   p99 %a@." Timing.pp_ns p50 Timing.pp_ns p99;
+  Format.printf "  first after an edit p50 %a   p99 %a@." Timing.pp_ns first50 Timing.pp_ns
+    first99;
   Format.printf
     "expected shape: batched import publishes once; delta refresh costs@.";
   Format.printf

@@ -164,7 +164,7 @@ let rec keyed_mask (ids : int array) masks (target : int) lo hi =
   end
 
 (* The subject's group-tier mask, resolved per check: OR of every
-   group entry whose closure row contains the subject.  ACLs carry few
+   group entry whose group the subject's row holds.  ACLs carry few
    group entries, and each probe is a binary search of the subject's
    sorted row.  Top-level recursion (not an inner closure) so the
    check allocates nothing. *)

@@ -28,40 +28,50 @@ type member =
 
 module Db = struct
   (* Registration is append-only: an individual or group gets the next
-     dense id of its kind when it is registered, and keeps it.  A
-     snapshot is a frozen, generation-stamped view of membership over
+     dense id of its kind when it is registered, and keeps it.
+     Membership is kept twice over those ids, each copy the other's
+     reverse: a group's slot lists the ids of its direct members, and
+     every individual and every group lists the ids of the groups that
+     directly contain it.
+
+     A snapshot is a frozen, generation-stamped view of membership over
      those ids, used by the compiled decision path (see Acl_compiled):
-     transitive membership flattened into one sorted group-id row per
-     individual, plus two sorted individual-id rows per group, its
-     direct members and its transitive closure.  It records how many
-     individuals and groups it saw and reads any id at or above those
-     counts as unregistered (a member of nothing).  Snapshots are
-     immutable after construction, so readers in other domains may
-     probe them without a lock; staleness is detected by comparing
-     [snap_generation] with the live generation counter.
+     one sorted group-id row per individual, every group reachable
+     upward from the individual's direct groups.  It keeps no row per
+     group.  It records how many individuals and groups it saw and
+     reads any id at or above those counts as unregistered (a member of
+     nothing).  Snapshots are immutable after construction, so readers
+     in other domains may probe them without a lock; staleness is
+     detected by comparing [snap_generation] with the live generation
+     counter.
 
-     Successive snapshots share structure.  The per-individual rows
-     live in fixed chunks of [chunk_size], so a refresh copies the
-     chunk spine and only the chunks holding a changed row.  A refresh
-     recomputes the groups whose member list moved since the previous
-     build, and the groups registered since, and re-tests, in each of
-     their ancestors, only the individuals whose membership changed
-     below it (see [build]): cost scales with the edit, not the
-     population.  The first snapshot is the same refresh from the
-     empty one. *)
+     Successive snapshots share structure.  The rows live in fixed
+     chunks of [chunk_size], so a refresh copies the chunk spine and
+     only the chunks holding a changed row.  Every effective edit
+     appends a cell to an edit log naming the individuals whose rows it
+     can change, and a snapshot keeps the last cell its build read, so
+     a refresh recomputes exactly the rows named since its base (see
+     [build]): cost scales with the edit, not the population.  The
+     first snapshot is the same refresh from the empty one, which
+     recomputes every row. *)
 
-  (* A registered group; its id is its index in [groups]. *)
+  (* A registered group; its id is its index in [groups].  Each list
+     is immutable, swapped whole. *)
   type slot = {
     name : group;
-    mutable members : member list;  (* an immutable list, swapped whole *)
-    mutable parents : int list;
-        (* ids of the groups that directly contain this one; drives
-           the dirty-closure walk of [build] *)
+    mutable inds : int list;  (* ids of the direct individual members *)
+    mutable subgroups : int list;  (* ids of the direct member groups *)
+    mutable parents : int list;  (* ids of the groups that directly contain this one *)
     mutable dirty : int;
-        (* the generation at which the member list last changed; a
-           snapshot built at generation g covers every mark <= g, so a
-           refresh from it need only revisit groups marked above g *)
+        (* the generation at which the member list last changed (see
+           [dirty_stamp]) *)
   }
+
+  (* The edit log, oldest first: one cell per effective edit, naming
+     the individuals whose rows it can change.  The database keeps only
+     the newest cell and a snapshot the last one its build read, so the
+     cells before the oldest held snapshot's are garbage. *)
+  type log = { named : int list; next : log option Atomic.t }
 
   type snapshot = {
     snap_generation : int;
@@ -73,12 +83,7 @@ module Db = struct
         (* per individual id [i], at [chunks.(i / chunk_size).(i mod
            chunk_size)]: the sorted ids of every group the individual
            transitively belongs to *)
-    group_rows : int array array;
-        (* per group id: the sorted ids of every individual in the
-           group's transitive closure *)
-    direct_rows : int array array;
-        (* per group id: the sorted ids of the group's direct
-           individual members *)
+    seen : log option;  (* the last log cell the build read; none in the empty snapshot *)
   }
 
   let chunk_bits = 8
@@ -88,14 +93,19 @@ module Db = struct
   type t = {
     ind_ids : (string, int) Hashtbl.t;  (* individual name -> id *)
     group_ids : (string, int) Hashtbl.t;  (* group name -> id *)
+    mutable names : individual array;  (* by individual id; grown by doubling *)
+    mutable direct : int list array;
+        (* by individual id: the ids of the groups it directly belongs
+           to; grown by doubling *)
     mutable groups : slot array;  (* by id; grown by doubling *)
+    last : log Atomic.t;  (* the newest log cell *)
     generation : int Atomic.t;
     snapshot_slot : snapshot option Atomic.t;
     batch_epoch : int Atomic.t;
         (* seqlock-style batch marker: odd while the outermost batch is
            in flight (incremented at entry and again at exit, after the
            final generation bump).  [snapshot] reads it around every
-           rebuild: a rebuild that overlaps a batch may have walked
+           rebuild: a rebuild that overlaps a batch may have read
            partially applied member lists under an unmoved generation,
            so it must not be published or served as current. *)
     mutable batch_depth : int;
@@ -104,13 +114,16 @@ module Db = struct
 
   (* Fills the unused tail of [groups]; never registered, never
      written. *)
-  let vacant = { name = ""; members = []; parents = []; dirty = 0 }
+  let vacant = { name = ""; inds = []; subgroups = []; parents = []; dirty = 0 }
 
   let create () =
     {
       ind_ids = Hashtbl.create 16;
       group_ids = Hashtbl.create 16;
+      names = Array.make 16 "";
+      direct = Array.make 16 [];
       groups = Array.make 16 vacant;
+      last = Atomic.make { named = []; next = Atomic.make None };
       generation = Atomic.make 0;
       snapshot_slot = Atomic.make None;
       batch_epoch = Atomic.make 0;
@@ -120,9 +133,31 @@ module Db = struct
 
   let generation db = Atomic.get db.generation
 
-  let add_individual db ind =
-    if not (Hashtbl.mem db.ind_ids ind) then
-      Hashtbl.add db.ind_ids ind (Hashtbl.length db.ind_ids)
+  (* [arr] with room for index [n], the next id: itself, or a copy of
+     twice the size filled with [fill]. *)
+  let room arr n fill =
+    if n < Array.length arr then arr
+    else begin
+      let grown = Array.make (2 * n) fill in
+      Array.blit arr 0 grown 0 n;
+      grown
+    end
+
+  (* The individual's id, registering it first if need be.  The
+     indexes grow before the name lands, so a reader that finds the id
+     finds its entries. *)
+  let register_individual db ind =
+    match Hashtbl.find_opt db.ind_ids ind with
+    | Some id -> id
+    | None ->
+      let id = Hashtbl.length db.ind_ids in
+      db.names <- room db.names id "";
+      db.direct <- room db.direct id [];
+      db.names.(id) <- ind;
+      Hashtbl.add db.ind_ids ind id;
+      id
+
+  let add_individual db ind = ignore (register_individual db ind)
 
   (* The group's id, registering it first if need be.  The slot lands
      before the name, so a reader that finds the id finds the slot. *)
@@ -131,27 +166,18 @@ module Db = struct
     | Some id -> id
     | None ->
       let id = Hashtbl.length db.group_ids in
-      if id = Array.length db.groups then begin
-        let grown = Array.make (2 * id) vacant in
-        Array.blit db.groups 0 grown 0 id;
-        db.groups <- grown
-      end;
-      db.groups.(id) <- { name = grp; members = []; parents = []; dirty = 0 };
+      db.groups <- room db.groups id vacant;
+      db.groups.(id) <- { name = grp; inds = []; subgroups = []; parents = []; dirty = 0 };
       Hashtbl.add db.group_ids grp id;
       id
 
   let add_group db grp = ignore (register_group db grp)
 
-  let find_slot db grp =
-    match Hashtbl.find_opt db.group_ids grp with
-    | Some id -> Some db.groups.(id)
-    | None -> None
+  let rec has (id : int) = function
+    | [] -> false
+    | x :: rest -> x = id || has id rest
 
-  let member_equal a b =
-    match a, b with
-    | Ind i, Ind j -> equal_individual i j
-    | Grp g, Grp h -> equal_group g h
-    | Ind _, Grp _ | Grp _, Ind _ -> false
+  let drop (id : int) ids = List.filter (fun x -> x <> id) ids
 
   (* Publish one mutation: inside a batch the generation bump is
      deferred (and coalesced) to the end of the outermost batch;
@@ -163,12 +189,19 @@ module Db = struct
     if db.batch_depth > 0 then db.batch_pending <- true
     else Atomic.incr db.generation
 
-  (* Stamp the group's member list as changed at the generation the
-     mutation will publish under (current + 1; inside a batch every
-     mutation shares the single deferred bump).  Written BEFORE the
-     generation bump, so a builder whose stamp validates has seen the
-     mark. *)
-  let mark_dirty db slot = slot.dirty <- Atomic.get db.generation + 1
+  (* Publish one effective edit of [slot]'s member list, naming the
+     individuals whose rows it can change.  The lists are already
+     written; the dirty stamp (the generation the edit will publish
+     under: current + 1, and inside a batch every edit shares the one
+     deferred bump) and the log cell land after them and BEFORE the
+     generation bump, so a reader that validates the stamp, or reads
+     the cell, sees the edit. *)
+  let edited db slot named =
+    slot.dirty <- Atomic.get db.generation + 1;
+    let cell = { named; next = Atomic.make None } in
+    Atomic.set (Atomic.get db.last).next (Some cell);
+    Atomic.set db.last cell;
+    publish db
 
   let batch db f =
     (* The epoch goes odd BEFORE any batch mutation can land and even
@@ -191,94 +224,87 @@ module Db = struct
 
   let in_batch db = db.batch_depth > 0
 
-  let direct_members db grp =
-    match find_slot db grp with
-    | Some slot -> slot.members
-    | None -> []
+  (* Group [g] and every group below it, each once.  The visited set
+     keeps the walk linear in the edges even when nested groups are
+     shared along many paths (a deep DAG would otherwise be re-walked
+     exponentially often). *)
+  let descendants db g =
+    let visited = Hashtbl.create 8 in
+    let rec walk acc g =
+      if Hashtbl.mem visited g then acc
+      else begin
+        Hashtbl.add visited g ();
+        List.fold_left walk (g :: acc) db.groups.(g).subgroups
+      end
+    in
+    walk [] g
+
+  (* The ids of every individual below group [c]: the rows an edge into
+     or out of [c] can change.  Duplicates are left to the refresh. *)
+  let below db c =
+    List.fold_left (fun acc g -> List.rev_append db.groups.(g).inds acc) [] (descendants db c)
 
   (* Does [target] appear, transitively, among the member groups of
      [grp]?  Used to reject membership cycles.  Read-only: an unknown
      group has no members, so probing it must not register it — the
-     validation pass of [add_member] runs before any mutation.  The
-     visited set keeps the walk linear in the number of edges even
-     when nested groups are shared along many paths (a deep DAG would
-     otherwise be re-walked exponentially often). *)
+     validation of [add_member] runs before any mutation. *)
   let reaches db grp target =
-    let visited = Hashtbl.create 16 in
-    let rec walk grp =
-      equal_group grp target
-      || (not (Hashtbl.mem visited grp)
-         && begin
-              Hashtbl.add visited grp ();
-              List.exists
-                (function
-                  | Ind _ -> false
-                  | Grp nested -> walk nested)
-                (direct_members db grp)
-            end)
-    in
-    walk grp
+    equal_group grp target
+    ||
+    match Hashtbl.find_opt db.group_ids grp, Hashtbl.find_opt db.group_ids target with
+    | Some g, Some t -> has t (descendants db g)
+    | _ -> false
 
   (* Validate first, mutate only on success: a rejected insertion must
      leave the database — registered groups, member lists and the
-     generation — exactly as it found it. *)
+     generation — exactly as it found it.  Presence is read from the
+     member's own direct-group ids, not the group's member list. *)
   let add_member db grp member =
-    (match member with
-    | Ind _ -> ()
+    match member with
+    | Ind ind ->
+      let i = register_individual db ind in
+      let g = register_group db grp in
+      if not (has g db.direct.(i)) then begin
+        let slot = db.groups.(g) in
+        slot.inds <- i :: slot.inds;
+        db.direct.(i) <- g :: db.direct.(i);
+        edited db slot [ i ]
+      end
     | Grp nested ->
       if reaches db nested grp then
         invalid_arg
-          (Printf.sprintf "Principal.Db.add_member: %s <- %s would create a cycle"
-             grp nested));
-    let child =
-      match member with
-      | Ind ind ->
-        add_individual db ind;
-        None
-      | Grp nested -> Some (register_group db nested)
-    in
-    let id = register_group db grp in
-    let slot = db.groups.(id) in
-    if not (List.exists (member_equal member) slot.members) then begin
-      slot.members <- member :: slot.members;
-      Option.iter (fun c -> db.groups.(c).parents <- id :: db.groups.(c).parents) child;
-      mark_dirty db slot;
-      (* Membership lands above, generation bumps after (deferred to
-         the batch end when inside one): a reader that observes the
-         bumped generation also sees the new list (see the ordering
-         contract in Meta). *)
-      publish db
-    end
+          (Printf.sprintf "Principal.Db.add_member: %s <- %s would create a cycle" grp nested);
+      let c = register_group db nested in
+      let g = register_group db grp in
+      let child = db.groups.(c) in
+      if not (has g child.parents) then begin
+        let slot = db.groups.(g) in
+        slot.subgroups <- c :: slot.subgroups;
+        child.parents <- g :: child.parents;
+        edited db slot (below db c)
+      end
 
   let remove_member db grp member =
     match Hashtbl.find_opt db.group_ids grp with
     | None -> ()
-    | Some id ->
-      let slot = db.groups.(id) in
-      (* One walk decides presence and builds the remainder — no
-         length recount of both lists. *)
-      let removed = ref false in
-      let kept =
-        List.filter
-          (fun m ->
-            if member_equal member m then begin
-              removed := true;
-              false
-            end
-            else true)
-          slot.members
-      in
-      if !removed then begin
-        slot.members <- kept;
-        (match member with
-        | Ind _ -> ()
-        | Grp nested ->
-          Option.iter
-            (fun child -> child.parents <- List.filter (fun p -> p <> id) child.parents)
-            (find_slot db nested));
-        mark_dirty db slot;
-        publish db
-      end
+    | Some g -> (
+      let slot = db.groups.(g) in
+      match member with
+      | Ind ind -> (
+        match Hashtbl.find_opt db.ind_ids ind with
+        | Some i when has g db.direct.(i) ->
+          slot.inds <- drop i slot.inds;
+          db.direct.(i) <- drop g db.direct.(i);
+          edited db slot [ i ]
+        | Some _ | None -> ())
+      | Grp nested -> (
+        match Hashtbl.find_opt db.group_ids nested with
+        | Some c when has g db.groups.(c).parents ->
+          let child = db.groups.(c) in
+          slot.subgroups <- drop c slot.subgroups;
+          child.parents <- drop g child.parents;
+          edited db slot (below db c)
+        | Some _ | None -> ()))
 
   let sorted_names table =
     Hashtbl.fold (fun name _ acc -> name :: acc) table [] |> List.sort String.compare
@@ -288,6 +314,28 @@ module Db = struct
   let individual_count db = Hashtbl.length db.ind_ids
   let groups db = sorted_names db.group_ids
 
+  let group_names db ids = List.map (fun g -> db.groups.(g).name) ids |> List.sort String.compare
+
+  let direct_members db grp =
+    match Hashtbl.find_opt db.group_ids grp with
+    | None -> []
+    | Some g ->
+      let slot = db.groups.(g) in
+      List.map (fun c -> Grp db.groups.(c).name) slot.subgroups
+      @ List.map (fun i -> Ind db.names.(i)) slot.inds
+
+  let direct_groups db member =
+    group_names db
+      (match member with
+      | Ind ind -> (
+        match Hashtbl.find_opt db.ind_ids ind with
+        | Some i -> db.direct.(i)
+        | None -> [])
+      | Grp grp -> (
+        match Hashtbl.find_opt db.group_ids grp with
+        | Some g -> db.groups.(g).parents
+        | None -> []))
+
   (* The per-group dirty stamp, for scoped-invalidation consumers
      (link-time certificates record the stamp of every group their
      proof consulted and revalidate against it).  Reading an int field
@@ -296,8 +344,8 @@ module Db = struct
      domains is safe under the same contract as the snapshot
      builder. *)
   let dirty_stamp db grp =
-    match find_slot db grp with
-    | Some slot -> slot.dirty
+    match Hashtbl.find_opt db.group_ids grp with
+    | Some g -> db.groups.(g).dirty
     | None -> 0
 
   (* Every group reachable from [grp] through member edges, [grp]
@@ -311,38 +359,17 @@ module Db = struct
      time — so the first effective edit always lands on a recorded
      group.  Sorted for deterministic certificate dependency lists. *)
   let group_closure db grp =
-    let visited = Hashtbl.create 8 in
-    let rec walk grp =
-      if not (Hashtbl.mem visited grp) then begin
-        Hashtbl.add visited grp ();
-        List.iter
-          (function
-            | Ind _ -> ()
-            | Grp nested -> walk nested)
-          (direct_members db grp)
-      end
-    in
-    walk grp;
-    Hashtbl.fold (fun g () acc -> g :: acc) visited [] |> List.sort String.compare
+    match Hashtbl.find_opt db.group_ids grp with
+    | Some g -> group_names db (descendants db g)
+    | None -> [ grp ]
 
-  (* Transitive membership over the live member lists (the reference
-     semantics the snapshot rows are held to).  The visited set bounds
-     the walk by the edge count on shared-subgroup DAGs, exactly as in
-     [reaches]. *)
+  (* Transitive membership over the live member lists, downward from
+     the group: the reference semantics the snapshot rows, computed
+     upward through the other index, are held to. *)
   let is_member db ind grp =
-    let visited = Hashtbl.create 8 in
-    let rec walk grp =
-      (not (Hashtbl.mem visited grp))
-      && begin
-           Hashtbl.add visited grp ();
-           List.exists
-             (function
-               | Ind i -> equal_individual i ind
-               | Grp nested -> walk nested)
-             (direct_members db grp)
-         end
-    in
-    walk grp
+    match Hashtbl.find_opt db.ind_ids ind, Hashtbl.find_opt db.group_ids grp with
+    | Some i, Some g -> List.exists (fun g -> has i db.groups.(g).inds) (descendants db g)
+    | _ -> false
 
   (* Sorted binary probe of an individual's group row.  Top-level so
      the snapshot membership test allocates nothing; typed [int] so
@@ -394,269 +421,82 @@ module Db = struct
       row_search row group_id 0 (Array.length row)
   end
 
-  (* {2 Sorted-row merges}
-
-     Every row is a sorted, duplicate-free [int array].  One linear
-     merge serves the three row operations of a build: the union of
-     closures, the symmetric difference of two rows (the ids whose
-     membership flipped) and applying such flips to a row ([xor old
-     flips]).  Typed [int], so each comparison is a machine compare;
-     a counting pass sizes the result, so nothing is trimmed after. *)
-  let merge ~keep_common (a : int array) (b : int array) =
-    let la = Array.length a and lb = Array.length b in
-    let rec count i j n =
-      if i = la then n + lb - j
-      else if j = lb then n + la - i
-      else
-        let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
-        if x < y then count (i + 1) j (n + 1)
-        else if y < x then count i (j + 1) (n + 1)
-        else count (i + 1) (j + 1) (if keep_common then n + 1 else n)
-    in
-    let out = Array.make (count 0 0 0) 0 in
-    let rec fill i j k =
-      if i = la then Array.blit b j out k (lb - j)
-      else if j = lb then Array.blit a i out k (la - i)
-      else
-        let x = Array.unsafe_get a i and y = Array.unsafe_get b j in
-        if x < y then begin
-          Array.unsafe_set out k x;
-          fill (i + 1) j (k + 1)
-        end
-        else if y < x then begin
-          Array.unsafe_set out k y;
-          fill i (j + 1) (k + 1)
-        end
-        else if keep_common then begin
-          Array.unsafe_set out k x;
-          fill (i + 1) (j + 1) (k + 1)
-        end
-        else fill (i + 1) (j + 1) k
-    in
-    fill 0 0 0;
-    out
-
-  (* Rows are immutable once built, so an empty side returns the other
-     row itself, shared rather than copied. *)
-  let union a b =
-    if Array.length a = 0 then b
-    else if Array.length b = 0 then a
-    else merge ~keep_common:true a b
-
-  let xor a b =
-    if Array.length b = 0 then a
-    else if Array.length a = 0 then b
-    else merge ~keep_common:false a b
-
-  (* Pairwise rounds: O(total length x log rows), not the
-     O(total x rows) of a left fold. *)
-  let rec union_all = function
-    | [] -> [||]
-    | [ row ] -> row
-    | rows ->
-      let rec pairs = function
-        | a :: b :: rest -> union a b :: pairs rest
-        | rest -> rest
-      in
-      union_all (pairs rows)
-
-  let row_mem row id = row_search row id 0 (Array.length row)
-
-  (* A build met a group already in progress: the walk found a cycle,
-     which only a mutator racing with the walk can produce.  The
-     build's rows may disagree with each other, so it must never be
-     published (see [snapshot]). *)
-  exception Raced
-
   (* The chunk a refresh starts a new chunk from.  Never written: a
      refresh copies every chunk it changes. *)
   let empty_chunk : int array array = Array.make chunk_size [||]
 
   let empty db =
     { snap_generation = -1; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count = 0;
-      group_count = 0; chunks = [||]; group_rows = [||]; direct_rows = [||] }
+      group_count = 0; chunks = [||]; seen = None }
 
-  (* Rebuild from [prev], in proportion to the change.  A group whose
-     member list moved since [prev] was built (dirty stamp above its
-     generation), or that was registered since, is recomputed: its
-     direct row from the live list, merged with its children's
-     closures, then diffed against its old closure to give the ids
-     that flipped.  Every group above it, found through the
-     reverse-membership index, re-tests only the ids that flipped in
-     one of its children, against its own direct row and every child's
-     new closure, so a member still reachable along a second path
-     stays; it splices the ids whose answer changed into its old row.
-     Groups are settled children first.  Per-individual rows change
-     only for ids that flipped somewhere: the flips are counted per
-     chunk, bucketed by chunk in ascending group order, and each chunk
-     holding one is copied once and its rows patched, so every row's
-     flips come out sorted.  Rows of untouched groups and individuals
-     are shared with [prev] by reference.  The counts are read after
-     the caller's generation read: a principal registered after them
-     belongs to an edit that lands a later generation, so it is left
-     out (and the build born stale).
-     @raise Raced when the walk meets a group already in progress. *)
+  (* An individual's row: the sorted ids of the groups reachable upward
+     from its [direct] groups through the slots' parent ids, each once,
+     leaving out ids at or above [group_count].  The walk tests a group
+     against the ones it has found: quadratic in the row's length, how
+     many groups one individual belongs to.  At S3's rows of about six,
+     a visited table made the full build two to three times slower. *)
+  let upward slots ~group_count direct =
+    let rec climb acc g =
+      if g >= group_count || has g acc then acc
+      else List.fold_left climb (g :: acc) slots.(g).parents
+    in
+    let row = Array.of_list (List.fold_left climb [] direct) in
+    Array.sort Int.compare row;
+    row
+
+  (* Rebuild from [prev], in proportion to the change.  The log cells
+     after the one [prev] keeps name every individual whose row can
+     have moved since; each named row is recomputed, and replaces the
+     old one only when its content differs, in a copy of its chunk (one
+     copy per chunk: the ids are visited in ascending order).  Every
+     other row and chunk is shared with [prev].  The empty snapshot
+     keeps no cell, so the refresh from it recomputes every row, and
+     takes as its own cell the newest one before it reads anything.
+     The counts are read after the log, so every id a read cell names
+     is counted. *)
   let build db ~generation ~prev =
+    let last, named =
+      match prev.seen with
+      | None -> Atomic.get db.last, None
+      | Some cell ->
+        let rec walk cell acc =
+          match Atomic.get cell.next with
+          | None -> cell, Some acc
+          | Some next -> walk next (List.rev_append next.named acc)
+        in
+        walk cell []
+    in
     let id_count = Hashtbl.length db.ind_ids in
     let group_count = Hashtbl.length db.group_ids in
-    let slots = db.groups in
-    let known = prev.group_count in
-    (* u: untouched (its [prev] rows stand), a: above a dirty group,
-       x: dirty or new, p: in progress, d: done. *)
-    let state = Bytes.make group_count 'u' in
-    let roots = ref [] in
-    for g = group_count - 1 downto 0 do
-      if g >= known || slots.(g).dirty > prev.snap_generation then begin
-        Bytes.set state g 'x';
-        roots := g :: !roots
-      end
-    done;
-    let rec mark g =
-      List.iter
-        (fun p ->
-          if p < group_count && Bytes.get state p = 'u' then begin
-            Bytes.set state p 'a';
-            mark p
-          end)
-        slots.(g).parents
-    in
-    List.iter mark !roots;
-    let extend rows =
-      let out = Array.make group_count [||] in
-      Array.blit rows 0 out 0 known;
-      out
-    in
-    let group_rows = extend prev.group_rows in
-    let direct_rows = extend prev.direct_rows in
-    let flips = Array.make group_count [||] in
-    let children members =
-      List.filter_map
-        (function
-          | Grp nested -> (
-            match Hashtbl.find_opt db.group_ids nested with
-            | Some c when c < group_count -> Some c
-            | Some _ | None -> None)
-          | Ind _ -> None)
-        members
-    in
-    let direct members =
-      let row =
-        Array.of_list
-          (List.filter_map
-             (function
-               | Ind ind -> (
-                 match Hashtbl.find_opt db.ind_ids ind with
-                 | Some id when id < id_count -> Some id
-                 | Some _ | None -> None)
-               | Grp _ -> None)
-             members)
-      in
-      Array.sort (fun (a : int) b -> compare a b) row;
-      row
-    in
-    let rec settle g =
-      match Bytes.get state g with
-      | 'u' | 'd' -> ()
-      | 'p' -> raise Raced
-      | kind ->
-        Bytes.set state g 'p';
-        let members = slots.(g).members in
-        let children = children members in
-        List.iter settle children;
-        let old = group_rows.(g) in
-        if kind = 'x' then begin
-          let direct = direct members in
-          let next = union_all (direct :: List.map (Array.get group_rows) children) in
-          direct_rows.(g) <- direct;
-          group_rows.(g) <- next;
-          flips.(g) <- xor old next
-        end
-        else begin
-          let direct = direct_rows.(g) in
-          let changed =
-            Array.fold_right
-              (fun id acc ->
-                let now =
-                  row_mem direct id
-                  || List.exists (fun c -> row_mem group_rows.(c) id) children
-                in
-                if now <> row_mem old id then id :: acc else acc)
-              (union_all (List.map (Array.get flips) children))
-              []
-          in
-          let changed = Array.of_list changed in
-          flips.(g) <- changed;
-          group_rows.(g) <- xor old changed
-        end;
-        Bytes.set state g 'd'
-    in
-    for g = 0 to group_count - 1 do
-      settle g
-    done;
-    let n_chunks = (id_count + chunk_mask) lsr chunk_bits in
-    let chunks = Array.make n_chunks empty_chunk in
+    let slots = db.groups and direct = db.direct in
+    let chunks = Array.make ((id_count + chunk_mask) lsr chunk_bits) empty_chunk in
     Array.blit prev.chunks 0 chunks 0 (Array.length prev.chunks);
-    (* Count the flips per chunk, then fill each chunk's bucket with
-       (group id, row in chunk) pairs, packed in one int, walking the
-       groups in ascending order.  [ends.(c)] counts chunk [c]'s flips,
-       becomes the start of its bucket and, once filled, its end. *)
-    let ends = Array.make (n_chunks + 1) 0 in
-    for g = 0 to group_count - 1 do
-      let flipped = flips.(g) in
-      for k = 0 to Array.length flipped - 1 do
-        let c = (flipped.(k) lsr chunk_bits) + 1 in
-        ends.(c) <- ends.(c) + 1
-      done
-    done;
-    for c = 1 to n_chunks do
-      ends.(c) <- ends.(c) + ends.(c - 1)
-    done;
-    let bucket = Array.make ends.(n_chunks) 0 in
-    for g = 0 to group_count - 1 do
-      let flipped = flips.(g) in
-      for k = 0 to Array.length flipped - 1 do
-        let c = flipped.(k) lsr chunk_bits in
-        bucket.(ends.(c)) <- (g lsl chunk_bits) lor (flipped.(k) land chunk_mask);
-        ends.(c) <- ends.(c) + 1
-      done
-    done;
-    (* Per chunk: count each row's flips, then fill them into a fresh
-       array in bucket order (ascending group ids) and apply it to the
-       row once the last one lands. *)
-    let left = Array.make chunk_size 0 in
-    let pending = Array.make chunk_size [||] in
-    let first = ref 0 in
-    for c = 0 to n_chunks - 1 do
-      let stop = ends.(c) in
-      if stop > !first then begin
+    let copied = ref (-1) in
+    let refresh i =
+      let c = i lsr chunk_bits and j = i land chunk_mask in
+      let row = upward slots ~group_count direct.(i) in
+      if row <> chunks.(c).(j) then begin
         (* Copy-on-write: the chunk [prev] holds is never written. *)
-        let chunk = Array.copy chunks.(c) in
-        for k = !first to stop - 1 do
-          let j = bucket.(k) land chunk_mask in
-          left.(j) <- left.(j) + 1
-        done;
-        for k = !first to stop - 1 do
-          let j = bucket.(k) land chunk_mask in
-          let n = left.(j) in
-          if Array.length pending.(j) = 0 then pending.(j) <- Array.make n 0;
-          let row = pending.(j) in
-          row.(Array.length row - n) <- bucket.(k) lsr chunk_bits;
-          left.(j) <- n - 1;
-          if n = 1 then begin
-            chunk.(j) <- xor chunk.(j) row;
-            pending.(j) <- [||]
-          end
-        done;
-        chunks.(c) <- chunk
-      end;
-      first := stop
-    done;
+        if !copied <> c then begin
+          chunks.(c) <- Array.copy chunks.(c);
+          copied := c
+        end;
+        chunks.(c).(j) <- row
+      end
+    in
+    (match named with
+    | None ->
+      for i = 0 to id_count - 1 do
+        refresh i
+      done
+    | Some ids ->
+      let ids = Array.of_list ids in
+      Array.sort Int.compare ids;
+      Array.iteri (fun k i -> if k = 0 || ids.(k - 1) <> i then refresh i) ids);
     { snap_generation = generation; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count;
-      group_count; chunks; group_rows; direct_rows }
+      group_count; chunks; seen = Some last }
 
-  let rec full_snapshot db =
-    try build db ~generation:(Atomic.get db.generation) ~prev:(empty db)
-    with Raced -> full_snapshot db
+  let full_snapshot db = build db ~generation:(Atomic.get db.generation) ~prev:(empty db)
 
   (* Install via compare-and-set, and only when strictly newer than
      the incumbent: two racing reader domains can finish builds out of
@@ -683,10 +523,11 @@ module Db = struct
 
   and rebuild db =
     (* The batch epoch is read first, the generation second, both
-       BEFORE the membership walk (the standard data-then-generation
-       discipline, see Meta): a non-batched mutation racing with the
-       build lands a higher generation than the stamp, so the stale
-       snapshot fails the comparison on its next use and is rebuilt.
+       BEFORE the build reads the log and the lists (the standard
+       data-then-generation discipline, see Meta): a non-batched
+       mutation racing with the build lands a higher generation than
+       the stamp, so the stale snapshot fails the comparison on its
+       next use and is rebuilt.
 
        Batched mutations need the epoch guard on top: they land data
        under an UNMOVED generation (the single bump is deferred to the
@@ -694,57 +535,52 @@ module Db = struct
        stamp partially applied batch state with a generation that
        stays current until the batch ends.  Hence no rebuild result is
        published or returned unless the epoch was even — no batch in
-       flight — on both sides of the walk; mid-batch readers are
+       flight — on both sides of the build; mid-batch readers are
        served the incumbent cached snapshot instead, which is exactly
        the previous published state the batch contract promises
        them.
 
        A published snapshot is also the base the next refresh patches
-       rather than recomputes, so one bad row in it could outlive the
-       refresh that follows.  The race rule that prevents it: a
-       group's base rows are reused or patched only while its dirty
-       stamp is <= the base's generation; a group stamped above it, or
-       registered since, is recomputed from the live lists.  A group
-       still stamped <= g when the next refresh reads it had its last
-       edit published at or before g, so the build that read g saw
-       that edit and no later one: its direct row is exact, and its
-       closure is its direct row merged with its children's closures
-       in the same snapshot.  By induction over such groups, every
-       group whose whole closure is stamped <= g holds its exact
-       closure at g, and each refresh keeps the merge relation because
-       it flips exactly the ids that flipped below.  A walk that meets
-       a group already in progress breaks that relation, and only a
-       racing mutator can close that cycle: such a build ([Raced]) is
-       never published or served; the call decides again. *)
+       rather than recomputes, so one stale row in it could outlive the
+       refresh that follows.  The race rule that prevents it: a base
+       can hold a stale row only for an individual that a log cell
+       after the base's own names, and the next refresh from that base
+       recomputes exactly those.  An edit writes its lists first and
+       appends its cell after, through atomics, so every edit whose
+       cell the build read is visible to every row the build computes.
+       An edit whose cell it did not read may be partly visible, but
+       if it can change an individual's row its cell names that
+       individual, so the next refresh recomputes the row.  An edit
+       that does not name an individual writes nothing that
+       individual's upward walk reads (neither its direct groups nor
+       the parents of a group above it), so every other row is exact.
+       No build can hold a row this rule does not cover, so none is
+       discarded for what it read. *)
     let epoch = Atomic.get db.batch_epoch in
     let generation = Atomic.get db.generation in
     match Atomic.get db.snapshot_slot with
     | Some snap when snap.snap_generation = generation -> snap
     | Some prev when epoch land 1 = 1 -> prev  (* stale by generation; never validates as current *)
-    | None when epoch land 1 = 1 -> (
+    | None when epoch land 1 = 1 ->
       (* Nothing was ever published: build from the live lists but
          stamp the result born-stale (below the pre-batch generation),
          so no artifact minted from it can validate once — or while —
          the batch publishes.  Not installed in the slot: a
          partial-state snapshot must not seed later refreshes. *)
-      match build db ~generation:(generation - 1) ~prev:(empty db) with
-      | snap -> snap
-      | exception Raced -> snapshot db)
-    | prev -> (
-      match build db ~generation ~prev:(Option.value prev ~default:(empty db)) with
-      | exception Raced -> snapshot db
-      | snap ->
-        if Atomic.get db.batch_epoch <> epoch then
-          (* A batch entered (or came and went) during the walk: the
-             build may hold partial batch state under a stamp the batch
-             has yet to invalidate.  Discard it and re-decide — the
-             retry either serves the incumbent (batch still in flight)
-             or rebuilds from settled lists. *)
-          snapshot db
-        else begin
-          install_snapshot db snap;
-          snap
-        end)
+      build db ~generation:(generation - 1) ~prev:(empty db)
+    | prev ->
+      let snap = build db ~generation ~prev:(Option.value prev ~default:(empty db)) in
+      if Atomic.get db.batch_epoch <> epoch then
+        (* A batch entered (or came and went) during the build: it may
+           hold partial batch state under a stamp the batch has yet to
+           invalidate.  Discard it and re-decide — the retry either
+           serves the incumbent (batch still in flight) or rebuilds
+           from settled lists. *)
+        snapshot db
+      else begin
+        install_snapshot db snap;
+        snap
+      end
 
   let groups_of db ind =
     (* Routed through the snapshot: one id probe plus the individual's
@@ -754,6 +590,5 @@ module Db = struct
     let snap = snapshot db in
     Snapshot.row snap ~individual_id:(Snapshot.individual_id snap ind)
     |> Array.to_list
-    |> List.map (fun g -> db.groups.(g).name)
-    |> List.sort String.compare
+    |> group_names db
 end

@@ -43,10 +43,10 @@ type member =
     individuals ([add_member]/[remove_member]) is safe concurrent with
     readers — member lists are immutable values swapped in place, and
     the atomic generation publishes each change.  Registering {e new}
-    groups or individuals grows the name -> id tables in place and
-    must happen before readers run in other domains (setup-time, or
-    externally synchronized); see the "Concurrency model" section of
-    DESIGN.md. *)
+    groups or individuals grows the name -> id tables and the id
+    indexes in place and must happen before readers run in other
+    domains (setup-time, or externally synchronized); see the
+    "Concurrency model" section of DESIGN.md. *)
 module Db : sig
   type t
 
@@ -119,9 +119,11 @@ module Db : sig
 
   val add_member : t -> group -> member -> unit
   (** [add_member db g m] adds [m] to group [g], registering [g] (and
-      an individual member) on the fly.  Validation precedes every
-      mutation: a rejected insertion leaves the database — registered
-      groups, member lists and the generation — untouched.
+      an individual member) on the fly.  Whether [m] is already there
+      is read from [m]'s own direct-group ids ({!direct_groups}), not
+      from [g]'s member list.  Validation precedes every mutation: a
+      rejected insertion leaves the database — registered groups,
+      member lists and the generation — untouched.
       @raise Invalid_argument if adding a group member would create a
       membership cycle. *)
 
@@ -143,6 +145,11 @@ module Db : sig
 
   val direct_members : t -> group -> member list
   (** Direct members of a group ([[]] for unknown groups). *)
+
+  val direct_groups : t -> member -> group list
+  (** The groups that list the member directly, read from the member's
+      own index (the reverse of {!direct_members}); [[]] for an unknown
+      member.  Sorted by name. *)
 
   val is_member : t -> individual -> group -> bool
   (** Transitive membership test. *)
@@ -194,17 +201,18 @@ module Db : sig
       Consecutive snapshots share structure.  The per-individual rows
       are stored in fixed chunks of 256, so a refresh copies the chunk
       spine (one pointer per 256 individuals) and only the chunks
-      holding a changed row; a probe pays one extra load for it.  Each
-      group keeps two sorted individual-id rows, its direct members and
-      its transitive closure.  A refresh recomputes each group whose
-      member list changed or that was registered since (its direct row
-      merged with its children's closures) and diffs it against its
-      old closure; each group above it, found through the
-      reverse-membership index, re-tests only the individuals that
-      changed below it, against its own direct row and its children's
-      new closures.  Registering a principal only appends: new rows and
-      group slots, every existing row shared.  So refresh cost scales
-      with the edit, registrations included, not the population. *)
+      holding a changed row; a probe pays one extra load for it.  There
+      is no row per group.  Every effective edit names the individuals
+      whose rows it can change: a member edit names the individual, an
+      edge between groups every individual below the member group.  A
+      refresh recomputes exactly the rows named since the snapshot it
+      starts from, each as the groups reachable upward from the
+      individual's direct groups, so a member edit costs one row (one
+      id per group above the individual) plus one chunk copy.
+      Registering a principal only
+      appends: new rows, every existing row shared.  So refresh cost
+      scales with the edit, registrations included, not the population
+      or the group count. *)
   module Snapshot : sig
     type t
 
@@ -220,9 +228,10 @@ module Db : sig
     (** How many groups were registered when the snapshot was built:
         their ids are [0] to [group_count - 1]. *)
 
-    type row
-    (** One individual's transitive group row.  Immutable; compared by
-        physical identity ([==]). *)
+    type row = private int array
+    (** One individual's transitive group row: the sorted ids of every
+        group it belongs to.  Immutable; compared by physical identity
+        ([==]). *)
 
     val row : t -> individual_id:int -> row
     (** The individual's row, allocation-free; an id the snapshot reads
@@ -271,19 +280,20 @@ module Db : sig
       discarded and retried.  Batch writes therefore cannot leak into
       a snapshot that validates as current — see {!batch}.
 
-      Every refresh is incremental: cost scales with the groups dirtied
-      or registered since the previous snapshot and the memberships
-      that changed (see {!Snapshot}).  The first snapshot is the same
-      refresh from the empty one.
+      Every refresh is incremental: cost scales with the individuals
+      the edits since the previous snapshot name, not with the
+      population or the group count (see {!Snapshot}).  The first
+      snapshot is the same refresh from the empty one, which computes
+      every row.
 
-      A refresh patches rows of the previous snapshot, so no build that
-      could hold rows inconsistent with each other is ever cached: a
-      group's old rows are reused or patched only while its
-      {!dirty_stamp} is at most the old snapshot's generation (a group
-      stamped above it is recomputed from the live lists), and a build
-      whose walk meets a group already in progress, which only a
-      mutator racing with the walk can cause, is discarded and the call
-      decides again. *)
+      A refresh keeps every row of the previous snapshot that no edit
+      since has named, so a cached snapshot may hold a stale row only
+      for an individual that an edit after it names, and the next
+      refresh recomputes exactly those: an edit lands its member lists
+      before it names anyone, and an edit that does not name an
+      individual changes nothing that individual's row is computed
+      from.  A held snapshot keeps the record of every edit made after
+      it reachable. *)
 
   val full_snapshot : t -> Snapshot.t
   (** Always rebuilds from scratch, as the refresh from the empty

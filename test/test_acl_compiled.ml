@@ -490,6 +490,63 @@ let test_registration_refresh_tracks_edit () =
     true
     (large <= 2. *. small)
 
+let test_refresh_ignores_ancestor_closures () =
+  (* A department holds a small team and a team of N individuals.  One
+     edit in the small team recomputes the edited individual's row, not
+     the department's N-id closure: 16x N may cost at most 2x the
+     words. *)
+  let refresh_words n =
+    let db = Principal.Db.create () in
+    let dept = Principal.group "dept" in
+    let small = Principal.group "small" in
+    let big = Principal.group "big" in
+    Principal.Db.add_member db dept (Principal.Grp small);
+    Principal.Db.add_member db dept (Principal.Grp big);
+    for i = 0 to n - 1 do
+      Principal.Db.add_member db big (Principal.Ind (Principal.individual (Printf.sprintf "b%05d" i)))
+    done;
+    for i = 0 to 8 do
+      Principal.Db.add_individual db (Principal.individual (Printf.sprintf "s%d" i))
+    done;
+    for i = 0 to 7 do
+      Principal.Db.add_member db small (Principal.Ind (Principal.individual (Printf.sprintf "s%d" i)))
+    done;
+    ignore (Principal.Db.snapshot db);
+    Principal.Db.add_member db small (Principal.Ind (Principal.individual "s8"));
+    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+  in
+  let small = refresh_words 4_096 in
+  let large = refresh_words 65_536 in
+  check
+    (Printf.sprintf "refresh words with a 65,536 team above (%.0f) <= 2x with 4,096 (%.0f)" large
+       small)
+    true
+    (large <= 2. *. small)
+
+let test_refresh_ignores_group_count () =
+  (* One edit in one team recomputes one row: the refresh allocates
+     nothing per registered group, so 16x the groups may cost at most
+     2x the words. *)
+  let refresh_words groups =
+    let db = Principal.Db.create () in
+    for g = 0 to groups - 1 do
+      Principal.Db.add_group db (Principal.group (Printf.sprintf "g%04d" g))
+    done;
+    let team = Principal.group "g0000" in
+    for i = 0 to 7 do
+      Principal.Db.add_member db team (Principal.Ind (Principal.individual (Printf.sprintf "p%d" i)))
+    done;
+    ignore (Principal.Db.snapshot db);
+    Principal.Db.add_member db team (Principal.Ind (Principal.individual "p8"));
+    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+  in
+  let small = refresh_words 256 in
+  let large = refresh_words 4_096 in
+  check
+    (Printf.sprintf "refresh words at 4,096 groups (%.0f) <= 2x at 256 (%.0f)" large small)
+    true
+    (large <= 2. *. small)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_small_population;
@@ -515,4 +572,8 @@ let suite =
       test_refresh_allocation_tracks_edit;
     Alcotest.test_case "registration refresh tracks the edit" `Quick
       test_registration_refresh_tracks_edit;
+    Alcotest.test_case "refresh ignores ancestors' closures" `Quick
+      test_refresh_ignores_ancestor_closures;
+    Alcotest.test_case "refresh ignores the group count" `Quick
+      test_refresh_ignores_group_count;
   ]

@@ -5,10 +5,11 @@
    mutations is observationally equivalent to the same mutations
    applied sequentially — final membership, groups_of, snapshot
    contents — except that it publishes under exactly one generation
-   bump.  (2) The incrementally maintained snapshot (delta rebuild
-   from dirty groups over the reverse-membership index) is held to the
-   seed full-rebuild semantics by a twin-path differential oracle over
-   randomized membership/ACL churn, >= 10k probes.  (3) Readers in
+   bump.  (2) The incrementally maintained snapshot (a refresh
+   recomputes the rows the edit log names, each walked up the
+   reverse-membership index) is held to the seed full-rebuild
+   semantics by a twin-path differential oracle over randomized
+   membership/ACL churn, >= 10k probes.  (3) Readers in
    other domains may probe snapshots while a batch is in flight and
    observe only published states. *)
 
@@ -605,6 +606,72 @@ let prop_wide_oracle =
         rounds;
       true)
 
+(* {1 The id indexes mirror the member lists}
+
+   Each membership is kept twice: in the group's member list and in
+   the member's own direct-group ids ([parents] for a group).
+   [add_member] decides presence from the second, so the two must
+   agree after any churn: random adds and removes, batched or not,
+   with group edges in any direction, so some adds are rejected as
+   cycles. *)
+
+let any_member code =
+  let n = code mod (Array.length inds + Array.length grps) in
+  if n < Array.length inds then Principal.Ind inds.(n)
+  else Principal.Grp grps.(n - Array.length inds)
+
+let rejected_cycles = ref 0
+
+let apply_any db (add, g, code) =
+  let grp = grps.(g mod Array.length grps) in
+  let member = any_member code in
+  if add then (
+    try Principal.Db.add_member db grp member
+    with Invalid_argument _ -> incr rejected_cycles)
+  else Principal.Db.remove_member db grp member
+
+let prop_indexes_mirror_member_lists =
+  QCheck.Test.make ~name:"direct-group ids = member lists, under churn and rejected cycles"
+    ~count:200
+    QCheck.(small_list (pair (small_list (triple bool small_nat small_nat)) bool))
+    (fun rounds ->
+      let db = fresh_db () in
+      List.iter
+        (fun (ops, batched) ->
+          if batched then Principal.Db.batch db (fun () -> List.iter (apply_any db) ops)
+          else List.iter (apply_any db) ops)
+        rounds;
+      let listing member =
+        List.filter
+          (fun grp -> List.mem member (Principal.Db.direct_members db grp))
+          (Principal.Db.groups db)
+      in
+      let agrees member =
+        List.map Principal.group_name (Principal.Db.direct_groups db member)
+        = List.map Principal.group_name (listing member)
+      in
+      Array.iter
+        (fun ind ->
+          if not (agrees (Principal.Ind ind)) then
+            QCheck.Test.fail_reportf "%s: direct-group ids disagree with the member lists"
+              (Principal.individual_name ind))
+        inds;
+      Array.iter
+        (fun grp ->
+          let members = Principal.Db.direct_members db grp in
+          if List.length (List.sort_uniq compare members) <> List.length members then
+            QCheck.Test.fail_reportf "%s lists a member twice" (Principal.group_name grp);
+          if not (agrees (Principal.Grp grp)) then
+            QCheck.Test.fail_reportf "%s: parents disagree with the member lists"
+              (Principal.group_name grp))
+        grps;
+      if snapshot_matrix (Principal.Db.snapshot db) <> membership_matrix db then
+        QCheck.Test.fail_report "snapshot diverged from the interpreted walk";
+      true)
+
+let test_cycles_were_rejected () =
+  check "the index property met rejected cycles" true (!rejected_cycles > 0)
+
 (* {1 Satellite: deep shared-subgroup DAGs validate in linear time} *)
 
 let test_deep_dag_linear () =
@@ -784,6 +851,8 @@ let suite =
     Alcotest.test_case "published snapshots stay immutable" `Quick
       test_published_snapshots_immutable;
     QCheck_alcotest.to_alcotest prop_wide_oracle;
+    QCheck_alcotest.to_alcotest prop_indexes_mirror_member_lists;
+    Alcotest.test_case "index property met rejected cycles" `Quick test_cycles_were_rejected;
     Alcotest.test_case "deep shared DAG validates linearly" `Quick test_deep_dag_linear;
     Alcotest.test_case "parallel readers during batches" `Quick
       test_parallel_readers_during_batches;
