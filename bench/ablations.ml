@@ -833,23 +833,23 @@ let a12 () =
   let open Exsec_extsys in
   let module Certificate = Exsec_analysis.Certificate in
   let module Metrics = Exsec_obs.Metrics in
-  header "A12 Scoped invalidation: certified-call survival under unrelated churn";
+  header "A12 Row-rule invalidation: certified-call survival under unrelated churn";
   let store = Path.of_string "/svc/get" in
   let payload = Ok (Value.int 7) in
-  (* The certificate's proof consults one group-gated ACL (staff), so
-     its scoped dependency set is staff's member-edge closure.  Churn
-     lands entirely on visitors — a group no consulted ACL names — in
-     batches of 100 edits, 10^4 edits total.  After each batch we ask
-     two validity predicates whether the certificate still stands:
-     scoped (Certificate.admits over the recorded dependency stamps)
-     and generation-exact (the pre-lifecycle rule: any movement of the
+  (* The certificate's proof consults one group-gated ACL (staff).
+     Churn lands entirely on visitors — a group no consulted ACL names
+     — in batches of 100 edits, 10^4 edits total.  After each batch we
+     ask two validity predicates whether the certificate still stands
+     for alice: the row rule (Certificate.admits: the generation, or
+     else alice's own snapshot row, the rule handles keep) and
+     generation-exact (the pre-lifecycle rule: any movement of the
      global principal-db generation revokes).  Beside them, a handle
      alice opened on the same path before the churn is called once per
      batch: it survives the batch when the call neither re-mints it nor
      writes an audit record.  Each batch registers its 100 visitors,
      and no id moves, so alice's row does not either.  A row short of
-     100/100, a generation-exact survival or a covered edit that fails
-     to bite fails the experiment. *)
+     100/100, a generation-exact survival or an edit of alice's own
+     membership that fails to bite fails the experiment. *)
   let db = Principal.Db.create () in
   let admin = Principal.individual "admin" in
   let alice = Principal.individual "alice" in
@@ -902,14 +902,14 @@ let a12 () =
   in
   let audit = Reference_monitor.audit (Kernel.monitor kernel) in
   let reminted = Metrics.counter "handle.reminted" in
-  let scoped_ok () =
+  let row_rule_ok () =
     Kernel.certificate_admits kernel ~caller:"caller" ~subject:alice_sub store
   in
   let genexact_ok () =
-    scoped_ok () && Principal.Db.generation db = certificate.Certificate.db_generation
+    row_rule_ok () && Principal.Db.generation db = certificate.Certificate.db_generation
   in
   let batches = 100 and batch_size = 100 in
-  let scoped_survived = ref 0 and genexact_survived = ref 0 and handle_survived = ref 0 in
+  let row_rule_survived = ref 0 and genexact_survived = ref 0 and handle_survived = ref 0 in
   let metrics_were = Metrics.enabled () in
   Metrics.set_enabled true;
   for batch = 1 to batches do
@@ -918,7 +918,7 @@ let a12 () =
           Principal.Db.add_member db visitors
             (Principal.Ind (Principal.individual (Printf.sprintf "g%d-%d" batch i)))
         done);
-    if scoped_ok () then incr scoped_survived;
+    if row_rule_ok () then incr row_rule_survived;
     if genexact_ok () then incr genexact_survived;
     let reminted0 = Metrics.value reminted and audit0 = Audit.total audit in
     (match Kernel.call_handle kernel handle [] with
@@ -939,8 +939,8 @@ let a12 () =
   let t_checked = Timing.ns_per_op ~warmup:2000 checked in
   Format.printf "%d unrelated principal edits in %d batches of %d@." edits batches
     batch_size;
-  Format.printf "%-44s %3d / %d batches@." "scoped deps: certificate survived"
-    !scoped_survived batches;
+  Format.printf "%-44s %3d / %d batches@." "row rule: certificate survived"
+    !row_rule_survived batches;
   Format.printf "%-44s %3d / %d batches@." "generation-exact: certificate survived"
     !genexact_survived batches;
   Format.printf "%-44s %3d / %d batches@." "handle: neither re-minted nor audited"
@@ -948,32 +948,33 @@ let a12 () =
   Format.printf "%-44s %a@." "certified call after churn" Timing.pp_ns t_certified;
   Format.printf "%-44s %a@." "checked call (post-revocation fallback)" Timing.pp_ns
     t_checked;
-  Format.printf "@.expected shape: every edit lands outside the proof's group closure, so@.";
+  Format.printf "@.expected shape: no edit moves alice's row, so@.";
   Format.printf
-    "scoped validation survives all %d batches while generation-exact dies on the@." batches;
+    "the row rule survives all %d batches while generation-exact dies on the@." batches;
   Format.printf
     "first one; the survivor keeps the certified fast path for the whole run,@.";
   Format.printf "and the handle serves every batch from its grant@.";
-  (* And the revocation that matters still bites: one edit inside the
-     closure kills the scoped certificate and denies the handle. *)
+  (* And the revocation that matters still bites: one edit of alice's
+     own membership ends the certificate for her and denies the
+     handle. *)
   Principal.Db.remove_member db staff (Principal.Ind alice);
-  let scoped_after = scoped_ok () in
+  let row_rule_after = row_rule_ok () in
   let handle_denied =
     match Kernel.call_handle kernel handle [] with
     | Error (Service.Denied _) -> true
     | Ok _ | Error _ -> false
   in
   Format.printf
-    "after one covered edit (alice leaves staff): scoped admits = %b, handle denied = %b@."
-    scoped_after handle_denied;
+    "after alice's own edit (alice leaves staff): row rule admits = %b, handle denied = %b@."
+    row_rule_after handle_denied;
   let failures =
     List.filter_map
       (fun (failed, what) -> if failed then Some what else None)
       [
-        !scoped_survived < batches, "scoped certificate short of every batch";
+        !row_rule_survived < batches, "row-rule certificate short of every batch";
         !handle_survived < batches, "handle short of every batch";
         !genexact_survived > 0, "generation-exact certificate survived a batch";
-        scoped_after, "covered edit left the certificate admitting";
+        row_rule_after, "alice's own edit left the certificate admitting her";
         not handle_denied, "covered edit left the handle serving";
       ]
   in

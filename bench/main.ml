@@ -32,7 +32,7 @@ let experiments =
     "a9", "ablation: metrics/tracing overhead, instrumented vs noop", Ablations.a9;
     "a10", "ablation: capability-handle dispatch vs certified/checked", Ablations.a10;
     "a11", "ablation: analyze-then-link vs lazy certification (chain proofs)", Ablations.a11;
-    "a12", "ablation: certificate survival under unrelated churn, scoped vs generation-exact", Ablations.a12;
+    "a12", "ablation: certificate survival under unrelated churn, row rule vs generation-exact", Ablations.a12;
     "s1", "decide throughput vs domains, one shared monitor", Scaling.s1;
     "s1q", "s1 smoke: 1-2 domains, short streams", Scaling.s1q;
     "s2", "end-to-end served RPS vs client domains (loopback)", Scaling.s2;

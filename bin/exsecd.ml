@@ -547,13 +547,14 @@ let analyze_cmd =
 
 (* {1 certs: the certificate lifecycle over a demo world}
 
-   A small two-extension world with a group-gated service, so the
-   certificates actually record a scoped principal dependency: `certs`
-   lists every certificate's lifecycle state, `certs --self-test`
-   drives the whole lifecycle — scoped survival under batched
-   unrelated churn, delegation with a depth cap, expiry sweep,
-   covered-group revocation, and CRL-style batch revocation — and
-   exits non-zero on any failed check (the CI smoke). *)
+   A small two-extension world with a group-gated service, so a
+   membership edit can move a covered principal: `certs` lists every
+   certificate's lifecycle state and covers, `certs --self-test`
+   drives the whole lifecycle — survival under batched unrelated
+   churn, delegation with a depth cap, expiry sweep, per-subject
+   revocation by a covered principal's own edit, and CRL-style batch
+   revocation — and exits non-zero on any failed check (the CI
+   smoke). *)
 
 let certs_cmd =
   let module Kernel = Exsec_extsys.Kernel in
@@ -585,8 +586,8 @@ let certs_cmd =
     Clearance.register registry alice bottom;
     Clearance.register registry bob bottom;
     let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
-    (* Staff-gated through a group entry: the certificates below record
-       a scoped dependency on exactly this group. *)
+    (* Staff-gated through a group entry: a staff edit moves the
+       edited member's row, which the certificates below keep. *)
     let meta =
       Meta.make ~owner:admin
         ~acl:
@@ -630,13 +631,12 @@ let certs_cmd =
   in
   let list_certs () =
     let kernel, _db, _alice_sub, _bob, _staff, _visitors, _front, _link = build () in
-    Format.printf "%-10s %-9s %-6s %-12s %-6s %-7s %-5s %s@." "EXTENSION" "CERTIFIED"
-      "COVERS" "PROFILE" "ISSUED" "EXPIRES" "DEPTH" "DEPS";
+    Format.printf "%-10s %-9s %-12s %-6s %-7s %-5s %s@." "EXTENSION" "CERTIFIED"
+      "PROFILE" "ISSUED" "EXPIRES" "DEPTH" "COVERS";
     List.iter
       (fun (c : Certificate.t) ->
-        Format.printf "%-10s %-9s %-6d %-12s %-6d %-7s %-5s %d@." c.Certificate.extension
+        Format.printf "%-10s %-9s %-12s %-6d %-7s %-5s %s@." c.Certificate.extension
           (if Certificate.fully_certified c then "yes" else "no")
-          (List.length c.Certificate.covers)
           (match c.Certificate.profile with
           | Some p -> p.Certificate.profile_name
           | None -> "-")
@@ -647,7 +647,12 @@ let certs_cmd =
           (match c.Certificate.delegation with
           | Some d -> string_of_int d.Certificate.depth
           | None -> "-")
-          (List.length c.Certificate.deps))
+          (String.concat ","
+             (Array.to_list
+                (Array.map
+                   (fun (cover : Certificate.cover) ->
+                     Principal.individual_name cover.Certificate.principal)
+                   c.Certificate.covers))))
       (Kernel.certificates kernel);
     Format.printf "certificate epoch: %d@." (Kernel.cert_epoch kernel);
     0
@@ -662,16 +667,25 @@ let certs_cmd =
         (if ok then "" else " (" ^ detail ^ ")");
       if not ok then incr failures
     in
-    (* Issuance: profile-gated, scoped deps recorded, chain pre-mint. *)
+    (* Issuance: profile-gated, each cover's own row kept, chain
+       pre-mint. *)
     (match Linker.Linked.certificate front with
     | None -> check "front holds a certificate" false "no certificate"
     | Some certificate ->
       check "front fully certified" (Certificate.fully_certified certificate) "";
-      check "scoped dependency on staff recorded"
-        (List.exists
-           (fun (d : Certificate.dep) ->
-             String.equal (Principal.group_name d.Certificate.dep_group) "staff")
-           certificate.Certificate.deps)
+      let snapshot = Principal.Db.snapshot db in
+      check "alice and bob covered, each with their own row"
+        (List.for_all
+           (fun name ->
+             Array.exists
+               (fun (cover : Certificate.cover) ->
+                 String.equal (Principal.individual_name cover.Certificate.principal) name
+                 && cover.Certificate.id >= 0
+                 && cover.Certificate.row
+                    == Principal.Db.Snapshot.row snapshot
+                         ~individual_id:cover.Certificate.id)
+               certificate.Certificate.covers)
+           [ "alice"; "bob" ])
         "";
       check "validity horizon from the profile"
         (certificate.Certificate.expires_at = Some 4)
@@ -692,8 +706,9 @@ let certs_cmd =
     in
     let call_fetch () = Linker.Linked.call front ~subject:alice_sub fetch [] in
     let proved_records = records call_fetch in
-    (* Scoped invalidation: 10^3 batched edits to a group no proof
-       consulted move the database generation but revoke nothing. *)
+    (* The row rule: 10^3 batched edits that move no covered
+       principal's row move the database generation but revoke
+       nothing. *)
     let generation0 = Principal.Db.generation db in
     for batch = 0 to 3 do
       Kernel.batch_principals kernel (fun () ->
@@ -723,7 +738,7 @@ let certs_cmd =
     | Ok child ->
       check "delegation issues" true "";
       check "delegated covers at the meet (cap)"
-        (List.for_all
+        (Array.for_all
            (fun (cover : Certificate.cover) ->
              Security_class.equal cover.Certificate.e_max bottom)
            child.Certificate.covers)
@@ -768,13 +783,19 @@ let certs_cmd =
     check "expiry sweep drops at the horizon"
       (epoch2 = 2 && Kernel.certificate_of kernel "timed" = None)
       "";
-    (* Covered churn: an edit inside the dependency set fails closed. *)
-    check "admits before the covered edit"
-      (Kernel.certificate_admits kernel ~caller:"front" ~subject:alice_sub fetch)
+    (* Covered churn revokes per subject: bob leaving staff moves his
+       row only, so the certificate refuses him (fail closed) and
+       still admits alice. *)
+    let bob_sub = Subject.make bob bottom in
+    check "admits bob before his edit"
+      (Kernel.certificate_admits kernel ~caller:"front" ~subject:bob_sub fetch)
       "";
     Principal.Db.remove_member db staff (Principal.Ind bob);
-    check "covered-group edit revokes (fail closed)"
-      (not (Kernel.certificate_admits kernel ~caller:"front" ~subject:alice_sub fetch))
+    check "bob's own edit refuses bob (fail closed)"
+      (not (Kernel.certificate_admits kernel ~caller:"front" ~subject:bob_sub fetch))
+      "";
+    check "and still admits alice"
+      (Kernel.certificate_admits kernel ~caller:"front" ~subject:alice_sub fetch)
       "";
     (* CRL-style revocation: exactly the matching certificates, their
        proofs stripped, every handle and everything else untouched. *)
@@ -835,9 +856,9 @@ let certs_cmd =
     (Cmd.info "certs"
        ~doc:
          "List link-time certificates and their lifecycle state (profiles, expiry, \
-          delegation, scoped dependencies) over a demo world; $(b,--self-test) drives \
-          scoped invalidation, delegation caps, expiry sweeps and CRL-style revocation \
-          end to end.")
+          delegation, covers) over a demo world; $(b,--self-test) drives per-subject \
+          invalidation, delegation caps, expiry sweeps and CRL-style revocation end to \
+          end.")
     Term.(const run $ self_test_flag)
 
 (* {1 metrics: the observability registry over a live workload} *)

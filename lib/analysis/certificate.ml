@@ -9,6 +9,8 @@ type import_proof = {
 
 type cover = {
   principal : Principal.individual;
+  id : int;
+  row : Principal.Db.Snapshot.row;
   e_max : Security_class.t;
   integrity : Security_class.t option;
 }
@@ -41,11 +43,6 @@ type delegation = {
   cap : Security_class.t option;
 }
 
-type dep = {
-  dep_group : Principal.group;
-  dep_stamp : int;
-}
-
 type t = {
   extension : string;
   epoch : int;
@@ -54,43 +51,9 @@ type t = {
   expires_at : int option;
   profile : profile option;
   delegation : delegation option;
-  covers : cover list;
+  covers : cover array;
   proofs : import_proof list;
-  deps : dep list;
 }
-
-(* The scoped dependency set: every group the discretionary layer of
-   any proof could have consulted, with the dirty stamp it carried at
-   issue time.  Acl.check resolves membership only for groups named by
-   ACL entries on the proved chains, and an is_member answer through
-   such a group can change only after an edit to a group in its
-   member-edge closure (Principal.Db.group_closure) — so revalidating
-   these stamps is exactly as strong as the old whole-database
-   generation compare for this certificate, while churn anywhere else
-   revokes nothing.  ACL *content* changes are outside this set on
-   purpose: they bump the owning node's Meta generation, which the
-   per-chain generation sweep in [admits] already catches. *)
-let deps_of ~db proofs =
-  let seen : (Principal.group, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun proof ->
-      List.iter
-        (fun ((meta : Meta.t), _generation) ->
-          List.iter
-            (fun (entry : Acl.entry) ->
-              match entry.Acl.who with
-              | Acl.Individual _ | Acl.Everyone -> ()
-              | Acl.Group group ->
-                List.iter
-                  (fun member ->
-                    if not (Hashtbl.mem seen member) then
-                      Hashtbl.add seen member (Principal.Db.dirty_stamp db member))
-                  (Principal.Db.group_closure db group))
-            (Acl.entries meta.Meta.acl))
-        proof.chain)
-    proofs;
-  Hashtbl.fold (fun dep_group dep_stamp acc -> { dep_group; dep_stamp } :: acc) seen []
-  |> List.sort (fun a b -> Principal.compare_group a.dep_group b.dep_group)
 
 (* The shared issuing core.  [ceiling_for] decides, per registered
    principal, whether the certificate covers it and under which
@@ -101,12 +64,15 @@ let deps_of ~db proofs =
 let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegation
     ?expiry_cap ~now ~extension ~imports () =
   let db = Reference_monitor.db monitor in
-  (* Pre-read every generation the proof depends on, the policy's
-     included (the same data-then-generation discipline as
-     Meta.compiled_in): a concurrent mutation then lands a higher
-     generation than the one recorded here, and [admits] rejects. *)
+  (* The pre-read a handle mint makes, the batch epoch first: every
+     coordinate the proof depends on is read before proving (the same
+     data-then-generation discipline as Meta.compiled_in), so a
+     concurrent mutation lands a value the certificate does not
+     keep. *)
+  let batch_epoch = Principal.Db.batch_epoch db in
   let epoch = Reference_monitor.policy_epoch monitor in
-  let db_generation = Principal.Db.generation db in
+  let generation = Principal.Db.generation db in
+  let snapshot = Principal.Db.snapshot db in
   let policy = Reference_monitor.policy monitor in
   let cover_ceilings =
     List.filter_map
@@ -116,9 +82,12 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
             match ceiling_for principal with
             | `Skip -> None
             | `Ceiling static_class ->
+              let id = Principal.Db.Snapshot.individual_id snapshot principal in
               Some
                 ( {
                     principal;
+                    id;
+                    row = Principal.Db.Snapshot.row snapshot ~individual_id:id;
                     e_max = Certify.e_max ?static_class detail.Clearance.clearance;
                     integrity = detail.Clearance.integrity;
                   },
@@ -183,17 +152,32 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
     | horizon, None -> horizon
     | Some h, Some cap -> Some (min h cap)
   in
+  (* The proofs read the live member lists, not the snapshot, so the
+     kept rows speak for them only if no edit landed while they ran:
+     no batch in flight or begun (the rule [Principal.Db.snapshot]'s
+     rebuilds keep; with it, the pre-read snapshot is stamped with the
+     pre-read generation) and the generation unmoved.  Otherwise the
+     certificate is born stale: it keeps no row and a generation no
+     database reaches, so it never admits. *)
+  let settled =
+    batch_epoch land 1 = 0
+    && Principal.Db.batch_epoch db = batch_epoch
+    && Principal.Db.generation db = generation
+  in
+  let covers = Array.of_list (List.map fst cover_ceilings) in
+  if not settled then
+    Array.map_inplace (fun cover -> { cover with row = Principal.Db.Snapshot.no_row }) covers;
+  Array.sort (fun a b -> Int.compare a.id b.id) covers;
   {
     extension;
     epoch;
-    db_generation;
+    db_generation = (if settled then generation else -1);
     issued_at = now;
     expires_at;
     profile;
     delegation;
-    covers = List.map fst cover_ceilings;
+    covers;
     proofs;
-    deps = deps_of ~db proofs;
   }
 
 let issue ~monitor ~registry ~namespace ?static_class ?profile ?(now = 0) ~extension
@@ -203,7 +187,7 @@ let issue ~monitor ~registry ~namespace ?static_class ?profile ?(now = 0) ~exten
     ?profile ~now ~extension ~imports ()
 
 let fully_certified certificate =
-  certificate.covers <> []
+  Array.length certificate.covers > 0
   && certificate.proofs <> []
   && List.for_all
        (fun proof -> Verdict.equal proof.verdict Verdict.Always_allow)
@@ -235,7 +219,7 @@ let delegate ~monitor ~registry ~namespace ~parent ?cap ?profile ?(now = 0) ~ext
     | _ ->
       let ceiling_for principal =
         match
-          List.find_opt
+          Array.find_opt
             (fun cover -> Principal.equal_individual cover.principal principal)
             parent.covers
         with
@@ -262,32 +246,33 @@ let verdict_for certificate path =
     (fun proof -> proof.verdict)
     (List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs)
 
-let covered certificate subject =
-  let name = Subject.principal subject in
-  List.exists
-    (fun cover ->
-      Principal.equal_individual cover.principal name
-      && Security_class.dominates cover.e_max (Subject.effective_class subject)
-      && Option.equal Security_class.equal cover.integrity (Subject.integrity subject))
-    certificate.covers
+(* Binary search of the covers, sorted by id: the index of [id]'s
+   cover, or [-1].  Top-level and typed [int], so the probe allocates
+   nothing and compares machine words. *)
+let rec find_cover (covers : cover array) (id : int) lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) lsr 1 in
+    let at = (Array.unsafe_get covers mid).id in
+    if at = id then mid
+    else if at < id then find_cover covers id (mid + 1) hi
+    else find_cover covers id lo mid
 
-let deps_valid certificate ~db =
-  List.for_all
-    (fun dep ->
-      (* A stamp above the issue-time generation means a mutation was
-         in flight while the proof ran: the certificate was born stale
-         and must never admit.  Otherwise the group admits while its
-         stamp has not moved — every later effective edit stamps it
-         strictly above the published generation at edit time, which
-         is at least the issue-time generation. *)
-      dep.dep_stamp <= certificate.db_generation
-      && Principal.Db.dirty_stamp db dep.dep_group = dep.dep_stamp)
-    certificate.deps
+let admits_subject certificate ~db subject =
+  let id = Subject.individual_id subject (Principal.Db.snapshot db) in
+  id >= 0
+  &&
+  let i = find_cover certificate.covers id 0 (Array.length certificate.covers) in
+  i >= 0
+  &&
+  let cover = Array.unsafe_get certificate.covers i in
+  Security_class.dominates cover.e_max (Subject.effective_class subject)
+  && Option.equal Security_class.equal cover.integrity (Subject.integrity subject)
+  && Subject.membership_unmoved subject db ~generation:certificate.db_generation cover.row
 
 let valid certificate ~monitor ~now =
   Reference_monitor.policy_epoch monitor = certificate.epoch
-  && (not (expired certificate ~now))
-  && deps_valid certificate ~db:(Reference_monitor.db monitor)
+  && not (expired certificate ~now)
 
 let proof_holds proof =
   Verdict.equal proof.verdict Verdict.Always_allow
@@ -303,7 +288,7 @@ let admits certificate ~monitor ~namespace ~subject ?(now = max_int) path =
     && (match Namespace.find namespace path with
        | Ok node -> (Namespace.meta node).Meta.id = proof.target_id
        | Error _ -> false)
-    && covered certificate subject
+    && admits_subject certificate ~db:(Reference_monitor.db monitor) subject
 
 let pp ppf certificate =
   Format.fprintf ppf "@[<v>certificate for %s (epoch %d, db generation %d"
@@ -320,7 +305,7 @@ let pp ppf certificate =
     Format.fprintf ppf ", delegated by %s depth %d" delegation.delegated_by
       delegation.depth
   | None -> ());
-  Format.fprintf ppf ", %d dep(s))" (List.length certificate.deps);
+  Format.fprintf ppf ", %d cover(s))" (Array.length certificate.covers);
   List.iter
     (fun proof ->
       Format.fprintf ppf "@,  %a: %a" Path.pp proof.import Verdict.pp proof.verdict)

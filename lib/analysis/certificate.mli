@@ -1,37 +1,37 @@
-(** Link-time certificates with a real lifecycle: scoped invalidation,
-    profiles, expiry epochs, and delegation chains.
+(** Link-time certificates with a real lifecycle: per-subject
+    revocation, profiles, expiry epochs, and delegation chains.
 
     At link time {!issue} proves every import of an extension over the
     whole registered-principal session space ({!Certify.prove_path})
-    and records the exact state the proof consulted.  A later call may
-    skip the monitor iff {!admits} — the proof said [Always_allow],
-    {e and} none of the consulted state has moved since, {e and} the
-    calling subject lies inside the proved domain.
+    and records the state the proof consulted.  A later call may skip
+    the monitor iff {!admits} — the proof said [Always_allow], {e and}
+    none of the consulted state has moved since, {e and} the calling
+    subject lies inside the proved domain.
 
-    {2 Invalidation by validation, scoped}
+    {2 Invalidation by validation: the handles' row rule}
 
     Invalidation is by validation, not notification (the same scheme
     as {!Exsec_core.Meta.compiled_acl}): nothing tracks certificates;
     they silently stop admitting as soon as state they depended on
-    changes.  The dependency set is {e scoped}:
+    changes.  The coordinates are the ones a capability-handle grant
+    keeps, read before proving:
 
     - the policy epoch ([set_policy] bumps it);
     - the metadata generation of every node on each proof chain
       ([set_acl]/[set_class]/[set_integrity] anywhere on the chain);
     - the target's metadata identity (delete + recreate under the same
       name never inherits a proof);
-    - the {!Principal.Db.dirty_stamp} of every group the discretionary
-      proof could have consulted — the member-edge closure
-      ({!Principal.Db.group_closure}) of each group named by an ACL
-      entry on the chain.  Membership churn {e outside} that closure
-      revokes nothing: a certificate survives unrelated population
-      churn that a whole-database generation compare would treat as
-      revocation;
+    - per covered principal, its row in the snapshot read before
+      proving.  A proof for one principal reads only that principal's
+      membership, so a subject stays admitted while the database
+      generation holds or its current row is the kept one
+      ({!Subject.membership_unmoved}): an edit revokes exactly for the
+      principals whose own row it moves;
     - the validity horizon, when the certificate's profile sets one.
 
-    Every recorded stamp is read {e before} proving, so a concurrent
-    mutation lands a value the certificate was not stamped with and it
-    is born stale — it fails closed into the fully checked path. *)
+    A certificate whose proofs (which read the live member lists)
+    overlapped a batch or an edit is {e born stale}: it keeps no row
+    and a generation the database never reaches, so it never admits. *)
 
 open Exsec_core
 
@@ -46,6 +46,12 @@ type import_proof = {
 
 type cover = {
   principal : Principal.individual;
+  id : int;
+      (** the principal's fixed database id; [-1] (admits nobody) when
+          it was not registered there *)
+  row : Principal.Db.Snapshot.row;
+      (** its row in the snapshot read before proving; [no_row] when
+          born stale *)
   e_max : Security_class.t;
       (** top of the proved effective-class range: the registered
           clearance met with the issuing ceiling (the extension's
@@ -99,25 +105,20 @@ type delegation = {
       (** the static-class cap the delegation was requested at *)
 }
 
-type dep = {
-  dep_group : Principal.group;
-  dep_stamp : int;  (** {!Principal.Db.dirty_stamp} at issue time *)
-}
-
 type t = {
   extension : string;
   epoch : int;  (** {!Reference_monitor.policy_epoch} at issue time *)
-  db_generation : int;  (** {!Principal.Db.generation} at issue time *)
+  db_generation : int;
+      (** {!Principal.Db.generation} at issue time; [-1] when born
+          stale *)
   issued_at : int;  (** kernel certificate epoch at issue time *)
   expires_at : int option;
       (** certificate epoch at which {!admits} stops accepting
           ([now >= expires_at]); [None] = never *)
   profile : profile option;
   delegation : delegation option;  (** [None] for a root certificate *)
-  covers : cover list;
+  covers : cover array;  (** sorted by [id] *)
   proofs : import_proof list;
-  deps : dep list;
-      (** scoped principal dependency set, sorted by group name *)
 }
 
 val issue :
@@ -139,9 +140,10 @@ val issue :
     certify (folding [Verdict.all] over zero covers would otherwise
     yield a vacuous [Always_allow]).  [now] is the kernel certificate
     epoch (default [0]) the profile's validity horizon counts from.
-    The epoch and generations are read {e before} proving, so a
-    concurrent mutation always leaves the certificate unable to
-    validate rather than wrongly valid. *)
+    The epoch, the generations and the snapshot are read {e before}
+    proving, and a certificate whose proofs overlapped a batch or an
+    edit is born stale, so a concurrent mutation always leaves the
+    certificate unable to validate rather than wrongly valid. *)
 
 val delegate :
   monitor:Reference_monitor.t ->
@@ -178,14 +180,17 @@ val expired : t -> now:int -> bool
 
 val verdict_for : t -> Path.t -> Verdict.t option
 
-val covered : t -> Subject.t -> bool
-(** Whether the proof applies to this subject: its principal is
-    covered, its effective class lies under the proved range's top,
-    and its integrity label is the proved one. *)
+val admits_subject : t -> db:Principal.Db.t -> Subject.t -> bool
+(** The per-subject half of {!admits}: a cover, found by binary search
+    on the subject's id ({!Subject.individual_id}), whose proved top
+    dominates the subject's effective class and whose integrity label
+    is the subject's, and the subject's membership unmoved against the
+    cover's row ({!Subject.membership_unmoved}).  Allocates nothing
+    once the snapshot is current, for a subject with no ceiling. *)
 
 val valid : t -> monitor:Reference_monitor.t -> now:int -> bool
-(** The part of {!admits} that needs no path: policy epoch, expiry at
-    certificate epoch [now], and every recorded group dirty stamp. *)
+(** The part of {!admits} that needs neither path nor subject: the
+    policy epoch, and expiry at certificate epoch [now]. *)
 
 val proof_holds : import_proof -> bool
 (** Proved [Always_allow], every chain node still at its proved
@@ -200,12 +205,10 @@ val admits :
   Path.t ->
   bool
 (** [true] iff the certified fast path may serve this call: the import
-    was proved [Always_allow]; the policy epoch, every chain node
-    generation, and every recorded group dirty stamp are at their
-    issue-time values (a stamp {e above} the issue-time database
-    generation marks a born-stale certificate, which never admits);
-    the certificate has not expired at [now]; the path still resolves
-    to the proved object identity; and [subject] is covered.  [now]
+    was proved [Always_allow]; the policy epoch and every chain node
+    generation are at their issue-time values; the certificate has not
+    expired at [now]; the path still resolves to the proved object
+    identity; and {!admits_subject} holds.  [now]
     defaults to [max_int], so a caller that does not track certificate
     epochs fails closed on every expiring certificate.  (The trusted
     bit is irrelevant: certificates cover only read-like modes, which

@@ -62,9 +62,6 @@ module Db = struct
     mutable inds : int list;  (* ids of the direct individual members *)
     mutable subgroups : int list;  (* ids of the direct member groups *)
     mutable parents : int list;  (* ids of the groups that directly contain this one *)
-    mutable dirty : int;
-        (* the generation at which the member list last changed (see
-           [dirty_stamp]) *)
   }
 
   (* The edit log, oldest first: one cell per effective edit, naming
@@ -114,7 +111,7 @@ module Db = struct
 
   (* Fills the unused tail of [groups]; never registered, never
      written. *)
-  let vacant = { name = ""; inds = []; subgroups = []; parents = []; dirty = 0 }
+  let vacant = { name = ""; inds = []; subgroups = []; parents = [] }
 
   let create () =
     {
@@ -167,7 +164,7 @@ module Db = struct
     | None ->
       let id = Hashtbl.length db.group_ids in
       db.groups <- room db.groups id vacant;
-      db.groups.(id) <- { name = grp; inds = []; subgroups = []; parents = []; dirty = 0 };
+      db.groups.(id) <- { name = grp; inds = []; subgroups = []; parents = [] };
       Hashtbl.add db.group_ids grp id;
       id
 
@@ -189,15 +186,11 @@ module Db = struct
     if db.batch_depth > 0 then db.batch_pending <- true
     else Atomic.incr db.generation
 
-  (* Publish one effective edit of [slot]'s member list, naming the
+  (* Publish one effective edit of a member list, naming the
      individuals whose rows it can change.  The lists are already
-     written; the dirty stamp (the generation the edit will publish
-     under: current + 1, and inside a batch every edit shares the one
-     deferred bump) and the log cell land after them and BEFORE the
-     generation bump, so a reader that validates the stamp, or reads
-     the cell, sees the edit. *)
-  let edited db slot named =
-    slot.dirty <- Atomic.get db.generation + 1;
+     written; the log cell lands after them and BEFORE the generation
+     bump, so a reader that reads the cell sees the edit. *)
+  let edited db named =
     let cell = { named; next = Atomic.make None } in
     Atomic.set (Atomic.get db.last).next (Some cell);
     Atomic.set db.last cell;
@@ -215,7 +208,7 @@ module Db = struct
         if db.batch_depth = 0 then begin
           if db.batch_pending then begin
             db.batch_pending <- false;
-            (* Every member-list write and dirty mark of the batch is
+            (* Every member-list write and log cell of the batch is
                already in place: the single bump publishes them all. *)
             Atomic.incr db.generation
           end;
@@ -223,6 +216,7 @@ module Db = struct
         end)
 
   let in_batch db = db.batch_depth > 0
+  let batch_epoch db = Atomic.get db.batch_epoch
 
   (* Group [g] and every group below it, each once.  The visited set
      keeps the walk linear in the edges even when nested groups are
@@ -268,7 +262,7 @@ module Db = struct
         let slot = db.groups.(g) in
         slot.inds <- i :: slot.inds;
         db.direct.(i) <- g :: db.direct.(i);
-        edited db slot [ i ]
+        edited db [ i ]
       end
     | Grp nested ->
       if reaches db nested grp then
@@ -281,7 +275,7 @@ module Db = struct
         let slot = db.groups.(g) in
         slot.subgroups <- c :: slot.subgroups;
         child.parents <- g :: child.parents;
-        edited db slot (below db c)
+        edited db (below db c)
       end
 
   let remove_member db grp member =
@@ -295,7 +289,7 @@ module Db = struct
         | Some i when has g db.direct.(i) ->
           slot.inds <- drop i slot.inds;
           db.direct.(i) <- drop g db.direct.(i);
-          edited db slot [ i ]
+          edited db [ i ]
         | Some _ | None -> ())
       | Grp nested -> (
         match Hashtbl.find_opt db.group_ids nested with
@@ -303,7 +297,7 @@ module Db = struct
           let child = db.groups.(c) in
           slot.subgroups <- drop c slot.subgroups;
           child.parents <- drop g child.parents;
-          edited db slot (below db c)
+          edited db (below db c)
         | Some _ | None -> ()))
 
   let sorted_names table =
@@ -335,33 +329,6 @@ module Db = struct
         match Hashtbl.find_opt db.group_ids grp with
         | Some g -> db.groups.(g).parents
         | None -> []))
-
-  (* The per-group dirty stamp, for scoped-invalidation consumers
-     (link-time certificates record the stamp of every group their
-     proof consulted and revalidate against it).  Reading an int field
-     is a single word load; mutators are externally serialized and the
-     slot itself exists from registration time, so probing from reader
-     domains is safe under the same contract as the snapshot
-     builder. *)
-  let dirty_stamp db grp =
-    match Hashtbl.find_opt db.group_ids grp with
-    | Some g -> db.groups.(g).dirty
-    | None -> 0
-
-  (* Every group reachable from [grp] through member edges, [grp]
-     itself included — the exact set of groups whose member-list edits
-     can change [grp]'s transitive member set.  Any is_member answer
-     obtained through [grp] stays fixed while the dirty stamps of this
-     closure do: to alter reachability below [grp] a mutation must
-     touch the member list of some group that is reachable from [grp]
-     at mutation time, and while no closure member has been edited,
-     reachability (hence the closure itself) is unchanged from walk
-     time — so the first effective edit always lands on a recorded
-     group.  Sorted for deterministic certificate dependency lists. *)
-  let group_closure db grp =
-    match Hashtbl.find_opt db.group_ids grp with
-    | Some g -> group_names db (descendants db g)
-    | None -> [ grp ]
 
   (* Transitive membership over the live member lists, downward from
      the group: the reference semantics the snapshot rows, computed

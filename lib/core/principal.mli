@@ -57,13 +57,13 @@ module Db : sig
   (** Monotone counter bumped whenever group membership actually
       changes ({!add_member} of a new member, {!remove_member} of a
       present one).  It says {e that} something changed, not what:
-      the current {!snapshot} is the one stamped with it, and
-      link-time certificates record it beside their per-group
-      {!dirty_stamp}s.  Compiled ACLs and capability-handle grants do
-      not validate against it: a compiled ACL holds ids, which never
-      change, and a grant falls back from an unchanged generation to
-      its subject's own {!Snapshot.row}, so an edit or a registration
-      that moves nobody they depend on revokes neither.
+      the current {!snapshot} is the one stamped with it.  Compiled
+      ACLs do not validate against it: they hold ids, which never
+      change.  Capability-handle grants and link-time certificates
+      fall back from an unchanged generation to the caller's own
+      {!Snapshot.row} ({!Subject.membership_unmoved}), so an edit or a
+      registration that moves nobody they depend on revokes
+      neither.
 
       The counter is atomic and follows the data-then-generation
       publication order (see {!Meta.t}): the member-list update lands
@@ -107,6 +107,11 @@ module Db : sig
 
   val in_batch : t -> bool
   (** [true] while inside a {!batch} callback (same domain). *)
+
+  val batch_epoch : t -> int
+  (** Odd while a {!batch} is in flight; it moves at every outermost
+      batch entry and exit, so reads bracketed by one even value
+      overlapped no batch (the rule {!snapshot} rebuilds keep). *)
 
   val add_individual : t -> individual -> unit
   (** Register an individual under the next individual id.
@@ -153,25 +158,6 @@ module Db : sig
 
   val is_member : t -> individual -> group -> bool
   (** Transitive membership test. *)
-
-  val dirty_stamp : t -> group -> int
-  (** The generation at which the group's direct member list last
-      changed (0 if never, including unknown groups).  Monotone per
-      group: each effective {!add_member}/{!remove_member} stamps the
-      group with a value strictly above every generation already
-      published, written {e before} the generation bump.  Scoped
-      consumers (link-time certificates) record the stamp of every
-      group their proof consulted and revalidate against it, so
-      membership churn in unrelated groups revokes nothing. *)
-
-  val group_closure : t -> group -> group list
-  (** [grp] plus every group transitively reachable from it through
-      member edges — the set of groups whose member-list edits can
-      change any [is_member _ grp] answer.  While every closure
-      member's {!dirty_stamp} is unchanged, so is the transitive
-      member set (the first effective edit below [grp] necessarily
-      lands on a group that was reachable when the closure was
-      computed).  Sorted by name. *)
 
   val groups_of : t -> individual -> group list
   (** Every group the individual belongs to, transitively; sorted by

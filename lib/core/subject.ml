@@ -27,6 +27,12 @@ let individual_id subject snapshot =
     id
   end
 
+let membership_unmoved subject db ~generation row =
+  Principal.Db.generation db = generation
+  ||
+  let snapshot = Principal.Db.snapshot db in
+  Principal.Db.Snapshot.row snapshot ~individual_id:(individual_id subject snapshot) == row
+
 let effective_class subject =
   match subject.ceiling with
   | None -> subject.clearance

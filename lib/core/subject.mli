@@ -43,6 +43,15 @@ val individual_id : t -> Principal.Db.Snapshot.t -> int
     principal is looked up again.  A subject belongs to one database.
     Never allocates; safe to call from several domains at once. *)
 
+val membership_unmoved :
+  t -> Principal.Db.t -> generation:int -> Principal.Db.Snapshot.row -> bool
+(** The membership test that capability-handle grants and link-time
+    certificates share, for a [row] the subject had in a snapshot of
+    [generation]: the database generation is still [generation], or the
+    current snapshot gives the subject that very row ([==]; a refresh
+    replaces exactly the rows that changed).  Allocates nothing past
+    the snapshot refresh the first call after an edit may pay. *)
+
 val effective_class : t -> Security_class.t
 (** [meet clearance ceiling] when a ceiling is set, else the
     clearance. *)

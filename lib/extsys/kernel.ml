@@ -247,10 +247,15 @@ let count_error result =
   | Error _ -> Metrics.incr m_call_errors);
   result
 
+(* Every entry into extension code goes through here: a fault stays
+   inside the extension and answers its caller with a typed error (see
+   service.mli for what is contained). *)
 let guarded impl ctx args =
   try impl ctx args with
   | Value.Type_error message -> Error (Service.Bad_argument message)
   | Failure message -> Error (Service.Ext_failure message)
+  | Out_of_memory as e -> raise e
+  | e -> Error (Service.Ext_failure (Printexc.to_string e))
 
 let run_proc proc ctx args =
   match Service.check_arity proc args with
@@ -349,18 +354,11 @@ let rec chain_fresh metas gens n i =
   || Meta.generation (Array.unsafe_get metas i) = Array.unsafe_get gens i
      && chain_fresh metas gens n (i + 1)
 
-(* The membership half of a grant once the generation has moved: the
-   very row the decision read.  Every load hits a memo (the cached
-   snapshot, the subject's fixed id), so this allocates nothing
-   either. *)
-let row_unmoved kernel g =
-  let snapshot = Principal.Db.snapshot (db kernel) in
-  Principal.Db.Snapshot.row snapshot ~individual_id:(Subject.individual_id g.g_subject snapshot)
-  == g.g_row
-
+(* The membership half is the one certificates share: the generation,
+   or else the very row the decision read. *)
 let grant_fresh kernel g =
   Reference_monitor.policy_epoch kernel.monitor = g.g_epoch
-  && (Principal.Db.generation (db kernel) = g.g_db_generation || row_unmoved kernel g)
+  && Subject.membership_unmoved g.g_subject (db kernel) ~generation:g.g_db_generation g.g_row
   && chain_fresh g.g_metas g.g_gens (Array.length g.g_metas) 0
 
 (* Preallocated so the use-after-close refusal is itself allocation
@@ -511,10 +509,11 @@ let call_handle kernel h args =
   Metrics.stop_timing m_handle_call_ns t0;
   count_error result
 
-(* The proved probe.  It ignores the grant's epoch and membership
-   coordinates, so edits outside the certificate's scope do not end
-   it.  A removal touches the removed node, so the chain sweep also
-   catches a target removed and republished. *)
+(* The proved probe: the certificate's own coordinates, which are the
+   grant rule's with the calling subject's cover and row in place of
+   the grant's subject, so an edit ends it only for the callers whose
+   row it moves.  A removal touches the removed node, so the chain
+   sweep also catches a target removed and republished. *)
 let proof_admits kernel g subject =
   match g.g_proof with
   | None -> false
@@ -522,7 +521,7 @@ let proof_admits kernel g subject =
     Certificate.valid certificate ~monitor:kernel.monitor ~now:(Atomic.get kernel.cert_epoch)
     && Certificate.proof_holds proof
     && proof.Certificate.target_id = g.g_metas.(Array.length g.g_metas - 1).Meta.id
-    && Certificate.covered certificate subject
+    && Certificate.admits_subject certificate ~db:(db kernel) subject
 
 let call_proved kernel h ~subject ~caller path args =
   match Handle.deref kernel.handles h with
@@ -738,7 +737,7 @@ let revoke_where kernel matches = drop_where kernel m_cert_revoked matches
 
 let revoke_by_principal kernel principal =
   revoke_where kernel (fun certificate ->
-      List.exists
+      Array.exists
         (fun (cover : Certificate.cover) ->
           Principal.equal_individual cover.principal principal)
         certificate.Certificate.covers)

@@ -67,10 +67,11 @@ val batch_principals : t -> (unit -> 'a) -> 'a
 (** {!Principal.Db.batch} over the kernel's database: run a bulk
     membership mutation under one deferred generation bump, so the
     fast paths see the whole batch as one change at the batch end
-    instead of one per mutation.  A certificate proof whose groups the
-    batch edited stops serving {!call_proved}; a handle whose subject
-    the batch moved fails closed into the checked path once and
-    re-mints against the settled state.  Registering principals moves
+    instead of one per mutation.  A certificate stops serving
+    {!call_proved} to each covered subject the batch moved, and keeps
+    serving the others; a handle whose subject the batch moved fails
+    closed into the checked path once and re-mints against the
+    settled state.  Registering principals moves
     no existing subject, so a batch that only registers newcomers
     (into groups no handle's subject belongs to) leaves every handle
     fresh. *)
@@ -213,10 +214,11 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       did not return it twice, so the grant holds
       {!Principal.Db.Snapshot.no_row}.
 
-    Every handle is a monitor decision: no certificate mints one.  A
-    certificate's own scoped rule (per-group dirty stamps,
-    {!Exsec_analysis.Certificate}) governs only the proved path,
-    {!call_proved}. *)
+    Every handle is a monitor decision: no certificate mints one.
+    Certificates keep the same coordinates per covered principal (its
+    row in the snapshot read before proving) and validate with the
+    same membership test, {!Subject.membership_unmoved}; they govern
+    only the proved path, {!call_proved}. *)
 
 val open_handle :
   t -> subject:Subject.t -> caller:string -> Path.t ->
@@ -244,10 +246,12 @@ val call_proved :
 (** The certified call through [caller]'s handle [h] for [path] (a
     linker import handle).  While the grant's recorded proof
     ({!note_certificate}) holds — certificate
-    {!Exsec_analysis.Certificate.valid}, chain generations, the proof
-    naming the grant's node, [subject] covered — the grant's target runs
-    under [subject] itself, as a handle hit, whatever the grant's own
-    epoch and membership coordinates.
+    {!Exsec_analysis.Certificate.valid} (policy epoch, expiry), chain
+    generations, the proof naming the grant's node, and
+    {!Exsec_analysis.Certificate.admits_subject} for [subject] — the
+    grant's target runs under [subject] itself, as a handle hit,
+    whatever the grant's own subject and membership coordinates.  The
+    probe's cost does not grow with the proof's groups.
     Otherwise, closed handle included, this is exactly {!call}. *)
 
 val close_handle : t -> Handle.h -> bool
@@ -312,14 +316,15 @@ val loaded_by : t -> Principal.individual -> int
     A certificate's only runtime effect is the proof it records on its
     extension's import handles ({!call_proved}).  The proof serves a
     covered subject while the certificate still validates — policy
-    epoch, every consulted metadata generation, and the dirty stamp of
-    every group its proof depended on unchanged, and the validity
-    horizon (if its profile set one) not yet reached at the kernel's
-    certificate epoch.  A stale certificate fails closed into the fully
-    checked path; {!Reference_monitor.set_policy} (epoch bump) revokes
-    every certificate at once, but membership churn revokes only the
-    certificates whose proofs actually depended on the edited groups
-    (see {!Exsec_analysis.Certificate}).  No certificate mints or
+    epoch and every consulted metadata generation unchanged, the
+    validity horizon (if its profile set one) not yet reached at the
+    kernel's certificate epoch, and the subject's own membership
+    unmoved: the database generation unchanged, or the subject's row
+    the one kept at issue.  A stale certificate fails closed into the
+    fully checked path; {!Reference_monitor.set_policy} (epoch bump)
+    revokes every certificate at once, but a membership edit revokes
+    only for the subjects whose own row it moves (see
+    {!Exsec_analysis.Certificate}).  No certificate mints or
     closes a handle: dropping one (revocation, expiry, unload) strips
     its proofs, and every handle keeps serving under its own monitor
     decision.

@@ -57,9 +57,11 @@ module Linked : sig
       present iff the kernel was booted with a clearance registry.
       Its [Always_allow] proofs are recorded on the import handles, so
       {!call} serves every covered subject from them until the
-      certificate stops validating — a policy swap, covered membership
-      churn, any metadata change on the import's path, or a subject
-      outside the proved domain all fall back to the checked path. *)
+      certificate stops validating for that subject — a policy swap,
+      expiry, any metadata change on the import's path, an edit that
+      moves the subject's own membership row, or a subject outside the
+      proved domain all fall back to the checked path.  An edit that
+      moves other principals only leaves the subject proved. *)
 
   val subject_for : t -> Subject.t -> Subject.t
   (** The given thread's subject with this extension's static class
@@ -72,8 +74,10 @@ module Linked : sig
       in the import table are callable — an extension cannot name
       what it was not linked against.  The extension's static class
       caps the subject for the duration of the call.  A covered
-      subject is served from the import handle ({!Kernel.call_proved});
-      any other call is the checked {!Kernel.call}. *)
+      subject whose row the certificate still holds is served from the
+      import handle ({!Kernel.call_proved}): the cover found by binary
+      search on its id, then the handles' row rule.  Any other call is
+      the checked {!Kernel.call}. *)
 
   val import_handle : t -> Path.t -> Handle.h option
   (** The capability handle minted for this import at link time, if

@@ -17,7 +17,12 @@ type error =
   | No_handler of string  (** event raised, but no matching handler *)
   | Bad_arity of { proc : string; expected : int; got : int }
   | Bad_argument of string  (** argument had the wrong shape *)
-  | Ext_failure of string  (** the implementation itself failed *)
+  | Ext_failure of string
+      (** the implementation or handler raised: every exception is
+          contained as this on every call path (a [Failure] by its
+          message; {!Value.Type_error} is [Bad_argument]).
+          [Stack_overflow] is contained; [Out_of_memory], the whole
+          process's failure rather than the extension's, propagates. *)
   | Quota_exceeded of string  (** a per-principal resource budget ran out *)
 
 val pp_error : Format.formatter -> error -> unit

@@ -310,6 +310,8 @@ let serve_conn server conn =
   (match await_hello server conn with
   | None -> ()
   | Some session ->
+    (* Capability revocation on every exit, a raise included. *)
+    Fun.protect ~finally:(fun () -> close_session server.kernel session) @@ fun () ->
     let rec loop () =
       match conn.Transport.recv () with
       | None -> ()
@@ -340,8 +342,7 @@ let serve_conn server conn =
           Metrics.incr m_responses;
           if delivered then loop ())
     in
-    loop ();
-    close_session server.kernel session);
+    loop ());
   conn.Transport.close ()
 
 (* {1 The accept / worker loop} *)

@@ -447,11 +447,16 @@ let cmd_net t = function
   | _ -> help
 
 let cmd_export t =
-  (* Everything under /fs that is a file becomes a policy object. *)
+  (* Every file under /fs the session can [stat] becomes a policy
+     object: the same checked walk, so export shows no path, owner,
+     class or ACL that [ls] and [stat] refuse. *)
   let objects = ref [] in
   Namespace.iter (Kernel.namespace t.kernel) (fun node ->
       match Namespace.payload node with
-      | Some (Memfs.File _) ->
+      | Some (Memfs.File _)
+        when Result.is_ok
+               (Resolver.lookup (Kernel.resolver t.kernel) ~subject:t.subject
+                  (Namespace.path node)) ->
         objects := (Namespace.label node, Namespace.meta node) :: !objects
       | Some _ | None -> ());
   let spec =

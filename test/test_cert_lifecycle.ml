@@ -1,6 +1,7 @@
 (* The certificate lifecycle (Exsec_analysis.Certificate +
-   Kernel lifecycle surface): scoped invalidation, profiles, expiry
-   epochs, delegation chains and CRL-style revocation.  Every handle is
+   Kernel lifecycle surface): per-subject invalidation by the row
+   rule, profiles, expiry epochs, delegation chains and CRL-style
+   revocation.  Every handle is
    a monitor decision: a certificate mints none and closes none, so
    revoking or expiring one strips the proofs [Linked.call] serves
    from, and every handle keeps its own validity rule.  Also pinned:
@@ -10,7 +11,7 @@
 
    The differential oracle drives twin kernels, built identically over
    one shared principal database and clearance registry.  On the
-   lifecycle side, where scoped, profiled, expiring and delegated
+   lifecycle side, where profiled, expiring and delegated
    certificates live, every import is probed through [Linked.call] and
    every chain target through [Linked.call_chain]; the full side answers
    each probe with the checked [Kernel.call] under the same subject.
@@ -35,10 +36,10 @@ let counter name =
 (* {1 The lifecycle world}
 
    store (/svc/get) is gated through a group entry — allow staff
-   {List, Execute} — so certificates proved against it record a scoped
-   dependency on staff's member-edge closure (staff contains the
-   nested group eng).  visitors exists outside every proof's
-   dependency set: churn on it must revoke nothing. *)
+   {List, Execute} — so a proof against it holds for alice (through
+   the nested group eng) and bob (directly) only while their own rows
+   keep them in staff.  visitors holds no covered principal: churn on
+   it moves no covered row and must revoke nothing. *)
 
 let store = Path.of_string "/svc/get"
 let fetch = Path.of_string "/ext/relay/fetch"
@@ -180,7 +181,7 @@ let test_empty_registry_proves_nothing () =
     Certificate.issue ~monitor:(Kernel.monitor w.kernel) ~registry:empty
       ~namespace:(Kernel.namespace w.kernel) ~extension:"hollow" ~imports:[ store ] ()
   in
-  check "zero covers" true (certificate.Certificate.covers = []);
+  check "zero covers" true (certificate.Certificate.covers = [||]);
   (* The regression: Verdict.all [] is Always_allow, so these proofs
      used to come out vacuously certified. *)
   check "proofs are Depends, not vacuous Always_allow" true
@@ -193,18 +194,17 @@ let test_empty_registry_proves_nothing () =
     (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
        ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub store)
 
-(* {1 Scoped invalidation} *)
+(* {1 The row rule} *)
 
-let test_scoped_survival () =
+let test_row_rule_survival () =
   Metrics.set_enabled true;
   let w = build_world () in
   let audit_total () = audit_total w in
   check "certified before churn" true
     (Kernel.certificate_admits w.kernel ~caller:"relay" ~subject:w.alice_sub store);
   let generation0 = Principal.Db.generation w.db in
-  (* >= 10^3 batched edits to principals outside the proof's group
-     closure: guests join and leave visitors, a group no consulted ACL
-     names. *)
+  (* >= 10^3 batched edits that move no covered principal's row:
+     guests join visitors, a group no consulted ACL names. *)
   for batch = 0 to 3 do
     Kernel.batch_principals w.kernel (fun () ->
         for i = 0 to 249 do
@@ -226,8 +226,9 @@ let test_scoped_survival () =
   check "zero re-proofs (no audited decisions)" true (audit_total () = audit0);
   check "all ten calls served from the proved import handle" true
     (counter "handle.hits" = hits0 + 10);
-  (* An edit inside the closure — the nested group eng, reachable from
-     the ACL-named staff — fails closed. *)
+  (* An edit of alice's own membership — she leaves the nested group
+     eng, and so the ACL-named staff — moves her row and fails
+     closed. *)
   Principal.Db.remove_member w.db w.eng (Principal.Ind w.alice);
   check "nested-group edit revokes" false
     (Kernel.certificate_admits w.kernel ~caller:"relay" ~subject:w.alice_sub store);
@@ -244,9 +245,9 @@ let test_scoped_survival () =
 
 let test_born_stale_under_batch () =
   let w = build_world () in
-  (* A certificate issued while a batch mutates its own dependency set
-     records a dirty stamp above the published generation: it must
-     never admit, before or after the batch lands. *)
+  (* A certificate issued while a batch is in flight is born stale:
+     its proofs may have read half the batch, so it keeps no row and
+     must never admit, before or after the batch lands. *)
   let certificate =
     Kernel.batch_principals w.kernel (fun () ->
         Principal.Db.add_member w.db w.staff
@@ -258,6 +259,105 @@ let test_born_stale_under_batch () =
   check "born-stale certificate never admits" false
     (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
        ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub store)
+
+(* {1 Per-subject revocation}
+
+   A certificate keeps each cover's own row, so an edit revokes only
+   for the principals whose row it moves. *)
+
+let relay_certificate w = Option.get (Kernel.certificate_of w.kernel "relay")
+
+let test_bob_edit_keeps_alice_proved () =
+  Metrics.set_enabled true;
+  let w = build_world () in
+  let bob_sub = Subject.make w.bob (Subject.clearance w.alice_sub) in
+  let call subject = Linker.Linked.call w.relay ~subject store [] in
+  Alcotest.(check int) "bob proved before his edit" 0 (records w (fun () -> call bob_sub));
+  (* bob leaves staff: his row moves, alice's does not. *)
+  Principal.Db.remove_member w.db w.staff (Principal.Ind w.bob);
+  let n = 10 in
+  let audit0 = audit_total w and hits0 = counter "handle.hits" in
+  for _ = 1 to n do
+    check "alice served" true (call w.alice_sub = Ok (Value.int 7))
+  done;
+  Alcotest.(check int) "alice's calls wrote no audit record" audit0 (audit_total w);
+  Alcotest.(check int) "each was a proved dispatch" (hits0 + n) (counter "handle.hits");
+  let audit = Reference_monitor.audit (Kernel.monitor w.kernel) in
+  let denied0 = Audit.denied_total audit in
+  (match call bob_sub with
+  | Error (Service.Denied _) -> ()
+  | Ok _ -> Alcotest.fail "bob served from the proof after leaving staff"
+  | Error e -> Alcotest.failf "unexpected: %s" (Service.error_to_string e));
+  check "bob's denial is audited (checked path)" true (Audit.denied_total audit > denied0);
+  Alcotest.(check int) "bob's call was no proved dispatch" (hits0 + n) (counter "handle.hits")
+
+(* Each refusal of the per-subject test, on a fresh world where alice
+   is admitted first. *)
+let test_admission_refusals () =
+  let bottom w = Subject.clearance w.alice_sub in
+  let cases =
+    [
+      ( "unregistered principal",
+        fun w -> Subject.make (Principal.individual "ghost") (bottom w), relay_certificate w );
+      ( "uncovered principal",
+        fun w ->
+          let carol = Principal.individual "carol" in
+          Principal.Db.add_individual w.db carol;
+          Subject.make carol (bottom w), relay_certificate w );
+      ( "session above e_max",
+        fun w ->
+          let top = Security_class.top (Kernel.hierarchy w.kernel) (Kernel.universe w.kernel) in
+          Subject.make w.alice top, relay_certificate w );
+      ( "integrity mismatch",
+        fun w -> Subject.make ~integrity:(bottom w) w.alice (bottom w), relay_certificate w );
+      ( "moved row",
+        fun w ->
+          Principal.Db.remove_member w.db w.eng (Principal.Ind w.alice);
+          w.alice_sub, relay_certificate w );
+      ( "born-stale certificate",
+        fun w ->
+          ( w.alice_sub,
+            Kernel.batch_principals w.kernel (fun () ->
+                Certificate.issue ~monitor:(Kernel.monitor w.kernel) ~registry:w.registry
+                  ~namespace:(Kernel.namespace w.kernel) ~extension:"racer"
+                  ~imports:[ store ] ()) ) );
+    ]
+  in
+  List.iter
+    (fun (label, case) ->
+      let w = build_world () in
+      check (label ^ ": alice admitted first") true
+        (Certificate.admits_subject (relay_certificate w) ~db:w.db w.alice_sub);
+      let subject, certificate = case w in
+      check (label ^ " refused") false (Certificate.admits_subject certificate ~db:w.db subject))
+    cases
+
+(* The same discipline as call_handle's pin: equal deltas against an
+   empty baseline mean the loop allocated exactly zero words. *)
+let minor_delta f =
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before
+
+let test_admission_allocates_nothing () =
+  let w = build_world () in
+  let certificate = relay_certificate w in
+  let run () =
+    for _ = 1 to 10_000 do
+      ignore (Certificate.admits_subject certificate ~db:w.db w.alice_sub)
+    done
+  in
+  run ();
+  let baseline = minor_delta (fun () -> ()) in
+  Alcotest.(check (float 0.)) "cover lookup, generation unmoved" baseline (minor_delta run);
+  (* An edit that moves somebody else: the test falls to alice's row.
+     The first probe may pay the snapshot refresh. *)
+  Principal.Db.add_member w.db w.visitors (Principal.Ind (Principal.individual "guest"));
+  check "the generation moved" true
+    (Principal.Db.generation w.db <> certificate.Certificate.db_generation);
+  check "alice still admitted" true (Certificate.admits_subject certificate ~db:w.db w.alice_sub);
+  Alcotest.(check (float 0.)) "cover lookup plus row rule" baseline (minor_delta run)
 
 (* {1 Profiles} *)
 
@@ -373,7 +473,7 @@ let test_delegation () =
     check "delegated certificate fully certified" true
       (Certificate.fully_certified child);
     check "covers at the meet" true
-      (List.for_all
+      (Array.for_all
          (fun (cover : Certificate.cover) ->
            Security_class.equal cover.Certificate.e_max bottom)
          child.Certificate.covers);
@@ -496,8 +596,8 @@ let build_otwin db registry hierarchy universe admin grps ~link_subject =
       ~policy:(Policy.with_recheck Policy.default)
       ~registry ~db ~admin ~hierarchy ~universe ()
   in
-  (* The target starts group-gated, so lifecycle certificates are born
-     with a non-empty scoped dependency set. *)
+  (* The target starts group-gated, so a membership edit can end a
+     lifecycle certificate for the subject it moves. *)
   let store_meta =
     Meta.make ~owner:admin
       ~acl:
@@ -560,8 +660,8 @@ let build_oworld () =
   let grps = Array.map Principal.group [| "staff"; "eng"; "visitors" |] in
   Array.iter (Principal.Db.add_group db) grps;
   (* staff >= eng (nested), alice in eng, bob and carol in staff:
-     edits to either group are inside the scoped dependency set;
-     visitors is outside it.  Every registered principal starts inside
+     edits to either group move a covered principal's row; visitors
+     holds none.  Every registered principal starts inside
      staff, so the store proofs hold from the first sweep. *)
   Principal.Db.add_member db grps.(0) (Principal.Grp grps.(1));
   Principal.Db.add_member db grps.(1) (Principal.Ind inds.(0));
@@ -728,8 +828,8 @@ let apply_churn world (kind, a, b) =
         (Kernel.revoke_by_prefix world.cert_side.okernel
            (if a mod 2 = 0 then Path.of_string "/ext/relay" else Path.of_string "/svc"))
   | 6 ->
-    (* unrelated churn: visitors gains or loses a guest; certificates
-       whose deps exclude visitors must keep admitting through this *)
+    (* unrelated churn: visitors gains or loses a guest, which moves
+       no covered row; certificates must keep admitting through this *)
     let guest = Principal.individual (Printf.sprintf "guest-%d" (b mod 7)) in
     (try
        if b mod 2 = 0 then
@@ -765,8 +865,11 @@ let suite =
       test_revoke_strips_proofs;
     Alcotest.test_case "empty registry certifies nothing" `Quick
       test_empty_registry_proves_nothing;
-    Alcotest.test_case "scoped deps survive unrelated churn" `Quick test_scoped_survival;
+    Alcotest.test_case "row rule survives unrelated churn" `Quick test_row_rule_survival;
     Alcotest.test_case "born stale under a racing batch" `Quick test_born_stale_under_batch;
+    Alcotest.test_case "bob's edit leaves alice proved" `Quick test_bob_edit_keeps_alice_proved;
+    Alcotest.test_case "admission refusals" `Quick test_admission_refusals;
+    Alcotest.test_case "admission allocates nothing" `Quick test_admission_allocates_nothing;
     Alcotest.test_case "profiles gate modes and prefixes" `Quick test_profile_enforcement;
     Alcotest.test_case "expiry: lazy admits + eager sweep" `Quick test_expiry;
     Alcotest.test_case "delegation narrows at the meet, capped depth" `Quick

@@ -339,3 +339,62 @@ let suite =
       Alcotest.test_case "certified call after target replacement" `Quick
         test_certified_call_after_replacement;
     ]
+
+(* {1 An extension's fault stays inside the extension}
+
+   Any exception an implementation or a handler raises answers its
+   caller with [Ext_failure]; it never unwinds into the kernel. *)
+
+let ext_failure = function
+  | Error (Service.Ext_failure _) -> true
+  | Ok _ | Error _ -> false
+
+let test_raising_proc_contained () =
+  let kernel, _, alice, _ = boot () in
+  let admin_sub = Kernel.admin_subject kernel in
+  let boom = Path.of_string "/svc/boom" in
+  let meta = Kernel.default_meta kernel ~owner:(Subject.principal admin_sub) () in
+  let () =
+    ok "install"
+      (Kernel.install_proc kernel ~subject:admin_sub boom ~meta
+         (Service.proc "boom" 0 (fun _ctx _args -> raise Not_found)))
+  in
+  let alice_sub = Subject.make alice (cls kernel "local" []) in
+  check "path call answers Ext_failure" true
+    (ext_failure (Kernel.call kernel ~subject:alice_sub ~caller:"t" boom []));
+  let h = ok "open" (Kernel.open_handle kernel ~subject:alice_sub ~caller:"t" boom) in
+  check "handle call answers Ext_failure" true (ext_failure (Kernel.call_handle kernel h []))
+
+let test_raising_handler_contained () =
+  let kernel, _, alice, _ = boot () in
+  let admin_sub = Kernel.admin_subject kernel in
+  let event = Path.of_string "/svc/tick" in
+  let () =
+    ok "event"
+      (Kernel.install_event kernel ~subject:admin_sub event
+         ~meta:(Kernel.default_meta kernel ~owner:(Subject.principal admin_sub) ()))
+  in
+  Events.register kernel event
+    { Dispatcher.owner = "faulty"; klass = cls kernel "local" []; guard = None;
+      impl = (fun _ _ -> raise Exit) };
+  Events.register kernel event
+    { Dispatcher.owner = "steady"; klass = cls kernel "outside" []; guard = None;
+      impl = (fun _ _ -> Ok (Value.str "ran")) };
+  let local_sub = Subject.make alice (cls kernel "local" []) in
+  check "the selected handler's fault answers Ext_failure" true
+    (ext_failure (Kernel.call kernel ~subject:local_sub ~caller:"t" event []));
+  match Kernel.broadcast kernel ~subject:local_sub ~caller:"t" event [] with
+  | Ok [ ("faulty", faulty); ("steady", steady) ] ->
+    check "the faulty handler answers Ext_failure" true (ext_failure faulty);
+    check "the other handler still runs" true (steady = Ok (Value.str "ran"))
+  | Ok _ -> Alcotest.fail "broadcast reached the wrong handlers"
+  | Error e -> Alcotest.failf "broadcast: %s" (Service.error_to_string e)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "a raising proc answers Ext_failure" `Quick
+        test_raising_proc_contained;
+      Alcotest.test_case "a raising handler is contained" `Quick
+        test_raising_handler_contained;
+    ]

@@ -562,6 +562,67 @@ let test_handle_table_capped () =
   Alcotest.(check int) "every op counted" (!seq - 1) (counter "serve.requests" - requests0);
   Metrics.set_enabled was_enabled
 
+(* {1 A raising extension costs one typed error, not the connection}
+
+   The session opens handles, then calls a proc that raises: the
+   client gets [Ext_failure], the connection keeps serving, every
+   request gets its response, and the disconnect closes every handle
+   the session opened. *)
+
+let test_raising_proc_served () =
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  let counter name =
+    match List.assoc_opt name (Metrics.snapshot ()).Metrics.counters with
+    | Some v -> v
+    | None -> 0
+  in
+  let requests0 = counter "serve.requests" in
+  let responses0 = counter "serve.responses" in
+  let scenario, endpoint, server = scenario_world () in
+  let kernel = scenario.Scenario.kernel in
+  let admin = Kernel.admin_subject kernel in
+  (match
+     Kernel.install_proc kernel ~subject:admin (Path.of_string "/svc/boom")
+       ~meta:(Kernel.default_meta kernel ~owner:(Subject.principal admin) ())
+       (Service.proc "boom" 0 (fun _ctx _args -> raise Not_found))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "install /svc/boom: %s" (Service.error_to_string e));
+  let live () = (Kernel.handle_stats kernel).Handle.hs_live in
+  let live0 = live () in
+  let conn = Transport.Loopback.connect endpoint in
+  expect_hello_ok "user hello" (hello conn user_creds).Wire.body;
+  let seq = ref 1 in
+  let op op =
+    incr seq;
+    (rpc conn (Wire.Op { seq = !seq; op })).Wire.body
+  in
+  let ids =
+    List.init 5 (fun i ->
+        match op (Wire.Open_handle { path = "/svc/boom" }) with
+        | Wire.Value (Value.Int id) -> id
+        | other -> Alcotest.failf "open_handle %d: %a" i Wire.pp_body other)
+  in
+  Alcotest.(check int) "five handles live" (live0 + 5) (live ());
+  (match op (Wire.Call { path = "/svc/boom"; args = [] }) with
+  | Wire.Error (Wire.Ext_failure _) -> ()
+  | other -> Alcotest.failf "raising call answered %a" Wire.pp_body other);
+  (match op (Wire.Call_handle { handle = List.hd ids; args = [] }) with
+  | Wire.Error (Wire.Ext_failure _) -> ()
+  | other -> Alcotest.failf "raising handle call answered %a" Wire.pp_body other);
+  (match op (Wire.Read { path = "/fs/user-data" }) with
+  | Wire.Value (Value.Str _) -> ()
+  | other -> Alcotest.failf "the connection stopped serving: %a" Wire.pp_body other);
+  conn.Transport.close ();
+  Server.stop server;
+  Alcotest.(check int) "the disconnect closed every handle" live0 (live ());
+  Alcotest.(check int) "serve.requests = serve.responses"
+    (counter "serve.requests" - requests0)
+    (counter "serve.responses" - responses0);
+  Alcotest.(check int) "every op counted" (!seq - 1) (counter "serve.requests" - requests0);
+  Metrics.set_enabled was_enabled
+
 (* {1 Concurrent clients: exact conservation} *)
 
 let test_concurrent_clients_conserve () =
@@ -714,6 +775,7 @@ let suite =
     Alcotest.test_case "quota backpressure" `Quick test_quota_backpressure;
     Alcotest.test_case "handles connection-scoped" `Quick test_handles_scoped_to_connection;
     Alcotest.test_case "handle table capped" `Quick test_handle_table_capped;
+    Alcotest.test_case "raising proc served" `Quick test_raising_proc_served;
     Alcotest.test_case "concurrent clients conserve" `Quick test_concurrent_clients_conserve;
     Alcotest.test_case "concurrent appends conserve" `Quick test_concurrent_appends_conserve;
     Alcotest.test_case "stop closes idle connections" `Quick test_stop_with_idle_connections;

@@ -190,8 +190,29 @@ let test_export_roundtrip () =
     | Ok _ -> ()
     | Error e -> Alcotest.failf "build: %s" (Format.asprintf "%a" Exsec_core.Policy_text.pp_error e))
 
+(* export walks what stat walks: eve, refused [ls /fs/secret] and
+   [stat] by MAC read-up, learns nothing of alice's classified file
+   from it either. *)
+let test_export_mediated () =
+  let shell = boot () in
+  ignore (Shell.exec shell "login alice");
+  Alcotest.(check string) "mkdir" "ok" (Shell.exec shell "mkdir /fs/secret");
+  Alcotest.(check string) "write" "ok" (Shell.exec shell "write /fs/secret/plan.txt attack at dawn");
+  check "alice exports her file" true
+    (contains (Shell.exec shell "export") "object /fs/secret/plan.txt");
+  ignore (Shell.exec shell "login eve");
+  check "ls refused" true (contains (Shell.exec shell "ls /fs/secret") "read-up");
+  check "stat refused" true (contains (Shell.exec shell "stat /fs/secret/plan.txt") "read-up");
+  let exported = Shell.exec shell "export" in
+  check "export names no hidden path" false (contains exported "/fs/secret");
+  check "nor its owner" false (contains exported "owner alice")
+
 let suite =
-  suite @ [ Alcotest.test_case "export roundtrip" `Quick test_export_roundtrip ]
+  suite
+  @ [
+      Alcotest.test_case "export roundtrip" `Quick test_export_roundtrip;
+      Alcotest.test_case "export shows only what stat shows" `Quick test_export_mediated;
+    ]
 
 let test_quota_command () =
   let shell = boot () in
