@@ -1,5 +1,15 @@
+(* Directories are keyed by segment: a string-specialized table
+   compares keys with [String.equal], where the generic one calls
+   polymorphic [compare]. *)
+module Entries = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = String.hash
+end)
+
 type 'a kind =
-  | Dir of (string, 'a node) Hashtbl.t
+  | Dir of 'a node Entries.t
   | Leaf of 'a
 
 and 'a node = {
@@ -47,7 +57,7 @@ let create ~root_meta () =
         node_label = Path.to_string Path.root;
         node_meta = root_meta;
         node_tree = tree_id;
-        kind = Dir (Hashtbl.create 16);
+        kind = Dir (Entries.create 16);
       };
     node_count = 1;
   }
@@ -60,43 +70,60 @@ let root tree = tree.root_node
 let child node name =
   match node.kind with
   | Leaf _ -> raise Stdlib.Not_found
-  | Dir table -> Hashtbl.find table name
+  | Dir table -> Entries.find table name
 
 let is_dir node =
   match node.kind with
   | Dir _ -> true
   | Leaf _ -> false
 
+(* The walk's failure, raised where it happens and caught by [find]. *)
+exception Walk_failed of error
+
+(* The node [path] names, descending the path itself: the recursion
+   reaches the root first and probes one segment on each return, so
+   the nodes are visited root first with no segment list and no
+   closure.  [target] is only for the error. *)
+let rec descend root target path =
+  if Path.is_root path then root
+  else
+    let dir = descend root target (Path.up path) in
+    match child dir (Path.last path) with
+    | node -> node
+    | exception Stdlib.Not_found ->
+      raise_notrace
+        (Walk_failed (if is_dir dir then Not_found target else Not_a_directory dir.node_path))
+
 let find tree target =
-  let rec walk node = function
-    | [] -> Ok node
-    | segment :: rest -> (
-      match child node segment with
-      | next -> walk next rest
-      | exception Stdlib.Not_found ->
-        if is_dir node then Error (Not_found target)
-        else Error (Not_a_directory node.node_path))
-  in
-  walk tree.root_node (Path.segments target)
+  match descend tree.root_node target target with
+  | node -> Ok node
+  | exception Walk_failed error -> Error error
 
 let mem tree target =
   match find tree target with
   | Ok _ -> true
   | Error _ -> false
 
+(* The nodes [path] walks through, target first; [] when it does not
+   resolve. *)
+let rec chain_up root path =
+  if Path.is_root path then [ root ]
+  else
+    match chain_up root (Path.up path) with
+    | [] -> []
+    | dir :: _ as above -> (
+      match child dir (Path.last path) with
+      | node -> node :: above
+      | exception Stdlib.Not_found -> [])
+
 (* The node sequence a checked resolution consults: root, every
    interior node, then the target — the chain a reusable decision
    (link-time certificate, capability-handle grant) must stamp with
    metadata generations. *)
 let chain tree target =
-  let rec walk node acc = function
-    | [] -> Some (List.rev (node :: acc))
-    | segment :: rest -> (
-      match child node segment with
-      | next -> walk next (node :: acc) rest
-      | exception Stdlib.Not_found -> None)
-  in
-  walk tree.root_node [] (Path.segments target)
+  match chain_up tree.root_node target with
+  | [] -> None
+  | nodes -> Some (List.rev nodes)
 
 (* Insertion under an already-resolved parent node: the bulk-populate
    path.  A path-addressed insert re-walks from the root (O(depth));
@@ -112,7 +139,7 @@ let add_child tree parent name ~meta kind_of_path =
   | Leaf _ -> Error (Not_a_directory parent.node_path)
   | Dir table ->
     let target = Path.child parent.node_path name in
-    if Hashtbl.mem table name then Error (Already_exists target)
+    if Entries.mem table name then Error (Already_exists target)
     else begin
       let node =
         {
@@ -123,13 +150,13 @@ let add_child tree parent name ~meta kind_of_path =
           kind = kind_of_path ();
         }
       in
-      Hashtbl.add table name node;
+      Entries.add table name node;
       tree.node_count <- tree.node_count + 1;
       Ok node
     end
 
 let add_dir_at tree parent name ~meta =
-  add_child tree parent name ~meta (fun () -> Dir (Hashtbl.create 8))
+  add_child tree parent name ~meta (fun () -> Dir (Entries.create 8))
 
 let add_leaf_at tree parent name ~meta payload =
   add_child tree parent name ~meta (fun () -> Leaf payload)
@@ -143,7 +170,7 @@ let add_node tree target ~meta kind_of_path =
     | Ok parent -> add_child tree parent name ~meta kind_of_path)
 
 let add_dir tree target ~meta =
-  add_node tree target ~meta (fun () -> Dir (Hashtbl.create 8))
+  add_node tree target ~meta (fun () -> Dir (Entries.create 8))
 
 let add_leaf tree target ~meta payload = add_node tree target ~meta (fun () -> Leaf payload)
 
@@ -157,12 +184,12 @@ let remove tree target =
       match parent.kind with
       | Leaf _ -> Error (Not_a_directory parent_path)
       | Dir table -> (
-        match Hashtbl.find_opt table name with
+        match Entries.find_opt table name with
         | None -> Error (Not_found target)
-        | Some { kind = Dir children; _ } when Hashtbl.length children > 0 ->
+        | Some { kind = Dir children; _ } when Entries.length children > 0 ->
           Error (Directory_not_empty target)
         | Some victim ->
-          Hashtbl.remove table name;
+          Entries.remove table name;
           tree.node_count <- tree.node_count - 1;
           (* Unlink first, then retire: a re-mint that still found the
              node read its generation before this bump. *)
@@ -182,7 +209,7 @@ let children node =
   match node.kind with
   | Leaf _ -> []
   | Dir table ->
-    Hashtbl.fold (fun name child acc -> (name, child) :: acc) table []
+    Entries.fold (fun name child acc -> (name, child) :: acc) table []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let rec iter_node node f =

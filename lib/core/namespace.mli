@@ -48,14 +48,22 @@ val add_leaf_at : 'a t -> 'a node -> string -> meta:Meta.t -> 'a -> ('a node, er
 
 val child : 'a node -> string -> 'a node
 (** [child dir name] is [dir]'s entry [name]: one probe into the
-    directory's hash table, O(1) in the directory's width and with no
-    allocation.  It is the step of every walk — {!find}, {!chain} and
-    the checked walks of {!Resolver} — so a walk of depth d costs d
-    probes however wide its directories are.
+    directory's string-keyed table ([String.equal], not polymorphic
+    [compare]), O(1) in the directory's width and with no allocation.
+    It is the step of every walk — {!find}, {!chain} and the checked
+    walks of {!Resolver} — so a walk of depth d costs d probes however
+    wide its directories are.
     @raise Stdlib.Not_found if [dir] is a leaf or has no entry
     [name]. *)
 
 val find : 'a t -> Path.t -> ('a node, error) result
+(** The walk descends the path itself ({!Path.up}, {!Path.last}):
+    root first, one {!child} probe per segment, no segment list and
+    no closure, so it allocates only the [Ok] it returns.  The
+    recursion is as deep as the path.  A missing name is
+    [Not_found target]; a leaf met mid-path is [Not_a_directory] of
+    the leaf's path. *)
+
 val mem : 'a t -> Path.t -> bool
 
 val chain : 'a t -> Path.t -> 'a node list option
@@ -73,7 +81,10 @@ val remove : 'a t -> Path.t -> (unit, error) result
     the unlink, so grants and proofs through it fail closed. *)
 
 val meta : 'a node -> Meta.t
+
 val path : 'a node -> Path.t
+(** The node's own path: its parent's path plus one segment, shared
+    with the parent ({!Path.child}). *)
 
 val label : 'a node -> string
 (** The node's path rendered once at insertion ([Path.to_string]);

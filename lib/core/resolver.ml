@@ -25,6 +25,8 @@ let pp_denial ppf = function
       denial
   | Name_error error -> Namespace.pp_error ppf error
 
+(* [span] stays the caller's optional argument all the way down to
+   the monitor: a walk never boxes it. *)
 let check ?span r ~subject node mode =
   match
     Reference_monitor.check ?span r.monitor ~subject ~meta:(Namespace.meta node)
@@ -40,22 +42,33 @@ let missing node target =
   if Namespace.is_dir node then Namespace.Not_found target
   else Namespace.Not_a_directory (Namespace.path node)
 
-(* Walk to [target], checking [List] on every *interior* node strictly
-   above the target.  Returns the target node, unchecked.  Each level
-   costs one monitor decision (with its audit record) and one hash
-   probe, so the walk is O(depth) whatever the directories' width. *)
+(* The walk's first failure, raised where it happens and caught by the
+   operation that started the walk. *)
+exception Refused of denial
+
+(* The node [path] names, with [List] checked on every *interior* node
+   strictly above it; the node itself is unchecked.  The recursion
+   descends the path itself: it reaches the root first, then checks
+   and probes one level on each return, so the checks run root first
+   with no segment list and no closure.  Each level costs one monitor
+   decision (with its audit record) and one string-keyed probe, so the
+   walk is O(depth) whatever the directories' width.  [target] is only
+   for the name error. *)
+let rec descend ?span r ~subject target path =
+  if Path.is_root path then Namespace.root r.namespace
+  else
+    let dir = descend ?span r ~subject target (Path.up path) in
+    match check ?span r ~subject dir Access_mode.List with
+    | Error denial -> raise_notrace (Refused denial)
+    | Ok () -> (
+      match Namespace.child dir (Path.last path) with
+      | node -> node
+      | exception Not_found -> raise_notrace (Refused (Name_error (missing dir target))))
+
 let walk ?span r ~subject target =
-  let rec step node = function
-    | [] -> Ok node
-    | segment :: rest -> (
-      match check ?span r ~subject node Access_mode.List with
-      | Error e -> Error e
-      | Ok () -> (
-        match Namespace.child node segment with
-        | child -> step child rest
-        | exception Not_found -> Error (Name_error (missing node target))))
-  in
-  step (Namespace.root r.namespace) (Path.segments target)
+  match descend ?span r ~subject target target with
+  | node -> Ok node
+  | exception Refused denial -> Error denial
 
 let lookup r ~subject target = walk r ~subject target
 
@@ -66,27 +79,34 @@ let observe_outcome result =
   | Error (Denied _) -> Metrics.incr m_denials
   | Error (Name_error _) -> Metrics.incr m_name_errors
 
-let resolve ?(span = Trace.none) r ~subject ~mode target =
+let resolve ?span r ~subject ~mode target =
   Metrics.incr m_resolves;
   let t0 = Metrics.start_timing m_resolve_ns in
-  (* When no enclosing span was handed down (a direct resolution, not
-     one inside [Kernel.call]), this resolution is itself the
-     top-level traced operation. *)
-  let owned = (not (Trace.active span)) && Trace.enabled () in
-  let span = if owned then Trace.start "resolver.resolve" else span in
-  if owned && Trace.active span then begin
-    Trace.annotate span "path" (Path.to_string target);
-    Trace.annotate span "mode" (Format.asprintf "%a" Access_mode.pp mode)
-  end;
+  (* When no active span was handed down (a direct resolution, not one
+     inside [Kernel.call]), this resolution is itself the top-level
+     traced operation. *)
+  let own =
+    match span with
+    | Some handed when Trace.active handed -> Trace.none
+    | Some _ | None -> Trace.start "resolver.resolve"
+  in
+  let span =
+    if Trace.active own then begin
+      Trace.annotate own "path" (Path.to_string target);
+      Trace.annotate own "mode" (Format.asprintf "%a" Access_mode.pp mode);
+      Some own
+    end
+    else span
+  in
   let result =
-    match walk ~span r ~subject target with
-    | Error e -> Error e
-    | Ok node -> (
-      match check ~span r ~subject node mode with
+    match descend ?span r ~subject target target with
+    | exception Refused denial -> Error denial
+    | node -> (
+      match check ?span r ~subject node mode with
       | Error e -> Error e
       | Ok () -> Ok node)
   in
-  if owned then Trace.finish span;
+  Trace.finish own;
   Metrics.stop_timing m_resolve_ns t0;
   observe_outcome result;
   result
@@ -143,25 +163,25 @@ let create_leaf r ~subject target ~meta payload =
    victim is found among the parent's own entries, so every ancestor
    is checked exactly once and the parent node, the victim and the
    unlink all come from the same traversal. *)
-let remove ?(span = Trace.none) r ~subject target =
+let remove ?span r ~subject target =
   let result =
     match parent_of target with
     | Error e -> Error e
     | Ok parent_path -> (
-      match walk ~span r ~subject parent_path with
+      match walk ?span r ~subject parent_path with
       | Error e -> Error e
       | Ok parent_node -> (
         (* The walk checked [List] strictly above the parent; the
            parent's own [List] check guards reading its entries, as it
            would on the target walk. *)
-        match check ~span r ~subject parent_node Access_mode.List with
+        match check ?span r ~subject parent_node Access_mode.List with
         | Error e -> Error e
         | Ok () -> (
           let basename = Option.value (Path.basename target) ~default:"" in
           match Namespace.child parent_node basename with
           | exception Not_found -> Error (Name_error (missing parent_node target))
           | victim -> (
-            match check ~span r ~subject victim Access_mode.Delete with
+            match check ?span r ~subject victim Access_mode.Delete with
             | Error e -> Error e
             | Ok () -> (
               match

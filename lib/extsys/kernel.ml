@@ -300,9 +300,10 @@ and call kernel ~subject ~caller path args =
       if Trace.active span then Trace.annotate span "quota" "denied";
       quota_exceeded denial
     | Ok () -> (
-      match
-        Resolver.resolve ~span kernel.resolver ~subject ~mode:Access_mode.Execute path
-      with
+      (* An inactive span is not handed down: boxing it would cost
+         every untraced call two words. *)
+      let span = if Trace.active span then Some span else None in
+      match Resolver.resolve ?span kernel.resolver ~subject ~mode:Access_mode.Execute path with
       | Error denial -> Error (error_of_denial denial)
       | Ok node -> (
         match Namespace.payload node with

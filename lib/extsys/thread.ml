@@ -8,6 +8,7 @@ type state =
   | Ready
   | Done
   | Killed
+  | Faulted
 
 type t = {
   id : int;
@@ -31,25 +32,34 @@ let state thread = thread.state
 let is_alive thread =
   match thread.state with
   | Ready -> true
-  | Done | Killed -> false
+  | Done | Killed | Faulted -> false
 
 let quanta thread = thread.quanta
 
+(* A body that raises ends its own thread and nothing else: the
+   exception stops here, as [Kernel.guarded] stops one raised on a
+   call, so the scheduler goes on with the other threads. *)
 let step thread =
   match thread.state with
-  | Done | Killed -> ()
+  | Done | Killed | Faulted -> ()
   | Ready -> (
     thread.quanta <- thread.quanta + 1;
     match thread.body () with
     | Runnable -> ()
-    | Finished -> thread.state <- Done)
+    | Finished -> thread.state <- Done
+    | exception (Out_of_memory as e) -> raise e
+    | exception _ -> thread.state <- Faulted)
 
 let kill thread =
   match thread.state with
-  | Done | Killed -> ()
+  | Done | Killed | Faulted -> ()
   | Ready -> thread.state <- Killed
 
 let pp ppf thread =
   Format.fprintf ppf "thread %d (%s, %a, %s)" thread.id thread.thread_name Subject.pp
     thread.subject
-    (match thread.state with Ready -> "ready" | Done -> "done" | Killed -> "killed")
+    (match thread.state with
+    | Ready -> "ready"
+    | Done -> "done"
+    | Killed -> "killed"
+    | Faulted -> "faulted")

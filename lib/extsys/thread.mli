@@ -10,7 +10,10 @@
     in the ThreadMurder incident (paper, section 1.2).
 
     Scheduling is cooperative: the scheduler calls the thread's body
-    once per quantum until it reports [Finished]. *)
+    once per quantum until it reports [Finished].  A body that raises
+    ends its own thread ([Faulted]) and nothing else: the scheduler
+    goes on with the other threads (the ThreadMurder lesson of
+    section 1.2, applied to faults). *)
 
 open Exsec_core
 
@@ -22,6 +25,9 @@ type state =
   | Ready
   | Done  (** body reported [Finished] *)
   | Killed  (** forcibly terminated *)
+  | Faulted
+      (** body raised: every exception but [Out_of_memory] is
+          contained, as on the call paths ({!Service.Ext_failure}) *)
 
 type t
 
@@ -40,7 +46,10 @@ val quanta : t -> int
 (** Number of quanta the thread has executed. *)
 
 val step : t -> unit
-(** Run one quantum if the thread is [Ready]; otherwise no effect. *)
+(** Run one quantum if the thread is [Ready]; otherwise no effect.  A
+    body that raises leaves the thread [Faulted] and returns normally.
+    @raise Out_of_memory when the body does: the process is out of
+    memory, not the thread. *)
 
 val kill : t -> unit
 (** Unchecked forcible termination — callers must clear the kill with

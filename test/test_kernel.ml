@@ -390,6 +390,47 @@ let test_raising_handler_contained () =
   | Ok _ -> Alcotest.fail "broadcast reached the wrong handlers"
   | Error e -> Alcotest.failf "broadcast: %s" (Service.error_to_string e)
 
+(* ThreadMurder by fault (paper, section 1.2): a thread body that
+   raises ends its own thread, and a thread sharing the scheduler with
+   it still runs to the end. *)
+let test_raising_thread_contained () =
+  let kernel, _, alice, eve = boot () in
+  let alice_sub = Subject.make alice (cls kernel "org" [ "d1" ]) in
+  let eve_sub = Subject.make eve (cls kernel "org" [ "d2" ]) in
+  let victim_steps = ref 0 in
+  let victim =
+    ok "spawn victim"
+      (Kernel.spawn kernel ~subject:alice_sub ~name:"victim" ~body:(fun () ->
+           incr victim_steps;
+           if !victim_steps >= 100 then Thread.Finished else Thread.Runnable))
+  in
+  let faulty_steps = ref 0 in
+  let faulty =
+    ok "spawn faulty"
+      (Kernel.spawn kernel ~subject:eve_sub ~name:"faulty" ~body:(fun () ->
+           incr faulty_steps;
+           if !faulty_steps >= 3 then raise Not_found else Thread.Runnable))
+  in
+  let quanta = Kernel.run kernel in
+  Alcotest.(check int) "the victim ran all 100 steps" 100 !victim_steps;
+  check "the victim is done" true (Thread.state victim = Thread.Done);
+  check "the faulty thread reads Faulted" true (Thread.state faulty = Thread.Faulted);
+  check "and is not alive" false (Thread.is_alive faulty);
+  Alcotest.(check int) "the fault ended it on its third quantum" 3 (Thread.quanta faulty);
+  Alcotest.(check int) "quanta" 103 quanta;
+  let printed = Format.asprintf "%a" Thread.pp faulty in
+  check ("pp says faulted: " ^ printed) true
+    (String.ends_with ~suffix:", faulted)" printed);
+  (* Running out of memory is the process's failure, not the thread's. *)
+  let oom =
+    ok "spawn oom"
+      (Kernel.spawn kernel ~subject:eve_sub ~name:"oom" ~body:(fun () -> raise Out_of_memory))
+  in
+  (match Kernel.run kernel with
+  | _ -> Alcotest.fail "Out_of_memory was contained"
+  | exception Out_of_memory -> ());
+  check "the thread it escaped is not Faulted" true (Thread.state oom = Thread.Ready)
+
 let suite =
   suite
   @ [
@@ -397,4 +438,6 @@ let suite =
         test_raising_proc_contained;
       Alcotest.test_case "a raising handler is contained" `Quick
         test_raising_handler_contained;
+      Alcotest.test_case "a raising thread is contained" `Quick
+        test_raising_thread_contained;
     ]

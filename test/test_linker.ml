@@ -712,6 +712,45 @@ let test_proof_names_the_dispatched_node () =
   check "the new node answers" true
     (Linker.Linked.call w.linked ~subject:w.bob_sub w.who [] = Ok (Value.str "new"))
 
+(* The scan that finds a call's import handle compares paths from the
+   leaf up and allocates nothing: a proved call through the last of
+   eight imports that share their root segments, by the link's own
+   subject, with a preallocated result, allocates 0 words. *)
+let test_import_scan_allocates_nothing () =
+  let w = boot_proved () in
+  let pong = Ok Value.unit in
+  let imports = List.init 8 (fun i -> Path.of_string (Printf.sprintf "/svc/scan%d" i)) in
+  List.iter
+    (fun path ->
+      publish w.kernel path
+        [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ]
+        (fun _ _ -> pong))
+    imports;
+  let linked =
+    ok "link scan"
+      (Linker.link w.kernel ~subject:w.alice_sub
+         (Extension.make ~name:"scan" ~author:(Subject.principal w.alice_sub) ~imports ()))
+  in
+  (* Built apart from the import: the scan cannot match it by [==]. *)
+  let last = Path.of_string "/svc/scan7" in
+  let audit0 = audited w in
+  check "served" true (Linker.Linked.call linked ~subject:w.alice_sub last [] == pong);
+  Alcotest.(check int) "from the proved handle" audit0 (audited w);
+  let run () =
+    for _ = 1 to 10_000 do
+      ignore (Linker.Linked.call linked ~subject:w.alice_sub last [])
+    done
+  in
+  run ();
+  let minor_delta f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_delta (fun () -> ()) in
+  let measured = minor_delta run in
+  Alcotest.(check (float 0.)) "Linked.call words" baseline measured
+
 let suite =
   suite
   @ [
@@ -830,4 +869,6 @@ let suite =
         test_refused_link_closes_its_handles;
       Alcotest.test_case "unload closes only its handles" `Quick
         test_unload_closes_only_its_handles;
+      Alcotest.test_case "import scan allocates nothing" `Quick
+        test_import_scan_allocates_nothing;
     ]

@@ -199,6 +199,77 @@ let test_add_at_foreign_parent () =
   check "nothing appeared under the foreign node" false
     (Namespace.mem other (Path.of_string "/a/b"))
 
+(* {1 The walk}
+
+   [find] and [chain] descend the path itself: a node's path is its
+   parent's plus one segment, a found node's path is the path asked
+   for, and a failed walk names the same error as before. *)
+
+let test_walk_shares_paths () =
+  let ns = make () in
+  let a = ok "a" (Namespace.add_dir ns (Path.of_string "/a") ~meta:(meta ())) in
+  let b = ok "b" (Namespace.add_dir_at ns a "b" ~meta:(meta ())) in
+  let leaf = ok "leaf" (Namespace.add_leaf_at ns b "c" ~meta:(meta ()) 3) in
+  check "a child's path extends its parent's own" true
+    (Path.up (Namespace.path leaf) == Namespace.path b);
+  let target = Path.of_string "/a/b/c" in
+  check "find" true (ok "find" (Namespace.find ns target) == leaf);
+  (match Namespace.chain ns target with
+  | Some nodes ->
+    Alcotest.(check (list string)) "chain, root first" [ "/"; "/a"; "/a/b"; "/a/b/c" ]
+      (List.map Namespace.label nodes)
+  | None -> Alcotest.fail "chain");
+  check "no chain through a missing name" true
+    (Namespace.chain ns (Path.of_string "/a/x/c") = None);
+  check "no chain through a leaf" true (Namespace.chain ns (Path.of_string "/a/b/c/d") = None);
+  (match Namespace.find ns (Path.of_string "/a/x/c") with
+  | Error (Namespace.Not_found missing) ->
+    check "a missing name reports the whole target" true
+      (Path.equal missing (Path.of_string "/a/x/c"))
+  | _ -> Alcotest.fail "expected Not_found");
+  match Namespace.find ns (Path.of_string "/a/b/c/d/e") with
+  | Error (Namespace.Not_a_directory at) ->
+    check "a leaf mid-path reports the leaf" true (Path.equal at target)
+  | _ -> Alcotest.fail "expected Not_a_directory"
+
+(* [find] allocates only the [Ok] it returns (2 words): the walk
+   itself builds no segment list and no closure. *)
+let test_find_allocates_only_its_result () =
+  let ns = make () in
+  let a = ok "a" (Namespace.add_dir ns (Path.of_string "/a") ~meta:(meta ())) in
+  let b = ok "b" (Namespace.add_dir_at ns a "b" ~meta:(meta ())) in
+  for i = 0 to 63 do
+    ignore (ok "sibling" (Namespace.add_dir_at ns a (Printf.sprintf "b%d" i) ~meta:(meta ())))
+  done;
+  ignore (ok "leaf" (Namespace.add_leaf_at ns b "c" ~meta:(meta ()) 3));
+  let target = Path.of_string "/a/b/c" in
+  let calls = 10_000 in
+  let run () =
+    for _ = 1 to calls do
+      ignore (Namespace.find ns target)
+    done
+  in
+  run ();
+  let minor_delta f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_delta (fun () -> ()) in
+  let per_call = (minor_delta run -. baseline) /. float_of_int calls in
+  Alcotest.(check (float 0.)) "words per find" 2. per_call
+
+(* A 100,000-segment path walks without overflowing the stack. *)
+let test_deep_find () =
+  let ns = make () in
+  ignore (ok "a" (Namespace.add_dir ns (Path.of_string "/a") ~meta:(meta ())));
+  let deep = Path.of_string ("/a/" ^ String.concat "/" (List.init 100_000 (fun _ -> "x"))) in
+  (match Namespace.find ns deep with
+  | Error (Namespace.Not_found missing) -> check "names the target" true (missing == deep)
+  | _ -> Alcotest.fail "expected Not_found");
+  check "no chain" true (Namespace.chain ns deep = None);
+  check "not mem" false (Namespace.mem ns deep)
+
 let suite =
   [
     Alcotest.test_case "add and find" `Quick test_add_and_find;
@@ -214,4 +285,8 @@ let suite =
     Alcotest.test_case "size/iter/fold" `Quick test_size_iter_fold;
     Alcotest.test_case "independent metadata" `Quick test_per_node_meta_is_independent;
     QCheck_alcotest.to_alcotest prop_insert_then_find;
+    Alcotest.test_case "the walk shares paths" `Quick test_walk_shares_paths;
+    Alcotest.test_case "find allocates only its result" `Quick
+      test_find_allocates_only_its_result;
+    Alcotest.test_case "a 100,000-segment find" `Quick test_deep_find;
   ]

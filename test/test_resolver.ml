@@ -591,10 +591,64 @@ let test_resolve_words_flat_in_width () =
     Alcotest.failf "resolve allocates %.0f words through 1,024 entries vs %.0f through 2" wide
       narrow
 
+(* A granted resolution of depth d allocates its d+1 audit records (8
+   words each) and the one [Ok] it returns, and nothing else: the walk
+   builds no segment list, no closure and no span box. *)
+let test_resolve_allocates_only_records () =
+  let _, monitor, ns, r = setup () in
+  let meta = world_listable admin bottom in
+  let a = Result.get_ok (Namespace.add_dir ns (Path.of_string "/a") ~meta) in
+  let b = Result.get_ok (Namespace.add_dir_at ns a "b" ~meta) in
+  ignore (Result.get_ok (Namespace.add_leaf_at ns b "c" ~meta 3));
+  let subject = alice_low () in
+  let target = Path.of_string "/a/b/c" in
+  let resolve () = ignore (Resolver.resolve r ~subject ~mode:Access_mode.Read target) in
+  resolve ();
+  let audit = Reference_monitor.audit monitor in
+  let records0 = Audit.total audit in
+  check "granted" true (Result.is_ok (Resolver.resolve r ~subject ~mode:Access_mode.Read target));
+  Alcotest.(check int) "four audit records" 4 (Audit.total audit - records0);
+  let calls = 10_000 in
+  let run () =
+    for _ = 1 to calls do
+      resolve ()
+    done
+  in
+  let minor_delta f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_delta (fun () -> ()) in
+  let per_call = (minor_delta run -. baseline) /. float_of_int calls in
+  Alcotest.(check (float 0.)) "words per resolve: 4 records x 8 + Ok" 34. per_call
+
+(* A 100,000-segment path resolves to a typed error, with no
+   [Stack_overflow], and the walk stops where the name does. *)
+let test_deep_resolve () =
+  let _, monitor, ns, r = setup () in
+  let meta = world_listable admin bottom in
+  ignore (Result.get_ok (Namespace.add_dir ns (Path.of_string "/a") ~meta));
+  let deep = Path.of_string ("/a/" ^ String.concat "/" (List.init 100_000 (fun _ -> "x"))) in
+  let audit = Reference_monitor.audit monitor in
+  let records0 = Audit.total audit in
+  (match Resolver.resolve r ~subject:(alice_low ()) ~mode:Access_mode.Read deep with
+  | Error (Resolver.Name_error (Namespace.Not_found missing)) ->
+    check "names the target" true (Path.equal missing deep)
+  | Ok _ -> Alcotest.fail "resolved a missing name"
+  | Error e -> Alcotest.failf "unexpected: %a" Resolver.pp_denial e);
+  Alcotest.(check int) "List checked on / and /a only" 2 (Audit.total audit - records0);
+  match Resolver.lookup r ~subject:(alice_low ()) deep with
+  | Error (Resolver.Name_error (Namespace.Not_found _)) -> ()
+  | _ -> Alcotest.fail "lookup: expected Not_found"
+
 let suite =
   suite
   @ [
       QCheck_alcotest.to_alcotest prop_walk_matches_sorted_scan;
       Alcotest.test_case "differential covers every case" `Quick test_differential_coverage;
       Alcotest.test_case "resolve words flat in width" `Quick test_resolve_words_flat_in_width;
+      Alcotest.test_case "resolve allocates only its records" `Quick
+        test_resolve_allocates_only_records;
+      Alcotest.test_case "a 100,000-segment resolve" `Quick test_deep_resolve;
     ]

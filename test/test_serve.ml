@@ -759,6 +759,28 @@ let test_unix_socket_roundtrip () =
   Server.stop server;
   check "socket unlinked" false (Sys.file_exists path)
 
+(* {1 A deep path over the wire}
+
+   A served [Resolve] of a 100,000-segment path answers a typed error
+   (the name is missing below [/fs]) and the connection keeps
+   serving. *)
+
+let test_deep_resolve_served () =
+  let _, endpoint, server = scenario_world () in
+  let conn = Transport.Loopback.connect endpoint in
+  expect_hello_ok "user hello" (hello conn user_creds).Wire.body;
+  let deep = "/fs/" ^ String.concat "/" (List.init 100_000 (fun _ -> "x")) in
+  (match (rpc conn (Wire.Op { seq = 2; op = Wire.Resolve { path = deep; mode = "read" } })).Wire.body with
+  | Wire.Error (Wire.Unresolved _) -> ()
+  | other ->
+    let text = Format.asprintf "%a" Wire.pp_body other in
+    Alcotest.failf "deep resolve answered %s" (String.sub text 0 (min 200 (String.length text))));
+  (match (rpc conn (Wire.Op { seq = 3; op = Wire.Read { path = "/fs/user-data" } })).Wire.body with
+  | Wire.Value (Value.Str _) -> ()
+  | other -> Alcotest.failf "the connection stopped serving: %a" Wire.pp_body other);
+  conn.Transport.close ();
+  Server.stop server
+
 let suite =
   [
     Alcotest.test_case "wire roundtrip" `Quick test_wire_roundtrip;
@@ -780,4 +802,5 @@ let suite =
     Alcotest.test_case "concurrent appends conserve" `Quick test_concurrent_appends_conserve;
     Alcotest.test_case "stop closes idle connections" `Quick test_stop_with_idle_connections;
     Alcotest.test_case "unix socket roundtrip" `Quick test_unix_socket_roundtrip;
+    Alcotest.test_case "a 100,000-segment resolve served" `Quick test_deep_resolve_served;
   ]
