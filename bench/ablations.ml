@@ -642,10 +642,12 @@ let a9 () =
   Format.printf "instrumentation overhead, median round: %.1f%% %s@." overhead_pct
     (if overhead_pct <= 15.0 then "<= 15% budget" else "OVER the 15% budget");
   Format.printf
-    "expected shape: noop mode is a single flag load per site; enabling collection@.";
+    "expected shape: noop mode is one observability branch around the bare decision;@.";
   Format.printf
-    "adds two atomic adds and a sampled (1-in-32) clock pair, and must@.";
-  Format.printf "stay within 15%% of the noop compiled grant path@."
+    "enabling collection adds one fetch-and-add (the decision counter, which also@.";
+  Format.printf
+    "picks the 1-in-32 timed decides) and that sample's clock pair; budget: 15%% of@.";
+  Format.printf "the noop compiled grant path@."
 
 (* {1 A11: analyze-then-link vs lazy certification} *)
 

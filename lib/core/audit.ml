@@ -64,14 +64,22 @@ let rec publish cell event =
   if current.seq < event.seq && not (Atomic.compare_and_set cell current event) then
     publish cell event
 
-let record log ~subject ~object_name ~object_id ~object_class ~mode decision =
-  Metrics.incr m_records;
-  let t0 = Metrics.start_timing m_record_ns in
+let append log ~subject ~object_name ~object_id ~object_class ~mode decision =
   let seq = Atomic.fetch_and_add log.next_seq 1 in
   publish log.ring.(seq mod log.capacity)
     { seq; subject; object_name; object_id; object_class; mode; decision };
-  if not (Decision.is_granted decision) then Atomic.incr log.denied;
-  Metrics.stop_timing m_record_ns t0
+  if not (Decision.is_granted decision) then Atomic.incr log.denied
+
+(* One test of the metrics switch: off, the record is the append
+   alone; on, the same append inside the count and the sampled timer
+   (1 of 16 records, picked by the record counter). *)
+let record log ~subject ~object_name ~object_id ~object_class ~mode decision =
+  if Metrics.enabled () then begin
+    let t0 = Metrics.start_counted m_records m_record_ns in
+    append log ~subject ~object_name ~object_id ~object_class ~mode decision;
+    Metrics.stop_timing m_record_ns t0
+  end
+  else append log ~subject ~object_name ~object_id ~object_class ~mode decision
 
 (* The window is the newest [count] sequence numbers issued when the
    read starts.  Walking it newest first and consing yields oldest

@@ -47,7 +47,9 @@ let compare a b =
   Int.compare a.rank b.rank
 
 let equal a b = same_hierarchy a b && a.rank = b.rank
-let dominates a b = compare a b >= 0
+(* Levels of one hierarchy share its record, so [==] settles the
+   common case before the id test. *)
+let dominates a b = if a.owner == b.owner then a.rank >= b.rank else compare a b >= 0
 let max a b = if dominates a b then a else b
 let min a b = if dominates a b then b else a
 let pp ppf level = Format.pp_print_string ppf (name level)

@@ -1,12 +1,12 @@
 module Metrics = Exsec_obs.Metrics
 module Trace = Exsec_obs.Trace
 
-(* Decision-layer instruments.  Counters cost one gated atomic add;
-   the decide histogram samples 1 of 32 decisions because a clock
-   pair (~100 ns) would dominate the sub-100-ns grant path (see the
-   overhead discipline in DESIGN.md, "Observability").  Grants are not
-   counted separately: they are [decisions - denied].  All are inert
-   until [Metrics.set_enabled true]. *)
+(* Decision-layer instruments, read only on the observed path (see
+   [decide]).  The decide histogram samples 1 of 32 decisions, picked
+   by the decision counter itself, because a clock pair (~100 ns)
+   would dominate the sub-100-ns grant path (see the overhead
+   discipline in DESIGN.md, "Observability").  Grants are not counted
+   separately: they are [decisions - denied]. *)
 let m_decisions = Metrics.counter "monitor.decisions"
 let m_denied = Metrics.counter "monitor.denied"
 let m_mac_denied = Metrics.counter "monitor.mac_denied"
@@ -46,6 +46,15 @@ let set_policy monitor policy =
 let audit monitor = monitor.audit
 let policy_epoch monitor = Atomic.get monitor.policy_epoch
 
+(* The denials that carry no payload, built once: a decision
+   allocates only for an explicit deny, which names its entry. *)
+let no_entry = Decision.Denied Decision.Dac_no_entry
+let read_up = Decision.Denied (Decision.Mac_denied Mac.Read_up)
+let write_down = Decision.Denied (Decision.Mac_denied Mac.Write_down)
+let blind_overwrite = Decision.Denied (Decision.Mac_denied Mac.Blind_overwrite)
+let read_down = Decision.Denied (Decision.Integrity_denied Integrity.Read_down)
+let write_up = Decision.Denied (Decision.Integrity_denied Integrity.Write_up)
+
 (* The discretionary layer is the compiled ACL alone: the object's
    ACL, compiled to flat mode-mask arrays and memoized on its metadata
    (see Acl_compiled / Meta.compiled_in), answers in a few bitwise
@@ -62,78 +71,75 @@ let dac_decide monitor ~subject ~(meta : Meta.t) ~mode =
   match
     Acl_compiled.check_id compiled ~snapshot ~id ~subject:(Subject.principal subject) ~mode
   with
-  | Acl_compiled.Granted -> Ok ()
-  | Acl_compiled.No_entry -> Error Decision.Dac_no_entry
-  | Acl_compiled.Denied who -> Error (Decision.Dac_explicit_deny who)
+  | Acl_compiled.Granted -> Decision.Granted
+  | Acl_compiled.No_entry -> no_entry
+  | Acl_compiled.Denied who -> Decision.Denied (Decision.Dac_explicit_deny who)
 
-let mac_decide monitor ~span ~subject ~(meta : Meta.t) ~mode =
-  (* Trusted subjects (the TCB) are exempt from the [*]-property: they
-     may write down.  Read rules still apply. *)
-  if Subject.is_trusted subject && Access_mode.is_write_like mode then begin
-    if Trace.active span then Trace.annotate span "mac" "granted";
-    Ok ()
-  end
-  else
+(* The whole decision under one policy read: DAC, then MAC, then Biba
+   (which applies only when both sides carry integrity labels).
+   Trusted subjects (the TCB) are exempt from the [*]-property and from
+   its Biba mirror, so they may write down; read rules still apply.
+   Each step answers a [Decision.t] and the first denial ends the
+   evaluation, with no result box, no closure and no span, so a grant
+   allocates nothing (a regression test holds it to zero words). *)
+let evaluate monitor (policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
+  let exempt = Subject.is_trusted subject && Access_mode.is_write_like mode in
+  match
+    if policy.Policy.dac then dac_decide monitor ~subject ~meta ~mode else Decision.Granted
+  with
+  | Decision.Denied _ as denied -> denied
+  | Decision.Granted -> (
     match
-      Mac.check ~rule:monitor.policy.Policy.overwrite
-        ~subject:(Subject.effective_class subject) ~object_:meta.klass mode
+      if (not policy.Policy.mac) || exempt then Ok ()
+      else
+        Mac.check ~rule:policy.Policy.overwrite ~subject:(Subject.effective_class subject)
+          ~object_:meta.klass mode
     with
-    | Ok () ->
-      if Trace.active span then Trace.annotate span "mac" "granted";
-      Ok ()
-    | Error denial ->
-      Metrics.incr m_mac_denied;
-      if Trace.active span then Trace.annotate span "mac" "denied";
-      Error (Decision.Mac_denied denial)
-
-(* Biba rules apply only when both sides carry integrity labels; the
-   TCB exemption mirrors the MAC one. *)
-let integrity_decide monitor ~subject ~(meta : Meta.t) ~mode =
-  if not monitor.policy.Policy.integrity then Ok ()
-  else
-    match Subject.integrity subject, meta.integrity with
-    | None, _ | _, None -> Ok ()
-    | Some subject_integrity, Some object_integrity ->
-      if Subject.is_trusted subject && Access_mode.is_write_like mode then Ok ()
-      else (
-        match Integrity.check ~subject:subject_integrity ~object_:object_integrity mode with
-        | Ok () -> Ok ()
-        | Error denial -> Error (Decision.Integrity_denied denial))
-
-(* Written as direct matches rather than a Result.bind chain: the bind
-   closures would allocate on every call, and the grant path through
-   [evaluate] is the allocation-free fast path the compiled-ACL work
-   buys (a regression test holds it to zero minor words). *)
-let evaluate monitor ~span ~subject ~meta ~mode =
-  let dac =
-    if monitor.policy.Policy.dac then dac_decide monitor ~subject ~meta ~mode else Ok ()
-  in
-  match dac with
-  | Error denial -> Decision.Denied denial
-  | Ok () -> (
-    let mac =
-      if monitor.policy.Policy.mac then mac_decide monitor ~span ~subject ~meta ~mode
-      else Ok ()
-    in
-    match mac with
-    | Error denial -> Decision.Denied denial
+    | Error Mac.Read_up -> read_up
+    | Error Mac.Write_down -> write_down
+    | Error Mac.Blind_overwrite -> blind_overwrite
     | Ok () -> (
-      match integrity_decide monitor ~subject ~meta ~mode with
-      | Error denial -> Decision.Denied denial
-      | Ok () -> Decision.Granted))
+      match Subject.integrity subject, meta.integrity with
+      | Some subject_integrity, Some object_integrity
+        when policy.Policy.integrity && not exempt -> (
+        match Integrity.check ~subject:subject_integrity ~object_:object_integrity mode with
+        | Ok () -> Decision.Granted
+        | Error Integrity.Read_down -> read_down
+        | Error Integrity.Write_up -> write_up)
+      | (None | Some _), _ -> Decision.Granted))
 
-let decide ?(span = Trace.none) monitor ~subject ~meta ~mode =
-  Metrics.incr m_decisions;
-  let t0 = Metrics.start_timing m_decide_ns in
-  let decision = evaluate monitor ~span ~subject ~meta ~mode in
+(* [decide] with its instruments around the same evaluation.  The
+   counters and the span's fields are read off the decision: the MAC
+   layer ran exactly when it is on and DAC did not deny, and it denied
+   exactly when the decision is a MAC denial. *)
+let decide_observed monitor policy ~span ~subject ~meta ~mode =
+  let t0 = Metrics.start_counted m_decisions m_decide_ns in
+  let decision = evaluate monitor policy ~subject ~meta ~mode in
   Metrics.stop_timing m_decide_ns t0;
-  if not (Decision.is_granted decision) then Metrics.incr m_denied;
-  if Trace.active span then
+  (match decision with
+  | Decision.Granted -> ()
+  | Decision.Denied denial -> (
+    Metrics.incr m_denied;
+    match denial with
+    | Decision.Mac_denied _ -> Metrics.incr m_mac_denied
+    | _ -> ()));
+  if Trace.active span then begin
+    (if policy.Policy.mac then
+       match decision with
+       | Decision.Denied (Decision.Dac_no_entry | Decision.Dac_explicit_deny _) -> ()
+       | Decision.Denied (Decision.Mac_denied _) -> Trace.annotate span "mac" "denied"
+       | Decision.Granted | Decision.Denied _ -> Trace.annotate span "mac" "granted");
     Trace.annotate span "decision"
       (match decision with
       | Decision.Granted -> "granted"
-      | Decision.Denied _ -> "denied");
+      | Decision.Denied _ -> "denied")
+  end;
   decision
+
+let decide ?(span = Trace.none) monitor ~subject ~meta ~mode =
+  let policy = monitor.policy in
+  if Trace.observing () then decide_observed monitor policy ~span ~subject ~meta ~mode
+  else evaluate monitor policy ~subject ~meta ~mode
 
 let check ?span monitor ~subject ~(meta : Meta.t) ~object_name ~mode =
   let decision = decide ?span monitor ~subject ~meta ~mode in
@@ -165,21 +171,20 @@ let set_class monitor ~subject ~meta ~object_name klass =
   decision
 
 let check_attach monitor ~subject ~parent ~child ~object_name =
-  let dac_result =
-    if monitor.policy.Policy.dac then
-      dac_decide monitor ~subject ~meta:parent ~mode:Access_mode.Write
-    else Ok ()
-  in
+  let policy = monitor.policy in
   let decision =
-    match dac_result with
-    | Error denial -> Decision.Denied denial
-    | Ok () ->
+    match
+      if policy.Policy.dac then dac_decide monitor ~subject ~meta:parent ~mode:Access_mode.Write
+      else Decision.Granted
+    with
+    | Decision.Denied _ as denied -> denied
+    | Decision.Granted ->
       if
-        (not monitor.policy.Policy.mac)
+        (not policy.Policy.mac)
         || Subject.is_trusted subject
         || Security_class.dominates child.Meta.klass (Subject.effective_class subject)
       then Decision.Granted
-      else Decision.Denied (Decision.Mac_denied Mac.Write_down)
+      else write_down
   in
   Audit.record monitor.audit ~subject ~object_name ~object_id:child.Meta.id
     ~object_class:child.Meta.klass ~mode:Access_mode.Write decision;

@@ -64,11 +64,18 @@ val decide :
     MAC rules.  An explicit ACL deny names the deny entry that
     decided, exactly as {!Acl.check} would.
 
-    Feeds the [monitor.*] metrics (decision and denial counters, MAC
-    denials, and a sampled latency histogram); all of it noop until
-    [Exsec_obs.Metrics.set_enabled true].  When [span] carries an
-    active trace span, the decision annotates it with [mac] (when the
-    MAC layer ran) and the final verdict. *)
+    The decision is one evaluation under one read of the policy, and
+    its first denial ends it.  A grant allocates nothing, nor does a
+    denial other than an explicit ACL deny (which names its entry).
+
+    Observability costs one test: when neither metrics nor tracing is
+    on ({!Exsec_obs.Trace.observing}), [decide] is the evaluation
+    alone.  Otherwise the same evaluation runs inside the [monitor.*]
+    metrics (the decision counter, which also picks the 1 in 32
+    decisions the [monitor.decide_ns] histogram times, and the denial
+    and MAC-denial counters), and when [span] carries an active trace
+    span, the decision annotates it with [mac] (when the MAC layer ran:
+    it is on and DAC did not deny) and then the final [decision]. *)
 
 val check :
   ?span:Exsec_obs.Trace.handle ->
@@ -122,4 +129,6 @@ val check_attach :
     — the mandatory check applies to the {e child}: its class must
     dominate the subject's, so a subject creates or unlinks entries
     only at or above its own class.  (The target of a removal is
-    additionally subject to a normal [Delete] check.) *)
+    additionally subject to a normal [Delete] check.)  The
+    discretionary half is {!decide}'s own DAC step; the check is
+    audited but feeds no [monitor.*] metric. *)

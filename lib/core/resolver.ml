@@ -79,12 +79,20 @@ let observe_outcome result =
   | Error (Denied _) -> Metrics.incr m_denials
   | Error (Name_error _) -> Metrics.incr m_name_errors
 
-let resolve ?span r ~subject ~mode target =
-  Metrics.incr m_resolves;
-  let t0 = Metrics.start_timing m_resolve_ns in
-  (* When no active span was handed down (a direct resolution, not one
-     inside [Kernel.call]), this resolution is itself the top-level
-     traced operation. *)
+let resolve_bare ?span r ~subject ~mode target =
+  match descend ?span r ~subject target target with
+  | exception Refused denial -> Error denial
+  | node -> (
+    match check ?span r ~subject node mode with
+    | Error e -> Error e
+    | Ok () -> Ok node)
+
+(* The same resolution inside the resolver's counters, its timer and,
+   when no active span was handed down (a direct resolution, not one
+   inside [Kernel.call]), a span of its own: this resolution is then
+   the top-level traced operation. *)
+let resolve_observed ?span r ~subject ~mode target =
+  let t0 = Metrics.start_counted m_resolves m_resolve_ns in
   let own =
     match span with
     | Some handed when Trace.active handed -> Trace.none
@@ -98,18 +106,15 @@ let resolve ?span r ~subject ~mode target =
     end
     else span
   in
-  let result =
-    match descend ?span r ~subject target target with
-    | exception Refused denial -> Error denial
-    | node -> (
-      match check ?span r ~subject node mode with
-      | Error e -> Error e
-      | Ok () -> Ok node)
-  in
+  let result = resolve_bare ?span r ~subject ~mode target in
   Trace.finish own;
   Metrics.stop_timing m_resolve_ns t0;
   observe_outcome result;
   result
+
+let resolve ?span r ~subject ~mode target =
+  if Trace.observing () then resolve_observed ?span r ~subject ~mode target
+  else resolve_bare ?span r ~subject ~mode target
 
 let list_dir r ~subject target =
   match resolve r ~subject ~mode:Access_mode.List target with

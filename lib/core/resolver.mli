@@ -31,9 +31,13 @@ val resolve :
   'a t -> subject:Subject.t -> mode:Access_mode.t -> Path.t ->
   ('a Namespace.node, denial) result
 (** Traverse to the target (checking [List] on the way) and check
-    [mode] on it.  Feeds the [resolver.*] metrics (resolve count,
-    denial/name-error counts, latency histogram) and threads [span]
-    through every monitor decision made along the walk. *)
+    [mode] on it, threading [span] through every monitor decision made
+    along the walk.  When neither metrics nor tracing is on
+    ({!Exsec_obs.Trace.observing}) that walk is all it does; otherwise
+    the same walk feeds the [resolver.*] metrics (resolve count,
+    denial/name-error counts, latency histogram) and, unless an active
+    span was handed down, runs under a [resolver.resolve] span of its
+    own annotated with the path and mode. *)
 
 val lookup :
   'a t -> subject:Subject.t -> Path.t -> ('a Namespace.node, denial) result

@@ -16,8 +16,13 @@ let comparable a b = dominates a b || dominates b a
 let join a b =
   { level = Level.max a.level b.level; categories = Category.union a.categories b.categories }
 
+(* Two comparable classes meet at the lower one, returned as it is:
+   entering a ceiling below (or above) a subject's class allocates no
+   class. *)
 let meet a b =
-  { level = Level.min a.level b.level; categories = Category.inter a.categories b.categories }
+  if dominates b a then a
+  else if dominates a b then b
+  else { level = Level.min a.level b.level; categories = Category.inter a.categories b.categories }
 
 let top hierarchy universe =
   { level = Level.top hierarchy; categories = Category.full universe }

@@ -28,7 +28,9 @@ val join : t -> t -> t
 (** Least upper bound: max level, union of categories. *)
 
 val meet : t -> t -> t
-(** Greatest lower bound: min level, intersection of categories. *)
+(** Greatest lower bound: min level, intersection of categories.  When
+    one class dominates the other, the lower one itself is returned,
+    so meeting comparable classes allocates nothing. *)
 
 val top : Level.hierarchy -> Category.universe -> t
 val bottom : Level.hierarchy -> Category.universe -> t

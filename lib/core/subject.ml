@@ -1,7 +1,10 @@
 type t = {
   principal : Principal.individual;
   clearance : Security_class.t;
-  ceiling : Security_class.t option;
+  effective : Security_class.t;
+      (* the clearance met with every ceiling entered since the last
+         [without_ceiling]: computed when a ceiling is set, so a
+         decision reads it without allocating *)
   trusted : bool;
   integrity : Security_class.t option;
   mutable id : int;
@@ -11,13 +14,17 @@ type t = {
 }
 
 let make ?ceiling ?(trusted = false) ?integrity principal clearance =
-  { principal; clearance; ceiling; trusted; integrity; id = -1 }
+  let effective =
+    match ceiling with
+    | None -> clearance
+    | Some cap -> Security_class.meet clearance cap
+  in
+  { principal; clearance; effective; trusted; integrity; id = -1 }
 
 let is_trusted subject = subject.trusted
 let integrity subject = subject.integrity
 let principal subject = subject.principal
 let clearance subject = subject.clearance
-let ceiling subject = subject.ceiling
 
 let individual_id subject snapshot =
   if subject.id >= 0 then subject.id
@@ -33,20 +40,14 @@ let membership_unmoved subject db ~generation row =
   let snapshot = Principal.Db.snapshot db in
   Principal.Db.Snapshot.row snapshot ~individual_id:(individual_id subject snapshot) == row
 
-let effective_class subject =
-  match subject.ceiling with
-  | None -> subject.clearance
-  | Some cap -> Security_class.meet subject.clearance cap
+let effective_class subject = subject.effective
 
+(* Meet is associative, so meeting the effective class with the new
+   cap is the clearance met with every ceiling entered. *)
 let with_ceiling subject cap =
-  let cap =
-    match subject.ceiling with
-    | None -> cap
-    | Some existing -> Security_class.meet existing cap
-  in
-  { subject with ceiling = Some cap }
+  { subject with effective = Security_class.meet subject.effective cap }
 
-let without_ceiling subject = { subject with ceiling = None }
+let without_ceiling subject = { subject with effective = subject.clearance }
 
 let pp ppf subject =
   Format.fprintf ppf "%a@%a" Principal.pp_individual subject.principal

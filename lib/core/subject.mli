@@ -30,9 +30,6 @@ val integrity : t -> Security_class.t option
 val principal : t -> Principal.individual
 val clearance : t -> Security_class.t
 
-val ceiling : t -> Security_class.t option
-(** The current static-class cap, if any. *)
-
 val individual_id : t -> Principal.Db.Snapshot.t -> int
 (** [Principal.Db.Snapshot.individual_id snapshot (principal t)]: the
     principal's fixed id, or [-1] while it is unregistered.  An id,
@@ -53,8 +50,12 @@ val membership_unmoved :
     the snapshot refresh the first call after an edit may pay. *)
 
 val effective_class : t -> Security_class.t
-(** [meet clearance ceiling] when a ceiling is set, else the
-    clearance. *)
+(** The clearance met with every ceiling entered ({!make}'s
+    [ceiling], then each {!with_ceiling}) since the last
+    {!without_ceiling}; the clearance when there is none.  The subject
+    keeps it, computed when a ceiling is set, so reading it allocates
+    nothing: a subject under a ceiling decides without allocating,
+    like one without. *)
 
 val with_ceiling : t -> Security_class.t -> t
 (** Enter code pinned at the given class; composes (meets) with any

@@ -284,9 +284,27 @@ and dispatch_event kernel ~subject path handlers args =
   | handler -> run_handler kernel ~subject handler args
   | exception Not_found -> Error (Service.No_handler (Path.to_string path))
 
-and call kernel ~subject ~caller path args =
-  Metrics.incr m_calls;
-  let t0 = Metrics.start_timing m_call_ns in
+(* The checked call itself, shared by both paths of [call]: [span] is
+   the call's own span, or [Trace.none] when nothing observes. *)
+and call_body kernel ~span ~subject ~caller path args =
+  match Quota.charge_call kernel.quota (Subject.principal subject) with
+  | Error denial ->
+    if Trace.active span then Trace.annotate span "quota" "denied";
+    quota_exceeded denial
+  | Ok () -> (
+    (* An inactive span is not handed down: boxing it would cost
+       every untraced call two words. *)
+    let span = if Trace.active span then Some span else None in
+    match Resolver.resolve ?span kernel.resolver ~subject ~mode:Access_mode.Execute path with
+    | Error denial -> Error (error_of_denial denial)
+    | Ok node -> (
+      match Namespace.payload node with
+      | Some (Proc proc) -> run_proc proc (make_ctx kernel ~subject ~caller) args
+      | Some (Event handlers) -> dispatch_event kernel ~subject path handlers args
+      | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))))
+
+and call_observed kernel ~subject ~caller path args =
+  let t0 = Metrics.start_counted m_calls m_call_ns in
   let span = Trace.start "kernel.call" in
   if Trace.active span then begin
     Trace.annotate span "path" (Path.to_string path);
@@ -294,24 +312,7 @@ and call kernel ~subject ~caller path args =
       (Principal.individual_name (Subject.principal subject));
     Trace.annotate span "caller" caller
   end;
-  let result =
-    match Quota.charge_call kernel.quota (Subject.principal subject) with
-    | Error denial ->
-      if Trace.active span then Trace.annotate span "quota" "denied";
-      quota_exceeded denial
-    | Ok () -> (
-      (* An inactive span is not handed down: boxing it would cost
-         every untraced call two words. *)
-      let span = if Trace.active span then Some span else None in
-      match Resolver.resolve ?span kernel.resolver ~subject ~mode:Access_mode.Execute path with
-      | Error denial -> Error (error_of_denial denial)
-      | Ok node -> (
-        match Namespace.payload node with
-        | Some (Proc proc) -> run_proc proc (make_ctx kernel ~subject ~caller) args
-        | Some (Event handlers) -> dispatch_event kernel ~subject path handlers args
-        | Some _ | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))))
-  in
-  ignore (count_error result);
+  let result = count_error (call_body kernel ~span ~subject ~caller path args) in
   if Trace.active span then
     Trace.annotate span "result"
       (match result with
@@ -320,6 +321,10 @@ and call kernel ~subject ~caller path args =
   Trace.finish span;
   Metrics.stop_timing m_call_ns t0;
   result
+
+and call kernel ~subject ~caller path args =
+  if Trace.observing () then call_observed kernel ~subject ~caller path args
+  else call_body kernel ~span:Trace.none ~subject ~caller path args
 
 let broadcast kernel ~subject ~caller:_ path args =
   Metrics.incr m_broadcasts;
@@ -490,25 +495,37 @@ let call_handle_stale kernel h g args =
       then Metrics.incr m_handle_reminted;
       run_target kernel g ~subject:g.g_subject target args)
 
-let call_handle kernel h args =
-  Metrics.incr m_handle_calls;
-  let t0 = Metrics.start_timing m_handle_call_ns in
+(* A live grant's call by [subject], after the freshness test: charge
+   the caller, then dispatch from the grant or re-check.  A handle call
+   runs as the grant's own subject; a proved call as its caller. *)
+let dispatch_grant kernel h g ~subject ~fresh args =
+  match Quota.charge_call kernel.quota (Subject.principal subject) with
+  | Error denial -> quota_exceeded denial
+  | Ok () ->
+    if fresh then run_target kernel g ~subject g.g_target args
+    else call_handle_stale kernel h g args
+
+let call_handle_observed kernel h args =
+  let t0 = Metrics.start_counted m_handle_calls m_handle_call_ns in
   let result =
     match Handle.deref kernel.handles h with
     | None ->
       Metrics.incr m_handle_use_closed;
       closed_handle_error
-    | Some g -> (
+    | Some g ->
       let fresh = grant_fresh kernel g in
       Metrics.incr (if fresh then m_handle_hits else m_handle_stale);
-      match Quota.charge_call kernel.quota (Subject.principal g.g_subject) with
-      | Error denial -> quota_exceeded denial
-      | Ok () ->
-        if fresh then run_target kernel g ~subject:g.g_subject g.g_target args
-        else call_handle_stale kernel h g args)
+      dispatch_grant kernel h g ~subject:g.g_subject ~fresh args
   in
   Metrics.stop_timing m_handle_call_ns t0;
   count_error result
+
+let call_handle kernel h args =
+  if Trace.observing () then call_handle_observed kernel h args
+  else
+    match Handle.deref kernel.handles h with
+    | None -> closed_handle_error
+    | Some g -> dispatch_grant kernel h g ~subject:g.g_subject ~fresh:(grant_fresh kernel g) args
 
 (* The proved probe: the certificate's own coordinates, which are the
    grant rule's with the calling subject's cover and row in place of
@@ -527,12 +544,12 @@ let proof_admits kernel g subject =
 let call_proved kernel h ~subject ~caller path args =
   match Handle.deref kernel.handles h with
   | Some g when proof_admits kernel g subject ->
-    Metrics.incr m_handle_calls;
-    Metrics.incr m_handle_hits;
-    count_error
-      (match Quota.charge_call kernel.quota (Subject.principal subject) with
-      | Error denial -> quota_exceeded denial
-      | Ok () -> run_target kernel g ~subject g.g_target args)
+    if Trace.observing () then begin
+      Metrics.incr m_handle_calls;
+      Metrics.incr m_handle_hits;
+      count_error (dispatch_grant kernel h g ~subject ~fresh:true args)
+    end
+    else dispatch_grant kernel h g ~subject ~fresh:true args
   | Some _ | None -> call kernel ~subject ~caller path args
 
 let close_handle kernel h =

@@ -139,7 +139,15 @@ val call :
     procedure's context come back here.  Events run the handler
     selected for the caller's effective class, with the subject's class
     capped by the handler's static class for the duration of the
-    handler. *)
+    handler.
+
+    Observability costs one test ({!Exsec_obs.Trace.observing}): off,
+    the call is the quota charge, the checked resolution and the
+    dispatch alone; on, the same body runs inside the [kernel.calls],
+    [kernel.call_errors] and [kernel.call_ns] metrics and a
+    [kernel.call] span, which it hands down to the resolver and the
+    monitor.  {!call_handle} and {!call_proved} make the same one test
+    for their [handle.*] metrics. *)
 
 val broadcast :
   t -> subject:Subject.t -> caller:string -> Path.t -> Value.t list ->

@@ -34,6 +34,14 @@ let add sched thread =
 let threads sched = Array.to_list (Array.sub sched.slots 0 sched.count)
 let alive sched = List.filter Thread.is_alive (threads sched)
 
+let listed sched =
+  List.filter
+    (fun thread ->
+      match Thread.state thread with
+      | Thread.Ready | Thread.Faulted _ -> true
+      | Thread.Done | Thread.Killed -> false)
+    (threads sched)
+
 let find sched id =
   let rec scan i =
     if i >= sched.count then None

@@ -24,6 +24,13 @@ val threads : t -> Thread.t list
 (** In the order added (finished and killed threads included). *)
 
 val alive : t -> Thread.t list
+
+val listed : t -> Thread.t list
+(** The live threads and the faulted ones, in the order added: what the
+    operator listings (the shell's [threads], introspection's
+    [threads]) show.  A faulted thread stays listed with its fault; a
+    finished or killed one drops out. *)
+
 val find : t -> int -> Thread.t option
 
 val step : t -> bool

@@ -8,7 +8,7 @@ type state =
   | Ready
   | Done
   | Killed
-  | Faulted
+  | Faulted of string
 
 type t = {
   id : int;
@@ -32,27 +32,28 @@ let state thread = thread.state
 let is_alive thread =
   match thread.state with
   | Ready -> true
-  | Done | Killed | Faulted -> false
+  | Done | Killed | Faulted _ -> false
 
 let quanta thread = thread.quanta
 
 (* A body that raises ends its own thread and nothing else: the
    exception stops here, as [Kernel.guarded] stops one raised on a
-   call, so the scheduler goes on with the other threads. *)
+   call, so the scheduler goes on with the other threads.  The thread
+   keeps the exception's text for the listings. *)
 let step thread =
   match thread.state with
-  | Done | Killed | Faulted -> ()
+  | Done | Killed | Faulted _ -> ()
   | Ready -> (
     thread.quanta <- thread.quanta + 1;
     match thread.body () with
     | Runnable -> ()
     | Finished -> thread.state <- Done
     | exception (Out_of_memory as e) -> raise e
-    | exception _ -> thread.state <- Faulted)
+    | exception e -> thread.state <- Faulted (Printexc.to_string e))
 
 let kill thread =
   match thread.state with
-  | Done | Killed | Faulted -> ()
+  | Done | Killed | Faulted _ -> ()
   | Ready -> thread.state <- Killed
 
 let pp ppf thread =
@@ -62,4 +63,4 @@ let pp ppf thread =
     | Ready -> "ready"
     | Done -> "done"
     | Killed -> "killed"
-    | Faulted -> "faulted")
+    | Faulted fault -> "faulted: " ^ fault)

@@ -11,9 +11,11 @@
 
     Scheduling is cooperative: the scheduler calls the thread's body
     once per quantum until it reports [Finished].  A body that raises
-    ends its own thread ([Faulted]) and nothing else: the scheduler
-    goes on with the other threads (the ThreadMurder lesson of
-    section 1.2, applied to faults). *)
+    ends its own thread ([Faulted], keeping the exception's text) and
+    nothing else: the scheduler goes on with the other threads (the
+    ThreadMurder lesson of section 1.2, applied to faults), and the
+    operator listings keep showing the faulted thread with its fault
+    ({!Sched.listed}). *)
 
 open Exsec_core
 
@@ -25,9 +27,11 @@ type state =
   | Ready
   | Done  (** body reported [Finished] *)
   | Killed  (** forcibly terminated *)
-  | Faulted
+  | Faulted of string
       (** body raised: every exception but [Out_of_memory] is
-          contained, as on the call paths ({!Service.Ext_failure}) *)
+          contained, as on the call paths ({!Service.Ext_failure});
+          the thread keeps the exception's text
+          ([Printexc.to_string]) *)
 
 type t
 
@@ -56,3 +60,5 @@ val kill : t -> unit
     the reference monitor first (the kernel's [kill] does). *)
 
 val pp : Format.formatter -> t -> unit
+(** [thread ID (NAME, SUBJECT, STATE)], a faulted thread's state
+    reading [faulted: FAULT]. *)

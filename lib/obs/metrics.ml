@@ -114,6 +114,15 @@ let start_timing h =
     if tick land ((1 lsl h.sample_shift) - 1) = 0 then now_ns () else 0
   end
 
+(* [incr c] and [start_timing h] in one fetch-and-add: the counter's
+   own count picks the sampled events, so [h]'s tick is not touched.
+   For a sampled [h], sound only where [c] counts exactly the events
+   [h] times, so that the counter moves with the tick it replaces. *)
+let start_counted c h =
+  if not (Atomic.get enabled_flag) then 0
+  else if Atomic.fetch_and_add c.c_cell 1 land ((1 lsl h.sample_shift) - 1) = 0 then now_ns ()
+  else 0
+
 let stop_timing h t0 = if t0 > 0 then observe h (now_ns () - t0)
 
 let count h = Atomic.get h.h_count

@@ -65,6 +65,16 @@ val start_timing : histogram -> int
     to {!stop_timing}; a [0] stamp makes it a no-op, so callers need
     no branch of their own. *)
 
+val start_counted : counter -> histogram -> int
+(** [incr c] followed by [start_timing h], in one fetch-and-add: the
+    counter's count before the increment decides whether this event is
+    one of the 1 in [2{^ shift}] that are timed, in place of [h]'s own
+    tick.  When the counter counts exactly the events the histogram
+    times (as [monitor.decisions] counts the decides [monitor.decide_ns]
+    samples), or the histogram times every event (shift 0), the
+    counter and the histogram read as with the two calls apart.
+    Returns [0] when collection is off or the event is not sampled. *)
+
 val stop_timing : histogram -> int -> unit
 val count : histogram -> int
 val sum_ns : histogram -> int

@@ -23,6 +23,8 @@ let enabled_flag = Atomic.make false
 let enabled () = Atomic.get enabled_flag
 let set_enabled on = Atomic.set enabled_flag on
 
+let observing () = Metrics.enabled () || Atomic.get enabled_flag
+
 let next_id = Atomic.make 0
 
 type ring = {

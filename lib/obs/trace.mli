@@ -22,6 +22,12 @@ val none : handle
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
+val observing : unit -> bool
+(** Metrics collection or tracing is on.  The one test a hot layer
+    makes before anything else: when it is false the layer runs its
+    bare logic, and when it is true the same logic runs inside the
+    layer's counters, timers and span. *)
+
 val capacity : unit -> int
 val set_capacity : int -> unit
 (** Resize the ring of retained spans (default 256), dropping current

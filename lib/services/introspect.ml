@@ -12,12 +12,15 @@ let extensions_impl kernel _ctx _args =
   Ok (Value.list (List.map Value.str (Kernel.loaded_extensions kernel)))
 
 let threads_impl kernel _ctx _args =
-  let live = Sched.alive (Kernel.sched kernel) in
-  Ok
-    (Value.list
-       (List.map
-          (fun thread -> Value.pair (Value.int (Thread.id thread)) (Value.str (Thread.name thread)))
-          live))
+  let entry thread =
+    let name = Value.str (Thread.name thread) in
+    Value.pair
+      (Value.int (Thread.id thread))
+      (match Thread.state thread with
+      | Thread.Faulted fault -> Value.pair name (Value.str fault)
+      | Thread.Ready | Thread.Done | Thread.Killed -> name)
+  in
+  Ok (Value.list (List.map entry (Sched.listed (Kernel.sched kernel))))
 
 let audit_totals_impl kernel _ctx _args =
   let audit = Reference_monitor.audit (Kernel.monitor kernel) in

@@ -12,7 +12,9 @@
 
     Procedures:
     - [extensions : () -> list str]       loaded extension names
-    - [threads : () -> list (pair int str)]  live thread ids and names
+    - [threads : () -> list (pair int str)]  live thread ids and names,
+      and the faulted threads as [(id, (name, fault))], in the order
+      spawned ({!Exsec_extsys.Sched.listed})
     - [audit_totals : () -> (granted, denied)]   counters only
     - [audit_tail : int -> list str]      rendered recent events (classified)
     - [namespace_size : () -> int]        node count

@@ -372,10 +372,10 @@ let cmd_spawn t name quanta =
     | Error e -> render_error e)
 
 let cmd_threads t =
-  match Sched.alive (Kernel.sched t.kernel) with
+  match Sched.listed (Kernel.sched t.kernel) with
   | [] -> "no live threads"
-  | live ->
-    String.concat "\n" (List.map (fun thread -> Format.asprintf "%a" Thread.pp thread) live)
+  | listed ->
+    String.concat "\n" (List.map (fun thread -> Format.asprintf "%a" Thread.pp thread) listed)
 
 let cmd_kill t id_string =
   match int_of_string_opt id_string with

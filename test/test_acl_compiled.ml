@@ -364,6 +364,32 @@ let test_decide_allocates_nothing () =
   let measured = minor_delta run in
   Alcotest.(check (float 0.)) "decide grant words" baseline measured
 
+let test_capped_decide_allocates_nothing () =
+  (* The same grant by a subject under a ceiling, as a handler runs for
+     its caller and a static-class extension's subject calls: its
+     effective class, the meet of clearance and ceiling, is read, not
+     computed, so the decision still allocates nothing. *)
+  let db, alice, _, _, staff, _ = fixture () in
+  let monitor = Reference_monitor.create db in
+  let acl = Acl.of_entries [ Acl.allow (Acl.Group staff) [ Access_mode.Read ] ] in
+  let hierarchy, universe = std () in
+  let bottom = Security_class.bottom hierarchy universe in
+  let meta = Meta.make ~owner:alice ~acl bottom in
+  let subject =
+    Subject.with_ceiling (Subject.make alice (Security_class.top hierarchy universe)) bottom
+  in
+  let run () =
+    for _ = 1 to 10_000 do
+      match Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read with
+      | Decision.Granted -> ()
+      | Decision.Denied _ -> Alcotest.fail "the capped subject was denied"
+    done
+  in
+  run ();
+  let baseline = minor_delta (fun () -> ()) in
+  let measured = minor_delta run in
+  Alcotest.(check (float 0.)) "capped decide grant words" baseline measured
+
 let test_check_allocates_one_event () =
   (* The audited grant: [decide] allocates nothing, and the audit
      record is one 8-word event (seven fields and a header) stored in a
@@ -564,6 +590,8 @@ let suite =
     Alcotest.test_case "snapshot validity" `Quick test_snapshot_validity;
     Alcotest.test_case "check allocates nothing" `Quick test_check_allocates_nothing;
     Alcotest.test_case "decide allocates nothing" `Quick test_decide_allocates_nothing;
+    Alcotest.test_case "a capped subject decides without allocating" `Quick
+      test_capped_decide_allocates_nothing;
     Alcotest.test_case "audited check allocates one event" `Quick
       test_check_allocates_one_event;
     Alcotest.test_case "compile allocation ignores population" `Quick

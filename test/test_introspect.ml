@@ -55,6 +55,48 @@ let test_threads_listing () =
   | Ok other -> Alcotest.failf "unexpected: %s" (Format.asprintf "%a" Value.pp other)
   | Error e -> Alcotest.failf "threads: %s" (Service.error_to_string e)
 
+(* T2's faulting extension (bench/tables.ml): a thread whose body
+   raises [Not_found] on its third quantum, beside one that runs to the
+   end.  After the run it is listed with its fault next to a live
+   thread, by introspection and by the shell's listing, which prints
+   [Sched.listed] with [Thread.pp]. *)
+let test_faulted_thread_listed () =
+  let kernel, _, alice = boot () in
+  let alice_sub = Subject.make alice (cls kernel "lo") in
+  let spawn name body = ok ("spawn " ^ name) (Kernel.spawn kernel ~subject:alice_sub ~name ~body) in
+  let left = ref 100 in
+  let _victim =
+    spawn "victim" (fun () ->
+        decr left;
+        if !left = 0 then Thread.Finished else Thread.Runnable)
+  in
+  let quanta = ref 0 in
+  let faulty =
+    spawn "faulty" (fun () ->
+        incr quanta;
+        if !quanta = 3 then raise Not_found else Thread.Runnable)
+  in
+  ignore (Kernel.run kernel);
+  let worker = spawn "worker" (fun () -> Thread.Runnable) in
+  (match call kernel alice_sub "threads" [] with
+  | Ok
+      (Value.List
+        [
+          Value.Pair (Value.Int f, Value.Pair (Value.Str "faulty", Value.Str "Not_found"));
+          Value.Pair (Value.Int w, Value.Str "worker");
+        ]) ->
+    Alcotest.(check (pair int int)) "ids" (Thread.id faulty, Thread.id worker) (f, w)
+  | Ok other -> Alcotest.failf "unexpected: %s" (Format.asprintf "%a" Value.pp other)
+  | Error e -> Alcotest.failf "threads: %s" (Service.error_to_string e));
+  Alcotest.(check (list string))
+    "the shell's listing"
+    [
+      Format.asprintf "thread %d (faulty, %a, faulted: Not_found)" (Thread.id faulty) Subject.pp
+        alice_sub;
+      Format.asprintf "thread %d (worker, %a, ready)" (Thread.id worker) Subject.pp alice_sub;
+    ]
+    (List.map (Format.asprintf "%a" Thread.pp) (Sched.listed (Kernel.sched kernel)))
+
 let test_audit_totals_world_readable () =
   let kernel, _, alice = boot () in
   let alice_sub = Subject.make alice (cls kernel "lo") in
@@ -166,4 +208,6 @@ let suite =
     Alcotest.test_case "audit tail matches events" `Quick test_audit_tail_matches_events;
     Alcotest.test_case "metrics proc" `Quick test_metrics_proc;
     Alcotest.test_case "trace_tail proc" `Quick test_trace_tail_proc;
+    Alcotest.test_case "a faulted thread is listed with its fault" `Quick
+      test_faulted_thread_listed;
   ]

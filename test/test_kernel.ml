@@ -414,13 +414,13 @@ let test_raising_thread_contained () =
   let quanta = Kernel.run kernel in
   Alcotest.(check int) "the victim ran all 100 steps" 100 !victim_steps;
   check "the victim is done" true (Thread.state victim = Thread.Done);
-  check "the faulty thread reads Faulted" true (Thread.state faulty = Thread.Faulted);
+  check "the faulty thread reads Faulted" true (Thread.state faulty = Thread.Faulted "Not_found");
   check "and is not alive" false (Thread.is_alive faulty);
   Alcotest.(check int) "the fault ended it on its third quantum" 3 (Thread.quanta faulty);
   Alcotest.(check int) "quanta" 103 quanta;
   let printed = Format.asprintf "%a" Thread.pp faulty in
   check ("pp says faulted: " ^ printed) true
-    (String.ends_with ~suffix:", faulted)" printed);
+    (String.ends_with ~suffix:", faulted: Not_found)" printed);
   (* Running out of memory is the process's failure, not the thread's. *)
   let oom =
     ok "spawn oom"
