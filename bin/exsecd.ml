@@ -547,14 +547,10 @@ let analyze_cmd =
 
 (* {1 certs: the certificate lifecycle over a demo world}
 
-   A small two-extension world with a group-gated service, so a
-   membership edit can move a covered principal: `certs` lists every
-   certificate's lifecycle state and covers, `certs --self-test`
-   drives the whole lifecycle — survival under batched unrelated
-   churn, delegation with a depth cap, expiry sweep, per-subject
-   revocation by a covered principal's own edit, and CRL-style batch
-   revocation — and exits non-zero on any failed check (the CI
-   smoke). *)
+   A small two-extension world with a group-gated service: `certs`
+   lists every certificate's lifecycle state and covers.  The
+   lifecycle itself (row rule, delegation, expiry, CRL revocation, the
+   counters) is exercised by the test suite's cert-lifecycle cases. *)
 
 let certs_cmd =
   let module Kernel = Exsec_extsys.Kernel in
@@ -563,7 +559,6 @@ let certs_cmd =
   let module Service = Exsec_extsys.Service in
   let module Value = Exsec_extsys.Value in
   let module Certificate = Exsec_analysis.Certificate in
-  let module Metrics = Exsec_obs.Metrics in
   let store = Path.of_string "/svc/get" in
   let fetch = Path.of_string "/ext/relay/fetch" in
   let build () =
@@ -572,11 +567,9 @@ let certs_cmd =
     let alice = Principal.individual "alice" in
     let bob = Principal.individual "bob" in
     let staff = Principal.group "staff" in
-    let visitors = Principal.group "visitors" in
     Principal.Db.add_individual db admin;
     Principal.Db.add_member db staff (Principal.Ind alice);
     Principal.Db.add_member db staff (Principal.Ind bob);
-    Principal.Db.add_group db visitors;
     let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
     let universe = Category.universe [] in
     let bottom = Security_class.bottom hierarchy universe in
@@ -586,8 +579,8 @@ let certs_cmd =
     Clearance.register registry alice bottom;
     Clearance.register registry bob bottom;
     let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
-    (* Staff-gated through a group entry: a staff edit moves the
-       edited member's row, which the certificates below keep. *)
+    (* Staff-gated through a group entry: each certificate below
+       keeps every covered member's row. *)
     let meta =
       Meta.make ~owner:admin
         ~acl:
@@ -607,30 +600,24 @@ let certs_cmd =
     let alice_sub = Subject.make alice bottom in
     let link ?profile ext =
       match Linker.link ?profile kernel ~subject:alice_sub ext with
-      | Ok linked -> linked
+      | Ok _ -> ()
       | Error e -> failwith (Format.asprintf "%a" Linker.pp_link_error e)
     in
-    let _relay =
-      link
-        (Extension.make ~name:"relay" ~author:alice ~imports:[ store ]
-           ~provides:
-             [
-               Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []);
-             ]
-           ())
-    in
-    let front =
-      link
-        ~profile:
-          (Certificate.make_profile ~name:"svc-callers"
-             ~prefixes:[ Path.of_string "/svc"; Path.of_string "/ext" ]
-             ~max_depth:2 ~validity:4 ())
-        (Extension.make ~name:"front" ~author:alice ~imports:[ fetch ] ())
-    in
-    kernel, db, alice_sub, bob, staff, visitors, front, link
+    link
+      (Extension.make ~name:"relay" ~author:alice ~imports:[ store ]
+         ~provides:
+           [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
+         ());
+    link
+      ~profile:
+        (Certificate.make_profile ~name:"svc-callers"
+           ~prefixes:[ Path.of_string "/svc"; Path.of_string "/ext" ]
+           ~max_depth:2 ~validity:4 ())
+      (Extension.make ~name:"front" ~author:alice ~imports:[ fetch ] ());
+    kernel
   in
   let list_certs () =
-    let kernel, _db, _alice_sub, _bob, _staff, _visitors, _front, _link = build () in
+    let kernel = build () in
     Format.printf "%-10s %-9s %-12s %-6s %-7s %-5s %s@." "EXTENSION" "CERTIFIED"
       "PROFILE" "ISSUED" "EXPIRES" "DEPTH" "COVERS";
     List.iter
@@ -657,209 +644,18 @@ let certs_cmd =
     Format.printf "certificate epoch: %d@." (Kernel.cert_epoch kernel);
     0
   in
-  let self_test () =
-    Metrics.set_enabled true;
-    let kernel, db, alice_sub, bob, staff, visitors, front, link = build () in
-    let failures = ref 0 in
-    let check label ok detail =
-      Format.printf "  %-48s %s%s@." label
-        (if ok then "ok" else "FAIL")
-        (if ok then "" else " (" ^ detail ^ ")");
-      if not ok then incr failures
-    in
-    (* Issuance: profile-gated, each cover's own row kept, chain
-       pre-mint. *)
-    (match Linker.Linked.certificate front with
-    | None -> check "front holds a certificate" false "no certificate"
-    | Some certificate ->
-      check "front fully certified" (Certificate.fully_certified certificate) "";
-      let snapshot = Principal.Db.snapshot db in
-      check "alice and bob covered, each with their own row"
-        (List.for_all
-           (fun name ->
-             Array.exists
-               (fun (cover : Certificate.cover) ->
-                 String.equal (Principal.individual_name cover.Certificate.principal) name
-                 && cover.Certificate.id >= 0
-                 && cover.Certificate.row
-                    == Principal.Db.Snapshot.row snapshot
-                         ~individual_id:cover.Certificate.id)
-               certificate.Certificate.covers)
-           [ "alice"; "bob" ])
-        "";
-      check "validity horizon from the profile"
-        (certificate.Certificate.expires_at = Some 4)
-        "");
-    check "transitive chain handle pre-minted"
-      (Linker.Linked.chain_handle front store <> None)
-      "";
-    check "chain call serves"
-      (Linker.Linked.call_chain front store [] = Ok (Value.int 7))
-      "";
-    (* front's proved call: only the nested hop to /svc/get is
-       audited. *)
-    let records f =
-      let audit = Reference_monitor.audit (Kernel.monitor kernel) in
-      let t0 = Audit.total audit in
-      ignore (f ());
-      Audit.total audit - t0
-    in
-    let call_fetch () = Linker.Linked.call front ~subject:alice_sub fetch [] in
-    let proved_records = records call_fetch in
-    (* The row rule: 10^3 batched edits that move no covered
-       principal's row move the database generation but revoke
-       nothing. *)
-    let generation0 = Principal.Db.generation db in
-    for batch = 0 to 3 do
-      Kernel.batch_principals kernel (fun () ->
-          for i = 0 to 249 do
-            Principal.Db.add_member db visitors
-              (Principal.Ind (Principal.individual (Printf.sprintf "guest-%d-%d" batch i)))
-          done)
-    done;
-    check "1000 unrelated edits moved the generation"
-      (Principal.Db.generation db > generation0)
-      "";
-    check "certificate survives unrelated churn"
-      (Kernel.certificate_admits kernel ~caller:"front" ~subject:alice_sub fetch)
-      "";
-    check "generation-exact revalidation would have revoked"
-      (match Kernel.certificate_of kernel "front" with
-      | Some c -> c.Certificate.db_generation <> Principal.Db.generation db
-      | None -> false)
-      "";
-    (* Delegation: narrowing meet, recorded depth, capped chain. *)
-    let bottom = Subject.effective_class alice_sub in
-    (match
-       Kernel.delegate_certificate kernel ~parent:"front" ~cap:bottom
-         ~extension:"front/worker" ~imports:[ store ] ()
-     with
-    | Error e -> check "delegation issues" false e
-    | Ok child ->
-      check "delegation issues" true "";
-      check "delegated covers at the meet (cap)"
-        (Array.for_all
-           (fun (cover : Certificate.cover) ->
-             Security_class.equal cover.Certificate.e_max bottom)
-           child.Certificate.covers)
-        "";
-      check "delegation depth recorded"
-        (match child.Certificate.delegation with
-        | Some d -> d.Certificate.depth = 1 && d.Certificate.cap = Some bottom
-        | None -> false)
-        "");
-    (match
-       Kernel.delegate_certificate kernel ~parent:"front/worker"
-         ~extension:"front/worker2" ~imports:[ store ] ()
-     with
-    | Ok child ->
-      check "depth 2 inside the profile cap"
-        (match child.Certificate.delegation with
-        | Some d -> d.Certificate.depth = 2
-        | None -> false)
-        ""
-    | Error e -> check "depth 2 inside the profile cap" false e);
-    (match
-       Kernel.delegate_certificate kernel ~parent:"front/worker2"
-         ~extension:"front/worker3" ~imports:[ store ] ()
-     with
-    | Ok _ -> check "depth 3 refused (max_depth 2)" false "delegation granted"
-    | Error _ -> check "depth 3 refused (max_depth 2)" true "");
-    (* Expiry: a 2-epoch certificate outlives one tick, not two; the
-       sweep reclaims it eagerly. *)
-    (try
-       ignore
-         (link
-            ~profile:(Certificate.make_profile ~name:"short" ~validity:2 ())
-            (Extension.make ~name:"timed" ~author:(Subject.principal alice_sub)
-               ~imports:[ store ] ()))
-     with Failure e -> check "timed extension links" false e);
-    check "timed certificate present" (Kernel.certificate_of kernel "timed" <> None) "";
-    let epoch1 = Kernel.advance_cert_epoch kernel in
-    check "alive inside the horizon"
-      (epoch1 = 1 && Kernel.certificate_of kernel "timed" <> None)
-      "";
-    let epoch2 = Kernel.advance_cert_epoch kernel in
-    check "expiry sweep drops at the horizon"
-      (epoch2 = 2 && Kernel.certificate_of kernel "timed" = None)
-      "";
-    (* Covered churn revokes per subject: bob leaving staff moves his
-       row only, so the certificate refuses him (fail closed) and
-       still admits alice. *)
-    let bob_sub = Subject.make bob bottom in
-    check "admits bob before his edit"
-      (Kernel.certificate_admits kernel ~caller:"front" ~subject:bob_sub fetch)
-      "";
-    Principal.Db.remove_member db staff (Principal.Ind bob);
-    check "bob's own edit refuses bob (fail closed)"
-      (not (Kernel.certificate_admits kernel ~caller:"front" ~subject:bob_sub fetch))
-      "";
-    check "and still admits alice"
-      (Kernel.certificate_admits kernel ~caller:"front" ~subject:alice_sub fetch)
-      "";
-    (* CRL-style revocation: exactly the matching certificates, their
-       proofs stripped, every handle and everything else untouched. *)
-    let revoked = Kernel.revoke_by_prefix kernel (Path.of_string "/ext/relay") in
-    check "CRL by prefix revokes exactly the matching certificate"
-      (revoked = 1 && Kernel.certificate_of kernel "front" = None)
-      (Printf.sprintf "revoked=%d" revoked);
-    check "relay certificate untouched"
-      (Kernel.certificate_of kernel "relay" <> None)
-      "";
-    check "chain handle still serves after revocation"
-      (Linker.Linked.call_chain front store [] = Ok (Value.int 7))
-      "";
-    let revoked_records = records call_fetch in
-    check "revoked extension's Linked.call is audited"
-      (revoked_records > proved_records)
-      (Printf.sprintf "%d audit records, %d when proved" revoked_records proved_records);
-    let revoked = Kernel.revoke_by_principal kernel bob in
-    check "CRL by principal sweeps the remaining covers" (revoked = 3)
-      (Printf.sprintf "revoked=%d" revoked);
-    check "certificate table empty" (Kernel.certificates kernel = []) "";
-    (* Counter conservation: every certificate that entered the table
-       left it through exactly one of expiry or revocation. *)
-    let snap = Metrics.snapshot () in
-    let counter name =
-      match List.assoc_opt name snap.Metrics.counters with Some v -> v | None -> 0
-    in
-    check "cert.issued = cert.expired + cert.revoked"
-      (counter "cert.issued" = counter "cert.expired" + counter "cert.revoked")
-      (Printf.sprintf "issued=%d expired=%d revoked=%d" (counter "cert.issued")
-         (counter "cert.expired") (counter "cert.revoked"));
-    check "cert.delegations counted" (counter "cert.delegations" = 2)
-      (Printf.sprintf "delegations=%d" (counter "cert.delegations"));
-    if !failures = 0 then begin
-      Format.printf "certs self-test: all checks passed@.";
-      0
-    end
-    else begin
-      Format.printf "certs self-test: %d check(s) FAILED@." !failures;
-      1
-    end
-  in
-  let run self_test_flag =
-    try if self_test_flag then self_test () else list_certs () with
+  let run () =
+    try list_certs () with
     | Failure message ->
       Format.printf "certs: setup failed: %s@." message;
       1
-  in
-  let self_test_flag =
-    Arg.(
-      value & flag
-      & info [ "self-test" ]
-          ~doc:
-            "Drive the whole certificate lifecycle over the demo world and exit \
-             non-zero on any failed check (the CI smoke).")
   in
   Cmd.v
     (Cmd.info "certs"
        ~doc:
          "List link-time certificates and their lifecycle state (profiles, expiry, \
-          delegation, covers) over a demo world; $(b,--self-test) drives per-subject \
-          invalidation, delegation caps, expiry sweeps and CRL-style revocation end to \
-          end.")
-    Term.(const run $ self_test_flag)
+          delegation, covers) over a demo world.")
+    Term.(const run $ const ())
 
 (* {1 metrics: the observability registry over a live workload} *)
 
@@ -946,212 +742,49 @@ let metrics_cmd =
 
 let serve_cmd =
   let module Kernel = Exsec_extsys.Kernel in
-  let module Quota = Exsec_extsys.Quota in
-  let module Value = Exsec_extsys.Value in
-  let module Wire = Exsec_serve.Wire in
   let module Transport = Exsec_serve.Transport in
   let module Server = Exsec_serve.Server in
   let module Metrics = Exsec_obs.Metrics in
-  let user_creds =
-    {
-      Wire.principal = "user";
-      secret = None;
-      level = Some "local";
-      categories = Scenario.categories;
-    }
-  in
-  let rpc conn request =
-    conn.Transport.send (Wire.encode_request request);
-    match conn.Transport.recv () with
-    | None -> Error "connection closed"
-    | Some frame -> Wire.decode_response frame
-  in
-  (* The scripted smoke conversation CI runs: authentication both
-     ways, a granted read, a MAC denial crossing the wire, and quota
-     backpressure that leaves the connection usable. *)
-  let self_test () =
-    Metrics.set_enabled true;
-    match Scenario.build_checked () with
-    | Error label ->
-      Format.printf "scenario setup refused: %s@." label;
+  let run socket workers =
+    match socket with
+    | None ->
+      Format.printf "serve needs a SOCKET path@.";
       1
-    | Ok scenario ->
-      let kernel = scenario.Scenario.kernel in
-      (match
-         Exsec_services.Memfs.install_service scenario.Scenario.fs
-           ~subject:(Kernel.admin_subject kernel)
-       with
-      | Ok () -> ()
-      | Error e ->
-        Format.printf "install /svc/fs: %s@." (Exsec_extsys.Service.error_to_string e));
-      Quota.set (Kernel.quota kernel) (Principal.individual "user") (Quota.calls 3);
-      let endpoint = Transport.Loopback.create () in
-      let server = Server.create ~workers:2 kernel (Transport.Loopback.transport endpoint) in
-      Server.start server;
-      let failures = ref 0 in
-      let check label ok detail =
-        Format.printf "  %-42s %s%s@." label
-          (if ok then "ok" else "FAIL")
-          (if ok then "" else " (" ^ detail ^ ")");
-        if not ok then incr failures
-      in
-      let body_of = function
-        | Ok { Wire.body; _ } -> body
-        | Error reason -> Wire.Error (Wire.Protocol ("client: " ^ reason))
-      in
-      let show body = Format.asprintf "%a" Wire.pp_body body in
-      (* An unknown principal is refused at hello. *)
-      let ghost = Transport.Loopback.connect endpoint in
-      let body =
-        body_of
-          (rpc ghost
-             (Wire.Hello
-                { seq = 1; creds = { user_creds with Wire.principal = "nobody" } }))
-      in
-      check "hello as unregistered principal refused"
-        (match body with Wire.Error (Wire.Auth_failed _) -> true | _ -> false)
-        (show body);
-      ghost.Transport.close ();
-      (* The outside applet authenticates but the monitor denies it the
-         user's local file; the denial crosses the wire typed. *)
-      let outside = Transport.Loopback.connect endpoint in
-      let body =
-        body_of
-          (rpc outside
-             (Wire.Hello
-                {
-                  seq = 1;
-                  creds =
-                    {
-                      Wire.principal = "applet-outside";
-                      secret = None;
-                      level = Some "others";
-                      categories = [ "outside" ];
-                    };
-                }))
-      in
-      check "hello as applet-outside granted"
-        (match body with Wire.Hello_ok _ -> true | _ -> false)
-        (show body);
-      let body = body_of (rpc outside (Wire.Op { seq = 2; op = Wire.Read { path = "/fs/user-data" } })) in
-      check "outside read of user-data denied"
-        (match body with Wire.Error (Wire.Denied _) -> true | _ -> false)
-        (show body);
-      outside.Transport.close ();
-      (* The user reads its own file, then exhausts its 3-call budget:
-         calls 4 and 5 answer Busy and the connection stays open. *)
-      let user = Transport.Loopback.connect endpoint in
-      let body = body_of (rpc user (Wire.Hello { seq = 1; creds = user_creds })) in
-      check "hello as user granted"
-        (match body with Wire.Hello_ok _ -> true | _ -> false)
-        (show body);
-      let body = body_of (rpc user (Wire.Op { seq = 2; op = Wire.Read { path = "/fs/user-data" } })) in
-      check "user reads /fs/user-data"
-        (match body with Wire.Value (Value.Str "user-data contents") -> true | _ -> false)
-        (show body);
-      let call seq =
-        body_of
-          (rpc user
-             (Wire.Op
-                {
-                  seq;
-                  op =
-                    Wire.Call
-                      { path = "/svc/fs/read"; args = [ Value.Str "user-data" ] };
-                }))
-      in
-      let ok_calls = ref 0 and busy_calls = ref 0 in
-      for seq = 3 to 7 do
-        match call seq with
-        | Wire.Value _ -> incr ok_calls
-        | Wire.Busy _ -> incr busy_calls
-        | _ -> ()
-      done;
-      check "quota: 3 calls granted, then backpressure"
-        (!ok_calls = 3 && !busy_calls = 2)
-        (Printf.sprintf "ok=%d busy=%d" !ok_calls !busy_calls);
-      let body = body_of (rpc user (Wire.Op { seq = 8; op = Wire.Read { path = "/fs/user-data" } })) in
-      check "connection still serves after Busy"
-        (match body with Wire.Value _ -> true | _ -> false)
-        (show body);
-      user.Transport.close ();
-      Server.stop server;
-      let snap = Metrics.snapshot () in
-      let counter name =
-        match List.assoc_opt name snap.Metrics.counters with Some v -> v | None -> 0
-      in
-      check "serve.requests = serve.responses"
-        (counter "serve.requests" = counter "serve.responses")
-        (Printf.sprintf "requests=%d responses=%d" (counter "serve.requests")
-           (counter "serve.responses"));
-      if !failures = 0 then begin
-        Format.printf "serve self-test: all checks passed@.";
-        0
-      end
-      else begin
-        Format.printf "serve self-test: %d check(s) FAILED@." !failures;
+    | Some path -> (
+      Metrics.set_enabled true;
+      match Scenario.build_checked () with
+      | Error label ->
+        Format.printf "scenario setup refused: %s@." label;
         1
-      end
-  in
-  let run socket loopback self_test_flag workers =
-    if self_test_flag then self_test ()
-    else
-      match socket with
-      | None ->
-        Format.printf
-          "serve needs a SOCKET path, or --self-test for the in-process smoke@.";
-        if loopback then
-          Format.printf "(--loopback without --self-test has no client to serve)@.";
-        1
-      | Some path -> (
-        Metrics.set_enabled true;
-        match Scenario.build_checked () with
-        | Error label ->
-          Format.printf "scenario setup refused: %s@." label;
-          1
-        | Ok scenario ->
-          let kernel = scenario.Scenario.kernel in
-          (match
-             Exsec_services.Memfs.install_service scenario.Scenario.fs
-               ~subject:(Kernel.admin_subject kernel)
-           with
-          | Ok () | Error _ -> ());
-          let transport = Transport.Unix_socket.listen path in
-          let server = Server.create ?workers kernel transport in
-          Server.start server;
-          Format.printf "serving the scenario world on %s (%d workers); SIGINT stops@."
-            path (Server.workers server);
-          let stop = Atomic.make false in
-          let request_stop _ = Atomic.set stop true in
-          Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
-          while not (Atomic.get stop) do
-            Unix.sleepf 0.2
-          done;
-          Format.printf "stopping@.";
-          Server.stop server;
-          Format.printf "%a@." Metrics.pp_snapshot (Metrics.snapshot ());
-          0)
+      | Ok scenario ->
+        let kernel = scenario.Scenario.kernel in
+        (match
+           Exsec_services.Memfs.install_service scenario.Scenario.fs
+             ~subject:(Kernel.admin_subject kernel)
+         with
+        | Ok () | Error _ -> ());
+        let transport = Transport.Unix_socket.listen path in
+        let server = Server.create ?workers kernel transport in
+        Server.start server;
+        Format.printf "serving the scenario world on %s (%d workers); SIGINT stops@."
+          path (Server.workers server);
+        let stop = Atomic.make false in
+        let request_stop _ = Atomic.set stop true in
+        Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
+        while not (Atomic.get stop) do
+          Unix.sleepf 0.2
+        done;
+        Format.printf "stopping@.";
+        Server.stop server;
+        Format.printf "%a@." Metrics.pp_snapshot (Metrics.snapshot ());
+        0)
   in
   let socket =
     Arg.(
       value
       & pos 0 (some string) None
       & info [] ~docv:"SOCKET" ~doc:"Unix-domain socket path to listen on.")
-  in
-  let loopback =
-    Arg.(
-      value & flag
-      & info [ "loopback" ]
-          ~doc:"Use the in-process loopback transport (with $(b,--self-test)).")
-  in
-  let self_test_flag =
-    Arg.(
-      value & flag
-      & info [ "self-test" ]
-          ~doc:
-            "Run the scripted smoke conversation over loopback and exit non-zero on \
-             any failed check.")
   in
   let workers =
     Arg.(
@@ -1164,7 +797,7 @@ let serve_cmd =
        ~doc:
          "Serve the scenario world over the request front end: authenticate principals, \
           run their requests through the kernel, apply quota backpressure")
-    Term.(const run $ socket $ loopback $ self_test_flag $ workers)
+    Term.(const run $ socket $ workers)
 
 (* {1 attacks: three-prong fault injection} *)
 

@@ -155,12 +155,17 @@ let prop_large_population =
   prop_differential ~name:"compiled = interpreted, large population" ~count:40
     ~padding:4_096
 
-let test_probe_volume () =
-  (* Run after the QCheck cases by suite order; the differential sweeps
-     must have covered the mandated >= 10k probes, and enough denials
-     to hold the deny [who] to the interpreted walk. *)
-  check "over 10k differential probes" true (!probes_total >= 10_000);
-  check "over 1k denials compared by who" true (!denials_total >= 1_000)
+(* Each property's own case, then its counts: its sweeps must cover
+   10k probes, and 1k denials to hold the deny [who] to the
+   interpreted walk. *)
+let differential_case prop =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop in
+  Alcotest.test_case name speed (fun () ->
+      probes_total := 0;
+      denials_total := 0;
+      run ();
+      check "over 10k differential probes" true (!probes_total >= 10_000);
+      check "over 1k denials compared by who" true (!denials_total >= 1_000))
 
 (* {1 Corner cases} *)
 
@@ -575,9 +580,8 @@ let test_refresh_ignores_group_count () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_small_population;
-    QCheck_alcotest.to_alcotest prop_large_population;
-    Alcotest.test_case "differential probe volume" `Quick test_probe_volume;
+    differential_case prop_small_population;
+    differential_case prop_large_population;
     Alcotest.test_case "tier precedence" `Quick test_tier_precedence;
     Alcotest.test_case "deny beats allow in tier" `Quick test_deny_beats_allow_in_tier;
     Alcotest.test_case "unregistered subject and extras" `Quick

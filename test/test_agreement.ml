@@ -2,8 +2,9 @@
    "metrics or tracing on" once and then runs either its bare logic or
    the same logic inside its counters, timers and span; these
    properties hold the two paths to one answer.  A monitor decision
-   must equal the interpreted reference (the ACL walk, the lattice rule
-   and Biba, with the TCB's write exemption) with metrics off, with
+   must equal the interpreted reference ([Oracle.decide]: the ACL walk,
+   the lattice rule and Biba, with the TCB's write exemption), at an
+   effective class the test computes itself, with metrics off, with
    metrics on and under an active span; the decision counters move by
    exactly the decisions and denials when metrics are on and not at
    all otherwise; and the span carries the MAC layer's verdict and the
@@ -103,41 +104,6 @@ let meta_of inds grps (object_class, integrity, entries) =
 let policy_of (dac, mac, integrity, strict) =
   { Policy.dac; mac; integrity; overwrite = (if strict then Mac.Strict else Mac.Liberal) }
 
-(* The interpreted reference: the ACL walk, then the lattice rule at
-   [effective] (the test meets the clearance with every ceiling
-   itself), then Biba when both sides are labelled; a trusted
-   subject's writes skip the last two.  Also
-   returns the span's MAC annotation: present exactly when the MAC
-   layer ran (it is on and DAC did not deny). *)
-let reference (policy : Policy.t) db subject ~effective (meta : Meta.t) mode =
-  let exempt = Subject.is_trusted subject && Access_mode.is_write_like mode in
-  let dac =
-    if not policy.Policy.dac then Ok ()
-    else
-      match Acl.check ~db ~subject:(Subject.principal subject) ~mode meta.Meta.acl with
-      | Acl.Granted _ -> Ok ()
-      | Acl.Denied_by who -> Error (Decision.Dac_explicit_deny who)
-      | Acl.No_entry -> Error Decision.Dac_no_entry
-  in
-  match dac with
-  | Error denial -> Decision.Denied denial, None
-  | Ok () -> (
-    let mac =
-      if not policy.Policy.mac then None
-      else if exempt then Some (Ok ())
-      else Some (Mac.check ~rule:policy.Policy.overwrite ~subject:effective ~object_:meta.Meta.klass mode)
-    in
-    match mac with
-    | Some (Error denial) -> Decision.Denied (Decision.Mac_denied denial), Some "denied"
-    | Some (Ok ()) | None -> (
-      let annotation = Option.map (fun _ -> "granted") mac in
-      match Subject.integrity subject, meta.Meta.integrity with
-      | Some s, Some o when policy.Policy.integrity && not exempt -> (
-        match Integrity.check ~subject:s ~object_:o mode with
-        | Ok () -> Decision.Granted, annotation
-        | Error denial -> Decision.Denied (Decision.Integrity_denied denial), annotation)
-      | (None | Some _), _ -> Decision.Granted, annotation))
-
 let m_decisions = Metrics.counter "monitor.decisions"
 let m_denied = Metrics.counter "monitor.denied"
 let m_mac_denied = Metrics.counter "monitor.mac_denied"
@@ -183,7 +149,8 @@ let prop_decide_agrees =
               (fun cls cap -> Security_class.meet cls (klass cap))
               (klass clearance) ceilings
           in
-          let expected, mac_annotation = reference policy db subject ~effective meta mode in
+          (* The test meets the clearance with every ceiling itself. *)
+          let expected, mac_layer = Oracle.decide ~effective policy ~db subject meta mode in
           let decide ?span () = Reference_monitor.decide ?span monitor ~subject ~meta ~mode in
           let denied = if Decision.is_granted expected then 0 else 1 in
           let mac_denied =
@@ -215,8 +182,8 @@ let prop_decide_agrees =
             | _ -> []
           in
           let expected_fields =
-            (match mac_annotation with
-            | Some value -> [ "mac", value ]
+            (match mac_layer with
+            | Some granted -> [ "mac", if granted then "granted" else "denied" ]
             | None -> [])
             @ [ "decision", verdict expected ]
           in

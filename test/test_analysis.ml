@@ -145,11 +145,7 @@ let boot_certified () =
   let registry = Clearance.create () in
   Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
   Clearance.register registry alice bottom;
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
   let admin_sub = Kernel.admin_subject kernel in
   let ping = Path.of_string "/svc/ping" in
   (match
@@ -218,8 +214,8 @@ let test_certificate_fast_path () =
   let t2 = total () in
   call_ok linked2 ~subject:alice_sub ping;
   Alcotest.(check int) "re-proved certificate admits" t2 (total ());
-  (* ...until a policy swap bumps the epoch and revokes it. *)
-  Reference_monitor.set_policy monitor (Policy.with_recheck Policy.default);
+  (* ...until re-installing the policy bumps the epoch and revokes it. *)
+  Reference_monitor.set_policy monitor Policy.default;
   let t3 = total () in
   call_ok linked2 ~subject:alice_sub ping;
   check "checks resumed after epoch bump" true (total () > t3)

@@ -1,10 +1,10 @@
 (* Differential oracle for the monitor's memoized state: the compiled
    ACL memoized on each object's metadata and the snapshot id memoized
    on each subject.  A seeded operation stream drives
-   [Reference_monitor.decide] and an interpreted reference decision
-   function, written here from the model alone (the [Acl.check] walk
-   over live group membership, then [Mac.check], then
-   [Integrity.check]), over the same principal database and objects.
+   [Reference_monitor.decide] and the reference oracle's interpreted
+   decision ([Oracle.decide]: the [Acl.check] walk over live group
+   membership, then [Mac.check], then [Integrity.check]) over the same
+   principal database and objects.
    Every check must produce the same [Decision.t], deny [who] included
    — also right after a mid-stream revocation (ACL replacement,
    relabeling, policy swaps, group membership churn).  Any divergence
@@ -15,42 +15,6 @@ open Exsec_workload
 
 let check = Alcotest.(check bool)
 let decision = Alcotest.testable Decision.pp Decision.equal
-
-(* {1 The reference} *)
-
-let exempt subject mode = Subject.is_trusted subject && Access_mode.is_write_like mode
-
-let reference ~db ~(policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
-  let dac =
-    if not policy.Policy.dac then None
-    else
-      match Acl.check ~db ~subject:(Subject.principal subject) ~mode meta.Meta.acl with
-      | Acl.Granted _ -> None
-      | Acl.Denied_by who -> Some (Decision.Dac_explicit_deny who)
-      | Acl.No_entry -> Some Decision.Dac_no_entry
-  in
-  let mac () =
-    if (not policy.Policy.mac) || exempt subject mode then Ok ()
-    else
-      Mac.check ~rule:policy.Policy.overwrite ~subject:(Subject.effective_class subject)
-        ~object_:meta.Meta.klass mode
-  in
-  let integrity () =
-    match Subject.integrity subject, meta.Meta.integrity with
-    | Some subject_integrity, Some object_integrity
-      when policy.Policy.integrity && not (exempt subject mode) ->
-      Integrity.check ~subject:subject_integrity ~object_:object_integrity mode
-    | _ -> Ok ()
-  in
-  match dac with
-  | Some denial -> Decision.Denied denial
-  | None -> (
-    match mac () with
-    | Error denial -> Decision.Denied (Decision.Mac_denied denial)
-    | Ok () -> (
-      match integrity () with
-      | Error denial -> Decision.Denied (Decision.Integrity_denied denial)
-      | Ok () -> Decision.Granted))
 
 (* {1 Differential replay} *)
 
@@ -70,7 +34,7 @@ let replay ~seed ~steps ~mutation_fraction =
       | Opstream.Check { subject; object_; mode } ->
         let subject = env.Opstream.subjects.(subject) in
         let meta = env.Opstream.metas.(object_) in
-        let expected = reference ~db ~policy:!policy ~subject ~meta ~mode in
+        let expected = fst (Oracle.decide !policy ~db subject meta mode) in
         Alcotest.check decision
           (Printf.sprintf "seed %d step %d" seed step)
           expected
@@ -123,8 +87,7 @@ let small_world () =
 let decider db monitor subject meta label =
   let decided = Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read in
   Alcotest.check decision (label ^ " (= reference)")
-    (reference ~db ~policy:(Reference_monitor.policy monitor) ~subject ~meta
-       ~mode:Access_mode.Read)
+    (fst (Oracle.decide (Reference_monitor.policy monitor) ~db subject meta Access_mode.Read))
     decided;
   decided
 

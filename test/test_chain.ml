@@ -2,23 +2,10 @@
    classification of every reachable call site on the examples/chain
    fixture, the deterministic finding order the analyzer pins, the
    linker's consumption of chain proofs (pre-minted certificates and
-   handles for provably-redundant transitive targets), and the
-   analysis-vs-monitor differential oracle.
-
-   The oracle drives twin kernels built identically over one shared
-   principal database and clearance registry: both link the same
-   three-extension chain (c imports /ext/a/relay, whose body calls
-   /ext/b/fetch, whose body calls /svc/get).  On the certified twin
-   every import is probed through [Linked.call], which serves covered
-   subjects from the certificate's proofs, and every chain target
-   through [Linked.call_chain]; the full twin answers each probe with
-   the checked [Kernel.call] under the same subject (the link-time
-   subject for chain targets).  The results must be structurally
-   identical — across ACL edits, group-membership churn, policy-epoch
-   bumps, metadata relabels and re-certification, applied in
-   lockstep.  Additionally every denial on the certified twin must
-   land a denied audit record: the analysis is never allowed to refuse
-   (or grant) silently. *)
+   handles for provably-redundant transitive targets), and the worklist
+   held to the reference fixpoint on random graphs.  The reference
+   oracle (oracle.ml) holds every chain-handle and proved call to the
+   interpreted monitor under churn. *)
 
 open Exsec_core
 open Exsec_extsys
@@ -165,11 +152,7 @@ let boot_chain_world () =
   let registry = Clearance.create () in
   Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
   Clearance.register registry alice bottom;
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
   (match
      Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) store
        ~meta:(Kernel.default_meta kernel ~owner:admin ())
@@ -232,234 +215,6 @@ let test_linker_preminted_chain () =
   let t1 = total () in
   ignore (Kernel.call kernel ~subject:alice_sub ~caller:"a" store []);
   Alcotest.(check int) "only the nested hop is audited" (total () - t1) relay_records
-
-(* {1 The twin-kernel differential oracle} *)
-
-let oracle_relay = Path.of_string "/ext/a/relay"
-
-type otwin = {
-  kernel : Kernel.t;
-  links : Linker.Linked.t list;  (* b, a, c *)
-  store_meta : Meta.t;
-  fetch_meta : Meta.t;
-  svc_meta : Meta.t;
-}
-
-type oworld = {
-  db : Principal.Db.t;
-  registry : Clearance.t;
-  inds : Principal.individual array;
-  grps : Principal.group array;
-  subjects : Subject.t array;
-  link_subject : Subject.t;  (* alice at her clearance: links every extension *)
-  cert_side : otwin;  (* probed through Linked.call and Linked.call_chain *)
-  full_side : otwin;  (* probed through the checked Kernel.call *)
-}
-
-let oclasses hierarchy universe =
-  [|
-    Security_class.bottom hierarchy universe;
-    Security_class.make
-      (Level.of_name_exn hierarchy "organization")
-      (Category.of_names universe [ "d1" ]);
-    Security_class.top hierarchy universe;
-  |]
-
-let build_otwin db registry hierarchy universe admin ~link_subject =
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
-  let store_meta = Kernel.default_meta kernel ~owner:admin () in
-  (match
-     Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) store
-       ~meta:store_meta
-       (Service.proc "get" 0 (Service.const (Value.int 7)))
-   with
-  | Ok () -> ()
-  | Error e -> failwith (Service.error_to_string e));
-  let alice = Subject.principal link_subject in
-  let link ext =
-    match Linker.link kernel ~subject:link_subject ext with
-    | Ok linked -> linked
-    | Error e -> failwith (Format.asprintf "%a" Linker.pp_link_error e)
-  in
-  let b =
-    link
-      (Extension.make ~name:"b" ~author:alice ~imports:[ store ]
-         ~provides:
-           [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call store []) ]
-         ())
-  in
-  let a =
-    link
-      (Extension.make ~name:"a" ~author:alice ~imports:[ fetch ]
-         ~provides:
-           [ Extension.provided "relay" 0 (fun ctx _args -> ctx.Service.call fetch []) ]
-         ())
-  in
-  let c = link (Extension.make ~name:"c" ~author:alice ~imports:[ oracle_relay ] ()) in
-  let meta_at path =
-    match Namespace.find (Kernel.namespace kernel) (Path.of_string path) with
-    | Ok node -> Namespace.meta node
-    | Error _ -> failwith ("oracle twin: " ^ path ^ " missing")
-  in
-  {
-    kernel;
-    links = [ b; a; c ];
-    store_meta;
-    fetch_meta = meta_at "/ext/b/fetch";
-    svc_meta = meta_at "/svc";
-  }
-
-let build_oworld () =
-  let db = Principal.Db.create () in
-  let admin = Principal.individual "admin" in
-  Principal.Db.add_individual db admin;
-  let inds = Array.map Principal.individual [| "alice"; "bob"; "carol"; "mallory" |] in
-  Array.iter (Principal.Db.add_individual db) inds;
-  let grps = Array.map Principal.group [| "staff"; "eng" |] in
-  Array.iter (Principal.Db.add_group db) grps;
-  let hierarchy = Level.hierarchy [ "local"; "organization"; "others" ] in
-  let universe = Category.universe [ "d1"; "d2" ] in
-  let klasses = oclasses hierarchy universe in
-  let registry = Clearance.create () in
-  Clearance.register registry ~trusted:true admin klasses.(2);
-  (* mallory stays unregistered: outside every certificate's cover. *)
-  Clearance.register registry inds.(0) klasses.(1);
-  Clearance.register registry inds.(1) klasses.(0);
-  Clearance.register registry inds.(2) klasses.(2);
-  let subjects =
-    [|
-      Subject.make inds.(0) klasses.(1);
-      Subject.make inds.(0) klasses.(0);  (* a high-cleared user working low *)
-      Subject.make inds.(1) klasses.(0);
-      Subject.make inds.(2) klasses.(2);
-      Subject.make inds.(3) klasses.(0);
-    |]
-  in
-  let link_subject = subjects.(0) in
-  let twin () = build_otwin db registry hierarchy universe admin ~link_subject in
-  { db; registry; inds; grps; subjects; link_subject; cert_side = twin (); full_side = twin () }
-
-let tally = Proved_probe.tally ()
-
-let sweep world =
-  let twin (side : otwin) = { Proved_probe.kernel = side.kernel; links = side.links } in
-  Proved_probe.sweep tally ~cert_twin:(twin world.cert_side) ~full_twin:(twin world.full_side)
-    ~subjects:world.subjects ~link_subject:world.link_subject
-
-(* {2 Churn: applied to both twins in lockstep} *)
-
-let oracle_acls world =
-  let alice = world.inds.(0) and bob = world.inds.(1) and mallory = world.inds.(3) in
-  [|
-    Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ];
-    Acl.of_entries
-      [
-        Acl.allow (Acl.Group world.grps.(0)) [ Access_mode.List; Access_mode.Execute ];
-        Acl.allow Acl.Everyone [ Access_mode.List ];
-      ];
-    Acl.of_entries
-      [
-        Acl.deny (Acl.Individual bob) [ Access_mode.Execute ];
-        Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
-      ];
-    Acl.of_entries [ Acl.allow (Acl.Individual alice) [ Access_mode.List; Access_mode.Execute ] ];
-    (* no Execute anywhere: every call becomes a refusal *)
-    Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List ] ];
-    (* every registered session may call, so a proof holds; only the
-       unregistered mallory, outside every cover, is denied *)
-    Acl.of_entries
-      [
-        Acl.deny (Acl.Individual mallory) [ Access_mode.Execute ];
-        Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
-      ];
-  |]
-
-let oracle_policies =
-  [|
-    Policy.with_recheck Policy.default;
-    Policy.default;
-    Policy.dac_only;
-    Policy.mac_only;
-  |]
-
-let twin_metas world = function
-  | 0 -> world.cert_side.store_meta, world.full_side.store_meta
-  | 1 -> world.cert_side.fetch_meta, world.full_side.fetch_meta
-  | _ -> world.cert_side.svc_meta, world.full_side.svc_meta
-
-(* Re-issue the link-time proofs on the certified side only — exactly
-   what a re-link does — so churn does not leave the fast path
-   permanently dark for the rest of the run. *)
-let recertify world =
-  List.iter
-    (fun (name, imports) ->
-      let kernel = world.cert_side.kernel in
-      let certificate =
-        Certificate.issue ~monitor:(Kernel.monitor kernel) ~registry:world.registry
-          ~namespace:(Kernel.namespace kernel) ~extension:name ~imports ()
-      in
-      Kernel.note_certificate kernel certificate)
-    [ "b", [ store ]; "a", [ fetch; store ]; "c", [ oracle_relay; fetch; store ] ]
-
-let apply_churn world (kind, a, b) =
-  match kind mod 5 with
-  | 0 ->
-    let variants = oracle_acls world in
-    let acl = variants.(b mod Array.length variants) in
-    let cert_meta, full_meta = twin_metas world (a mod 3) in
-    Meta.set_acl_raw cert_meta acl;
-    Meta.set_acl_raw full_meta acl
-  | 1 ->
-    let group = world.grps.(a mod Array.length world.grps) in
-    let member = Principal.Ind world.inds.(b mod Array.length world.inds) in
-    (* the shared db makes membership churn identical on both sides *)
-    (try
-       if b mod 2 = 0 then Principal.Db.add_member world.db group member
-       else Principal.Db.remove_member world.db group member
-     with Invalid_argument _ -> ())
-  | 2 ->
-    let policy = oracle_policies.(b mod Array.length oracle_policies) in
-    Reference_monitor.set_policy (Kernel.monitor world.cert_side.kernel) policy;
-    Reference_monitor.set_policy (Kernel.monitor world.full_side.kernel) policy
-  | 3 ->
-    let hierarchy = Kernel.hierarchy world.cert_side.kernel in
-    let universe = Kernel.universe world.cert_side.kernel in
-    let klasses = oclasses hierarchy universe in
-    let klass = klasses.(b mod Array.length klasses) in
-    let cert_meta, full_meta = twin_metas world (a mod 3) in
-    if b mod 2 = 0 then begin
-      Meta.set_klass_raw cert_meta klass;
-      Meta.set_klass_raw full_meta klass
-    end
-    else begin
-      let label = if b mod 4 = 1 then Some klass else None in
-      Meta.set_integrity_raw cert_meta label;
-      Meta.set_integrity_raw full_meta label
-    end
-  | _ -> recertify world
-
-let prop_oracle =
-  QCheck.Test.make ~name:"chain analysis = full monitor under churn" ~count:150
-    QCheck.(small_list (triple small_nat small_nat small_nat))
-    (fun churn ->
-      let world = build_oworld () in
-      sweep world
-      && List.for_all
-           (fun op ->
-             apply_churn world op;
-             sweep world)
-           churn)
-
-let test_probe_volume () =
-  (* Runs after the QCheck case by suite order; the oracle must have
-     executed the mandated >= 10k randomized probes, and the analysis
-     fast path must actually have served some of them. *)
-  check "over 10k differential probes" true (tally.probes >= 10_000);
-  check "proved dispatches exercised" true (tally.fast > 0)
 
 (* {1 The worklist against the reference fixpoint}
 
@@ -659,7 +414,7 @@ let gen_world =
       (list_size (int_range 1 6) (triple (int_bound 2) node (int_bound 4))))
 
 (* Classifications the property has compared, so a degenerate
-   generator shows. *)
+   generator shows; reset and checked by the property's own case. *)
 let worklist_seen = Hashtbl.create 4
 
 let prop_worklist_reference =
@@ -725,10 +480,16 @@ let prop_worklist_reference =
       report_view report
       = report_view (reference_analyze ~db ~registry ~policy:Policy.default ~objects graph))
 
-let test_worklist_coverage () =
-  check "random graphs reached redundant, denied and dependent sites" true
-    (List.for_all (Hashtbl.mem worklist_seen)
-       [ Chain_certify.Redundant; Chain_certify.Denied; Chain_certify.Dependent ])
+(* The property, then its coverage: the random graphs reached
+   redundant, denied and dependent sites. *)
+let worklist_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_worklist_reference in
+  Alcotest.test_case name speed (fun () ->
+      Hashtbl.reset worklist_seen;
+      run ();
+      check "random graphs reached redundant, denied and dependent sites" true
+        (List.for_all (Hashtbl.mem worklist_seen)
+           [ Chain_certify.Redundant; Chain_certify.Denied; Chain_certify.Dependent ]))
 
 let suite =
   [
@@ -739,8 +500,5 @@ let suite =
     Alcotest.test_case "report order stable across runs" `Quick test_report_order_stable;
     Alcotest.test_case "linker pre-mints proved chain targets" `Quick
       test_linker_preminted_chain;
-    QCheck_alcotest.to_alcotest prop_oracle;
-    Alcotest.test_case "differential probe volume" `Quick test_probe_volume;
-    QCheck_alcotest.to_alcotest prop_worklist_reference;
-    Alcotest.test_case "worklist property coverage" `Quick test_worklist_coverage;
+    worklist_case;
   ]

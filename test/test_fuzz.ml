@@ -61,7 +61,6 @@ let safe_policies =
     Policy.default;
     { Policy.default with Policy.overwrite = Mac.Liberal };
     Policy.no_integrity;
-    Policy.with_recheck Policy.default;
   ]
 
 (* One random operation; outcomes (grant or denial) are irrelevant —

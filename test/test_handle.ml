@@ -1,297 +1,13 @@
-(* Capability handles (Kernel.open_handle / call_handle): the
-   differential handle≡path oracle, staleness and revocation
-   regressions, the zero-allocation pin on the granted hot path, and
-   the denial-mapping determinism contract.
-
-   The oracle drives twin kernels built identically over one shared
-   principal database and lattice: every probe executes the same
-   (subject, object) invocation by path on one kernel and by handle on
-   the other, and the two must return structurally identical results —
-   across mid-stream ACL edits, group-membership churn (direct, through
-   a nested group, and with registrations), policy-epoch bumps and
-   metadata mutation, all applied to both twins in lockstep.
-   Additionally, every handle-side denial must land a denied audit
-   record: the fast path is never allowed to refuse (or grant) from
-   cache silently. *)
+(* Capability handles (Kernel.open_handle / call_handle): staleness
+   and revocation regressions, the zero-allocation pins on the granted
+   hot path, and the denial-mapping determinism contract.  The reference
+   oracle (oracle.ml) holds every handle call to the interpreted monitor
+   under churn, audited denials included. *)
 
 open Exsec_core
 open Exsec_extsys
 
 let check = Alcotest.(check bool)
-
-(* {1 The twin-kernel world} *)
-
-let ind_names = [| "alice"; "bob"; "carol"; "dave"; "erin" |]
-let grp_names = [| "staff"; "eng" |]
-let n_objects = 6
-
-let obj_path i = Path.of_string (Printf.sprintf "/svc/obj%d" i)
-
-let classes hierarchy universe =
-  [|
-    Security_class.bottom hierarchy universe;
-    Security_class.make
-      (Level.of_name_exn hierarchy "organization")
-      (Category.of_names universe [ "d1" ]);
-    Security_class.top hierarchy universe;
-  |]
-
-type twin = {
-  kernel : Kernel.t;
-  metas : Meta.t array;  (* per-object target metadata *)
-  dir_meta : Meta.t;  (* the /svc interior node *)
-}
-
-type world = {
-  db : Principal.Db.t;
-  subjects : Subject.t array;
-  inds : Principal.individual array;
-  grps : Principal.group array;
-  path_side : twin;
-  handle_side : twin;
-  handles : (int * int, Handle.h) Hashtbl.t;
-      (* open handles on the handle-side kernel, keyed by
-         (subject index, object index); reopened on demand *)
-  mutable registered : int;  (* individuals registered by churn *)
-}
-
-let build_twin db hierarchy universe admin =
-  let kernel = Kernel.boot ~db ~admin ~hierarchy ~universe () in
-  let admin_sub = Kernel.admin_subject kernel in
-  let klasses = classes hierarchy universe in
-  let metas =
-    Array.init n_objects (fun i ->
-        let meta =
-          Meta.make ~owner:admin
-            ~acl:
-              (Acl.of_entries
-                 [
-                   Acl.allow_all (Acl.Individual admin);
-                   Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
-                 ])
-            klasses.(i mod Array.length klasses)
-        in
-        (match
-           Kernel.install_proc kernel ~subject:admin_sub (obj_path i) ~meta
-             (Service.proc "obj" 0 (Service.const (Value.int i)))
-         with
-        | Ok () -> ()
-        | Error e -> failwith (Service.error_to_string e));
-        meta)
-  in
-  let dir_meta =
-    match Namespace.find (Kernel.namespace kernel) (Path.of_string "/svc") with
-    | Ok node -> Namespace.meta node
-    | Error _ -> failwith "twin: /svc missing"
-  in
-  { kernel; metas; dir_meta }
-
-let build_world () =
-  let db = Principal.Db.create () in
-  let admin = Principal.individual "admin" in
-  Principal.Db.add_individual db admin;
-  let inds = Array.map Principal.individual ind_names in
-  let grps = Array.map Principal.group grp_names in
-  Array.iter (Principal.Db.add_individual db) inds;
-  Array.iter (Principal.Db.add_group db) grps;
-  (* eng starts with members, so nesting it under staff (churn kind 5)
-     moves their rows through the group edge alone. *)
-  Principal.Db.add_member db grps.(1) (Principal.Ind inds.(2));
-  Principal.Db.add_member db grps.(1) (Principal.Ind inds.(4));
-  let hierarchy = Level.hierarchy [ "local"; "organization"; "others" ] in
-  let universe = Category.universe [ "d1"; "d2" ] in
-  let klasses = classes hierarchy universe in
-  let subjects =
-    Array.mapi
-      (fun i ind ->
-        let integrity =
-          if i mod 2 = 0 then Some klasses.(i mod Array.length klasses) else None
-        in
-        Subject.make ?integrity ind klasses.(i mod Array.length klasses))
-      inds
-  in
-  {
-    db;
-    subjects;
-    inds;
-    grps;
-    (* the twins share the db and lattice, so membership churn is
-       identical on both by construction; everything else is mutated
-       in lockstep below *)
-    path_side = build_twin db hierarchy universe admin;
-    handle_side = build_twin db hierarchy universe admin;
-    handles = Hashtbl.create 32;
-    registered = 0;
-  }
-
-(* {1 One probe: the same invocation by path and by handle} *)
-
-let probes_total = ref 0
-
-let handle_denied_total world =
-  Audit.denied_total (Reference_monitor.audit (Kernel.monitor world.handle_side.kernel))
-
-let probe world s o =
-  incr probes_total;
-  let subject = world.subjects.(s) in
-  let path = obj_path o in
-  let rp = Kernel.call world.path_side.kernel ~subject ~caller:"oracle" path [] in
-  let denied_before = handle_denied_total world in
-  let rh =
-    match Hashtbl.find_opt world.handles (s, o) with
-    | Some h -> Kernel.call_handle world.handle_side.kernel h []
-    | None -> (
-      match Kernel.open_handle world.handle_side.kernel ~subject ~caller:"oracle" path with
-      | Error e -> Error e
-      | Ok h ->
-        Hashtbl.replace world.handles (s, o) h;
-        Kernel.call_handle world.handle_side.kernel h [])
-  in
-  let agree = rp = rh in
-  (* Any handle-side refusal must come out of the checked, audited
-     path — silent denials would mean the fast path invented a verdict
-     the reference monitor never saw. *)
-  let audited =
-    match rh with
-    | Error (Service.Denied _) -> handle_denied_total world > denied_before
-    | Ok _ | Error _ -> true
-  in
-  agree && audited
-
-(* {1 Churn: applied to both twins in lockstep} *)
-
-let acl_variants world =
-  [|
-    Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ] ];
-    Acl.of_entries
-      [
-        Acl.allow (Acl.Group world.grps.(0)) [ Access_mode.List; Access_mode.Execute ];
-        Acl.allow Acl.Everyone [ Access_mode.List ];
-      ];
-    Acl.of_entries
-      [
-        Acl.deny (Acl.Individual world.inds.(1)) [ Access_mode.Execute ];
-        Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Execute ];
-      ];
-    Acl.of_entries
-      [ Acl.allow (Acl.Individual world.inds.(0)) [ Access_mode.List; Access_mode.Execute ] ];
-    (* no List: on the /svc node this turns every call into a
-       traversal (Path_denied) refusal *)
-    Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Execute ] ];
-  |]
-
-let policies =
-  [| Policy.default; Policy.dac_only; Policy.mac_only; Policy.with_recheck Policy.default |]
-
-(* Returns false only when an invariant checked inline (use-after-close
-   is a deterministic denial) is violated. *)
-let apply_churn world (kind, a, b) =
-  match kind mod 7 with
-  | 0 ->
-    (* ACL edit on one object — or on the /svc interior node, which
-       must invalidate every handle routed through it. *)
-    let variants = acl_variants world in
-    let acl = variants.(b mod Array.length variants) in
-    let target = a mod (n_objects + 1) in
-    if target = n_objects then begin
-      Meta.set_acl_raw world.path_side.dir_meta acl;
-      Meta.set_acl_raw world.handle_side.dir_meta acl
-    end
-    else begin
-      Meta.set_acl_raw world.path_side.metas.(target) acl;
-      Meta.set_acl_raw world.handle_side.metas.(target) acl
-    end;
-    true
-  | 1 ->
-    (* Group-membership churn; the shared db makes it identical on
-       both sides by construction. *)
-    let group = world.grps.(a mod Array.length world.grps) in
-    let member = Principal.Ind world.inds.(b mod Array.length world.inds) in
-    (try
-       if b mod 2 = 0 then Principal.Db.add_member world.db group member
-       else Principal.Db.remove_member world.db group member
-     with Invalid_argument _ -> ());
-    true
-  | 2 ->
-    (* Policy swap (epoch bump) — possibly to the same policy, which
-       still must revoke every outstanding grant. *)
-    let policy = policies.(b mod Array.length policies) in
-    Reference_monitor.set_policy (Kernel.monitor world.path_side.kernel) policy;
-    Reference_monitor.set_policy (Kernel.monitor world.handle_side.kernel) policy;
-    true
-  | 3 ->
-    (* Metadata mutation: confidentiality class or integrity label. *)
-    let target = a mod n_objects in
-    let hierarchy = Kernel.hierarchy world.path_side.kernel in
-    let universe = Kernel.universe world.path_side.kernel in
-    let klasses = classes hierarchy universe in
-    let klass = klasses.(b mod Array.length klasses) in
-    if b mod 2 = 0 then begin
-      Meta.set_klass_raw world.path_side.metas.(target) klass;
-      Meta.set_klass_raw world.handle_side.metas.(target) klass
-    end
-    else begin
-      let label = if b mod 4 = 1 then Some klass else None in
-      Meta.set_integrity_raw world.path_side.metas.(target) label;
-      Meta.set_integrity_raw world.handle_side.metas.(target) label
-    end;
-    true
-  | 5 ->
-    (* Nest or un-nest eng under staff: the rows of eng's members
-       change through the group edge alone. *)
-    let edge = Principal.Grp world.grps.(1) in
-    if b mod 2 = 0 then Principal.Db.add_member world.db world.grps.(0) edge
-    else Principal.Db.remove_member world.db world.grps.(0) edge;
-    true
-  | 6 ->
-    (* Register a fresh individual into a group: it takes the next id
-       and moves no existing row, so only the grants and memos it
-       touches are revisited. *)
-    world.registered <- world.registered + 1;
-    let fresh = Principal.individual (Printf.sprintf "new%d" world.registered) in
-    Principal.Db.add_member world.db world.grps.(a mod Array.length world.grps)
-      (Principal.Ind fresh);
-    true
-  | _ ->
-    (* Close a live handle; the oracle reopens on the next probe.  A
-       closed handle must answer the use-after-close denial, never a
-       grant and never a foreign result. *)
-    let key = (a mod Array.length world.subjects, b mod n_objects) in
-    (match Hashtbl.find_opt world.handles key with
-    | None -> true
-    | Some h ->
-      Hashtbl.remove world.handles key;
-      ignore (Kernel.close_handle world.handle_side.kernel h);
-      (match Kernel.call_handle world.handle_side.kernel h [] with
-      | Error (Service.Denied { denial = Decision.Not_an_object; _ }) -> true
-      | Ok _ | Error _ -> false))
-
-let prop_oracle =
-  QCheck.Test.make ~name:"handle = path under churn" ~count:150
-    QCheck.(small_list (triple small_nat small_nat small_nat))
-    (fun churn ->
-      let world = build_world () in
-      let ok = ref true in
-      let sweep () =
-        for s = 0 to Array.length world.subjects - 1 do
-          for o = 0 to n_objects - 1 do
-            if not (probe world s o) then ok := false
-          done
-        done
-      in
-      sweep ();
-      List.iter
-        (fun op ->
-          if not (apply_churn world op) then ok := false;
-          sweep ())
-        churn;
-      sweep ();
-      !ok)
-
-let test_probe_volume () =
-  (* Runs after the QCheck case by suite order; the oracle must have
-     executed the mandated >= 10k randomized probes. *)
-  check "over 10k differential probes" true (!probes_total >= 10_000)
 
 (* {1 Staleness and revocation regressions} *)
 
@@ -732,8 +448,6 @@ let test_denial_mapping_deterministic () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_oracle;
-    Alcotest.test_case "differential probe volume" `Quick test_probe_volume;
     Alcotest.test_case "close denies" `Quick test_close_denies;
     Alcotest.test_case "slot reuse never grants" `Quick test_slot_reuse_never_grants;
     Alcotest.test_case "revocation rechecks and re-mints" `Quick test_revocation_rechecks;

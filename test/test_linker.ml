@@ -409,11 +409,7 @@ let boot_chained () =
   let registry = Clearance.create () in
   Clearance.register registry ~trusted:true admin (Security_class.top hierarchy universe);
   Clearance.register registry alice bottom;
-  let kernel =
-    Kernel.boot
-      ~policy:(Policy.with_recheck Policy.default)
-      ~registry ~db ~admin ~hierarchy ~universe ()
-  in
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
   let store = Path.of_string "/svc/get" in
   let store_meta = Kernel.default_meta kernel ~owner:admin () in
   (match
@@ -638,7 +634,9 @@ let render subject = Value.str (Format.asprintf "%a" Subject.pp subject)
 let hits () = Exsec_obs.Metrics.value (Exsec_obs.Metrics.counter "handle.hits")
 
 let test_covered_subject_runs_as_itself () =
+  let was = Exsec_obs.Metrics.enabled () in
   Exsec_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Exsec_obs.Metrics.set_enabled was) @@ fun () ->
   let w = boot_proved () in
   check "who is proved for every session" true
     (Exsec_analysis.Certificate.verdict_for (Option.get (Linker.Linked.certificate w.linked)) w.who

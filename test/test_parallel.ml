@@ -261,7 +261,6 @@ let test_handle_callers_vs_mutator () =
     !stale_grants
   in
   let run_mutator () =
-    let policies = [| Policy.default; Policy.with_recheck Policy.default |] in
     (* Callers open their handles under the initial all-open ACLs.  A
        flip that landed first would refuse an open, kill that caller
        and leave this loop waiting for its ack forever. *)
@@ -273,7 +272,8 @@ let test_handle_callers_vs_mutator () =
         Meta.set_acl_raw proc_metas.(m)
           (if (round + m) land 1 = 0 then open_acl () else list_only_acl ())
       done;
-      Reference_monitor.set_policy (Kernel.monitor kernel) policies.(round land 1);
+      (* Re-installing the same policy still bumps the epoch. *)
+      Reference_monitor.set_policy (Kernel.monitor kernel) Policy.default;
       (* Revoke first, publish the round after: a caller that observes
          the round number observes the revocation too. *)
       Meta.set_acl_raw barrier_meta (deny_exec_acl ());

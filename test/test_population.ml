@@ -316,8 +316,13 @@ let prop_incremental_oracle =
         rounds;
       true)
 
-let test_oracle_probe_volume () =
-  check "over 10k twin-path probes" true (!oracle_probes >= 10_000)
+(* The property, then its own probe volume. *)
+let incremental_oracle_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_incremental_oracle in
+  Alcotest.test_case name speed (fun () ->
+      oracle_probes := 0;
+      run ();
+      check "over 10k twin-path probes" true (!oracle_probes >= 10_000))
 
 (* {1 Compiled form at a population in the thousands} *)
 
@@ -356,7 +361,6 @@ let test_compiled_differential () =
   let agree subject =
     List.iter
       (fun mode ->
-        incr oracle_probes;
         let compiled_class =
           Acl_compiled.verdict_class
             (Acl_compiled.check compiled ~snapshot:(Principal.Db.snapshot db) ~subject ~mode)
@@ -669,8 +673,13 @@ let prop_indexes_mirror_member_lists =
         QCheck.Test.fail_report "snapshot diverged from the interpreted walk";
       true)
 
-let test_cycles_were_rejected () =
-  check "the index property met rejected cycles" true (!rejected_cycles > 0)
+(* The property, then its coverage: the churn met rejected cycles. *)
+let indexes_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_indexes_mirror_member_lists in
+  Alcotest.test_case name speed (fun () ->
+      rejected_cycles := 0;
+      run ();
+      check "the index property met rejected cycles" true (!rejected_cycles > 0))
 
 (* {1 Satellite: deep shared-subgroup DAGs validate in linear time} *)
 
@@ -840,8 +849,7 @@ let suite =
       test_readers_see_published_state_during_batch;
     Alcotest.test_case "batch: stale slot cannot leak mid-batch state" `Quick
       test_stale_slot_batch_isolation;
-    QCheck_alcotest.to_alcotest prop_incremental_oracle;
-    Alcotest.test_case "oracle covered 10k probes" `Quick test_oracle_probe_volume;
+    incremental_oracle_case;
     Alcotest.test_case "compiled form = interpreted walk" `Quick
       test_compiled_differential;
     Alcotest.test_case "delta propagates through ancestor groups" `Quick
@@ -851,8 +859,7 @@ let suite =
     Alcotest.test_case "published snapshots stay immutable" `Quick
       test_published_snapshots_immutable;
     QCheck_alcotest.to_alcotest prop_wide_oracle;
-    QCheck_alcotest.to_alcotest prop_indexes_mirror_member_lists;
-    Alcotest.test_case "index property met rejected cycles" `Quick test_cycles_were_rejected;
+    indexes_case;
     Alcotest.test_case "deep shared DAG validates linearly" `Quick test_deep_dag_linear;
     Alcotest.test_case "parallel readers during batches" `Quick
       test_parallel_readers_during_batches;
