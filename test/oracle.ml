@@ -693,13 +693,15 @@ let route_name = function
   | Served_call -> "served Call"
   | Served_handle -> "served Call_handle"
 
+let routes = [ Checked; Handle; Proved; Chain; Served_call; Served_handle ]
+
 type tally = {
-  mutable probes : int;
+  probes : (route, int) Hashtbl.t;  (* probes each route answered *)
   fast : (route, int) Hashtbl.t;  (* probes a fast route served itself *)
   seen : (string, int) Hashtbl.t;  (* op kinds generated *)
 }
 
-let tally = { probes = 0; fast = Hashtbl.create 8; seen = Hashtbl.create 32 }
+let tally = { probes = Hashtbl.create 8; fast = Hashtbl.create 8; seen = Hashtbl.create 32 }
 
 let count table key = Option.value ~default:0 (Hashtbl.find_opt table key)
 let bump table key = Hashtbl.replace table key (1 + count table key)
@@ -709,7 +711,7 @@ let probe w route ~who path (expected : answer) ~show ~denied ~answer run =
   let total0 = Audit.total audit and denied0 = Audit.denied_total audit in
   let got = run () in
   let records = Audit.total audit - total0 in
-  tally.probes <- tally.probes + 1;
+  bump tally.probes route;
   let want = answer expected.result in
   if got <> want then
     QCheck.Test.fail_reportf "%s by %s on %s answered %s; the reference %s" (route_name route) who
@@ -824,35 +826,68 @@ let prop_oracle =
         script;
       true)
 
-(* The property, then its own counts: probe volume, each fast route
-   serving some probes, every op kind generated. *)
-let test_oracle () =
-  let metrics = Metrics.enabled () and tracing = Trace.enabled () in
-  Metrics.set_enabled false;
-  Trace.set_enabled false;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled metrics;
-      Trace.set_enabled tracing)
-  @@ fun () ->
-  tally.probes <- 0;
-  Hashtbl.reset tally.fast;
-  Hashtbl.reset tally.seen;
-  let _name, _speed, run = QCheck_alcotest.to_alcotest prop_oracle in
-  run ();
-  Alcotest.(check bool)
-    (Printf.sprintf "%d probes, at least 30,000" tally.probes)
-    true (tally.probes >= 30_000);
+(* The property runs once, with metrics and tracing off, from the
+   first case that reads it: the oracle's own case, or a route case
+   the handle, chain and certificate suites hold. *)
+let run =
+  Once.make (fun () ->
+      let metrics = Metrics.enabled () and tracing = Trace.enabled () in
+      Metrics.set_enabled false;
+      Trace.set_enabled false;
+      Fun.protect
+        ~finally:(fun () ->
+          Metrics.set_enabled metrics;
+          Trace.set_enabled tracing)
+      @@ fun () ->
+      let _name, _speed, run = QCheck_alcotest.to_alcotest prop_oracle in
+      run ())
+
+let probes_by routes = List.fold_left (fun n route -> n + count tally.probes route) 0 routes
+
+(* The property held; each of [routes] answered probes, and each fast
+   one served some itself; the script generated each of [kinds]. *)
+let check_routes ~routes ~kinds =
+  Once.force run;
   List.iter
     (fun route ->
       Alcotest.(check bool)
-        (route_name route ^ " served some probes itself")
+        (route_name route ^ " answered as the reference")
         true
-        (count tally.fast route > 0))
-    [ Handle; Proved; Chain; Served_handle ];
+        (count tally.probes route > 0);
+      match route with
+      | Checked | Served_call -> ()
+      | Handle | Proved | Chain | Served_handle ->
+        Alcotest.(check bool)
+          (route_name route ^ " served some probes itself")
+          true
+          (count tally.fast route > 0))
+    routes;
   List.iter
     (fun kind -> Alcotest.(check bool) (kind ^ " generated") true (Hashtbl.mem tally.seen kind))
     kinds
+
+(* A case holding [routes] to the reference under churn that
+   generated [kinds], for the suite of the fast path it covers. *)
+let routes_case name ~routes ~kinds =
+  Alcotest.test_case name `Quick (fun () -> check_routes ~routes ~kinds)
+
+(* A case asserting [routes] answered 10,000 probes between them. *)
+let volume_case name ~routes =
+  Alcotest.test_case name `Quick (fun () ->
+      Once.force run;
+      let probes = probes_by routes in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d probes by %s, at least 10,000" probes
+           (String.concat ", " (List.map route_name routes)))
+        true (probes >= 10_000))
+
+(* The property and its own counts: every route answered and each
+   fast one served some probes itself, every op kind was generated,
+   and 30,000 probes in all. *)
+let test_oracle () =
+  check_routes ~routes ~kinds;
+  let probes = probes_by routes in
+  Alcotest.(check bool) (Printf.sprintf "%d probes, at least 30,000" probes) true (probes >= 30_000)
 
 let suite =
   [ Alcotest.test_case "every route answers as the reference under churn" `Quick test_oracle ]

@@ -155,17 +155,27 @@ let prop_large_population =
   prop_differential ~name:"compiled = interpreted, large population" ~count:40
     ~padding:4_096
 
-(* Each property's own case, then its counts: its sweeps must cover
-   10k probes, and 1k denials to hold the deny [who] to the
-   interpreted walk. *)
-let differential_case prop =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop in
-  Alcotest.test_case name speed (fun () ->
+(* Each property runs once, from whichever of its case and the volume
+   case comes first, and reports its probe and denial counts. *)
+let differential prop =
+  Once.property prop
+    ~reset:(fun () ->
       probes_total := 0;
-      denials_total := 0;
-      run ();
-      check "over 10k differential probes" true (!probes_total >= 10_000);
-      check "over 1k denials compared by who" true (!denials_total >= 1_000))
+      denials_total := 0)
+    ~counts:(fun () -> !probes_total, !denials_total)
+
+let small_population_case, small_population_run = differential prop_small_population
+let large_population_case, large_population_run = differential prop_large_population
+
+(* Each property's sweeps cover 10k probes, and 1k denials hold the
+   deny [who] to the interpreted walk. *)
+let test_probe_volume () =
+  List.iter
+    (fun run ->
+      let probes, denials = Once.force run in
+      check "over 10k differential probes" true (probes >= 10_000);
+      check "over 1k denials compared by who" true (denials >= 1_000))
+    [ small_population_run; large_population_run ]
 
 (* {1 Corner cases} *)
 
@@ -580,8 +590,9 @@ let test_refresh_ignores_group_count () =
 
 let suite =
   [
-    differential_case prop_small_population;
-    differential_case prop_large_population;
+    small_population_case;
+    large_population_case;
+    Alcotest.test_case "differential probe volume" `Quick test_probe_volume;
     Alcotest.test_case "tier precedence" `Quick test_tier_precedence;
     Alcotest.test_case "deny beats allow in tier" `Quick test_deny_beats_allow_in_tier;
     Alcotest.test_case "unregistered subject and extras" `Quick

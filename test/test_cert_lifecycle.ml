@@ -613,5 +613,9 @@ let suite =
     Alcotest.test_case "delegation narrows at the meet, capped depth" `Quick
       test_delegation;
     Alcotest.test_case "CRL revocation is exact, no epoch bump" `Quick test_crl_revocation;
+    Oracle.routes_case "certificate lifecycle = full monitor under churn"
+      ~routes:[ Oracle.Proved ]
+      ~kinds:[ "recertify"; "tick"; "revoke-principal"; "revoke-prefix"; "batch" ];
+    Oracle.volume_case "differential probe volume" ~routes:[ Oracle.Proved ];
     Alcotest.test_case "lifecycle counters conserve" `Quick test_counters_conserve;
   ]

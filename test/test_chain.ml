@@ -414,7 +414,7 @@ let gen_world =
       (list_size (int_range 1 6) (triple (int_bound 2) node (int_bound 4))))
 
 (* Classifications the property has compared, so a degenerate
-   generator shows; reset and checked by the property's own case. *)
+   generator shows; read by the coverage case. *)
 let worklist_seen = Hashtbl.create 4
 
 let prop_worklist_reference =
@@ -480,16 +480,15 @@ let prop_worklist_reference =
       report_view report
       = report_view (reference_analyze ~db ~registry ~policy:Policy.default ~objects graph))
 
-(* The property, then its coverage: the random graphs reached
-   redundant, denied and dependent sites. *)
-let worklist_case =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop_worklist_reference in
-  Alcotest.test_case name speed (fun () ->
-      Hashtbl.reset worklist_seen;
-      run ();
-      check "random graphs reached redundant, denied and dependent sites" true
-        (List.for_all (Hashtbl.mem worklist_seen)
-           [ Chain_certify.Redundant; Chain_certify.Denied; Chain_certify.Dependent ]))
+(* The property runs once, from whichever of its case and its
+   coverage case comes first. *)
+let worklist_case, worklist_run = Once.property prop_worklist_reference ~counts:ignore
+
+let test_worklist_coverage () =
+  Once.force worklist_run;
+  check "random graphs reached redundant, denied and dependent sites" true
+    (List.for_all (Hashtbl.mem worklist_seen)
+       [ Chain_certify.Redundant; Chain_certify.Denied; Chain_certify.Dependent ])
 
 let suite =
   [
@@ -500,5 +499,10 @@ let suite =
     Alcotest.test_case "report order stable across runs" `Quick test_report_order_stable;
     Alcotest.test_case "linker pre-mints proved chain targets" `Quick
       test_linker_preminted_chain;
+    Oracle.routes_case "chain analysis = full monitor under churn"
+      ~routes:[ Oracle.Chain; Oracle.Proved ]
+      ~kinds:[ "recertify"; "set-acl"; "policy"; "republish" ];
+    Oracle.volume_case "differential probe volume" ~routes:[ Oracle.Chain; Oracle.Proved ];
     worklist_case;
+    Alcotest.test_case "worklist property coverage" `Quick test_worklist_coverage;
   ]

@@ -448,6 +448,10 @@ let test_denial_mapping_deterministic () =
 
 let suite =
   [
+    Oracle.routes_case "handle = path under churn"
+      ~routes:[ Oracle.Checked; Oracle.Handle; Oracle.Served_call; Oracle.Served_handle ]
+      ~kinds:[ "set-acl"; "join"; "leave"; "policy"; "republish"; "close" ];
+    Oracle.volume_case "differential probe volume" ~routes:[ Oracle.Handle; Oracle.Served_handle ];
     Alcotest.test_case "close denies" `Quick test_close_denies;
     Alcotest.test_case "slot reuse never grants" `Quick test_slot_reuse_never_grants;
     Alcotest.test_case "revocation rechecks and re-mints" `Quick test_revocation_rechecks;

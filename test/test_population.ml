@@ -316,13 +316,13 @@ let prop_incremental_oracle =
         rounds;
       true)
 
-(* The property, then its own probe volume. *)
-let incremental_oracle_case =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop_incremental_oracle in
-  Alcotest.test_case name speed (fun () ->
-      oracle_probes := 0;
-      run ();
-      check "over 10k twin-path probes" true (!oracle_probes >= 10_000))
+(* The property runs once, from whichever of its case and its volume
+   case comes first, and reports its probe count. *)
+let incremental_oracle_case, incremental_oracle_run =
+  Once.property prop_incremental_oracle ~counts:(fun () -> !oracle_probes)
+
+let test_oracle_probe_volume () =
+  check "over 10k twin-path probes" true (Once.force incremental_oracle_run >= 10_000)
 
 (* {1 Compiled form at a population in the thousands} *)
 
@@ -673,13 +673,13 @@ let prop_indexes_mirror_member_lists =
         QCheck.Test.fail_report "snapshot diverged from the interpreted walk";
       true)
 
-(* The property, then its coverage: the churn met rejected cycles. *)
-let indexes_case =
-  let name, speed, run = QCheck_alcotest.to_alcotest prop_indexes_mirror_member_lists in
-  Alcotest.test_case name speed (fun () ->
-      rejected_cycles := 0;
-      run ();
-      check "the index property met rejected cycles" true (!rejected_cycles > 0))
+(* The property runs once, from whichever of its case and its
+   coverage case comes first, and reports the cycles it met. *)
+let indexes_case, indexes_run =
+  Once.property prop_indexes_mirror_member_lists ~counts:(fun () -> !rejected_cycles)
+
+let test_cycles_were_rejected () =
+  check "the index property met rejected cycles" true (Once.force indexes_run > 0)
 
 (* {1 Satellite: deep shared-subgroup DAGs validate in linear time} *)
 
@@ -850,6 +850,7 @@ let suite =
     Alcotest.test_case "batch: stale slot cannot leak mid-batch state" `Quick
       test_stale_slot_batch_isolation;
     incremental_oracle_case;
+    Alcotest.test_case "oracle covered 10k probes" `Quick test_oracle_probe_volume;
     Alcotest.test_case "compiled form = interpreted walk" `Quick
       test_compiled_differential;
     Alcotest.test_case "delta propagates through ancestor groups" `Quick
@@ -860,6 +861,7 @@ let suite =
       test_published_snapshots_immutable;
     QCheck_alcotest.to_alcotest prop_wide_oracle;
     indexes_case;
+    Alcotest.test_case "index property met rejected cycles" `Quick test_cycles_were_rejected;
     Alcotest.test_case "deep shared DAG validates linearly" `Quick test_deep_dag_linear;
     Alcotest.test_case "parallel readers during batches" `Quick
       test_parallel_readers_during_batches;
