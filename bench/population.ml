@@ -8,26 +8,30 @@
    plane's three scaling claims:
 
    - bulk import: a batched population ([Principal.Db.batch], one
-     deferred generation bump) vs the same mutations unbatched (one
-     bump — one fleet-wide invalidation of compiled ACLs, certificates
-     and handles — per mutation);
-   - snapshot maintenance: a single-edit incremental refresh, the
-     refresh after registering one individual into one team, and a
-     10^4-edit churn refresh vs the full from-scratch rebuild
-     ([Principal.Db.full_snapshot], the refresh from the empty
-     snapshot) — refresh cost must scale with the delta, not the
-     population, registrations included;
+     publication at the batch's exit) vs the same mutations unbatched
+     (one published snapshot and generation bump — one fleet-wide
+     invalidation of compiled ACLs, certificates and handles — per
+     mutation);
+   - snapshot publication: the writer builds and publishes the next
+     snapshot inside each edit, so each row times the edit together
+     with the [Db.snapshot] after it (now one load) and counts its
+     words: a single edit, registering one individual into one team,
+     and a 10^4-edit batch, against the full from-scratch rebuild
+     ([Principal.Db.full_snapshot], what the first publication does) —
+     publication cost must scale with the edit, not the population,
+     registrations included;
    - steady-state latency at scale: checked resolution over the big
      tree, reference-monitor decide, the compiled-ACL hot check
      (whose zero-allocation pin must not move), and ACL compilation
      against group entries with real closures;
    - decide under churn: one unrelated single-member edit every 1,000
-     decides, so the first decide after each edit pays the refresh.
+     decides; the edit has published, so the first decide after it
+     pays no refresh.
 
    Two checks make the run fail ([Scaling.Failed]) rather than print a
    wrong shape: the batched import must publish exactly one generation
-   bump, and after the churn refresh every individual's incremental row
-   must equal the full rebuild's, by content.
+   bump, and after the 10^4-edit batch every individual's published
+   row must equal the full rebuild's, by content.
 
    s3 runs the full scale (under a minute and about 600 MB on a 2-core
    host); s3q is the CI smoke at ~1/50th scale, exercising every code
@@ -127,69 +131,67 @@ let import scale ~batched =
   in
   db, elapsed, Principal.Db.generation db - before
 
-(* {1 Snapshot maintenance} *)
+(* {1 Snapshot publication} *)
 
-(* Flip one direct membership, guaranteeing the generation moves (an
-   add that happens to be a duplicate publishes nothing and would time
-   the cached-snapshot path by mistake).  Person 0, the subject of the
-   latency rows, is never edited. *)
-let one_edit db rng scale =
-  let before = Principal.Db.generation db in
-  let rec flip attempts =
+(* An edit that flips one direct membership, unapplied: it is
+   effective, so applying it publishes (a duplicate add or an absent
+   remove publishes nothing and would time nothing).  Picked outside
+   any timing, so a timed row holds the edit alone.  Person 0, the
+   subject of the latency rows, is never edited. *)
+let pick_edit db rng scale =
+  let rec pick attempts =
     if attempts > 100 then failwith "could not find an effective edit";
     let grp = team (Prng.int rng scale.groups) in
     let member = Principal.Ind (person (1 + Prng.int rng (scale.individuals - 1))) in
-    if Prng.bool rng then Principal.Db.remove_member db grp member
-    else Principal.Db.add_member db grp member;
-    if Principal.Db.generation db = before && not (Principal.Db.in_batch db) then
-      flip (attempts + 1)
+    let remove = Prng.bool rng in
+    if remove = List.mem grp (Principal.Db.direct_groups db member) then
+      if remove then fun () -> Principal.Db.remove_member db grp member
+      else fun () -> Principal.Db.add_member db grp member
+    else pick (attempts + 1)
   in
-  flip 0
+  pick 0
+
+let one_edit db rng scale = pick_edit db rng scale ()
+
+(* Time and count the words of [edit] together with the [Db.snapshot]
+   after it, which must be the snapshot the edit published. *)
+let published db edit =
+  let before = Principal.Db.generation db in
+  let (snap, elapsed), words =
+    allocated_words (fun () ->
+        time_ms (fun () ->
+            edit ();
+            Principal.Db.snapshot db))
+  in
+  assert (Principal.Db.Snapshot.generation snap = before + 1);
+  elapsed, words
+
+let median_of samples = median (List.map fst samples), median (List.map snd samples)
 
 let snapshot_bench scale db =
-  ignore (Principal.Db.snapshot db);
   let full_samples =
     List.init 3 (fun _ -> snd (time_ms (fun () -> ignore (Principal.Db.full_snapshot db))))
   in
   let full_ms = median full_samples in
   let rng = Prng.create ~seed:7 in
-  let single_samples =
-    List.init 7 (fun _ ->
-        one_edit db rng scale;
-        let (snap, elapsed), words =
-          allocated_words (fun () -> time_ms (fun () -> Principal.Db.snapshot db))
-        in
-        assert (Principal.Db.Snapshot.generation snap = Principal.Db.generation db);
-        elapsed, words)
+  let single = median_of (List.init 7 (fun _ -> published db (pick_edit db rng scale))) in
+  (* Register one newcomer into one team: the newcomer takes the next
+     id, so the publication appends a row and patches the team's
+     members, like a single edit. *)
+  let register =
+    median_of
+      (List.init 7 (fun k ->
+           let grp = team (Prng.int rng scale.groups) in
+           let newcomer = Principal.Ind (Principal.individual (Printf.sprintf "newcomer%d" k)) in
+           published db (fun () -> Principal.Db.add_member db grp newcomer)))
   in
-  let single_ms = median (List.map fst single_samples) in
-  let single_words = median (List.map snd single_samples) in
-  (* Register one newcomer into one team, then refresh: the newcomer
-     takes the next id, so the refresh appends a row and patches the
-     team's closure, like a single edit. *)
-  let register_samples =
-    List.init 7 (fun k ->
-        Principal.Db.add_member db
-          (team (Prng.int rng scale.groups))
-          (Principal.Ind (Principal.individual (Printf.sprintf "newcomer%d" k)));
-        let (snap, elapsed), words =
-          allocated_words (fun () -> time_ms (fun () -> Principal.Db.snapshot db))
-        in
-        assert (Principal.Db.Snapshot.generation snap = Principal.Db.generation db);
-        elapsed, words)
+  let edits = Array.init scale.churn (fun _ -> pick_edit db rng scale) in
+  let churn =
+    published db (fun () -> Principal.Db.batch db (fun () -> Array.iter (fun edit -> edit ()) edits))
   in
-  let register_ms = median (List.map fst register_samples) in
-  let register_words = median (List.map snd register_samples) in
-  let churn_ms =
-    Principal.Db.batch db (fun () ->
-        for _ = 1 to scale.churn do
-          one_edit db rng scale
-        done);
-    snd (time_ms (fun () -> ignore (Principal.Db.snapshot db)))
-  in
-  full_ms, (single_ms, single_words), (register_ms, register_words), churn_ms
+  full_ms, single, register, churn
 
-(* How many individuals' incremental rows differ, by content, from the
+(* How many individuals' published rows differ, by content, from the
    full rebuild's, and how many were compared. *)
 let row_mismatches db =
   let incremental = Principal.Db.snapshot db in
@@ -242,8 +244,9 @@ let build_tree scale ~owner klass =
 
 (* Decide under churn: [edits] rounds of one single-member edit that
    leaves the subject's row alone, then 1,000 individually timed
-   decides.  The first decide of a round pays the snapshot refresh.
-   Returns (p50, p99) over every decide and over the first ones. *)
+   decides.  The edit has published its snapshot, so the first decide
+   of a round pays no refresh.  Returns (p50, p99) over every decide
+   and over the first ones. *)
 let churn_decides scale db monitor ~subject ~meta =
   let edits = 200 and per_edit = 1_000 in
   let rng = Prng.create ~seed:13 in
@@ -326,23 +329,23 @@ let run scale =
     raise
       (Scaling.Failed
          (Printf.sprintf "s3: the batched import published %d generation bumps, not 1" b_bumps));
-  let full_ms, single, register, churn_ms = snapshot_bench scale db in
-  Format.printf "snapshot refresh:@.";
+  let full_ms, single, register, churn = snapshot_bench scale db in
+  Format.printf "snapshot publication (the edit with the Db.snapshot after it):@.";
   Format.printf "  full rebuild          %10.4f ms@." full_ms;
   let row label (ms, words) =
     Format.printf "  %-21s %10.4f ms   (%.0fx faster)   %.0f words@." label ms
       (full_ms /. Float.max ms 0.001)
       words
   in
-  row "single-edit delta" single;
-  row "register + refresh" register;
-  Format.printf "  %d-edit batched delta %8.4f ms@." scale.churn churn_ms;
+  row "single edit" single;
+  row "register + edit" register;
+  row (Printf.sprintf "%d-edit batch" scale.churn) churn;
   let differ, compared = row_mismatches db in
-  Format.printf "  incremental = full rebuild: %d rows compared, %d differ@." compared differ;
+  Format.printf "  published = full rebuild: %d rows compared, %d differ@." compared differ;
   if differ > 0 then
     raise
       (Scaling.Failed
-         (Printf.sprintf "s3: %d of %d incremental rows differ from the full rebuild" differ
+         (Printf.sprintf "s3: %d of %d published rows differ from the full rebuild" differ
             compared));
   let owner = person 0 in
   let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
@@ -365,7 +368,7 @@ let run scale =
   Format.printf "  first after an edit p50 %a   p99 %a@." Timing.pp_ns first50 Timing.pp_ns
     first99;
   Format.printf
-    "expected shape: batched import publishes once; delta refresh costs@.";
+    "expected shape: batched import publishes once; a publication costs@.";
   Format.printf
     "scale with the edit, not the population; check latency is flat.@."
 

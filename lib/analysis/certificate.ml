@@ -67,12 +67,12 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   (* The pre-read a handle mint makes, the batch epoch first: every
      coordinate the proof depends on is read before proving (the same
      data-then-generation discipline as Meta.compiled_in), so a
-     concurrent mutation lands a value the certificate does not
-     keep. *)
+     concurrent mutation lands a value the certificate does not keep.
+     The generation is the published snapshot's own. *)
   let batch_epoch = Principal.Db.batch_epoch db in
   let epoch = Reference_monitor.policy_epoch monitor in
-  let generation = Principal.Db.generation db in
   let snapshot = Principal.Db.snapshot db in
+  let generation = Principal.Db.Snapshot.generation snapshot in
   let policy = Reference_monitor.policy monitor in
   let cover_ceilings =
     List.filter_map
@@ -154,11 +154,12 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   in
   (* The proofs read the live member lists, not the snapshot, so the
      kept rows speak for them only if no edit landed while they ran:
-     no batch in flight or begun (the rule [Principal.Db.snapshot]'s
-     rebuilds keep; with it, the pre-read snapshot is stamped with the
-     pre-read generation) and the generation unmoved.  Otherwise the
-     certificate is born stale: it keeps no row and a generation no
-     database reaches, so it never admits. *)
+     no edit or batch in flight or begun (an edit's writes land in the
+     lists before it publishes, a batch's long before; an edit outside
+     a batch is a batch of one, so the batch epoch brackets both) and
+     the generation unmoved.  Otherwise the certificate is born stale:
+     it keeps no row and a generation no database reaches, so it never
+     admits. *)
   let settled =
     batch_epoch land 1 = 0
     && Principal.Db.batch_epoch db = batch_epoch

@@ -85,8 +85,11 @@ let merge_keyed compare pairs =
   let merged = List.rev merged in
   Array.of_list (List.map fst merged), Array.of_list (List.map snd merged)
 
+(* The individual limit is the registration count, not the snapshot's
+   row count: registration publishes nothing, and ids never change, so
+   every registered individual the ACL names can be keyed by id. *)
 let compile_in snapshot acl =
-  let ind_limit = Principal.Db.Snapshot.individual_count snapshot in
+  let ind_limit = Principal.Db.Snapshot.registered_individuals snapshot in
   let group_count = Principal.Db.Snapshot.group_count snapshot in
   let group_limit = ref max_int in
   let evr_mask = ref 0 in
@@ -139,16 +142,12 @@ let compile_in snapshot acl =
 let compile ~db acl = compile_in (Principal.Db.snapshot db) acl
 
 (* Linear by-name scan over the (rare) ACL entries for individuals
-   not registered when the form was compiled; allocation-free. *)
-let extra_mask compiled name =
-  let n = Array.length compiled.extra_names in
-  let rec find i =
-    if i >= n then 0
-    else if String.equal (Array.unsafe_get compiled.extra_names i) name then
-      Array.unsafe_get compiled.extra_masks i
-    else find (i + 1)
-  in
-  find 0
+   not registered when the form was compiled.  Top-level recursion (not
+   an inner closure) so the scan allocates nothing. *)
+let rec extra_mask names masks name i =
+  if i >= Array.length names then 0
+  else if String.equal (Array.unsafe_get names i) name then Array.unsafe_get masks i
+  else extra_mask names masks name (i + 1)
 
 (* Binary search over the sorted id table; top-level so the check
    allocates nothing.  Typed [int] so the comparisons compile to
@@ -201,7 +200,8 @@ let check_id compiled ~snapshot ~id ~subject ~mode =
   let ind_mask =
     if id >= 0 && id < compiled.ind_limit then
       keyed_mask compiled.ind_ids compiled.ind_masks id 0 (Array.length compiled.ind_ids)
-    else extra_mask compiled (Principal.individual_name subject)
+    else
+      extra_mask compiled.extra_names compiled.extra_masks (Principal.individual_name subject) 0
   in
   if ind_mask land deny_bit <> 0 then Denied (Acl.Individual subject)
   else if ind_mask land allow_bit <> 0 then Granted

@@ -52,8 +52,9 @@ type verdict =
   | No_entry
 
 val compile_in : Principal.Db.Snapshot.t -> Acl.t -> t
-(** Compile [acl] against the principals the snapshot counts as
-    registered.  Costs O(entries log entries) time and O(entries)
+(** Compile [acl] against the individuals the database has registered
+    ({!Principal.Db.Snapshot.registered_individuals}, which every
+    snapshot of it shares) and the groups the snapshot counts.  Costs O(entries log entries) time and O(entries)
     memory regardless of population: entries naming the same principal
     OR together, and groups the snapshot does not count compile away
     (they hold nobody).  Intended for the miss path, with the result

@@ -421,25 +421,29 @@ let build (spec : t) =
           (Parse_failure (build_error (Printf.sprintf "undeclared individual %S" name)))
     in
     let group_names = List.map fst spec.groups in
-    List.iter
-      (fun (name, members) ->
-        let group = Principal.group name in
-        Principal.Db.add_group db group;
+    (* One batch, so the membership publishes once: the database is
+       private to [build] until it returns. *)
+    Principal.Db.batch db (fun () ->
         List.iter
-          (fun member ->
-            match String.index_opt member ':' with
-            | Some i when String.equal (String.sub member 0 i) "group" ->
-              let nested = String.sub member (i + 1) (String.length member - i - 1) in
-              if not (List.mem nested group_names) then
-                raise
-                  (Parse_failure
-                     (build_error (Printf.sprintf "undeclared group %S" nested)));
-              Principal.Db.add_member db group (Principal.Grp (Principal.group nested))
-            | Some _ | None ->
-              require_individual member;
-              Principal.Db.add_member db group (Principal.Ind (Principal.individual member)))
-          members)
-      spec.groups;
+          (fun (name, members) ->
+            let group = Principal.group name in
+            Principal.Db.add_group db group;
+            List.iter
+              (fun member ->
+                match String.index_opt member ':' with
+                | Some i when String.equal (String.sub member 0 i) "group" ->
+                  let nested = String.sub member (i + 1) (String.length member - i - 1) in
+                  if not (List.mem nested group_names) then
+                    raise
+                      (Parse_failure
+                         (build_error (Printf.sprintf "undeclared group %S" nested)));
+                  Principal.Db.add_member db group (Principal.Grp (Principal.group nested))
+                | Some _ | None ->
+                  require_individual member;
+                  Principal.Db.add_member db group
+                    (Principal.Ind (Principal.individual member)))
+              members)
+          spec.groups);
     let registry = Clearance.create () in
     List.iter
       (fun c ->

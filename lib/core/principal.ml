@@ -41,19 +41,25 @@ module Db = struct
      group.  It records how many individuals and groups it saw and
      reads any id at or above those counts as unregistered (a member of
      nothing).  Snapshots are immutable after construction, so readers
-     in other domains may probe them without a lock; staleness is
-     detected by comparing [snap_generation] with the live generation
-     counter.
+     in other domains may probe them without a lock.
 
-     Successive snapshots share structure.  The rows live in fixed
-     chunks of [chunk_size], so a refresh copies the chunk spine and
-     only the chunks holding a changed row.  Every effective edit
-     appends a cell to an edit log naming the individuals whose rows it
-     can change, and a snapshot keeps the last cell its build read, so
-     a refresh recomputes exactly the rows named since its base (see
-     [build]): cost scales with the edit, not the population.  The
-     first snapshot is the same refresh from the empty one, which
-     recomputes every row. *)
+     The writer publishes them: the database holds one atomic slot, the
+     published snapshot, and its generation is the database's.  Each
+     effective edit outside a batch, and the exit of an outermost batch
+     that edited, builds the next snapshot from the published one and
+     stores it in the slot; no reader ever builds one.  Registration
+     publishes nothing: a new principal is a member of nothing, which
+     every snapshot already says.
+
+     Successive snapshots share structure.  The rows live in chunks of
+     [chunk_size], the chunks in blocks of [chunk_size], the blocks in
+     one top array, so a publication copies the top array and the
+     block and chunk of each row it changes, and shares the rest.
+     Every effective edit names the individuals whose rows it can
+     change, and a publication recomputes exactly the rows named since
+     the published snapshot (see [build]): cost scales with the edit,
+     not the population.  The first publication recomputes every
+     row. *)
 
   (* A registered group; its id is its index in [groups].  Each list
      is immutable, swapped whole. *)
@@ -64,28 +70,22 @@ module Db = struct
     mutable parents : int list;  (* ids of the groups that directly contain this one *)
   }
 
-  (* The edit log, oldest first: one cell per effective edit, naming
-     the individuals whose rows it can change.  The database keeps only
-     the newest cell and a snapshot the last one its build read, so the
-     cells before the oldest held snapshot's are garbage. *)
-  type log = { named : int list; next : log option Atomic.t }
-
   type snapshot = {
     snap_generation : int;
     ind_ids : (string, int) Hashtbl.t;  (* the database's, shared *)
     group_ids : (string, int) Hashtbl.t;  (* likewise *)
     id_count : int;  (* individuals registered when built *)
     group_count : int;  (* groups registered when built *)
-    chunks : int array array array;
-        (* per individual id [i], at [chunks.(i / chunk_size).(i mod
-           chunk_size)]: the sorted ids of every group the individual
-           transitively belongs to *)
-    seen : log option;  (* the last log cell the build read; none in the empty snapshot *)
+    top : int array array array array;
+        (* per individual id [i], at [top.(i lsr block_bits).((i lsr
+           chunk_bits) land chunk_mask).(i land chunk_mask)]: the sorted
+           ids of every group the individual transitively belongs to *)
   }
 
   let chunk_bits = 8
   let chunk_size = 1 lsl chunk_bits
   let chunk_mask = chunk_size - 1
+  let block_bits = 2 * chunk_bits
 
   type t = {
     ind_ids : (string, int) Hashtbl.t;  (* individual name -> id *)
@@ -95,40 +95,45 @@ module Db = struct
         (* by individual id: the ids of the groups it directly belongs
            to; grown by doubling *)
     mutable groups : slot array;  (* by id; grown by doubling *)
-    last : log Atomic.t;  (* the newest log cell *)
-    generation : int Atomic.t;
-    snapshot_slot : snapshot option Atomic.t;
+    published : snapshot Atomic.t;
+    mutable pending : int list;
+        (* the ids the edits since [published] name, in a plain field:
+           writers are serialized.  Collected only while [published]
+           has rows, since a build from a rowless base recomputes every
+           row *)
     batch_epoch : int Atomic.t;
-        (* seqlock-style batch marker: odd while the outermost batch is
-           in flight (incremented at entry and again at exit, after the
-           final generation bump).  [snapshot] reads it around every
-           rebuild: a rebuild that overlaps a batch may have read
-           partially applied member lists under an unmoved generation,
-           so it must not be published or served as current. *)
+        (* odd while the outermost batch, or an edit outside any batch,
+           is in flight: incremented at entry and again at exit, after
+           the publication *)
     mutable batch_depth : int;
-    mutable batch_pending : bool;
+    mutable batch_edited : bool;
   }
 
   (* Fills the unused tail of [groups]; never registered, never
      written. *)
   let vacant = { name = ""; inds = []; subgroups = []; parents = [] }
 
+  (* A snapshot with no rows: every id reads as a member of nothing. *)
+  let rowless ind_ids group_ids generation =
+    { snap_generation = generation; ind_ids; group_ids; id_count = 0; group_count = 0; top = [||] }
+
   let create () =
+    let ind_ids = Hashtbl.create 16 and group_ids = Hashtbl.create 16 in
     {
-      ind_ids = Hashtbl.create 16;
-      group_ids = Hashtbl.create 16;
+      ind_ids;
+      group_ids;
       names = Array.make 16 "";
       direct = Array.make 16 [];
       groups = Array.make 16 vacant;
-      last = Atomic.make { named = []; next = Atomic.make None };
-      generation = Atomic.make 0;
-      snapshot_slot = Atomic.make None;
+      published = Atomic.make (rowless ind_ids group_ids 0);
+      pending = [];
       batch_epoch = Atomic.make 0;
       batch_depth = 0;
-      batch_pending = false;
+      batch_edited = false;
     }
 
-  let generation db = Atomic.get db.generation
+  let snapshot db = Atomic.get db.published
+  let generation db = (Atomic.get db.published).snap_generation
 
   (* [arr] with room for index [n], the next id: itself, or a copy of
      twice the size filled with [fill]. *)
@@ -176,44 +181,115 @@ module Db = struct
 
   let drop (id : int) ids = List.filter (fun x -> x <> id) ids
 
-  (* Publish one mutation: inside a batch the generation bump is
-     deferred (and coalesced) to the end of the outermost batch;
-     outside, it lands immediately.  Either way the member-list write
-     precedes the bump — the data-then-generation contract readers
-     rely on is unchanged, the batch merely widens the window between
-     data landing and publication. *)
-  let publish db =
-    if db.batch_depth > 0 then db.batch_pending <- true
-    else Atomic.incr db.generation
+  (* The chunk and the block a build starts a new one from.  Never
+     written: a build copies every chunk and block it changes. *)
+  let empty_chunk : int array array = Array.make chunk_size [||]
+  let empty_block : int array array array = Array.make chunk_size empty_chunk
 
-  (* Publish one effective edit of a member list, naming the
-     individuals whose rows it can change.  The lists are already
-     written; the log cell lands after them and BEFORE the generation
-     bump, so a reader that reads the cell sees the edit. *)
-  let edited db named =
-    let cell = { named; next = Atomic.make None } in
-    Atomic.set (Atomic.get db.last).next (Some cell);
-    Atomic.set db.last cell;
-    publish db
+  (* An individual's row: the sorted ids of the groups reachable upward
+     from its [direct] groups through the slots' parent ids, each once,
+     leaving out ids at or above [group_count].  The walk tests a group
+     against the ones it has found: quadratic in the row's length, how
+     many groups one individual belongs to.  At S3's rows of about six,
+     a visited table made the full build two to three times slower.
+     An individual in no group gets [[||]], the one empty-array atom,
+     without a walk. *)
+  let upward slots ~group_count = function
+    | [] -> [||]
+    | direct ->
+      let rec climb acc g =
+        if g >= group_count || has g acc then acc
+        else List.fold_left climb (g :: acc) slots.(g).parents
+      in
+      let row = Array.of_list (List.fold_left climb [] direct) in
+      Array.sort Int.compare row;
+      row
+
+  (* The snapshot after [prev], in proportion to the change: each id in
+     [named] is recomputed, and replaces the old row only when its
+     content differs, in a copy of its chunk and of its chunk's block
+     (one copy of each per build: the ids are visited in ascending
+     order).  Every other row, chunk and block is shared with [prev].
+     A [prev] with no rows is patched nowhere: the build recomputes
+     every row and [named] is not read. *)
+  let build db ~generation ~prev named =
+    let id_count = Hashtbl.length db.ind_ids in
+    let group_count = Hashtbl.length db.group_ids in
+    let slots = db.groups and direct = db.direct in
+    let top = Array.make ((id_count + (1 lsl block_bits) - 1) lsr block_bits) empty_block in
+    Array.blit prev.top 0 top 0 (Array.length prev.top);
+    let copied_block = ref (-1) and copied_chunk = ref (-1) in
+    let refresh i =
+      let b = i lsr block_bits and c = (i lsr chunk_bits) land chunk_mask in
+      let row = upward slots ~group_count direct.(i) in
+      if row <> top.(b).(c).(i land chunk_mask) then begin
+        (* Copy-on-write: nothing [prev] holds is written. *)
+        if !copied_block <> b then begin
+          top.(b) <- Array.copy top.(b);
+          copied_block := b
+        end;
+        if !copied_chunk <> i lsr chunk_bits then begin
+          top.(b).(c) <- Array.copy top.(b).(c);
+          copied_chunk := i lsr chunk_bits
+        end;
+        top.(b).(c).(i land chunk_mask) <- row
+      end
+    in
+    if prev.id_count = 0 then
+      for i = 0 to id_count - 1 do
+        refresh i
+      done
+    else begin
+      let ids = Array.of_list named in
+      Array.sort Int.compare ids;
+      Array.iteri (fun k i -> if k = 0 || ids.(k - 1) <> i then refresh i) ids
+    end;
+    { snap_generation = generation; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count;
+      group_count; top }
+
+  let full_snapshot db =
+    build db ~generation:(generation db) ~prev:(rowless db.ind_ids db.group_ids (-1)) []
+
+  (* Build the next snapshot from the published one over the ids named
+     since it, and publish it under the next generation.  The member
+     lists are already written and the build reads them all before the
+     store, so a reader that loads the new snapshot sees every row it
+     holds. *)
+  let publish db =
+    let prev = Atomic.get db.published in
+    let named = db.pending in
+    db.pending <- [];
+    Atomic.set db.published (build db ~generation:(prev.snap_generation + 1) ~prev named)
 
   let batch db f =
-    (* The epoch goes odd BEFORE any batch mutation can land and even
-       again only AFTER the final generation bump, so a snapshot
-       builder that saw an even epoch on both sides of its membership
-       walk is guaranteed no batch overlapped the walk. *)
+    (* The epoch goes odd before any batch mutation can land and even
+       again only after the batch's publication, so reads of the live
+       lists bracketed by one even value overlapped no batch. *)
     if db.batch_depth = 0 then Atomic.incr db.batch_epoch;
     db.batch_depth <- db.batch_depth + 1;
     Fun.protect f ~finally:(fun () ->
         db.batch_depth <- db.batch_depth - 1;
         if db.batch_depth = 0 then begin
-          if db.batch_pending then begin
-            db.batch_pending <- false;
-            (* Every member-list write and log cell of the batch is
-               already in place: the single bump publishes them all. *)
-            Atomic.incr db.generation
+          if db.batch_edited then begin
+            db.batch_edited <- false;
+            publish db
           end;
           Atomic.incr db.batch_epoch
         end)
+
+  (* One effective edit of the member lists: [write] moves them and
+     returns the ids of the individuals whose rows the move can
+     change.  Outside a batch it is a batch of one, so the batch epoch
+     is odd from before the lists move until the edit's snapshot is
+     published: a reader of the live lists bracketed by one even value
+     overlapped no edit, although the build puts microseconds between
+     the lists and the publication. *)
+  let edit db write =
+    batch db (fun () ->
+        let named = write () in
+        if (Atomic.get db.published).id_count > 0 then
+          db.pending <- List.rev_append named db.pending;
+        db.batch_edited <- true)
 
   let in_batch db = db.batch_depth > 0
   let batch_epoch db = Atomic.get db.batch_epoch
@@ -234,7 +310,7 @@ module Db = struct
     walk [] g
 
   (* The ids of every individual below group [c]: the rows an edge into
-     or out of [c] can change.  Duplicates are left to the refresh. *)
+     or out of [c] can change.  Duplicates are left to the build. *)
   let below db c =
     List.fold_left (fun acc g -> List.rev_append db.groups.(g).inds acc) [] (descendants db c)
 
@@ -258,12 +334,12 @@ module Db = struct
     | Ind ind ->
       let i = register_individual db ind in
       let g = register_group db grp in
-      if not (has g db.direct.(i)) then begin
-        let slot = db.groups.(g) in
-        slot.inds <- i :: slot.inds;
-        db.direct.(i) <- g :: db.direct.(i);
-        edited db [ i ]
-      end
+      if not (has g db.direct.(i)) then
+        edit db (fun () ->
+            let slot = db.groups.(g) in
+            slot.inds <- i :: slot.inds;
+            db.direct.(i) <- g :: db.direct.(i);
+            [ i ])
     | Grp nested ->
       if reaches db nested grp then
         invalid_arg
@@ -271,12 +347,12 @@ module Db = struct
       let c = register_group db nested in
       let g = register_group db grp in
       let child = db.groups.(c) in
-      if not (has g child.parents) then begin
-        let slot = db.groups.(g) in
-        slot.subgroups <- c :: slot.subgroups;
-        child.parents <- g :: child.parents;
-        edited db (below db c)
-      end
+      if not (has g child.parents) then
+        edit db (fun () ->
+            let slot = db.groups.(g) in
+            slot.subgroups <- c :: slot.subgroups;
+            child.parents <- g :: child.parents;
+            below db c)
 
   let remove_member db grp member =
     match Hashtbl.find_opt db.group_ids grp with
@@ -287,17 +363,19 @@ module Db = struct
       | Ind ind -> (
         match Hashtbl.find_opt db.ind_ids ind with
         | Some i when has g db.direct.(i) ->
-          slot.inds <- drop i slot.inds;
-          db.direct.(i) <- drop g db.direct.(i);
-          edited db [ i ]
+          edit db (fun () ->
+              slot.inds <- drop i slot.inds;
+              db.direct.(i) <- drop g db.direct.(i);
+              [ i ])
         | Some _ | None -> ())
       | Grp nested -> (
         match Hashtbl.find_opt db.group_ids nested with
         | Some c when has g db.groups.(c).parents ->
-          let child = db.groups.(c) in
-          slot.subgroups <- drop c slot.subgroups;
-          child.parents <- drop g child.parents;
-          edited db (below db c)
+          edit db (fun () ->
+              let child = db.groups.(c) in
+              slot.subgroups <- drop c slot.subgroups;
+              child.parents <- drop g child.parents;
+              below db c)
         | Some _ | None -> ()))
 
   let sorted_names table =
@@ -358,6 +436,7 @@ module Db = struct
     let generation snap = snap.snap_generation
     let individual_count snap = snap.id_count
     let group_count snap = snap.group_count
+    let registered_individuals (snap : t) = Hashtbl.length snap.ind_ids
 
     (* Allocation-free id lookup (raising a constant exception instead
        of building an option).  Ids never change, so the answer is the
@@ -374,7 +453,9 @@ module Db = struct
       if individual_id < 0 || individual_id >= snap.id_count then [||]
       else
         Array.unsafe_get
-          (Array.unsafe_get snap.chunks (individual_id lsr chunk_bits))
+          (Array.unsafe_get
+             (Array.unsafe_get snap.top (individual_id lsr block_bits))
+             ((individual_id lsr chunk_bits) land chunk_mask))
           (individual_id land chunk_mask)
 
     (* A static array no build ever stores. *)
@@ -387,167 +468,6 @@ module Db = struct
       let row = row snap ~individual_id in
       row_search row group_id 0 (Array.length row)
   end
-
-  (* The chunk a refresh starts a new chunk from.  Never written: a
-     refresh copies every chunk it changes. *)
-  let empty_chunk : int array array = Array.make chunk_size [||]
-
-  let empty db =
-    { snap_generation = -1; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count = 0;
-      group_count = 0; chunks = [||]; seen = None }
-
-  (* An individual's row: the sorted ids of the groups reachable upward
-     from its [direct] groups through the slots' parent ids, each once,
-     leaving out ids at or above [group_count].  The walk tests a group
-     against the ones it has found: quadratic in the row's length, how
-     many groups one individual belongs to.  At S3's rows of about six,
-     a visited table made the full build two to three times slower. *)
-  let upward slots ~group_count direct =
-    let rec climb acc g =
-      if g >= group_count || has g acc then acc
-      else List.fold_left climb (g :: acc) slots.(g).parents
-    in
-    let row = Array.of_list (List.fold_left climb [] direct) in
-    Array.sort Int.compare row;
-    row
-
-  (* Rebuild from [prev], in proportion to the change.  The log cells
-     after the one [prev] keeps name every individual whose row can
-     have moved since; each named row is recomputed, and replaces the
-     old one only when its content differs, in a copy of its chunk (one
-     copy per chunk: the ids are visited in ascending order).  Every
-     other row and chunk is shared with [prev].  The empty snapshot
-     keeps no cell, so the refresh from it recomputes every row, and
-     takes as its own cell the newest one before it reads anything.
-     The counts are read after the log, so every id a read cell names
-     is counted. *)
-  let build db ~generation ~prev =
-    let last, named =
-      match prev.seen with
-      | None -> Atomic.get db.last, None
-      | Some cell ->
-        let rec walk cell acc =
-          match Atomic.get cell.next with
-          | None -> cell, Some acc
-          | Some next -> walk next (List.rev_append next.named acc)
-        in
-        walk cell []
-    in
-    let id_count = Hashtbl.length db.ind_ids in
-    let group_count = Hashtbl.length db.group_ids in
-    let slots = db.groups and direct = db.direct in
-    let chunks = Array.make ((id_count + chunk_mask) lsr chunk_bits) empty_chunk in
-    Array.blit prev.chunks 0 chunks 0 (Array.length prev.chunks);
-    let copied = ref (-1) in
-    let refresh i =
-      let c = i lsr chunk_bits and j = i land chunk_mask in
-      let row = upward slots ~group_count direct.(i) in
-      if row <> chunks.(c).(j) then begin
-        (* Copy-on-write: the chunk [prev] holds is never written. *)
-        if !copied <> c then begin
-          chunks.(c) <- Array.copy chunks.(c);
-          copied := c
-        end;
-        chunks.(c).(j) <- row
-      end
-    in
-    (match named with
-    | None ->
-      for i = 0 to id_count - 1 do
-        refresh i
-      done
-    | Some ids ->
-      let ids = Array.of_list ids in
-      Array.sort Int.compare ids;
-      Array.iteri (fun k i -> if k = 0 || ids.(k - 1) <> i then refresh i) ids);
-    { snap_generation = generation; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count;
-      group_count; chunks; seen = Some last }
-
-  let full_snapshot db = build db ~generation:(Atomic.get db.generation) ~prev:(empty db)
-
-  (* Install via compare-and-set, and only when strictly newer than
-     the incumbent: two racing reader domains can finish builds out of
-     order, and letting the older build overwrite a fresher cached
-     snapshot would force the next caller into yet another rebuild. *)
-  let rec install_snapshot db snap =
-    let cur = Atomic.get db.snapshot_slot in
-    match cur with
-    | Some incumbent when incumbent.snap_generation >= snap.snap_generation -> ()
-    | Some _ | None ->
-      if not (Atomic.compare_and_set db.snapshot_slot cur (Some snap)) then
-        install_snapshot db snap
-
-  (* The hit path is one slot load and one generation load.  A
-     published snapshot whose generation is still the live one is
-     current even while a batch is in flight: the batch's single bump
-     is still to come, so the slot holds the state published before
-     the batch, which is what the batch promises mid-batch readers.
-     The batch epoch matters only to a rebuild. *)
-  let rec snapshot db =
-    match Atomic.get db.snapshot_slot with
-    | Some snap when snap.snap_generation = Atomic.get db.generation -> snap
-    | Some _ | None -> rebuild db
-
-  and rebuild db =
-    (* The batch epoch is read first, the generation second, both
-       BEFORE the build reads the log and the lists (the standard
-       data-then-generation discipline, see Meta): a non-batched
-       mutation racing with the build lands a higher generation than
-       the stamp, so the stale snapshot fails the comparison on its
-       next use and is rebuilt.
-
-       Batched mutations need the epoch guard on top: they land data
-       under an UNMOVED generation (the single bump is deferred to the
-       outermost batch exit), so a rebuild overlapping a batch could
-       stamp partially applied batch state with a generation that
-       stays current until the batch ends.  Hence no rebuild result is
-       published or returned unless the epoch was even — no batch in
-       flight — on both sides of the build; mid-batch readers are
-       served the incumbent cached snapshot instead, which is exactly
-       the previous published state the batch contract promises
-       them.
-
-       A published snapshot is also the base the next refresh patches
-       rather than recomputes, so one stale row in it could outlive the
-       refresh that follows.  The race rule that prevents it: a base
-       can hold a stale row only for an individual that a log cell
-       after the base's own names, and the next refresh from that base
-       recomputes exactly those.  An edit writes its lists first and
-       appends its cell after, through atomics, so every edit whose
-       cell the build read is visible to every row the build computes.
-       An edit whose cell it did not read may be partly visible, but
-       if it can change an individual's row its cell names that
-       individual, so the next refresh recomputes the row.  An edit
-       that does not name an individual writes nothing that
-       individual's upward walk reads (neither its direct groups nor
-       the parents of a group above it), so every other row is exact.
-       No build can hold a row this rule does not cover, so none is
-       discarded for what it read. *)
-    let epoch = Atomic.get db.batch_epoch in
-    let generation = Atomic.get db.generation in
-    match Atomic.get db.snapshot_slot with
-    | Some snap when snap.snap_generation = generation -> snap
-    | Some prev when epoch land 1 = 1 -> prev  (* stale by generation; never validates as current *)
-    | None when epoch land 1 = 1 ->
-      (* Nothing was ever published: build from the live lists but
-         stamp the result born-stale (below the pre-batch generation),
-         so no artifact minted from it can validate once — or while —
-         the batch publishes.  Not installed in the slot: a
-         partial-state snapshot must not seed later refreshes. *)
-      build db ~generation:(generation - 1) ~prev:(empty db)
-    | prev ->
-      let snap = build db ~generation ~prev:(Option.value prev ~default:(empty db)) in
-      if Atomic.get db.batch_epoch <> epoch then
-        (* A batch entered (or came and went) during the build: it may
-           hold partial batch state under a stamp the batch has yet to
-           invalidate.  Discard it and re-decide — the retry either
-           serves the incumbent (batch still in flight) or rebuilds
-           from settled lists. *)
-        snapshot db
-      else begin
-        install_snapshot db snap;
-        snap
-      end
 
   let groups_of db ind =
     (* Routed through the snapshot: one id probe plus the individual's

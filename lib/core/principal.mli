@@ -41,12 +41,13 @@ type member =
 
     Concurrency: membership churn on {e already-registered} groups and
     individuals ([add_member]/[remove_member]) is safe concurrent with
-    readers — member lists are immutable values swapped in place, and
-    the atomic generation publishes each change.  Registering {e new}
-    groups or individuals grows the name -> id tables and the id
-    indexes in place and must happen before readers run in other
-    domains (setup-time, or externally synchronized); see the
-    "Concurrency model" section of DESIGN.md. *)
+    readers.  The writer publishes membership: each effective edit
+    builds the next {!Snapshot} and stores it in one atomic slot, and
+    readers load that slot.  Registering {e new} groups or individuals
+    grows the name -> id tables and the id indexes in place and must
+    happen before readers run in other domains (setup-time, or
+    externally synchronized).  Writers are externally serialized.  See
+    the "Concurrency model" section of DESIGN.md. *)
 module Db : sig
   type t
 
@@ -54,10 +55,11 @@ module Db : sig
   (** A fresh, empty database. *)
 
   val generation : t -> int
-  (** Monotone counter bumped whenever group membership actually
-      changes ({!add_member} of a new member, {!remove_member} of a
-      present one).  It says {e that} something changed, not what:
-      the current {!snapshot} is the one stamped with it.  Compiled
+  (** The generation of the published {!snapshot}.  It starts at 0 and
+      moves by one at each publication: an effective membership edit
+      ({!add_member} of a new member, {!remove_member} of a present
+      one) outside a {!batch}, or the exit of an outermost batch that
+      edited.  It says {e that} something changed, not what.  Compiled
       ACLs do not validate against it: they hold ids, which never
       change.  Capability-handle grants and link-time certificates
       fall back from an unchanged generation to the caller's own
@@ -65,58 +67,48 @@ module Db : sig
       registration that moves nobody they depend on revokes
       neither.
 
-      The counter is atomic and follows the data-then-generation
-      publication order (see {!Meta.t}): the member-list update lands
-      first, the bump after, so a reader that sees the bumped value
-      also sees the new membership.  Consumers must read the
-      generation {e before} walking memberships and file any derived
-      result under that pre-read value.
-
-      Inside a {!batch} the bump is deferred: every mutation of the
-      batch publishes under {e one} increment at the outermost batch
-      exit, so the snapshot is refreshed, and link-time certificates
-      and capability handles re-check, at most once per batch instead
-      of once per mutation. *)
+      It is read off the published snapshot, so the two never
+      disagree: a consumer that needs both reads {!snapshot} once and
+      takes {!Snapshot.generation} from it. *)
 
   val batch : t -> (unit -> 'a) -> 'a
-  (** [batch db f] runs [f], coalescing every generation bump its
-      mutations would publish into a single increment when the
-      outermost batch exits — the transaction a bulk import runs
-      under, so a million-member population invalidates certificates
-      once, not a million times.  Mutations inside the batch still
-      land eagerly (validation, cycle rejection and idempotence are
-      unchanged); only publication is deferred.  Nested batches
-      coalesce into the outermost one.  If [f] raises, mutations
-      already applied are still published (one bump) before the
-      exception is re-raised, so no derived artifact can outlive them.
+  (** [batch db f] runs [f] and publishes every membership edit it
+      makes as one snapshot, under one generation, when the outermost
+      batch exits: the transaction a bulk import runs under, so a
+      million-member population builds one snapshot and invalidates
+      certificates once, not a million times.  Mutations inside the
+      batch still land eagerly (validation, cycle rejection and
+      idempotence are unchanged); only publication is deferred.
+      Nested batches coalesce into the outermost one.  If [f] raises,
+      mutations already applied are still published (one snapshot)
+      before the exception is re-raised, so no derived artifact can
+      outlive them.
 
-      Readers in other domains during the batch see the {e previous}
-      published state through the snapshot and everything derived from
-      it (compiled-ACL checks, certificates, handles): data written by
-      the batch only becomes observable-as-current at the final bump, per
-      the data-then-generation contract.  {!snapshot} enforces this
-      even when its cache is stale at batch entry: while a batch is in
-      flight it serves the previously published snapshot rather than
-      rebuilding from the half-applied live lists, so no snapshot
-      stamped as current can ever expose partial batch state (this
-      covers same-domain calls from inside [f] too — the batch's own
-      writes are invisible through the snapshot until the final bump).
-      Live walks ({!is_member}, {!direct_members}) read the eager data
-      and are not isolated.  Batches do not nest across domains;
-      mutators are externally serialized as before. *)
+      Readers, in other domains or inside [f], see the snapshot
+      published before the batch, and everything derived from it
+      (compiled-ACL checks, certificates, handles), until the batch
+      exits: no published snapshot holds part of a batch.  Live walks
+      ({!is_member}, {!direct_members}) read the eager data and are
+      not isolated.  Batches do not nest across domains; mutators are
+      externally serialized as before. *)
 
   val in_batch : t -> bool
   (** [true] while inside a {!batch} callback (same domain). *)
 
   val batch_epoch : t -> int
-  (** Odd while a {!batch} is in flight; it moves at every outermost
-      batch entry and exit, so reads bracketed by one even value
-      overlapped no batch (the rule {!snapshot} rebuilds keep). *)
+  (** Odd while a {!batch} is in flight, and while an effective edit
+      outside a batch is, which runs as a batch of one; it moves at
+      every outermost batch entry and at exit, after the batch's
+      publication.  So reads of the live member lists bracketed by one
+      even value overlapped no edit (the rule certificate issuance
+      keeps), although the writer's build puts microseconds between an
+      edit's lists and its publication. *)
 
   val add_individual : t -> individual -> unit
   (** Register an individual under the next individual id.
-      Idempotent.  Publishes nothing on its own: the new individual is
-      a member of no group, which every snapshot already says. *)
+      Idempotent.  Publishes nothing: the new individual is a member of
+      no group, which every snapshot already says.  The next
+      publication counts it. *)
 
   val add_group : t -> group -> unit
   (** Register a group with no members under the next group id.
@@ -161,10 +153,10 @@ module Db : sig
 
   val groups_of : t -> individual -> group list
   (** Every group the individual belongs to, transitively; sorted by
-      name.  Routed through the current {!Snapshot} (one id probe plus
+      name.  Read from the published {!snapshot} (one id probe plus
       the individual's precomputed row) rather than a transitive walk
-      per registered group; the first call after churn pays the
-      snapshot refresh, which scales with the churn delta. *)
+      per registered group, so inside a {!batch} it answers as before
+      the batch. *)
 
   (** A frozen, generation-stamped view of the database's membership
       for the compiled decision path ({!Acl_compiled}): transitive
@@ -180,31 +172,34 @@ module Db : sig
       ({!individual_count}, {!group_count}); it reads any id at or
       above those counts as unregistered, a member of nothing, which is
       what that principal was then.  Its {!row}s change with
-      membership: a refresh replaces exactly the rows that changed with
-      fresh arrays, so a consumer that depends on one individual's
+      membership: a publication replaces exactly the rows that changed
+      with fresh arrays, so a consumer that depends on one individual's
       membership can test that individual's row by physical identity.
 
       Consecutive snapshots share structure.  The per-individual rows
-      are stored in fixed chunks of 256, so a refresh copies the chunk
-      spine (one pointer per 256 individuals) and only the chunks
-      holding a changed row; a probe pays one extra load for it.  There
-      is no row per group.  Every effective edit names the individuals
-      whose rows it can change: a member edit names the individual, an
-      edge between groups every individual below the member group.  A
-      refresh recomputes exactly the rows named since the snapshot it
-      starts from, each as the groups reachable upward from the
-      individual's direct groups, so a member edit costs one row (one
-      id per group above the individual) plus one chunk copy.
-      Registering a principal only
-      appends: new rows, every existing row shared.  So refresh cost
-      scales with the edit, registrations included, not the population
-      or the group count. *)
+      are stored in chunks of 256, the chunks in blocks of 256 (65,536
+      individuals), the blocks in one top array (one pointer per
+      65,536 individuals); a probe pays two extra loads for it.  A publication copies the top array and, for each changed
+      row, its block and its chunk, sharing every other.  There is no row per
+      group.  Every effective edit names the individuals whose rows it
+      can change: a member edit names the individual, an edge between
+      groups every individual below the member group.  A publication
+      recomputes exactly the rows named since the published snapshot,
+      each as the groups reachable upward from the individual's direct
+      groups, so a member edit costs one row (one id per group above
+      the individual), one chunk and one block copy, and the top
+      array (16 words at 10{^6} individuals).  Registering a principal
+      only appends: the next publication counts it, every existing row
+      shared.  So publication cost scales with the edit, registrations
+      included, not the population or the group count.  The first
+      publication, from a snapshot with no rows, recomputes every
+      row. *)
   module Snapshot : sig
     type t
 
     val generation : t -> int
-    (** The database generation the snapshot was built under; it is
-        current exactly while this equals the live {!Db.generation}. *)
+    (** The generation the snapshot was published under; it is the
+        published one exactly while this equals {!Db.generation}. *)
 
     val individual_count : t -> int
     (** How many individuals were registered when the snapshot was
@@ -214,6 +209,13 @@ module Db : sig
     (** How many groups were registered when the snapshot was built:
         their ids are [0] to [group_count - 1]. *)
 
+    val registered_individuals : t -> int
+    (** How many individuals the database has registered now, read
+        from the name table every snapshot of it shares: at least
+        {!individual_count}, since registration publishes nothing.  Ids
+        never change, so every id below it names a registered
+        individual.  O(1). *)
+
     type row = private int array
     (** One individual's transitive group row: the sorted ids of every
         group it belongs to.  Immutable; compared by physical identity
@@ -222,13 +224,16 @@ module Db : sig
     val row : t -> individual_id:int -> row
     (** The individual's row, allocation-free; an id the snapshot reads
         as unregistered (negative, or at or above
-        {!individual_count}) gets the shared empty row.  A refresh
+        {!individual_count}) gets the shared empty row.  A publication
         replaces each row whose content changed with a fresh array and
         shares every other, so an individual's row stays [==] across
-        every refresh, registrations included, that does not move its
-        membership.  Since rows are immutable, [==] implies equal
-        content (two empty rows are one atom, also equal); the converse
-        need not hold. *)
+        every publication, registrations included, that does not move
+        its membership.  Since rows are immutable, [==] implies equal
+        content; the converse need not hold, except for the empty row:
+        every row that empties is the one shared empty array, so an
+        individual that leaves its last group, joins one and leaves it
+        again gets back a row [==] to the one it had after the first
+        leave. *)
 
     val no_row : row
     (** A row no snapshot holds: [==] to no {!row} result. *)
@@ -251,40 +256,16 @@ module Db : sig
   end
 
   val snapshot : t -> Snapshot.t
-  (** The current snapshot, rebuilt (and cached) whenever the
-      generation has moved since the last build.  While the cached
-      snapshot is current the call is one slot load and one
-      generation load.  A rebuild reads the generation {e before}
-      walking memberships, so a racing mutation leaves the result
-      stamped with the older generation and it is rebuilt on the next
-      call — the same data-then-generation discipline as {!Meta}.
-
-      While a {!batch} is in flight no rebuild is published: callers
-      are served the previously published snapshot (stale by
-      generation, so artifacts minted from it never validate past the
-      batch), and a rebuild that raced with a batch entry or exit is
-      discarded and retried.  Batch writes therefore cannot leak into
-      a snapshot that validates as current — see {!batch}.
-
-      Every refresh is incremental: cost scales with the individuals
-      the edits since the previous snapshot name, not with the
-      population or the group count (see {!Snapshot}).  The first
-      snapshot is the same refresh from the empty one, which computes
-      every row.
-
-      A refresh keeps every row of the previous snapshot that no edit
-      since has named, so a cached snapshot may hold a stale row only
-      for an individual that an edit after it names, and the next
-      refresh recomputes exactly those: an edit lands its member lists
-      before it names anyone, and an edit that does not name an
-      individual changes nothing that individual's row is computed
-      from.  A held snapshot keeps the record of every edit made after
-      it reachable. *)
+  (** The published snapshot: one atomic load, no allocation.  No
+      reader builds one; the writer publishes each after the member
+      lists it reads have landed, so a reader that loads it sees every
+      row it holds.  Inside a {!batch} it is the snapshot published
+      before the batch. *)
 
   val full_snapshot : t -> Snapshot.t
-  (** Always rebuilds from scratch, as the refresh from the empty
-      snapshot, bypassing the cached snapshot, and does not publish the
-      result.  The semantics the incremental path is held to — for
-      differential tests and the S3 benchmark; not for production
-      use. *)
+  (** Always builds from scratch, as the first publication does,
+      recomputing every row from the live member lists, stamped with
+      the current {!generation}, and does not publish the result.  The
+      semantics each publication is held to — for differential tests
+      and the S3 benchmark; not for production use. *)
 end

@@ -35,10 +35,9 @@ let individual_id subject snapshot =
   end
 
 let membership_unmoved subject db ~generation row =
-  Principal.Db.generation db = generation
-  ||
   let snapshot = Principal.Db.snapshot db in
-  Principal.Db.Snapshot.row snapshot ~individual_id:(individual_id subject snapshot) == row
+  Principal.Db.Snapshot.generation snapshot = generation
+  || Principal.Db.Snapshot.row snapshot ~individual_id:(individual_id subject snapshot) == row
 
 let effective_class subject = subject.effective
 

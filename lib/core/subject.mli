@@ -44,10 +44,10 @@ val membership_unmoved :
   t -> Principal.Db.t -> generation:int -> Principal.Db.Snapshot.row -> bool
 (** The membership test that capability-handle grants and link-time
     certificates share, for a [row] the subject had in a snapshot of
-    [generation]: the database generation is still [generation], or the
-    current snapshot gives the subject that very row ([==]; a refresh
-    replaces exactly the rows that changed).  Allocates nothing past
-    the snapshot refresh the first call after an edit may pay. *)
+    [generation]: the published snapshot, loaded once for both tests,
+    is still of [generation], or it gives the subject that very row
+    ([==]; a publication replaces exactly the rows that changed).
+    Never allocates. *)
 
 val effective_class : t -> Security_class.t
 (** The clearance met with every ceiling entered ({!make}'s

@@ -377,16 +377,16 @@ let closed_handle_error :
     (Service.Denied
        { at = "<handle>"; mode = Access_mode.Execute; denial = Decision.Not_an_object })
 
-(* The pre-read half of a mint: the policy epoch, the database
-   generation, the current snapshot and the generation of every node on
-   the unchecked chain, captured BEFORE the decision runs.  A mutation
-   racing with the decision then lands a higher generation than the
-   one the grant was filed under, so the grant is born stale rather
-   than wrongly durable (same discipline as the compiled-ACL memo).
-   The grant keeps the subject's row, not the snapshot itself. *)
+(* The pre-read half of a mint: the policy epoch, the published
+   snapshot (the database generation is its own) and the generation of
+   every node on the unchecked chain, captured BEFORE the decision
+   runs.  A mutation racing with the decision then lands a higher
+   generation than the one the grant was filed under, so the grant is
+   born stale rather than wrongly durable (same discipline as the
+   compiled-ACL memo).  The grant keeps the subject's row, not the
+   snapshot itself. *)
 type pre_read = {
   epoch : int;
-  generation : int;
   snapshot : Principal.Db.Snapshot.t;
   metas : Meta.t array;
   gens : int array;
@@ -394,13 +394,12 @@ type pre_read = {
 
 let chain_snapshot kernel path =
   let epoch = Reference_monitor.policy_epoch kernel.monitor in
-  let generation = Principal.Db.generation (db kernel) in
   let snapshot = Principal.Db.snapshot (db kernel) in
   match Namespace.chain (namespace kernel) path with
-  | None -> { epoch; generation; snapshot; metas = [||]; gens = [||] }
+  | None -> { epoch; snapshot; metas = [||]; gens = [||] }
   | Some nodes ->
     let metas = Array.of_list (List.map Namespace.meta nodes) in
-    { epoch; generation; snapshot; metas; gens = Array.map Meta.generation metas }
+    { epoch; snapshot; metas; gens = Array.map Meta.generation metas }
 
 (* Whether [pre] describes [node]: the chain's tail is the node the
    decision admitted, not one deleted and recreated in between. *)
@@ -410,12 +409,19 @@ let pins pre node =
 
 (* The grant a decision admitted, keyed on [pre].  The row is the
    subject's in the pre-read snapshot, and it is only worth keeping if
-   the decision read that same snapshot.  A monitor decision reads
-   [Principal.Db.snapshot]; when that still returns [pre.snapshot]
-   after the decision, the cached slot held it throughout (the slot
-   only moves to newer snapshots), so every read in between got it.
-   Otherwise the grant keeps [no_row], and so stays fresh only while
-   the database generation has not moved. *)
+   the decision read that same snapshot.  A writer in another domain
+   can publish between the pre-read and the decision, and the decision
+   then reads the newer snapshot.  Keeping the pre-read row anyway is
+   unsound because rows can come back physically: every row an edit
+   empties is the one shared empty array.  Had the pre-read row been
+   empty and the decision's not, the grant would test fresh again once
+   the subject left the group the decision found it in, although the
+   grant may rest on that membership.  So the row is kept only if
+   [Principal.Db.snapshot] still returns [pre.snapshot] after the
+   decision: the slot never returns to a snapshot it left, so it held
+   that one throughout and every read in between got it.  Otherwise
+   the grant keeps [no_row], and so stays fresh only while the
+   database generation has not moved. *)
 let mint kernel pre ~path ~subject ~caller ~target =
   let row =
     if Principal.Db.snapshot (db kernel) == pre.snapshot then
@@ -424,8 +430,8 @@ let mint kernel pre ~path ~subject ~caller ~target =
     else Principal.Db.Snapshot.no_row
   in
   { g_path = path; g_subject = subject; g_caller = caller; g_target = target;
-    g_epoch = pre.epoch; g_db_generation = pre.generation; g_row = row;
-    g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
+    g_epoch = pre.epoch; g_db_generation = Principal.Db.Snapshot.generation pre.snapshot;
+    g_row = row; g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
 
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some (Proc proc) ->
@@ -694,10 +700,14 @@ let record_proofs kernel name certificate =
   | Some loaded ->
     List.iter (fun h -> Option.iter (record h) (Handle.deref kernel.handles h)) loaded.imports
 
+(* A certificate that replaces a held one counts that one as revoked:
+   it leaves the table, so [cert.issued] stays the sum of the expired,
+   the revoked and the held. *)
 let note_certificate kernel certificate =
   Metrics.incr m_cert_issued;
   if certificate.Certificate.delegation <> None then Metrics.incr m_cert_delegations;
   let name = certificate.Certificate.extension in
+  if Hashtbl.mem kernel.certificates name then Metrics.incr m_cert_revoked;
   Hashtbl.replace kernel.certificates name certificate;
   record_proofs kernel name (Some certificate)
 

@@ -180,7 +180,7 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
     generation is unchanged or the current snapshot gives the subject
     the recorded row ([==]).  With no membership edit that is one
     compare, as before the row existed; after an edit it costs a
-    cached-snapshot probe and one row load, and still allocates
+    published-snapshot probe and one row load, and still allocates
     nothing.  A [set_policy], an ACL or class edit anywhere on the
     chain, or a membership edit that moves the subject (directly or
     through a nested group, a newly registered one included) fails
@@ -192,10 +192,10 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
     deterministic denial.
 
     {b Why the row test is sound.}
-    - Rows are immutable, and a snapshot refresh replaces exactly the
-      rows whose membership flipped, each with a fresh array, sharing
-      every other.  So [==] implies equal content (the shared empty
-      row is one atom, equal content too).
+    - Rows are immutable, and a publication replaces exactly the rows
+      whose membership flipped, each with a fresh array, sharing every
+      other.  So [==] implies equal content (the shared empty row is
+      one atom, equal content too).
     - The DAC verdicts along the chain read only the subject's id,
       which never changes, and its row.  Each compiled ACL is guarded
       by the chain generations ({!Meta.compiled_in}), and its group
@@ -208,19 +208,19 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       the subject's, which never change.  The policy is covered by the
       epoch.
     - The recorded row must be the one the decision read.  It is taken
-      from the snapshot read before the decision, and kept only if
-      {!Principal.Db.snapshot} still returns that same snapshot after
-      the decision: the cached slot only moves to newer snapshots, so
-      it held that snapshot throughout and every read in between got
-      it.  Otherwise (a refresh raced the decision) the grant keeps
+      from the snapshot read before the decision, but a writer in
+      another domain can publish in between, and the decision then
+      reads the newer snapshot.  Rows can come back physically: every
+      row that empties is the one shared empty array.  So a grant that
+      kept an empty pre-read row after its decision read a non-empty
+      one would test fresh again once the subject left the group the
+      decision found it in.  The row is therefore kept only if
+      {!Principal.Db.snapshot} still returns the pre-read snapshot
+      after the decision: the published slot never returns to a
+      snapshot it left, so it held that one throughout and every read
+      in between got it.  Otherwise the grant keeps
       {!Principal.Db.Snapshot.no_row} and is fresh only while the
       database generation is unchanged.
-    - A grant minted from a born-stale snapshot (built inside a batch
-      before anything was published) stops being fresh when the batch
-      publishes: its recorded generation is the pre-batch one, and,
-      since that snapshot is never published, {!Principal.Db.snapshot}
-      did not return it twice, so the grant holds
-      {!Principal.Db.Snapshot.no_row}.
 
     Every handle is a monitor decision: no certificate mints one.
     Certificates keep the same coordinates per covered principal (its
@@ -338,14 +338,16 @@ val loaded_by : t -> Principal.individual -> int
     decision.
 
     Counters: [cert.issued] and [cert.delegations] on
-    {!note_certificate}, [cert.revoked] on any revocation,
-    [cert.expired] on sweep. *)
+    {!note_certificate}, [cert.revoked] on any revocation and on a
+    {!note_certificate} that replaces a held certificate,
+    [cert.expired] on sweep.  So [cert.issued] is always [cert.expired
+    + cert.revoked] plus the certificates held. *)
 
 val note_certificate : t -> Exsec_analysis.Certificate.t -> unit
-(** Install the certificate, replacing the extension's earlier one,
-    and record its [Always_allow] proofs on the loaded extension's
-    import handles for those paths (replaced proofs stop serving at
-    once).  An extension that is not loaded holds no import handle, so
+(** Install the certificate, replacing the extension's earlier one
+    (which counts as revoked), and record its [Always_allow] proofs on
+    the loaded extension's import handles for those paths (replaced
+    proofs stop serving at once).  An extension that is not loaded holds no import handle, so
     its certificate records nothing yet.  Touches only the
     extension's own import handles, never the rest of the table. *)
 

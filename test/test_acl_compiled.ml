@@ -405,6 +405,37 @@ let test_capped_decide_allocates_nothing () =
   let measured = minor_delta run in
   Alcotest.(check (float 0.)) "capped decide grant words" baseline measured
 
+let test_late_subject_decides_without_allocating () =
+  (* A subject registered after the snapshot its object's form was
+     compiled against is matched against the form's by-name entries:
+     that scan allocates nothing either. *)
+  let db, alice, _, _, staff, _ = fixture () in
+  let monitor = Reference_monitor.create db in
+  let acl = Acl.of_entries [ Acl.allow (Acl.Group staff) [ Access_mode.Read ] ] in
+  let klass = bottom () in
+  let meta = Meta.make ~owner:alice ~acl klass in
+  let decide subject =
+    match Reference_monitor.decide monitor ~subject ~meta ~mode:Access_mode.Read with
+    | Decision.Granted -> ()
+    | Decision.Denied _ -> Alcotest.fail "the staff member was denied"
+  in
+  decide (Subject.make alice klass);
+  let compiled = Meta.compiled_acl meta ~db in
+  let late = Principal.individual "latecomer" in
+  Principal.Db.add_member db staff (Principal.Ind late);
+  let subject = Subject.make late klass in
+  let run () =
+    for _ = 1 to 10_000 do
+      decide subject
+    done
+  in
+  run ();
+  check "the form compiled before the latecomer registered is kept" true
+    (Meta.compiled_acl meta ~db == compiled);
+  let baseline = minor_delta (fun () -> ()) in
+  let measured = minor_delta run in
+  Alcotest.(check (float 0.)) "late subject's decide words" baseline measured
+
 let test_check_allocates_one_event () =
   (* The audited grant: [decide] allocates nothing, and the audit
      record is one 8-word event (seven fields and a header) stored in a
@@ -476,11 +507,18 @@ let test_compile_allocation_ignores_population () =
     (Printf.sprintf "compile words at 4,000 (%.0f) <= at 16 (%.0f)" large small)
     true (large <= small)
 
+(* One membership edit and the [Db.snapshot] after it: the edit's
+   publication, wherever it is paid. *)
+let edit_words db edit =
+  allocated_words (fun () ->
+      edit ();
+      ignore (Principal.Db.snapshot db))
+
 let test_refresh_allocation_tracks_edit () =
-  (* The snapshot refresh after one membership edit copies the chunk
-     spine (one pointer per 256 individuals), the chunk holding the
-     changed row and the rows the edit changed, never a word per
-     principal: 16x the population may cost at most 2x the words. *)
+  (* The publication of one membership edit copies the top array, the
+     block and the chunk holding the changed row and the rows the edit
+     changed, never a word per principal: 16x the population may cost
+     at most 2x the words. *)
   let refresh_words population =
     let db = Principal.Db.create () in
     let people =
@@ -494,8 +532,7 @@ let test_refresh_allocation_tracks_edit () =
       Principal.Db.add_member db staff (Principal.Ind people.(i))
     done;
     ignore (Principal.Db.snapshot db);
-    Principal.Db.add_member db staff (Principal.Ind people.(8));
-    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+    edit_words db (fun () -> Principal.Db.add_member db staff (Principal.Ind people.(8)))
   in
   let small = refresh_words 4_096 in
   let large = refresh_words 65_536 in
@@ -505,10 +542,14 @@ let test_refresh_allocation_tracks_edit () =
     (large <= 2. *. small)
 
 let test_registration_refresh_tracks_edit () =
-  (* Registering one individual into one group appends: the refresh
-     grows the chunk spine, starts the chunk the newcomer's row lands
-     in and patches the rows the edit changed, sharing every other row.
-     16x the population may cost at most 2x the words. *)
+  (* Registering one individual into one group appends: the
+     publication counts the newcomer, starts the chunk its row lands in
+     and patches the rows the edit changed, sharing every other row.
+     16x the population may cost at most 2x the words.  The newcomer
+     registers before the measured edit: at these power-of-two
+     populations its registration doubles the name table and the id
+     indexes, a cost the registration pays whether or not it is
+     published. *)
   let refresh_words population =
     let db = Principal.Db.create () in
     for i = 0 to population - 1 do
@@ -520,8 +561,9 @@ let test_registration_refresh_tracks_edit () =
       Principal.Db.add_member db staff (Principal.Ind (Principal.individual (Printf.sprintf "p%05d" i)))
     done;
     ignore (Principal.Db.snapshot db);
-    Principal.Db.add_member db staff (Principal.Ind (Principal.individual "newcomer"));
-    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+    let newcomer = Principal.individual "newcomer" in
+    Principal.Db.add_individual db newcomer;
+    edit_words db (fun () -> Principal.Db.add_member db staff (Principal.Ind newcomer))
   in
   let small = refresh_words 4_096 in
   let large = refresh_words 65_536 in
@@ -553,8 +595,8 @@ let test_refresh_ignores_ancestor_closures () =
       Principal.Db.add_member db small (Principal.Ind (Principal.individual (Printf.sprintf "s%d" i)))
     done;
     ignore (Principal.Db.snapshot db);
-    Principal.Db.add_member db small (Principal.Ind (Principal.individual "s8"));
-    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+    edit_words db (fun () ->
+        Principal.Db.add_member db small (Principal.Ind (Principal.individual "s8")))
   in
   let small = refresh_words 4_096 in
   let large = refresh_words 65_536 in
@@ -578,13 +620,38 @@ let test_refresh_ignores_group_count () =
       Principal.Db.add_member db team (Principal.Ind (Principal.individual (Printf.sprintf "p%d" i)))
     done;
     ignore (Principal.Db.snapshot db);
-    Principal.Db.add_member db team (Principal.Ind (Principal.individual "p8"));
-    allocated_words (fun () -> ignore (Principal.Db.snapshot db))
+    edit_words db (fun () ->
+        Principal.Db.add_member db team (Principal.Ind (Principal.individual "p8")))
   in
   let small = refresh_words 256 in
   let large = refresh_words 4_096 in
   check
     (Printf.sprintf "refresh words at 4,096 groups (%.0f) <= 2x at 256 (%.0f)" large small)
+    true
+    (large <= 2. *. small)
+
+let test_publication_ignores_population () =
+  (* At 2^18 individuals the rows span four blocks of 65,536, so one
+     edit's publication copies a top array of four pointers, one block
+     and one chunk, where 2^12 copies a top array of one: 64x the
+     population may cost at most 2x the words. *)
+  let publish_words population =
+    let db = Principal.Db.create () in
+    let people =
+      Array.init population (fun i -> Principal.individual (Printf.sprintf "p%06d" i))
+    in
+    Array.iter (Principal.Db.add_individual db) people;
+    let staff = Principal.group "staff" in
+    for i = 0 to 7 do
+      Principal.Db.add_member db staff (Principal.Ind people.(i))
+    done;
+    edit_words db (fun () ->
+        Principal.Db.add_member db staff (Principal.Ind people.(population - 1)))
+  in
+  let small = publish_words 4_096 in
+  let large = publish_words 262_144 in
+  check
+    (Printf.sprintf "publication words at 2^18 (%.0f) <= 2x at 2^12 (%.0f)" large small)
     true
     (large <= 2. *. small)
 
@@ -607,6 +674,8 @@ let suite =
     Alcotest.test_case "decide allocates nothing" `Quick test_decide_allocates_nothing;
     Alcotest.test_case "a capped subject decides without allocating" `Quick
       test_capped_decide_allocates_nothing;
+    Alcotest.test_case "a subject registered after the compile decides without allocating"
+      `Quick test_late_subject_decides_without_allocating;
     Alcotest.test_case "audited check allocates one event" `Quick
       test_check_allocates_one_event;
     Alcotest.test_case "compile allocation ignores population" `Quick
@@ -619,4 +688,6 @@ let suite =
       test_refresh_ignores_ancestor_closures;
     Alcotest.test_case "refresh ignores the group count" `Quick
       test_refresh_ignores_group_count;
+    Alcotest.test_case "publication allocation ignores the population" `Quick
+      test_publication_ignores_population;
   ]

@@ -252,6 +252,85 @@ let test_born_stale_under_batch () =
     (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
        ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub store)
 
+(* The proofs read the live member lists, and a writer in another
+   domain builds each snapshot between moving the lists and publishing
+   it.  A certificate issued meanwhile must not settle on rows that
+   describe another state than its proof read: x toggles in and out of
+   g, the only group the ACL admits, so a settled proof is
+   [Always_allow] exactly when x's kept row holds g.  Issues for a
+   quarter second once the writer runs. *)
+let test_born_stale_under_edit () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  let x = Principal.individual "x" in
+  let g = Principal.group "g" in
+  Principal.Db.add_member db g (Principal.Ind admin);
+  Principal.Db.add_individual db x;
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let registry = Clearance.create () in
+  Clearance.register registry x bottom;
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
+  let meta =
+    Meta.make ~owner:admin
+      ~acl:
+        (Acl.of_entries
+           [
+             Acl.allow_all (Acl.Individual admin);
+             Acl.allow (Acl.Group g) [ Access_mode.List; Access_mode.Execute ];
+             Acl.allow Acl.Everyone [ Access_mode.List ];
+           ])
+      bottom
+  in
+  (match
+     Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) store ~meta
+       (Service.proc "get" 0 (Service.const (Value.int 7)))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "setup get: %s" (Service.error_to_string e));
+  let g_id = Principal.Db.Snapshot.group_id (Principal.Db.snapshot db) g in
+  let stop = Atomic.make false in
+  (* Bursts of toggles, each followed by a short sleep: the bursts
+     race the issues, and the sleeps let some issue overlap no edit
+     even on one core. *)
+  let writer =
+    Stdlib.Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          for _ = 1 to 64 do
+            Principal.Db.add_member db g (Principal.Ind x);
+            Principal.Db.remove_member db g (Principal.Ind x)
+          done;
+          Unix.sleepf 0.0002
+        done)
+  in
+  let generation0 = Principal.Db.generation db in
+  while Principal.Db.generation db = generation0 do
+    Stdlib.Domain.cpu_relax ()
+  done;
+  let settled = ref 0 and torn = ref 0 in
+  let start = Unix.gettimeofday () in
+  while Unix.gettimeofday () -. start < 0.25 do
+    let certificate =
+      Certificate.issue ~monitor:(Kernel.monitor kernel) ~registry
+        ~namespace:(Kernel.namespace kernel) ~extension:"racer" ~imports:[ store ] ()
+    in
+    if certificate.Certificate.db_generation <> -1 then begin
+      incr settled;
+      let proved =
+        List.for_all
+          (fun (proof : Certificate.import_proof) -> proof.verdict = Verdict.Always_allow)
+          certificate.Certificate.proofs
+      in
+      let row = (certificate.Certificate.covers.(0).Certificate.row :> int array) in
+      if proved <> Array.mem g_id row then incr torn
+    end
+  done;
+  Atomic.set stop true;
+  Stdlib.Domain.join writer;
+  check "some certificate settled" true (!settled > 0);
+  Alcotest.(check int) "settled proofs that read another state than their rows" 0 !torn
+
 (* {1 Per-subject revocation}
 
    A certificate keeps each cover's own row, so an edit revokes only
@@ -572,6 +651,14 @@ let test_counters_conserve () =
   in
   delegate "front" "front/worker";
   delegate "front/worker" "front/worker2";
+  (* Two replacements: each certificate replaced leaves the table, so
+     it counts as revoked.  A second delegation into front/worker, and
+     relay re-issued as the oracle's recertify does. *)
+  delegate "front" "front/worker";
+  Kernel.note_certificate w.kernel
+    (Certificate.issue ~monitor:(Kernel.monitor w.kernel) ~registry:w.registry
+       ~namespace:(Kernel.namespace w.kernel) ~now:(Kernel.cert_epoch w.kernel)
+       ~extension:"relay" ~imports:[ store ] ());
   (match
      Linker.link
        ~profile:(Certificate.make_profile ~name:"short" ~validity:2 ())
@@ -591,7 +678,7 @@ let test_counters_conserve () =
   match List.map2 (fun name n0 -> counter name - n0) names before with
   | [ issued; expired; revoked; delegations ] ->
     Alcotest.(check int) "cert.issued = cert.expired + cert.revoked" issued (expired + revoked);
-    Alcotest.(check int) "cert.delegations counted" 2 delegations
+    Alcotest.(check int) "cert.delegations counted" 3 delegations
   | _ -> assert false
 
 
@@ -605,6 +692,7 @@ let suite =
       test_empty_registry_proves_nothing;
     Alcotest.test_case "row rule survives unrelated churn" `Quick test_row_rule_survival;
     Alcotest.test_case "born stale under a racing batch" `Quick test_born_stale_under_batch;
+    Alcotest.test_case "born stale under a racing edit" `Quick test_born_stale_under_edit;
     Alcotest.test_case "bob's edit leaves alice proved" `Quick test_bob_edit_keeps_alice_proved;
     Alcotest.test_case "admission refusals" `Quick test_admission_refusals;
     Alcotest.test_case "admission allocates nothing" `Quick test_admission_allocates_nothing;
