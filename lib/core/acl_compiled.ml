@@ -194,7 +194,7 @@ let rec first_group_deny snapshot denies id deny_bit k =
     else first_group_deny snapshot denies id deny_bit (k + 1)
   end
 
-let check_id compiled ~snapshot ~id ~subject ~mode =
+let[@inline] check_id compiled ~snapshot ~id ~subject ~mode =
   let allow_bit = 1 lsl Access_mode.index mode in
   let deny_bit = allow_bit lsl deny_shift in
   let ind_mask =

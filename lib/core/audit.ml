@@ -14,14 +14,16 @@ type event = {
 }
 
 (* One ring indexed by the global sequence number: event [seq] lives in
-   slot [seq mod capacity], so the slot a record writes is fixed by the
+   slot [seq land mask], so the slot a record writes is fixed by the
    [fetch_and_add] that numbers it, and no lock or cursor is needed.
-   Each slot is an atomic cell so a write can be a compare-and-set (see
-   [publish]).  Only denials are counted; grants are
-   [next_seq - denied]. *)
+   The slot count is a power of two, so the index is a mask, not a
+   division, and always in bounds.  Each slot is an atomic cell so a
+   write can be a compare-and-set (see [publish]).  Only denials are
+   counted; grants are [next_seq - denied]. *)
 type t = {
   ring : event Atomic.t array;
-  capacity : int;
+  mask : int;  (* slot count - 1 *)
+  capacity : int;  (* events retained: at most the slot count *)
   next_seq : int Atomic.t;  (* sequence numbers issued *)
   denied : int Atomic.t;
 }
@@ -40,10 +42,15 @@ let empty =
     decision = Decision.Denied Decision.Not_an_object;
   }
 
+(* The smallest power of two that holds [capacity]. *)
+let rec slots_for capacity n = if n >= capacity then n else slots_for capacity (2 * n)
+
 let create ?(capacity = 4096) () =
   if capacity <= 0 then invalid_arg "Audit.create: capacity must be positive";
+  let slots = slots_for capacity 1 in
   {
-    ring = Array.init capacity (fun _ -> Atomic.make empty);
+    ring = Array.init slots (fun _ -> Atomic.make empty);
+    mask = slots - 1;
     capacity;
     next_seq = Atomic.make 0;
     denied = Atomic.make 0;
@@ -53,20 +60,20 @@ let capacity log = log.capacity
 
 (* Store [event] unless the slot already holds a newer one.  A plain
    store is not enough: a writer preempted between taking its number
-   and storing can fall a whole lap behind, and its store would then
-   replace event [seq + capacity] with the older [seq].  No later read
-   expects [seq] in that slot any more, so the newer event would be
-   lost for good.  The window is a few instructions wide, which is why
-   a stress test can pass with a plain store.  Top level and
-   self-recursive, so the retry allocates no closure. *)
+   and storing can fall a whole lap (the slot count) behind, and its
+   store would then replace event [seq + slots] with the older [seq].
+   No later read expects [seq] in that slot any more, so the newer
+   event would be lost for good.  The window is a few instructions
+   wide, which is why a stress test can pass with a plain store.  Top
+   level and self-recursive, so the retry allocates no closure. *)
 let rec publish cell event =
   let current = Atomic.get cell in
   if current.seq < event.seq && not (Atomic.compare_and_set cell current event) then
     publish cell event
 
-let append log ~subject ~object_name ~object_id ~object_class ~mode decision =
+let[@inline] append log ~subject ~object_name ~object_id ~object_class ~mode decision =
   let seq = Atomic.fetch_and_add log.next_seq 1 in
-  publish log.ring.(seq mod log.capacity)
+  publish (Array.unsafe_get log.ring (seq land log.mask))
     { seq; subject; object_name; object_id; object_class; mode; decision };
   if not (Decision.is_granted decision) then Atomic.incr log.denied
 
@@ -91,7 +98,7 @@ let tail log ~count =
   let rec gather seq acc =
     if seq < oldest then acc
     else begin
-      let event = Atomic.get log.ring.(seq mod log.capacity) in
+      let event = Atomic.get (Array.unsafe_get log.ring (seq land log.mask)) in
       gather (seq - 1) (if event.seq = seq then event :: acc else acc)
     end
   in

@@ -7,8 +7,11 @@
 
     The log is one lock-free ring indexed by a global sequence number:
     a record takes its number from one shared atomic counter, builds
-    its immutable event and stores it in slot [seq mod capacity] with
-    a compare-and-set that never replaces a newer event.  Recording
+    its immutable event and stores it in slot [seq land (slots - 1)]
+    with a compare-and-set that never replaces a newer event.  The
+    slot count is the smallest power of two that holds [capacity], so
+    the index is a mask, and an event is replaced one lap (the slot
+    count) later.  Recording
     domains share no lock (the property the multi-domain bench A8
     measures), and reads return the newest [capacity] events
     whatever the number of domains or the host's cores. *)
@@ -28,7 +31,8 @@ type t
 val create : ?capacity:int -> unit -> t
 (** [capacity] (default 4096, must be > 0) is the number of events
     the log retains: {!events} returns the newest [capacity]
-    recorded. *)
+    recorded.  The ring allocates the smallest power of two
+    [>= capacity] slots. *)
 
 val capacity : t -> int
 (** The number of events retained. *)
@@ -48,9 +52,22 @@ val record :
     is taken.  A writer that falls a whole lap behind leaves the newer
     event in its slot, so its own event is not retained.
 
-    Metrics cost one test of the switch: off, the record is the above
+    Metrics cost one test of the switch: off, the record is {!append}
     alone; on, it also bumps [audit.records], whose count picks the 1
     in 16 records the [audit.record_ns] histogram times. *)
+
+val append :
+  t ->
+  subject:Subject.t ->
+  object_name:string ->
+  object_id:int ->
+  object_class:Security_class.t ->
+  mode:Access_mode.t ->
+  Decision.t ->
+  unit
+(** {!record} without its test of the metrics switch: the caller has
+    read the switch already (a checked resolution reads it once for
+    all of its levels) and found nothing observing. *)
 
 val events : t -> event list
 (** The newest [capacity] events, oldest first: [tail ~count:capacity]. *)

@@ -61,7 +61,7 @@ let require_same_universe fn a b =
   if not (same_universe a b) then
     invalid_arg (Printf.sprintf "Category.%s: sets from different universes" fn)
 
-let subset a b =
+let[@inline] subset a b =
   if a.owner != b.owner then require_same_universe "subset" a b;
   a.bits land lnot b.bits = 0
 

@@ -49,7 +49,7 @@ let compare a b =
 let equal a b = same_hierarchy a b && a.rank = b.rank
 (* Levels of one hierarchy share its record, so [==] settles the
    common case before the id test. *)
-let dominates a b = if a.owner == b.owner then a.rank >= b.rank else compare a b >= 0
+let[@inline] dominates a b = if a.owner == b.owner then a.rank >= b.rank else compare a b >= 0
 let max a b = if dominates a b then a else b
 let min a b = if dominates a b then b else a
 let pp ppf level = Format.pp_print_string ppf (name level)

@@ -2,15 +2,15 @@ type overwrite_rule =
   | Liberal
   | Strict
 
-let read_ok ~subject ~object_ = Security_class.dominates subject object_
-let write_ok ~subject ~object_ = Security_class.dominates object_ subject
+let[@inline] read_ok ~subject ~object_ = Security_class.dominates subject object_
+let[@inline] write_ok ~subject ~object_ = Security_class.dominates object_ subject
 
 type denial =
   | Read_up
   | Write_down
   | Blind_overwrite
 
-let check ~rule ~subject ~object_ mode =
+let[@inline] check ~rule ~subject ~object_ mode =
   if Access_mode.is_read_like mode then
     if read_ok ~subject ~object_ then Ok () else Error Read_up
   else if not (write_ok ~subject ~object_) then Error Write_down

@@ -75,7 +75,15 @@ let set_integrity_raw meta integrity =
   meta.integrity <- integrity;
   touch meta
 
-let compiled_in meta snapshot =
+(* The miss: compile the ACL read after [acl_generation] and store it
+   under that generation.  Out of line, so the hit inlines into the
+   decision. *)
+let recompile meta snapshot acl_generation =
+  let compiled = Acl_compiled.compile_in snapshot meta.acl in
+  meta.compiled <- Some { compiled; acl_generation };
+  compiled
+
+let[@inline] compiled_in meta snapshot =
   (* The metadata generation is read BEFORE the slot (and, on a miss,
      before the ACL field): a racing set_acl then lands a bump above
      the value validated or stamped here, so a stale slot can never
@@ -93,10 +101,7 @@ let compiled_in meta snapshot =
     when slot.acl_generation = acl_generation
          && Acl_compiled.valid_for slot.compiled snapshot ->
     slot.compiled
-  | Some _ | None ->
-    let compiled = Acl_compiled.compile_in snapshot meta.acl in
-    meta.compiled <- Some { compiled; acl_generation };
-    compiled
+  | Some _ | None -> recompile meta snapshot acl_generation
 
 let compiled_acl meta ~db = compiled_in meta (Principal.Db.snapshot db)
 

@@ -59,13 +59,12 @@ let write_up = Decision.Denied (Decision.Integrity_denied Integrity.Write_up)
    ACL, compiled to flat mode-mask arrays and memoized on its metadata
    (see Acl_compiled / Meta.compiled_in), answers in a few bitwise
    tests with zero allocation, and a denial names its deny entry from
-   the same compiled form.  One snapshot is read, and everything else
-   keys on it: the memo's validity, the subject's id (fixed at
+   the same compiled form.  Everything keys on the one [snapshot] the
+   caller read: the memo's validity, the subject's id (fixed at
    registration and memoized on the subject, so the population-sized
    name table is probed once per subject, not once per check) and the
    membership the check reads. *)
-let dac_decide monitor ~subject ~(meta : Meta.t) ~mode =
-  let snapshot = Principal.Db.snapshot monitor.db in
+let[@inline] dac_decide_in snapshot ~subject ~(meta : Meta.t) ~mode =
   let compiled = Meta.compiled_in meta snapshot in
   let id = Subject.individual_id subject snapshot in
   match
@@ -75,17 +74,19 @@ let dac_decide monitor ~subject ~(meta : Meta.t) ~mode =
   | Acl_compiled.No_entry -> no_entry
   | Acl_compiled.Denied who -> Decision.Denied (Decision.Dac_explicit_deny who)
 
-(* The whole decision under one policy read: DAC, then MAC, then Biba
-   (which applies only when both sides carry integrity labels).
-   Trusted subjects (the TCB) are exempt from the [*]-property and from
-   its Biba mirror, so they may write down; read rules still apply.
-   Each step answers a [Decision.t] and the first denial ends the
-   evaluation, with no result box, no closure and no span, so a grant
-   allocates nothing (a regression test holds it to zero words). *)
-let evaluate monitor (policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
+(* The whole decision under one policy and one snapshot: DAC, then
+   MAC, then Biba (which applies only when both sides carry integrity
+   labels).  Trusted subjects (the TCB) are exempt from the
+   [*]-property and from its Biba mirror, so they may write down; read
+   rules still apply.  Each step answers a [Decision.t] and the first
+   denial ends the evaluation, with no result box, no closure and no
+   span, so a grant allocates nothing (a regression test holds it to
+   zero words). *)
+let[@inline] evaluate_in snapshot (policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
   let exempt = Subject.is_trusted subject && Access_mode.is_write_like mode in
   match
-    if policy.Policy.dac then dac_decide monitor ~subject ~meta ~mode else Decision.Granted
+    if policy.Policy.dac then dac_decide_in snapshot ~subject ~meta ~mode
+    else Decision.Granted
   with
   | Decision.Denied _ as denied -> denied
   | Decision.Granted -> (
@@ -108,13 +109,13 @@ let evaluate monitor (policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
         | Error Integrity.Write_up -> write_up)
       | (None | Some _), _ -> Decision.Granted))
 
-(* [decide] with its instruments around the same evaluation.  The
-   counters and the span's fields are read off the decision: the MAC
-   layer ran exactly when it is on and DAC did not deny, and it denied
-   exactly when the decision is a MAC denial. *)
-let decide_observed monitor policy ~span ~subject ~meta ~mode =
+(* The evaluation inside its instruments.  The counters and the span's
+   fields are read off the decision: the MAC layer ran exactly when it
+   is on and DAC did not deny, and it denied exactly when the decision
+   is a MAC denial. *)
+let decide_observed policy snapshot ~span ~subject ~meta ~mode =
   let t0 = Metrics.start_counted m_decisions m_decide_ns in
-  let decision = evaluate monitor policy ~subject ~meta ~mode in
+  let decision = evaluate_in snapshot policy ~subject ~meta ~mode in
   Metrics.stop_timing m_decide_ns t0;
   (match decision with
   | Decision.Granted -> ()
@@ -138,14 +139,31 @@ let decide_observed monitor policy ~span ~subject ~meta ~mode =
 
 let decide ?(span = Trace.none) monitor ~subject ~meta ~mode =
   let policy = monitor.policy in
-  if Trace.observing () then decide_observed monitor policy ~span ~subject ~meta ~mode
-  else evaluate monitor policy ~subject ~meta ~mode
+  let snapshot = Principal.Db.snapshot monitor.db in
+  if Trace.observing () then decide_observed policy snapshot ~span ~subject ~meta ~mode
+  else evaluate_in snapshot policy ~subject ~meta ~mode
 
-let check ?span monitor ~subject ~(meta : Meta.t) ~object_name ~mode =
-  let decision = decide ?span monitor ~subject ~meta ~mode in
-  Audit.record monitor.audit ~subject ~object_name ~object_id:meta.Meta.id
-    ~object_class:meta.klass ~mode decision;
-  decision
+(* One audited decision under a context the caller read: the observed
+   branch is [decide]'s instruments and [Audit.record]; the bare one is
+   the evaluation and the append alone. *)
+let check_in ~observed ~span monitor policy snapshot ~subject ~(meta : Meta.t) ~object_name
+    ~mode =
+  if observed then begin
+    let decision = decide_observed policy snapshot ~span ~subject ~meta ~mode in
+    Audit.record monitor.audit ~subject ~object_name ~object_id:meta.Meta.id
+      ~object_class:meta.klass ~mode decision;
+    decision
+  end
+  else begin
+    let decision = evaluate_in snapshot policy ~subject ~meta ~mode in
+    Audit.append monitor.audit ~subject ~object_name ~object_id:meta.Meta.id
+      ~object_class:meta.klass ~mode decision;
+    decision
+  end
+
+let check ?(span = Trace.none) monitor ~subject ~meta ~object_name ~mode =
+  check_in ~observed:(Trace.observing ()) ~span monitor monitor.policy
+    (Principal.Db.snapshot monitor.db) ~subject ~meta ~object_name ~mode
 
 let check_exn monitor ~subject ~meta ~object_name ~mode =
   match check monitor ~subject ~meta ~object_name ~mode with
@@ -174,7 +192,9 @@ let check_attach monitor ~subject ~parent ~child ~object_name =
   let policy = monitor.policy in
   let decision =
     match
-      if policy.Policy.dac then dac_decide monitor ~subject ~meta:parent ~mode:Access_mode.Write
+      if policy.Policy.dac then
+        dac_decide_in (Principal.Db.snapshot monitor.db) ~subject ~meta:parent
+          ~mode:Access_mode.Write
       else Decision.Granted
     with
     | Decision.Denied _ as denied -> denied

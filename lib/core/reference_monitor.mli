@@ -64,8 +64,9 @@ val decide :
     MAC rules.  An explicit ACL deny names the deny entry that
     decided, exactly as {!Acl.check} would.
 
-    The decision is one evaluation under one read of the policy, and
-    its first denial ends it.  A grant allocates nothing, nor does a
+    The decision is one evaluation under one read of the policy and
+    one of the database's published snapshot, and its first denial
+    ends it.  A grant allocates nothing, nor does a
     denial other than an explicit ACL deny (which names its entry).
 
     Observability costs one test: when neither metrics nor tracing is
@@ -85,7 +86,29 @@ val check :
   object_name:string ->
   mode:Access_mode.t ->
   Decision.t
-(** {!decide}, recorded in the audit log under [object_name]. *)
+(** {!decide}, recorded in the audit log under [object_name]:
+    {!check_in} under the context read when the call starts. *)
+
+val check_in :
+  observed:bool ->
+  span:Exsec_obs.Trace.handle ->
+  t ->
+  Policy.t ->
+  Principal.Db.Snapshot.t ->
+  subject:Subject.t ->
+  meta:Meta.t ->
+  object_name:string ->
+  mode:Access_mode.t ->
+  Decision.t
+(** One audited decision under a context the caller read once: the
+    monitor's {!policy}, the database's published snapshot, [observed]
+    ({!Exsec_obs.Trace.observing}) and [span] (or
+    {!Exsec_obs.Trace.none}).  A checked resolution reads them when it
+    starts and decides every level under them, so all of its levels
+    see one membership state; object metadata is still read per
+    object.  Observed, the decision runs inside {!decide}'s counters
+    and span and is recorded by {!Audit.record}; bare, it is the
+    evaluation and {!Audit.append} alone. *)
 
 val check_exn :
   t ->

@@ -16,25 +16,27 @@ let monitor r = r.monitor
 let namespace r = r.namespace
 
 type denial =
-  | Denied of { at : Path.t; mode : Access_mode.t; denial : Decision.denial }
+  | Denied of { at : Path.t; label : string; mode : Access_mode.t; denial : Decision.denial }
   | Name_error of Namespace.error
 
 let pp_denial ppf = function
-  | Denied { at; mode; denial } ->
-    Format.fprintf ppf "%a (%a): %a" Path.pp at Access_mode.pp mode Decision.pp_denial
-      denial
+  | Denied { label; mode; denial; _ } ->
+    Format.fprintf ppf "%s (%a): %a" label Access_mode.pp mode Decision.pp_denial denial
   | Name_error error -> Namespace.pp_error ppf error
 
-(* [span] stays the caller's optional argument all the way down to
-   the monitor: a walk never boxes it. *)
-let check ?span r ~subject node mode =
+(* One level of a resolution, decided under the context the resolution
+   read when it started: [observed] (whether metrics or tracing is on),
+   its [span] (or [Trace.none]), the monitor's [policy] and the
+   published membership [snapshot].  A denial carries the node's label,
+   rendered at insertion, so reporting it renders no path. *)
+let check ~observed ~span r policy snapshot ~subject node mode =
   match
-    Reference_monitor.check ?span r.monitor ~subject ~meta:(Namespace.meta node)
-      ~object_name:(Namespace.label node) ~mode
+    Reference_monitor.check_in ~observed ~span r.monitor policy snapshot ~subject
+      ~meta:(Namespace.meta node) ~object_name:(Namespace.label node) ~mode
   with
   | Decision.Granted -> Ok ()
   | Decision.Denied denial ->
-    Error (Denied { at = Namespace.path node; mode; denial })
+    Error (Denied { at = Namespace.path node; label = Namespace.label node; mode; denial })
 
 (* The name error of a probe that found nothing in [node]: [target]
    is missing from a directory, or the walk met a leaf mid-path. *)
@@ -52,21 +54,31 @@ exception Refused of denial
    and probes one level on each return, so the checks run root first
    with no segment list and no closure.  Each level costs one monitor
    decision (with its audit record) and one string-keyed probe, so the
-   walk is O(depth) whatever the directories' width.  [target] is only
-   for the name error. *)
-let rec descend ?span r ~subject target path =
+   walk is O(depth) whatever the directories' width.  Every level
+   decides under the one context handed down (see [check]).  [target]
+   is only for the name error. *)
+let rec descend ~observed ~span r policy snapshot ~subject target path =
   if Path.is_root path then Namespace.root r.namespace
   else
-    let dir = descend ?span r ~subject target (Path.up path) in
-    match check ?span r ~subject dir Access_mode.List with
+    let dir = descend ~observed ~span r policy snapshot ~subject target (Path.up path) in
+    match check ~observed ~span r policy snapshot ~subject dir Access_mode.List with
     | Error denial -> raise_notrace (Refused denial)
     | Ok () -> (
       match Namespace.child dir (Path.last path) with
       | node -> node
       | exception Not_found -> raise_notrace (Refused (Name_error (missing dir target))))
 
-let walk ?span r ~subject target =
-  match descend ?span r ~subject target target with
+(* Each operation below reads its context once, when it starts: the
+   observability switch, the span handed down, the policy and the
+   published snapshot.  The span stays the caller's optional argument
+   until here, so an untraced walk never boxes it. *)
+
+let walk r ~subject target =
+  let observed = Trace.observing () in
+  let span = Trace.none in
+  let policy = Reference_monitor.policy r.monitor in
+  let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
+  match descend ~observed ~span r policy snapshot ~subject target target with
   | node -> Ok node
   | exception Refused denial -> Error denial
 
@@ -80,10 +92,14 @@ let observe_outcome result =
   | Error (Name_error _) -> Metrics.incr m_name_errors
 
 let resolve_bare ?span r ~subject ~mode target =
-  match descend ?span r ~subject target target with
+  let observed = Trace.observing () in
+  let span = Option.value span ~default:Trace.none in
+  let policy = Reference_monitor.policy r.monitor in
+  let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
+  match descend ~observed ~span r policy snapshot ~subject target target with
   | exception Refused denial -> Error denial
   | node -> (
-    match check ?span r ~subject node mode with
+    match check ~observed ~span r policy snapshot ~subject node mode with
     | Error e -> Error e
     | Ok () -> Ok node)
 
@@ -130,14 +146,14 @@ let parent_of target =
   | None -> Error (Name_error (Namespace.Already_exists Path.root))
 
 let attach_check r ~subject ~parent_node ~child_meta target =
+  let label = Path.to_string target in
   match
     Reference_monitor.check_attach r.monitor ~subject
-      ~parent:(Namespace.meta parent_node) ~child:child_meta
-      ~object_name:(Path.to_string target)
+      ~parent:(Namespace.meta parent_node) ~child:child_meta ~object_name:label
   with
   | Decision.Granted -> Ok ()
   | Decision.Denied denial ->
-    Error (Denied { at = target; mode = Access_mode.Write; denial })
+    Error (Denied { at = target; label; mode = Access_mode.Write; denial })
 
 let create_node r ~subject target ~meta insert =
   match parent_of target with
@@ -167,26 +183,31 @@ let create_leaf r ~subject target ~meta payload =
    make them disagree about which node is being removed.  Here the
    victim is found among the parent's own entries, so every ancestor
    is checked exactly once and the parent node, the victim and the
-   unlink all come from the same traversal. *)
+   unlink all come from the same traversal, decided under one
+   context. *)
 let remove ?span r ~subject target =
+  let observed = Trace.observing () in
+  let span = Option.value span ~default:Trace.none in
+  let policy = Reference_monitor.policy r.monitor in
+  let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
   let result =
     match parent_of target with
     | Error e -> Error e
     | Ok parent_path -> (
-      match walk ?span r ~subject parent_path with
-      | Error e -> Error e
-      | Ok parent_node -> (
+      match descend ~observed ~span r policy snapshot ~subject parent_path parent_path with
+      | exception Refused denial -> Error denial
+      | parent_node -> (
         (* The walk checked [List] strictly above the parent; the
            parent's own [List] check guards reading its entries, as it
            would on the target walk. *)
-        match check ?span r ~subject parent_node Access_mode.List with
+        match check ~observed ~span r policy snapshot ~subject parent_node Access_mode.List with
         | Error e -> Error e
         | Ok () -> (
           let basename = Option.value (Path.basename target) ~default:"" in
           match Namespace.child parent_node basename with
           | exception Not_found -> Error (Name_error (missing parent_node target))
           | victim -> (
-            match check ?span r ~subject victim Access_mode.Delete with
+            match check ~observed ~span r policy snapshot ~subject victim Access_mode.Delete with
             | Error e -> Error e
             | Ok () -> (
               match
@@ -206,22 +227,24 @@ let set_acl r ~subject target acl =
   match walk r ~subject target with
   | Error e -> Error e
   | Ok node -> (
+    let label = Path.to_string target in
     match
       Reference_monitor.set_acl r.monitor ~subject ~meta:(Namespace.meta node)
-        ~object_name:(Path.to_string target) acl
+        ~object_name:label acl
     with
     | Decision.Granted -> Ok ()
     | Decision.Denied denial ->
-      Error (Denied { at = target; mode = Access_mode.Administrate; denial }))
+      Error (Denied { at = target; label; mode = Access_mode.Administrate; denial }))
 
 let set_class r ~subject target klass =
   match walk r ~subject target with
   | Error e -> Error e
   | Ok node -> (
+    let label = Namespace.label node in
     match
       Reference_monitor.set_class r.monitor ~subject ~meta:(Namespace.meta node)
-        ~object_name:(Namespace.label node) klass
+        ~object_name:label klass
     with
     | Decision.Granted -> Ok ()
     | Decision.Denied denial ->
-      Error (Denied { at = target; mode = Access_mode.Administrate; denial }))
+      Error (Denied { at = target; label; mode = Access_mode.Administrate; denial }))

@@ -20,8 +20,11 @@ val monitor : 'a t -> Reference_monitor.t
 val namespace : 'a t -> 'a Namespace.t
 
 type denial =
-  | Denied of { at : Path.t; mode : Access_mode.t; denial : Decision.denial }
-      (** a protection check for [mode] failed at [at] *)
+  | Denied of { at : Path.t; label : string; mode : Access_mode.t; denial : Decision.denial }
+      (** a protection check for [mode] failed at [at]; [label] is [at]
+          rendered ({!Path.to_string}).  A denial on a node of the walk
+          carries the node's own {!Namespace.label}, so reporting it
+          renders nothing. *)
   | Name_error of Namespace.error  (** the name itself is invalid *)
 
 val pp_denial : Format.formatter -> denial -> unit
@@ -32,7 +35,17 @@ val resolve :
   ('a Namespace.node, denial) result
 (** Traverse to the target (checking [List] on the way) and check
     [mode] on it, threading [span] through every monitor decision made
-    along the walk.  When neither metrics nor tracing is on
+    along the walk.
+
+    The resolution reads its context once, when it starts: the
+    observability switch, [span] (or {!Exsec_obs.Trace.none}), the
+    monitor's policy and the database's published membership snapshot.
+    Every level decides under them ({!Reference_monitor.check_in}), so
+    one resolution decides under one membership state even while
+    another domain edits it; each object's metadata is read as the
+    walk reaches it.
+
+    When neither metrics nor tracing is on
     ({!Exsec_obs.Trace.observing}) that walk is all it does; otherwise
     the same walk feeds the [resolver.*] metrics (resolve count,
     denial/name-error counts, latency histogram) and, unless an active
@@ -63,7 +76,9 @@ val remove :
 (** Unlink the target in one walk: [List] down to and including the
     parent, the victim found among the parent's entries, [Delete] on
     the victim and the attach rule on the parent — each ancestor is
-    checked (and audited) exactly once. *)
+    checked (and audited) exactly once.  The walk and the [Delete]
+    check decide under one context, read as in {!resolve}; the attach
+    rule ({!Reference_monitor.check_attach}) reads its own. *)
 
 val set_acl :
   'a t -> subject:Subject.t -> Path.t -> Acl.t -> (unit, denial) result

@@ -7,7 +7,7 @@ let make level categories = { level; categories }
 let level cls = cls.level
 let categories cls = cls.categories
 
-let dominates a b =
+let[@inline] dominates a b =
   Level.dominates a.level b.level && Category.subset b.categories a.categories
 
 let equal a b = Level.equal a.level b.level && Category.equal a.categories b.categories

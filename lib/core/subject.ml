@@ -26,13 +26,14 @@ let integrity subject = subject.integrity
 let principal subject = subject.principal
 let clearance subject = subject.clearance
 
-let individual_id subject snapshot =
-  if subject.id >= 0 then subject.id
-  else begin
-    let id = Principal.Db.Snapshot.individual_id snapshot subject.principal in
-    subject.id <- id;
-    id
-  end
+(* The first lookup, out of line so the memo read inlines. *)
+let lookup_id subject snapshot =
+  let id = Principal.Db.Snapshot.individual_id snapshot subject.principal in
+  subject.id <- id;
+  id
+
+let[@inline] individual_id subject snapshot =
+  if subject.id >= 0 then subject.id else lookup_id subject snapshot
 
 let membership_unmoved subject db ~generation row =
   let snapshot = Principal.Db.snapshot db in

@@ -409,17 +409,19 @@ let pins pre node =
 
 (* The grant a decision admitted, keyed on [pre].  The row is the
    subject's in the pre-read snapshot, and it is only worth keeping if
-   the decision read that same snapshot.  A writer in another domain
-   can publish between the pre-read and the decision, and the decision
-   then reads the newer snapshot.  Keeping the pre-read row anyway is
-   unsound because rows can come back physically: every row an edit
-   empties is the one shared empty array.  Had the pre-read row been
-   empty and the decision's not, the grant would test fresh again once
-   the subject left the group the decision found it in, although the
-   grant may rest on that membership.  So the row is kept only if
+   the decision read that same snapshot.  The resolution reads the
+   published snapshot once, when it starts, and decides every level
+   under it; a writer in another domain can publish between the
+   pre-read and that read, and the whole decision then rests on the
+   newer snapshot.  Keeping the pre-read row anyway is unsound because
+   rows can come back physically: every row an edit empties is the one
+   shared empty array.  Had the pre-read row been empty and the
+   decision's not, the grant would test fresh again once the subject
+   left the group the decision found it in, although the grant may
+   rest on that membership.  So the row is kept only if
    [Principal.Db.snapshot] still returns [pre.snapshot] after the
    decision: the slot never returns to a snapshot it left, so it held
-   that one throughout and every read in between got it.  Otherwise
+   that one throughout and the resolution's read got it.  Otherwise
    the grant keeps [no_row], and so stays fresh only while the
    database generation has not moved. *)
 let mint kernel pre ~path ~subject ~caller ~target =

@@ -209,16 +209,17 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       epoch.
     - The recorded row must be the one the decision read.  It is taken
       from the snapshot read before the decision, but a writer in
-      another domain can publish in between, and the decision then
-      reads the newer snapshot.  Rows can come back physically: every
+      another domain can publish in between, and the resolution's one
+      snapshot read, which every level of the decision uses, then gets
+      the newer snapshot.  Rows can come back physically: every
       row that empties is the one shared empty array.  So a grant that
       kept an empty pre-read row after its decision read a non-empty
       one would test fresh again once the subject left the group the
       decision found it in.  The row is therefore kept only if
       {!Principal.Db.snapshot} still returns the pre-read snapshot
       after the decision: the published slot never returns to a
-      snapshot it left, so it held that one throughout and every read
-      in between got it.  Otherwise the grant keeps
+      snapshot it left, so it held that one throughout and the
+      resolution's read got it.  Otherwise the grant keeps
       {!Principal.Db.Snapshot.no_row} and is fresh only while the
       database generation is unchanged.
 

@@ -30,8 +30,7 @@ let error_to_string error = Format.asprintf "%a" pp_error error
    same [error] — the differential handle/path oracle depends on
    that determinism. *)
 let error_of_denial = function
-  | Resolver.Denied { at; mode; denial } ->
-    Denied { at = Path.to_string at; mode; denial }
+  | Resolver.Denied { label; mode; denial; _ } -> Denied { at = label; mode; denial }
   | Resolver.Name_error error ->
     Unresolved (Format.asprintf "%a" Namespace.pp_error error)
 

@@ -420,7 +420,9 @@ let test_denial_mapping_deterministic () =
     (fun denial ->
       List.iter
         (fun mode ->
-          let resolver_denial = Resolver.Denied { at = p; mode; denial } in
+          let resolver_denial =
+            Resolver.Denied { at = p; label = Path.to_string p; mode; denial }
+          in
           let expected = Service.Denied { at = Path.to_string p; mode; denial } in
           check "Denied maps verbatim" true
             (Service.error_of_denial resolver_denial = expected);

@@ -448,6 +448,86 @@ let test_handle_callers_vs_membership_mutator () =
   check "revocations forced re-checks" true (delta "handle.stale" > 0);
   check "grants stayed fresh across churn" true (delta "handle.hits" > 0)
 
+(* {1 One snapshot per resolution}
+
+   A writer domain toggles alice in and out of [g] while the test
+   domain resolves two targets under [/svc/g], whose [List] needs [g].
+   [p] grants [Execute] to [g]; [q] denies it to [g] and grants it to
+   everyone.  Under any one membership state, [p] is either denied at
+   [/svc/g] or granted, and [q] is denied at one of the two.  A
+   resolution that decided its levels under two states could be
+   admitted through [/svc/g] and then denied at [p], or admitted
+   through [/svc/g] as a member and granted [q] as a non-member.  A
+   walk whose levels each read the snapshot makes, on a 2-core host, a
+   handful of such decisions per run in the dev profile and thousands
+   in the release profile.  On a one-core host the writer rarely runs
+   between two levels of one resolution, so the case passes there
+   either way. *)
+
+let test_resolution_one_snapshot () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" and alice = Principal.individual "alice" in
+  let g = Principal.group "g" in
+  Principal.Db.add_individual db admin;
+  Principal.Db.add_individual db alice;
+  Principal.Db.add_group db g;
+  let bottom =
+    Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe [])
+  in
+  let meta entries = Meta.make ~owner:admin ~acl:(Acl.of_entries entries) bottom in
+  let everyone_lists = meta [ Acl.allow Acl.Everyone [ Access_mode.List ] ] in
+  let ns = Namespace.create ~root_meta:everyone_lists () in
+  let added = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%a" Namespace.pp_error e
+  in
+  added (Namespace.add_dir ns (Path.of_string "/svc") ~meta:everyone_lists);
+  added
+    (Namespace.add_dir ns (Path.of_string "/svc/g")
+       ~meta:(meta [ Acl.allow (Acl.Group g) [ Access_mode.List ] ]));
+  let p = Path.of_string "/svc/g/p" and q = Path.of_string "/svc/g/q" in
+  added
+    (Namespace.add_leaf ns p ~meta:(meta [ Acl.allow (Acl.Group g) [ Access_mode.Execute ] ]) ());
+  added
+    (Namespace.add_leaf ns q
+       ~meta:
+         (meta
+            [
+              Acl.deny (Acl.Group g) [ Access_mode.Execute ];
+              Acl.allow Acl.Everyone [ Access_mode.Execute ];
+            ])
+       ());
+  let r = Resolver.create (Reference_monitor.create db) ns in
+  let subject = Subject.make alice bottom in
+  let stop = Atomic.make false and toggles = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Principal.Db.add_member db g (Principal.Ind alice);
+          Principal.Db.remove_member db g (Principal.Ind alice);
+          Atomic.incr toggles
+        done)
+  in
+  let p_denied_at_p = ref 0 and q_granted = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join writer)
+    (fun () ->
+      while Atomic.get toggles = 0 do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to 100_000 do
+        (match Resolver.resolve r ~subject ~mode:Access_mode.Execute p with
+        | Error (Resolver.Denied { at; _ }) when Path.equal at p -> incr p_denied_at_p
+        | Ok _ | Error _ -> ());
+        match Resolver.resolve r ~subject ~mode:Access_mode.Execute q with
+        | Ok _ -> incr q_granted
+        | Error _ -> ()
+      done);
+  Alcotest.(check int) "p never denied at /svc/g/p" 0 !p_denied_at_p;
+  Alcotest.(check int) "q never granted" 0 !q_granted
+
 (* {1 Atomic identity allocation} *)
 
 let test_fresh_ids_unique_across_domains () =
@@ -503,11 +583,12 @@ let test_audit_totals_parallel () =
   Alcotest.(check int) "granted half" (domains * per_domain / 2) (Audit.granted_total audit);
   Alcotest.(check int) "ring keeps capacity" 64 (List.length (Audit.events audit))
 
-(* Four writers lap a ring of 2 (or 4) slots a thousand times per
-   round while the test domain polls [tail].  After each round the ring
-   holds exactly the newest [capacity] sequence numbers; during
-   recording every tail is strictly increasing, so no event is returned
-   twice or out of order.  The writer domains are spawned once and
+(* Four writers lap a ring of capacity 2, 3 or 4 a thousand times per
+   round while the test domain polls [tail].  A capacity of 3 has 4
+   slots, so its ring laps at the slot count, not at the capacity.
+   After each round the ring holds exactly the newest [capacity]
+   sequence numbers; during recording every tail is strictly
+   increasing, so no event is returned twice or out of order.  The writer domains are spawned once and
    started round by round, since spawning dominates a round's cost. *)
 let test_audit_ring_laps () =
   let writers = 4 in
@@ -555,7 +636,7 @@ let test_audit_ring_laps () =
     if expected <> got then note "%s: expected [%s], got [%s]" label (show expected) (show got)
   in
   for r = 1 to rounds do
-    let capacity = if r land 1 = 0 then 2 else 4 in
+    let capacity = [| 2; 3; 4 |].(r mod 3) in
     let audit = Audit.create ~capacity () in
     Atomic.set writing writers;
     Mutex.protect lock (fun () ->
@@ -590,4 +671,6 @@ let suite =
     Alcotest.test_case "audit totals conserved across domains" `Quick
       test_audit_totals_parallel;
     Alcotest.test_case "audit ring laps under domains" `Quick test_audit_ring_laps;
+    Alcotest.test_case "a resolution decides under one snapshot" `Quick
+      test_resolution_one_snapshot;
   ]

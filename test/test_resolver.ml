@@ -393,7 +393,10 @@ let reference_check monitor ~subject node mode =
       ~object_name:(Namespace.label node) ~mode
   with
   | Decision.Granted -> Ok ()
-  | Decision.Denied denial -> Error (Resolver.Denied { at = Namespace.path node; mode; denial })
+  | Decision.Denied denial ->
+    Error
+      (Resolver.Denied
+         { at = Namespace.path node; label = Namespace.label node; mode; denial })
 
 let scan node segment target =
   match
@@ -433,7 +436,9 @@ let reference_remove w ~subject target =
     with
     | Decision.Granted -> Ok ()
     | Decision.Denied denial ->
-      Error (Resolver.Denied { at = target; mode = Access_mode.Write; denial })
+      Error
+        (Resolver.Denied
+           { at = target; label = Path.to_string target; mode = Access_mode.Write; denial })
   in
   Result.map_error (fun error -> Resolver.Name_error error) (Namespace.remove w.ns target)
 
@@ -623,6 +628,35 @@ let test_resolve_allocates_only_records () =
   let per_call = (minor_delta run -. baseline) /. float_of_int calls in
   Alcotest.(check (float 0.)) "words per resolve: 4 records x 8 + Ok" 34. per_call
 
+(* A denial on a node of the walk reports the node's label, rendered
+   when the node was inserted: the service error renders no path. *)
+let test_denial_reports_label () =
+  let _, _, ns, r = setup () in
+  let admin_subject = Subject.make ~trusted:true admin high in
+  let hidden = Path.of_string "/secret" and closed = Path.of_string "/closed" in
+  let _ = ok "hidden dir" (Resolver.create_dir r ~subject:admin_subject hidden ~meta:(Meta.make ~owner:admin bottom)) in
+  let _ =
+    ok "inner leaf"
+      (Resolver.create_leaf r ~subject:admin_subject (Path.of_string "/secret/x")
+         ~meta:(world_listable admin bottom) 1)
+  in
+  let _ =
+    ok "closed leaf"
+      (Resolver.create_leaf r ~subject:admin_subject closed ~meta:(Meta.make ~owner:admin bottom) 2)
+  in
+  let reported_at target mode =
+    match Resolver.resolve r ~subject:(alice_low ()) ~mode target with
+    | Ok _ -> Alcotest.failf "%s granted" (Path.to_string target)
+    | Error denial -> (
+      match Exsec_extsys.Service.error_of_denial denial with
+      | Exsec_extsys.Service.Denied { at; _ } -> at
+      | other -> Alcotest.failf "unexpected: %s" (Exsec_extsys.Service.error_to_string other))
+  in
+  let label path = Namespace.label (Result.get_ok (Namespace.find ns path)) in
+  check "List denial at /secret" true
+    (reported_at (Path.of_string "/secret/x") Access_mode.Read == label hidden);
+  check "target denial at /closed" true (reported_at closed Access_mode.Read == label closed)
+
 (* A 100,000-segment path resolves to a typed error, with no
    [Stack_overflow], and the walk stops where the name does. *)
 let test_deep_resolve () =
@@ -651,4 +685,6 @@ let suite =
       Alcotest.test_case "resolve allocates only its records" `Quick
         test_resolve_allocates_only_records;
       Alcotest.test_case "a 100,000-segment resolve" `Quick test_deep_resolve;
+      Alcotest.test_case "a node denial reports the node's label" `Quick
+        test_denial_reports_label;
     ]
