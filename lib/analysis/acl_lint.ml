@@ -146,6 +146,7 @@ let lint_object ~db ?registry ~policy ~path meta =
   (match registry with
   | None -> ()
   | Some registry ->
+    let snapshot = Principal.Db.snapshot db in
     Array.iteri
       (fun i (entry : Acl.entry) ->
         if entry.Acl.sign = Acl.Allow && not flagged.(i) then (
@@ -164,7 +165,7 @@ let lint_object ~db ?registry ~policy ~path meta =
           in
           let dead (principal, mode) =
             Verdict.equal
-              (Certify.prove ~db ~registry ~policy ~principal ~meta ~mode ())
+              (Certify.prove ~snapshot ~registry ~policy ~principal ~meta ~mode ())
               Verdict.Always_deny
           in
           if grants <> [] && List.for_all dead grants then

@@ -38,6 +38,8 @@ val lint_object :
   Meta.t ->
   Finding.t list
 (** All ACL findings for one object.  [registry] enables the
-    dead-grant lint; without it only the discretionary lints run.
+    dead-grant lint, whose proofs read membership from [db]'s
+    published snapshot, read once per call; without it only the
+    discretionary lints run.
     Entries already reported as contradictory or redundant are not
     additionally reported as shadowed. *)

@@ -63,16 +63,14 @@ type t = {
    range (static-class pinning made transitive). *)
 let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegation
     ?expiry_cap ~now ~extension ~imports () =
-  let db = Reference_monitor.db monitor in
-  (* The pre-read a handle mint makes, the batch epoch first: every
-     coordinate the proof depends on is read before proving (the same
-     data-then-generation discipline as Meta.compiled_in), so a
-     concurrent mutation lands a value the certificate does not keep.
-     The generation is the published snapshot's own. *)
-  let batch_epoch = Principal.Db.batch_epoch db in
+  (* The pre-read a handle mint makes: every coordinate the proof
+     depends on is read before proving (the same data-then-generation
+     discipline as Meta.compiled_in), so a concurrent mutation lands a
+     value the certificate does not keep.  The proofs read membership
+     from [snapshot] alone, so its rows and its generation are the ones
+     they rest on. *)
   let epoch = Reference_monitor.policy_epoch monitor in
-  let snapshot = Principal.Db.snapshot db in
-  let generation = Principal.Db.Snapshot.generation snapshot in
+  let snapshot = Principal.Db.snapshot (Reference_monitor.db monitor) in
   let policy = Reference_monitor.policy monitor in
   let cover_ceilings =
     List.filter_map
@@ -129,7 +127,7 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
           Verdict.all
             (List.map
                (fun (cover, static_class) ->
-                 Certify.prove_path ~db ~registry ~policy ?static_class
+                 Certify.prove_path ~snapshot ~registry ~policy ?static_class
                    ~principal:cover.principal ~chain:metas ~mode:Access_mode.Execute ())
                cover_ceilings)
       in
@@ -152,27 +150,12 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
     | horizon, None -> horizon
     | Some h, Some cap -> Some (min h cap)
   in
-  (* The proofs read the live member lists, not the snapshot, so the
-     kept rows speak for them only if no edit landed while they ran:
-     no edit or batch in flight or begun (an edit's writes land in the
-     lists before it publishes, a batch's long before; an edit outside
-     a batch is a batch of one, so the batch epoch brackets both) and
-     the generation unmoved.  Otherwise the certificate is born stale:
-     it keeps no row and a generation no database reaches, so it never
-     admits. *)
-  let settled =
-    batch_epoch land 1 = 0
-    && Principal.Db.batch_epoch db = batch_epoch
-    && Principal.Db.generation db = generation
-  in
   let covers = Array.of_list (List.map fst cover_ceilings) in
-  if not settled then
-    Array.map_inplace (fun cover -> { cover with row = Principal.Db.Snapshot.no_row }) covers;
   Array.sort (fun a b -> Int.compare a.id b.id) covers;
   {
     extension;
     epoch;
-    db_generation = (if settled then generation else -1);
+    db_generation = Principal.Db.Snapshot.generation snapshot;
     issued_at = now;
     expires_at;
     profile;

@@ -22,16 +22,19 @@
     - the target's metadata identity (delete + recreate under the same
       name never inherits a proof);
     - per covered principal, its row in the snapshot read before
-      proving.  A proof for one principal reads only that principal's
-      membership, so a subject stays admitted while the database
-      generation holds or its current row is the kept one
-      ({!Subject.membership_unmoved}): an edit revokes exactly for the
-      principals whose own row it moves;
+      proving.  Every proof reads membership from that one snapshot,
+      through the monitor's compiled DAC check ({!Certify.prove}), and
+      a proof for one principal reads only that principal's row, so a
+      subject stays admitted while the database generation holds or
+      its current row is the kept one ({!Subject.membership_unmoved}):
+      an edit revokes exactly for the principals whose own row it
+      moves;
     - the validity horizon, when the certificate's profile sets one.
 
-    A certificate whose proofs (which read the live member lists)
-    overlapped a batch or an edit is {e born stale}: it keeps no row
-    and a generation the database never reaches, so it never admits. *)
+    A certificate issued inside a batch, or while an edit lands, proves
+    over the snapshot published before it, as the monitor decides, and
+    admits exactly the covers whose row the batch or edit leaves in
+    place. *)
 
 open Exsec_core
 
@@ -50,8 +53,7 @@ type cover = {
       (** the principal's fixed database id; [-1] (admits nobody) when
           it was not registered there *)
   row : Principal.Db.Snapshot.row;
-      (** its row in the snapshot read before proving; [no_row] when
-          born stale *)
+      (** its row in the snapshot the proofs read *)
   e_max : Security_class.t;
       (** top of the proved effective-class range: the registered
           clearance met with the issuing ceiling (the extension's
@@ -109,8 +111,7 @@ type t = {
   extension : string;
   epoch : int;  (** {!Reference_monitor.policy_epoch} at issue time *)
   db_generation : int;
-      (** {!Principal.Db.generation} at issue time; [-1] when born
-          stale *)
+      (** the generation of the snapshot the proofs read *)
   issued_at : int;  (** kernel certificate epoch at issue time *)
   expires_at : int option;
       (** certificate epoch at which {!admits} stops accepting
@@ -141,9 +142,9 @@ val issue :
     yield a vacuous [Always_allow]).  [now] is the kernel certificate
     epoch (default [0]) the profile's validity horizon counts from.
     The epoch, the generations and the snapshot are read {e before}
-    proving, and a certificate whose proofs overlapped a batch or an
-    edit is born stale, so a concurrent mutation always leaves the
-    certificate unable to validate rather than wrongly valid. *)
+    proving, and every proof reads membership from that snapshot, so a
+    concurrent mutation leaves the certificate unable to validate for
+    the subjects it moved, never wrongly valid. *)
 
 val delegate :
   monitor:Reference_monitor.t ->

@@ -11,15 +11,18 @@ let e_max ?static_class clearance =
 
 (* Each layer answers over the whole achievable effective-class range
    [bottom, e_max] (see the mli for the monotonicity argument); the
-   layers conjoin exactly as Reference_monitor.evaluate conjoins
-   them. *)
+   layers conjoin exactly as Reference_monitor.evaluate_in conjoins
+   them.  The discretionary layer is the monitor's own: the object's
+   compiled ACL, with membership read from [snapshot]. *)
 
-let dac_verdict ~db ~policy ~principal ~(meta : Meta.t) ~mode =
+let dac_verdict ~snapshot ~policy ~principal ~(meta : Meta.t) ~mode =
   if not policy.Policy.dac then Verdict.Always_allow
   else
-    match Acl.check ~db ~subject:principal ~mode meta.Meta.acl with
-    | Acl.Granted _ -> Verdict.Always_allow
-    | Acl.Denied_by _ | Acl.No_entry -> Verdict.Always_deny
+    match
+      Acl_compiled.check (Meta.compiled_in meta snapshot) ~snapshot ~subject:principal ~mode
+    with
+    | Acl_compiled.Granted -> Verdict.Always_allow
+    | Acl_compiled.Denied _ | Acl_compiled.No_entry -> Verdict.Always_deny
 
 let mac_verdict ~policy ~trusted ~top ~(meta : Meta.t) ~mode =
   if not policy.Policy.mac then Verdict.Always_allow
@@ -56,21 +59,21 @@ let integrity_verdict ~policy ~trusted ~subject_integrity ~(meta : Meta.t) ~mode
         | Ok () -> Verdict.Always_allow
         | Error _ -> Verdict.Always_deny)
 
-let prove ~db ~registry ~policy ?static_class ~principal ~meta ~mode () =
+let prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode () =
   match Clearance.detail_of registry principal with
   | None -> Verdict.Depends
   | Some { Clearance.clearance; integrity; trusted } ->
     let top = e_max ?static_class clearance in
     Verdict.all
       [
-        dac_verdict ~db ~policy ~principal ~meta ~mode;
+        dac_verdict ~snapshot ~policy ~principal ~meta ~mode;
         mac_verdict ~policy ~trusted ~top ~meta ~mode;
         integrity_verdict ~policy ~trusted ~subject_integrity:integrity ~meta ~mode;
       ]
 
-let prove_path ~db ~registry ~policy ?static_class ~principal ~chain ~mode () =
+let prove_path ~snapshot ~registry ~policy ?static_class ~principal ~chain ~mode () =
   let prove_one meta mode =
-    prove ~db ~registry ~policy ?static_class ~principal ~meta ~mode ()
+    prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode ()
   in
   let rec walk = function
     | [] -> []

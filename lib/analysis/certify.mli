@@ -5,7 +5,10 @@
 
     - the discretionary check depends only on the principal's identity
       and group memberships, never on the session class, so its answer
-      is already a constant over the session space;
+      is already a constant over the session space.  It is the
+      monitor's own check: the object's compiled ACL
+      ({!Meta.compiled_in}) run by {!Acl_compiled.check} with
+      membership read from the snapshot the caller hands in;
     - the mandatory read rule ([effective dominates object]) is
       monotone {e increasing} in the effective class, so it holds for
       every achievable session iff it holds at the lattice bottom —
@@ -36,7 +39,7 @@ val e_max :
     clearance when the extension carries no static class. *)
 
 val prove :
-  db:Principal.Db.t ->
+  snapshot:Principal.Db.Snapshot.t ->
   registry:Clearance.t ->
   policy:Policy.t ->
   ?static_class:Security_class.t ->
@@ -53,12 +56,14 @@ val prove :
 
     The proof mirrors {!Reference_monitor.decide} layer by layer —
     including the trusted-subject exemptions and the per-layer policy
-    switches — against the {e current} metadata fields; the caller is
-    responsible for snapshotting [Meta.generation] {e before} calling
-    if the result will be cached (see {!Certificate}). *)
+    switches — against the {e current} metadata fields and the
+    membership [snapshot] holds, which the DAC layer reads exactly as
+    the monitor does.  A caller that keeps the result reads
+    [Meta.generation] {e before} calling and keeps [snapshot]'s row
+    and generation (see {!Certificate}). *)
 
 val prove_path :
-  db:Principal.Db.t ->
+  snapshot:Principal.Db.Snapshot.t ->
   registry:Clearance.t ->
   policy:Policy.t ->
   ?static_class:Security_class.t ->

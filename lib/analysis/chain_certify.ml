@@ -55,6 +55,9 @@ let render_modes modes =
   String.concat "/" (List.map Access_mode.to_string (Access_mode.Set.to_list modes))
 
 let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
+  (* Every proof reads membership from one snapshot, as the monitor
+     does; the over-privilege pass reads the database itself. *)
+  let snapshot = Principal.Db.snapshot db in
   (* Out-edges by source node: the destination and, on a call site, the
      site with its path rendered once. *)
   let out : (string, (string * (string * Callgraph.site) option) list) Hashtbl.t =
@@ -97,7 +100,7 @@ let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
         match site.Callgraph.chain with
         | [] -> Verdict.Depends
         | chain ->
-          Certify.prove_path ~db ~registry ~policy ?static_class:cap ~principal:p
+          Certify.prove_path ~snapshot ~registry ~policy ?static_class:cap ~principal:p
             ~chain ~mode:Access_mode.Execute ()
       in
       Visit.add verdicts visit verdict;

@@ -69,7 +69,8 @@ val analyze :
   report
 (** Run the fixpoint.  [objects] (default [[]]) is the declared object
     set the over-privilege pass audits; chain classification itself
-    needs only the graph. *)
+    needs only the graph.  Every proof of the run reads membership from
+    [db]'s published snapshot, read once when the run starts. *)
 
 val redundant_targets : report -> Path.t list
 (** The provably-redundant call sites — what the linker pre-mints

@@ -20,8 +20,9 @@ let analyze ~db ~registry ~policy ~objects =
       (Clearance.registered registry)
   in
   let everyone = Clearance.registered registry in
+  let snapshot = Principal.Db.snapshot db in
   let prove principal meta mode =
-    Certify.prove ~db ~registry ~policy ~principal ~meta ~mode ()
+    Certify.prove ~snapshot ~registry ~policy ~principal ~meta ~mode ()
   in
   let may principal meta mode =
     not (Verdict.equal (prove principal meta mode) Verdict.Always_deny)

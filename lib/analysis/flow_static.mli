@@ -34,4 +34,5 @@ val analyze :
   objects:(string * Meta.t) list ->
   Finding.t list
 (** Flow-channel and unreachable-object findings over the given
-    [path, metadata] set. *)
+    [path, metadata] set.  Every proof reads membership from [db]'s
+    published snapshot, read once per call. *)

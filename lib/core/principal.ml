@@ -101,10 +101,6 @@ module Db = struct
            writers are serialized.  Collected only while [published]
            has rows, since a build from a rowless base recomputes every
            row *)
-    batch_epoch : int Atomic.t;
-        (* odd while the outermost batch, or an edit outside any batch,
-           is in flight: incremented at entry and again at exit, after
-           the publication *)
     mutable batch_depth : int;
     mutable batch_edited : bool;
   }
@@ -127,7 +123,6 @@ module Db = struct
       groups = Array.make 16 vacant;
       published = Atomic.make (rowless ind_ids group_ids 0);
       pending = [];
-      batch_epoch = Atomic.make 0;
       batch_depth = 0;
       batch_edited = false;
     }
@@ -262,37 +257,25 @@ module Db = struct
     Atomic.set db.published (build db ~generation:(prev.snap_generation + 1) ~prev named)
 
   let batch db f =
-    (* The epoch goes odd before any batch mutation can land and even
-       again only after the batch's publication, so reads of the live
-       lists bracketed by one even value overlapped no batch. *)
-    if db.batch_depth = 0 then Atomic.incr db.batch_epoch;
     db.batch_depth <- db.batch_depth + 1;
     Fun.protect f ~finally:(fun () ->
         db.batch_depth <- db.batch_depth - 1;
-        if db.batch_depth = 0 then begin
-          if db.batch_edited then begin
-            db.batch_edited <- false;
-            publish db
-          end;
-          Atomic.incr db.batch_epoch
+        if db.batch_depth = 0 && db.batch_edited then begin
+          db.batch_edited <- false;
+          publish db
         end)
 
   (* One effective edit of the member lists: [write] moves them and
      returns the ids of the individuals whose rows the move can
-     change.  Outside a batch it is a batch of one, so the batch epoch
-     is odd from before the lists move until the edit's snapshot is
-     published: a reader of the live lists bracketed by one even value
-     overlapped no edit, although the build puts microseconds between
-     the lists and the publication. *)
+     change.  Outside a batch the edit publishes at once; inside one,
+     the outermost batch's exit does. *)
   let edit db write =
-    batch db (fun () ->
-        let named = write () in
-        if (Atomic.get db.published).id_count > 0 then
-          db.pending <- List.rev_append named db.pending;
-        db.batch_edited <- true)
+    let named = write () in
+    if (Atomic.get db.published).id_count > 0 then
+      db.pending <- List.rev_append named db.pending;
+    if db.batch_depth > 0 then db.batch_edited <- true else publish db
 
   let in_batch db = db.batch_depth > 0
-  let batch_epoch db = Atomic.get db.batch_epoch
 
   (* Group [g] and every group below it, each once.  The visited set
      keeps the walk linear in the edges even when nested groups are
@@ -457,9 +440,6 @@ module Db = struct
              (Array.unsafe_get snap.top (individual_id lsr block_bits))
              ((individual_id lsr chunk_bits) land chunk_mask))
           (individual_id land chunk_mask)
-
-    (* A static array no build ever stores. *)
-    let no_row = [| -1 |]
 
     (* Rows hold only the ids of groups registered when the snapshot
        was built, so any other [group_id] (including [-1]) is found in

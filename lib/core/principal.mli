@@ -95,15 +95,6 @@ module Db : sig
   val in_batch : t -> bool
   (** [true] while inside a {!batch} callback (same domain). *)
 
-  val batch_epoch : t -> int
-  (** Odd while a {!batch} is in flight, and while an effective edit
-      outside a batch is, which runs as a batch of one; it moves at
-      every outermost batch entry and at exit, after the batch's
-      publication.  So reads of the live member lists bracketed by one
-      even value overlapped no edit (the rule certificate issuance
-      keeps), although the writer's build puts microseconds between an
-      edit's lists and its publication. *)
-
   val add_individual : t -> individual -> unit
   (** Register an individual under the next individual id.
       Idempotent.  Publishes nothing: the new individual is a member of
@@ -234,9 +225,6 @@ module Db : sig
         individual that leaves its last group, joins one and leaves it
         again gets back a row [==] to the one it had after the first
         leave. *)
-
-    val no_row : row
-    (** A row no snapshot holds: [==] to no {!row} result. *)
 
     val individual_id : t -> individual -> int
     (** The individual's fixed id, or [-1] when it has never been

@@ -188,13 +188,10 @@ let set_class monitor ~subject ~meta ~object_name klass =
   | Decision.Denied _ -> ());
   decision
 
-let check_attach monitor ~subject ~parent ~child ~object_name =
-  let policy = monitor.policy in
+let check_attach monitor (policy : Policy.t) snapshot ~subject ~parent ~child ~object_name =
   let decision =
     match
-      if policy.Policy.dac then
-        dac_decide_in (Principal.Db.snapshot monitor.db) ~subject ~meta:parent
-          ~mode:Access_mode.Write
+      if policy.Policy.dac then dac_decide_in snapshot ~subject ~meta:parent ~mode:Access_mode.Write
       else Decision.Granted
     with
     | Decision.Denied _ as denied -> denied

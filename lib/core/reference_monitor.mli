@@ -141,6 +141,8 @@ val set_class :
 
 val check_attach :
   t ->
+  Policy.t ->
+  Principal.Db.Snapshot.t ->
   subject:Subject.t ->
   parent:Meta.t ->
   child:Meta.t ->
@@ -154,4 +156,8 @@ val check_attach :
     only at or above its own class.  (The target of a removal is
     additionally subject to a normal [Delete] check.)  The
     discretionary half is {!decide}'s own DAC step; the check is
-    audited but feeds no [monitor.*] metric. *)
+    audited but feeds no [monitor.*] metric.
+
+    Like {!check_in}, it decides under a policy and a snapshot the
+    caller read: a resolver mutation reads them once and decides its
+    walk and this last check under them. *)

@@ -70,19 +70,21 @@ let rec descend ~observed ~span r policy snapshot ~subject target path =
 
 (* Each operation below reads its context once, when it starts: the
    observability switch, the span handed down, the policy and the
-   published snapshot.  The span stays the caller's optional argument
-   until here, so an untraced walk never boxes it. *)
+   published snapshot ([resolve_in] takes the last two from its
+   caller), and decides every check it makes under them: the walk's
+   levels, the target's mode and, for a mutation, its last check.  The
+   span stays the caller's optional argument until here, so an
+   untraced walk never boxes it. *)
 
-let walk r ~subject target =
-  let observed = Trace.observing () in
-  let span = Trace.none in
-  let policy = Reference_monitor.policy r.monitor in
-  let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
+let walk ~observed ~span r policy snapshot ~subject target =
   match descend ~observed ~span r policy snapshot ~subject target target with
   | node -> Ok node
   | exception Refused denial -> Error denial
 
-let lookup r ~subject target = walk r ~subject target
+let lookup r ~subject target =
+  walk ~observed:(Trace.observing ()) ~span:Trace.none r (Reference_monitor.policy r.monitor)
+    (Principal.Db.snapshot (Reference_monitor.db r.monitor))
+    ~subject target
 
 (* Bump the outcome counters shared by [resolve] and [remove]. *)
 let observe_outcome result =
@@ -91,11 +93,7 @@ let observe_outcome result =
   | Error (Denied _) -> Metrics.incr m_denials
   | Error (Name_error _) -> Metrics.incr m_name_errors
 
-let resolve_bare ?span r ~subject ~mode target =
-  let observed = Trace.observing () in
-  let span = Option.value span ~default:Trace.none in
-  let policy = Reference_monitor.policy r.monitor in
-  let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
+let resolve_bare ~observed ~span r policy snapshot ~subject ~mode target =
   match descend ~observed ~span r policy snapshot ~subject target target with
   | exception Refused denial -> Error denial
   | node -> (
@@ -107,7 +105,7 @@ let resolve_bare ?span r ~subject ~mode target =
    when no active span was handed down (a direct resolution, not one
    inside [Kernel.call]), a span of its own: this resolution is then
    the top-level traced operation. *)
-let resolve_observed ?span r ~subject ~mode target =
+let resolve_observed ?span r policy snapshot ~subject ~mode target =
   let t0 = Metrics.start_counted m_resolves m_resolve_ns in
   let own =
     match span with
@@ -118,19 +116,26 @@ let resolve_observed ?span r ~subject ~mode target =
     if Trace.active own then begin
       Trace.annotate own "path" (Path.to_string target);
       Trace.annotate own "mode" (Format.asprintf "%a" Access_mode.pp mode);
-      Some own
+      own
     end
-    else span
+    else Option.value span ~default:Trace.none
   in
-  let result = resolve_bare ?span r ~subject ~mode target in
+  let result = resolve_bare ~observed:true ~span r policy snapshot ~subject ~mode target in
   Trace.finish own;
   Metrics.stop_timing m_resolve_ns t0;
   observe_outcome result;
   result
 
+let resolve_in ?span r policy snapshot ~subject ~mode target =
+  if Trace.observing () then resolve_observed ?span r policy snapshot ~subject ~mode target
+  else
+    resolve_bare ~observed:false ~span:(Option.value span ~default:Trace.none) r policy snapshot
+      ~subject ~mode target
+
 let resolve ?span r ~subject ~mode target =
-  if Trace.observing () then resolve_observed ?span r ~subject ~mode target
-  else resolve_bare ?span r ~subject ~mode target
+  resolve_in ?span r (Reference_monitor.policy r.monitor)
+    (Principal.Db.snapshot (Reference_monitor.db r.monitor))
+    ~subject ~mode target
 
 let list_dir r ~subject target =
   match resolve r ~subject ~mode:Access_mode.List target with
@@ -145,10 +150,10 @@ let parent_of target =
   | Some parent -> Ok parent
   | None -> Error (Name_error (Namespace.Already_exists Path.root))
 
-let attach_check r ~subject ~parent_node ~child_meta target =
+let attach_check r policy snapshot ~subject ~parent_node ~child_meta target =
   let label = Path.to_string target in
   match
-    Reference_monitor.check_attach r.monitor ~subject
+    Reference_monitor.check_attach r.monitor policy snapshot ~subject
       ~parent:(Namespace.meta parent_node) ~child:child_meta ~object_name:label
   with
   | Decision.Granted -> Ok ()
@@ -159,10 +164,15 @@ let create_node r ~subject target ~meta insert =
   match parent_of target with
   | Error e -> Error e
   | Ok parent_path -> (
-    match walk r ~subject parent_path with
+    let policy = Reference_monitor.policy r.monitor in
+    let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
+    match
+      walk ~observed:(Trace.observing ()) ~span:Trace.none r policy snapshot ~subject
+        parent_path
+    with
     | Error e -> Error e
     | Ok parent_node -> (
-      match attach_check r ~subject ~parent_node ~child_meta:meta target with
+      match attach_check r policy snapshot ~subject ~parent_node ~child_meta:meta target with
       | Error e -> Error e
       | Ok () -> (
         match insert () with
@@ -194,9 +204,9 @@ let remove ?span r ~subject target =
     match parent_of target with
     | Error e -> Error e
     | Ok parent_path -> (
-      match descend ~observed ~span r policy snapshot ~subject parent_path parent_path with
-      | exception Refused denial -> Error denial
-      | parent_node -> (
+      match walk ~observed ~span r policy snapshot ~subject parent_path with
+      | Error e -> Error e
+      | Ok parent_node -> (
         (* The walk checked [List] strictly above the parent; the
            parent's own [List] check guards reading its entries, as it
            would on the target walk. *)
@@ -211,7 +221,7 @@ let remove ?span r ~subject target =
             | Error e -> Error e
             | Ok () -> (
               match
-                attach_check r ~subject ~parent_node
+                attach_check r policy snapshot ~subject ~parent_node
                   ~child_meta:(Namespace.meta victim) target
               with
               | Error e -> Error e
@@ -223,28 +233,25 @@ let remove ?span r ~subject target =
   observe_outcome result;
   result
 
-let set_acl r ~subject target acl =
-  match walk r ~subject target with
+(* [set_acl] and [set_class]: the walk and the [Administrate] check on
+   the target under one context, then the unchecked setter. *)
+let administer r ~subject target apply =
+  let observed = Trace.observing () in
+  let policy = Reference_monitor.policy r.monitor in
+  let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
+  match walk ~observed ~span:Trace.none r policy snapshot ~subject target with
   | Error e -> Error e
   | Ok node -> (
-    let label = Path.to_string target in
     match
-      Reference_monitor.set_acl r.monitor ~subject ~meta:(Namespace.meta node)
-        ~object_name:label acl
+      check ~observed ~span:Trace.none r policy snapshot ~subject node Access_mode.Administrate
     with
-    | Decision.Granted -> Ok ()
-    | Decision.Denied denial ->
-      Error (Denied { at = target; label; mode = Access_mode.Administrate; denial }))
+    | Error e -> Error e
+    | Ok () ->
+      apply (Namespace.meta node);
+      Ok ())
+
+let set_acl r ~subject target acl =
+  administer r ~subject target (fun meta -> Meta.set_acl_raw meta acl)
 
 let set_class r ~subject target klass =
-  match walk r ~subject target with
-  | Error e -> Error e
-  | Ok node -> (
-    let label = Namespace.label node in
-    match
-      Reference_monitor.set_class r.monitor ~subject ~meta:(Namespace.meta node)
-        ~object_name:label klass
-    with
-    | Decision.Granted -> Ok ()
-    | Decision.Denied denial ->
-      Error (Denied { at = target; label; mode = Access_mode.Administrate; denial }))
+  administer r ~subject target (fun meta -> Meta.set_klass_raw meta klass)

@@ -11,7 +11,10 @@
     the {e new node's} class (see
     {!Reference_monitor.check_attach}).  Removal requires [Delete] on
     the target plus the same attach rule on the parent.  All checks go
-    through the reference monitor and are audited. *)
+    through the reference monitor and are audited.  Each operation
+    reads its context (the policy and the published membership
+    snapshot) once and decides every check it makes under it, a
+    mutation's last check included. *)
 
 type 'a t
 
@@ -35,15 +38,24 @@ val resolve :
   ('a Namespace.node, denial) result
 (** Traverse to the target (checking [List] on the way) and check
     [mode] on it, threading [span] through every monitor decision made
-    along the walk.
+    along the walk: {!resolve_in} under the monitor's policy and the
+    database's published membership snapshot, both read when the call
+    starts. *)
 
-    The resolution reads its context once, when it starts: the
-    observability switch, [span] (or {!Exsec_obs.Trace.none}), the
-    monitor's policy and the database's published membership snapshot.
-    Every level decides under them ({!Reference_monitor.check_in}), so
-    one resolution decides under one membership state even while
-    another domain edits it; each object's metadata is read as the
-    walk reaches it.
+val resolve_in :
+  ?span:Exsec_obs.Trace.handle ->
+  'a t -> Policy.t -> Principal.Db.Snapshot.t -> subject:Subject.t ->
+  mode:Access_mode.t -> Path.t -> ('a Namespace.node, denial) result
+(** {!resolve} under a policy and a snapshot the caller read: a
+    capability-handle mint reads the snapshot before the decision,
+    decides under it and keeps the subject's row from it.
+
+    The resolution reads the rest of its context once, when it
+    starts: the observability switch and [span] (or
+    {!Exsec_obs.Trace.none}).  Every level decides under that context
+    ({!Reference_monitor.check_in}), so one resolution decides under
+    one membership state even while another domain edits it; each
+    object's metadata is read as the walk reaches it.
 
     When neither metrics nor tracing is on
     ({!Exsec_obs.Trace.observing}) that walk is all it does; otherwise
@@ -76,14 +88,18 @@ val remove :
 (** Unlink the target in one walk: [List] down to and including the
     parent, the victim found among the parent's entries, [Delete] on
     the victim and the attach rule on the parent — each ancestor is
-    checked (and audited) exactly once.  The walk and the [Delete]
-    check decide under one context, read as in {!resolve}; the attach
-    rule ({!Reference_monitor.check_attach}) reads its own. *)
+    checked (and audited) exactly once.  The walk, the [Delete] check
+    and the attach rule ({!Reference_monitor.check_attach}) decide
+    under one context, read as in {!resolve}. *)
 
 val set_acl :
   'a t -> subject:Subject.t -> Path.t -> Acl.t -> (unit, denial) result
-(** Replace the target's ACL; requires [Administrate] on the target. *)
+(** Replace the target's ACL; requires [Administrate] on the target.
+    The walk and the [Administrate] check decide under one context,
+    read as in {!resolve}; a denial at the target carries the node's
+    {!Namespace.label}. *)
 
 val set_class :
   'a t -> subject:Subject.t -> Path.t -> Security_class.t -> (unit, denial) result
-(** Relabel the target; requires [Administrate] on it. *)
+(** Relabel the target; requires [Administrate] on it, decided as in
+    {!set_acl}. *)

@@ -68,9 +68,7 @@ type grant = {
   g_target : grant_target;
   g_epoch : int;  (* policy epoch, read before the decision *)
   g_db_generation : int;  (* principal-database generation, likewise *)
-  g_row : Principal.Db.Snapshot.row;
-      (* the subject's row in the snapshot the decision read, or
-         [no_row] when that snapshot is not known (see [mint]) *)
+  g_row : Principal.Db.Snapshot.row;  (* the subject's row in the snapshot the decision read *)
   g_metas : Meta.t array;  (* resolution chain, root first, target last *)
   g_gens : int array;  (* generation of each, read before the decision *)
   g_proof : (Certificate.t * Certificate.import_proof) option;
@@ -383,8 +381,9 @@ let closed_handle_error :
    runs.  A mutation racing with the decision then lands a higher
    generation than the one the grant was filed under, so the grant is
    born stale rather than wrongly durable (same discipline as the
-   compiled-ACL memo).  The grant keeps the subject's row, not the
-   snapshot itself. *)
+   compiled-ACL memo).  The decision itself reads membership from
+   [snapshot] ([Resolver.resolve_in]), so the subject's row there is
+   the one it read; the grant keeps that row, not the snapshot. *)
 type pre_read = {
   epoch : int;
   snapshot : Principal.Db.Snapshot.t;
@@ -407,33 +406,21 @@ let pins pre node =
   let n = Array.length pre.metas in
   n > 0 && pre.metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id
 
-(* The grant a decision admitted, keyed on [pre].  The row is the
-   subject's in the pre-read snapshot, and it is only worth keeping if
-   the decision read that same snapshot.  The resolution reads the
-   published snapshot once, when it starts, and decides every level
-   under it; a writer in another domain can publish between the
-   pre-read and that read, and the whole decision then rests on the
-   newer snapshot.  Keeping the pre-read row anyway is unsound because
-   rows can come back physically: every row an edit empties is the one
-   shared empty array.  Had the pre-read row been empty and the
-   decision's not, the grant would test fresh again once the subject
-   left the group the decision found it in, although the grant may
-   rest on that membership.  So the row is kept only if
-   [Principal.Db.snapshot] still returns [pre.snapshot] after the
-   decision: the slot never returns to a snapshot it left, so it held
-   that one throughout and the resolution's read got it.  Otherwise
-   the grant keeps [no_row], and so stays fresh only while the
-   database generation has not moved. *)
-let mint kernel pre ~path ~subject ~caller ~target =
-  let row =
-    if Principal.Db.snapshot (db kernel) == pre.snapshot then
-      Principal.Db.Snapshot.row pre.snapshot
-        ~individual_id:(Subject.individual_id subject pre.snapshot)
-    else Principal.Db.Snapshot.no_row
-  in
+(* The checked resolution a grant rests on: [Execute] on [path],
+   decided under [pre.snapshot] and the policy read after [pre]'s
+   epoch. *)
+let resolve_pre kernel pre ~subject path =
+  Resolver.resolve_in kernel.resolver (Reference_monitor.policy kernel.monitor) pre.snapshot
+    ~subject ~mode:Access_mode.Execute path
+
+(* The grant a decision under [pre] admitted. *)
+let mint pre ~path ~subject ~caller ~target =
   { g_path = path; g_subject = subject; g_caller = caller; g_target = target;
     g_epoch = pre.epoch; g_db_generation = Principal.Db.Snapshot.generation pre.snapshot;
-    g_row = row; g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
+    g_row =
+      Principal.Db.Snapshot.row pre.snapshot
+        ~individual_id:(Subject.individual_id subject pre.snapshot);
+    g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
 
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some (Proc proc) ->
@@ -449,7 +436,7 @@ let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
 let rec open_handle kernel ~subject ~caller path =
   Metrics.incr m_handle_opens;
   let pre = chain_snapshot kernel path in
-  match Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path with
+  match resolve_pre kernel pre ~subject path with
   | Error denial -> Error (Service.error_of_denial denial)
   | Ok node when not (pins pre node) ->
     (* The target changed identity between the snapshot and the
@@ -462,7 +449,7 @@ let rec open_handle kernel ~subject ~caller path =
     with
     | None -> Error (Service.Unresolved (Path.to_string path ^ ": not callable"))
     | Some target ->
-      Ok (Handle.mint kernel.handles (mint kernel pre ~path ~subject ~caller ~target)))
+      Ok (Handle.mint kernel.handles (mint pre ~path ~subject ~caller ~target)))
 
 (* Run a grant's target under [subject].  Any subject but the grant's
    own gets a context of its own, so nested calls run under it. *)
@@ -479,10 +466,7 @@ let run_target kernel g ~subject target args =
    snapshot describes the node the decision admitted. *)
 let call_handle_stale kernel h g args =
   let pre = chain_snapshot kernel g.g_path in
-  match
-    Resolver.resolve kernel.resolver ~subject:g.g_subject ~mode:Access_mode.Execute
-      g.g_path
-  with
+  match resolve_pre kernel pre ~subject:g.g_subject g.g_path with
   | Error denial -> Error (Service.error_of_denial denial)
   | Ok node -> (
     let reuse_ctx =
@@ -499,7 +483,7 @@ let call_handle_stale kernel h g args =
         && Handle.update kernel.handles h
              (* The re-mint sheds any proof recorded on the slot: the
                 proof may name a node the slot no longer dispatches. *)
-             (mint kernel pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller ~target)
+             (mint pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller ~target)
       then Metrics.incr m_handle_reminted;
       run_target kernel g ~subject:g.g_subject target args)
 

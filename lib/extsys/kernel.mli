@@ -207,25 +207,17 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       read the chain's classes, which the chain generations cover, and
       the subject's, which never change.  The policy is covered by the
       epoch.
-    - The recorded row must be the one the decision read.  It is taken
-      from the snapshot read before the decision, but a writer in
-      another domain can publish in between, and the resolution's one
-      snapshot read, which every level of the decision uses, then gets
-      the newer snapshot.  Rows can come back physically: every
-      row that empties is the one shared empty array.  So a grant that
-      kept an empty pre-read row after its decision read a non-empty
-      one would test fresh again once the subject left the group the
-      decision found it in.  The row is therefore kept only if
-      {!Principal.Db.snapshot} still returns the pre-read snapshot
-      after the decision: the published slot never returns to a
-      snapshot it left, so it held that one throughout and the
-      resolution's read got it.  Otherwise the grant keeps
-      {!Principal.Db.Snapshot.no_row} and is fresh only while the
-      database generation is unchanged.
+    - The recorded row is the one the decision read: the decision runs
+      under the snapshot read before it ({!Resolver.resolve_in}), and
+      the grant keeps the subject's row from that snapshot.  This
+      matters because rows come back physically (every row that
+      empties is the one shared empty array): a grant that kept an
+      empty row read before the subject joined, after a decision that
+      found it a member, would test fresh again once it left.
 
     Every handle is a monitor decision: no certificate mints one.
     Certificates keep the same coordinates per covered principal (its
-    row in the snapshot read before proving) and validate with the
+    row in the snapshot its proofs read) and validate with the
     same membership test, {!Subject.membership_unmoved}; they govern
     only the proved path, {!call_proved}. *)
 

@@ -85,6 +85,7 @@ let test_differential () =
           Meta.make ~owner ~acl:(Acl.of_entries entries) ?integrity (rand_class st))
     in
     let monitor = Reference_monitor.create ~policy db in
+    let snapshot = Principal.Db.snapshot db in
     let consistent ~what verdict decision =
       incr probes;
       match verdict, decision with
@@ -101,11 +102,11 @@ let test_differential () =
             List.iter
               (fun mode ->
                 let plain =
-                  Certify.prove ~db ~registry ~policy ~principal ~meta ~mode ()
+                  Certify.prove ~snapshot ~registry ~policy ~principal ~meta ~mode ()
                 in
                 let ceiling = rand_class st in
                 let capped =
-                  Certify.prove ~db ~registry ~policy ~static_class:ceiling ~principal
+                  Certify.prove ~snapshot ~registry ~policy ~static_class:ceiling ~principal
                     ~meta ~mode ()
                 in
                 for _ = 1 to 2 do

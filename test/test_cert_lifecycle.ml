@@ -235,30 +235,48 @@ let test_row_rule_survival () =
   check "the denial is audited (checked path)" true
     (Audit.denied_total (Reference_monitor.audit (Kernel.monitor w.kernel)) > denied0)
 
-let test_born_stale_under_batch () =
+(* A certificate issued inside a batch proves over the snapshot
+   published before it, which is what the monitor decides under until
+   the batch exits.  The batch adds newhire to staff and removes bob:
+   inside it, the certificate admits alice and bob, as the checked path
+   grants both; after it, bob's row has moved and the certificate
+   refuses him, as the checked path does, while alice's row is kept
+   and she stays admitted. *)
+let test_issued_in_batch () =
   let w = build_world () in
-  (* A certificate issued while a batch is in flight is born stale:
-     its proofs may have read half the batch, so it keeps no row and
-     must never admit, before or after the batch lands. *)
+  let monitor = Kernel.monitor w.kernel and namespace = Kernel.namespace w.kernel in
+  let bob_sub = Subject.make w.bob (Subject.clearance w.alice_sub) in
+  let agree certificate when_ (name, subject, admitted) =
+    let label = Printf.sprintf "%s, %s" name when_ in
+    check (label ^ ": certificate") admitted
+      (Certificate.admits certificate ~monitor ~namespace ~subject store);
+    check (label ^ ": checked path") admitted
+      (Result.is_ok
+         (Resolver.resolve (Kernel.resolver w.kernel) ~subject ~mode:Access_mode.Execute store))
+  in
   let certificate =
     Kernel.batch_principals w.kernel (fun () ->
-        Principal.Db.add_member w.db w.staff
-          (Principal.Ind (Principal.individual "newhire"));
-        Certificate.issue ~monitor:(Kernel.monitor w.kernel) ~registry:w.registry
-          ~namespace:(Kernel.namespace w.kernel) ~extension:"racer" ~imports:[ store ]
-          ())
+        Principal.Db.add_member w.db w.staff (Principal.Ind (Principal.individual "newhire"));
+        Principal.Db.remove_member w.db w.staff (Principal.Ind w.bob);
+        let certificate =
+          Certificate.issue ~monitor ~registry:w.registry ~namespace ~extension:"racer"
+            ~imports:[ store ] ()
+        in
+        List.iter (agree certificate "in the batch")
+          [ "alice", w.alice_sub, true; "bob", bob_sub, true ];
+        certificate)
   in
-  check "born-stale certificate never admits" false
-    (Certificate.admits certificate ~monitor:(Kernel.monitor w.kernel)
-       ~namespace:(Kernel.namespace w.kernel) ~subject:w.alice_sub store)
+  List.iter (agree certificate "after the batch")
+    [ "alice", w.alice_sub, true; "bob", bob_sub, false ]
 
-(* The proofs read the live member lists, and a writer in another
-   domain builds each snapshot between moving the lists and publishing
-   it.  A certificate issued meanwhile must not settle on rows that
-   describe another state than its proof read: x toggles in and out of
-   g, the only group the ACL admits, so a settled proof is
-   [Always_allow] exactly when x's kept row holds g.  Issues for a
-   quarter second once the writer runs. *)
+(* A writer in another domain builds each snapshot between moving the
+   lists and publishing it.  A certificate issued meanwhile proves over
+   the snapshot it read and keeps that snapshot's rows, so every
+   certificate settles, and none on rows that describe another state
+   than its proofs read: x toggles in and out of g, the only group the
+   ACL admits, so a settled proof is [Always_allow] exactly when x's
+   kept row holds g.  Issues for a quarter second once the writer
+   runs. *)
 let test_born_stale_under_edit () =
   let db = Principal.Db.create () in
   let admin = Principal.individual "admin" in
@@ -385,10 +403,11 @@ let test_admission_refusals () =
         fun w ->
           Principal.Db.remove_member w.db w.eng (Principal.Ind w.alice);
           w.alice_sub, relay_certificate w );
-      ( "born-stale certificate",
+      ( "issued in a batch that moves her row",
         fun w ->
           ( w.alice_sub,
             Kernel.batch_principals w.kernel (fun () ->
+                Principal.Db.remove_member w.db w.eng (Principal.Ind w.alice);
                 Certificate.issue ~monitor:(Kernel.monitor w.kernel) ~registry:w.registry
                   ~namespace:(Kernel.namespace w.kernel) ~extension:"racer"
                   ~imports:[ store ] ()) ) );
@@ -691,7 +710,8 @@ let suite =
     Alcotest.test_case "empty registry certifies nothing" `Quick
       test_empty_registry_proves_nothing;
     Alcotest.test_case "row rule survives unrelated churn" `Quick test_row_rule_survival;
-    Alcotest.test_case "born stale under a racing batch" `Quick test_born_stale_under_batch;
+    Alcotest.test_case "a certificate issued in a batch proves over the published snapshot"
+      `Quick test_issued_in_batch;
     Alcotest.test_case "born stale under a racing edit" `Quick test_born_stale_under_edit;
     Alcotest.test_case "bob's edit leaves alice proved" `Quick test_bob_edit_keeps_alice_proved;
     Alcotest.test_case "admission refusals" `Quick test_admission_refusals;

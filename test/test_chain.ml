@@ -239,6 +239,7 @@ let ref_strict_ancestor a b =
 let reference_analyze ~db ~registry ~policy ~objects (g : Exsec_analysis.Callgraph.t) =
   let module Cg = Exsec_analysis.Callgraph in
   let module Cc = Chain_certify in
+  let snapshot = Principal.Db.snapshot db in
   let out = Hashtbl.create 64 in
   List.iter
     (fun (e : Cg.edge) ->
@@ -267,8 +268,8 @@ let reference_analyze ~db ~registry ~policy ~objects (g : Exsec_analysis.Callgra
         match site.Cg.chain with
         | [] -> Verdict.Depends
         | chain ->
-          Exsec_analysis.Certify.prove_path ~db ~registry ~policy ?static_class:cap ~principal:p
-            ~chain ~mode:Access_mode.Execute ()
+          Exsec_analysis.Certify.prove_path ~snapshot ~registry ~policy ?static_class:cap
+            ~principal:p ~chain ~mode:Access_mode.Execute ()
       in
       Hashtbl.add memo key verdict;
       verdict

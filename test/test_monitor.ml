@@ -208,26 +208,29 @@ let test_check_attach () =
   let low_subject = Subject.make alice low in
   let child_high = Meta.make ~owner:alice high in
   let child_low = Meta.make ~owner:alice low in
+  let check_attach =
+    Reference_monitor.check_attach monitor (Reference_monitor.policy monitor)
+      (Principal.Db.snapshot db)
+  in
   (* Create at or above your own class: fine. *)
   check "low creates low child" true
     (Decision.is_granted
-       (Reference_monitor.check_attach monitor ~subject:low_subject ~parent:parent_open
-          ~child:child_low ~object_name:"/p/c"));
+       (check_attach ~subject:low_subject ~parent:parent_open ~child:child_low ~object_name:"/p/c"));
   check "low creates high child" true
     (Decision.is_granted
-       (Reference_monitor.check_attach monitor ~subject:low_subject ~parent:parent_open
-          ~child:child_high ~object_name:"/p/c"));
+       (check_attach ~subject:low_subject ~parent:parent_open ~child:child_high
+          ~object_name:"/p/c"));
   (* Creating below your class would be a write-down. *)
   check "high creates low child denied" false
     (Decision.is_granted
-       (Reference_monitor.check_attach monitor ~subject:high_subject ~parent:parent_open
-          ~child:child_low ~object_name:"/p/c"));
+       (check_attach ~subject:high_subject ~parent:parent_open ~child:child_low
+          ~object_name:"/p/c"));
   (* And DAC write on the parent is required. *)
   let parent_closed = Meta.make ~owner:bob low in
   check "closed parent refuses" false
     (Decision.is_granted
-       (Reference_monitor.check_attach monitor ~subject:low_subject ~parent:parent_closed
-          ~child:child_low ~object_name:"/p/c"))
+       (check_attach ~subject:low_subject ~parent:parent_closed ~child:child_low
+          ~object_name:"/p/c"))
 
 let suite =
   [

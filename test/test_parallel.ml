@@ -528,6 +528,170 @@ let test_resolution_one_snapshot () =
   Alcotest.(check int) "p never denied at /svc/g/p" 0 !p_denied_at_p;
   Alcotest.(check int) "q never granted" 0 !q_granted
 
+(* {1 One snapshot per resolver mutation}
+
+   The same writer, against the resolver's mutations.  The root lists
+   to everyone, [/svc] lists to [g], and [/svc/d] allows [g] [List] but
+   denies it [Write] and [Administrate], which it allows everyone;
+   everyone may delete [/svc/d/v].  Each mutation walks through [/svc],
+   which needs alice in [g], and ends on a [Write] (the attach rule) or
+   [Administrate] check at [/svc/d], which needs her out of it, so no
+   one membership state admits any of them.  A mutation whose last
+   check read a snapshot of its own was granted tens of thousands of
+   times per 100,000 tries on an idle 2-core host in the dev profile.
+   With both domains on one CPU the writer runs inside that window only
+   when the scheduler preempts the test domain there, and the same code
+   was granted a handful of times per operation per run; the case can
+   pass there by chance.  A grant is undone, so every try starts from
+   the fixture. *)
+
+let test_mutation_one_snapshot () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" and alice = Principal.individual "alice" in
+  let g = Principal.group "g" in
+  Principal.Db.add_individual db admin;
+  Principal.Db.add_individual db alice;
+  Principal.Db.add_group db g;
+  let bottom =
+    Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe [])
+  in
+  let meta entries = Meta.make ~owner:admin ~acl:(Acl.of_entries entries) bottom in
+  let ns = Namespace.create ~root_meta:(meta [ Acl.allow Acl.Everyone [ Access_mode.List ] ]) () in
+  let added = function
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%a" Namespace.pp_error e
+  in
+  let d = Path.of_string "/svc/d" in
+  let v = Path.of_string "/svc/d/v" and w = Path.of_string "/svc/d/w" in
+  added
+    (Namespace.add_dir ns (Path.of_string "/svc")
+       ~meta:(meta [ Acl.allow (Acl.Group g) [ Access_mode.List ] ]));
+  let d_acl =
+    Acl.of_entries
+      [
+        Acl.allow (Acl.Group g) [ Access_mode.List ];
+        Acl.deny (Acl.Group g) [ Access_mode.Write; Access_mode.Administrate ];
+        Acl.allow Acl.Everyone [ Access_mode.Write; Access_mode.Administrate ];
+      ]
+  in
+  added (Namespace.add_dir ns d ~meta:(Meta.make ~owner:admin ~acl:d_acl bottom));
+  let add_v () =
+    added
+      (Namespace.add_leaf ns v ~meta:(meta [ Acl.allow Acl.Everyone [ Access_mode.Delete ] ]) ())
+  in
+  add_v ();
+  let r = Resolver.create (Reference_monitor.create db) ns in
+  let subject = Subject.make alice bottom in
+  (* Each row: the operation, whether it was granted, and its undo. *)
+  let rows =
+    [
+      "remove", (fun () -> Result.is_ok (Resolver.remove r ~subject v)), add_v;
+      ( "create_leaf",
+        (fun () -> Result.is_ok (Resolver.create_leaf r ~subject w ~meta:(meta []) ())),
+        fun () -> ignore (Namespace.remove ns w) );
+      "set_acl", (fun () -> Result.is_ok (Resolver.set_acl r ~subject d d_acl)), ignore;
+      "set_class", (fun () -> Result.is_ok (Resolver.set_class r ~subject d bottom)), ignore;
+    ]
+  in
+  let stop = Atomic.make false and toggles = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Principal.Db.add_member db g (Principal.Ind alice);
+          Principal.Db.remove_member db g (Principal.Ind alice);
+          Atomic.incr toggles
+        done)
+  in
+  let grants =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join writer)
+      (fun () ->
+        while Atomic.get toggles = 0 do
+          Domain.cpu_relax ()
+        done;
+        List.map
+          (fun (name, granted, undo) ->
+            let count = ref 0 in
+            for _ = 1 to 100_000 do
+              if granted () then begin
+                incr count;
+                undo ()
+              end
+            done;
+            name, !count)
+          rows)
+  in
+  Alcotest.(check (list (pair string int)))
+    "grants per mutation" (List.map (fun (name, _) -> name, 0) grants) grants
+
+(* {1 A handle keeps the row its decision read}
+
+   [/svc/p] allows [g] [List] and [Execute].  A writer toggles alice in
+   and out of [g] while she opens 20,000 handles on [p], and stops with
+   her out of it.  Every handle that opened was admitted while she was
+   in [g], so her row has moved since its decision and its next call
+   must fail closed into the checked path, which refuses.  Rows come
+   back physically (every emptied row is the one shared empty array):
+   a grant that kept her row from another snapshot than the one its
+   decision read, an empty one read before she joined, would test
+   fresh again once she left, and serve. *)
+
+let test_handle_keeps_decision_row () =
+  let module Kernel = Exsec_extsys.Kernel in
+  let module Service = Exsec_extsys.Service in
+  let module Value = Exsec_extsys.Value in
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" and alice = Principal.individual "alice" in
+  let g = Principal.group "g" in
+  Principal.Db.add_individual db admin;
+  Principal.Db.add_individual db alice;
+  Principal.Db.add_group db g;
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let kernel = Kernel.boot ~db ~admin ~hierarchy ~universe () in
+  let p = Path.of_string "/svc/p" in
+  (match
+     Kernel.install_proc kernel ~subject:(Kernel.admin_subject kernel) p
+       ~meta:
+         (Meta.make ~owner:admin
+            ~acl:
+              (Acl.of_entries
+                 [ Acl.allow (Acl.Group g) [ Access_mode.List; Access_mode.Execute ] ])
+            bottom)
+       (Service.proc "p" 0 (Service.const (Value.int 1)))
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "setup: %s" (Service.error_to_string e));
+  let subject = Subject.make alice bottom in
+  let stop = Atomic.make false and toggles = Atomic.make 0 in
+  let writer =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Principal.Db.add_member db g (Principal.Ind alice);
+          Principal.Db.remove_member db g (Principal.Ind alice);
+          Atomic.incr toggles
+        done)
+  in
+  let kept = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join writer)
+    (fun () ->
+      while Atomic.get toggles = 0 do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to 20_000 do
+        match Kernel.open_handle kernel ~subject ~caller:"alice" p with
+        | Ok h -> kept := h :: !kept
+        | Error _ -> ()
+      done);
+  let served = List.filter (fun h -> Result.is_ok (Kernel.call_handle kernel h [])) !kept in
+  Alcotest.(check int) "kept handles served once alice left g" 0 (List.length served)
+
 (* {1 Atomic identity allocation} *)
 
 let test_fresh_ids_unique_across_domains () =
@@ -673,4 +837,8 @@ let suite =
     Alcotest.test_case "audit ring laps under domains" `Quick test_audit_ring_laps;
     Alcotest.test_case "a resolution decides under one snapshot" `Quick
       test_resolution_one_snapshot;
+    Alcotest.test_case "a resolver mutation decides under one snapshot" `Quick
+      test_mutation_one_snapshot;
+    Alcotest.test_case "a handle keeps the row its decision read" `Quick
+      test_handle_keeps_decision_row;
   ]

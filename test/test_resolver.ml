@@ -431,7 +431,9 @@ let reference_remove w ~subject target =
   let* () = reference_check w.monitor ~subject victim Access_mode.Delete in
   let* () =
     match
-      Reference_monitor.check_attach w.monitor ~subject ~parent:(Namespace.meta parent)
+      Reference_monitor.check_attach w.monitor (Reference_monitor.policy w.monitor)
+        (Principal.Db.snapshot (Reference_monitor.db w.monitor))
+        ~subject ~parent:(Namespace.meta parent)
         ~child:(Namespace.meta victim) ~object_name:(Path.to_string target)
     with
     | Decision.Granted -> Ok ()
