@@ -4,7 +4,7 @@
 open Exsec_core
 open Exsec_workload
 
-let header title = Format.printf "@.=== %s ===@." title
+let header = Timing.header
 let median l = List.nth (List.sort compare l) (List.length l / 2)
 
 (* {1 A1: audit overhead} *)

@@ -168,7 +168,7 @@ let tests () =
   ]
 
 let run () =
-  Format.printf "@.=== Bechamel microbenchmarks (ns/run, OLS estimate) ===@.";
+  Timing.header "Bechamel microbenchmarks (ns/run, OLS estimate)";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

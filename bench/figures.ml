@@ -5,7 +5,7 @@ open Exsec_core
 open Exsec_extsys
 open Exsec_workload
 
-let header title = Format.printf "@.=== %s ===@." title
+let header = Timing.header
 
 (* {1 F1: per-check cost of each policy layer vs ACL length} *)
 

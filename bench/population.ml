@@ -40,7 +40,7 @@
 open Exsec_core
 open Exsec_workload
 
-let header title = Format.printf "@.=== %s ===@." title
+let header = Timing.header
 
 type scale = {
   label : string;

@@ -10,7 +10,7 @@
 open Exsec_core
 open Exsec_workload
 
-let header title = Format.printf "@.=== %s ===@." title
+let header = Timing.header
 
 let make_env () =
   let rng = Prng.create ~seed:97 in

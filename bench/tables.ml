@@ -5,8 +5,7 @@ open Exsec_extsys
 open Exsec_baselines
 open Exsec_workload
 
-let header title =
-  Format.printf "@.=== %s ===@." title
+let header = Timing.header
 
 (* {1 T1: the paper's worked applet example (section 2.2)} *)
 

@@ -25,3 +25,8 @@ let pp_ns ppf ns =
   if ns < 1_000.0 then Format.fprintf ppf "%7.1f ns" ns
   else if ns < 1_000_000.0 then Format.fprintf ppf "%7.2f us" (ns /. 1_000.0)
   else Format.fprintf ppf "%7.2f ms" (ns /. 1_000_000.0)
+
+(* Every experiment's header names the dune profile the bench was built
+   in: the dev profile compiles the libraries with -opaque, so its
+   figures describe code the release build does not run. *)
+let header title = Format.printf "@.=== %s [%s build] ===@." title Build_profile.name

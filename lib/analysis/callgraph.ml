@@ -33,6 +33,17 @@ let call_edge ~src ~target ~chain =
 let transfer_edge ~src ~dst = { src; dst; site = None }
 let with_entries g entries = { g with entries }
 
+let reaches_only g ~from ~sites =
+  let leads_on node = List.exists (fun e -> String.equal e.src node) g.edges in
+  List.for_all
+    (fun e ->
+      (not (String.equal e.src from))
+      ||
+      match e.site with
+      | Some site -> List.exists (Path.equal site.target) sites && not (leads_on e.dst)
+      | None -> false)
+    g.edges
+
 (* [a] strictly above [b] in the tree, by rendered path. *)
 let strict_ancestor a b =
   let la = String.length a and lb = String.length b in

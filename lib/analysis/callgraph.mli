@@ -64,6 +64,14 @@ val transfer_edge : src:string -> dst:string -> edge
 
 val with_entries : t -> entry list -> t
 
+val reaches_only : t -> from:string -> sites:Path.t list -> bool
+(** Whether control entering at node [from] reaches no site but
+    [sites]: every edge out of [from] is a call to one of [sites], and
+    no edge leaves any site it calls.  Then a chain analysis entered
+    only at [from] reaches no other site, so it proves none outside
+    [sites].  [false] is conservative: a graph whose calls pass through
+    other code back into [sites] answers [false] too. *)
+
 val of_objects :
   registry:Clearance.t -> objects:(string * Meta.t) list -> t
 (** The call graph a declared policy induces: every object holding an

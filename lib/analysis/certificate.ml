@@ -68,11 +68,12 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
      discipline as Meta.compiled_in), so a concurrent mutation lands a
      value the certificate does not keep.  The proofs read membership
      from [snapshot] alone, so its rows and its generation are the ones
-     they rest on. *)
+     they rest on.  Each cover keeps its registry detail beside it, so a
+     proof reads neither the registry nor the name table. *)
   let epoch = Reference_monitor.policy_epoch monitor in
   let snapshot = Principal.Db.snapshot (Reference_monitor.db monitor) in
   let policy = Reference_monitor.policy monitor in
-  let cover_ceilings =
+  let cover_details =
     List.filter_map
       (fun principal ->
         Option.bind (Clearance.detail_of registry principal)
@@ -89,7 +90,7 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
                     e_max = Certify.e_max ?static_class detail.Clearance.clearance;
                     integrity = detail.Clearance.integrity;
                   },
-                  static_class )))
+                  detail )))
       (Clearance.registered registry)
   in
   (* Profile gating happens at issue time, before any proof: a mode or
@@ -121,15 +122,16 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
       in
       let metas = List.map fst chain in
       let verdict =
-        if cover_ceilings = [] || (not mode_admitted) || not (path_admitted import)
+        if cover_details = [] || (not mode_admitted) || not (path_admitted import)
         then Verdict.Depends
         else
-          Verdict.all
-            (List.map
-               (fun (cover, static_class) ->
-                 Certify.prove_path ~snapshot ~registry ~policy ?static_class
-                   ~principal:cover.principal ~chain:metas ~mode:Access_mode.Execute ())
-               cover_ceilings)
+          List.fold_left
+            (fun verdict (cover, detail) ->
+              Verdict.both verdict
+                (Certify.prove_chain ~snapshot ~policy ~detail ~id:cover.id
+                   ~principal:cover.principal ~top:cover.e_max ~chain:metas
+                   ~mode:Access_mode.Execute))
+            Verdict.Always_allow cover_details
       in
       let target_id =
         match List.rev metas with
@@ -150,7 +152,7 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
     | horizon, None -> horizon
     | Some h, Some cap -> Some (min h cap)
   in
-  let covers = Array.of_list (List.map fst cover_ceilings) in
+  let covers = Array.of_list (List.map fst cover_details) in
   Array.sort (fun a b -> Int.compare a.id b.id) covers;
   {
     extension;

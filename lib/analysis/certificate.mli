@@ -2,8 +2,9 @@
     revocation, profiles, expiry epochs, and delegation chains.
 
     At link time {!issue} proves every import of an extension over the
-    whole registered-principal session space ({!Certify.prove_path})
-    and records the state the proof consulted.  A later call may skip
+    whole registered-principal session space ({!Certify.prove_chain},
+    once per import and cover) and records the state the proof
+    consulted.  A later call may skip
     the monitor iff {!admits} — the proof said [Always_allow], {e and}
     none of the consulted state has moved since, {e and} the calling
     subject lies inside the proved domain.
@@ -144,7 +145,11 @@ val issue :
     The epoch, the generations and the snapshot are read {e before}
     proving, and every proof reads membership from that snapshot, so a
     concurrent mutation leaves the certificate unable to validate for
-    the subjects it moved, never wrongly valid. *)
+    the subjects it moved, never wrongly valid.  The registry and the
+    name table are read once per cover, when the covers are built: each
+    proof runs with its cover's own [id], [e_max] and registry detail,
+    and equals {!Certify.prove_path} for the cover's principal at the
+    issuing ceiling. *)
 
 val delegate :
   monitor:Reference_monitor.t ->

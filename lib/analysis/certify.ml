@@ -15,11 +15,12 @@ let e_max ?static_class clearance =
    them.  The discretionary layer is the monitor's own: the object's
    compiled ACL, with membership read from [snapshot]. *)
 
-let dac_verdict ~snapshot ~policy ~principal ~(meta : Meta.t) ~mode =
+let dac_verdict ~snapshot ~policy ~id ~principal ~(meta : Meta.t) ~mode =
   if not policy.Policy.dac then Verdict.Always_allow
   else
     match
-      Acl_compiled.check (Meta.compiled_in meta snapshot) ~snapshot ~subject:principal ~mode
+      Acl_compiled.check_id (Meta.compiled_in meta snapshot) ~snapshot ~id ~subject:principal
+        ~mode
     with
     | Acl_compiled.Granted -> Verdict.Always_allow
     | Acl_compiled.Denied _ | Acl_compiled.No_entry -> Verdict.Always_deny
@@ -59,25 +60,41 @@ let integrity_verdict ~policy ~trusted ~subject_integrity ~(meta : Meta.t) ~mode
         | Ok () -> Verdict.Always_allow
         | Error _ -> Verdict.Always_deny)
 
+(* The per-node conjunction, the one statement [prove] and [prove_chain]
+   share: the principal's registry [detail], database [id] and range
+   top [top] read once by the caller, the layers in the monitor's
+   order. *)
+let node_verdict ~snapshot ~policy ~(detail : Clearance.detail) ~id ~principal ~top ~meta
+    ~mode =
+  let { Clearance.trusted; integrity; _ } = detail in
+  Verdict.both
+    (Verdict.both
+       (dac_verdict ~snapshot ~policy ~id ~principal ~meta ~mode)
+       (mac_verdict ~policy ~trusted ~top ~meta ~mode))
+    (integrity_verdict ~policy ~trusted ~subject_integrity:integrity ~meta ~mode)
+
 let prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode () =
   match Clearance.detail_of registry principal with
   | None -> Verdict.Depends
-  | Some { Clearance.clearance; integrity; trusted } ->
-    let top = e_max ?static_class clearance in
-    Verdict.all
-      [
-        dac_verdict ~snapshot ~policy ~principal ~meta ~mode;
-        mac_verdict ~policy ~trusted ~top ~meta ~mode;
-        integrity_verdict ~policy ~trusted ~subject_integrity:integrity ~meta ~mode;
-      ]
+  | Some detail ->
+    node_verdict ~snapshot ~policy ~detail
+      ~id:(Principal.Db.Snapshot.individual_id snapshot principal)
+      ~principal ~top:(e_max ?static_class detail.Clearance.clearance) ~meta ~mode
+
+let prove_chain ~snapshot ~policy ~detail ~id ~principal ~top ~chain ~mode =
+  let node meta mode = node_verdict ~snapshot ~policy ~detail ~id ~principal ~top ~meta ~mode in
+  let rec walk verdict = function
+    | [] -> verdict
+    | [ target ] -> Verdict.both verdict (node target mode)
+    | interior :: rest -> walk (Verdict.both verdict (node interior Access_mode.List)) rest
+  in
+  walk Verdict.Always_allow chain
 
 let prove_path ~snapshot ~registry ~policy ?static_class ~principal ~chain ~mode () =
-  let prove_one meta mode =
-    prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode ()
-  in
-  let rec walk = function
-    | [] -> []
-    | [ target ] -> [ prove_one target mode ]
-    | interior :: rest -> prove_one interior Access_mode.List :: walk rest
-  in
-  Verdict.all (walk chain)
+  match Clearance.detail_of registry principal, chain with
+  | None, [] -> Verdict.Always_allow
+  | None, _ :: _ -> Verdict.Depends
+  | Some detail, _ ->
+    prove_chain ~snapshot ~policy ~detail
+      ~id:(Principal.Db.Snapshot.individual_id snapshot principal)
+      ~principal ~top:(e_max ?static_class detail.Clearance.clearance) ~chain ~mode

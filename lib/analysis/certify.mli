@@ -62,6 +62,28 @@ val prove :
     [Meta.generation] {e before} calling and keeps [snapshot]'s row
     and generation (see {!Certificate}). *)
 
+val prove_chain :
+  snapshot:Principal.Db.Snapshot.t ->
+  policy:Policy.t ->
+  detail:Clearance.detail ->
+  id:int ->
+  principal:Principal.individual ->
+  top:Security_class.t ->
+  chain:Meta.t list ->
+  mode:Access_mode.t ->
+  Verdict.t
+(** The verdict for a checked path traversal ending in [mode], for a
+    principal whose lookups the caller has made once: [detail] is its
+    registry record, [id] its database id
+    ([Principal.Db.Snapshot.individual_id snapshot principal]) and
+    [top] its {!e_max}.  [List] on every element of [chain] but the
+    last (the resolver checks search permission on each node strictly
+    above the target, root included) and [mode] on the last, each node
+    decided by the step {!prove} runs, folded with {!Verdict.both}.
+    [Always_allow] on the empty chain.  Reads neither the registry nor
+    the name table, so a caller proving many chains for one principal
+    ({!Certificate.issue}, per cover) pays those lookups once. *)
+
 val prove_path :
   snapshot:Principal.Db.Snapshot.t ->
   registry:Clearance.t ->
@@ -72,8 +94,7 @@ val prove_path :
   mode:Access_mode.t ->
   unit ->
   Verdict.t
-(** The verdict for a checked path traversal ending in [mode]: [List]
-    on every element of [chain] but the last (the resolver checks
-    search permission on each node strictly above the target, root
-    included) and [mode] on the last, conjoined with {!Verdict.all}.
-    [Always_allow] on the empty chain. *)
+(** {!prove_chain} after looking the principal up once: equal to
+    {!Verdict.all} of {!prove} taken per node, [List] on each interior
+    node and [mode] on the last.  [Always_allow] on the empty chain;
+    [Depends] on any other chain for an unregistered principal. *)

@@ -10,15 +10,7 @@ type t =
 
 let all = [ Read; Write; Write_append; Administrate; Delete; List; Execute; Extend ]
 
-let index = function
-  | Read -> 0
-  | Write -> 1
-  | Write_append -> 2
-  | Administrate -> 3
-  | Delete -> 4
-  | List -> 5
-  | Execute -> 6
-  | Extend -> 7
+external index : t -> int = "%identity"
 
 let equal a b = index a = index b
 let compare a b = Int.compare (index a) (index b)

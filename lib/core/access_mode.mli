@@ -18,9 +18,10 @@ type t =
 val all : t list
 (** Every access mode, in declaration order. *)
 
-val index : t -> int
-(** A dense 0-based code (declaration order); stable within a build,
-    suitable as a hash-table key component. *)
+external index : t -> int = "%identity"
+(** The dense 0-based code in declaration order ([Read] 0 to [Extend]
+    7), suitable as a hash-table key component.  It is the constant
+    constructor's own representation, so it costs no instruction. *)
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

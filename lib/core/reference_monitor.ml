@@ -170,24 +170,6 @@ let check_exn monitor ~subject ~meta ~object_name ~mode =
   | Decision.Granted -> ()
   | Decision.Denied denial -> raise (Access_denied { object_name; mode; denial })
 
-let set_acl monitor ~subject ~meta ~object_name acl =
-  let decision =
-    check monitor ~subject ~meta ~object_name ~mode:Access_mode.Administrate
-  in
-  (match decision with
-  | Decision.Granted -> Meta.set_acl_raw meta acl
-  | Decision.Denied _ -> ());
-  decision
-
-let set_class monitor ~subject ~meta ~object_name klass =
-  let decision =
-    check monitor ~subject ~meta ~object_name ~mode:Access_mode.Administrate
-  in
-  (match decision with
-  | Decision.Granted -> Meta.set_klass_raw meta klass
-  | Decision.Denied _ -> ());
-  decision
-
 let check_attach monitor (policy : Policy.t) snapshot ~subject ~parent ~child ~object_name =
   let decision =
     match

@@ -119,26 +119,6 @@ val check_exn :
   unit
 (** @raise Access_denied when {!check} denies. *)
 
-val set_acl :
-  t ->
-  subject:Subject.t ->
-  meta:Meta.t ->
-  object_name:string ->
-  Acl.t ->
-  Decision.t
-(** Replace an object's ACL; requires [Administrate] on the object.
-    Applies the new ACL only when granted. *)
-
-val set_class :
-  t ->
-  subject:Subject.t ->
-  meta:Meta.t ->
-  object_name:string ->
-  Security_class.t ->
-  Decision.t
-(** Relabel an object; requires [Administrate] and, under MAC, is
-    treated as a write to the object. *)
-
 val check_attach :
   t ->
   Policy.t ->

@@ -279,32 +279,38 @@ let link_unmetered ?profile kernel ~subject (extension : Extension.t) =
        session interval covers every capped sub-session) and
        pre-minted as capability handles through the monitor.  The graph
        has no edge through event dispatch: a handler runs under its
-       owner's name, outside this extension's proof. *)
+       owner's name, outside this extension's proof.  When the code
+       reaches no site but its own imports (no import is a provide, and
+       no domain grew since [expand_domains]), the analysis can add no
+       target and is not run. *)
     let certificate, chain_targets =
       match Kernel.registry kernel with
       | None -> None, []
       | Some registry ->
         let module Cg = Exsec_analysis.Callgraph in
         let graph = Kernel.call_graph kernel extension in
-        let entries =
-          List.map
-            (fun principal ->
-              {
-                Cg.entry_principal = principal;
-                entry_node = Cg.code_node name;
-                entry_cap = extension.Extension.static_class;
-              })
-            (Clearance.registered registry)
-        in
-        let chain_report =
-          Exsec_analysis.Chain_certify.analyze ~db:(Kernel.db kernel) ~registry
-            ~policy:(Reference_monitor.policy (Kernel.monitor kernel))
-            (Cg.with_entries graph entries)
-        in
+        let code = Cg.code_node name in
         let transitive =
-          List.filter
-            (fun path -> not (List.exists (Path.equal path) all_imports))
-            (Exsec_analysis.Chain_certify.redundant_targets chain_report)
+          if Cg.reaches_only graph ~from:code ~sites:all_imports then []
+          else
+            let entries =
+              List.map
+                (fun principal ->
+                  {
+                    Cg.entry_principal = principal;
+                    entry_node = code;
+                    entry_cap = extension.Extension.static_class;
+                  })
+                (Clearance.registered registry)
+            in
+            let chain_report =
+              Exsec_analysis.Chain_certify.analyze ~db:(Kernel.db kernel) ~registry
+                ~policy:(Reference_monitor.policy (Kernel.monitor kernel))
+                (Cg.with_entries graph entries)
+            in
+            List.filter
+              (fun path -> not (List.exists (Path.equal path) all_imports))
+              (Exsec_analysis.Chain_certify.redundant_targets chain_report)
         in
         let certificate =
           Exsec_analysis.Certificate.issue ~monitor:(Kernel.monitor kernel) ~registry

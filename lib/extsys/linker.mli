@@ -24,7 +24,9 @@
 
     A link costs what the new extension reaches, not what is already
     loaded: the chain analysis runs over {!Kernel.call_graph}'s
-    reachable subgraph, the quota reads the author's kept count
+    reachable subgraph, and only when that graph can take the code
+    past its own imports ({!Exsec_analysis.Callgraph.reaches_only});
+    the quota reads the author's kept count
     ({!Kernel.loaded_by}), and the certificate's proofs go straight
     onto the import handles this link minted.  Revoking the
     certificate and unloading touch only those handles too.  Bench

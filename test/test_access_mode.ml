@@ -61,6 +61,21 @@ let test_set_roundtrip () =
         (List.map to_string (Set.to_list s)))
     all
 
+(* [index] is the constructor's own representation, so its values are
+   the declaration order: reordering the type moves them and fails
+   here.  [all] lists the modes in that order. *)
+let test_index_is_declaration_order () =
+  let open Access_mode in
+  Alcotest.(check (list (pair string int)))
+    "index"
+    [
+      "read", 0; "write", 1; "write-append", 2; "administrate", 3; "delete", 4; "list", 5;
+      "execute", 6; "extend", 7;
+    ]
+    (List.map (fun mode -> to_string mode, index mode)
+       [ Read; Write; Write_append; Administrate; Delete; List; Execute; Extend ]);
+  Alcotest.(check (list int)) "all" (List.init 8 Fun.id) (List.map index all)
+
 let suite =
   [
     Alcotest.test_case "string roundtrip" `Quick test_string_roundtrip;
@@ -70,4 +85,5 @@ let suite =
     Alcotest.test_case "set basics" `Quick test_set_basics;
     Alcotest.test_case "set algebra" `Quick test_set_algebra;
     Alcotest.test_case "set roundtrip" `Quick test_set_roundtrip;
+    Alcotest.test_case "index is declaration order" `Quick test_index_is_declaration_order;
   ]

@@ -24,14 +24,60 @@ let check = Alcotest.(check bool)
 let level_names = [ "l0"; "l1"; "l2" ]
 let cat_names = [ "c0"; "c1"; "c2" ]
 
-let test_differential () =
-  let hierarchy = Level.hierarchy level_names in
-  let universe = Category.universe cat_names in
-  let rand_class st =
-    let level = Level.of_name_exn hierarchy (List.nth level_names (Random.State.int st 3)) in
-    let cats = List.filter (fun _ -> Random.State.bool st) cat_names in
-    Security_class.make level (Category.of_names universe cats)
+let hierarchy = Level.hierarchy level_names
+let universe = Category.universe cat_names
+
+let rand_class st =
+  let level = Level.of_name_exn hierarchy (List.nth level_names (Random.State.int st 3)) in
+  let cats = List.filter (fun _ -> Random.State.bool st) cat_names in
+  Security_class.make level (Category.of_names universe cats)
+
+(* One analysis world drawn from [st]: five principals in two groups,
+   each registered with a random clearance, integrity label and
+   trusted bit, and eight objects with random ACLs, classes and
+   integrity labels. *)
+let random_world st =
+  let db = Principal.Db.create () in
+  let people = List.init 5 (fun i -> Principal.individual (Printf.sprintf "p%d" i)) in
+  List.iter (Principal.Db.add_individual db) people;
+  let groups = [ Principal.group "g0"; Principal.group "g1" ] in
+  List.iter
+    (fun grp ->
+      List.iter
+        (fun p -> if Random.State.bool st then Principal.Db.add_member db grp (Principal.Ind p))
+        people)
+    groups;
+  let registry = Clearance.create () in
+  let details =
+    List.map
+      (fun p ->
+        let clearance = rand_class st in
+        let integrity = if Random.State.bool st then Some (rand_class st) else None in
+        let trusted = Random.State.int st 4 = 0 in
+        Clearance.register registry ?integrity ~trusted p clearance;
+        p, (clearance, integrity, trusted))
+      people
   in
+  let metas =
+    List.init 8 (fun _ ->
+        let owner = List.nth people (Random.State.int st 5) in
+        let entries =
+          List.init (Random.State.int st 6) (fun _ ->
+              let who =
+                match Random.State.int st 4 with
+                | 0 -> Acl.Individual (List.nth people (Random.State.int st 5))
+                | 1 | 2 -> Acl.Group (List.nth groups (Random.State.int st 2))
+                | _ -> Acl.Everyone
+              in
+              let modes = List.filter (fun _ -> Random.State.bool st) Access_mode.all in
+              (if Random.State.bool st then Acl.allow else Acl.deny) who modes)
+        in
+        let integrity = if Random.State.bool st then Some (rand_class st) else None in
+        Meta.make ~owner ~acl:(Acl.of_entries entries) ?integrity (rand_class st))
+  in
+  db, registry, details, metas
+
+let test_differential () =
   let policies =
     [|
       Policy.default;
@@ -45,45 +91,7 @@ let test_differential () =
   for seed = 0 to 9 do
     let st = Random.State.make [| seed |] in
     let policy = policies.(seed mod Array.length policies) in
-    let db = Principal.Db.create () in
-    let people = List.init 5 (fun i -> Principal.individual (Printf.sprintf "p%d" i)) in
-    List.iter (Principal.Db.add_individual db) people;
-    let groups = [ Principal.group "g0"; Principal.group "g1" ] in
-    List.iter
-      (fun grp ->
-        List.iter
-          (fun p ->
-            if Random.State.bool st then Principal.Db.add_member db grp (Principal.Ind p))
-          people)
-      groups;
-    let registry = Clearance.create () in
-    let details =
-      List.map
-        (fun p ->
-          let clearance = rand_class st in
-          let integrity = if Random.State.bool st then Some (rand_class st) else None in
-          let trusted = Random.State.int st 4 = 0 in
-          Clearance.register registry ?integrity ~trusted p clearance;
-          p, (clearance, integrity, trusted))
-        people
-    in
-    let metas =
-      List.init 8 (fun _ ->
-          let owner = List.nth people (Random.State.int st 5) in
-          let entries =
-            List.init (Random.State.int st 6) (fun _ ->
-                let who =
-                  match Random.State.int st 4 with
-                  | 0 -> Acl.Individual (List.nth people (Random.State.int st 5))
-                  | 1 | 2 -> Acl.Group (List.nth groups (Random.State.int st 2))
-                  | _ -> Acl.Everyone
-                in
-                let modes = List.filter (fun _ -> Random.State.bool st) Access_mode.all in
-                (if Random.State.bool st then Acl.allow else Acl.deny) who modes)
-          in
-          let integrity = if Random.State.bool st then Some (rand_class st) else None in
-          Meta.make ~owner ~acl:(Acl.of_entries entries) ?integrity (rand_class st))
-    in
+    let db, registry, details, metas = random_world st in
     let monitor = Reference_monitor.create ~policy db in
     let snapshot = Principal.Db.snapshot db in
     let consistent ~what verdict decision =
@@ -131,6 +139,106 @@ let test_differential () =
       details
   done;
   check "at least 10k probes" true (!probes >= 10_000)
+
+(* {1 A path proof is the fold of its node proofs}
+
+   [prove_path] reads the principal once and folds one node step over
+   the chain; [prove] runs the same step per node.  On one analysis
+   world, with a principal the database knows but the registry does
+   not and one neither knows, random root-first chains of up to four
+   objects under every mode, static class and policy (each layer off,
+   both overwrite rules) must give the same verdict both ways.  A
+   certificate issued over the same chain must prove, per import, the
+   conjunction of [prove_path] over its covers. *)
+
+let prop_prove_path_folds =
+  let st = Random.State.make [| 37 |] in
+  let db, registry, details, metas = random_world st in
+  (* At least one trusted principal, so the trusted exemptions show. *)
+  (match details with
+  | (p, (clearance, integrity, _)) :: _ ->
+    Clearance.register registry ?integrity ~trusted:true p clearance
+  | [] -> ());
+  let drifter = Principal.individual "drifter" in
+  Principal.Db.add_individual db drifter;
+  let principals =
+    Array.of_list (List.map fst details @ [ drifter; Principal.individual "ghost" ])
+  in
+  let metas = Array.of_list metas in
+  let ceilings = Array.init 4 (fun _ -> Some (rand_class st)) in
+  let policies =
+    Array.of_list
+      (List.concat_map
+         (fun overwrite ->
+           List.map
+             (fun policy -> { policy with Policy.overwrite })
+             [
+               Policy.default;
+               { Policy.default with Policy.dac = false };
+               { Policy.default with Policy.mac = false };
+               { Policy.default with Policy.integrity = false };
+             ])
+         [ Mac.Strict; Mac.Liberal ])
+  in
+  let monitors = Array.map (fun policy -> Reference_monitor.create ~policy db) policies in
+  let snapshot = Principal.Db.snapshot db in
+  let modes = Array.of_list Access_mode.all in
+  let gen =
+    QCheck.Gen.(
+      quad
+        (pair (int_bound (Array.length principals - 1)) (int_bound (Array.length modes - 1)))
+        (list_size (int_bound 4) (int_bound (Array.length metas - 1)))
+        (int_bound (Array.length ceilings))
+        (int_bound (Array.length policies - 1)))
+  in
+  QCheck.Test.make ~name:"prove_path = the fold of prove; a proof = prove_path over its covers"
+    ~count:10_000 (QCheck.make gen)
+    (fun ((p, m), chain, c, k) ->
+      let principal = principals.(p) and mode = modes.(m) and policy = policies.(k) in
+      let static_class = if c = 0 then None else ceilings.(c - 1) in
+      let chain = List.map (fun i -> metas.(i)) chain in
+      let prove meta mode =
+        Certify.prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode ()
+      in
+      let rec per_node = function
+        | [] -> []
+        | [ target ] -> [ prove target mode ]
+        | interior :: rest -> prove interior Access_mode.List :: per_node rest
+      in
+      let prove_path principal mode =
+        Certify.prove_path ~snapshot ~registry ~policy ?static_class ~principal ~chain ~mode ()
+      in
+      Verdict.equal (prove_path principal mode) (Verdict.all (per_node chain))
+      &&
+      match chain with
+      | [] -> true
+      | root_meta :: below ->
+        (* The chain as a tree: the root, then one directory per node. *)
+        let namespace = Namespace.create ~root_meta () in
+        let import =
+          List.fold_left
+            (fun (parent, i) meta ->
+              match Namespace.add_dir_at namespace parent (Printf.sprintf "n%d" i) ~meta with
+              | Ok node -> node, i + 1
+              | Error e -> Alcotest.failf "tree: %a" Namespace.pp_error e)
+            (Namespace.root namespace, 0) below
+          |> fun (node, _) -> Namespace.path node
+        in
+        let certificate =
+          Certificate.issue ~monitor:monitors.(k) ~registry ~namespace ?static_class
+            ~extension:"prop" ~imports:[ import ] ()
+        in
+        List.for_all
+          (fun (proof : Certificate.import_proof) ->
+            List.for_all2 ( == ) (List.map fst proof.Certificate.chain) chain
+            && Verdict.equal proof.Certificate.verdict
+                 (Verdict.all
+                    (Array.to_list
+                       (Array.map
+                          (fun (cover : Certificate.cover) ->
+                            prove_path cover.Certificate.principal Access_mode.Execute)
+                          certificate.Certificate.covers))))
+          certificate.Certificate.proofs)
 
 (* {1 Certificate lifecycle through the kernel} *)
 
@@ -476,6 +584,7 @@ let test_broken_text_reports () =
 let suite =
   [
     Alcotest.test_case "differential soundness (10k+ probes)" `Quick test_differential;
+    QCheck_alcotest.to_alcotest prop_prove_path_folds;
     Alcotest.test_case "certificate fast path + invalidation" `Quick
       test_certificate_fast_path;
     Alcotest.test_case "certificate subject cover" `Quick

@@ -216,6 +216,177 @@ let test_linker_preminted_chain () =
   ignore (Kernel.call kernel ~subject:alice_sub ~caller:"a" store []);
   Alcotest.(check int) "only the nested hop is audited" (total () - t1) relay_records
 
+(* {1 A link skips only an analysis that could add nothing}
+
+   One kernel holds every shape a link meets: plain importers, a
+   domain importer, relays (providing a proc that calls /svc/get, or
+   one that calls /svc/vault, which alice may not call), users of
+   each, a two-hop user (its relay's provide calls another relay's
+   provide), a user pinned at bottom and a handler.  Right after each
+   link the reference runs the full chain analysis over the
+   extension's call graph, every registered principal entering at its
+   static class, drops the link's own imports and keeps the targets a
+   certificate proves: that must be the link's chain imports, and
+   it must be empty wherever [Callgraph.reaches_only] lets the linker
+   skip the analysis. *)
+
+let test_link_skips_only_empty_analyses () =
+  let module Cg = Exsec_analysis.Callgraph in
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  let alice = Principal.individual "alice" in
+  let bob = Principal.individual "bob" in
+  List.iter (Principal.Db.add_individual db) [ admin; alice; bob ];
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
+  let universe = Category.universe [] in
+  let top = Security_class.top hierarchy universe in
+  let bottom = Security_class.bottom hierarchy universe in
+  let registry = Clearance.create () in
+  Clearance.register registry ~trusted:true admin top;
+  Clearance.register registry alice bottom;
+  Clearance.register registry bob top;
+  let kernel = Kernel.boot ~registry ~db ~admin ~hierarchy ~universe () in
+  let admin_sub = Kernel.admin_subject kernel in
+  let setup what = function
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "setup %s: %s" what (Service.error_to_string e)
+  in
+  let seven = Service.proc "get" 0 (Service.const (Value.int 7)) in
+  setup "get"
+    (Kernel.install_proc kernel ~subject:admin_sub store
+       ~meta:(Kernel.default_meta kernel ~owner:admin ()) seven);
+  let vault = Path.of_string "/svc/vault" in
+  setup "vault"
+    (Kernel.install_proc kernel ~subject:admin_sub vault
+       ~meta:
+         (Meta.make ~owner:admin
+            ~acl:
+              (Acl.of_entries
+                 [
+                   Acl.allow_all (Acl.Individual admin);
+                   Acl.allow (Acl.Individual bob) [ Access_mode.List; Access_mode.Execute ];
+                   Acl.allow Acl.Everyone [ Access_mode.List ];
+                 ])
+            bottom)
+       seven);
+  let mount = Path.of_string "/svc/math" in
+  setup "math"
+    (Kernel.install_iface kernel ~subject:admin_sub ~mount
+       ~meta:(fun _ -> Kernel.default_meta kernel ~owner:admin ())
+       (Iface.make "math" [ Iface.proc_sig "one" 0; Iface.proc_sig "two" 0 ])
+       (fun _ -> Service.const (Value.int 1)));
+  let hook = Path.of_string "/svc/hook" in
+  setup "hook"
+    (Kernel.install_event kernel ~subject:admin_sub hook
+       ~meta:
+         (Meta.make ~owner:admin
+            ~acl:
+              (Acl.of_entries
+                 [
+                   Acl.allow_all (Acl.Individual admin);
+                   Acl.allow Acl.Everyone
+                     [ Access_mode.List; Access_mode.Execute; Access_mode.Extend ];
+                 ])
+            bottom));
+  let alice_sub = Subject.make alice bottom and bob_sub = Subject.make bob top in
+  let relay target = [ Extension.provided "fetch" 0 (fun ctx _args -> ctx.Service.call target []) ] in
+  let fetch_of name = Path.of_string ("/ext/" ^ name ^ "/fetch") in
+  let math = Domain.make "math" [ mount ] in
+  let pinned = Some bottom in
+  (* Name, link subject, static class, imports, domains, provides,
+     extends; whether the linker may skip the analysis; how many chain
+     imports the link must hold. *)
+  let shapes =
+    [
+      "plain0", alice_sub, None, [ store ], [], [], [], true, 0;
+      "plain1", alice_sub, None, [ store ], [], [], [], true, 0;
+      "dom", alice_sub, None, [], [ math ], [], [], true, 0;
+      "r1", alice_sub, None, [ store ], [], relay store, [], true, 0;
+      "rvault", bob_sub, None, [ vault ], [], relay vault, [], true, 0;
+      "r2", alice_sub, None, [ fetch_of "r1" ], [], relay (fetch_of "r1"), [], false, 1;
+      "u1", alice_sub, None, [ fetch_of "r1" ], [], [], [], false, 1;
+      "uvault", bob_sub, None, [ fetch_of "rvault" ], [], [], [], false, 0;
+      "u2", alice_sub, None, [ fetch_of "r2" ], [], [], [], false, 2;
+      "upin", bob_sub, pinned, [ fetch_of "r1" ], [], [], [], false, 1;
+      ( "hnd", alice_sub, None, [], [], [], [ Extension.extends hook (Service.const Value.unit) ],
+        true, 0 );
+    ]
+  in
+  let reference linked =
+    let extension = Linker.Linked.extension linked in
+    let graph = Kernel.call_graph kernel extension in
+    let entries =
+      List.map
+        (fun principal ->
+          {
+            Cg.entry_principal = principal;
+            entry_node = Cg.code_node (Linker.Linked.name linked);
+            entry_cap = extension.Extension.static_class;
+          })
+        (Clearance.registered registry)
+    in
+    let report =
+      Chain_certify.analyze ~db ~registry
+        ~policy:(Reference_monitor.policy (Kernel.monitor kernel))
+        (Cg.with_entries graph entries)
+    in
+    let targets =
+      List.filter
+        (fun target -> not (List.exists (Path.equal target) (Linker.Linked.imports linked)))
+        (Chain_certify.redundant_targets report)
+    in
+    (* Proved by a certificate of its own, so the reference does not
+       read what the link proved. *)
+    let certificate =
+      Certificate.issue ~monitor:(Kernel.monitor kernel) ~registry
+        ~namespace:(Kernel.namespace kernel) ?static_class:extension.Extension.static_class
+        ~extension:"reference" ~imports:targets ()
+    in
+    List.filter
+      (fun target -> Certificate.verdict_for certificate target = Some Verdict.Always_allow)
+      targets
+  in
+  let skipped linked =
+    Cg.reaches_only
+      (Kernel.call_graph kernel (Linker.Linked.extension linked))
+      ~from:(Cg.code_node (Linker.Linked.name linked))
+      ~sites:(Linker.Linked.imports linked)
+  in
+  let rendered paths = List.sort compare (List.map Path.to_string paths) in
+  let linked =
+    List.map
+      (fun (name, subject, static_class, imports, import_domains, provides, extends, skip, n) ->
+        let ext =
+          Extension.make ~name ~author:(Subject.principal subject) ?static_class ~imports
+            ~import_domains ~provides ~extends ()
+        in
+        let linked =
+          match Linker.link kernel ~subject ext with
+          | Ok linked -> linked
+          | Error e -> Alcotest.failf "link %s: %a" name Linker.pp_link_error e
+        in
+        let expected = reference linked in
+        Alcotest.(check (list string))
+          (name ^ ": chain imports = the analysis' proved targets")
+          (rendered expected)
+          (rendered (Linker.Linked.chain_imports linked));
+        Alcotest.(check int) (name ^ ": chain imports") n (List.length expected);
+        Alcotest.(check bool) (name ^ ": skipped") skip (skipped linked);
+        if skip then Alcotest.(check (list string)) (name ^ ": nothing to add") [] (rendered expected);
+        name, linked)
+      shapes
+  in
+  (* The two-hop user reaches the first relay's provide and its call. *)
+  Alcotest.(check (list string))
+    "u2's chain imports" [ "/ext/r1/fetch"; "/svc/get" ]
+    (rendered (Linker.Linked.chain_imports (List.assoc "u2" linked)));
+  (* A proc published into an imported domain after the link is a call
+     target outside the link's imports: that graph is not skipped. *)
+  setup "three"
+    (Kernel.install_proc kernel ~subject:admin_sub (Path.child mount "three")
+       ~meta:(Kernel.default_meta kernel ~owner:admin ()) seven);
+  check "a grown domain is analysed" false (skipped (List.assoc "dom" linked))
+
 (* {1 The worklist against the reference fixpoint}
 
    [reference_analyze] is the earlier fixpoint, kept here as the
@@ -500,6 +671,8 @@ let suite =
     Alcotest.test_case "report order stable across runs" `Quick test_report_order_stable;
     Alcotest.test_case "linker pre-mints proved chain targets" `Quick
       test_linker_preminted_chain;
+    Alcotest.test_case "a link skips only an analysis that adds nothing" `Quick
+      test_link_skips_only_empty_analyses;
     Oracle.routes_case "chain analysis = full monitor under churn"
       ~routes:[ Oracle.Chain; Oracle.Proved ]
       ~kinds:[ "recertify"; "set-acl"; "policy"; "republish" ];

@@ -129,18 +129,12 @@ let random_op world step =
       Principal.Db.add_member world.db world.fuzzers (Principal.Ind ind)
     else Principal.Db.remove_member world.db world.fuzzers (Principal.Ind ind)
   | 11 ->
-    (* Owner-driven ACL mutation through the checked monitor entry
-       point (no resolver traversal): direct set_acl on the file's
-       metadata if it resolves. *)
-    (match Namespace.find (Kernel.namespace world.kernel) (Path.of_string (Printf.sprintf "/fs/%s" name)) with
-    | Ok node ->
-      ignore
-        (Reference_monitor.set_acl
-           (Kernel.monitor world.kernel)
-           ~subject ~meta:(Namespace.meta node)
-           ~object_name:(Printf.sprintf "/fs/%s" name)
-           (Acl.of_entries [ Acl.allow_all Acl.Everyone ]))
-    | Error _ -> ())
+    (* Owner-driven ACL mutation: the subject itself opens the file up
+       to everyone, through the checked resolver. *)
+    ignore
+      (Resolver.set_acl (Kernel.resolver world.kernel) ~subject
+         (Path.of_string (Printf.sprintf "/fs/%s" name))
+         (Acl.of_entries [ Acl.allow_all Acl.Everyone ]))
   | 12 | 13 ->
     (* Open a capability handle into a pool slot — sometimes on a
        callable proc, sometimes on a plain file (refused as not

@@ -143,40 +143,57 @@ let test_check_exn () =
   | () -> Alcotest.fail "expected Access_denied"
   | exception Reference_monitor.Access_denied { object_name = "/x"; _ } -> ()
 
+(* [meta] as the leaf /x under a root everyone may list: an ACL
+   replacement goes through the resolver's [Administrate] check. *)
+let x = Path.of_string "/x"
+
+let resolver_over hierarchy universe db meta =
+  let root_meta =
+    Meta.make ~owner:(Principal.individual "root")
+      ~acl:(Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List ] ])
+      (Security_class.bottom hierarchy universe)
+  in
+  let ns = Namespace.create ~root_meta () in
+  (match Namespace.add_leaf ns x ~meta () with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "add /x: %a" Namespace.pp_error e);
+  Resolver.create (Reference_monitor.create db) ns
+
+let administered = function
+  | Ok () -> true
+  | Error (Resolver.Denied _) -> false
+  | Error (Resolver.Name_error e) -> Alcotest.failf "/x: %a" Namespace.pp_error e
+
 let test_set_acl_requires_administrate () =
   let hierarchy, universe, db, alice, bob = setup () in
-  let monitor = Reference_monitor.create db in
   let high = cls hierarchy universe "high" [] in
   let meta = Meta.make ~owner:bob high in
+  let resolver = resolver_over hierarchy universe db meta in
   let alice_subject = Subject.make alice high in
   let bob_subject = Subject.make bob high in
   let new_acl = Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Read ] ] in
   (* Alice holds no administrate right. *)
-  (match Reference_monitor.set_acl monitor ~subject:alice_subject ~meta ~object_name:"/x" new_acl with
-  | Decision.Denied _ -> ()
-  | Decision.Granted -> Alcotest.fail "non-admin replaced the ACL");
+  check "non-admin refused" false
+    (administered (Resolver.set_acl resolver ~subject:alice_subject x new_acl));
   check "acl unchanged" true (Acl.equal meta.Meta.acl (Acl.owner_default bob));
   (* The owner does. *)
-  (match Reference_monitor.set_acl monitor ~subject:bob_subject ~meta ~object_name:"/x" new_acl with
-  | Decision.Granted -> ()
-  | Decision.Denied _ -> Alcotest.fail "owner refused");
+  check "owner admitted" true
+    (administered (Resolver.set_acl resolver ~subject:bob_subject x new_acl));
   check "acl replaced" true (Acl.equal meta.Meta.acl new_acl)
 
 let test_owner_lockout_is_possible () =
   (* Replacing the ACL can remove the owner's own administrate right:
      discretionary control follows the ACL, not ownership. *)
   let hierarchy, universe, db, _, bob = setup () in
-  let monitor = Reference_monitor.create db in
   let high = cls hierarchy universe "high" [] in
   let meta = Meta.make ~owner:bob high in
+  let resolver = resolver_over hierarchy universe db meta in
   let bob_subject = Subject.make bob high in
   let lockout = Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Read ] ] in
-  (match Reference_monitor.set_acl monitor ~subject:bob_subject ~meta ~object_name:"/x" lockout with
-  | Decision.Granted -> ()
-  | Decision.Denied _ -> Alcotest.fail "first replace refused");
-  match Reference_monitor.set_acl monitor ~subject:bob_subject ~meta ~object_name:"/x" (Acl.owner_default bob) with
-  | Decision.Denied _ -> ()
-  | Decision.Granted -> Alcotest.fail "locked-out owner still administrates"
+  check "first replace admitted" true
+    (administered (Resolver.set_acl resolver ~subject:bob_subject x lockout));
+  check "locked-out owner refused" false
+    (administered (Resolver.set_acl resolver ~subject:bob_subject x (Acl.owner_default bob)))
 
 let test_trusted_subject_writes_down () =
   let hierarchy, universe, db, alice, bob = setup () in
