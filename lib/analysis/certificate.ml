@@ -96,9 +96,9 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   (* Profile gating happens at issue time, before any proof: a mode or
      prefix outside the profile never gets past Depends, so it can
      neither certify nor admit.  An empty cover set is Depends for the
-     same fail-closed reason — Verdict.all over zero covers would
-     otherwise fold to a vacuous Always_allow (the empty-registry
-     soundness hole). *)
+     same fail-closed reason — a fold of Verdict.both from Always_allow
+     over zero covers would otherwise be a vacuous Always_allow (the
+     empty-registry soundness hole). *)
   let mode_admitted =
     match profile with
     | None -> true

@@ -139,8 +139,8 @@ val issue :
     do imports outside the profile's modes or prefixes.  An empty
     clearance registry proves [Depends] for everything: a certificate
     with zero covers asserts nothing about anyone and must never
-    certify (folding [Verdict.all] over zero covers would otherwise
-    yield a vacuous [Always_allow]).  [now] is the kernel certificate
+    certify (a fold of {!Verdict.both} from [Always_allow] over zero
+    covers would otherwise yield a vacuous [Always_allow]).  [now] is the kernel certificate
     epoch (default [0]) the profile's validity horizon counts from.
     The epoch, the generations and the snapshot are read {e before}
     proving, and every proof reads membership from that snapshot, so a

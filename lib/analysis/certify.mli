@@ -94,7 +94,7 @@ val prove_path :
   mode:Access_mode.t ->
   unit ->
   Verdict.t
-(** {!prove_chain} after looking the principal up once: equal to
-    {!Verdict.all} of {!prove} taken per node, [List] on each interior
-    node and [mode] on the last.  [Always_allow] on the empty chain;
+(** {!prove_chain} after looking the principal up once: equal to a
+    fold of {!Verdict.both} from [Always_allow] over {!prove} taken per
+    node, [List] on each interior node and [mode] on the last.  [Always_allow] on the empty chain;
     [Depends] on any other chain for an unregistered principal. *)

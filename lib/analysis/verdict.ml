@@ -14,8 +14,6 @@ let both a b =
   | Always_allow, Always_allow -> Always_allow
   | (Always_allow | Depends), _ -> Depends
 
-let all verdicts = List.fold_left both Always_allow verdicts
-
 let to_string = function
   | Always_allow -> "always-allow"
   | Always_deny -> "always-deny"

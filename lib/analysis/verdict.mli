@@ -33,8 +33,5 @@ val both : t -> t -> t
     any [Always_deny] dominates, all-[Always_allow] stays
     [Always_allow], anything else is [Depends]. *)
 
-val all : t list -> t
-(** {!both} folded over a list; [Always_allow] for the empty list. *)
-
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit

@@ -1,15 +1,22 @@
-(* Directories are keyed by segment: a string-specialized table
-   compares keys with [String.equal], where the generic one calls
-   polymorphic [compare]. *)
-module Entries = Hashtbl.Make (struct
-  type t = string
+(* A directory is a string table private to this module: a
+   power-of-two array of chains, each entry keeping its name's hash.  A
+   probe hashes the name ([String.hash], a direct call), indexes the
+   array and compares the stored hash before the string, with no
+   functor or closure call on the way.
 
-  let equal = String.equal
-  let hash = String.hash
-end)
+   Chains are immutable.  Writers, serialized by their tree's lock,
+   store only whole values: an insert conses a new head onto its chain,
+   a removal rebuilds only the entries ahead of the removed one, and
+   growth fills a new array completely before one store publishes it
+   (the old array is never written again).  So a walk, which takes no
+   lock, sees each directory as it was before a write or after it,
+   never half of one. *)
+type 'a chain =
+  | Nil
+  | Cons of { name : string; hash : int; entry : 'a; next : 'a chain }
 
 type 'a kind =
-  | Dir of 'a node Entries.t
+  | Dir of { mutable slots : 'a node chain array; mutable entries : int }
   | Leaf of 'a
 
 and 'a node = {
@@ -26,6 +33,7 @@ and 'a node = {
 type 'a t = {
   tree_id : int;
   root_node : 'a node;
+  lock : Mutex.t;  (* held by every insert and removal; walks take none *)
   mutable node_count : int;
       (* total nodes including the root, maintained by add/remove so
          [size] never walks the tree *)
@@ -47,6 +55,8 @@ let pp_error ppf = function
 
 let tree_ids = Atomic.make 0
 
+let empty_dir slots = Dir { slots = Array.make slots Nil; entries = 0 }
+
 let create ~root_meta () =
   let tree_id = Atomic.fetch_and_add tree_ids 1 in
   {
@@ -57,20 +67,31 @@ let create ~root_meta () =
         node_label = Path.to_string Path.root;
         node_meta = root_meta;
         node_tree = tree_id;
-        kind = Dir (Entries.create 16);
+        kind = empty_dir 16;
       };
+    lock = Mutex.create ();
     node_count = 1;
   }
 
 let root tree = tree.root_node
 
-(* One probe into a directory's hash table: the step of every walk
-   ([find], [chain] and the checked walks in [Resolver]).  Allocates
-   nothing, whatever the directory's width. *)
-let child node name =
+let rec probe name hash = function
+  | Nil -> raise_notrace Stdlib.Not_found
+  | Cons c -> if c.hash = hash && String.equal c.name name then c.entry else probe name hash c.next
+
+(* One probe into a directory: the step of every walk ([find], [chain]
+   and the checked walks in [Resolver]), inlined into each, with the
+   slot's first entry tested in line.  The slot index comes from the
+   array the probe read, so it is in bounds whatever a writer publishes
+   meanwhile.  Allocates nothing, whatever the directory's width. *)
+let[@inline] child node name =
   match node.kind with
-  | Leaf _ -> raise Stdlib.Not_found
-  | Dir table -> Entries.find table name
+  | Leaf _ -> raise_notrace Stdlib.Not_found
+  | Dir d -> (
+    let slots = d.slots and hash = String.hash name in
+    match Array.unsafe_get slots (hash land (Array.length slots - 1)) with
+    | Cons c when c.hash = hash && String.equal c.name name -> c.entry
+    | chain -> probe name hash chain)
 
 let is_dir node =
   match node.kind with
@@ -125,6 +146,30 @@ let chain tree target =
   | [] -> None
   | nodes -> Some (List.rev nodes)
 
+(* [slots] twice as wide, every entry re-threaded by its stored hash
+   into a fresh cell, so the chains walks may still be reading stay
+   whole. *)
+let grown slots =
+  let wider = Array.make (2 * Array.length slots) Nil in
+  let mask = Array.length wider - 1 in
+  let rec move = function
+    | Nil -> ()
+    | Cons c ->
+      let i = c.hash land mask in
+      wider.(i) <- Cons { c with next = wider.(i) };
+      move c.next
+  in
+  Array.iter move slots;
+  wider
+
+(* A chain without the entry [name]: the entries ahead of it are
+   copied, the ones behind it shared. *)
+let rec without name hash = function
+  | Nil -> Nil
+  | Cons c ->
+    if c.hash = hash && String.equal c.name name then c.next
+    else Cons { c with next = without name hash c.next }
+
 (* Insertion under an already-resolved parent node: the bulk-populate
    path.  A path-addressed insert re-walks from the root (O(depth));
    building a 10^5-node tree that way costs O(nodes x depth), so the
@@ -135,28 +180,33 @@ let add_child tree parent name ~meta kind_of_path =
       (Printf.sprintf
          "Namespace.add_child: parent %s belongs to a different tree"
          parent.node_label);
-  match parent.kind with
-  | Leaf _ -> Error (Not_a_directory parent.node_path)
-  | Dir table ->
-    let target = Path.child parent.node_path name in
-    if Entries.mem table name then Error (Already_exists target)
-    else begin
-      let node =
-        {
-          node_path = target;
-          node_label = Path.to_string target;
-          node_meta = meta;
-          node_tree = tree.tree_id;
-          kind = kind_of_path ();
-        }
-      in
-      Entries.add table name node;
-      tree.node_count <- tree.node_count + 1;
-      Ok node
-    end
+  Mutex.protect tree.lock (fun () ->
+      match parent.kind with
+      | Leaf _ -> Error (Not_a_directory parent.node_path)
+      | Dir d -> (
+        let target = Path.child parent.node_path name in
+        match child parent name with
+        | _ -> Error (Already_exists target)
+        | exception Stdlib.Not_found ->
+          let node =
+            {
+              node_path = target;
+              node_label = Path.to_string target;
+              node_meta = meta;
+              node_tree = tree.tree_id;
+              kind = kind_of_path ();
+            }
+          in
+          (* At most two entries per slot on average, as in [Hashtbl]. *)
+          if d.entries >= 2 * Array.length d.slots then d.slots <- grown d.slots;
+          let slots = d.slots and hash = String.hash name in
+          let i = hash land (Array.length slots - 1) in
+          slots.(i) <- Cons { name; hash; entry = node; next = slots.(i) };
+          d.entries <- d.entries + 1;
+          tree.node_count <- tree.node_count + 1;
+          Ok node))
 
-let add_dir_at tree parent name ~meta =
-  add_child tree parent name ~meta (fun () -> Dir (Entries.create 8))
+let add_dir_at tree parent name ~meta = add_child tree parent name ~meta (fun () -> empty_dir 8)
 
 let add_leaf_at tree parent name ~meta payload =
   add_child tree parent name ~meta (fun () -> Leaf payload)
@@ -169,32 +219,35 @@ let add_node tree target ~meta kind_of_path =
     | Error e -> Error e
     | Ok parent -> add_child tree parent name ~meta kind_of_path)
 
-let add_dir tree target ~meta =
-  add_node tree target ~meta (fun () -> Dir (Entries.create 8))
+let add_dir tree target ~meta = add_node tree target ~meta (fun () -> empty_dir 8)
 
 let add_leaf tree target ~meta payload = add_node tree target ~meta (fun () -> Leaf payload)
 
 let remove tree target =
   match Path.parent target, Path.basename target with
   | None, _ | _, None -> Error (Directory_not_empty Path.root)
-  | Some parent_path, Some name -> (
-    match find tree parent_path with
-    | Error e -> Error e
-    | Ok parent -> (
-      match parent.kind with
-      | Leaf _ -> Error (Not_a_directory parent_path)
-      | Dir table -> (
-        match Entries.find_opt table name with
-        | None -> Error (Not_found target)
-        | Some { kind = Dir children; _ } when Entries.length children > 0 ->
-          Error (Directory_not_empty target)
-        | Some victim ->
-          Entries.remove table name;
-          tree.node_count <- tree.node_count - 1;
-          (* Unlink first, then retire: a re-mint that still found the
-             node read its generation before this bump. *)
-          Meta.touch victim.node_meta;
-          Ok ())))
+  | Some parent_path, Some name ->
+    Mutex.protect tree.lock (fun () ->
+        match find tree parent_path with
+        | Error e -> Error e
+        | Ok parent -> (
+          match parent.kind with
+          | Leaf _ -> Error (Not_a_directory parent_path)
+          | Dir d -> (
+            match child parent name with
+            | exception Stdlib.Not_found -> Error (Not_found target)
+            | { kind = Dir { entries; _ }; _ } when entries > 0 ->
+              Error (Directory_not_empty target)
+            | victim ->
+              let slots = d.slots and hash = String.hash name in
+              let i = hash land (Array.length slots - 1) in
+              slots.(i) <- without name hash slots.(i);
+              d.entries <- d.entries - 1;
+              tree.node_count <- tree.node_count - 1;
+              (* Unlink first, then retire: a re-mint that still found
+                 the node read its generation before this bump. *)
+              Meta.touch victim.node_meta;
+              Ok ())))
 
 let meta node = node.node_meta
 let path node = node.node_path
@@ -208,9 +261,12 @@ let payload node =
 let children node =
   match node.kind with
   | Leaf _ -> []
-  | Dir table ->
-    Entries.fold (fun name child acc -> (name, child) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  | Dir d ->
+    let rec onto acc = function
+      | Nil -> acc
+      | Cons c -> onto ((c.name, c.entry) :: acc) c.next
+    in
+    Array.fold_left onto [] d.slots |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let rec iter_node node f =
   f node;

@@ -191,6 +191,7 @@ let prop_prove_path_folds =
         (int_bound (Array.length ceilings))
         (int_bound (Array.length policies - 1)))
   in
+  let all = List.fold_left Verdict.both Verdict.Always_allow in
   QCheck.Test.make ~name:"prove_path = the fold of prove; a proof = prove_path over its covers"
     ~count:10_000 (QCheck.make gen)
     (fun ((p, m), chain, c, k) ->
@@ -208,7 +209,7 @@ let prop_prove_path_folds =
       let prove_path principal mode =
         Certify.prove_path ~snapshot ~registry ~policy ?static_class ~principal ~chain ~mode ()
       in
-      Verdict.equal (prove_path principal mode) (Verdict.all (per_node chain))
+      Verdict.equal (prove_path principal mode) (all (per_node chain))
       &&
       match chain with
       | [] -> true
@@ -232,7 +233,7 @@ let prop_prove_path_folds =
           (fun (proof : Certificate.import_proof) ->
             List.for_all2 ( == ) (List.map fst proof.Certificate.chain) chain
             && Verdict.equal proof.Certificate.verdict
-                 (Verdict.all
+                 (all
                     (Array.to_list
                        (Array.map
                           (fun (cover : Certificate.cover) ->
@@ -572,8 +573,7 @@ let test_verdict_algebra () =
   check "deny dominates" true
     (Verdict.equal (Verdict.both Verdict.Depends Verdict.Always_deny) Verdict.Always_deny);
   check "depends taints" true
-    (Verdict.equal (Verdict.both Verdict.Always_allow Verdict.Depends) Verdict.Depends);
-  check "all of none" true (Verdict.equal (Verdict.all []) Verdict.Always_allow)
+    (Verdict.equal (Verdict.both Verdict.Always_allow Verdict.Depends) Verdict.Depends)
 
 let test_broken_text_reports () =
   let report = Analyzer.analyze_text "individual eve\nfrobnicate\n" in

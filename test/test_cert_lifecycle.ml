@@ -4,11 +4,12 @@
    revocation and the lifecycle counters.  Every handle is
    a monitor decision: a certificate mints none and closes none, so
    revoking or expiring one strips the proofs [Linked.call] serves
-   from, and every handle keeps its own validity rule.  Also pinned:
-   Verdict.all [] folds to Always_allow, so a certificate issued under
-   an empty clearance registry must not mark every import vacuously
-   Always_allow.  The reference oracle (oracle.ml) holds every proved
-   call to the interpreted monitor under lifecycle churn. *)
+   from, and every handle keeps its own validity rule.  Also pinned: a
+   fold of Verdict.both from Always_allow over no covers is
+   Always_allow, so a certificate issued under an empty clearance
+   registry must not mark every import vacuously Always_allow.  The
+   reference oracle (oracle.ml) holds every proved call to the
+   interpreted monitor under lifecycle churn. *)
 
 open Exsec_core
 open Exsec_extsys
@@ -174,8 +175,9 @@ let test_empty_registry_proves_nothing () =
       ~namespace:(Kernel.namespace w.kernel) ~extension:"hollow" ~imports:[ store ] ()
   in
   check "zero covers" true (certificate.Certificate.covers = [||]);
-  (* The regression: Verdict.all [] is Always_allow, so these proofs
-     used to come out vacuously certified. *)
+  (* The regression: a fold of Verdict.both from Always_allow over no
+     covers is Always_allow, so these proofs used to come out
+     vacuously certified. *)
   check "proofs are Depends, not vacuous Always_allow" true
     (List.for_all
        (fun (proof : Certificate.import_proof) ->

@@ -199,6 +199,99 @@ let test_add_at_foreign_parent () =
   check "nothing appeared under the foreign node" false
     (Namespace.mem other (Path.of_string "/a/b"))
 
+(* {1 One directory against a map}
+
+   Scripts of inserts, removals and finds on one directory, over names
+   of 1-12 letters from a three-letter alphabet, so that many names
+   share a slot; then every name left is removed.  A directory starts
+   with 8 slots and doubles at two entries per slot, so a script that
+   holds more than 128 names has grown it four times before the drain
+   empties it.  After every step the directory answers [child], [find]
+   and [mem] for the step's name, [child] for every name the map holds,
+   and [children] and [size], as the map does. *)
+
+module Names = Map.Make (String)
+
+type op =
+  | Add of string
+  | Remove of string
+  | Find of string
+
+let show_op = function
+  | Add name -> "add " ^ name
+  | Remove name -> "remove " ^ name
+  | Find name -> "find " ^ name
+
+let script_gen =
+  let open QCheck.Gen in
+  let* pool =
+    array_size (int_range 150 300) (string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 1 12))
+  in
+  let name = map (Array.get pool) (int_bound (Array.length pool - 1)) in
+  list_size (int_range 300 1000)
+    (frequency
+       [
+         6, map (fun n -> Add n) name;
+         2, map (fun n -> Remove n) name;
+         2, map (fun n -> Find n) name;
+       ])
+
+let prop_directory_matches_map =
+  QCheck.Test.make ~name:"a directory answers as a map through growth and drain" ~count:30
+    (QCheck.make ~print:(fun ops -> String.concat "; " (List.map show_op ops)) script_gen)
+    (fun ops ->
+      let ns = make () in
+      let dir = ok "dir" (Namespace.add_dir_at ns (Namespace.root ns) "d" ~meta:(meta ())) in
+      let at name = Path.child (Namespace.path dir) name in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let payload_of node = Option.value (Namespace.payload node) ~default:(-1) in
+      let probed name =
+        match Namespace.child dir name with
+        | node -> Some (payload_of node)
+        | exception Not_found -> None
+      in
+      let agree model name =
+        let expected = Names.find_opt name model in
+        let found =
+          match Namespace.find ns (at name) with
+          | Ok node -> Some (payload_of node)
+          | Error (Namespace.Not_found _) -> None
+          | Error e -> fail "find %s: %a" name Namespace.pp_error e
+        in
+        if probed name <> expected || found <> expected then
+          fail "%s: lookups disagree with the map" name;
+        if Namespace.mem ns (at name) <> Option.is_some expected then fail "mem %s" name;
+        Names.iter
+          (fun known payload -> if probed known <> Some payload then fail "%s: probe lost it" known)
+          model;
+        let listed = List.map (fun (name, node) -> name, payload_of node) (Namespace.children dir) in
+        if listed <> Names.bindings model then fail "children disagree with the map";
+        if Namespace.size ns <> Names.cardinal model + 2 then fail "size disagrees with the map"
+      in
+      let step (model, next) op =
+        let model, next, name =
+          match op with
+          | Add name -> (
+            match Namespace.add_leaf_at ns dir name ~meta:(meta ()) next, Names.mem name model with
+            | Ok _, false -> Names.add name next model, next + 1, name
+            | Error (Namespace.Already_exists _), true -> model, next, name
+            | _ -> fail "add %s disagrees with the map" name)
+          | Remove name -> (
+            match Namespace.remove ns (at name), Names.mem name model with
+            | Ok (), true -> Names.remove name model, next, name
+            | Error (Namespace.Not_found _), false -> model, next, name
+            | _ -> fail "remove %s disagrees with the map" name)
+          | Find name -> model, next, name
+        in
+        agree model name;
+        model, next
+      in
+      let model, _ = List.fold_left step (Names.empty, 0) ops in
+      let drained, _ =
+        List.fold_left step (model, 0) (List.map (fun (name, _) -> Remove name) (Names.bindings model))
+      in
+      Names.is_empty drained && Namespace.size ns = 2 && Namespace.children dir = [])
+
 (* {1 The walk}
 
    [find] and [chain] descend the path itself: a node's path is its
@@ -285,6 +378,7 @@ let suite =
     Alcotest.test_case "size/iter/fold" `Quick test_size_iter_fold;
     Alcotest.test_case "independent metadata" `Quick test_per_node_meta_is_independent;
     QCheck_alcotest.to_alcotest prop_insert_then_find;
+    QCheck_alcotest.to_alcotest prop_directory_matches_map;
     Alcotest.test_case "the walk shares paths" `Quick test_walk_shares_paths;
     Alcotest.test_case "find allocates only its result" `Quick
       test_find_allocates_only_its_result;

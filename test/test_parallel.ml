@@ -692,6 +692,105 @@ let test_handle_keeps_decision_row () =
   let served = List.filter (fun h -> Result.is_ok (Kernel.call_handle kernel h [])) !kept in
   Alcotest.(check int) "kept handles served once alice left g" 0 (List.length served)
 
+(* {1 Directories shared between domains}
+
+   Walks take no lock and inserts and removals take their tree's. *)
+
+let open_meta () =
+  Meta.make ~owner:(Principal.individual "admin")
+    ~acl:(Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List; Access_mode.Read ] ])
+    (Security_class.bottom (Level.hierarchy [ "hi"; "lo" ]) (Category.universe []))
+
+let added = function
+  | Ok node -> node
+  | Error e -> Alcotest.failf "%a" Namespace.pp_error e
+
+(* A writer domain adds 20,000 fresh names to [/d] and then removes
+   them, round after round, while the test domain resolves the 64
+   pre-existing names [/d/x0] ... [/d/x63] in turn, unchecked through
+   [Namespace.find] and checked through [Resolver.resolve].  No [x]
+   name is ever removed, so every miss is a walk that read the
+   directory half-way through a write.  A table that stores its new,
+   empty bucket array before refilling it (as [Stdlib.Hashtbl.resize]
+   does) hides every name whose bucket it has not refilled yet; it
+   missed thousands of times per run on a 2-core host.  The writer
+   starts once the reader is probing; on a one-core host it rarely
+   runs inside a growth, so the case can pass there by chance. *)
+
+let test_walk_beside_growing_directory () =
+  let db = Principal.Db.create () in
+  let alice = Principal.individual "alice" in
+  Principal.Db.add_individual db alice;
+  let meta = open_meta () in
+  let ns = Namespace.create ~root_meta:meta () in
+  let d = added (Namespace.add_dir ns (Path.of_string "/d") ~meta) in
+  let xs =
+    Array.init 64 (fun i ->
+        Namespace.path (added (Namespace.add_leaf_at ns d (Printf.sprintf "x%d" i) ~meta ())))
+  in
+  let r = Resolver.create (Reference_monitor.create db) ns in
+  let subject = Subject.make alice meta.Meta.klass in
+  let reading = Atomic.make false and written = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Atomic.set written true)
+          (fun () ->
+            while not (Atomic.get reading) do
+              Domain.cpu_relax ()
+            done;
+            for round = 1 to 5 do
+              let names = List.init 20_000 (Printf.sprintf "n%d-%d" round) in
+              List.iter (fun name -> ignore (added (Namespace.add_leaf_at ns d name ~meta ()))) names;
+              List.iter
+                (fun name -> Result.get_ok (Namespace.remove ns (Path.child (Namespace.path d) name)))
+                names
+            done))
+  in
+  let misses = ref 0 in
+  Atomic.set reading true;
+  while not (Atomic.get written) do
+    Array.iter
+      (fun x ->
+        (match Namespace.find ns x with
+        | Ok _ -> ()
+        | Error _ -> incr misses);
+        match Resolver.resolve r ~subject ~mode:Access_mode.Read x with
+        | Ok _ -> ()
+        | Error _ -> incr misses)
+      xs
+  done;
+  Domain.join writer;
+  Alcotest.(check int) "walks that missed a name of /d" 0 !misses
+
+(* Two domains insert 20,000 distinct names each into one directory at
+   once.  The membership test, the insert and the node count of each
+   run under the tree's lock, so after the joins every name is found
+   and [size] counts each once.  Without the lock, inserts into one
+   slot overwrote each other's heads and lost names. *)
+
+let test_concurrent_inserts () =
+  let meta = open_meta () in
+  let ns = Namespace.create ~root_meta:meta () in
+  let d = added (Namespace.add_dir ns (Path.of_string "/d") ~meta) in
+  let batches = List.map (fun prefix -> List.init 20_000 (Printf.sprintf "%s%d" prefix)) [ "a"; "b" ] in
+  let ready = Atomic.make 0 in
+  let insert names () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    List.iter (fun name -> ignore (added (Namespace.add_leaf_at ns d name ~meta ()))) names
+  in
+  List.iter Domain.join (List.map (fun names -> Domain.spawn (insert names)) batches);
+  let lost =
+    List.filter
+      (fun name -> not (Namespace.mem ns (Path.child (Namespace.path d) name)))
+      (List.concat batches)
+  in
+  Alcotest.(check (list string)) "names lost" [] lost;
+  Alcotest.(check int) "size" 40_002 (Namespace.size ns)
+
 (* {1 Atomic identity allocation} *)
 
 let test_fresh_ids_unique_across_domains () =
@@ -841,4 +940,8 @@ let suite =
       test_mutation_one_snapshot;
     Alcotest.test_case "a handle keeps the row its decision read" `Quick
       test_handle_keeps_decision_row;
+    Alcotest.test_case "a walk concurrent with a growing directory finds every name" `Quick
+      test_walk_beside_growing_directory;
+    Alcotest.test_case "concurrent inserts into one directory lose no name" `Quick
+      test_concurrent_inserts;
   ]
