@@ -44,7 +44,6 @@ let reaches_only g ~from ~sites =
       | None -> false)
     g.edges
 
-(* [a] strictly above [b] in the tree, by rendered path. *)
 let strict_ancestor a b =
   let la = String.length a and lb = String.length b in
   la < lb

@@ -64,6 +64,10 @@ val transfer_edge : src:string -> dst:string -> edge
 
 val with_entries : t -> entry list -> t
 
+val strict_ancestor : string -> string -> bool
+(** [strict_ancestor a b]: the path [a] names lies strictly above the
+    path [b] names, both rendered as /-separated names. *)
+
 val reaches_only : t -> from:string -> sites:Path.t list -> bool
 (** Whether control entering at node [from] reaches no site but
     [sites]: every edge out of [from] is a call to one of [sites], and

@@ -68,29 +68,30 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
      discipline as Meta.compiled_in), so a concurrent mutation lands a
      value the certificate does not keep.  The proofs read membership
      from [snapshot] alone, so its rows and its generation are the ones
-     they rest on.  Each cover keeps its registry detail beside it, so a
-     proof reads neither the registry nor the name table. *)
+     they rest on.  Each cover keeps its session range beside it, built
+     once, so a proof reads neither the registry nor the name table. *)
   let epoch = Reference_monitor.policy_epoch monitor in
   let snapshot = Principal.Db.snapshot (Reference_monitor.db monitor) in
   let policy = Reference_monitor.policy monitor in
-  let cover_details =
+  let cover_ranges =
     List.filter_map
       (fun principal ->
-        Option.bind (Clearance.detail_of registry principal)
-          (fun (detail : Clearance.detail) ->
+        Option.bind (Clearance.detail_of registry principal) (fun detail ->
             match ceiling_for principal with
             | `Skip -> None
             | `Ceiling static_class ->
-              let id = Principal.Db.Snapshot.individual_id snapshot principal in
+              let range = Certify.range ?static_class ~detail principal in
+              let top = range.Certify.top in
+              let id = Subject.individual_id top snapshot in
               Some
                 ( {
                     principal;
                     id;
                     row = Principal.Db.Snapshot.row snapshot ~individual_id:id;
-                    e_max = Certify.e_max ?static_class detail.Clearance.clearance;
-                    integrity = detail.Clearance.integrity;
+                    e_max = Subject.effective_class top;
+                    integrity = Subject.integrity top;
                   },
-                  detail )))
+                  range )))
       (Clearance.registered registry)
   in
   (* Profile gating happens at issue time, before any proof: a mode or
@@ -122,16 +123,15 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
       in
       let metas = List.map fst chain in
       let verdict =
-        if cover_details = [] || (not mode_admitted) || not (path_admitted import)
+        if cover_ranges = [] || (not mode_admitted) || not (path_admitted import)
         then Verdict.Depends
         else
           List.fold_left
-            (fun verdict (cover, detail) ->
+            (fun verdict (_, range) ->
               Verdict.both verdict
-                (Certify.prove_chain ~snapshot ~policy ~detail ~id:cover.id
-                   ~principal:cover.principal ~top:cover.e_max ~chain:metas
+                (Certify.prove_chain ~snapshot ~policy range ~chain:metas
                    ~mode:Access_mode.Execute))
-            Verdict.Always_allow cover_details
+            Verdict.Always_allow cover_ranges
       in
       let target_id =
         match List.rev metas with
@@ -152,7 +152,7 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
     | horizon, None -> horizon
     | Some h, Some cap -> Some (min h cap)
   in
-  let covers = Array.of_list (List.map fst cover_details) in
+  let covers = Array.of_list (List.map fst cover_ranges) in
   Array.sort (fun a b -> Int.compare a.id b.id) covers;
   {
     extension;

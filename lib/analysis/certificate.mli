@@ -24,7 +24,7 @@
       name never inherits a proof);
     - per covered principal, its row in the snapshot read before
       proving.  Every proof reads membership from that one snapshot,
-      through the monitor's compiled DAC check ({!Certify.prove}), and
+      through the monitor's own discretionary half ({!Certify.prove}), and
       a proof for one principal reads only that principal's row, so a
       subject stays admitted while the database generation holds or
       its current row is the kept one ({!Subject.membership_unmoved}):
@@ -147,8 +147,8 @@ val issue :
     concurrent mutation leaves the certificate unable to validate for
     the subjects it moved, never wrongly valid.  The registry and the
     name table are read once per cover, when the covers are built: each
-    proof runs with its cover's own [id], [e_max] and registry detail,
-    and equals {!Certify.prove_path} for the cover's principal at the
+    proof runs over its cover's own {!Certify.range}, whose top subject
+    gives the cover its [id], [e_max] and integrity label, and equals {!Certify.prove_path} for the cover's principal at the
     issuing ceiling. *)
 
 val delegate :

@@ -1,88 +1,41 @@
 open Exsec_core
 
-let is_bottom klass =
-  Level.rank (Security_class.level klass) = 0
-  && Category.cardinal (Security_class.categories klass) = 0
+type range = {
+  top : Subject.t;
+  bottom : Subject.t;
+}
 
-let e_max ?static_class clearance =
-  match static_class with
-  | None -> clearance
-  | Some ceiling -> Security_class.meet clearance ceiling
+let range ?static_class ~(detail : Clearance.detail) principal =
+  let top =
+    Subject.make ?ceiling:static_class ~trusted:detail.trusted ?integrity:detail.integrity
+      principal detail.clearance
+  in
+  { top; bottom = Subject.with_ceiling top (Security_class.bottom_of detail.clearance) }
 
-(* Each layer answers over the whole achievable effective-class range
-   [bottom, e_max] (see the mli for the monotonicity argument); the
-   layers conjoin exactly as Reference_monitor.evaluate_in conjoins
-   them.  The discretionary layer is the monitor's own: the object's
-   compiled ACL, with membership read from [snapshot]. *)
+let granted policy subject ~meta ~mode =
+  match Reference_monitor.mandatory policy ~subject ~meta ~mode with
+  | Decision.Granted -> true
+  | Decision.Denied _ -> false
 
-let dac_verdict ~snapshot ~policy ~id ~principal ~(meta : Meta.t) ~mode =
-  if not policy.Policy.dac then Verdict.Always_allow
-  else
-    match
-      Acl_compiled.check_id (Meta.compiled_in meta snapshot) ~snapshot ~id ~subject:principal
-        ~mode
-    with
-    | Acl_compiled.Granted -> Verdict.Always_allow
-    | Acl_compiled.Denied _ | Acl_compiled.No_entry -> Verdict.Always_deny
+(* The monitor's own halves at the corners of the range (see the mli
+   for why the corners decide it).  The discretionary half reads no
+   class, so the top alone answers it.  Strict overwrite grants at the
+   object's class alone, so when neither corner grants, the range's
+   meet with that class settles whether any session inside does. *)
+let node_verdict ~snapshot ~policy range ~(meta : Meta.t) ~mode =
+  match Reference_monitor.discretionary snapshot policy ~subject:range.top ~meta ~mode with
+  | Decision.Denied _ -> Verdict.Always_deny
+  | Decision.Granted -> (
+    match granted policy range.top ~meta ~mode, granted policy range.bottom ~meta ~mode with
+    | true, true -> Verdict.Always_allow
+    | true, false | false, true -> Verdict.Depends
+    | false, false ->
+      if granted policy (Subject.with_ceiling range.top meta.Meta.klass) ~meta ~mode then
+        Verdict.Depends
+      else Verdict.Always_deny)
 
-let mac_verdict ~policy ~trusted ~top ~(meta : Meta.t) ~mode =
-  if not policy.Policy.mac then Verdict.Always_allow
-  else if trusted && Access_mode.is_write_like mode then Verdict.Always_allow
-  else if Access_mode.is_read_like mode then
-    (* granted(e) iff e dominates the object: monotone increasing. *)
-    if is_bottom meta.Meta.klass then Verdict.Always_allow
-    else if not (Security_class.dominates top meta.Meta.klass) then Verdict.Always_deny
-    else Verdict.Depends
-  else (
-    match policy.Policy.overwrite, mode with
-    | Mac.Strict, (Access_mode.Write | Access_mode.Delete) ->
-      (* granted(e) iff e equals the object's class, which the range
-         contains iff the top dominates it; the range is the singleton
-         {bottom} iff the top is bottom. *)
-      if not (Security_class.dominates top meta.Meta.klass) then Verdict.Always_deny
-      else if is_bottom top then Verdict.Always_allow
-      else Verdict.Depends
-    | (Mac.Strict | Mac.Liberal), _ ->
-      (* granted(e) iff the object dominates e: monotone decreasing,
-         always granted at bottom, so never Always_deny on its own. *)
-      if Security_class.dominates meta.Meta.klass top then Verdict.Always_allow
-      else Verdict.Depends)
-
-let integrity_verdict ~policy ~trusted ~subject_integrity ~(meta : Meta.t) ~mode =
-  if not policy.Policy.integrity then Verdict.Always_allow
-  else
-    match subject_integrity, meta.Meta.integrity with
-    | None, _ | _, None -> Verdict.Always_allow
-    | Some subject_integrity, Some object_integrity ->
-      if trusted && Access_mode.is_write_like mode then Verdict.Always_allow
-      else (
-        match Integrity.check ~subject:subject_integrity ~object_:object_integrity mode with
-        | Ok () -> Verdict.Always_allow
-        | Error _ -> Verdict.Always_deny)
-
-(* The per-node conjunction, the one statement [prove] and [prove_chain]
-   share: the principal's registry [detail], database [id] and range
-   top [top] read once by the caller, the layers in the monitor's
-   order. *)
-let node_verdict ~snapshot ~policy ~(detail : Clearance.detail) ~id ~principal ~top ~meta
-    ~mode =
-  let { Clearance.trusted; integrity; _ } = detail in
-  Verdict.both
-    (Verdict.both
-       (dac_verdict ~snapshot ~policy ~id ~principal ~meta ~mode)
-       (mac_verdict ~policy ~trusted ~top ~meta ~mode))
-    (integrity_verdict ~policy ~trusted ~subject_integrity:integrity ~meta ~mode)
-
-let prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode () =
-  match Clearance.detail_of registry principal with
-  | None -> Verdict.Depends
-  | Some detail ->
-    node_verdict ~snapshot ~policy ~detail
-      ~id:(Principal.Db.Snapshot.individual_id snapshot principal)
-      ~principal ~top:(e_max ?static_class detail.Clearance.clearance) ~meta ~mode
-
-let prove_chain ~snapshot ~policy ~detail ~id ~principal ~top ~chain ~mode =
-  let node meta mode = node_verdict ~snapshot ~policy ~detail ~id ~principal ~top ~meta ~mode in
+let prove_chain ~snapshot ~policy range ~chain ~mode =
+  let node meta mode = node_verdict ~snapshot ~policy range ~meta ~mode in
   let rec walk verdict = function
     | [] -> verdict
     | [ target ] -> Verdict.both verdict (node target mode)
@@ -95,6 +48,7 @@ let prove_path ~snapshot ~registry ~policy ?static_class ~principal ~chain ~mode
   | None, [] -> Verdict.Always_allow
   | None, _ :: _ -> Verdict.Depends
   | Some detail, _ ->
-    prove_chain ~snapshot ~policy ~detail
-      ~id:(Principal.Db.Snapshot.individual_id snapshot principal)
-      ~principal ~top:(e_max ?static_class detail.Clearance.clearance) ~chain ~mode
+    prove_chain ~snapshot ~policy (range ?static_class ~detail principal) ~chain ~mode
+
+let prove ~snapshot ~registry ~policy ?static_class ~principal ~meta ~mode () =
+  prove_path ~snapshot ~registry ~policy ?static_class ~principal ~chain:[ meta ] ~mode ()

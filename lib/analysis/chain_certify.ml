@@ -45,12 +45,6 @@ module Visit = Hashtbl.Make (struct
   let hash (n, p, _) = Hashtbl.hash (n, Principal.individual_name p)
 end)
 
-let strict_ancestor a b =
-  let la = String.length a and lb = String.length b in
-  la < lb
-  && String.equal a (String.sub b 0 la)
-  && (String.equal a "/" || b.[la] = '/')
-
 let render_modes modes =
   String.concat "/" (List.map Access_mode.to_string (Access_mode.Set.to_list modes))
 
@@ -182,7 +176,7 @@ let analyze ~db ~registry ~policy ?(objects = []) (g : Callgraph.t) =
       (fun (path, meta) ->
         let is_target = List.mem path reachable_targets in
         let is_interior =
-          List.exists (fun target -> strict_ancestor path target) reachable_targets
+          List.exists (fun target -> Callgraph.strict_ancestor path target) reachable_targets
         in
         if not (is_target || is_interior) then []
         else begin

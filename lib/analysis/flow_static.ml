@@ -2,14 +2,6 @@ open Exsec_core
 
 let class_to_string klass = Format.asprintf "%a" Security_class.pp klass
 
-(* [a] is a strict path ancestor of [b] (both rendered as /-separated
-   names). *)
-let strict_ancestor a b =
-  let la = String.length a and lb = String.length b in
-  la < lb
-  && String.equal a (String.sub b 0 la)
-  && (String.equal a "/" || b.[la] = '/')
-
 let analyze ~db ~registry ~policy ~objects =
   let untrusted =
     List.filter
@@ -80,7 +72,7 @@ let analyze ~db ~registry ~policy ~objects =
       let blocking =
         Array.to_list objects
         |> List.find_opt (fun (ancestor_path, ancestor) ->
-               strict_ancestor ancestor_path path
+               Callgraph.strict_ancestor ancestor_path path
                && everyone <> []
                && List.for_all
                     (fun principal ->

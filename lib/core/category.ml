@@ -25,6 +25,7 @@ let universe_names u = Array.to_list u.category_names
 let universe_size u = Array.length u.category_names
 let empty u = { owner = u; bits = 0 }
 let full u = { owner = u; bits = (1 lsl Array.length u.category_names) - 1 }
+let universe_of set = set.owner
 
 let index_of u name =
   let count = Array.length u.category_names in

@@ -22,6 +22,8 @@ val full : universe -> t
 val of_names : universe -> string list -> t
 (** @raise Invalid_argument on a name outside the universe. *)
 
+val universe_of : t -> universe
+
 val names : t -> string list
 val mem : t -> string -> bool
 val cardinal : t -> int

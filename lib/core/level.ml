@@ -39,6 +39,7 @@ let name level = level.owner.level_names.(Array.length level.owner.level_names -
 let rank level = level.rank
 let top h = { owner = h; rank = Array.length h.level_names - 1 }
 let bottom h = { owner = h; rank = 0 }
+let hierarchy_of level = level.owner
 let same_hierarchy a b = a.owner.id = b.owner.id
 
 let compare a b =

@@ -34,6 +34,8 @@ val top : hierarchy -> t
 val bottom : hierarchy -> t
 (** The lowest-trust level. *)
 
+val hierarchy_of : t -> hierarchy
+
 val same_hierarchy : t -> t -> bool
 
 val compare : t -> t -> int

@@ -16,7 +16,11 @@ type 'a chain =
   | Cons of { name : string; hash : int; entry : 'a; next : 'a chain }
 
 type 'a kind =
-  | Dir of { mutable slots : 'a node chain array; mutable entries : int }
+  | Dir of {
+      mutable slots : 'a node chain array;
+      mutable entries : int;
+      mutable closed : bool;  (* removed: inserts refused *)
+    }
   | Leaf of 'a
 
 and 'a node = {
@@ -55,7 +59,7 @@ let pp_error ppf = function
 
 let tree_ids = Atomic.make 0
 
-let empty_dir slots = Dir { slots = Array.make slots Nil; entries = 0 }
+let empty_dir slots = Dir { slots = Array.make slots Nil; entries = 0; closed = false }
 
 let create ~root_meta () =
   let tree_id = Atomic.fetch_and_add tree_ids 1 in
@@ -183,6 +187,7 @@ let add_child tree parent name ~meta kind_of_path =
   Mutex.protect tree.lock (fun () ->
       match parent.kind with
       | Leaf _ -> Error (Not_a_directory parent.node_path)
+      | Dir { closed = true; _ } -> Error (Not_found parent.node_path)
       | Dir d -> (
         let target = Path.child parent.node_path name in
         match child parent name with
@@ -239,6 +244,7 @@ let remove tree target =
             | { kind = Dir { entries; _ }; _ } when entries > 0 ->
               Error (Directory_not_empty target)
             | victim ->
+              (match victim.kind with Dir removed -> removed.closed <- true | Leaf _ -> ());
               let slots = d.slots and hash = String.hash name in
               let i = hash land (Array.length slots - 1) in
               slots.(i) <- without name hash slots.(i);

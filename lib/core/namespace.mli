@@ -28,7 +28,8 @@ val root : 'a t -> 'a node
 
 val add_dir : 'a t -> Path.t -> meta:Meta.t -> ('a node, error) result
 (** Create an interior node; the parent must already exist and be a
-    directory. *)
+    directory; a parent removed before the insert locks answers
+    [Not_found], as in {!add_dir_at}. *)
 
 val add_leaf : 'a t -> Path.t -> meta:Meta.t -> 'a -> ('a node, error) result
 
@@ -37,7 +38,8 @@ val add_dir_at : 'a t -> 'a node -> string -> meta:Meta.t -> ('a node, error) re
     the already-resolved [parent] node in O(1) — no path re-walk from
     the root.  The bulk-populate primitive: building an n-node tree
     through the path-addressed {!add_dir} costs O(n x depth); through
-    this, O(n).
+    this, O(n).  A [parent] already {!remove}d answers [Not_found] with
+    its path and adds nothing: no insert lands where no walk reaches.
     @raise Invalid_argument if [parent] does not belong to [tree] —
     enforced (nodes carry their owning tree's id), since inserting
     under a foreign node would mutate that tree while corrupting both

@@ -74,40 +74,43 @@ let[@inline] dac_decide_in snapshot ~subject ~(meta : Meta.t) ~mode =
   | Acl_compiled.No_entry -> no_entry
   | Acl_compiled.Denied who -> Decision.Denied (Decision.Dac_explicit_deny who)
 
-(* The whole decision under one policy and one snapshot: DAC, then
-   MAC, then Biba (which applies only when both sides carry integrity
+let[@inline] discretionary snapshot (policy : Policy.t) ~subject ~meta ~mode =
+  if policy.Policy.dac then dac_decide_in snapshot ~subject ~meta ~mode else Decision.Granted
+
+(* MAC, then Biba (which applies only when both sides carry integrity
    labels).  Trusted subjects (the TCB) are exempt from the
    [*]-property and from its Biba mirror, so they may write down; read
-   rules still apply.  Each step answers a [Decision.t] and the first
-   denial ends the evaluation, with no result box, no closure and no
-   span, so a grant allocates nothing (a regression test holds it to
-   zero words). *)
-let[@inline] evaluate_in snapshot (policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
+   rules still apply. *)
+let[@inline] mandatory (policy : Policy.t) ~subject ~(meta : Meta.t) ~mode =
   let exempt = Subject.is_trusted subject && Access_mode.is_write_like mode in
   match
-    if policy.Policy.dac then dac_decide_in snapshot ~subject ~meta ~mode
-    else Decision.Granted
+    if (not policy.Policy.mac) || exempt then Ok ()
+    else
+      Mac.check ~rule:policy.Policy.overwrite ~subject:(Subject.effective_class subject)
+        ~object_:meta.klass mode
   with
+  | Error Mac.Read_up -> read_up
+  | Error Mac.Write_down -> write_down
+  | Error Mac.Blind_overwrite -> blind_overwrite
+  | Ok () -> (
+    match Subject.integrity subject, meta.integrity with
+    | Some subject_integrity, Some object_integrity
+      when policy.Policy.integrity && not exempt -> (
+      match Integrity.check ~subject:subject_integrity ~object_:object_integrity mode with
+      | Ok () -> Decision.Granted
+      | Error Integrity.Read_down -> read_down
+      | Error Integrity.Write_up -> write_up)
+    | (None | Some _), _ -> Decision.Granted)
+
+(* The whole decision under one policy and one snapshot: the
+   discretionary half, then the mandatory one.  Each step answers a
+   [Decision.t] and the first denial ends the evaluation, with no
+   result box, no closure and no span, so a grant allocates nothing (a
+   regression test holds it to zero words). *)
+let[@inline] evaluate_in snapshot policy ~subject ~meta ~mode =
+  match discretionary snapshot policy ~subject ~meta ~mode with
   | Decision.Denied _ as denied -> denied
-  | Decision.Granted -> (
-    match
-      if (not policy.Policy.mac) || exempt then Ok ()
-      else
-        Mac.check ~rule:policy.Policy.overwrite ~subject:(Subject.effective_class subject)
-          ~object_:meta.klass mode
-    with
-    | Error Mac.Read_up -> read_up
-    | Error Mac.Write_down -> write_down
-    | Error Mac.Blind_overwrite -> blind_overwrite
-    | Ok () -> (
-      match Subject.integrity subject, meta.integrity with
-      | Some subject_integrity, Some object_integrity
-        when policy.Policy.integrity && not exempt -> (
-        match Integrity.check ~subject:subject_integrity ~object_:object_integrity mode with
-        | Ok () -> Decision.Granted
-        | Error Integrity.Read_down -> read_down
-        | Error Integrity.Write_up -> write_up)
-      | (None | Some _), _ -> Decision.Granted))
+  | Decision.Granted -> mandatory policy ~subject ~meta ~mode
 
 (* The evaluation inside its instruments.  The counters and the span's
    fields are read off the decision: the MAC layer ran exactly when it
@@ -172,10 +175,7 @@ let check_exn monitor ~subject ~meta ~object_name ~mode =
 
 let check_attach monitor (policy : Policy.t) snapshot ~subject ~parent ~child ~object_name =
   let decision =
-    match
-      if policy.Policy.dac then dac_decide_in snapshot ~subject ~meta:parent ~mode:Access_mode.Write
-      else Decision.Granted
-    with
+    match discretionary snapshot policy ~subject ~meta:parent ~mode:Access_mode.Write with
     | Decision.Denied _ as denied -> denied
     | Decision.Granted ->
       if

@@ -78,6 +78,23 @@ val decide :
     span, the decision annotates it with [mac] (when the MAC layer ran:
     it is on and DAC did not deny) and then the final [decision]. *)
 
+val discretionary :
+  Principal.Db.Snapshot.t ->
+  Policy.t ->
+  subject:Subject.t ->
+  meta:Meta.t ->
+  mode:Access_mode.t ->
+  Decision.t
+(** {!decide}'s first half, bare: the object's compiled ACL under the
+    snapshot, as the policy switches it.  It reads membership, never
+    the subject's class. *)
+
+val mandatory :
+  Policy.t -> subject:Subject.t -> meta:Meta.t -> mode:Access_mode.t -> Decision.t
+(** {!decide}'s second half, bare: MAC, then Biba, each as the policy
+    switches it, with the trusted subject's exemption.  It reads only
+    classes, labels and the trusted bit. *)
+
 val check :
   ?span:Exsec_obs.Trace.handle ->
   t ->

@@ -30,5 +30,7 @@ let top hierarchy universe =
 let bottom hierarchy universe =
   { level = Level.bottom hierarchy; categories = Category.empty universe }
 
+let bottom_of cls = bottom (Level.hierarchy_of cls.level) (Category.universe_of cls.categories)
+
 let pp ppf cls =
   Format.fprintf ppf "%a/%a" Level.pp cls.level Category.pp cls.categories

@@ -34,4 +34,8 @@ val meet : t -> t -> t
 
 val top : Level.hierarchy -> Category.universe -> t
 val bottom : Level.hierarchy -> Category.universe -> t
+
+val bottom_of : t -> t
+(** The bottom of the lattice the class belongs to. *)
+
 val pp : Format.formatter -> t -> unit

@@ -77,16 +77,16 @@ let random_world st =
   in
   db, registry, details, metas
 
+let policies =
+  [|
+    Policy.default;
+    Policy.dac_only;
+    Policy.mac_only;
+    Policy.no_integrity;
+    { Policy.default with Policy.overwrite = Mac.Liberal };
+  |]
+
 let test_differential () =
-  let policies =
-    [|
-      Policy.default;
-      Policy.dac_only;
-      Policy.mac_only;
-      Policy.no_integrity;
-      { Policy.default with Policy.overwrite = Mac.Liberal };
-    |]
-  in
   let probes = ref 0 in
   for seed = 0 to 9 do
     let st = Random.State.make [| seed |] in
@@ -139,6 +139,90 @@ let test_differential () =
       details
   done;
   check "at least 10k probes" true (!probes >= 10_000)
+
+(* {1 A node proof is exact}
+
+   Differential soundness is one-sided, so a prover that always
+   answers Depends passes it.  On the suite's lattice (3 levels x 3
+   categories, 24 classes) a principal's session range [bottom, e_max]
+   can be decided class by class: for every world, policy, principal,
+   ceiling (none or random), object and mode, [prove] must answer
+   Always_allow iff the monitor grants every class in the range,
+   Always_deny iff it denies every one, and Depends otherwise. *)
+
+let all_classes =
+  let subsets =
+    List.fold_right (fun c subsets -> subsets @ List.map (List.cons c) subsets) cat_names [ [] ]
+  in
+  List.concat_map
+    (fun level ->
+      List.map
+        (fun cats ->
+          Security_class.make (Level.of_name_exn hierarchy level) (Category.of_names universe cats))
+        subsets)
+    level_names
+
+let test_node_proof_exact () =
+  check "24 classes" true (List.length all_classes = 24);
+  let probes = ref 0 in
+  for seed = 0 to 9 do
+    let st = Random.State.make [| seed |] in
+    let db, registry, details, metas = random_world st in
+    let snapshot = Principal.Db.snapshot db in
+    Array.iter
+      (fun policy ->
+        let monitor = Reference_monitor.create ~policy db in
+        List.iter
+          (fun (principal, (clearance, integrity, trusted)) ->
+            List.iter
+              (fun static_class ->
+                let e_max =
+                  Option.fold ~none:clearance ~some:(Security_class.meet clearance) static_class
+                in
+                let sessions =
+                  List.filter_map
+                    (fun klass ->
+                      if Security_class.dominates e_max klass then
+                        Some (Subject.make ~trusted ?integrity principal klass)
+                      else None)
+                    all_classes
+                in
+                List.iter
+                  (fun meta ->
+                    List.iter
+                      (fun mode ->
+                        incr probes;
+                        let granted =
+                          List.length
+                            (List.filter
+                               (fun subject ->
+                                 match Reference_monitor.decide monitor ~subject ~meta ~mode with
+                                 | Decision.Granted -> true
+                                 | Decision.Denied _ -> false)
+                               sessions)
+                        in
+                        let expected =
+                          if granted = List.length sessions then Verdict.Always_allow
+                          else if granted = 0 then Verdict.Always_deny
+                          else Verdict.Depends
+                        in
+                        let verdict =
+                          Certify.prove ~snapshot ~registry ~policy ?static_class ~principal ~meta
+                            ~mode ()
+                        in
+                        if not (Verdict.equal verdict expected) then
+                          Alcotest.failf
+                            "seed %d, %s %s on %a: proved %s, the monitor grants %d of %d classes"
+                            seed (Principal.individual_name principal)
+                            (Access_mode.to_string mode) Security_class.pp meta.Meta.klass
+                            (Verdict.to_string verdict) granted (List.length sessions))
+                      Access_mode.all)
+                  metas)
+              [ None; Some (rand_class st) ])
+          details)
+      policies
+  done;
+  Alcotest.(check int) "every probe made" 32_000 !probes
 
 (* {1 A path proof is the fold of its node proofs}
 
@@ -584,6 +668,7 @@ let test_broken_text_reports () =
 let suite =
   [
     Alcotest.test_case "differential soundness (10k+ probes)" `Quick test_differential;
+    Alcotest.test_case "a node proof is exact" `Quick test_node_proof_exact;
     QCheck_alcotest.to_alcotest prop_prove_path_folds;
     Alcotest.test_case "certificate fast path + invalidation" `Quick
       test_certificate_fast_path;

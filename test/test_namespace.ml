@@ -178,6 +178,26 @@ let test_add_at_parent () =
   | Error e -> Alcotest.failf "wrong error: %a" Namespace.pp_error e);
   Alcotest.(check int) "failures uncounted" 3 (Namespace.size ns)
 
+let test_add_under_removed_dir () =
+  (* A node held across its directory's removal: an insert through it
+     would add a child no walk reaches and count it in [size]. *)
+  let ns = make () in
+  let a = ok "a" (Namespace.add_dir_at ns (Namespace.root ns) "a" ~meta:(meta ())) in
+  let () = ok "rm a" (Namespace.remove ns (Path.of_string "/a")) in
+  (match Namespace.add_leaf_at ns a "x" ~meta:(meta ()) 1 with
+  | Error (Namespace.Not_found path) ->
+    check "names the removed parent" true (Path.equal path (Path.of_string "/a"))
+  | Ok _ -> Alcotest.fail "insert under a removed directory accepted"
+  | Error e -> Alcotest.failf "wrong error: %a" Namespace.pp_error e);
+  Alcotest.(check int) "nothing counted" 1 (Namespace.size ns);
+  Alcotest.(check int) "size is the fold" (Namespace.fold ns ~init:0 ~f:(fun n _ -> n + 1))
+    (Namespace.size ns);
+  check "not reachable" false (Namespace.mem ns (Path.of_string "/a/x"));
+  (* A directory made again under the old name is a new, open one. *)
+  let _ = ok "a again" (Namespace.add_dir ns (Path.of_string "/a") ~meta:(meta ())) in
+  let _ = ok "x" (Namespace.add_leaf ns (Path.of_string "/a/x") ~meta:(meta ()) 1) in
+  check "reachable under the new /a" true (Namespace.mem ns (Path.of_string "/a/x"))
+
 let test_add_at_foreign_parent () =
   (* A parent resolved from a DIFFERENT tree is rejected outright:
      accepting it would mutate the other tree's structure while
@@ -369,6 +389,8 @@ let suite =
     Alcotest.test_case "size counter tracks the fold" `Quick test_counter_size;
     Alcotest.test_case "insert under a resolved parent" `Quick test_add_at_parent;
     Alcotest.test_case "foreign parent rejected" `Quick test_add_at_foreign_parent;
+    Alcotest.test_case "an insert under a removed directory is refused" `Quick
+      test_add_under_removed_dir;
     Alcotest.test_case "find root" `Quick test_find_root;
     Alcotest.test_case "missing parent" `Quick test_missing_parent;
     Alcotest.test_case "duplicate" `Quick test_duplicate;

@@ -791,6 +791,41 @@ let test_concurrent_inserts () =
   Alcotest.(check (list string)) "names lost" [] lost;
   Alcotest.(check int) "size" 40_002 (Namespace.size ns)
 
+(* One domain makes and removes [/d] while another inserts and
+   removes [/d/x] by path.  The insert's walk to [/d] takes no lock, so
+   a removal of [/d] can land between that walk and the locked insert;
+   an insert that went ahead there would add a child no walk reaches
+   and count it, and [size] would drift above the fold.  Removal
+   closes the directory under the lock, so after the joins [size] is
+   the fold's count.  The race needs 2 cores to show. *)
+
+let test_insert_beside_directory_removal () =
+  let meta = open_meta () in
+  let ns = Namespace.create ~root_meta:meta () in
+  let d = Path.of_string "/d" and x = Path.of_string "/d/x" in
+  let ready = Atomic.make 0 in
+  let loop step () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    for _ = 1 to 200_000 do
+      step ()
+    done
+  in
+  let churn_dir () =
+    ignore (Namespace.add_dir ns d ~meta);
+    ignore (Namespace.remove ns d)
+  in
+  let churn_leaf () =
+    ignore (Namespace.add_leaf ns x ~meta ());
+    ignore (Namespace.remove ns x)
+  in
+  List.iter Domain.join [ Domain.spawn (loop churn_dir); Domain.spawn (loop churn_leaf) ];
+  Alcotest.(check int) "size is the fold"
+    (Namespace.fold ns ~init:0 ~f:(fun n _ -> n + 1))
+    (Namespace.size ns)
+
 (* {1 Atomic identity allocation} *)
 
 let test_fresh_ids_unique_across_domains () =
@@ -944,4 +979,6 @@ let suite =
       test_walk_beside_growing_directory;
     Alcotest.test_case "concurrent inserts into one directory lose no name" `Quick
       test_concurrent_inserts;
+    Alcotest.test_case "an insert beside its directory's removal counts what it adds" `Quick
+      test_insert_beside_directory_removal;
   ]
