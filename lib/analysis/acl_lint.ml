@@ -20,16 +20,12 @@ let mem_individual db ind =
 
 let mem_group db grp = List.exists (Principal.equal_group grp) (Principal.Db.groups db)
 
-(* The individuals an entry can match: who it speaks for, restricted
-   to the registry (the analyzer's proof domain). *)
-let matching_principals db registry (who : Acl.who) =
-  let registered = Clearance.registered registry in
+(* Whether an entry for [who] speaks for the individual. *)
+let matches db (who : Acl.who) principal =
   match who with
-  | Acl.Individual ind ->
-    List.filter (Principal.equal_individual ind) registered
-  | Acl.Group grp ->
-    List.filter (fun ind -> Principal.Db.is_member db ind grp) registered
-  | Acl.Everyone -> registered
+  | Acl.Individual ind -> Principal.equal_individual ind principal
+  | Acl.Group grp -> Principal.Db.is_member db principal grp
+  | Acl.Everyone -> true
 
 (* A closed-world probe subject no entry can name: detects outcome
    changes for principals outside the database. *)
@@ -142,30 +138,40 @@ let lint_object ~db ?registry ~policy ~path meta =
                   (who_to_string entry.Acl.who)))))
     entries;
   (* Dead grants: discretionary authority the mandatory layers refuse
-     for every session of every matching registered principal. *)
+     for every session of every matching registered principal (the
+     analyzer's proof domain), each over one session range per
+     registered principal. *)
   (match registry with
   | None -> ()
   | Some registry ->
     let snapshot = Principal.Db.snapshot db in
+    let sessions =
+      List.filter_map
+        (fun principal ->
+          Option.map
+            (fun detail -> principal, Certify.range ~detail principal)
+            (Clearance.detail_of registry principal))
+        (Clearance.registered registry)
+    in
     Array.iteri
       (fun i (entry : Acl.entry) ->
         if entry.Acl.sign = Acl.Allow && not flagged.(i) then (
-          let holders = matching_principals db registry entry.Acl.who in
           let grants =
             List.concat_map
-              (fun principal ->
-                List.filter_map
-                  (fun mode ->
-                    match Acl.check ~db ~subject:principal ~mode acl with
-                    | Acl.Granted who when equal_who who entry.Acl.who ->
-                      Some (principal, mode)
-                    | Acl.Granted _ | Acl.Denied_by _ | Acl.No_entry -> None)
-                  (Access_mode.Set.to_list entry.Acl.modes))
-              holders
+              (fun (principal, range) ->
+                if not (matches db entry.Acl.who principal) then []
+                else
+                  List.filter_map
+                    (fun mode ->
+                      match Acl.check ~db ~subject:principal ~mode acl with
+                      | Acl.Granted who when equal_who who entry.Acl.who -> Some (range, mode)
+                      | Acl.Granted _ | Acl.Denied_by _ | Acl.No_entry -> None)
+                    (Access_mode.Set.to_list entry.Acl.modes))
+              sessions
           in
-          let dead (principal, mode) =
+          let dead (range, mode) =
             Verdict.equal
-              (Certify.prove ~snapshot ~registry ~policy ~principal ~meta ~mode ())
+              (Certify.prove_chain ~snapshot ~policy range ~chain:[ meta ] ~mode)
               Verdict.Always_deny
           in
           if grants <> [] && List.for_all dead grants then

@@ -3,40 +3,48 @@ open Exsec_core
 let class_to_string klass = Format.asprintf "%a" Security_class.pp klass
 
 let analyze ~db ~registry ~policy ~objects =
-  let untrusted =
-    List.filter
+  let snapshot = Principal.Db.snapshot db in
+  (* One session range per registered principal, and each node proved
+     once per principal and mode: the pair loop and the unreachable
+     pass read the tables below. *)
+  let sessions =
+    List.filter_map
       (fun principal ->
-        match Clearance.detail_of registry principal with
-        | Some detail -> not detail.Clearance.trusted
-        | None -> false)
+        Option.map
+          (fun (detail : Clearance.detail) -> detail.trusted, Certify.range ~detail principal)
+          (Clearance.detail_of registry principal))
       (Clearance.registered registry)
   in
-  let everyone = Clearance.registered registry in
-  let snapshot = Principal.Db.snapshot db in
-  let prove principal meta mode =
-    Certify.prove ~snapshot ~registry ~policy ~principal ~meta ~mode ()
-  in
-  let may principal meta mode =
-    not (Verdict.equal (prove principal meta mode) Verdict.Always_deny)
-  in
-  let may_read principal meta = may principal meta Access_mode.Read in
-  let may_write principal meta =
-    may principal meta Access_mode.Write || may principal meta Access_mode.Write_append
+  let may range meta mode =
+    not
+      (Verdict.equal
+         (Certify.prove_chain ~snapshot ~policy range ~chain:[ meta ] ~mode)
+         Verdict.Always_deny)
   in
   let objects = Array.of_list objects in
   let n = Array.length objects in
+  (* Per untrusted principal: which objects it may read, and which it
+     may write. *)
+  let access =
+    List.filter_map
+      (fun (trusted, range) ->
+        if trusted then None
+        else
+          Some
+            ( Array.map (fun (_, meta) -> may range meta Access_mode.Read) objects,
+              Array.map
+                (fun (_, meta) ->
+                  may range meta Access_mode.Write || may range meta Access_mode.Write_append)
+                objects ))
+      sessions
+  in
   (* Direct edges: some untrusted principal may read the source and
      may write the sink (possibly in different sessions). *)
   let reach = Array.make_matrix n n false in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j then (
-        let _, source = objects.(i) in
-        let _, sink = objects.(j) in
-        reach.(i).(j) <-
-          List.exists
-            (fun principal -> may_read principal source && may_write principal sink)
-            untrusted)
+      if i <> j then
+        reach.(i).(j) <- List.exists (fun (reads, writes) -> reads.(i) && writes.(j)) access
     done
   done;
   (* Transitive closure (Floyd-Warshall). *)
@@ -66,23 +74,25 @@ let analyze ~db ~registry ~policy ~objects =
   done;
   (* Unreachable objects: a declared strict ancestor that refuses List
      to every registered principal in every session. *)
+  let unlistable =
+    Array.map
+      (fun (_, meta) ->
+        sessions <> []
+        && List.for_all (fun (_, range) -> not (may range meta Access_mode.List)) sessions)
+      objects
+  in
   let unreachable = ref [] in
   Array.iter
     (fun (path, _) ->
-      let blocking =
-        Array.to_list objects
-        |> List.find_opt (fun (ancestor_path, ancestor) ->
-               Callgraph.strict_ancestor ancestor_path path
-               && everyone <> []
-               && List.for_all
-                    (fun principal ->
-                      Verdict.equal
-                        (prove principal ancestor Access_mode.List)
-                        Verdict.Always_deny)
-                    everyone)
+      let rec blocking k =
+        if k = n then None
+        else
+          let ancestor_path, _ = objects.(k) in
+          if unlistable.(k) && Callgraph.strict_ancestor ancestor_path path then Some ancestor_path
+          else blocking (k + 1)
       in
-      match blocking with
-      | Some (ancestor_path, _) ->
+      match blocking 0 with
+      | Some ancestor_path ->
         unreachable :=
           Finding.make Finding.Warning Finding.Unreachable_object ~path
             (Printf.sprintf

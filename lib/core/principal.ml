@@ -28,11 +28,11 @@ type member =
 
 module Db = struct
   (* Registration is append-only: an individual or group gets the next
-     dense id of its kind when it is registered, and keeps it.
-     Membership is kept twice over those ids, each copy the other's
-     reverse: a group's slot lists the ids of its direct members, and
-     every individual and every group lists the ids of the groups that
-     directly contain it.
+     dense id of its kind when it is registered, and keeps it.  Each
+     kind has one name table (see [names]).  Membership is kept twice
+     over those ids, each copy the other's reverse: a group's slot lists
+     the ids of its direct members, and every individual and every group
+     lists the ids of the groups that directly contain it.
 
      A snapshot is a frozen, generation-stamped view of membership over
      those ids, used by the compiled decision path (see Acl_compiled):
@@ -58,13 +58,82 @@ module Db = struct
      Every effective edit names the individuals whose rows it can
      change, and a publication recomputes exactly the rows named since
      the published snapshot (see [build]): cost scales with the edit,
-     not the population.  The first publication recomputes every
-     row. *)
+     not the population.  The first publication computes every row,
+     each group's closure once. *)
+
+  (* A name table: the names of one kind by id, in registration order,
+     and an open-addressed index over them.  An index slot is [-1] or
+     [id lsl hash_bits lor hash], the name's 30-bit [String.hash], so a
+     probe compares the stored hash before it reads the name, and keeps
+     no copy of the name.  [index] is twice [by_id]'s length, a power of
+     two: at most half full, so every probe meets an empty slot.  Both
+     arrays are replaced whole when they grow; a probe loads each once
+     and indexes only those, so one racing a registration can at worst
+     miss a name. *)
+  type names = {
+    mutable by_id : string array;
+    mutable index : int array;
+    mutable count : int;  (* ids [0] to [count - 1] are registered *)
+  }
+
+  let hash_bits = 30
+  let hash_mask = (1 lsl hash_bits) - 1
+  let hash name = String.hash name land hash_mask
+
+  let empty_names () = { by_id = Array.make 16 ""; index = Array.make 32 (-1); count = 0 }
+
+  (* The id [name] hashing to [h] has in the loaded arrays, probing
+     from slot [j], or [-1].  A hit needs [by_id] to hold [name] at the
+     id, so a stale load misses rather than answers a wrong id.
+     Top-level, so a probe allocates no closure. *)
+  let rec probe index (by_id : string array) name h j =
+    let e = Array.unsafe_get index j in
+    if e < 0 then -1
+    else
+      let id = e lsr hash_bits in
+      if
+        e land hash_mask = h
+        && id < Array.length by_id
+        && String.equal (Array.unsafe_get by_id id) name
+      then id
+      else probe index by_id name h ((j + 1) land (Array.length index - 1))
+
+  let search t name h =
+    let index = t.index in
+    probe index t.by_id name h (h land (Array.length index - 1))
+
+  let find t name = search t name (hash name)
+
+  let rec free_slot index mask j =
+    if index.(j) < 0 then j else free_slot index mask ((j + 1) land mask)
+
+  let insert index entry h =
+    let mask = Array.length index - 1 in
+    index.(free_slot index mask (h land mask)) <- entry
+
+  (* Register [name], hashing to [h] and absent, under the next id.
+     The name lands before its index entry, and a grown table is
+     filled before it is stored. *)
+  let add t name h =
+    let id = t.count in
+    if id = Array.length t.by_id then begin
+      let by_id = Array.make (2 * id) "" in
+      Array.blit t.by_id 0 by_id 0 id;
+      let index = Array.make (4 * id) (-1) in
+      Array.iter (fun e -> if e >= 0 then insert index e (e land hash_mask)) t.index;
+      t.by_id <- by_id;
+      t.index <- index
+    end;
+    t.by_id.(id) <- name;
+    insert t.index ((id lsl hash_bits) lor h) h;
+    t.count <- id + 1;
+    id
+
+  let sorted_names t = Array.to_list (Array.sub t.by_id 0 t.count) |> List.sort String.compare
 
   (* A registered group; its id is its index in [groups].  Each list
      is immutable, swapped whole. *)
   type slot = {
-    name : group;
     mutable inds : int list;  (* ids of the direct individual members *)
     mutable subgroups : int list;  (* ids of the direct member groups *)
     mutable parents : int list;  (* ids of the groups that directly contain this one *)
@@ -72,8 +141,8 @@ module Db = struct
 
   type snapshot = {
     snap_generation : int;
-    ind_ids : (string, int) Hashtbl.t;  (* the database's, shared *)
-    group_ids : (string, int) Hashtbl.t;  (* likewise *)
+    ind_ids : names;  (* the database's, shared *)
+    group_ids : names;  (* likewise *)
     id_count : int;  (* individuals registered when built *)
     group_count : int;  (* groups registered when built *)
     top : int array array array array;
@@ -88,9 +157,8 @@ module Db = struct
   let block_bits = 2 * chunk_bits
 
   type t = {
-    ind_ids : (string, int) Hashtbl.t;  (* individual name -> id *)
-    group_ids : (string, int) Hashtbl.t;  (* group name -> id *)
-    mutable names : individual array;  (* by individual id; grown by doubling *)
+    ind_ids : names;  (* individual names, by id *)
+    group_ids : names;  (* group names, by id *)
     mutable direct : int list array;
         (* by individual id: the ids of the groups it directly belongs
            to; grown by doubling *)
@@ -107,18 +175,17 @@ module Db = struct
 
   (* Fills the unused tail of [groups]; never registered, never
      written. *)
-  let vacant = { name = ""; inds = []; subgroups = []; parents = [] }
+  let vacant = { inds = []; subgroups = []; parents = [] }
 
   (* A snapshot with no rows: every id reads as a member of nothing. *)
   let rowless ind_ids group_ids generation =
     { snap_generation = generation; ind_ids; group_ids; id_count = 0; group_count = 0; top = [||] }
 
   let create () =
-    let ind_ids = Hashtbl.create 16 and group_ids = Hashtbl.create 16 in
+    let ind_ids = empty_names () and group_ids = empty_names () in
     {
       ind_ids;
       group_ids;
-      names = Array.make 16 "";
       direct = Array.make 16 [];
       groups = Array.make 16 vacant;
       published = Atomic.make (rowless ind_ids group_ids 0);
@@ -144,29 +211,28 @@ module Db = struct
      indexes grow before the name lands, so a reader that finds the id
      finds its entries. *)
   let register_individual db ind =
-    match Hashtbl.find_opt db.ind_ids ind with
-    | Some id -> id
-    | None ->
-      let id = Hashtbl.length db.ind_ids in
-      db.names <- room db.names id "";
-      db.direct <- room db.direct id [];
-      db.names.(id) <- ind;
-      Hashtbl.add db.ind_ids ind id;
-      id
+    let h = hash ind in
+    let id = search db.ind_ids ind h in
+    if id >= 0 then id
+    else begin
+      db.direct <- room db.direct db.ind_ids.count [];
+      add db.ind_ids ind h
+    end
 
   let add_individual db ind = ignore (register_individual db ind)
 
   (* The group's id, registering it first if need be.  The slot lands
      before the name, so a reader that finds the id finds the slot. *)
   let register_group db grp =
-    match Hashtbl.find_opt db.group_ids grp with
-    | Some id -> id
-    | None ->
-      let id = Hashtbl.length db.group_ids in
+    let h = hash grp in
+    let id = search db.group_ids grp h in
+    if id >= 0 then id
+    else begin
+      let id = db.group_ids.count in
       db.groups <- room db.groups id vacant;
-      db.groups.(id) <- { name = grp; inds = []; subgroups = []; parents = [] };
-      Hashtbl.add db.group_ids grp id;
-      id
+      db.groups.(id) <- { inds = []; subgroups = []; parents = [] };
+      add db.group_ids grp h
+    end
 
   let add_group db grp = ignore (register_group db grp)
 
@@ -200,24 +266,85 @@ module Db = struct
       Array.sort Int.compare row;
       row
 
+  (* Whether rows [a] and [b], of one length, agree from [k] on.
+     Top-level, so a comparison allocates no closure. *)
+  let rec agree_from (a : int array) (b : int array) k =
+    k = Array.length a || (Array.unsafe_get a k = Array.unsafe_get b k && agree_from a b (k + 1))
+
+  let rows_equal (a : int array) (b : int array) =
+    a == b || (Array.length a = Array.length b && agree_from a b 0)
+
+  (* The sorted union of two sorted rows: one of them itself when it
+     holds the other, else a fresh array. *)
+  let union (a : int array) (b : int array) =
+    let la = Array.length a and lb = Array.length b in
+    let rec count i j n =
+      if i = la then n + lb - j
+      else if j = lb then n + la - i
+      else
+        let x = a.(i) and y = b.(j) in
+        if x < y then count (i + 1) j (n + 1)
+        else if y < x then count i (j + 1) (n + 1)
+        else count (i + 1) (j + 1) (n + 1)
+    in
+    let n = count 0 0 0 in
+    if n = la then a
+    else if n = lb then b
+    else begin
+      let row = Array.make n 0 in
+      let rec fill i j k =
+        if i = la then Array.blit b j row k (lb - j)
+        else if j = lb then Array.blit a i row k (la - i)
+        else
+          let x = a.(i) and y = b.(j) in
+          if x <= y then begin
+            row.(k) <- x;
+            fill (i + 1) (if x = y then j + 1 else j) (k + 1)
+          end
+          else begin
+            row.(k) <- y;
+            fill i (j + 1) (k + 1)
+          end
+      in
+      fill 0 0 0;
+      row
+    end
+
+  (* The full build's rows.  A group's closure, itself and every group
+     above it, is computed once, when an individual first names the
+     group as a direct group, and that very array is the row of every
+     individual whose only direct group it is; any other row is the
+     union of its direct groups' closures.  The memo is one slot per
+     group, so only a full build keeps one. *)
+  let full_rows slots ~group_count =
+    let closures = Array.make group_count [||] in
+    let closure g =
+      let known = closures.(g) in
+      if Array.length known > 0 then known
+      else begin
+        let row = upward slots ~group_count [ g ] in
+        closures.(g) <- row;
+        row
+      end
+    in
+    List.fold_left (fun row g -> if g < group_count then union row (closure g) else row) [||]
+
   (* The snapshot after [prev], in proportion to the change: each id in
      [named] is recomputed, and replaces the old row only when its
      content differs, in a copy of its chunk and of its chunk's block
      (one copy of each per build: the ids are visited in ascending
      order).  Every other row, chunk and block is shared with [prev].
-     A [prev] with no rows is patched nowhere: the build recomputes
-     every row and [named] is not read. *)
+     A [prev] with no rows is patched nowhere: the build computes every
+     row with [full_rows] and [named] is not read. *)
   let build db ~generation ~prev named =
-    let id_count = Hashtbl.length db.ind_ids in
-    let group_count = Hashtbl.length db.group_ids in
+    let id_count = db.ind_ids.count and group_count = db.group_ids.count in
     let slots = db.groups and direct = db.direct in
     let top = Array.make ((id_count + (1 lsl block_bits) - 1) lsr block_bits) empty_block in
     Array.blit prev.top 0 top 0 (Array.length prev.top);
     let copied_block = ref (-1) and copied_chunk = ref (-1) in
-    let refresh i =
+    let store i row =
       let b = i lsr block_bits and c = (i lsr chunk_bits) land chunk_mask in
-      let row = upward slots ~group_count direct.(i) in
-      if row <> top.(b).(c).(i land chunk_mask) then begin
+      if not (rows_equal row top.(b).(c).(i land chunk_mask)) then begin
         (* Copy-on-write: nothing [prev] holds is written. *)
         if !copied_block <> b then begin
           top.(b) <- Array.copy top.(b);
@@ -230,14 +357,19 @@ module Db = struct
         top.(b).(c).(i land chunk_mask) <- row
       end
     in
-    if prev.id_count = 0 then
+    if prev.id_count = 0 then begin
+      let row = full_rows slots ~group_count in
       for i = 0 to id_count - 1 do
-        refresh i
+        store i (row direct.(i))
       done
+    end
     else begin
       let ids = Array.of_list named in
       Array.sort Int.compare ids;
-      Array.iteri (fun k i -> if k = 0 || ids.(k - 1) <> i then refresh i) ids
+      Array.iteri
+        (fun k i ->
+          if k = 0 || ids.(k - 1) <> i then store i (upward slots ~group_count direct.(i)))
+        ids
     end;
     { snap_generation = generation; ind_ids = db.ind_ids; group_ids = db.group_ids; id_count;
       group_count; top }
@@ -304,9 +436,8 @@ module Db = struct
   let reaches db grp target =
     equal_group grp target
     ||
-    match Hashtbl.find_opt db.group_ids grp, Hashtbl.find_opt db.group_ids target with
-    | Some g, Some t -> has t (descendants db g)
-    | _ -> false
+    let g = find db.group_ids grp and t = find db.group_ids target in
+    g >= 0 && t >= 0 && has t (descendants db g)
 
   (* Validate first, mutate only on success: a rejected insertion must
      leave the database — registered groups, member lists and the
@@ -338,66 +469,59 @@ module Db = struct
             below db c)
 
   let remove_member db grp member =
-    match Hashtbl.find_opt db.group_ids grp with
-    | None -> ()
-    | Some g -> (
+    let g = find db.group_ids grp in
+    if g >= 0 then begin
       let slot = db.groups.(g) in
       match member with
-      | Ind ind -> (
-        match Hashtbl.find_opt db.ind_ids ind with
-        | Some i when has g db.direct.(i) ->
+      | Ind ind ->
+        let i = find db.ind_ids ind in
+        if i >= 0 && has g db.direct.(i) then
           edit db (fun () ->
               slot.inds <- drop i slot.inds;
               db.direct.(i) <- drop g db.direct.(i);
               [ i ])
-        | Some _ | None -> ())
-      | Grp nested -> (
-        match Hashtbl.find_opt db.group_ids nested with
-        | Some c when has g db.groups.(c).parents ->
+      | Grp nested ->
+        let c = find db.group_ids nested in
+        if c >= 0 && has g db.groups.(c).parents then
           edit db (fun () ->
               let child = db.groups.(c) in
               slot.subgroups <- drop c slot.subgroups;
               child.parents <- drop g child.parents;
               below db c)
-        | Some _ | None -> ()))
-
-  let sorted_names table =
-    Hashtbl.fold (fun name _ acc -> name :: acc) table [] |> List.sort String.compare
+    end
 
   let individuals db = sorted_names db.ind_ids
-  let mem_individual db ind = Hashtbl.mem db.ind_ids ind
-  let individual_count db = Hashtbl.length db.ind_ids
+  let mem_individual db ind = find db.ind_ids ind >= 0
+  let individual_count db = db.ind_ids.count
   let groups db = sorted_names db.group_ids
 
-  let group_names db ids = List.map (fun g -> db.groups.(g).name) ids |> List.sort String.compare
+  let group_names db ids =
+    List.map (fun g -> db.group_ids.by_id.(g)) ids |> List.sort String.compare
 
   let direct_members db grp =
-    match Hashtbl.find_opt db.group_ids grp with
-    | None -> []
-    | Some g ->
+    let g = find db.group_ids grp in
+    if g < 0 then []
+    else
       let slot = db.groups.(g) in
-      List.map (fun c -> Grp db.groups.(c).name) slot.subgroups
-      @ List.map (fun i -> Ind db.names.(i)) slot.inds
+      List.map (fun c -> Grp db.group_ids.by_id.(c)) slot.subgroups
+      @ List.map (fun i -> Ind db.ind_ids.by_id.(i)) slot.inds
 
   let direct_groups db member =
     group_names db
       (match member with
-      | Ind ind -> (
-        match Hashtbl.find_opt db.ind_ids ind with
-        | Some i -> db.direct.(i)
-        | None -> [])
-      | Grp grp -> (
-        match Hashtbl.find_opt db.group_ids grp with
-        | Some g -> db.groups.(g).parents
-        | None -> []))
+      | Ind ind ->
+        let i = find db.ind_ids ind in
+        if i < 0 then [] else db.direct.(i)
+      | Grp grp ->
+        let g = find db.group_ids grp in
+        if g < 0 then [] else db.groups.(g).parents)
 
   (* Transitive membership over the live member lists, downward from
      the group: the reference semantics the snapshot rows, computed
      upward through the other index, are held to. *)
   let is_member db ind grp =
-    match Hashtbl.find_opt db.ind_ids ind, Hashtbl.find_opt db.group_ids grp with
-    | Some i, Some g -> List.exists (fun g -> has i db.groups.(g).inds) (descendants db g)
-    | _ -> false
+    let i = find db.ind_ids ind and g = find db.group_ids grp in
+    i >= 0 && g >= 0 && List.exists (fun g -> has i db.groups.(g).inds) (descendants db g)
 
   (* Sorted binary probe of an individual's group row.  Top-level so
      the snapshot membership test allocates nothing; typed [int] so
@@ -419,16 +543,13 @@ module Db = struct
     let generation snap = snap.snap_generation
     let individual_count snap = snap.id_count
     let group_count snap = snap.group_count
-    let registered_individuals (snap : t) = Hashtbl.length snap.ind_ids
+    let registered_individuals (snap : t) = snap.ind_ids.count
 
-    (* Allocation-free id lookup (raising a constant exception instead
-       of building an option).  Ids never change, so the answer is the
-       same in every snapshot of the database. *)
-    let individual_id (snap : t) ind =
-      try Hashtbl.find snap.ind_ids ind with Not_found -> -1
-
-    let group_id (snap : t) grp =
-      try Hashtbl.find snap.group_ids grp with Not_found -> -1
+    (* Allocation-free id lookup: a miss answers [-1].  Ids never
+       change, so the answer is the same in every snapshot of the
+       database. *)
+    let individual_id (snap : t) ind = find snap.ind_ids ind
+    let group_id (snap : t) grp = find snap.group_ids grp
 
     (* [[||]] is the one empty-array atom, so an id the snapshot reads
        as unregistered allocates nothing. *)

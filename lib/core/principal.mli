@@ -46,8 +46,12 @@ type member =
     readers load that slot.  Registering {e new} groups or individuals
     grows the name -> id tables and the id indexes in place and must
     happen before readers run in other domains (setup-time, or
-    externally synchronized).  Writers are externally serialized.  See
-    the "Concurrency model" section of DESIGN.md. *)
+    externally synchronized).  Outside that contract the damage is
+    bounded: a name lookup loads each array of its table once and
+    indexes only those, so one racing a registration can miss a name
+    but never answers a wrong id or reads out of bounds.  Writers
+    are externally serialized.  See the "Concurrency model" section of
+    DESIGN.md. *)
 module Db : sig
   type t
 
@@ -183,8 +187,11 @@ module Db : sig
       only appends: the next publication counts it, every existing row
       shared.  So publication cost scales with the edit, registrations
       included, not the population or the group count.  The first
-      publication, from a snapshot with no rows, recomputes every
-      row. *)
+      publication, from a snapshot with no rows, computes every row,
+      each group's closure (the group and every group above it) once:
+      an individual whose only direct group is [g] gets [g]'s closure
+      itself as its row, so many individuals may share one row
+      array. *)
   module Snapshot : sig
     type t
 
@@ -220,11 +227,13 @@ module Db : sig
         shares every other, so an individual's row stays [==] across
         every publication, registrations included, that does not move
         its membership.  Since rows are immutable, [==] implies equal
-        content; the converse need not hold, except for the empty row:
-        every row that empties is the one shared empty array, so an
-        individual that leaves its last group, joins one and leaves it
-        again gets back a row [==] to the one it had after the first
-        leave. *)
+        content, whether the two rows are one individual's or two
+        individuals' (a full build shares a group's closure array
+        between individuals); the converse need not hold, except for
+        the empty row: every row that empties is the one shared empty
+        array, so an individual that leaves its last group, joins one
+        and leaves it again gets back a row [==] to the one it had
+        after the first leave. *)
 
     val individual_id : t -> individual -> int
     (** The individual's fixed id, or [-1] when it has never been

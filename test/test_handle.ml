@@ -215,17 +215,21 @@ let audit_total kernel = Audit.total (Reference_monitor.audit (Kernel.monitor ke
 let audit_denied kernel = Audit.denied_total (Reference_monitor.audit (Kernel.monitor kernel))
 
 (* admin, alice, bob and carol registered, [group] registered with the
-   named [members]; /svc/team carries [acl group]; alice calls. *)
-let group_fixture ~group ~members acl =
+   named [members] (one edit each, or one [batched] import);
+   /svc/team carries [acl group]; alice calls. *)
+let group_fixture ?(batched = false) ~group ~members acl =
   let db = Principal.Db.create () in
   let admin = Principal.individual "admin" in
   let alice = Principal.individual "alice" in
-  List.iter (Principal.Db.add_individual db)
-    [ admin; alice; Principal.individual "bob"; Principal.individual "carol" ];
-  Principal.Db.add_group db group;
-  List.iter
-    (fun name -> Principal.Db.add_member db group (Principal.Ind (Principal.individual name)))
-    members;
+  let import () =
+    List.iter (Principal.Db.add_individual db)
+      [ admin; alice; Principal.individual "bob"; Principal.individual "carol" ];
+    Principal.Db.add_group db group;
+    List.iter
+      (fun name -> Principal.Db.add_member db group (Principal.Ind (Principal.individual name)))
+      members
+  in
+  if batched then Principal.Db.batch db import else import ();
   let hierarchy = Level.hierarchy [ "hi"; "lo" ] in
   let universe = Category.universe [] in
   let kernel = Kernel.boot ~db ~admin ~hierarchy ~universe () in
@@ -270,6 +274,57 @@ let test_unrelated_edit_keeps_grant () =
       check "still granted" true (Kernel.call_handle kernel h [] = Ok (Value.int 1));
       Alcotest.(check int) "no re-mint" reminted0 (reminted ());
       Alcotest.(check int) "no audited decision" audit0 (audit_total kernel))
+
+(* A batched import builds each group's closure once and gives it, the
+   very array, to every individual whose only direct group it is.  A
+   grant keys on its own subject's row, so a third member joining
+   keeps both grants, and nesting the team moves both rows and
+   re-checks both handles once each. *)
+let test_shared_row_keeps_grants () =
+  let was = Exsec_obs.Metrics.enabled () in
+  Exsec_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Exsec_obs.Metrics.set_enabled was) (fun () ->
+      let team = Principal.group "team" in
+      let db, kernel, path, alice =
+        group_fixture ~batched:true ~group:team ~members:[ "alice"; "bob" ] group_only
+      in
+      let bob = Subject.make (Principal.individual "bob") (Subject.clearance alice) in
+      let row subject =
+        let snap = Principal.Db.snapshot db in
+        Principal.Db.Snapshot.row snap ~individual_id:(Subject.individual_id subject snap)
+      in
+      check "one row for both members" true (row alice == row bob);
+      let h_alice = open_exn kernel ~subject:alice ~caller:"t" path in
+      let h_bob = open_exn kernel ~subject:bob ~caller:"t" path in
+      let both_serve () =
+        Kernel.call_handle kernel h_alice [] = Ok (Value.int 1)
+        && Kernel.call_handle kernel h_bob [] = Ok (Value.int 1)
+      in
+      check "both granted" true (both_serve ());
+      let reminted0 = reminted () and audit0 = audit_total kernel in
+      Principal.Db.add_member db team (Principal.Ind (Principal.individual "carol"));
+      check "both still granted" true (both_serve ());
+      Alcotest.(check int) "a third member re-mints nothing" reminted0 (reminted ());
+      Alcotest.(check int) "a third member audits nothing" audit0 (audit_total kernel);
+      check "the two still share their row" true (row alice == row bob);
+      Principal.Db.add_member db (Principal.group "dept") (Principal.Grp team);
+      check "granted after the nesting" true (both_serve ());
+      Alcotest.(check int) "the nesting re-checks both handles" (reminted0 + 2) (reminted ());
+      check "through the audited path" true (audit_total kernel > audit0);
+      let snap = Principal.Db.snapshot db in
+      List.iter
+        (fun ind ->
+          List.iter
+            (fun grp ->
+              check
+                (Printf.sprintf "row of %s says %s as the live walk does"
+                   (Principal.individual_name ind) (Principal.group_name grp))
+                (Principal.Db.is_member db ind grp)
+                (Principal.Db.Snapshot.is_member snap
+                   ~individual_id:(Principal.Db.Snapshot.individual_id snap ind)
+                   ~group_id:(Principal.Db.Snapshot.group_id snap grp)))
+            (Principal.Db.groups db))
+        (Principal.Db.individuals db))
 
 let test_call_handle_after_edit_allocates_nothing () =
   let staff = Principal.group "staff" in
@@ -466,6 +521,8 @@ let suite =
     Alcotest.test_case "call_handle allocates nothing" `Quick
       test_call_handle_allocates_nothing;
     Alcotest.test_case "unrelated edit keeps the grant" `Quick test_unrelated_edit_keeps_grant;
+    Alcotest.test_case "members sharing a row keep their grants" `Quick
+      test_shared_row_keeps_grants;
     Alcotest.test_case "call_handle after an edit allocates nothing" `Quick
       test_call_handle_after_edit_allocates_nothing;
     Alcotest.test_case "subject joining a deny group is denied" `Quick
