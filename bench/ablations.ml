@@ -579,9 +579,10 @@ let a10 () =
   Format.printf
     "expected shape: the handle skips resolution, hashing and the monitor — one@.";
   Format.printf
-    "slot probe plus a generation sweep; a certified call is that handle plus the@.";
+    "slot probe plus a sweep of the chain's kept values; a certified call is the@.";
   Format.printf
-    "proof's validity probe, and any drift falls back to the checked walk@."
+    "handle plus the proof's validity probe, and any drift falls back to the@.";
+  Format.printf "checked walk@."
 
 (* {1 A9: observability overhead on the compiled grant path} *)
 

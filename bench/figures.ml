@@ -236,7 +236,7 @@ let f5 () =
   Format.printf
     "expected shape: the handle costs a small fraction of the checked call, and@.";
   Format.printf
-    "both deny after revocation: the handle's generation sweep sees the ACL edit@."
+    "both deny after revocation: the handle's chain sweep sees the ACL edit@."
 
 (* {1 F6: name-space scale} *)
 

@@ -83,7 +83,13 @@ let run_murder ~sandboxed =
     let subject = subject_of owner cats in
     match Kernel.spawn kernel ~subject ~name ~body:immortal with
     | Ok thread ->
-      if sandboxed then Meta.set_acl_raw (Thread.meta thread) (Acl.of_entries [ Acl.allow_all Acl.Everyone ]);
+      (if sandboxed then
+         let ns = Kernel.namespace kernel in
+         match Namespace.find ns (Kernel.thread_path (Thread.id thread)) with
+         | Ok node ->
+           Namespace.publish ns node (fun meta ->
+               Meta.with_acl meta (Acl.of_entries [ Acl.allow_all Acl.Everyone ]))
+         | Error _ -> failwith "thread not published");
       thread
     | Error e -> failwith (Service.error_to_string e)
   in

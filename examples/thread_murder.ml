@@ -60,6 +60,16 @@ let report label threads =
         (if Thread.is_alive thread then "alive" else "DEAD"))
     threads
 
+(* One flat sandbox: no per-thread protection.  The thread's node
+   publishes a world-open value. *)
+let open_up kernel thread =
+  let ns = Kernel.namespace kernel in
+  match Namespace.find ns (Kernel.thread_path (Thread.id thread)) with
+  | Ok node ->
+    Namespace.publish ns node (fun meta ->
+        Meta.with_acl meta (Acl.of_entries [ Acl.allow_all Acl.Everyone ]))
+  | Error _ -> failwith "thread not published"
+
 let () =
   Printf.printf "--- flat sandbox (the Java 1.x regime) ---\n";
   let kernel, cls = boot () in
@@ -67,15 +77,14 @@ let () =
   let flat name principal =
     let subject = Subject.make (Principal.individual principal) sandbox_class in
     let thread = spawn kernel subject name in
-    (* One flat sandbox: no per-thread protection. *)
-    Meta.set_acl_raw (Thread.meta thread) (Acl.of_entries [ Acl.allow_all Acl.Everyone ]);
+    open_up kernel thread;
     thread
   in
   let v1 = flat "applet-a" "dept1" in
   let v2 = flat "applet-b" "dept2" in
   let murderer = Subject.make (Principal.individual "murderer") sandbox_class in
   let own = spawn kernel murderer "threadmurder" in
-  Meta.set_acl_raw (Thread.meta own) (Acl.of_entries [ Acl.allow_all Acl.Everyone ]);
+  open_up kernel own;
   let late = flat "late-applet" "dept1" in
   Printf.printf "  threadmurder goes on a rampage:\n";
   rampage kernel ~subject:murderer;

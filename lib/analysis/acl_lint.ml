@@ -15,11 +15,6 @@ let who_to_string = function
 let modes_to_string modes =
   String.concat " " (List.map Access_mode.to_string (Access_mode.Set.to_list modes))
 
-let mem_individual db ind =
-  List.exists (Principal.equal_individual ind) (Principal.Db.individuals db)
-
-let mem_group db grp = List.exists (Principal.equal_group grp) (Principal.Db.groups db)
-
 (* Whether an entry for [who] speaks for the individual. *)
 let matches db (who : Acl.who) principal =
   match who with
@@ -47,12 +42,12 @@ let lint_object ~db ?registry ~policy ~path meta =
   Array.iter
     (fun (entry : Acl.entry) ->
       match entry.Acl.who with
-      | Acl.Individual ind when not (mem_individual db ind) ->
+      | Acl.Individual ind when not (Principal.Db.mem_individual db ind) ->
         note
           (finding Finding.Error Finding.Unknown_principal
              (Printf.sprintf "entry names undeclared individual %S"
                 (Principal.individual_name ind)))
-      | Acl.Group grp when not (mem_group db grp) ->
+      | Acl.Group grp when not (Principal.Db.mem_group db grp) ->
         note
           (finding Finding.Error Finding.Unknown_principal
              (Printf.sprintf "entry names undeclared group %S" (Principal.group_name grp)))

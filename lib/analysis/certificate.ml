@@ -3,8 +3,7 @@ open Exsec_core
 type import_proof = {
   import : Path.t;
   verdict : Verdict.t;
-  target_id : int;
-  chain : (Meta.t * int) list;
+  chain : Meta.t list;
 }
 
 type cover = {
@@ -45,7 +44,7 @@ type delegation = {
 
 type t = {
   extension : string;
-  epoch : int;
+  policy : Policy.t;
   db_generation : int;
   issued_at : int;
   expires_at : int option;
@@ -63,14 +62,13 @@ type t = {
    range (static-class pinning made transitive). *)
 let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegation
     ?expiry_cap ~now ~extension ~imports () =
-  (* The pre-read a handle mint makes: every coordinate the proof
-     depends on is read before proving (the same data-then-generation
-     discipline as Meta.compiled_in), so a concurrent mutation lands a
-     value the certificate does not keep.  The proofs read membership
-     from [snapshot] alone, so its rows and its generation are the ones
-     they rest on.  Each cover keeps its session range beside it, built
-     once, so a proof reads neither the registry nor the name table. *)
-  let epoch = Reference_monitor.policy_epoch monitor in
+  (* The pre-read a handle mint makes: the certificate keeps the policy
+     and the snapshot its proofs read, and each proof the values it
+     read, so a concurrent edit publishes a value the certificate does
+     not keep.  The proofs read membership from [snapshot] alone, so its
+     rows and its generation are the ones they rest on.  Each cover
+     keeps its session range beside it, built once, so a proof reads
+     neither the registry nor the name table. *)
   let snapshot = Principal.Db.snapshot (Reference_monitor.db monitor) in
   let policy = Reference_monitor.policy monitor in
   let cover_ranges =
@@ -112,16 +110,9 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   in
   let prove_import import =
     match Namespace.chain namespace import with
-    | None -> { import; verdict = Verdict.Depends; target_id = -1; chain = [] }
+    | None -> { import; verdict = Verdict.Depends; chain = [] }
     | Some nodes ->
-      let chain =
-        List.map
-          (fun node ->
-            let meta = Namespace.meta node in
-            meta, Meta.generation meta)
-          nodes
-      in
-      let metas = List.map fst chain in
+      let chain = List.map Namespace.meta nodes in
       let verdict =
         if cover_ranges = [] || (not mode_admitted) || not (path_admitted import)
         then Verdict.Depends
@@ -129,16 +120,10 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
           List.fold_left
             (fun verdict (_, range) ->
               Verdict.both verdict
-                (Certify.prove_chain ~snapshot ~policy range ~chain:metas
-                   ~mode:Access_mode.Execute))
+                (Certify.prove_chain ~snapshot ~policy range ~chain ~mode:Access_mode.Execute))
             Verdict.Always_allow cover_ranges
       in
-      let target_id =
-        match List.rev metas with
-        | target :: _ -> target.Meta.id
-        | [] -> -1
-      in
-      { import; verdict; target_id; chain }
+      { import; verdict; chain }
   in
   let proofs = List.map prove_import imports in
   let expires_at =
@@ -156,7 +141,7 @@ let issue_internal ~monitor ~registry ~namespace ~ceiling_for ?profile ?delegati
   Array.sort (fun a b -> Int.compare a.id b.id) covers;
   {
     extension;
-    epoch;
+    policy;
     db_generation = Principal.Db.Snapshot.generation snapshot;
     issued_at = now;
     expires_at;
@@ -257,12 +242,10 @@ let admits_subject certificate ~db subject =
   && Subject.membership_unmoved subject db ~generation:certificate.db_generation cover.row
 
 let valid certificate ~monitor ~now =
-  Reference_monitor.policy_epoch monitor = certificate.epoch
-  && not (expired certificate ~now)
+  Reference_monitor.policy monitor == certificate.policy && not (expired certificate ~now)
 
-let proof_holds proof =
-  Verdict.equal proof.verdict Verdict.Always_allow
-  && List.for_all (fun (meta, generation) -> Meta.generation meta = generation) proof.chain
+let proof_holds proof metas =
+  Verdict.equal proof.verdict Verdict.Always_allow && List.equal ( == ) proof.chain metas
 
 let admits certificate ~monitor ~namespace ~subject ?(now = max_int) path =
   valid certificate ~monitor ~now
@@ -270,15 +253,14 @@ let admits certificate ~monitor ~namespace ~subject ?(now = max_int) path =
   match List.find_opt (fun proof -> Path.equal proof.import path) certificate.proofs with
   | None -> false
   | Some proof ->
-    proof_holds proof
-    && (match Namespace.find namespace path with
-       | Ok node -> (Namespace.meta node).Meta.id = proof.target_id
-       | Error _ -> false)
+    (match Namespace.chain namespace path with
+    | Some nodes -> proof_holds proof (List.map Namespace.meta nodes)
+    | None -> false)
     && admits_subject certificate ~db:(Reference_monitor.db monitor) subject
 
 let pp ppf certificate =
-  Format.fprintf ppf "@[<v>certificate for %s (epoch %d, db generation %d"
-    certificate.extension certificate.epoch certificate.db_generation;
+  Format.fprintf ppf "@[<v>certificate for %s (db generation %d" certificate.extension
+    certificate.db_generation;
   (match certificate.profile with
   | Some profile -> Format.fprintf ppf ", profile %s" profile.profile_name
   | None -> ());

@@ -11,17 +11,18 @@
 
     {2 Invalidation by validation: the handles' row rule}
 
-    Invalidation is by validation, not notification (the same scheme
-    as {!Exsec_core.Meta.compiled_acl}): nothing tracks certificates;
-    they silently stop admitting as soon as state they depended on
-    changes.  The coordinates are the ones a capability-handle grant
-    keeps, read before proving:
+    Invalidation is by validation, not notification: nothing tracks
+    certificates; they silently stop admitting as soon as state they
+    depended on changes.  A certificate keeps what a capability-handle
+    grant keeps, read before proving, and compares each with [==]:
 
-    - the policy epoch ([set_policy] bumps it);
-    - the metadata generation of every node on each proof chain
-      ([set_acl]/[set_class]/[set_integrity] anywhere on the chain);
-    - the target's metadata identity (delete + recreate under the same
-      name never inherits a proof);
+    - the policy its proofs read (every [set_policy] publishes a new
+      value);
+    - per proof, the value each node on the chain held when the proof
+      read it: an edit anywhere on the chain publishes a new value, a
+      removal retires the node, and {!admits} walks the path again, so
+      a target deleted and recreated under the same name never
+      inherits a proof;
     - per covered principal, its row in the snapshot read before
       proving.  Every proof reads membership from that one snapshot,
       through the monitor's own discretionary half ({!Certify.prove}), and
@@ -42,10 +43,9 @@ open Exsec_core
 type import_proof = {
   import : Path.t;
   verdict : Verdict.t;
-  target_id : int;  (** {!Meta.t} identity of the resolved target *)
-  chain : (Meta.t * int) list;
-      (** every node consulted on the path, root first, with the
-          metadata generation read {e before} the proof *)
+  chain : Meta.t list;
+      (** the value of every node consulted on the path, root first, as
+          the proof read it; [[]] when the path did not resolve *)
 }
 
 type cover = {
@@ -110,7 +110,7 @@ type delegation = {
 
 type t = {
   extension : string;
-  epoch : int;  (** {!Reference_monitor.policy_epoch} at issue time *)
+  policy : Policy.t;  (** the published policy the proofs read *)
   db_generation : int;
       (** the generation of the snapshot the proofs read *)
   issued_at : int;  (** kernel certificate epoch at issue time *)
@@ -142,10 +142,11 @@ val issue :
     certify (a fold of {!Verdict.both} from [Always_allow] over zero
     covers would otherwise yield a vacuous [Always_allow]).  [now] is the kernel certificate
     epoch (default [0]) the profile's validity horizon counts from.
-    The epoch, the generations and the snapshot are read {e before}
-    proving, and every proof reads membership from that snapshot, so a
-    concurrent mutation leaves the certificate unable to validate for
-    the subjects it moved, never wrongly valid.  The registry and the
+    The policy and the snapshot are read once, before proving, each
+    proof keeps the values it read, and every proof reads membership
+    from that snapshot, so a concurrent mutation leaves the certificate
+    unable to validate for the subjects it moved, never wrongly
+    valid.  The registry and the
     name table are read once per cover, when the covers are built: each
     proof runs over its cover's own {!Certify.range}, whose top subject
     gives the cover its [id], [e_max] and integrity label, and equals {!Certify.prove_path} for the cover's principal at the
@@ -196,11 +197,13 @@ val admits_subject : t -> db:Principal.Db.t -> Subject.t -> bool
 
 val valid : t -> monitor:Reference_monitor.t -> now:int -> bool
 (** The part of {!admits} that needs neither path nor subject: the
-    policy epoch, and expiry at certificate epoch [now]. *)
+    monitor still holds the policy the proofs read, and expiry at
+    certificate epoch [now]. *)
 
-val proof_holds : import_proof -> bool
-(** Proved [Always_allow], every chain node still at its proved
-    generation. *)
+val proof_holds : import_proof -> Meta.t list -> bool
+(** Proved [Always_allow] over exactly these values, root first
+    ([==] each): a chain whose nodes hold them is one the proof
+    covers. *)
 
 val admits :
   t ->
@@ -210,11 +213,10 @@ val admits :
   ?now:int ->
   Path.t ->
   bool
-(** [true] iff the certified fast path may serve this call: the import
-    was proved [Always_allow]; the policy epoch and every chain node
-    generation are at their issue-time values; the certificate has not
-    expired at [now]; the path still resolves to the proved object
-    identity; and {!admits_subject} holds.  [now]
+(** [true] iff the certified fast path may serve this call: the
+    certificate is {!valid} at [now]; the path still resolves, through
+    nodes that hold the values its proof read ({!proof_holds}); and
+    {!admits_subject} holds.  [now]
     defaults to [max_int], so a caller that does not track certificate
     epochs fails closed on every expiring certificate.  (The trusted
     bit is irrelevant: certificates cover only read-like modes, which

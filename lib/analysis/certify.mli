@@ -60,10 +60,10 @@ val prove :
     extension ceiling would.  Unregistered principals are outside the
     proved domain and get [Depends].
 
-    The proof reads the {e current} metadata fields and the membership
-    [snapshot] holds, as the monitor does.  A caller that keeps the
-    result reads [Meta.generation] {e before} calling and keeps
-    [snapshot]'s row and generation (see {!Certificate}). *)
+    The proof reads [meta]'s fields and the membership [snapshot]
+    holds, as the monitor does.  A caller that keeps the result keeps
+    [meta] itself, the value the proof read, and [snapshot]'s row and
+    generation (see {!Certificate}). *)
 
 val prove_chain :
   snapshot:Principal.Db.Snapshot.t ->

@@ -21,9 +21,9 @@
     compiles away (it holds nobody); the form then records how many
     groups it saw and is {!valid_for} no snapshot counting more.  So
     a compiled ACL is correct exactly while (a) the ACL value it was
-    compiled from is still the object's ACL (guarded by the {!Meta}
-    generation of the caching object) and (b) it is {!valid_for} the
-    snapshot checked against.  Membership churn and registrations
+    compiled from is still the object's ACL (it is memoized on the
+    immutable {!Meta} value that holds that ACL) and (b) it is
+    {!valid_for} the snapshot checked against.  Membership churn and registrations
     keep the form, except a group registration under a form that
     compiled a group away.  {!Meta.compiled_acl} enforces both and
     recompiles on any mismatch.  A form belongs to the database it

@@ -1,17 +1,11 @@
-type compiled_slot = {
-  compiled : Acl_compiled.t;
-  acl_generation : int;
-      (* the metadata generation the ACL was read under; the slot is
-         valid only while the object's generation still equals it *)
-}
+type compiled_slot = Acl_compiled.t
 
 type t = {
   id : int;
-  mutable owner : Principal.individual;
-  mutable acl : Acl.t;
-  mutable klass : Security_class.t;
-  mutable integrity : Security_class.t option;
-  generation : int Atomic.t;
+  owner : Principal.individual;
+  acl : Acl.t;
+  klass : Security_class.t;
+  integrity : Security_class.t option;
   mutable compiled : compiled_slot option;
 }
 
@@ -25,83 +19,23 @@ let make ~owner ?acl ?integrity klass =
     | Some acl -> acl
     | None -> Acl.owner_default owner
   in
-  {
-    id = fresh_id ();
-    owner;
-    acl;
-    klass;
-    integrity;
-    generation = Atomic.make 0;
-    compiled = None;
-  }
+  { id = fresh_id (); owner; acl; klass; integrity; compiled = None }
 
-let copy meta =
-  {
-    id = fresh_id ();
-    owner = meta.owner;
-    acl = meta.acl;
-    klass = meta.klass;
-    integrity = meta.integrity;
-    generation = Atomic.make 0;
-    compiled = None;
-  }
+let copy meta = { meta with id = fresh_id (); compiled = None }
+let with_acl meta acl = { meta with acl; compiled = None }
+let with_klass meta klass = { meta with klass }
+let with_integrity meta integrity = { meta with integrity }
 
-let generation meta = Atomic.get meta.generation
-
-(* Publication order: every setter below lands its field write first
-   and bumps the generation after.  A reader that (a) reads the
-   generation, (b) recomputes from the fields, and (c) stores the
-   result under the generation read in (a) can therefore never
-   produce an entry that outlives the mutation: either the read
-   generation predates the bump (the entry is born stale and fails
-   validation on its next lookup) or it includes the bump, in which
-   case the atomic read synchronizes with the increment and the field
-   writes are visible. *)
-let touch meta = Atomic.incr meta.generation
-
-let set_owner meta owner =
-  meta.owner <- owner;
-  touch meta
-
-let set_acl_raw meta acl =
-  meta.acl <- acl;
-  touch meta
-
-let set_klass_raw meta klass =
-  meta.klass <- klass;
-  touch meta
-
-let set_integrity_raw meta integrity =
-  meta.integrity <- integrity;
-  touch meta
-
-(* The miss: compile the ACL read after [acl_generation] and store it
-   under that generation.  Out of line, so the hit inlines into the
-   decision. *)
-let recompile meta snapshot acl_generation =
+(* The miss, out of line so the hit inlines into the decision. *)
+let recompile meta snapshot =
   let compiled = Acl_compiled.compile_in snapshot meta.acl in
-  meta.compiled <- Some { compiled; acl_generation };
+  meta.compiled <- Some compiled;
   compiled
 
 let[@inline] compiled_in meta snapshot =
-  (* The metadata generation is read BEFORE the slot (and, on a miss,
-     before the ACL field): a racing set_acl then lands a bump above
-     the value validated or stamped here, so a stale slot can never
-     validate again.  The registrations need no such order: the form
-     records the count it saw, and ids never change.  Membership is no
-     part of the form (checks read it from the snapshot they are
-     given), so churn leaves the slot in place.
-     The slot is one immutable record behind a single mutable pointer,
-     so concurrent readers see a consistent (compiled, acl_generation)
-     pair; racing writers overwrite each other with equally valid
-     slots. *)
-  let acl_generation = Atomic.get meta.generation in
   match meta.compiled with
-  | Some slot
-    when slot.acl_generation = acl_generation
-         && Acl_compiled.valid_for slot.compiled snapshot ->
-    slot.compiled
-  | Some _ | None -> recompile meta snapshot acl_generation
+  | Some compiled when Acl_compiled.valid_for compiled snapshot -> compiled
+  | Some _ | None -> recompile meta snapshot
 
 let compiled_acl meta ~db = compiled_in meta (Principal.Db.snapshot db)
 

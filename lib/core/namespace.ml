@@ -26,7 +26,9 @@ type 'a kind =
 and 'a node = {
   node_path : Path.t;
   node_label : string;  (* node_path rendered once, for audit records *)
-  node_meta : Meta.t;
+  mutable node_meta : Meta.t;
+      (* the published value: stored whole under the tree's lock,
+         loaded once by each walk that decides on it *)
   node_tree : int;
       (* id of the owning tree: add_child checks it so an insert under
          a node resolved from a different tree cannot silently mutate
@@ -37,7 +39,7 @@ and 'a node = {
 type 'a t = {
   tree_id : int;
   root_node : 'a node;
-  lock : Mutex.t;  (* held by every insert and removal; walks take none *)
+  lock : Mutex.t;  (* held by every insert, removal and publication; walks take none *)
   mutable node_count : int;
       (* total nodes including the root, maintained by add/remove so
          [size] never walks the tree *)
@@ -142,9 +144,7 @@ let rec chain_up root path =
       | exception Stdlib.Not_found -> [])
 
 (* The node sequence a checked resolution consults: root, every
-   interior node, then the target — the chain a reusable decision
-   (link-time certificate, capability-handle grant) must stamp with
-   metadata generations. *)
+   interior node, then the target. *)
 let chain tree target =
   match chain_up tree.root_node target with
   | [] -> None
@@ -178,12 +178,13 @@ let rec without name hash = function
    path.  A path-addressed insert re-walks from the root (O(depth));
    building a 10^5-node tree that way costs O(nodes x depth), so the
    population workload holds the parent and inserts children in O(1). *)
-let add_child tree parent name ~meta kind_of_path =
-  if parent.node_tree <> tree.tree_id then
+let owned tree what node =
+  if node.node_tree <> tree.tree_id then
     invalid_arg
-      (Printf.sprintf
-         "Namespace.add_child: parent %s belongs to a different tree"
-         parent.node_label);
+      (Printf.sprintf "Namespace.%s: %s belongs to a different tree" what node.node_label)
+
+let add_child tree parent name ~meta kind_of_path =
+  owned tree "add_child" parent;
   Mutex.protect tree.lock (fun () ->
       match parent.kind with
       | Leaf _ -> Error (Not_a_directory parent.node_path)
@@ -250,12 +251,26 @@ let remove tree target =
               slots.(i) <- without name hash slots.(i);
               d.entries <- d.entries - 1;
               tree.node_count <- tree.node_count - 1;
-              (* Unlink first, then retire: a re-mint that still found
-                 the node read its generation before this bump. *)
-              Meta.touch victim.node_meta;
+              (* Unlink first, then retire: whatever kept the value the
+                 node held no longer finds it there. *)
+              victim.node_meta <- Meta.copy victim.node_meta;
               Ok ())))
 
+let publish tree node next =
+  owned tree "publish" node;
+  Mutex.protect tree.lock (fun () -> node.node_meta <- next node.node_meta)
+
 let meta node = node.node_meta
+
+(* Here, where a node is known to be a record, an array of them is read
+   without the float-array test a generic array read makes. *)
+let rec holds_from nodes metas n i =
+  i >= n
+  || (Array.unsafe_get nodes i).node_meta == Array.unsafe_get metas i
+     && holds_from nodes metas n (i + 1)
+
+let holds nodes metas = holds_from nodes metas (Array.length nodes) 0
+
 let path node = node.node_path
 let label node = node.node_label
 

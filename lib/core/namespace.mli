@@ -71,18 +71,37 @@ val mem : 'a t -> Path.t -> bool
 val chain : 'a t -> Path.t -> 'a node list option
 (** The node sequence a checked resolution of the path consults —
     root, every interior node, then the target, in walk order — or
-    [None] when the path does not resolve.  This is the set of nodes
-    whose metadata generations a reusable decision (a link-time
-    certificate, a capability-handle grant) must be stamped with:
-    {!Resolver} checks [List] on every node strictly above the target
-    and the caller's mode on the target itself. *)
+    [None] when the path does not resolve.  These are the nodes whose
+    values a reusable decision (a link-time certificate, a
+    capability-handle grant) keeps: {!Resolver} checks [List] on every
+    node strictly above the target and the caller's mode on the target
+    itself. *)
 
 val remove : 'a t -> Path.t -> (unit, error) result
 (** Remove a leaf or an {e empty} directory; the root cannot be
-    removed.  The removed node's metadata is {!Meta.touch}ed after
-    the unlink, so grants and proofs through it fail closed. *)
+    removed.  After the unlink the removed node is retired: it holds a
+    {!Meta.copy} of its value, so no grant or proof that kept the value
+    finds it there again. *)
 
 val meta : 'a node -> Meta.t
+(** The node's current value: one load, no lock.  Whatever is
+    decided from it stays right while the node still holds that very
+    value ([==]). *)
+
+val holds : 'a node array -> Meta.t array -> bool
+(** Whether every node of [nodes] still holds the value at its index in
+    [metas] ([==] each; [metas] at least as long as [nodes]): the chain
+    test of a grant that kept the values its decision read.  One node
+    load and one compare per node; allocates nothing. *)
+
+val publish : 'a t -> 'a node -> (Meta.t -> Meta.t) -> unit
+(** [publish tree node next] stores [next current] as [node]'s value
+    under the tree's lock, so racing publications each build on the
+    value the last one stored (a relabel and an ACL edit both land).
+    [next] should build a new value ({!Meta.with_acl} and the like).
+    This is the raw store; {!Resolver.set_acl} and
+    {!Resolver.set_class} check [Administrate] first.
+    @raise Invalid_argument if [node] does not belong to [tree]. *)
 
 val path : 'a node -> Path.t
 (** The node's own path: its parent's path plus one segment, shared

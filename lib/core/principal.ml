@@ -494,6 +494,7 @@ module Db = struct
   let mem_individual db ind = find db.ind_ids ind >= 0
   let individual_count db = db.ind_ids.count
   let groups db = sorted_names db.group_ids
+  let mem_group db grp = find db.group_ids grp >= 0
 
   let group_names db ids =
     List.map (fun g -> db.group_ids.by_id.(g)) ids |> List.sort String.compare

@@ -135,6 +135,10 @@ module Db : sig
   val groups : t -> group list
   (** All registered groups, sorted by name. *)
 
+  val mem_group : t -> group -> bool
+  (** Whether the group is registered; one hash probe, no
+      allocation. *)
+
   val direct_members : t -> group -> member list
   (** Direct members of a group ([[]] for unknown groups). *)
 

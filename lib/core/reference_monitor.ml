@@ -21,30 +21,21 @@ exception Access_denied of {
 type t = {
   db : Principal.Db.t;
   mutable policy : Policy.t;
-  policy_epoch : int Atomic.t;
-      (* Generation counter for the policy, mirroring Meta.generation
-         for metadata: [set_policy] writes the policy first and bumps
-         the epoch after, so an artifact stamped with the epoch read
-         before its computation (a certificate, a handle grant) can
-         never validate under a policy it was not computed under. *)
+      (* the published policy: what a grant or certificate read is
+         still in force while this is that very value *)
   audit : Audit.t;
 }
 
 let create ?(policy = Policy.default) ?audit_capacity db =
-  { db; policy; policy_epoch = Atomic.make 0; audit = Audit.create ?capacity:audit_capacity () }
+  { db; policy; audit = Audit.create ?capacity:audit_capacity () }
 
 let db monitor = monitor.db
 let policy monitor = monitor.policy
 
-let set_policy monitor policy =
-  monitor.policy <- policy;
-  (* Bump after the policy write lands (data-then-generation, as in
-     Meta): any artifact stamped with the previous epoch can never
-     validate again. *)
-  Atomic.incr monitor.policy_epoch
+(* A fresh copy, even of the policy in force: every swap revokes. *)
+let set_policy monitor policy = monitor.policy <- { policy with Policy.dac = policy.Policy.dac }
 
 let audit monitor = monitor.audit
-let policy_epoch monitor = Atomic.get monitor.policy_epoch
 
 (* The denials that carry no payload, built once: a decision
    allocates only for an explicit deny, which names its entry. *)

@@ -22,9 +22,9 @@ val create : ?policy:Policy.t -> ?audit_capacity:int -> Principal.Db.t -> t
 
     Discretionary decisions run on the compiled ACL path: each
     object's ACL is compiled to flat mode-mask arrays over the
-    database's fixed principal ids ({!Acl_compiled}), memoized on its
-    metadata and invalidated by the metadata generation, or by a group
-    registration when the form compiled a group away
+    database's fixed principal ids ({!Acl_compiled}), memoized on the
+    metadata value, whose ACL never changes, and recompiled only after
+    a group registration when the form compiled a group away
     ({!Meta.compiled_in}); each check reads membership from the
     database's current snapshot.
     There is no decision cache: every {!decide} evaluates DAC, MAC and
@@ -32,28 +32,24 @@ val create : ?policy:Policy.t -> ?audit_capacity:int -> Principal.Db.t -> t
 
     The monitor is safe to share across OCaml 5 domains: the audit
     ring takes no lock (one atomic add and one compare-and-set per
-    record), and the generation counters are atomic with a
-    data-then-generation publication order (DESIGN.md, "Concurrency
-    model").  Registering {e new} principals
-    or groups in the database remains a setup-time operation. *)
+    record), and the policy, like every metadata value, is one
+    immutable value published by a single store (DESIGN.md,
+    "Concurrency model").  Registering {e new} principals or groups in
+    the database remains a setup-time operation. *)
 
 val db : t -> Principal.Db.t
+
 val policy : t -> Policy.t
+(** The published policy.  A grant or certificate keeps the value it
+    read and stays in force only while this is that very value
+    ([==]). *)
 
 val set_policy : t -> Policy.t -> unit
-(** Swap the policy and bump the monitor's policy epoch, so every
-    artifact stamped under the old policy (certificates, handle
-    grants) stops validating. *)
+(** Publish a fresh copy of the policy, even when it equals the one in
+    force, so every grant and certificate that kept the old value
+    stops validating. *)
 
 val audit : t -> Audit.t
-
-val policy_epoch : t -> int
-(** The current policy epoch: a monotone counter bumped by every
-    {!set_policy}.  Link-time certificates (see [Exsec_analysis]) are
-    stamped with the epoch they were proved under and stop admitting
-    calls as soon as the epoch moves — the same generation-validation
-    scheme {!Meta} uses for compiled ACLs, applied to statically
-    certified extensions. *)
 
 val decide :
   ?span:Exsec_obs.Trace.handle ->

@@ -24,19 +24,23 @@ let pp_denial ppf = function
     Format.fprintf ppf "%s (%a): %a" label Access_mode.pp mode Decision.pp_denial denial
   | Name_error error -> Namespace.pp_error ppf error
 
-(* One level of a resolution, decided under the context the resolution
-   read when it started: [observed] (whether metrics or tracing is on),
-   its [span] (or [Trace.none]), the monitor's [policy] and the
-   published membership [snapshot].  A denial carries the node's label,
-   rendered at insertion, so reporting it renders no path. *)
-let check ~observed ~span r policy snapshot ~subject node mode =
+(* One level of a resolution, decided on the node's value [meta] under
+   the context the resolution read when it started: [observed] (whether
+   metrics or tracing is on), its [span] (or [Trace.none]), the
+   monitor's [policy] and the published membership [snapshot].  A
+   denial carries the node's label, rendered at insertion, so reporting
+   it renders no path. *)
+let check_value ~observed ~span r policy snapshot ~subject node meta mode =
   match
-    Reference_monitor.check_in ~observed ~span r.monitor policy snapshot ~subject
-      ~meta:(Namespace.meta node) ~object_name:(Namespace.label node) ~mode
+    Reference_monitor.check_in ~observed ~span r.monitor policy snapshot ~subject ~meta
+      ~object_name:(Namespace.label node) ~mode
   with
   | Decision.Granted -> Ok ()
   | Decision.Denied denial ->
     Error (Denied { at = Namespace.path node; label = Namespace.label node; mode; denial })
+
+let check ~observed ~span r policy snapshot ~subject node mode =
+  check_value ~observed ~span r policy snapshot ~subject node (Namespace.meta node) mode
 
 (* The name error of a probe that found nothing in [node]: [target]
    is missing from a directory, or the walk met a leaf mid-path. *)
@@ -101,11 +105,24 @@ let resolve_bare ~observed ~span r policy snapshot ~subject ~mode target =
     | Error e -> Error e
     | Ok () -> Ok node)
 
-(* The same resolution inside the resolver's counters, its timer and,
+(* [resolve_bare]'s checks over a chain read beforehand, root first:
+   [List] on every node but the last and [mode] on the last, each
+   deciding on the value [metas] holds for it. *)
+let rec decide_chain ~observed ~span r policy snapshot ~subject ~mode nodes metas i =
+  let node = nodes.(i) and last = i = Array.length nodes - 1 in
+  match
+    check_value ~observed ~span r policy snapshot ~subject node metas.(i)
+      (if last then mode else Access_mode.List)
+  with
+  | Error e -> Error e
+  | Ok () when last -> Ok node
+  | Ok () -> decide_chain ~observed ~span r policy snapshot ~subject ~mode nodes metas (i + 1)
+
+(* A resolution ([bare]) inside the resolver's counters, its timer and,
    when no active span was handed down (a direct resolution, not one
    inside [Kernel.call]), a span of its own: this resolution is then
    the top-level traced operation. *)
-let resolve_observed ?span r policy snapshot ~subject ~mode target =
+let resolve_observed ?span ~mode target bare =
   let t0 = Metrics.start_counted m_resolves m_resolve_ns in
   let own =
     match span with
@@ -120,17 +137,26 @@ let resolve_observed ?span r policy snapshot ~subject ~mode target =
     end
     else Option.value span ~default:Trace.none
   in
-  let result = resolve_bare ~observed:true ~span r policy snapshot ~subject ~mode target in
+  let result = bare span in
   Trace.finish own;
   Metrics.stop_timing m_resolve_ns t0;
   observe_outcome result;
   result
 
 let resolve_in ?span r policy snapshot ~subject ~mode target =
-  if Trace.observing () then resolve_observed ?span r policy snapshot ~subject ~mode target
+  if Trace.observing () then
+    resolve_observed ?span ~mode target (fun span ->
+        resolve_bare ~observed:true ~span r policy snapshot ~subject ~mode target)
   else
     resolve_bare ~observed:false ~span:(Option.value span ~default:Trace.none) r policy snapshot
       ~subject ~mode target
+
+let resolve_chain r policy snapshot ~subject ~mode target nodes metas =
+  if Trace.observing () then
+    resolve_observed ~mode target (fun span ->
+        decide_chain ~observed:true ~span r policy snapshot ~subject ~mode nodes metas 0)
+  else
+    decide_chain ~observed:false ~span:Trace.none r policy snapshot ~subject ~mode nodes metas 0
 
 let resolve ?span r ~subject ~mode target =
   resolve_in ?span r (Reference_monitor.policy r.monitor)
@@ -234,8 +260,9 @@ let remove ?span r ~subject target =
   result
 
 (* [set_acl] and [set_class]: the walk and the [Administrate] check on
-   the target under one context, then the unchecked setter. *)
-let administer r ~subject target apply =
+   the target under one context, then the next value built from the
+   current one and published under the tree's lock. *)
+let administer r ~subject target next =
   let observed = Trace.observing () in
   let policy = Reference_monitor.policy r.monitor in
   let snapshot = Principal.Db.snapshot (Reference_monitor.db r.monitor) in
@@ -247,11 +274,10 @@ let administer r ~subject target apply =
     with
     | Error e -> Error e
     | Ok () ->
-      apply (Namespace.meta node);
+      Namespace.publish r.namespace node next;
       Ok ())
 
-let set_acl r ~subject target acl =
-  administer r ~subject target (fun meta -> Meta.set_acl_raw meta acl)
+let set_acl r ~subject target acl = administer r ~subject target (fun meta -> Meta.with_acl meta acl)
 
 let set_class r ~subject target klass =
-  administer r ~subject target (fun meta -> Meta.set_klass_raw meta klass)
+  administer r ~subject target (fun meta -> Meta.with_klass meta klass)

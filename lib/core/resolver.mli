@@ -64,6 +64,16 @@ val resolve_in :
     span was handed down, runs under a [resolver.resolve] span of its
     own annotated with the path and mode. *)
 
+val resolve_chain :
+  'a t -> Policy.t -> Principal.Db.Snapshot.t -> subject:Subject.t -> mode:Access_mode.t ->
+  Path.t -> 'a Namespace.node array -> Meta.t array -> ('a Namespace.node, denial) result
+(** {!resolve_in} over a chain the caller read beforehand: [nodes] are
+    the path's {!Namespace.chain}, root first, and [metas] the value
+    each held when read.  Every level decides on its value in [metas], so a
+    capability-handle mint keeps exactly the values its decision read.
+    The checks, their audit records, a denial and the [resolver.*]
+    metrics and span are {!resolve_in}'s; [nodes] must not be empty. *)
+
 val lookup :
   'a t -> subject:Subject.t -> Path.t -> ('a Namespace.node, denial) result
 (** {!resolve} with no mode check on the target itself — visibility is
@@ -97,7 +107,9 @@ val set_acl :
 (** Replace the target's ACL; requires [Administrate] on the target.
     The walk and the [Administrate] check decide under one context,
     read as in {!resolve}; a denial at the target carries the node's
-    {!Namespace.label}. *)
+    {!Namespace.label}.  The new value is built from the node's current
+    one under the tree's lock ({!Namespace.publish}), so a racing
+    {!set_class} keeps this ACL and this edit keeps its class. *)
 
 val set_class :
   'a t -> subject:Subject.t -> Path.t -> Security_class.t -> (unit, denial) result

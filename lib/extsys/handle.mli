@@ -10,7 +10,7 @@
 
     The table itself knows nothing about access control; it stores an
     arbitrary payload per slot (the kernel stores its grant records —
-    resolved target, bound subject, generation stamps) and guarantees
+    resolved target, bound subject, the values its decision read) and guarantees
     only identity: a successful {!deref} returns exactly the payload
     most recently installed under that handle's stamp.
 

@@ -48,15 +48,14 @@ type entry +=
 (* A grant is everything [call] would have computed for one
    (subject, caller, path) triple, captured at mint time: the resolved
    target (with its invocation context prebuilt, so the hot path
-   allocates nothing), plus the coordinates the admitting decision
-   depended on — the policy epoch, the per-node [Meta] generation of
-   every node on the resolution chain, and the subject's membership,
-   held twice: the principal-database generation (the cheap test
-   while nothing changed) and the subject's own snapshot row (the
-   scoped test once something did).  [call_handle] may
-   dispatch without re-entering the reference monitor exactly while
-   those still hold (see [grant_fresh]); any drift fails closed into
-   the checked path. *)
+   allocates nothing), plus what the admitting decision read — the
+   policy, the resolution chain's nodes with the value each held, and
+   the subject's membership, held twice: the principal-database
+   generation (the cheap test while nothing changed) and the subject's
+   own snapshot row (the scoped test once something did).
+   [call_handle] may dispatch without re-entering the reference
+   monitor exactly while those are still in force (see [grant_fresh]);
+   any drift fails closed into the checked path. *)
 type grant_target =
   | Grant_proc of Service.proc * Service.ctx
   | Grant_event of Dispatcher.t
@@ -66,15 +65,16 @@ type grant = {
   g_subject : Subject.t;
   g_caller : string;
   g_target : grant_target;
-  g_epoch : int;  (* policy epoch, read before the decision *)
-  g_db_generation : int;  (* principal-database generation, likewise *)
-  g_row : Principal.Db.Snapshot.row;  (* the subject's row in the snapshot the decision read *)
-  g_metas : Meta.t array;  (* resolution chain, root first, target last *)
-  g_gens : int array;  (* generation of each, read before the decision *)
-  g_proof : (Certificate.t * Certificate.import_proof) option;
-      (* the caller's certificate and its Always_allow proof of this
-         path, for [call_proved]; dropping or replacing the certificate
-         or a stale re-mint strips it *)
+  g_policy : Policy.t;  (* the policy the decision read *)
+  g_db_generation : int;  (* the generation of the snapshot it read *)
+  g_row : Principal.Db.Snapshot.row;  (* the subject's row in that snapshot *)
+  g_nodes : entry Namespace.node array;  (* resolution chain, root first, target last *)
+  g_metas : Meta.t array;  (* the value each node held, as the decision read it *)
+  g_proof : Certificate.t option;
+      (* the caller's certificate, when it proved this path
+         [Always_allow] over exactly [g_metas], for [call_proved];
+         dropping or replacing the certificate or a stale re-mint
+         strips it *)
 }
 
 (* A loaded extension, with every handle its link minted: unloading
@@ -106,7 +106,7 @@ type t = {
   cert_epoch : int Atomic.t;
       (* the kernel's certificate clock: validity horizons are measured
          in ticks of this counter ([advance_cert_epoch]); independent of
-         the policy epoch, so expiring a certificate never invalidates
+         the policy, so expiring a certificate never invalidates
          unrelated handles or certificates *)
 }
 
@@ -346,24 +346,16 @@ let broadcast kernel ~subject ~caller:_ path args =
 (* {1 Capability handles}
 
    [open_handle] decides once and files the grant; [call_handle] is the
-   hot path — slot probe, epoch and generation compares, chain sweep,
-   dispatch, no allocation — and any drift fails closed into a checked
+   hot path — slot probe, policy and chain compares, dispatch, no
+   allocation — and any drift fails closed into a checked
    re-resolution that re-mints the slot in place (see kernel.mli). *)
-
-(* Top-level (not a local closure) so the hot path stays allocation
-   free: a local [let rec] would capture the arrays in a heap-allocated
-   closure on every call. *)
-let rec chain_fresh metas gens n i =
-  i >= n
-  || Meta.generation (Array.unsafe_get metas i) = Array.unsafe_get gens i
-     && chain_fresh metas gens n (i + 1)
 
 (* The membership half is the one certificates share: the generation,
    or else the very row the decision read. *)
 let grant_fresh kernel g =
-  Reference_monitor.policy_epoch kernel.monitor = g.g_epoch
+  Reference_monitor.policy kernel.monitor == g.g_policy
   && Subject.membership_unmoved g.g_subject (db kernel) ~generation:g.g_db_generation g.g_row
-  && chain_fresh g.g_metas g.g_gens (Array.length g.g_metas) 0
+  && Namespace.holds g.g_nodes g.g_metas
 
 (* Preallocated so the use-after-close refusal is itself allocation
    free.  A closed handle denotes no object at all, which is exactly
@@ -375,52 +367,53 @@ let closed_handle_error :
     (Service.Denied
        { at = "<handle>"; mode = Access_mode.Execute; denial = Decision.Not_an_object })
 
-(* The pre-read half of a mint: the policy epoch, the published
-   snapshot (the database generation is its own) and the generation of
-   every node on the unchecked chain, captured BEFORE the decision
-   runs.  A mutation racing with the decision then lands a higher
-   generation than the one the grant was filed under, so the grant is
-   born stale rather than wrongly durable (same discipline as the
-   compiled-ACL memo).  The decision itself reads membership from
-   [snapshot] ([Resolver.resolve_in]), so the subject's row there is
-   the one it read; the grant keeps that row, not the snapshot. *)
+(* What a mint's decision reads, read before it: the policy, the
+   published snapshot (the database generation is its own) and the
+   chain's nodes with the value each holds.  The decision reads exactly
+   these ([Resolver.resolve_chain]), so the grant keeps what it read.
+   The path is walked again once the values are read and must reach
+   the same target, so every node on the chain was still linked then
+   (a directory is removed only empty): a node removed before its value
+   was read may hold its retirement copy, which no grant may keep. *)
 type pre_read = {
-  epoch : int;
+  policy : Policy.t;
   snapshot : Principal.Db.Snapshot.t;
+  nodes : entry Namespace.node array;
   metas : Meta.t array;
-  gens : int array;
 }
 
-let chain_snapshot kernel path =
-  let epoch = Reference_monitor.policy_epoch kernel.monitor in
-  let snapshot = Principal.Db.snapshot (db kernel) in
-  match Namespace.chain (namespace kernel) path with
-  | None -> { epoch; snapshot; metas = [||]; gens = [||] }
-  | Some nodes ->
-    let metas = Array.of_list (List.map Namespace.meta nodes) in
-    { epoch; snapshot; metas; gens = Array.map Meta.generation metas }
-
-(* Whether [pre] describes [node]: the chain's tail is the node the
-   decision admitted, not one deleted and recreated in between. *)
-let pins pre node =
-  let n = Array.length pre.metas in
-  n > 0 && pre.metas.(n - 1).Meta.id = (Namespace.meta node).Meta.id
+let rec pre_read kernel path =
+  let ns = namespace kernel in
+  match Namespace.chain ns path with
+  | None -> None
+  | Some chain -> (
+    let policy = Reference_monitor.policy kernel.monitor in
+    let snapshot = Principal.Db.snapshot (db kernel) in
+    let nodes = Array.of_list chain in
+    let metas = Array.map Namespace.meta nodes in
+    match Namespace.find ns path with
+    | Ok target when target == nodes.(Array.length nodes - 1) ->
+      Some { policy; snapshot; nodes; metas }
+    | Ok _ | Error _ -> pre_read kernel path)
 
 (* The checked resolution a grant rests on: [Execute] on [path],
-   decided under [pre.snapshot] and the policy read after [pre]'s
-   epoch. *)
+   decided on [pre]; when the path did not resolve, the walk's own
+   refusal ([Ok] only if a racing insert made it resolve since). *)
 let resolve_pre kernel pre ~subject path =
-  Resolver.resolve_in kernel.resolver (Reference_monitor.policy kernel.monitor) pre.snapshot
-    ~subject ~mode:Access_mode.Execute path
+  match pre with
+  | Some pre ->
+    Resolver.resolve_chain kernel.resolver pre.policy pre.snapshot ~subject
+      ~mode:Access_mode.Execute path pre.nodes pre.metas
+  | None -> Resolver.resolve kernel.resolver ~subject ~mode:Access_mode.Execute path
 
-(* The grant a decision under [pre] admitted. *)
+(* The grant a decision on [pre] admitted. *)
 let mint pre ~path ~subject ~caller ~target =
   { g_path = path; g_subject = subject; g_caller = caller; g_target = target;
-    g_epoch = pre.epoch; g_db_generation = Principal.Db.Snapshot.generation pre.snapshot;
+    g_policy = pre.policy; g_db_generation = Principal.Db.Snapshot.generation pre.snapshot;
     g_row =
       Principal.Db.Snapshot.row pre.snapshot
         ~individual_id:(Subject.individual_id subject pre.snapshot);
-    g_metas = pre.metas; g_gens = pre.gens; g_proof = None }
+    g_nodes = pre.nodes; g_metas = pre.metas; g_proof = None }
 
 let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
   | Some (Proc proc) ->
@@ -435,15 +428,13 @@ let grant_target_of_payload kernel ~subject ~caller ~reuse_ctx = function
 
 let rec open_handle kernel ~subject ~caller path =
   Metrics.incr m_handle_opens;
-  let pre = chain_snapshot kernel path in
-  match resolve_pre kernel pre ~subject path with
-  | Error denial -> Error (Service.error_of_denial denial)
-  | Ok node when not (pins pre node) ->
-    (* The target changed identity between the snapshot and the
-       decision (delete + recreate race): the snapshot does not
-       describe the node the decision admitted.  Start over. *)
+  let pre = pre_read kernel path in
+  match pre, resolve_pre kernel pre ~subject path with
+  | _, Error denial -> Error (Service.error_of_denial denial)
+  | None, Ok _ ->
+    (* The path resolved only after the pre-read: start over. *)
     open_handle kernel ~subject ~caller path
-  | Ok node -> (
+  | Some pre, Ok node -> (
     match
       grant_target_of_payload kernel ~subject ~caller ~reuse_ctx:None (Namespace.payload node)
     with
@@ -460,12 +451,12 @@ let run_target kernel g ~subject target args =
     run_proc proc ctx args
   | Grant_event handlers -> dispatch_event kernel ~subject g.g_path handlers args
 
-(* Stale slow path: re-run the fully checked resolution (audited)
-   under a fresh pre-read snapshot; serve THIS call from the
-   checked decision either way, and refresh the slot in place when the
-   snapshot describes the node the decision admitted. *)
+(* Stale slow path: re-run the fully checked resolution (audited) on
+   a fresh pre-read; serve THIS call from the checked decision either
+   way, and refresh the slot in place when the decision read the
+   pre-read chain. *)
 let call_handle_stale kernel h g args =
-  let pre = chain_snapshot kernel g.g_path in
+  let pre = pre_read kernel g.g_path in
   match resolve_pre kernel pre ~subject:g.g_subject g.g_path with
   | Error denial -> Error (Service.error_of_denial denial)
   | Ok node -> (
@@ -478,13 +469,15 @@ let call_handle_stale kernel h g args =
     with
     | None -> Error (Service.Unresolved (Path.to_string g.g_path ^ ": not callable"))
     | Some target ->
-      if
-        pins pre node
-        && Handle.update kernel.handles h
-             (* The re-mint sheds any proof recorded on the slot: the
-                proof may name a node the slot no longer dispatches. *)
-             (mint pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller ~target)
-      then Metrics.incr m_handle_reminted;
+      Option.iter
+        (fun pre ->
+          if
+            Handle.update kernel.handles h
+              (* The re-mint sheds any proof recorded on the slot: the
+                 proof was over values the slot no longer keeps. *)
+              (mint pre ~path:g.g_path ~subject:g.g_subject ~caller:g.g_caller ~target)
+          then Metrics.incr m_handle_reminted)
+        pre;
       run_target kernel g ~subject:g.g_subject target args)
 
 (* A live grant's call by [subject], after the freshness test: charge
@@ -519,18 +512,18 @@ let call_handle kernel h args =
     | None -> closed_handle_error
     | Some g -> dispatch_grant kernel h g ~subject:g.g_subject ~fresh:(grant_fresh kernel g) args
 
-(* The proved probe: the certificate's own coordinates, which are the
-   grant rule's with the calling subject's cover and row in place of
-   the grant's subject, so an edit ends it only for the callers whose
-   row it moves.  A removal touches the removed node, so the chain
-   sweep also catches a target removed and republished. *)
+(* The proved probe: the grant rule with the certificate's policy and
+   the calling subject's cover and row in place of the grant's, so an
+   edit ends it only for the callers whose row it moves.  The proof is
+   over the grant's own values, so the grant's chain test is the
+   proof's: a removal retires the removed node, so it also catches a
+   target removed and republished. *)
 let proof_admits kernel g subject =
   match g.g_proof with
   | None -> false
-  | Some (certificate, proof) ->
+  | Some certificate ->
     Certificate.valid certificate ~monitor:kernel.monitor ~now:(Atomic.get kernel.cert_epoch)
-    && Certificate.proof_holds proof
-    && proof.Certificate.target_id = g.g_metas.(Array.length g.g_metas - 1).Meta.id
+    && Namespace.holds g.g_nodes g.g_metas
     && Certificate.admits_subject certificate ~db:(db kernel) subject
 
 let call_proved kernel h ~subject ~caller path args =
@@ -595,7 +588,7 @@ and spawn_uncounted kernel ~subject ~name ~body =
       ~acl:(Acl.of_entries [ Acl.allow_all (Acl.Individual principal) ])
       (Subject.effective_class subject)
   in
-  let thread = Thread.make ~id ~name ~subject ~meta ~body in
+  let thread = Thread.make ~id ~name ~subject ~body in
   match
     Resolver.create_leaf kernel.resolver ~subject (thread_path id) ~meta
       (Thread_ref thread)
@@ -662,22 +655,20 @@ let find_loaded kernel name =
 
 (* {1 Certificate lifecycle} *)
 
-(* Record [certificate] on the named extension's import handles for
-   the paths it proves [Always_allow] and strip every other proof from
-   them; [None] strips them all.  An extension that is not loaded holds
-   no import handle.  The grants keep their own monitor
-   justification. *)
+(* Record [certificate] on the named extension's import handles whose
+   path it proves [Always_allow] over the very values the grant keeps,
+   and strip every other proof from them; [None] strips them all.  An
+   extension that is not loaded holds no import handle.  The grants
+   keep their own monitor justification. *)
 let record_proofs kernel name certificate =
-  let proof_of g (certificate : Certificate.t) =
-    List.find_map
+  let proves g (certificate : Certificate.t) =
+    List.exists
       (fun (proof : Certificate.import_proof) ->
-        if Path.equal proof.import g.g_path && Certificate.proof_holds proof then
-          Some (certificate, proof)
-        else None)
+        Path.equal proof.import g.g_path && Certificate.proof_holds proof (Array.to_list g.g_metas))
       certificate.proofs
   in
   let record h g =
-    let g_proof = Option.bind certificate (proof_of g) in
+    let g_proof = Option.bind certificate (fun c -> if proves g c then Some c else None) in
     if Option.is_some g_proof || Option.is_some g.g_proof then
       ignore (Handle.update kernel.handles h { g with g_proof })
   in

@@ -165,27 +165,31 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
 
     The handle fast path: {!open_handle} pays for one fully checked
     resolution and returns a dense, unforgeable handle pinning the
-    admitted target
-    together with the coordinates the decision depended on: the
-    policy epoch, the [Meta] generation of each node on the resolution
-    chain, and the subject's membership, recorded both as the
-    principal-database generation and as the subject's own snapshot
-    row ({!Principal.Db.Snapshot.row}).  All of them are read before
-    the decision runs.  {!call_handle} then dispatches with a
+    admitted target together with what the decision read: the
+    policy, the nodes of the resolution chain with the value each held
+    ({!Namespace.meta}), and the subject's membership, recorded both
+    as the principal-database generation and as the subject's own
+    snapshot row ({!Principal.Db.Snapshot.row}).  All of them are read
+    before the decision runs, and the decision reads exactly them
+    ({!Resolver.resolve_chain}).  {!call_handle} then dispatches with a
     bounds-checked slot probe plus compares: no path walk, no hashing,
     no monitor entry, and zero allocation on the granted path.
 
-    {b Freshness.}  A grant is fresh while the epoch is unchanged,
-    every chain generation is unchanged, and either the database
-    generation is unchanged or the current snapshot gives the subject
-    the recorded row ([==]).  With no membership edit that is one
-    compare, as before the row existed; after an edit it costs a
-    published-snapshot probe and one row load, and still allocates
-    nothing.  A [set_policy], an ACL or class edit anywhere on the
-    chain, or a membership edit that moves the subject (directly or
-    through a nested group, a newly registered one included) fails
-    closed into a fully checked, audited re-resolution, which re-mints
-    the slot in place when the access is still admitted.  A membership
+    {b Freshness.}  A grant is fresh while the monitor still holds the
+    kept policy and every chain node the kept value (both [==]), and
+    either the database generation is unchanged or the current
+    snapshot gives the subject the recorded row ([==]).  A value is
+    never edited in place: an edit publishes a new one and a removal
+    retires the node with a copy, so the chain test is one node load
+    and one compare per node.  With no membership edit the membership
+    half is one compare; after an edit it costs a published-snapshot
+    probe and one row load, and still allocates nothing.  A
+    [set_policy], an ACL or class edit anywhere on the chain, a removal
+    of any chain node, or a membership edit that moves the subject
+    (directly or through a nested group, a newly registered one
+    included) fails closed into a fully checked, audited
+    re-resolution, which re-mints the slot in place when the access is
+    still admitted.  A membership
     edit or a registration that does not move the subject revokes
     nothing.  A closed handle (or one whose slot was recycled
     by a later mint) never grants: the slot stamp turns it into a
@@ -197,16 +201,15 @@ val make_ctx : t -> subject:Subject.t -> caller:string -> Service.ctx
       other.  So [==] implies equal content (the shared empty row is
       one atom, equal content too).
     - The DAC verdicts along the chain read only the subject's id,
-      which never changes, and its row.  Each compiled ACL is guarded
-      by the chain generations ({!Meta.compiled_in}), and its group
-      tier probes only the subject's row.  A registration can change a
+      which never changes, and its row.  Each compiled ACL belongs to
+      the kept value whose ACL it compiles ({!Meta.compiled_in}), and
+      its group tier probes only the subject's row.  A registration can change a
       verdict only by putting the subject in a group (its row moves):
       an ACL-named individual registered since compiling is matched by
       name as before, and a group the form compiled away holds the
       subject only if the subject's row now lists it.  MAC and Biba
-      read the chain's classes, which the chain generations cover, and
-      the subject's, which never change.  The policy is covered by the
-      epoch.
+      read the chain's classes, which the kept values hold, and the
+      subject's, which never change.
     - The recorded row is the one the decision read: the decision runs
       under the snapshot read before it ({!Resolver.resolve_in}), and
       the grant keeps the subject's row from that snapshot.  This
@@ -247,8 +250,9 @@ val call_proved :
 (** The certified call through [caller]'s handle [h] for [path] (a
     linker import handle).  While the grant's recorded proof
     ({!note_certificate}) holds — certificate
-    {!Exsec_analysis.Certificate.valid} (policy epoch, expiry), chain
-    generations, the proof naming the grant's node, and
+    {!Exsec_analysis.Certificate.valid} (its policy still in force,
+    expiry), the grant's chain nodes still holding the values the
+    proof was over, and
     {!Exsec_analysis.Certificate.admits_subject} for [subject] — the
     grant's target runs under [subject] itself, as a handle hit,
     whatever the grant's own subject and membership coordinates.  The
@@ -276,7 +280,11 @@ val spawn :
   t -> subject:Subject.t -> name:string -> body:(unit -> Thread.status) ->
   (Thread.t, Service.error) result
 (** Create a thread owned by the subject's principal, at the subject's
-    effective class, and publish it at [/threads/<id>]. *)
+    effective class, and publish it at {!thread_path}. *)
+
+val thread_path : int -> Path.t
+(** [/threads/t<id>]: the node of thread [id], which holds the
+    thread's metadata. *)
 
 val kill :
   t -> subject:Subject.t -> victim:int -> (unit, Service.error) result
@@ -316,14 +324,14 @@ val loaded_by : t -> Principal.individual -> int
 
     A certificate's only runtime effect is the proof it records on its
     extension's import handles ({!call_proved}).  The proof serves a
-    covered subject while the certificate still validates — policy
-    epoch and every consulted metadata generation unchanged, the
+    covered subject while the certificate still validates — the policy
+    and every consulted node value it kept still in force, the
     validity horizon (if its profile set one) not yet reached at the
     kernel's certificate epoch, and the subject's own membership
     unmoved: the database generation unchanged, or the subject's row
     the one kept at issue.  A stale certificate fails closed into the
-    fully checked path; {!Reference_monitor.set_policy} (epoch bump)
-    revokes every certificate at once, but a membership edit revokes
+    fully checked path; {!Reference_monitor.set_policy} (a new policy
+    value) revokes every certificate at once, but a membership edit revokes
     only for the subjects whose own row it moves (see
     {!Exsec_analysis.Certificate}).  No certificate mints or
     closes a handle: dropping one (revocation, expiry, unload) strips
@@ -362,7 +370,7 @@ val certificates : t -> Exsec_analysis.Certificate.t list
 val cert_epoch : t -> int
 (** The kernel's certificate clock.  Validity horizons
     ({!Exsec_analysis.Certificate.t.expires_at}) are measured in ticks
-    of this counter; it is independent of the policy epoch, so expiry
+    of this counter; it is independent of the policy, so expiry
     never invalidates unrelated certificates or handles. *)
 
 val advance_cert_epoch : t -> int

@@ -91,7 +91,7 @@ module Linked : sig
       handle ({!Kernel.call_handle}): the hot path.  Unlike {!call},
       the subject is the {e link-time} (capped) subject baked into the
       grant — capability semantics — and the dispatch skips all
-      monitor work while the grant's generation coordinates hold,
+      monitor work while what the grant's decision read holds,
       failing closed into the checked path on any drift.  Unloading
       the extension closes every import handle. *)
 
@@ -113,7 +113,7 @@ module Linked : sig
     t -> Path.t -> Value.t list -> (Value.t, Service.error) result
   (** Call a pre-minted chain target through its handle — the same
       45ns fast path as {!call_import}, failing closed on any drift
-      (policy epoch bump, ACL or membership churn). *)
+      (a new policy, ACL or membership churn). *)
 end
 
 val link :

@@ -14,19 +14,17 @@ type t = {
   id : int;
   thread_name : string;
   subject : Subject.t;
-  meta : Meta.t;
   body : unit -> status;
   mutable state : state;
   mutable quanta : int;
 }
 
-let make ~id ~name ~subject ~meta ~body =
-  { id; thread_name = name; subject; meta; body; state = Ready; quanta = 0 }
+let make ~id ~name ~subject ~body =
+  { id; thread_name = name; subject; body; state = Ready; quanta = 0 }
 
 let id thread = thread.id
 let name thread = thread.thread_name
 let subject thread = thread.subject
-let meta thread = thread.meta
 let state thread = thread.state
 
 let is_alive thread =

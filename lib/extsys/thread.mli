@@ -35,14 +35,11 @@ type state =
 
 type t
 
-val make :
-  id:int -> name:string -> subject:Subject.t -> meta:Meta.t ->
-  body:(unit -> status) -> t
+val make : id:int -> name:string -> subject:Subject.t -> body:(unit -> status) -> t
 
 val id : t -> int
 val name : t -> string
 val subject : t -> Subject.t
-val meta : t -> Meta.t
 val state : t -> state
 val is_alive : t -> bool
 

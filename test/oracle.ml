@@ -515,10 +515,13 @@ let arb_script =
 
 (* {1 Applying an op} *)
 
-let node_meta w i =
-  match Namespace.find (Kernel.namespace w.kernel) nodes.(i) with
-  | Ok node -> Some (Namespace.meta node)
-  | Error _ -> None
+let publish_meta w i next =
+  let ns = Kernel.namespace w.kernel in
+  match Namespace.find ns nodes.(i) with
+  | Ok node ->
+    Namespace.publish ns node next;
+    if i < republishable then w.metas.(i) <- Namespace.meta node
+  | Error _ -> ()
 
 let ignore_invalid f = try f () with Invalid_argument _ -> ()
 
@@ -647,16 +650,15 @@ let apply w = function
   | Edit edit -> apply_edit w edit
   | Batch edits -> Kernel.batch_principals w.kernel (fun () -> List.iter (apply_edit w) edits)
   | Set_acl { node; acl } ->
-    Option.iter (fun meta -> Meta.set_acl_raw meta (snd acl_variants.(acl))) (node_meta w node)
+    publish_meta w node (fun meta -> Meta.with_acl meta (snd acl_variants.(acl)))
   | Set_policy i ->
     w.policy <- policies.(i);
     Reference_monitor.set_policy (Kernel.monitor w.kernel) w.policy
   | Relabel { node; klass } ->
-    Option.iter (fun meta -> Meta.set_klass_raw meta classes.(klass)) (node_meta w node)
+    publish_meta w node (fun meta -> Meta.with_klass meta classes.(klass))
   | Label { node; integrity } ->
-    Option.iter
-      (fun meta -> Meta.set_integrity_raw meta (Option.map (fun k -> classes.(k)) integrity))
-      (node_meta w node)
+    publish_meta w node (fun meta ->
+        Meta.with_integrity meta (Option.map (fun k -> classes.(k)) integrity))
   | Republish i -> republish w i
   | Close { subject; target } -> (
     match Hashtbl.find_opt w.handles (subject, target) with

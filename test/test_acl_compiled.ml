@@ -118,16 +118,16 @@ let prop_differential ~name ~count ~padding =
     (fun (memberships, entry_spec, mutations) ->
       let db, inds, grps = build_world ~padding memberships in
       let acl = acl_of_spec inds grps entry_spec in
-      let meta = Meta.make ~owner:inds.(0) ~acl (bottom ()) in
+      let meta = ref (Meta.make ~owner:inds.(0) ~acl (bottom ())) in
       let ok = ref true in
       let sweep () =
-        let compiled = Meta.compiled_acl meta ~db in
-        if not (agree ~db ~acl:meta.Meta.acl ~compiled inds) then ok := false
+        let compiled = Meta.compiled_acl !meta ~db in
+        if not (agree ~db ~acl:!meta.Meta.acl ~compiled inds) then ok := false
       in
       (* Phase 1: the freshly compiled form. *)
       sweep ();
       (* A clean re-read must reuse the memoized form, not recompile. *)
-      if not (Meta.compiled_acl meta ~db == Meta.compiled_acl meta ~db) then ok := false;
+      if not (Meta.compiled_acl !meta ~db == Meta.compiled_acl !meta ~db) then ok := false;
       (* Phase 2: membership churn mid-stream; the memoized form stays
          and every check must read the new membership from the
          current snapshot. *)
@@ -141,10 +141,9 @@ let prop_differential ~name ~count ~padding =
            with Invalid_argument _ -> ());
           sweep ())
         mutations;
-      (* Phase 3: replace the ACL under the object; the meta
-         generation bump must invalidate the memoized form. *)
-      Meta.set_acl_raw meta
-        (Acl.add (Acl.deny (Acl.Individual inds.(1)) [ Access_mode.Read ]) acl);
+      (* Phase 3: replace the ACL under the object; the new value must
+         not reuse the old value's form. *)
+      meta := Meta.with_acl !meta (Acl.add (Acl.deny (Acl.Individual inds.(1)) [ Access_mode.Read ]) acl);
       sweep ();
       !ok)
 
@@ -277,8 +276,8 @@ let test_memoization_and_invalidation () =
   Principal.Db.add_member db staff (Principal.Ind (Principal.individual "newcomer"));
   let c1' = Meta.compiled_acl meta ~db in
   check "registering a bystander keeps the form" true (c1 == c1');
-  (* ACL change: meta generation moves. *)
-  Meta.set_acl_raw meta Acl.empty;
+  (* ACL change: the next value starts without the form. *)
+  let meta = Meta.with_acl meta Acl.empty in
   let c2 = Meta.compiled_acl meta ~db in
   check "acl bump recompiles" true (not (c1' == c2));
   check "empty acl decides nothing" true
@@ -286,6 +285,27 @@ let test_memoization_and_invalidation () =
        (Acl_compiled.check c2 ~snapshot:(Principal.Db.snapshot db) ~subject:alice
           ~mode:Access_mode.Read)
      = 2)
+
+let test_relabel_keeps_form () =
+  (* A relabel publishes a value with the same ACL, so it keeps the
+     compiled form; an ACL edit publishes one that compiles its own,
+     even when the new ACL equals the old. *)
+  let db, alice, _, _, staff, _ = fixture () in
+  let acl = Acl.of_entries [ Acl.allow (Acl.Group staff) [ Access_mode.Read ] ] in
+  let hierarchy, universe = std () in
+  let ns = Namespace.create ~root_meta:(Meta.make ~owner:alice (bottom ())) () in
+  let node =
+    Result.get_ok
+      (Namespace.add_leaf ns (Path.of_string "/f") ~meta:(Meta.make ~owner:alice ~acl (bottom ())) ())
+  in
+  let c0 = Meta.compiled_acl (Namespace.meta node) ~db in
+  Namespace.publish ns node (fun meta ->
+      Meta.with_klass meta (Security_class.top hierarchy universe));
+  Namespace.publish ns node (fun meta -> Meta.with_integrity meta (Some (bottom ())));
+  check "a relabel keeps the compiled form" true
+    (Meta.compiled_acl (Namespace.meta node) ~db == c0);
+  Namespace.publish ns node (fun meta -> Meta.with_acl meta acl);
+  check "an ACL edit replaces it" false (Meta.compiled_acl (Namespace.meta node) ~db == c0)
 
 let test_unrelated_edit_keeps_slot () =
   (* Edits to a group the ACL does not name leave the memo slot
@@ -668,6 +688,8 @@ let suite =
       test_unregistered_group_compiles_away;
     Alcotest.test_case "memoization and invalidation" `Quick
       test_memoization_and_invalidation;
+    Alcotest.test_case "a relabel keeps the compiled form; an ACL edit replaces it" `Quick
+      test_relabel_keeps_form;
     Alcotest.test_case "unrelated edit keeps the slot" `Quick test_unrelated_edit_keeps_slot;
     Alcotest.test_case "snapshot validity" `Quick test_snapshot_validity;
     Alcotest.test_case "check allocates nothing" `Quick test_check_allocates_nothing;

@@ -315,7 +315,7 @@ let prop_prove_path_folds =
         in
         List.for_all
           (fun (proof : Certificate.import_proof) ->
-            List.for_all2 ( == ) (List.map fst proof.Certificate.chain) chain
+            List.for_all2 ( == ) proof.Certificate.chain chain
             && Verdict.equal proof.Certificate.verdict
                  (all
                     (Array.to_list

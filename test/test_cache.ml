@@ -40,11 +40,11 @@ let replay ~seed ~steps ~mutation_fraction =
           expected
           (Reference_monitor.decide monitor ~subject ~meta ~mode)
       | Opstream.Set_acl { object_; acl } ->
-        Meta.set_acl_raw env.Opstream.metas.(object_) acl
+        env.Opstream.metas.(object_) <- Meta.with_acl env.Opstream.metas.(object_) acl
       | Opstream.Set_class { object_; klass } ->
-        Meta.set_klass_raw env.Opstream.metas.(object_) klass
+        env.Opstream.metas.(object_) <- Meta.with_klass env.Opstream.metas.(object_) klass
       | Opstream.Set_integrity { object_; integrity } ->
-        Meta.set_integrity_raw env.Opstream.metas.(object_) integrity
+        env.Opstream.metas.(object_) <- Meta.with_integrity env.Opstream.metas.(object_) integrity
       | Opstream.Set_policy next ->
         policy := next;
         Reference_monitor.set_policy monitor next
@@ -102,7 +102,10 @@ let test_acl_change_revokes () =
   let decide = decider db monitor subject meta in
   Alcotest.check decision "granted before" Decision.Granted (decide "first");
   Alcotest.check decision "memoized grant" Decision.Granted (decide "second");
-  Meta.set_acl_raw meta (Acl.of_entries [ Acl.deny (Acl.Individual alice) [ Access_mode.Read ] ]);
+  let decide =
+    decider db monitor subject
+      (Meta.with_acl meta (Acl.of_entries [ Acl.deny (Acl.Individual alice) [ Access_mode.Read ] ]))
+  in
   Alcotest.check decision "revoked after ACL swap"
     (Decision.Denied (Decision.Dac_explicit_deny (Acl.Individual alice)))
     (decide "after swap")
@@ -148,7 +151,7 @@ let test_relabel_revokes () =
   let decide = decider db monitor subject meta in
   Alcotest.check decision "granted at bottom" Decision.Granted (decide "first");
   Alcotest.check decision "memoized grant" Decision.Granted (decide "second");
-  Meta.set_klass_raw meta top;
+  let decide = decider db monitor subject (Meta.with_klass meta top) in
   check "denied after relabel to top" false (Decision.is_granted (decide "relabelled"))
 
 let test_policy_change_revokes () =

@@ -626,7 +626,7 @@ let test_delegation () =
 
 let test_crl_revocation () =
   let w = build_world () in
-  let epoch0 = Reference_monitor.policy_epoch (Kernel.monitor w.kernel) in
+  let policy0 = Reference_monitor.policy (Kernel.monitor w.kernel) in
   (* By prefix: only front's proofs import under /ext/relay. *)
   check "prefix CRL revokes exactly the matching certificate" true
     (Kernel.revoke_by_prefix w.kernel (Path.of_string "/ext/relay") = 1);
@@ -640,7 +640,7 @@ let test_crl_revocation () =
   check "table empty" true (Kernel.certificates w.kernel = []);
   (* No global epoch bump: unrelated cached state is untouched. *)
   check "no policy-epoch bump" true
-    (Reference_monitor.policy_epoch (Kernel.monitor w.kernel) = epoch0);
+    (Reference_monitor.policy (Kernel.monitor w.kernel) == policy0);
   (* A principal nobody covers revokes nothing. *)
   let w2 = build_world () in
   check "uncovered principal revokes nothing" true

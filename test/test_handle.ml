@@ -73,18 +73,22 @@ let test_revocation_rechecks () =
   let kernel, ping, meta, alice = simple_fixture () in
   let h = open_exn kernel ~subject:alice ~caller:"t" ping in
   check "granted" true (Kernel.call_handle kernel h [] = Ok (Value.int 42));
-  (* Revoke by ACL edit: the grant's chain generation drifts, the next
-     call falls into the checked path and must deny. *)
+  (* Revoke by ACL edit: the target's node publishes a value the grant
+     did not keep, so the next call falls into the checked path and
+     must deny. *)
   let open_acl = meta.Meta.acl in
-  Meta.set_acl_raw meta
-    (Acl.of_entries [ Acl.allow (Acl.Individual (Principal.individual "admin")) [ Access_mode.Execute ] ]);
+  let ns = Kernel.namespace kernel in
+  let node = Result.get_ok (Namespace.find ns ping) in
+  Namespace.publish ns node (fun meta ->
+      Meta.with_acl meta
+        (Acl.of_entries [ Acl.allow (Acl.Individual (Principal.individual "admin")) [ Access_mode.Execute ] ]));
   (match Kernel.call_handle kernel h [] with
   | Error (Service.Denied _) -> ()
   | Ok _ -> Alcotest.fail "revoked handle granted"
   | Error e -> Alcotest.fail ("unexpected error: " ^ Service.error_to_string e));
   (* Restore: the checked path re-admits and re-mints in place — the
      same handle value works again. *)
-  Meta.set_acl_raw meta open_acl;
+  Namespace.publish ns node (fun meta -> Meta.with_acl meta open_acl);
   check "re-granted after restore" true (Kernel.call_handle kernel h [] = Ok (Value.int 42));
   (* Epoch bump with the SAME policy still revokes the grant; the
      re-check must re-admit transparently. *)

@@ -87,7 +87,10 @@ let test_thread_murder_java_baseline () =
   let spawn name principal =
     let subject = Subject.make (Principal.individual principal) sandbox_class in
     let thread = ok "spawn" (Kernel.spawn kernel ~subject ~name ~body:immortal) in
-    Meta.set_acl_raw (Thread.meta thread) world_open_thread_acl;
+    let ns = Kernel.namespace kernel in
+    Namespace.publish ns
+      (Result.get_ok (Namespace.find ns (Kernel.thread_path (Thread.id thread))))
+      (fun meta -> Meta.with_acl meta world_open_thread_acl);
     thread
   in
   let v1 = spawn "victim1" "dept1" in

@@ -455,7 +455,7 @@ let test_unload_revokes_chain_grants () =
     (Kernel.certificate_admits kernel ~caller:"a" ~subject:alice_sub store)
 
 let test_epoch_bump_fails_chain_closed () =
-  let kernel, alice_sub, store, store_meta, linked = boot_chained () in
+  let kernel, alice_sub, store, _, linked = boot_chained () in
   let monitor = Kernel.monitor kernel in
   let audit = Reference_monitor.audit monitor in
   check "chain call serves" true (Linker.Linked.call_chain linked store [] = Ok (Value.int 7));
@@ -474,8 +474,9 @@ let test_epoch_bump_fails_chain_closed () =
   check "the re-check was audited" true (Audit.total audit > t0);
   (* Mid-chain revocation: close the target's ACL, bump the epoch
      again — the pre-minted handle must deny, never grant from cache. *)
-  Meta.set_acl_raw store_meta
-    (Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List ] ]);
+  let ns = Kernel.namespace kernel in
+  Namespace.publish ns (Result.get_ok (Namespace.find ns store)) (fun meta ->
+      Meta.with_acl meta (Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.List ] ]));
   Reference_monitor.set_policy monitor (Reference_monitor.policy monitor);
   let d0 = Audit.denied_total audit in
   (match Linker.Linked.call_chain linked store [] with

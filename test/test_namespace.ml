@@ -100,9 +100,10 @@ let test_per_node_meta_is_independent () =
   let ns = make () in
   let m1 = meta () in
   let m2 = meta () in
-  let _ = ok "a" (Namespace.add_dir ns (Path.of_string "/a") ~meta:m1) in
+  let node_a = ok "a" (Namespace.add_dir ns (Path.of_string "/a") ~meta:m1) in
   let _ = ok "b" (Namespace.add_dir ns (Path.of_string "/b") ~meta:m2) in
-  Meta.set_acl_raw m1 (Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Read ] ]);
+  Namespace.publish ns node_a (fun m ->
+      Meta.with_acl m (Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Read ] ]));
   let node_b = ok "find b" (Namespace.find ns (Path.of_string "/b")) in
   check "b unchanged" true (Acl.equal (Namespace.meta node_b).Meta.acl (Acl.owner_default owner))
 

@@ -48,7 +48,7 @@ let test_stress_readers_vs_mutator () =
   let observer = Subject.make observer_ind bottom in
   let allow_read = Acl.of_entries [ Acl.allow Acl.Everyone [ Access_mode.Read ] ] in
   let deny_read = Acl.of_entries [ Acl.deny Acl.Everyone [ Access_mode.Read ] ] in
-  let barrier_meta = Meta.make ~owner:warden ~acl:allow_read bottom in
+  let barrier_meta = ref (Meta.make ~owner:warden ~acl:allow_read bottom) in
   let barrier_round = Atomic.make 0 in
   let acks = Array.init readers (fun _ -> Atomic.make 0) in
   let stop = Atomic.make false in
@@ -82,7 +82,7 @@ let test_stress_readers_vs_mutator () =
            strictly inside the deny window: any grant is stale. *)
         incr checks;
         let decision =
-          Reference_monitor.check monitor ~subject:observer ~meta:barrier_meta
+          Reference_monitor.check monitor ~subject:observer ~meta:!barrier_meta
             ~object_name:"barrier" ~mode:Access_mode.Read
         in
         if Decision.is_granted decision then incr stale_grants;
@@ -102,11 +102,12 @@ let test_stress_readers_vs_mutator () =
       for _ = 1 to mutations_per_round do
         (match ops.(!pos) with
         | Opstream.Set_acl { object_; acl } ->
-          Meta.set_acl_raw env.Opstream.metas.(object_) acl
+          env.Opstream.metas.(object_) <- Meta.with_acl env.Opstream.metas.(object_) acl
         | Opstream.Set_class { object_; klass } ->
-          Meta.set_klass_raw env.Opstream.metas.(object_) klass
+          env.Opstream.metas.(object_) <- Meta.with_klass env.Opstream.metas.(object_) klass
         | Opstream.Set_integrity { object_; integrity } ->
-          Meta.set_integrity_raw env.Opstream.metas.(object_) integrity
+          env.Opstream.metas.(object_) <-
+            Meta.with_integrity env.Opstream.metas.(object_) integrity
         | Opstream.Set_policy policy ->
           (* Keep discretionary control on so the barrier's explicit
              deny stays definitive in every window. *)
@@ -120,12 +121,12 @@ let test_stress_readers_vs_mutator () =
       done;
       (* Revoke first, publish the round after: a reader that observes
          the new round therefore observes the revocation too. *)
-      Meta.set_acl_raw barrier_meta deny_read;
+      barrier_meta := Meta.with_acl !barrier_meta deny_read;
       Atomic.set barrier_round round;
       while Array.exists (fun ack -> Atomic.get ack < round) acks do
         Domain.cpu_relax ()
       done;
-      Meta.set_acl_raw barrier_meta allow_read
+      barrier_meta := Meta.with_acl !barrier_meta allow_read
     done;
     Atomic.set stop true
   in
@@ -146,14 +147,14 @@ let test_stress_readers_vs_mutator () =
 (* {1 Capability handles under parallel callers and a mutator}
 
    Four caller domains hammer [Kernel.call_handle] over a pool of
-   pinned handles while a mutator flips proc ACLs and bumps the policy
-   epoch.  Invariants:
+   pinned handles while a mutator flips proc ACLs and republishes the
+   policy.  Invariants:
 
    - revocation barrier: the mutator revokes [Execute] on the barrier
      proc {e before} publishing the round number, so every caller's
      next handle call on the barrier — observed strictly inside the
-     deny window — must refuse; a grant would be a stale generation
-     snapshot surviving a revocation;
+     deny window — must refuse; a grant would be a kept value
+     surviving a revocation;
    - counter conservation: handle.calls = handle.hits + handle.stale +
      handle.use_after_close, exactly, across all domains;
    - the churn actually exercised the fallback: stale revalidations
@@ -215,11 +216,13 @@ let test_handle_callers_vs_mutator () =
     | Ok () -> ()
     | Error e -> failwith (Service.error_to_string e)
   in
-  let proc_metas =
-    Array.init n_procs (fun i ->
-        let meta = Meta.make ~owner:admin ~acl:(open_acl ()) bottom in
-        install proc_paths.(i) meta (Value.int i);
-        meta)
+  Array.iteri
+    (fun i path -> install path (Meta.make ~owner:admin ~acl:(open_acl ()) bottom) (Value.int i))
+    proc_paths;
+  let ns = Kernel.namespace kernel in
+  let publish_acl path acl =
+    Namespace.publish ns (Result.get_ok (Namespace.find ns path)) (fun meta ->
+        Meta.with_acl meta acl)
   in
   let barrier_path = Path.of_string "/svc/barrier" in
   let barrier_meta = Meta.make ~owner:admin ~acl:(open_acl ()) bottom in
@@ -269,19 +272,19 @@ let test_handle_callers_vs_mutator () =
     done;
     for round = 1 to handle_rounds do
       for m = 0 to n_procs - 1 do
-        Meta.set_acl_raw proc_metas.(m)
+        publish_acl proc_paths.(m)
           (if (round + m) land 1 = 0 then open_acl () else list_only_acl ())
       done;
-      (* Re-installing the same policy still bumps the epoch. *)
+      (* Re-installing the same policy still publishes a new value. *)
       Reference_monitor.set_policy (Kernel.monitor kernel) Policy.default;
       (* Revoke first, publish the round after: a caller that observes
          the round number observes the revocation too. *)
-      Meta.set_acl_raw barrier_meta (deny_exec_acl ());
+      publish_acl barrier_path (deny_exec_acl ());
       Atomic.set barrier_round round;
       while Array.exists (fun ack -> Atomic.get ack < round) acks do
         Domain.cpu_relax ()
       done;
-      Meta.set_acl_raw barrier_meta (open_acl ())
+      publish_acl barrier_path (open_acl ())
     done;
     Atomic.set stop true
   in
@@ -625,6 +628,61 @@ let test_mutation_one_snapshot () =
   in
   Alcotest.(check (list (pair string int)))
     "grants per mutation" (List.map (fun (name, _) -> name, 0) grants) grants
+
+(* {1 A relabel and an ACL edit racing on one node both land}
+
+   Two domains share [/x]: one publishes 20,000 distinct ACLs through
+   [Resolver.set_acl], the other 20,000 distinct classes through
+   [Resolver.set_class].  Each builds its value from the node's current
+   one, so each must find its own last value still in place, before
+   its next publication and after it: a publication that read the node
+   outside the tree's lock could store a value built on one the other
+   domain has since replaced, dropping that domain's edit. *)
+
+let test_relabel_beside_acl_edit () =
+  let db = Principal.Db.create () in
+  let admin = Principal.individual "admin" in
+  Principal.Db.add_individual db admin;
+  let hierarchy = Level.hierarchy [ "hi"; "lo" ] and universe = Category.universe [ "c" ] in
+  let bottom = Security_class.bottom hierarchy universe in
+  let acl () =
+    Acl.of_entries [ Acl.allow_all (Acl.Individual admin); Acl.allow Acl.Everyone [ Access_mode.List ] ]
+  in
+  let ns = Namespace.create ~root_meta:(Meta.make ~owner:admin ~acl:(acl ()) bottom) () in
+  let x = Path.of_string "/x" in
+  let node = Result.get_ok (Namespace.add_leaf ns x ~meta:(Meta.make ~owner:admin ~acl:(acl ()) bottom) ()) in
+  let r = Resolver.create (Reference_monitor.create db) ns in
+  let admin_sub = Subject.make ~trusted:true admin (Security_class.top hierarchy universe) in
+  let edits = 20_000 in
+  let run publish field fresh =
+    let lost = ref 0 and last = ref (field (Namespace.meta node)) in
+    for i = 1 to edits do
+      if field (Namespace.meta node) != !last then incr lost;
+      let value = fresh i in
+      if Result.is_error (publish value) then Alcotest.fail "publication refused";
+      if field (Namespace.meta node) != value then incr lost;
+      last := value
+    done;
+    !lost, !last
+  in
+  let relabels =
+    Domain.spawn (fun () ->
+        run
+          (Resolver.set_class r ~subject:admin_sub x)
+          (fun meta -> meta.Meta.klass)
+          (fun i ->
+            Security_class.make
+              (Level.of_name_exn hierarchy (if i land 1 = 0 then "hi" else "lo"))
+              (Category.of_names universe [ "c" ])))
+  in
+  let acl_lost, last_acl =
+    run (Resolver.set_acl r ~subject:admin_sub x) (fun meta -> meta.Meta.acl) (fun _ -> acl ())
+  in
+  let class_lost, last_class = Domain.join relabels in
+  Alcotest.(check int) "ACL edits lost" 0 acl_lost;
+  Alcotest.(check int) "relabels lost" 0 class_lost;
+  check "the last ACL landed" true ((Namespace.meta node).Meta.acl == last_acl);
+  check "the last class landed" true ((Namespace.meta node).Meta.klass == last_class)
 
 (* {1 A handle keeps the row its decision read}
 
@@ -973,6 +1031,8 @@ let suite =
       test_resolution_one_snapshot;
     Alcotest.test_case "a resolver mutation decides under one snapshot" `Quick
       test_mutation_one_snapshot;
+    Alcotest.test_case "a relabel and an ACL edit racing on one node both land" `Quick
+      test_relabel_beside_acl_edit;
     Alcotest.test_case "a handle keeps the row its decision read" `Quick
       test_handle_keeps_decision_row;
     Alcotest.test_case "a walk concurrent with a growing directory finds every name" `Quick

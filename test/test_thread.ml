@@ -11,7 +11,6 @@ let alice = Principal.individual "alice"
 let make_thread ?(id = 0) body =
   Thread.make ~id ~name:(Printf.sprintf "t%d" id)
     ~subject:(Subject.make alice bottom)
-    ~meta:(Meta.make ~owner:alice bottom)
     ~body
 
 let test_lifecycle () =
